@@ -102,26 +102,8 @@ def cmd_detect(cfg: ExperimentConfig, runner: _Runner) -> int:
     lam_signal = power_to_rate(cfg.detect_power_dbm, cfg.environment.nu)
     n_e = thermal_photon_rate(cfg.environment)
     lam = lam_signal + n_e / cfg.timing.t_c
-    probs = detection.stage_probabilities(
-        lam, cfg.timing, cfg.device, mc_samples=cfg.mc.mc_samples,
-        eps_trunc=cfg.mc.eps_trunc, rng_seed=cfg.seed,
-    )
-    report = SweepReport(columns=detection.MISS_SWEEP_COLUMNS)
-    report.append(
-        **{
-            "lambda": lam,
-            "kappa": cfg.device.kappa,
-            "gamma": cfg.device.gamma,
-            "t_c": cfg.timing.t_c,
-            "delta_o": cfg.timing.delta_o,
-            "t_w": cfg.timing.t_w,
-            "p_capture": probs.p_capture.value,
-            "p_readout": probs.p_readout.value,
-            "p_miss": probs.p_miss.value,
-            "stderr": probs.p_readout.stderr,
-            "replicas": cfg.mc.mc_samples,
-            "seed": cfg.seed,
-        }
+    report = detection.miss_probability_sweep(
+        [(lam, cfg.device.kappa, cfg.device.gamma)], cfg.timing, cfg.device, seed=cfg.seed
     )
     runner.write_report(report, "detect.csv")
     return 0
@@ -168,10 +150,7 @@ def cmd_miss_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
         for gamma in gammas
         for mean in means
     ]
-    report = detection.miss_probability_sweep(
-        grid, cfg.timing, cfg.device, mc_samples=cfg.mc.mc_samples,
-        seed=cfg.seed, eps_trunc=cfg.mc.eps_trunc,
-    )
+    report = detection.miss_probability_sweep(grid, cfg.timing, cfg.device, seed=cfg.seed)
     runner.write_report(report, "miss_sweep.csv")
     runner.write_figure(report, "fig6")
     return 0
@@ -183,9 +162,7 @@ def _link_cfg(cfg: ExperimentConfig) -> link.LinkConfig:
         timing=cfg.timing,
         env=cfg.environment,
         saturation=cfg.link.saturation,
-        mc_samples=cfg.mc.mc_samples,
         sat_replicas=cfg.mc.sat_replicas,
-        eps_trunc=cfg.mc.eps_trunc,
         burn_in=cfg.link.burn_in,
     )
 

@@ -66,6 +66,13 @@ def _get_int(section: Mapping, key: str, default, where: str) -> int:
     return v
 
 
+def _get_bool(section: Mapping, key: str, default: bool, where: str) -> bool:
+    v = section.get(key, default)
+    if not isinstance(v, bool):
+        raise ConfigError(f"{where}.{key}: expected true or false, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class GridAxis:
     """A named sweep axis: explicit values, or start/stop/points with a scale."""
@@ -120,14 +127,13 @@ class GridAxis:
 
 @dataclass(frozen=True)
 class McSettings:
-    replicas: int = 100_000
     mc_samples: int = 100_000
     n_symbols: int = 100_000
     sat_replicas: int = 4096
     eps_trunc: float = 1e-10
 
     def __post_init__(self):
-        for name in ("replicas", "mc_samples", "n_symbols", "sat_replicas"):
+        for name in ("mc_samples", "n_symbols", "sat_replicas"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"mc.{name} must be >= 1")
         if not 0 < self.eps_trunc < 1:
@@ -310,9 +316,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
         mc_raw = d["mc"]
-        _check_keys(mc_raw, ("replicas", "mc_samples", "n_symbols", "sat_replicas", "eps_trunc"), "mc")
+        _check_keys(mc_raw, ("mc_samples", "n_symbols", "sat_replicas", "eps_trunc"), "mc")
         mc = McSettings(
-            replicas=_get_int(mc_raw, "replicas", 100_000, "mc"),
             mc_samples=_get_int(mc_raw, "mc_samples", 100_000, "mc"),
             n_symbols=_get_int(mc_raw, "n_symbols", 100_000, "mc"),
             sat_replicas=_get_int(mc_raw, "sat_replicas", 4096, "mc"),
@@ -322,8 +327,8 @@ class ExperimentConfig:
         _check_keys(lk, ("mode", "saturation", "dump_frames", "burn_in"), "link")
         link = LinkSettings(
             mode=lk.get("mode", "physical"),
-            saturation=bool(lk.get("saturation", False)),
-            dump_frames=bool(lk.get("dump_frames", False)),
+            saturation=_get_bool(lk, "saturation", False, "link"),
+            dump_frames=_get_bool(lk, "dump_frames", False, "link"),
             burn_in=_get_int(lk, "burn_in", 100, "link"),
         )
         dt = d["detect"]
@@ -364,7 +369,6 @@ class ExperimentConfig:
             "environment": ev_vals,
             "pulse": pu_vals,
             "mc": {
-                "replicas": mc.replicas,
                 "mc_samples": mc.mc_samples,
                 "n_symbols": mc.n_symbols,
                 "sat_replicas": mc.sat_replicas,

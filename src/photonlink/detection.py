@@ -1,21 +1,31 @@
 """Excitation and detection probabilities under Poisson photon arrival.
 
-Two independent routes are kept side by side on purpose: the analytic
-route (renewal dynamic program over transition photons, mixed over the
-Poisson count) and an event-driven Monte Carlo of the raw two-clock
-process.  They are compared against each other in the validation suite.
+Under Poisson arrival the unsaturated detector is a three-state Markov
+chain, and `excitation_ctmc` evaluates its transient law in closed form;
+every production path (stage chain, miss sweep, link kernels) uses it.
+Two independent routes are kept as its oracles: the renewal dynamic
+program over transition photons, mixed over the Poisson count by Monte
+Carlo over order statistics, and an event-driven Monte Carlo of the raw
+two-clock process.  The validation suite compares all three.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate, stats
 
-from .physics import CycleTiming, DeviceParams, excited_kernel, ground_return_prob
+from .physics import (
+    CycleTiming,
+    DeviceParams,
+    _phi,
+    detection_prob_single,
+    excited_kernel,
+    ground_return_prob,
+)
 from .report import Estimate, SweepReport
 from .rng import substream
 
@@ -29,6 +39,7 @@ __all__ = [
     "excitation_given_count",
     "ConditionalExcitationTable",
     "excitation_poisson",
+    "excitation_ctmc",
     "mc_detector",
     "stage_probabilities",
     "miss_probability_sweep",
@@ -259,9 +270,53 @@ def excitation_poisson(
     rng_seed: int = 0,
     mc_samples: int = _DEFAULT_MC_SAMPLES,
 ) -> Estimate:
-    """Excitation probability at the observation time under Poisson arrival."""
+    """Excitation probability at the observation time under Poisson arrival.
+
+    Renewal-DP route with a Monte Carlo standard error; oracle for
+    `excitation_ctmc`.
+    """
     table = ConditionalExcitationTable(timing.t_c, dev, mc_samples, seed=rng_seed)
     return table.poisson_mixture(lam, delta_o=timing.delta_o, eps_trunc=eps_trunc)
+
+
+def excitation_ctmc(lam, timing: CycleTiming, dev: DeviceParams):
+    """Exact excitation probability at the observation time under Poisson arrival.
+
+    A photon arriving while the system is armed or excited is lost, so the
+    detector is the chain G -(lam)-> A -(kappa/4)-> E -(gamma)-> G and the
+    result is [expm(Q t_c)]_{G,E} * exp(-gamma delta_o), elementwise over
+    an array of rates.  With r = kappa/4, b = lam + r + gamma,
+    c = lam r + r gamma + lam gamma and d^2 = b^2/4 - c,
+
+        p_E(t) = (lam r / c) [1 - exp(-b t/2) (cosh(d t) + (b/2) sinh(d t)/d)].
+
+    For real d the bracket is evaluated through the slow root
+    s = c / (b/2 + d) as -expm1(-s t) - s t exp(-s t) phi(2 d t), where
+    no exponent is positive and phi carries the series through d = 0;
+    complex roots use cos and sinc.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0):
+        raise ValueError("lambda must be >= 0")
+    t = timing.t_c
+    r, gamma = dev.transition_rate, dev.gamma
+    h = (lam + r + gamma) / 2.0
+    c = lam * r + r * gamma + lam * gamma
+    # b^2/4 - c regrouped so that gamma = 0 gives |lam - r| / 2 exactly
+    d2 = ((lam - r - gamma) ** 2 - 4.0 * r * gamma) / 4.0
+    real = d2 >= 0.0
+    d = np.sqrt(np.where(real, d2, 0.0))
+    w = np.sqrt(np.where(real, 0.0, -d2))
+    slow_t = c / (h + d) * t
+    bracket = np.where(
+        real,
+        -np.expm1(-slow_t) - slow_t * np.exp(-slow_t) * _phi(2.0 * d * t),
+        1.0 - np.exp(-h * t) * (np.cos(w * t) + h * t * np.sinc(w * t / np.pi)),
+    )
+    # c = 0 only at lam = gamma = 0, where nothing is ever excited
+    p = np.clip(lam * r / np.where(c > 0.0, c, 1.0) * bracket, 0.0, 1.0)
+    p = p * math.exp(-gamma * timing.delta_o)
+    return float(p) if p.ndim == 0 else p
 
 
 @dataclass(frozen=True)
@@ -370,32 +425,22 @@ class StageProbabilities:
         return Estimate(1.0 - self.p_readout.value, self.p_readout.stderr)
 
 
-def stage_probabilities(
-    lam: float,
-    timing: CycleTiming,
-    dev: DeviceParams,
-    mc_samples: int = _DEFAULT_MC_SAMPLES,
-    eps_trunc: float = 1e-10,
-    rng_seed: int = 0,
-    table: Optional[ConditionalExcitationTable] = None,
-) -> StageProbabilities:
-    """Capture, readout and reset-error probabilities at arrival rate lam."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if table is None:
-        table = ConditionalExcitationTable(timing.t_c, dev, mc_samples, seed=rng_seed)
-    p_exc = table.poisson_mixture(lam, delta_o=timing.delta_o, eps_trunc=eps_trunc)
-    p_cap = Estimate(
-        (1.0 - dev.p0) * p_exc.value + dev.p0 * (1.0 - p_exc.value),
-        abs(1.0 - 2.0 * dev.p0) * p_exc.stderr,
+def _stage_chain(p_exc: float, timing: CycleTiming, dev: DeviceParams) -> StageProbabilities:
+    p_cap = detection_prob_single(p_exc, dev)
+    p_out = p_cap * math.exp(-dev.gamma * timing.t_w)
+    p_re = dev.p_reset_g * (1.0 - p_out) + dev.p_reset_e * p_out
+    return StageProbabilities(
+        p_capture=Estimate(p_cap), p_readout=Estimate(p_out), p_reset_err=Estimate(p_re)
     )
-    p_w = math.exp(-dev.gamma * timing.t_w)
-    p_out = p_cap.scaled(p_w)
-    p_re = Estimate(
-        dev.p_reset_g * (1.0 - p_out.value) + dev.p_reset_e * p_out.value,
-        abs(dev.p_reset_e - dev.p_reset_g) * p_out.stderr,
-    )
-    return StageProbabilities(p_capture=p_cap, p_readout=p_out, p_reset_err=p_re)
+
+
+def stage_probabilities(lam: float, timing: CycleTiming, dev: DeviceParams) -> StageProbabilities:
+    """Capture, readout and reset-error probabilities at arrival rate lam.
+
+    Exact (the standard errors are 0): the excitation comes from
+    `excitation_ctmc`.
+    """
+    return _stage_chain(excitation_ctmc(lam, timing, dev), timing, dev)
 
 
 MISS_SWEEP_COLUMNS = (
@@ -418,41 +463,33 @@ def miss_probability_sweep(
     grid: Sequence[tuple],
     timing: CycleTiming,
     dev_template: DeviceParams,
-    mc_samples: int = _DEFAULT_MC_SAMPLES,
     seed: int = 0,
-    eps_trunc: float = 1e-10,
 ) -> SweepReport:
     """Miss probability over a grid of (lambda, kappa, gamma) points.
 
-    Points sharing (kappa, gamma) share one conditional-excitation table,
-    keyed by the first grid index of the group, so the curve along lambda
-    is smooth and the result does not depend on evaluation order.
+    Exact: the rates of each (kappa, gamma) group go through one
+    vectorised `excitation_ctmc` call, so stderr and replicas are 0.  The
+    seed is only recorded in its column.
     """
-    if not len(grid):
+    grid = [(float(lam), float(kappa), float(gamma)) for lam, kappa, gamma in grid]
+    if not grid:
         raise ValueError("grid must be nonempty")
-    report = SweepReport(columns=MISS_SWEEP_COLUMNS, meta={"seed": seed, "mc_samples": mc_samples})
-    tables: dict[tuple, ConditionalExcitationTable] = {}
-    for idx, (lam, kappa, gamma) in enumerate(grid):
-        dkey = (float(kappa), float(gamma))
-        if dkey not in tables:
-            dev = DeviceParams(
-                kappa=kappa,
-                gamma=gamma,
-                p0=dev_template.p0,
-                p_reset_g=dev_template.p_reset_g,
-                p_reset_e=dev_template.p_reset_e,
-                alpha_sat=dev_template.alpha_sat,
-            )
-            tables[dkey] = ConditionalExcitationTable(
-                timing.t_c, dev, mc_samples, seed=seed, key=(0xD1, idx)
-            )
-        table = tables[dkey]
-        probs = stage_probabilities(lam, timing, table.dev, table=table, eps_trunc=eps_trunc)
+    groups: dict[tuple, list[int]] = {}
+    for idx, (_, kappa, gamma) in enumerate(grid):
+        groups.setdefault((kappa, gamma), []).append(idx)
+    stages: list = [None] * len(grid)
+    for (kappa, gamma), idxs in groups.items():
+        dev = replace(dev_template, kappa=kappa, gamma=gamma)
+        p_exc = excitation_ctmc([grid[i][0] for i in idxs], timing, dev)
+        for i, p in zip(idxs, p_exc):
+            stages[i] = _stage_chain(float(p), timing, dev)
+    report = SweepReport(columns=MISS_SWEEP_COLUMNS, meta={"seed": seed})
+    for (lam, kappa, gamma), probs in zip(grid, stages):
         report.append(
             **{
-                "lambda": float(lam),
-                "kappa": float(kappa),
-                "gamma": float(gamma),
+                "lambda": lam,
+                "kappa": kappa,
+                "gamma": gamma,
                 "t_c": timing.t_c,
                 "delta_o": timing.delta_o,
                 "t_w": timing.t_w,
@@ -460,7 +497,7 @@ def miss_probability_sweep(
                 "p_readout": probs.p_readout.value,
                 "p_miss": probs.p_miss.value,
                 "stderr": probs.p_readout.stderr,
-                "replicas": mc_samples,
+                "replicas": 0,
                 "seed": seed,
             }
         )

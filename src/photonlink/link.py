@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .detection import ConditionalExcitationTable
+from .detection import excitation_ctmc
 from .physics import CycleTiming, DeviceParams, Environment, power_to_rate, thermal_photon_rate
 from .report import Estimate, SweepReport
 from .rng import substream
@@ -90,18 +90,16 @@ def build_cycle_kernel(
     lambda_signal: float,
     n_e: float,
     window: Optional[SaturationWindow] = None,
-    mc_samples: int = 100_000,
     sat_replicas: int = 200_000,
-    eps_trunc: float = 1e-10,
     seed: int = 0,
     key: Sequence[int] = (),
-    table: Optional[ConditionalExcitationTable] = None,
 ) -> CycleKernel:
     """Per-cycle kernel at signal rate lambda_signal plus thermal load n_e.
 
     The total arrival rate is lambda_signal + n_e / t_c.  A ground entry
-    is excited with the Poisson-arrival excitation probability (dead-time
-    filtered when window is given); an excited entry stays excited
+    is excited with the exact Poisson-arrival excitation probability, or
+    its dead-time filtered Monte Carlo estimate when window is given (seed
+    and key then pick the substream); an excited entry stays excited
     through capture and observation only by surviving decay.  Readout
     flips an excited observation to 0 with probability 1 - exp(-gamma
     t_w); reset leaves the system excited with p_reset_e after a 1 bit
@@ -115,11 +113,8 @@ def build_cycle_kernel(
             rate, timing, dev, enter_excited=False, replicas=sat_replicas,
             rng=substream(seed, *key, 0x5E), window=window,
         )
-    elif table is not None:
-        p_exc_g = table.poisson_mixture(rate, delta_o=timing.delta_o, eps_trunc=eps_trunc)
     else:
-        table = ConditionalExcitationTable(timing.t_c, dev, mc_samples, seed=seed, key=tuple(key))
-        p_exc_g = table.poisson_mixture(rate, delta_o=timing.delta_o, eps_trunc=eps_trunc)
+        p_exc_g = Estimate(excitation_ctmc(rate, timing, dev))
     p_exc_e = math.exp(-dev.gamma * (timing.t_c + timing.delta_o))
     p_w = math.exp(-dev.gamma * timing.t_w)
 
@@ -531,9 +526,7 @@ class LinkConfig:
     timing: CycleTiming
     env: Environment
     saturation: bool = False
-    mc_samples: int = 100_000
     sat_replicas: int = 200_000
-    eps_trunc: float = 1e-10
     burn_in: int = 100
 
     @property
@@ -544,20 +537,13 @@ class LinkConfig:
         """Kernels and HMM for one received-power point."""
         lam1 = power_to_rate(power_dbm, self.env.nu)
         window = SaturationWindow.from_device(self.dev) if self.saturation else None
-        table = None
-        if window is None:
-            table = ConditionalExcitationTable(
-                self.timing.t_c, self.dev, self.mc_samples, seed=seed, key=(*key, 0xE0)
-            )
         kernel0 = build_cycle_kernel(
             self.dev, self.timing, 0.0, self.n_e, window=window,
-            sat_replicas=self.sat_replicas, eps_trunc=self.eps_trunc,
-            seed=seed, key=(*key, 0), table=table,
+            sat_replicas=self.sat_replicas, seed=seed, key=(*key, 0),
         )
         kernel1 = build_cycle_kernel(
             self.dev, self.timing, lam1, self.n_e, window=window,
-            sat_replicas=self.sat_replicas, eps_trunc=self.eps_trunc,
-            seed=seed, key=(*key, 1), table=table,
+            sat_replicas=self.sat_replicas, seed=seed, key=(*key, 1),
         )
         return build_hmm(kernel0, kernel1, self.env.cycles_per_symbol)
 

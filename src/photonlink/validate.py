@@ -116,11 +116,14 @@ def check_dp_vs_enumeration(level: str, seed: int) -> CheckResult:
 
 
 def check_poisson_excitation_vs_mc(level: str, seed: int) -> CheckResult:
+    """Renewal DP against the event-driven MC, and the exact CTMC
+    excitation against each of them, on the same random points."""
     n_points = 20 if level == "full" else 5
     replicas = 1_000_000 if level == "full" else 100_000
     mc_samples = 100_000 if level == "full" else 20_000
     rng = substream(seed, 0x02)
     worst_z = 0.0
+    worst_exact = 0.0
     for i in range(n_points):
         t_c = float(rng.uniform(0.5, 2.0))
         timing = CycleTiming(t_c=t_c, delta_o=t_c * float(rng.uniform(0.01, 0.3)), t_w=t_c * 0.1)
@@ -128,10 +131,17 @@ def check_poisson_excitation_vs_mc(level: str, seed: int) -> CheckResult:
         lam = float(rng.uniform(0.1, 3.0)) / t_c
         analytic = detection.excitation_poisson(lam, timing, dev, rng_seed=seed + i, mc_samples=mc_samples)
         mc = detection.mc_detector(lam, timing, dev, replicas=replicas, rng=substream(seed, 0x02, i))
+        exact = detection.excitation_ctmc(lam, timing, dev)
         se = math.hypot(analytic.stderr, mc.excited_at_obs.stderr)
         z = abs(analytic.value - mc.excited_at_obs.value) / max(se, 1e-12)
         worst_z = max(worst_z, z)
-    return _result("poisson-excitation-vs-mc", worst_z < 4.0, f"{n_points} points, max |z| {worst_z:.2f}")
+        for oracle in (analytic, mc.excited_at_obs):
+            worst_exact = max(worst_exact, abs(exact - oracle.value) / max(oracle.stderr, 1e-12))
+    ok = worst_z < 4.0 and worst_exact < 4.0
+    return _result(
+        "poisson-excitation-vs-mc", ok,
+        f"{n_points} points, max |z| {worst_z:.2f}, exact vs dp/mc max |z| {worst_exact:.2f}",
+    )
 
 
 def check_survivor_moments_vs_mc(level: str, seed: int) -> CheckResult:
@@ -262,16 +272,15 @@ def check_delta_sign_structure(level: str, seed: int) -> CheckResult:
     return _result("delta-sign-structure", ok, "; ".join(details))
 
 
-def _ref_spec(mc_samples: int = 20_000, seed: int = 0) -> link.HmmSpec:
+def _ref_spec() -> link.HmmSpec:
     dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5)
     timing = CycleTiming(230e-9, 35e-9, 48e-9)
     env = Environment(t_e=8.0, nu=1e10, cycles_per_symbol=800)
-    cfg = link.LinkConfig(dev=dev, timing=timing, env=env, mc_samples=mc_samples)
-    return cfg.build_spec(-148.3, seed=seed)
+    return link.LinkConfig(dev=dev, timing=timing, env=env).build_spec(-148.3)
 
 
 def check_hmm_emission_normalization(level: str, seed: int) -> CheckResult:
-    spec_full = _ref_spec(seed=seed)
+    spec_full = _ref_spec()
     worst_sum = 0.0
     worst_pair = 0.0
     rng = substream(seed, 0x04)
@@ -291,7 +300,7 @@ def check_hmm_emission_normalization(level: str, seed: int) -> CheckResult:
 
 
 def check_viterbi_bruteforce(level: str, seed: int) -> CheckResult:
-    base = _ref_spec(seed=seed)
+    base = _ref_spec()
     rng = substream(seed, 0x05)
     mismatches = 0
     for trial in range(40):
@@ -317,7 +326,7 @@ def check_viterbi_bruteforce(level: str, seed: int) -> CheckResult:
 
 
 def check_forward_total_probability(level: str, seed: int) -> CheckResult:
-    base = _ref_spec(seed=seed)
+    base = _ref_spec()
     worst = 0.0
     for n, t in [(2, 2), (3, 2), (2, 3), (4, 3)]:
         spec = link.HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=n)
@@ -346,8 +355,7 @@ def check_kernel_vs_mc_detector(level: str, seed: int) -> CheckResult:
     dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5)
     timing = CycleTiming(230e-9, 35e-9, 48e-9)
     env = Environment(t_e=8.0, nu=1e10, cycles_per_symbol=800)
-    cfg = link.LinkConfig(dev=dev, timing=timing, env=env, mc_samples=50_000)
-    spec = cfg.build_spec(-150.0, seed=seed)
+    spec = link.LinkConfig(dev=dev, timing=timing, env=env).build_spec(-150.0)
     worst_z = 0.0
     for sym, kern in ((0, spec.kernel0), (1, spec.kernel1)):
         for entry, flag in ((0, False), (1, True)):

@@ -160,9 +160,11 @@ def test_c05_detection_exact_vs_oracle():
                 - detection.excitation_given_arrivals_bruteforce(trace, dev)
             ),
         )
-    # Poisson mixture against the event-driven Monte Carlo, 20 random points
+    # Poisson mixture against the event-driven Monte Carlo, 20 random points,
+    # and the closed-form CTMC excitation against both
     replicas = 1_000_000
     worst_z = 0.0
+    worst_exact = 0.0
     for i in range(20):
         t_c = float(rng.uniform(0.5, 2.0))
         timing = CycleTiming(t_c=t_c, delta_o=t_c * float(rng.uniform(0.05, 0.3)), t_w=t_c * 0.1)
@@ -173,9 +175,13 @@ def test_c05_detection_exact_vs_oracle():
         mc = detection.mc_detector(lam, timing, dev, replicas=replicas, rng=substream(SEED, 0xA6, i))
         se = math.hypot(analytic.stderr, mc.excited_at_obs.stderr)
         worst_z = max(worst_z, abs(analytic.value - mc.excited_at_obs.value) / max(se, 1e-12))
-    ok = worst_enum < 1e-12 and worst_z < 4.0
+        exact = detection.excitation_ctmc(lam, timing, dev)
+        for oracle in (analytic, mc.excited_at_obs):
+            worst_exact = max(worst_exact, abs(exact - oracle.value) / max(oracle.stderr, 1e-12))
+    ok = worst_enum < 1e-12 and worst_z < 4.0 and worst_exact < 4.0
     _report(5, "detection-exact-vs-oracle", ok,
-            f"max |dp-enum| {worst_enum:.2e}, 20-point max |z| {worst_z:.2f}", t0)
+            f"max |dp-enum| {worst_enum:.2e}, 20-point max |z| {worst_z:.2f}, "
+            f"exact vs dp/mc max |z| {worst_exact:.2f}", t0)
 
 
 def test_c06_pulse_and_miss_shapes():
@@ -206,14 +212,14 @@ def test_c06_pulse_and_miss_shapes():
     # miss probability falls with arrival rate and with kappa
     means = np.geomspace(0.05, 5.0, 8)
     grid = [(m / REF_TIMING.t_c, REF_DEV.kappa, REF_DEV.gamma) for m in means]
-    rep = detection.miss_probability_sweep(grid, REF_TIMING, REF_DEV, mc_samples=100_000, seed=SEED)
+    rep = detection.miss_probability_sweep(grid, REF_TIMING, REF_DEV, seed=SEED)
     miss = rep.column("p_miss")
     err = rep.column("stderr")
     lam_monotone = all(miss[i + 1] <= miss[i] + 3 * (err[i] + err[i + 1]) for i in range(len(miss) - 1))
     lam_fixed = 0.5 / REF_TIMING.t_c
     rep_k = detection.miss_probability_sweep(
         [(lam_fixed, 2 * np.pi * 1e8, REF_DEV.gamma), (lam_fixed, 2 * np.pi * 1e9, REF_DEV.gamma)],
-        REF_TIMING, REF_DEV, mc_samples=100_000, seed=SEED + 1,
+        REF_TIMING, REF_DEV, seed=SEED + 1,
     )
     kappa_ordered = rep_k.rows[1]["p_miss"] < rep_k.rows[0]["p_miss"]
     ok = unimodal and gamma_ordered and lam_monotone and kappa_ordered
@@ -237,7 +243,7 @@ def _crossing_dbm(powers, values, level) -> float:
 
 def test_c07_ber_headline():
     t0 = time.monotonic()
-    cfg = link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV, mc_samples=100_000)
+    cfg = link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV)
     n_symbols = 1_000_000
     powers = [-200.0, -156.0, -152.0, -150.0, -149.0, -148.0, -147.0, -146.0, -144.0]
     rows = [link.ber_point(cfg, p, n_symbols, SEED, i) for i, p in enumerate(powers)]
@@ -260,7 +266,7 @@ def test_c07b_ber_kappa_ordering():
     bers = []
     for i, kappa in enumerate((2 * np.pi * 1e8, 2 * np.pi * 1e9)):
         dev = DeviceParams(kappa=kappa, gamma=2 * np.pi * 1e5)
-        cfg = link.LinkConfig(dev=dev, timing=REF_TIMING, env=REF_ENV, mc_samples=100_000)
+        cfg = link.LinkConfig(dev=dev, timing=REF_TIMING, env=REF_ENV)
         row = link.ber_point(cfg, -150.0, n_symbols, SEED, i)
         bers.append((row["ber"], row["stderr"]))
     margin = 2 * math.hypot(bers[0][1], bers[1][1])
@@ -271,7 +277,7 @@ def test_c07b_ber_kappa_ordering():
 
 def test_c08_rate_headline():
     t0 = time.monotonic()
-    cfg = link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV, mc_samples=100_000)
+    cfg = link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV)
     n_symbols = 100_000
     powers = [-math.inf, -158.0, -156.0, -154.0, -152.0, -151.0, -150.0, -149.0, -148.0, -146.0]
     rows = [link.rate_point(cfg, p, n_symbols, SEED, i) for i, p in enumerate(powers)]
@@ -313,8 +319,7 @@ def test_c09_saturation_negligibility():
     rates = {}
     for flag in (False, True):
         cfg = link.LinkConfig(
-            dev=REF_DEV, timing=REF_TIMING, env=env, saturation=flag,
-            mc_samples=200_000, sat_replicas=4_000_000,
+            dev=REF_DEV, timing=REF_TIMING, env=env, saturation=flag, sat_replicas=4_000_000,
         )
         rates[flag] = link.rate_point(cfg, -150.0, n_symbols, SEED, 50 + int(flag))["rate"]
     rate_gap = abs(rates[True] - rates[False])
@@ -356,7 +361,7 @@ def test_c11_determinism(tmp_path):
 seed: 913
 device: {kappa_rad_per_s: 2pi*1e9, gamma_rad_per_s: 2pi*1e5}
 environment: {t_e_k: 8.0, nu_hz: 1.0e10, cycles_per_symbol: 12}
-mc: {replicas: 2000, mc_samples: 3000, n_symbols: 800, sat_replicas: 500}
+mc: {mc_samples: 3000, n_symbols: 800, sat_replicas: 500}
 sweeps:
   power_dbm: {start: -150.0, stop: -146.0, points: 3, scale: linear}
   mean_photons: {start: 0.1, stop: 1.0, points: 3, scale: log}

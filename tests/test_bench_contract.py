@@ -1,0 +1,40 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps package names from
+outside the package.  These tests load it by path, so a rename that would
+break a traced benchmark run fails the suite instead."""
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from photonlink import detection
+from photonlink.physics import CycleTiming, DeviceParams
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_instrument_enters_and_restores():
+    tracing = _tracing()
+    before = detection.__dict__["excitation_given_count"]
+    with tracing.instrument(tracing.Tracer()):
+        assert detection.excitation_given_count is not before
+    assert detection.__dict__["excitation_given_count"] is before
+
+
+def test_miss_sweep_runs_no_renewal_dp():
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    timing = CycleTiming(230e-9, 35e-9, 48e-9)
+    dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5)
+    grid = [(m / timing.t_c, dev.kappa, dev.gamma) for m in (0.1, 1.0, 10.0)]
+    with tracing.instrument(tracer):
+        detection.miss_probability_sweep(grid, timing, dev)
+    metrics = tracing.layer_metrics(tracer)
+    for name in ("detection.excitation_given_count.calls", "detection.dp_traces", "physics.kernel.elems"):
+        assert metrics[name] == 0.0

@@ -15,7 +15,7 @@ device:
   gamma_rad_per_s: 2pi*1e5
 timing: {t_c_ns: 230.0, delta_o_ns: 35.0, t_w_ns: 48.0}
 environment: {t_e_k: 8.0, nu_hz: 1.0e10, cycles_per_symbol: 16}
-mc: {replicas: 2000, mc_samples: 3000, n_symbols: 1200, sat_replicas: 600}
+mc: {mc_samples: 3000, n_symbols: 1200, sat_replicas: 600}
 sweeps:
   power_dbm: {start: -150.0, stop: -144.0, points: 3, scale: linear}
   mean_photons: {start: 0.1, stop: 2.0, points: 4, scale: log}

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 import yaml
@@ -13,6 +14,7 @@ from photonlink.config import (
 from photonlink.errors import ConfigError
 
 MINIMAL = {"seed": 7}
+DEFAULT_YAML = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
 
 class TestQuantities:
@@ -71,6 +73,8 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"seed": 1, "device": {"kappa": 1.0}})
         with pytest.raises(ConfigError, match="unknown keys"):
             ExperimentConfig.from_dict({"seed": 1, "sweeps": {"voltage": {"values": [1]}}})
+        with pytest.raises(ConfigError, match="unknown keys"):
+            ExperimentConfig.from_dict({"seed": 1, "mc": {"replicas": 100}})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -79,6 +83,21 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"seed": 1, "workers": 0})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"seed": 1, "link": {"mode": "soft"}})
+
+    def test_booleans_strict(self):
+        for key in ("saturation", "dump_frames"):
+            for bad in ("false", "true", 0, 1, None):
+                with pytest.raises(ConfigError, match=f"link.{key}"):
+                    ExperimentConfig.from_dict({"seed": 1, "link": {key: bad}})
+        raw = yaml.safe_load("seed: 1\nlink: {saturation: false, dump_frames: true}\n")
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.link.saturation is False and cfg.link.dump_frames is True
+
+    def test_default_yaml_is_default_config(self):
+        raw = yaml.safe_load(DEFAULT_YAML.read_text(encoding="utf-8"))
+        assert ExperimentConfig.from_file(DEFAULT_YAML) == ExperimentConfig.from_dict(
+            {**DEFAULT_CONFIG, "seed": raw["seed"]}
+        )
 
     def test_round_trip_idempotent(self):
         cfg = ExperimentConfig.from_dict({"seed": 3, "device": {"kappa_rad_per_s": "2pi*2e9"}})
@@ -114,6 +133,11 @@ class TestOverrides:
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.device.gamma == pytest.approx(4 * math.pi * 1e5)
         assert cfg.mc.n_symbols == 42
+
+    def test_boolean_override(self):
+        raw = apply_overrides({"seed": 1}, ["link.saturation=false", "link.dump_frames=true"])
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.link.saturation is False and cfg.link.dump_frames is True
 
     def test_inline_mapping(self):
         raw = apply_overrides({"seed": 1}, ["sweeps.power_dbm={start: -150, stop: -148, points: 2, scale: linear}"])

@@ -1,12 +1,16 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import expm
 
 from photonlink.detection import (
     ArrivalTrace,
+    ConditionalExcitationTable,
+    excitation_ctmc,
     excitation_given_arrivals,
     excitation_given_arrivals_bruteforce,
     excitation_given_count,
@@ -192,6 +196,74 @@ class TestPoissonMixture:
                 assert n == 0
 
 
+def expm_excitation(lam, timing, dev):
+    """[expm(Q t_c)]_{G,E} exp(-gamma delta_o) by scipy's Pade expm."""
+    r, g = dev.transition_rate, dev.gamma
+    q = np.array([[-lam, lam, 0.0], [0.0, -r, r], [g, 0.0, -g]])
+    return float(expm(q * timing.t_c)[0, 2]) * math.exp(-g * timing.delta_o)
+
+
+class TestExcitationCtmc:
+    @staticmethod
+    def _cases():
+        """(lam, timing, dev) at random points and at every branch edge of the closed form."""
+        rng = substream(21, 12)
+        cases = []
+        for _ in range(200):
+            t_c = float(rng.uniform(0.1, 3.0))
+            timing = CycleTiming(t_c, t_c * float(rng.uniform(0.01, 0.3)), t_c * 0.1)
+            dev = DeviceParams(kappa=4.0 * 10 ** float(rng.uniform(-2, 3)) / t_c,
+                               gamma=10 ** float(rng.uniform(-3, 2)) / t_c)
+            cases.append((10 ** float(rng.uniform(-3, 2)) / t_c, timing, dev))
+        timing = CycleTiming(1.0, 0.1, 0.1)
+        for r in (0.3, 1.0, 7.0):
+            dev = DeviceParams(kappa=4.0 * r, gamma=r)
+            # lam = 4r, gamma = r: coincident roots (d = 0), then just off them
+            for eps in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3):
+                cases.append((4.0 * r * (1.0 + eps), timing, dev))
+        for x in (0.1, 1.0, 5.0, 30.0):  # complex roots
+            cases.append((x, timing, DeviceParams(kappa=4.0 * x, gamma=x)))
+            cases.append((x, timing, DeviceParams(kappa=8.0 * x, gamma=x)))
+        for g in (0.0, 1.0):  # lambda = 0 and gamma = 0
+            for lam in (0.0, 1e-8, 0.1, 3.0, 100.0):
+                cases.append((lam, timing, DeviceParams(kappa=8.0, gamma=g)))
+        for g in (0.0, 0.14, 30.0):  # kappa t_c = 1e5
+            for lam in (1e-3, 0.01, 1.0, 10.0, 1e3):
+                cases.append((lam, timing, DeviceParams(kappa=1e5, gamma=g)))
+        return cases
+
+    def test_matches_expm(self):
+        worst = max(
+            abs(excitation_ctmc(lam, timing, dev) - expm_excitation(lam, timing, dev))
+            for lam, timing, dev in self._cases()
+        )
+        assert worst <= 1e-11
+
+    def test_vectorised_equals_pointwise(self, ref_dev, ref_timing):
+        lams = np.geomspace(0.01, 10.0, 16) / ref_timing.t_c
+        vec = excitation_ctmc(lams, ref_timing, ref_dev)
+        assert vec.shape == lams.shape
+        for lam, v in zip(lams, vec):
+            assert v == pytest.approx(excitation_ctmc(float(lam), ref_timing, ref_dev), rel=1e-14)
+
+    def test_zero_rate_and_rejects_negative(self, ref_dev, ref_timing):
+        assert excitation_ctmc(0.0, ref_timing, ref_dev) == 0.0
+        with pytest.raises(ValueError):
+            excitation_ctmc(-1.0, ref_timing, ref_dev)
+
+    @pytest.mark.parametrize("mean", [0.1, 1.0, 3.0])
+    def test_matches_renewal_dp_and_mc(self, mean):
+        dev = DeviceParams(kappa=4 * 10 / T_C, gamma=0.5 / T_C)
+        timing = CycleTiming(T_C, 35e-9, 48e-9)
+        lam = mean / T_C
+        exact = excitation_ctmc(lam, timing, dev)
+        dp = ConditionalExcitationTable(T_C, dev, mc_samples=20_000, seed=8).poisson_mixture(
+            lam, delta_o=timing.delta_o)
+        assert abs(exact - dp.value) < 4 * dp.stderr
+        st = mc_detector(lam, timing, dev, replicas=400_000, rng=substream(21, 13, int(mean * 10)))
+        assert abs(exact - st.excited_at_obs.value) < 4 * st.excited_at_obs.stderr
+
+
 class TestMcDetector:
     def test_no_photons_no_dark_counts(self, ref_timing):
         st = mc_detector(0.0, ref_timing, DEV, replicas=20_000, rng=substream(21, 8))
@@ -230,23 +302,32 @@ class TestStageProbabilities:
     def test_no_decay_readout_equals_capture(self):
         dev = DeviceParams(kappa=DEV.kappa, gamma=0.0)
         timing = CycleTiming(T_C, 35e-9, 48e-9)
-        probs = stage_probabilities(0.5 / T_C, timing, dev, mc_samples=10_000)
+        probs = stage_probabilities(0.5 / T_C, timing, dev)
         assert probs.p_readout.value == pytest.approx(probs.p_capture.value, rel=1e-12)
 
     def test_chain_identities(self, ref_timing):
         dev = DeviceParams(kappa=DEV.kappa, gamma=DEV.gamma, p0=0.02, p_reset_g=0.01, p_reset_e=0.05)
-        probs = stage_probabilities(0.8 / T_C, ref_timing, dev, mc_samples=10_000)
+        probs = stage_probabilities(0.8 / T_C, ref_timing, dev)
         p_w = math.exp(-dev.gamma * ref_timing.t_w)
         assert probs.p_readout.value == pytest.approx(p_w * probs.p_capture.value, rel=1e-12)
         expect_re = 0.01 * (1 - probs.p_readout.value) + 0.05 * probs.p_readout.value
         assert probs.p_reset_err.value == pytest.approx(expect_re, rel=1e-12)
 
 
+    def test_exact_chain(self, ref_dev, ref_timing):
+        lam = 0.8 / T_C
+        probs = stage_probabilities(lam, ref_timing, ref_dev)
+        p_w = math.exp(-ref_dev.gamma * ref_timing.t_w)
+        assert probs.p_capture.value == excitation_ctmc(lam, ref_timing, ref_dev)
+        assert probs.p_readout.value == pytest.approx(p_w * probs.p_capture.value, rel=1e-15)
+        assert probs.p_capture.stderr == probs.p_readout.stderr == probs.p_reset_err.stderr == 0.0
+
+
 class TestMissSweep:
     def test_schema_and_monotonicity(self, ref_timing):
         means = np.geomspace(0.05, 5.0, 8)
         grid = [(m / T_C, DEV.kappa, DEV.gamma) for m in means]
-        report = miss_probability_sweep(grid, ref_timing, DEV, mc_samples=20_000, seed=77)
+        report = miss_probability_sweep(grid, ref_timing, DEV, seed=77)
         assert list(report.columns) == [
             "lambda", "kappa", "gamma", "t_c", "delta_o", "t_w",
             "p_capture", "p_readout", "p_miss", "stderr", "replicas", "seed",
@@ -260,8 +341,18 @@ class TestMissSweep:
     def test_larger_kappa_lower_miss(self, ref_timing):
         lam = 0.5 / T_C
         grid = [(lam, 2 * np.pi * 1e8, DEV.gamma), (lam, 2 * np.pi * 1e9, DEV.gamma)]
-        report = miss_probability_sweep(grid, ref_timing, DEV, mc_samples=20_000, seed=78)
+        report = miss_probability_sweep(grid, ref_timing, DEV, seed=78)
         assert report.rows[1]["p_miss"] < report.rows[0]["p_miss"]
+
+    def test_rows_match_stage_probabilities(self, ref_timing):
+        # interleaved (kappa, gamma) groups come back in grid order
+        grid = [(m / T_C, k, DEV.gamma) for m in (0.1, 2.0, 0.5) for k in (2 * np.pi * 1e8, 2 * np.pi * 1e9)]
+        report = miss_probability_sweep(grid, ref_timing, DEV, seed=79)
+        for (lam, kappa, gamma), row in zip(grid, report.rows):
+            probs = stage_probabilities(lam, ref_timing, replace(DEV, kappa=kappa, gamma=gamma))
+            assert (row["lambda"], row["kappa"]) == (lam, kappa)
+            assert row["p_readout"] == pytest.approx(probs.p_readout.value, rel=1e-14)
+            assert row["stderr"] == 0.0 and row["replicas"] == 0
 
     def test_rejects_empty_grid(self, ref_timing):
         with pytest.raises(ValueError):

@@ -43,28 +43,28 @@ def deterministic_kernels():
     return k0, k1
 
 
-def ref_link_cfg(mc_samples=20_000, n=800):
+def ref_link_cfg(n=800):
     dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5)
     env = Environment(t_e=8.0, nu=1e10, cycles_per_symbol=n)
-    return LinkConfig(dev=dev, timing=TIMING, env=env, mc_samples=mc_samples)
+    return LinkConfig(dev=dev, timing=TIMING, env=env)
 
 
 class TestCycleKernel:
     def test_noise_free_ground_stays_ground(self):
         dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5, p0=0.0,
                            p_reset_g=0.0, p_reset_e=0.0)
-        k = build_cycle_kernel(dev, TIMING, 0.0, 0.0, mc_samples=1000)
+        k = build_cycle_kernel(dev, TIMING, 0.0, 0.0)
         assert k.bit_given_entry[0, 0] == 1.0
         assert k.table[0, 0, 0] == 1.0
 
     def test_no_decay_excited_reads_one(self):
         dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=0.0, p_reset_g=0.0, p_reset_e=0.0)
-        k = build_cycle_kernel(dev, TIMING, 0.0, 0.0, mc_samples=1000)
+        k = build_cycle_kernel(dev, TIMING, 0.0, 0.0)
         assert k.bit_given_entry[1, 1] == 1.0
 
     def test_rows_normalized(self):
-        cfg = ref_link_cfg(mc_samples=5000)
-        k = build_cycle_kernel(cfg.dev, TIMING, 1e5, cfg.n_e, mc_samples=5000)
+        cfg = ref_link_cfg()
+        k = build_cycle_kernel(cfg.dev, TIMING, 1e5, cfg.n_e)
         table = k.table
         for entry in (0, 1):
             assert table[entry].sum() == pytest.approx(1.0, abs=1e-12)
@@ -72,7 +72,7 @@ class TestCycleKernel:
 
     def test_matches_mc_detector(self):
         # pinned comparison at reference parameters and -150 dBm equivalent
-        cfg = ref_link_cfg(mc_samples=50_000)
+        cfg = ref_link_cfg()
         spec = cfg.build_spec(-150.0, seed=13)
         for sym, kern in ((0, spec.kernel0), (1, spec.kernel1)):
             for entry, flag in ((0, False), (1, True)):
@@ -89,7 +89,7 @@ class TestHmmSpec:
         assert spec.initial.sum() == pytest.approx(1.0)
 
     def test_block_emission_n1_is_cycle_marginal(self):
-        base = ref_link_cfg(mc_samples=5000).build_spec(-148.3, seed=2)
+        base = ref_link_cfg().build_spec(-148.3, seed=2)
         spec = HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=1)
         probs, frames = spec.enumerate_block_probs()
         for sym, kern in ((0, base.kernel0), (1, base.kernel1)):
@@ -110,13 +110,13 @@ class TestHmmSpec:
             assert probs[idx_000, 2 * level + 0] == pytest.approx(1.0)
 
     def test_emission_normalization_n4(self):
-        spec_base = ref_link_cfg(mc_samples=5000).build_spec(-148.3, seed=3)
+        spec_base = ref_link_cfg().build_spec(-148.3, seed=3)
         spec = HmmSpec(kernel0=spec_base.kernel0, kernel1=spec_base.kernel1, n_cycles=4)
         probs, _ = spec.enumerate_block_probs()
         assert np.abs(probs.sum(axis=0) - 1.0).max() < 1e-12
 
     def test_stats_path_equals_matrix_path(self):
-        base = ref_link_cfg(mc_samples=5000).build_spec(-148.3, seed=4)
+        base = ref_link_cfg().build_spec(-148.3, seed=4)
         spec = HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=9)
         rng = substream(41, 0)
         frames = (rng.random((200, 9)) < 0.4).astype(np.int64)
@@ -144,7 +144,7 @@ class TestSimulateLink:
         assert np.array_equal(run.n1, 5 * run.symbols.astype(np.int64))
 
     def test_stats_match_frames(self):
-        spec = ref_link_cfg(mc_samples=5000, n=12).build_spec(-146.0, seed=5)
+        spec = ref_link_cfg(n=12).build_spec(-146.0, seed=5)
         run = simulate_link(spec, 2000, substream(41, 2), mode="physical", store_frames=True)
         f = run.frames.astype(np.int64)
         assert np.array_equal(run.b1, f[:, 0])
@@ -154,7 +154,7 @@ class TestSimulateLink:
 
     def test_modes_agree_in_distribution(self):
         # two-sample chi-square over the 16 possible frames of a 4-cycle symbol
-        spec = ref_link_cfg(mc_samples=10_000, n=4).build_spec(-140.0, seed=6)
+        spec = ref_link_cfg(n=4).build_spec(-140.0, seed=6)
         n_sym = 100_000
         runs = {
             mode: simulate_link(spec, n_sym, substream(41, 3, i), mode=mode, store_frames=True)
@@ -170,12 +170,12 @@ class TestSimulateLink:
         assert p > 0.01  # documented acceptance threshold
 
     def test_zero_signal_symbol_conditionals_identical(self):
-        cfg = ref_link_cfg(mc_samples=5000, n=6)
+        cfg = ref_link_cfg(n=6)
         spec = cfg.build_spec(-math.inf, seed=7)
         assert np.allclose(spec.kernel0.bit_given_entry, spec.kernel1.bit_given_entry)
 
     def test_rejects_bad_mode(self):
-        spec = ref_link_cfg(mc_samples=1000, n=2).build_spec(-150.0, seed=8)
+        spec = ref_link_cfg(n=2).build_spec(-150.0, seed=8)
         with pytest.raises(ValueError):
             simulate_link(spec, 10, substream(41, 4), mode="exact")
 
@@ -189,7 +189,7 @@ class TestViterbi:
         assert np.array_equal(decoded, run.symbols)
 
     def test_single_symbol_equals_map(self):
-        base = ref_link_cfg(mc_samples=5000, n=3).build_spec(-145.0, seed=9)
+        base = ref_link_cfg(n=3).build_spec(-145.0, seed=9)
         rng = substream(41, 6)
         for _ in range(30):
             frame = (rng.random((1, 3)) < 0.5).astype(np.int64)
@@ -199,7 +199,7 @@ class TestViterbi:
             assert got == want
 
     def test_matches_exhaustive_map_short_sequences(self):
-        base = ref_link_cfg(mc_samples=5000, n=2).build_spec(-145.0, seed=10)
+        base = ref_link_cfg(n=2).build_spec(-145.0, seed=10)
         rng = substream(41, 7)
         log_a = np.log(base.transition)
         log_pi = np.log(base.initial + 1e-300)
@@ -217,7 +217,7 @@ class TestViterbi:
 
 class TestForwardAndRate:
     def test_total_probability_small(self):
-        base = ref_link_cfg(mc_samples=5000, n=3).build_spec(-148.0, seed=11)
+        base = ref_link_cfg(n=3).build_spec(-148.0, seed=11)
         total = 0.0
         for seq in itertools.product(range(8), repeat=2):
             frames = ((np.array(seq)[:, None] >> np.arange(3)[None, ::-1]) & 1).astype(np.int64)
@@ -232,14 +232,14 @@ class TestForwardAndRate:
         assert mi.value == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_signal_zero_rate(self):
-        cfg = ref_link_cfg(mc_samples=5000, n=50)
+        cfg = ref_link_cfg(n=50)
         spec = cfg.build_spec(-math.inf, seed=12)
         run = simulate_link(spec, 4000, substream(41, 9), mode="hmm")
         mi = mutual_information(spec, run, burn_in=50)
         assert mi.value <= 2 * mi.stderr + 1e-9
 
     def test_rate_bounded_by_observation_entropy(self):
-        spec = ref_link_cfg(mc_samples=5000, n=40).build_spec(-152.0, seed=13)
+        spec = ref_link_cfg(n=40).build_spec(-152.0, seed=13)
         run = simulate_link(spec, 3000, substream(41, 10), mode="hmm")
         inc_o = forward_loglik(spec, run)
         inc_os = conditional_forward_loglik(spec, run, run.symbols)
@@ -251,13 +251,13 @@ class TestForwardAndRate:
 
 class TestSweeps:
     def test_ber_zero_signal_is_coin_flip(self):
-        cfg = ref_link_cfg(mc_samples=4000, n=8)
+        cfg = ref_link_cfg(n=8)
         report = estimate_ber(cfg, [-math.inf], n_symbols=4000, seed=14)
         row = report.rows[0]
         assert abs(row["ber"] - 0.5) < 3 * row["stderr"]
 
     def test_ber_report_schema(self):
-        cfg = ref_link_cfg(mc_samples=4000, n=8)
+        cfg = ref_link_cfg(n=8)
         report = estimate_ber(cfg, [-150.0, -140.0], n_symbols=500, seed=15)
         assert list(report.columns) == [
             "power_dbm", "lambda_t_c", "n_e", "ber", "stderr",
@@ -266,7 +266,7 @@ class TestSweeps:
         assert report.rows[1]["ber"] <= report.rows[0]["ber"]
 
     def test_rate_report_schema(self):
-        cfg = ref_link_cfg(mc_samples=4000, n=8)
+        cfg = ref_link_cfg(n=8)
         report = estimate_rate(cfg, [-150.0], n_symbols=2000, seed=16)
         assert "rate" in report.columns
         assert 0.0 <= report.rows[0]["rate"] <= 1.0
@@ -281,7 +281,7 @@ class TestSweeps:
 class TestPhysicalVsHmmBer:
     def test_model_fidelity(self):
         # identical receivers on both generative modes must agree on BER
-        cfg = ref_link_cfg(mc_samples=20_000, n=100)
+        cfg = ref_link_cfg(n=100)
         n_sym = 30_000
         bers = {}
         for i, mode in enumerate(("hmm", "physical")):
