@@ -343,6 +343,7 @@ def cmd_cutoff_fit(cfg: ExperimentConfig, runner: _Runner) -> int:
     for row in rows:
         table.append(**row)
     runner.write_report(table, "cutoff_table.csv")
+    runner.write_figure(table, "fig13")
     fit = saturation.fit_cutoff_curve([(r["kappa_tc"], r["n_cutoff"]) for r in rows])
     runner.write_json(
         {

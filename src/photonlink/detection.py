@@ -23,6 +23,7 @@ from .physics import (
     DeviceParams,
     _phi,
     detection_prob_single,
+    detector_events,
     excited_kernel,
     ground_return_prob,
 )
@@ -385,14 +386,9 @@ def mc_detector(
             arrivals.sort(axis=1)
             fire_w = rng.exponential(4.0 / kappa, (m, n_max))
             decay_w = rng.exponential(1.0 / gamma, (m, n_max)) if gamma > 0 else np.full((m, n_max), np.inf)
-            for j in range(n_max):
-                t = arrivals[:, j]
-                take = (t >= avail) & (t <= t_c)
-                fire = t + fire_w[:, j]
-                decay = fire + decay_w[:, j]
-                last_fire = np.where(take, fire, last_fire)
-                last_decay = np.where(take, decay, last_decay)
-                avail = np.where(take, decay, avail)
+            last_fire, last_decay = detector_events(
+                arrivals, fire_w, decay_w, t_c, avail, last_fire, last_decay
+            )
         exc_tc = (last_fire <= t_c) & (last_decay > t_c)
         exc_obs = (last_fire <= t_c) & (last_decay > t_obs)
         if dev.p0 > 0:

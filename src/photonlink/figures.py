@@ -50,7 +50,6 @@ FIGURE_COLUMNS = {
         ("stderr", "stderr"),
     ),
     "fig13": (("kappa", "kappa"), ("t_c", "t_c"), ("kappa_tc", "kappa_tc"), ("n_cutoff", "n_cutoff")),
-    "fig14": (("gamma", "gamma"), ("kappa", "kappa"), ("kappa_tc", "kappa_tc"), ("n_cutoff", "n_cutoff")),
     "fig15": (("kappa_tc", "kappa_tc"), ("n_cutoff", "n_cutoff"), ("kind", "kind")),
 }
 

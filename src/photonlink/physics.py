@@ -30,6 +30,7 @@ __all__ = [
     "thermal_photon_rate",
     "power_to_rate",
     "dbm_to_watts",
+    "detector_events",
 ]
 
 #: Relative half-width of the series window around a removable singularity.
@@ -334,3 +335,26 @@ def power_to_rate(power_dbm: float, nu: float) -> float:
     if not nu > 0:
         raise ValueError(f"nu must be > 0, got {nu}")
     return dbm_to_watts(power_dbm) / (PLANCK_H * nu)
+
+
+def detector_events(times, fire_w, decay_w, t_c: float, avail, last_fire, last_decay, keep=None):
+    """Event-driven detector dynamics over columns of sorted arrival times.
+
+    Each row is one replica.  An arrival at t <= t_c that finds the
+    system available arms it; the excited level is reached at
+    t + fire_w and left at that time + decay_w, when the system becomes
+    available again.  keep, if given, masks out arrivals removed
+    beforehand (the dead-time filter).  All draws are made by the
+    caller; returns the final (last_fire, last_decay) times.
+    """
+    for j in range(times.shape[1]):
+        t = times[:, j]
+        take = (t >= avail) & (t <= t_c)
+        if keep is not None:
+            take &= keep[:, j]
+        fire = t + fire_w[:, j]
+        decay = fire + decay_w[:, j]
+        last_fire = np.where(take, fire, last_fire)
+        last_decay = np.where(take, decay, last_decay)
+        avail = np.where(take, decay, avail)
+    return last_fire, last_decay

@@ -4,7 +4,8 @@ A photon survives saturation iff no other photon arrives within tau on
 either side.  Closed-form survivor moments are provided for a fixed
 count and for Poisson arrival, together with quadrature and Monte Carlo
 oracles, the sub-/super-Poisson crossover, saturated excitation curves
-and the 3 dB cutoff machinery.
+(exact for gamma = 0 from the first-survivor delay-renewal equation,
+Monte Carlo otherwise) and the 3 dB cutoff machinery.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import FitConvergenceError, NotSaturatingError, RootBracketError
-from .physics import CycleTiming, DeviceParams
+from .physics import CycleTiming, DeviceParams, detector_events
 from .report import Estimate
 from .rng import substream
 
@@ -35,6 +36,7 @@ __all__ = [
     "PieceIntegrals",
     "pair_survival_integrals",
     "saturated_excitation",
+    "first_survivor_excitation",
     "cutoff_photon_number",
     "fit_cutoff_curve",
     "log_grid",
@@ -357,7 +359,9 @@ def saturated_excitation(
     Samples Poisson traces, removes saturated photons, then runs the
     renewal transition dynamics on the survivors.  For gamma = 0 the
     Bernoulli draw is replaced by the exact conditional probability given
-    the first survivor (same estimand, lower variance).
+    the first survivor (same estimand, lower variance); with ground entry
+    that estimand has the exact value first_survivor_excitation, and this
+    estimator is its Monte Carlo oracle.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -401,14 +405,9 @@ def saturated_excitation(
                 last_decay = np.full(m, np.inf)
             fire_w = rng.exponential(4.0 / kappa, (m, n_cols))
             decay_w = rng.exponential(1.0 / gamma, (m, n_cols)) if gamma > 0 else np.full((m, n_cols), np.inf)
-            for j in range(n_cols):
-                t = surv[:, j]
-                take = (t >= avail) & (t <= t_c)
-                fire = t + fire_w[:, j]
-                decay = fire + decay_w[:, j]
-                last_fire = np.where(take, fire, last_fire)
-                last_decay = np.where(take, decay, last_decay)
-                avail = np.where(take, decay, avail)
+            last_fire, last_decay = detector_events(
+                surv, fire_w, decay_w, t_c, avail, last_fire, last_decay
+            )
             vals[done : done + m] = ((last_fire <= t_c) & (last_decay > t_obs)).astype(float)
         done += m
     est = float(vals.mean())
@@ -451,20 +450,10 @@ def saturation_gap(
         fire_w = rng.exponential(4.0 / kappa, (m, n_cols))
         decay_w = rng.exponential(1.0 / gamma, (m, n_cols)) if gamma > 0 else np.full((m, n_cols), np.inf)
         states = []
-        for use_filter in (False, True):
-            avail = np.zeros(m)
-            last_fire = np.full(m, np.inf)
-            last_decay = np.full(m, np.inf)
-            for j in range(n_cols):
-                t = arr[:, j]
-                take = (t >= avail) & (t <= t_c)
-                if use_filter:
-                    take &= keep[:, j]
-                fire = t + fire_w[:, j]
-                decay = fire + decay_w[:, j]
-                last_fire = np.where(take, fire, last_fire)
-                last_decay = np.where(take, decay, last_decay)
-                avail = np.where(take, decay, avail)
+        for mask in (None, keep):
+            last_fire, last_decay = detector_events(
+                arr, fire_w, decay_w, t_c, np.zeros(m), np.full(m, np.inf), np.full(m, np.inf), mask
+            )
             states.append(((last_fire <= t_c) & (last_decay > t_obs)).astype(float))
         plain, filtered = states
         diffs[done : done + m] = plain - filtered
@@ -473,6 +462,156 @@ def saturation_gap(
     gap = Estimate(float(diffs.mean()), float(diffs.std(ddof=1) / math.sqrt(replicas)))
     sat = Estimate(float(sat_vals.mean()), float(sat_vals.std(ddof=1) / math.sqrt(replicas)))
     return gap, sat
+
+
+def _exp_weights(z):
+    """((1 - e^-z)/z, (z - 1 + e^-z)/z^2) elementwise for z >= 0.
+
+    Times h, these integrate e^{-lam (h - w)} over w in [0, h] against 1
+    and against the ramp w/h, with z = lam h.
+    """
+    z = np.asarray(z, dtype=float)
+    small = z < 1e-3
+    zs = np.where(small, 1.0, z)
+    p1 = np.where(small, 1.0 - z / 2.0 + z * z / 6.0 - z**3 / 24.0, -np.expm1(-zs) / zs)
+    p2 = np.where(small, 0.5 - z / 6.0 + z * z / 24.0 - z**3 / 120.0, (zs + np.expm1(-zs)) / (zs * zs))
+    return p1, p2
+
+
+def first_survivor_excitation(
+    lam,
+    t_c: float,
+    dev: DeviceParams,
+    window: Optional[SaturationWindow] = None,
+    cells_per_tau: int = 16,
+) -> np.ndarray:
+    """Exact gamma = 0, ground-entry excitation at t_c under dead-time filtering.
+
+    This is the value saturated_excitation estimates for gamma = 0 and
+    ground entry: the first survivor, arriving at s, arms the detector,
+    which is excited by t_c with probability 1 - exp(-kappa/4 (t_c - s)).
+    Let x(t) be the probability that no survivor has occurred and no
+    photon arrived in (t - tau, t], and a(t) the probability that a
+    survivor arrived by t - tau.  They obey the delay-renewal equations
+    of the dead-time counter (Feller 1948), with the edge rules of
+    survivor_mask (the first and last arrivals are free on their outer
+    side):
+
+        x'(t) = -lam x(t) + lam e^{-lam tau} (1 - a(t - tau) - x(t - tau)),
+        a'(t) = lam e^{-lam tau} x(t - tau),
+
+    with x = e^{-lam t}, a = 0 on [0, tau].  The first two blocks of
+    length tau are solved in closed form.  Later blocks use the method of
+    steps on cells_per_tau cells per block (plus one node at the
+    fractional block where t_c falls): x integrates the exponential kernel
+    exactly against the piecewise-linear forcing of the previous block, a
+    uses the trapezoid rule.  The error is second order in the cell width.
+    Every block map is the same affine map, so the ~t_c/tau blocks are
+    applied by repeated squaring of the stacked per-lambda matrices, and
+    the cost grows with log(kappa t_c), not kappa t_c.  No exponent is
+    positive, so lam tau of 1e5 and more is safe.  Returns an array
+    shaped like lam.
+    """
+    lam = np.asarray(lam, dtype=float)
+    shape = lam.shape
+    lam = lam.ravel()
+    if np.any(lam < 0):
+        raise ValueError("lambda must be >= 0")
+    if cells_per_tau < 1:
+        raise ValueError("cells_per_tau must be >= 1")
+    if window is None:
+        window = SaturationWindow.from_device(dev)
+    tau = window.tau
+    _require_window(tau, t_c)
+    r = dev.transition_rate
+
+    # block nodes in units of tau; t_c = (n + rho) tau is snapped to 1e-9 tau
+    blocks = t_c / tau
+    n = int(math.floor(blocks + 1e-9))
+    rho = max(blocks - n, 0.0)
+    sigma = np.linspace(0.0, 1.0, cells_per_tau + 1)
+    if np.abs(sigma - rho).min() > 1e-9:
+        sigma = np.sort(np.append(sigma, rho))
+    end = int(np.argmin(np.abs(sigma - rho)))  # node of t_c in its block
+    m = sigma.size - 1
+    h = np.diff(sigma) * tau
+
+    # state layout: x and a on the block nodes, y, constant 1
+    ix, ia = np.arange(m + 1), m + 1 + np.arange(m + 1)
+    iy, ione = 2 * m + 2, 2 * m + 3
+    size = 2 * m + 4
+    n_lam = lam.size
+    e_lt = np.exp(-lam * tau)
+    flux = lam * e_lt  # survivor flux per unit of x
+    z = lam[:, None] * h[None, :]
+    p1, p2 = _exp_weights(z)
+    w_prev = e_lt[:, None] * z * (p1 - p2)
+    w_next = e_lt[:, None] * z * p2
+    decay = np.exp(-z)
+    q1, q2 = _exp_weights(r * h)
+
+    # rows giving the next block's node values from this block's state
+    x_rows = np.zeros((n_lam, m + 1, size))
+    a_rows = np.zeros((n_lam, m + 1, size))
+    x_rows[:, 0, ix[m]] = 1.0
+    a_rows[:, 0, ia[m]] = 1.0
+    for j in range(m):
+        row = decay[:, j, None] * x_rows[:, j]
+        for k, w in ((j, w_prev[:, j]), (j + 1, w_next[:, j])):
+            row[:, ione] += w  # forcing 1 - a - x at node k
+            row[:, ia[k]] -= w
+            row[:, ix[k]] -= w
+        x_rows[:, j + 1] = row
+        a_rows[:, j + 1] = a_rows[:, j]
+        a_rows[:, j + 1, ix[j]] += flux * h[j] / 2.0
+        a_rows[:, j + 1, ix[j + 1]] += flux * h[j] / 2.0
+
+    def y_row(stop: int) -> np.ndarray:
+        """y at node stop of the block, where y(t) = int^t flux x(s) e^{-r (t - s)} ds."""
+        row = np.zeros((n_lam, size))
+        row[:, iy] = math.exp(-r * sigma[stop] * tau)
+        for j in range(stop):
+            g = math.exp(-r * (sigma[stop] - sigma[j + 1]) * tau) * h[j]
+            row[:, ix[j]] += flux * g * (q1[j] - q2[j])
+            row[:, ix[j + 1]] += flux * g * q2[j]
+        return row
+
+    step = np.zeros((n_lam, size, size))
+    step[:, ix] = x_rows
+    step[:, ia] = a_rows
+    step[:, iy] = y_row(m)
+    step[:, ione, ione] = 1.0
+
+    # readout functional on the state of the block before t_c:
+    # P = a(t_c) - e^{-r tau} y(t_c - tau) + int_0^tau lam e^{-lam u} (1 - e^{-r u}) x(t_c - u) du
+    readout = a_rows[:, end] - math.exp(-r * tau) * y_row(end)
+    unit = np.eye(size)
+    tail = [((sigma[end] - sigma[j]) * tau, x_rows[:, j]) for j in range(end, -1, -1)]
+    tail += [((1.0 + sigma[end] - sigma[j]) * tau, unit[ix[j]]) for j in range(m - 1, end - 1, -1)]
+    for (u0, row0), (u1, row1) in zip(tail, tail[1:]):
+        g = u1 - u0
+        for rate, sign in ((lam, 1.0), (lam + r, -1.0)):
+            s1, s2 = _exp_weights(rate * g)
+            pre = sign * lam * g * np.exp(-rate * u0)
+            readout += (pre * s2)[:, None] * row0 + (pre * (s1 - s2))[:, None] * row1
+
+    # closed-form state of block 1, t in [tau, 2 tau]
+    lts = lam[:, None] * tau * sigma[None, :]
+    state = np.zeros((n_lam, size))
+    state[:, ix] = e_lt[:, None] * (1.0 - lts * np.exp(-lts))
+    state[:, ia] = e_lt[:, None] * -np.expm1(-lts)
+    state[:, iy] = flux * tau * np.exp(-np.minimum(lam, r) * tau) * _exp_weights(np.abs(lam - r) * tau)[0]
+    state[:, ione] = 1.0
+
+    power, todo = step, n - 2
+    while todo:
+        if todo & 1:
+            state = np.matmul(power, state[:, :, None])[:, :, 0]
+        todo >>= 1
+        if todo:
+            power = np.matmul(power, power)
+    # rounding in the squarings can leave values ~1e-13 outside [0, 1]
+    return np.clip(np.einsum("ld,ld->l", readout, state), 0.0, 1.0).reshape(shape)
 
 
 def log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
@@ -510,29 +649,38 @@ def cutoff_photon_number(
 
     Scans the given increasing grid of mean photon numbers, locates the
     maximum, then the first point at or below half the maximum, and
-    interpolates the crossing linearly on log-log axes.  The scan stops
-    early once the curve has fallen below early_stop_frac of the running
+    interpolates the crossing linearly on log-log axes.
+
+    For gamma = 0 and ground entry the whole grid is evaluated at once by
+    the exact first_survivor_excitation, with zero standard errors, and
+    replicas and rng_seed are not used.  Otherwise each point is a
+    saturated_excitation Monte Carlo estimate, and the scan stops early
+    once the curve has fallen below early_stop_frac of the running
     maximum (the crossing is already bracketed by then); remaining grid
     points are reported as NaN.
     """
     n_grid = np.asarray(n_grid, dtype=float)
     if n_grid.size < 3 or np.any(np.diff(n_grid) <= 0):
         raise ValueError("n_grid must be increasing with at least 3 points")
-    delta_o_eff = delta_o if delta_o > 0 else t_c * 1e-9
-    timing = CycleTiming(t_c=t_c, delta_o=delta_o_eff, t_w=t_c * 1e-9)
-    exc = np.full(n_grid.size, np.nan)
-    se = np.full(n_grid.size, np.nan)
-    best = 0.0
-    for i, nbar in enumerate(n_grid):
-        est = saturated_excitation(
-            nbar / t_c, timing, dev, enter_excited=enter_excited, replicas=replicas,
-            rng=substream(rng_seed, 0xC0, i), window=window,
-        )
-        exc[i] = est.value
-        se[i] = est.stderr
-        best = max(best, est.value)
-        if best > 0 and est.value <= early_stop_frac * best:
-            break
+    if dev.gamma == 0.0 and not enter_excited:
+        exc = first_survivor_excitation(n_grid / t_c, t_c, dev, window)
+        se = np.zeros(n_grid.size)
+    else:
+        delta_o_eff = delta_o if delta_o > 0 else t_c * 1e-9
+        timing = CycleTiming(t_c=t_c, delta_o=delta_o_eff, t_w=t_c * 1e-9)
+        exc = np.full(n_grid.size, np.nan)
+        se = np.full(n_grid.size, np.nan)
+        best = 0.0
+        for i, nbar in enumerate(n_grid):
+            est = saturated_excitation(
+                nbar / t_c, timing, dev, enter_excited=enter_excited, replicas=replicas,
+                rng=substream(rng_seed, 0xC0, i), window=window,
+            )
+            exc[i] = est.value
+            se[i] = est.stderr
+            best = max(best, est.value)
+            if best > 0 and est.value <= early_stop_frac * best:
+                break
     valid = ~np.isnan(exc)
     peak_index = int(np.nanargmax(exc))
     peak = float(exc[peak_index])

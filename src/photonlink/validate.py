@@ -340,7 +340,7 @@ def check_forward_total_probability(level: str, seed: int) -> CheckResult:
 
 def check_fit_recovery(level: str, seed: int) -> CheckResult:
     xs = np.geomspace(100.0, 1e5, 9)
-    ys = 1.457 * xs**1.132 - 0.8766
+    ys = cutoff_law(xs)
     fit = saturation.fit_cutoff_curve(list(zip(xs, ys)))
     err = max(abs(fit.a - 1.457), abs(fit.b - 1.132), abs(fit.c + 0.8766))
     rng = substream(seed, 0x06)
@@ -348,6 +348,46 @@ def check_fit_recovery(level: str, seed: int) -> CheckResult:
     fit_noisy = saturation.fit_cutoff_curve(list(zip(xs, noisy)))
     ok = err < 1e-6 and abs(fit_noisy.b - 1.132) < 0.05
     return _result("fit-recovery", ok, f"exact err {err:.2e}, noisy b {fit_noisy.b:.4f}")
+
+
+def cutoff_law(kappa_tc: float) -> float:
+    """Reference 3 dB cutoff law n = 1.457 (kappa t_c)^1.132 - 0.8766."""
+    return 1.457 * kappa_tc**1.132 - 0.8766
+
+
+def first_survivor_z(points, seed: int) -> float:
+    """Largest |z| of first_survivor_excitation against saturated_excitation.
+
+    points are (kappa t_c, mean photons per cycle, replicas) triples at
+    gamma = 0 with ground entry; point i draws from substream (seed, 0x09, i).
+    Points where nearly every replica reads 1 (the top of the plateau)
+    have a degenerate Monte Carlo spread and make z meaningless.
+    """
+    t_c = 230e-9  # the curve depends on t_c only through kappa t_c and the mean
+    timing = CycleTiming(t_c=t_c, delta_o=t_c * 1e-9, t_w=t_c * 1e-9)
+    worst = 0.0
+    for i, (kappa_tc, nbar, replicas) in enumerate(points):
+        dev = DeviceParams(kappa=kappa_tc / t_c, gamma=0.0)
+        exact = float(saturation.first_survivor_excitation(nbar / t_c, t_c, dev))
+        mc = saturation.saturated_excitation(
+            nbar / t_c, timing, dev, replicas=replicas, rng=substream(seed, 0x09, i)
+        )
+        worst = max(worst, abs(exact - mc.value) / max(mc.stderr, 1e-12))
+    return worst
+
+
+def check_first_survivor_vs_mc(level: str, seed: int) -> CheckResult:
+    """Exact gamma = 0 saturated excitation against the Monte Carlo on
+    the shoulder of the plateau, at the 3 dB point and in the tail."""
+    kappa_tcs = (1e2, 10**2.5, 1e3, 10**3.5, 1e4) if level == "full" else (1e2, 1e3)
+    budget = 2e8 if level == "full" else 2e7  # arrivals per point
+    points = [
+        (x, nbar, int(min(40_000, budget / nbar)))
+        for x in kappa_tcs
+        for nbar in (5.0, cutoff_law(x), 1.2 * cutoff_law(x))
+    ]
+    worst = first_survivor_z(points, seed)
+    return _result("first-survivor-vs-mc", worst < 4.0, f"{len(points)} points, max |z| {worst:.2f}")
 
 
 def check_kernel_vs_mc_detector(level: str, seed: int) -> CheckResult:
@@ -405,6 +445,7 @@ CHECKS: tuple = (
     check_poisson_excitation_vs_mc,
     check_survivor_moments_vs_mc,
     check_saturation_negligible_low_power,
+    check_first_survivor_vs_mc,
 )
 
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from photonlink import detection, link, saturation
+from photonlink import detection, link, saturation, validate
 from photonlink.cli import main as cli_main
 from photonlink.cli import scan_cutoff
 from photonlink.physics import (
@@ -344,13 +344,15 @@ def test_c10_cutoff_fit():
     worst_pred = 0.0
     for ktc, n_cut in samples:
         if ktc >= 1e3:
-            pred = 1.457 * ktc**1.132 - 0.8766
+            pred = validate.cutoff_law(ktc)
             worst_pred = max(worst_pred, abs(pred - n_cut) / n_cut)
-    ok = b_ok and worst_pred < 0.15
+    # the exact gamma = 0 curve against its Monte Carlo oracle at each cutoff
+    worst_z = validate.first_survivor_z([(ktc, n_cut, 256) for ktc, n_cut in samples], SEED)
+    ok = b_ok and worst_pred < 0.15 and worst_z < 4.0
     detail = (
         f"fit (a,b,c)=({fit.a:.3f},{fit.b:.3f},{fit.c:.3f}), "
-        f"max prediction err {worst_pred:.1%}, cutoffs "
-        + ", ".join(f"{k:g}:{n:.0f}" for k, n in samples)
+        f"max prediction err {worst_pred:.1%}, exact vs mc max |z| {worst_z:.2f}, cutoffs "
+        + ", ".join(f"{k:g}:{n:.1f}" for k, n in samples)
     )
     _report(10, "cutoff-fit", ok, detail, t0)
 

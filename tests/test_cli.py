@@ -104,6 +104,9 @@ class TestCommands:
         assert 0.8 < fit["b"] < 1.5
         fig15 = (out / "cutoff_fit" / "fig15.csv").read_text().splitlines()
         assert fig15[0] == "kappa_tc,n_cutoff,kind"
+        fig13 = (out / "cutoff_fit" / "fig13.csv").read_text().splitlines()
+        assert fig13[0] == "kappa,t_c,kappa_tc,n_cutoff"
+        assert len(fig13) == 1 + 5
         kinds = {line.rsplit(",", 1)[1] for line in fig15[1:]}
         assert kinds == {"simulated", "fit"}
 
@@ -212,10 +215,11 @@ class TestFigureExtraction:
         out = emit_figure_data(rep, "fig8")
         assert out.to_csv_text().splitlines()[0] == "t_over_tau,lambda_tau,delta"
 
-    def test_cutoff_table_feeds_fig13_and_fig14(self):
+    def test_cutoff_table_feeds_fig13(self):
         rep = SweepReport(columns=("kappa", "t_c", "gamma", "kappa_tc", "n_cutoff"))
         rep.append(kappa=1e9, t_c=230e-9, gamma=0.0, kappa_tc=230.0, n_cutoff=700.0)
         f13 = emit_figure_data(rep, "fig13")
         assert list(f13.columns) == ["kappa", "t_c", "kappa_tc", "n_cutoff"]
-        f14 = emit_figure_data(rep, "fig14")
-        assert list(f14.columns) == ["gamma", "kappa", "kappa_tc", "n_cutoff"]
+        # cutoff-fit pins gamma = 0, so no command can fill a cutoff-versus-gamma figure
+        with pytest.raises(ConfigError):
+            emit_figure_data(rep, "fig14")

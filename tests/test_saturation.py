@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from photonlink.saturation import (
     delta_lambda,
     filter_survivors,
     find_lambda0,
+    first_survivor_excitation,
     fit_cutoff_curve,
     log_grid,
     poisson_weighted_moments,
@@ -25,6 +27,7 @@ from photonlink.saturation import (
     survivor_moments_given_count,
     survivor_moments_poisson,
 )
+from photonlink.validate import cutoff_law
 
 
 class TestFilter:
@@ -234,17 +237,105 @@ class TestSaturatedExcitation:
         assert abs(est.value - expect) < 4 * est.stderr
 
 
+class TestFirstSurvivorExcitation:
+    T_C = 230e-9
+
+    def dev(self, kappa_tc):
+        return DeviceParams(kappa=kappa_tc / self.T_C, gamma=0.0)
+
+    def test_matches_monte_carlo(self):
+        # shoulder of the plateau, 3 dB point and tail at three window sizes;
+        # the top of the plateau is left out because nearly every replica
+        # reads 1 there and the Monte Carlo spread is degenerate
+        timing = CycleTiming(self.T_C, self.T_C * 1e-9, self.T_C * 1e-9)
+        zs = []
+        for i, ktc in enumerate((1e2, 1e3, 1e4)):
+            for j, nbar in enumerate((5.0, cutoff_law(ktc), 1.2 * cutoff_law(ktc))):
+                exact = float(first_survivor_excitation(nbar / self.T_C, self.T_C, self.dev(ktc)))
+                mc = saturated_excitation(
+                    nbar / self.T_C, timing, self.dev(ktc), replicas=int(min(8000, 4e7 / nbar)),
+                    rng=substream(31, 20, i, j),
+                )
+                assert mc.stderr > 0
+                zs.append((exact - mc.value) / mc.stderr)
+        assert len(zs) >= 8
+        assert max(abs(z) for z in zs) < 4.0, zs
+
+    def test_step_halving(self):
+        for ktc in (1e2, 10**2.5, 1e3, 1e4, 1e5):
+            lam = np.geomspace(0.5, 3.0 * cutoff_law(ktc), 60) / self.T_C
+            coarse = first_survivor_excitation(lam, self.T_C, self.dev(ktc))
+            fine = first_survivor_excitation(lam, self.T_C, self.dev(ktc), cells_per_tau=32)
+            assert np.abs(coarse - fine).max() <= 1e-5
+
+    def test_zero_rate(self):
+        assert first_survivor_excitation(0.0, self.T_C, self.dev(1e3)) == 0.0
+
+    def test_low_rate_limit(self):
+        # to first order in lam every photon survives and arms the detector:
+        # P = lam t_c - lam (1 - e^{-r t_c}) / r, r = kappa/4
+        for ktc in (5.0, 1e2, 1e4):
+            dev = self.dev(ktc)
+            lam = 1e-5 / self.T_C
+            r = dev.transition_rate
+            first_order = lam * self.T_C + lam * math.expm1(-r * self.T_C) / r
+            got = float(first_survivor_excitation(lam, self.T_C, dev))
+            assert abs(got / first_order - 1.0) < 1e-4
+
+    def test_continuous_across_whole_blocks(self):
+        # t_c/tau just below, at and just above a whole number of blocks
+        # changes the number of squared block maps and the final partial block
+        lam = np.array([5.0, 400.0, 1000.0]) / self.T_C
+        for blocks in (100, 1001, 8193):
+            tau = self.T_C / blocks
+            vals = [
+                first_survivor_excitation(lam, self.T_C * (1 + eps), self.dev(1e3), SaturationWindow(tau))
+                for eps in (-1e-7, 0.0, 1e-7)
+            ]
+            assert np.abs(vals[0] - vals[1]).max() < 1e-6
+            assert np.abs(vals[2] - vals[1]).max() < 1e-6
+
+    def test_vectorised_matches_pointwise(self):
+        lam = np.geomspace(1.0, 2e4, 9) / self.T_C
+        vec = first_survivor_excitation(lam, self.T_C, self.dev(1e3))
+        assert vec.shape == lam.shape
+        point = [float(first_survivor_excitation(x, self.T_C, self.dev(1e3))) for x in lam]
+        assert vec.tolist() == point
+
+    def test_extreme_window_and_rate(self):
+        lam = np.array([0.5, 5e3, 5e5, 5e6]) / self.T_C
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+            warnings.simplefilter("error")
+            vals = first_survivor_excitation(lam, self.T_C, self.dev(1e5))
+        assert np.all(np.isfinite(vals))
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        assert vals[-1] < 1e-12 < vals[1]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            first_survivor_excitation(-1.0, self.T_C, self.dev(1e3))
+        with pytest.raises(ValueError):
+            first_survivor_excitation(1.0, self.T_C, self.dev(1e3), cells_per_tau=0)
+
+    def test_drives_gamma0_cutoff_scan(self):
+        # gamma = 0 with ground entry is scanned exactly and noise-free
+        grid = log_grid(1.0, 3000.0, 12)
+        res = cutoff_photon_number(self.dev(100.0), self.T_C, grid)
+        expect = first_survivor_excitation(grid / self.T_C, self.T_C, self.dev(100.0))
+        assert res.excitation.tolist() == expect.tolist()
+        assert not np.any(res.stderr)
+
+
 class TestCutoff:
     def test_synthetic_curve(self, monkeypatch):
         # inject a known monotone-decreasing curve halving at n = 100
         from photonlink import saturation as sat
-        from photonlink.report import Estimate
 
-        def fake(lam, timing, dev, enter_excited=False, replicas=0, rng=None, window=None, **kw):
-            nbar = lam * timing.t_c
-            return Estimate(1.0 / (1.0 + nbar / 100.0), 0.0)
+        def fake(lam, t_c, dev, window=None, **kw):
+            nbar = np.asarray(lam) * t_c
+            return 1.0 / (1.0 + nbar / 100.0)
 
-        monkeypatch.setattr(sat, "saturated_excitation", fake)
+        monkeypatch.setattr(sat, "first_survivor_excitation", fake)
         dev = DeviceParams(kappa=1e9, gamma=0.0)
         grid = log_grid(1.0, 1e4, 40)
         res = sat.cutoff_photon_number(dev, 230e-9, grid, replicas=16, rng_seed=1)
@@ -253,11 +344,10 @@ class TestCutoff:
 
     def test_not_saturating_error(self, monkeypatch):
         from photonlink import saturation as sat
-        from photonlink.report import Estimate
 
         monkeypatch.setattr(
-            sat, "saturated_excitation",
-            lambda lam, timing, dev, **kw: Estimate(0.8, 0.0),
+            sat, "first_survivor_excitation",
+            lambda lam, t_c, dev, window=None, **kw: np.full(np.shape(lam), 0.8),
         )
         dev = DeviceParams(kappa=1e9, gamma=0.0)
         with pytest.raises(NotSaturatingError):
