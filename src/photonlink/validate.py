@@ -1,9 +1,12 @@
-"""Closed-form-versus-oracle check battery.
+"""The closed-form-versus-oracle check battery.
 
 Every analytic result in the package has an independent route: defining
 integrals by quadrature, exhaustive enumeration, or event-driven Monte
 Carlo.  The battery runs them side by side and reports one line per
-check; the CLI `validate` command exits nonzero if any fails.
+check.  It is the only copy of these oracles: `photonlink validate`
+runs it (exit 3 if any check fails), and at level "full" the acceptance
+suite runs every check once at the full sample sizes.  Level "quick"
+runs the same checks on fewer points and samples.
 """
 from __future__ import annotations
 
@@ -29,7 +32,12 @@ from .physics import (
 )
 from .rng import substream
 
-__all__ = ["CheckResult", "run_checks", "CHECKS"]
+__all__ = ["CheckResult", "run_checks", "CHECKS", "NAMES"]
+
+# headline operating point of the link checks
+REF_DEV = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5)
+REF_TIMING = CycleTiming(230e-9, 35e-9, 48e-9)
+REF_ENV = Environment(t_e=8.0, nu=1e10, cycles_per_symbol=800)
 
 
 @dataclass(frozen=True)
@@ -49,12 +57,14 @@ def check_trivial_identities(level: str, seed: int) -> CheckResult:
         "E_S(0)": saturation.survivor_moments_given_count(0, 0.1, 1.0).mean,
         "E_S(1)-1": saturation.survivor_moments_given_count(1, 0.1, 1.0).mean - 1.0,
         "D_S(1)-1": saturation.survivor_moments_given_count(1, 0.1, 1.0).second_moment - 1.0,
-        "E_S(7)|tau=0 - 7": saturation.survivor_moments_given_count(7, 0.0, 1.0).mean - 7.0,
         "delta(0)": saturation.delta_lambda(0.0, 0.1, 1.0),
-        "f_b(0)": ground_return_prob(0.0, DeviceParams(kappa=8.0, gamma=1.0)),
-        "f2(0)": transition_kernels(0.0, 0.0, DeviceParams(kappa=8.0, gamma=1.0))[1],
         "n_e(T_e=0)": thermal_photon_rate(Environment(t_e=0.0, nu=1e10, cycles_per_symbol=800)),
     }
+    for n in (7, 11):
+        vals[f"E_S({n})|tau=0 - {n}"] = saturation.survivor_moments_given_count(n, 0.0, 1.0).mean - n
+    for label, dev in (("toy", DeviceParams(kappa=8.0, gamma=1.0)), ("ref", REF_DEV)):
+        vals[f"f_b(0) {label}"] = ground_return_prob(0.0, dev)
+        vals[f"f2(0) {label}"] = transition_kernels(0.0, 0.0, dev)[1]
     bad = {k: v for k, v in vals.items() if abs(v) > tol}
     return _result("trivial-identities", not bad, f"max |err| {max(abs(v) for v in vals.values()):.2e}")
 
@@ -97,11 +107,11 @@ def check_dp_vs_enumeration(level: str, seed: int) -> CheckResult:
     rng = substream(seed, 0x01)
     worst = 0.0
     worst_total = 0.0
-    for i in range(30):
+    for i in range(40):
         n = int(rng.integers(1, 7))
         t_c = float(rng.uniform(0.5, 2.0))
         times = np.sort(rng.random(n) * t_c)
-        dev = DeviceParams(kappa=float(rng.uniform(2, 40)), gamma=float(rng.uniform(0.0, 5.0)))
+        dev = DeviceParams(kappa=float(rng.uniform(2, 60)), gamma=float(rng.uniform(0.0, 5.0)))
         trace = detection.ArrivalTrace(times, t_c)
         dp = detection.excitation_given_arrivals(trace, dev)
         en = detection.excitation_given_arrivals_bruteforce(trace, dev)
@@ -117,7 +127,10 @@ def check_dp_vs_enumeration(level: str, seed: int) -> CheckResult:
 
 def check_poisson_excitation_vs_mc(level: str, seed: int) -> CheckResult:
     """Renewal DP against the event-driven MC, and the exact CTMC
-    excitation against each of them, on the same random points."""
+    excitation against each of them, on the same random points.
+
+    Points are uniform in kappa t_c (2-400), gamma t_c (0-8), lambda t_c
+    (0.1-3) and delta_o / t_c (0.01-0.3), with t_c in 0.5-2."""
     n_points = 20 if level == "full" else 5
     replicas = 1_000_000 if level == "full" else 100_000
     mc_samples = 100_000 if level == "full" else 20_000
@@ -127,7 +140,7 @@ def check_poisson_excitation_vs_mc(level: str, seed: int) -> CheckResult:
     for i in range(n_points):
         t_c = float(rng.uniform(0.5, 2.0))
         timing = CycleTiming(t_c=t_c, delta_o=t_c * float(rng.uniform(0.01, 0.3)), t_w=t_c * 0.1)
-        dev = DeviceParams(kappa=float(rng.uniform(4, 80)), gamma=float(rng.uniform(0.0, 4.0)))
+        dev = DeviceParams(kappa=float(rng.uniform(2.0, 400.0)) / t_c, gamma=float(rng.uniform(0.0, 8.0)) / t_c)
         lam = float(rng.uniform(0.1, 3.0)) / t_c
         analytic = detection.excitation_poisson(lam, timing, dev, rng_seed=seed + i, mc_samples=mc_samples)
         mc = detection.mc_detector(lam, timing, dev, replicas=replicas, rng=substream(seed, 0x02, i))
@@ -145,56 +158,56 @@ def check_poisson_excitation_vs_mc(level: str, seed: int) -> CheckResult:
 
 
 def check_survivor_moments_vs_mc(level: str, seed: int) -> CheckResult:
+    """Closed-form survivor moments against survivor_mask on sampled
+    traces, for a fixed photon count and for Poisson arrival.
+
+    Mean, second moment and variance are each gated as a z-score.  Case i
+    draws from substream (seed, 0x03, i), so its draws do not depend on
+    which other cases run; quick runs every third case.
+    """
     replicas = 1_000_000 if level == "full" else 200_000
-    rng = substream(seed, 0x03)
+    ratios = (4.0, 8.0, 16.0)  # t_c / tau with t_c = 1
+    cases = [("count", n, ratio) for n in (2, 5, 10, 20) for ratio in ratios]
+    cases += [("poisson", a * ratio, ratio) for a in (0.05, 0.3, 1.0, 3.0) for ratio in ratios]
+    keyed = list(enumerate(cases))[:: 1 if level == "full" else 3]
     worst_z = 0.0
-    cases_n = [(n, ratio) for n in (2, 5, 10, 20) for ratio in (4.0, 8.0, 16.0)]
-    if level != "full":
-        cases_n = cases_n[::3]
-    for n, ratio in cases_n:
-        t_c, tau = 1.0, 1.0 / ratio
-        s = _survivor_counts_fixed(rng, n, tau, t_c, replicas)
-        m = saturation.survivor_moments_given_count(n, tau, t_c)
-        worst_z = max(worst_z, _moment_z(s, m.mean, m.second_moment, replicas))
-    cases_p = [(a, ratio) for a in (0.05, 0.3, 1.0, 3.0) for ratio in (4.0, 8.0, 16.0)]
-    if level != "full":
-        cases_p = cases_p[::3]
-    for a, ratio in cases_p:
-        t_c, tau = 1.0, 1.0 / ratio
-        lam = a / tau
-        s = _survivor_counts_poisson(rng, lam, tau, t_c, replicas)
-        m = saturation.survivor_moments_poisson(lam, tau, t_c)
-        worst_z = max(worst_z, _moment_z(s, m.mean, m.second_moment, replicas))
-    return _result("survivor-moments-vs-mc", worst_z < 4.0, f"max |z| {worst_z:.2f}")
+    for i, (kind, x, ratio) in keyed:
+        tau = 1.0 / ratio
+        s = _survivor_counts(substream(seed, 0x03, i), kind, x, tau, replicas)
+        if kind == "count":
+            moments = saturation.survivor_moments_given_count(x, tau, 1.0)
+        else:
+            moments = saturation.survivor_moments_poisson(x, tau, 1.0)
+        worst_z = max(worst_z, _moment_z(s, moments))
+    return _result("survivor-moments-vs-mc", worst_z < 4.0, f"{len(keyed)} cases, max |z| {worst_z:.2f}")
 
 
-def _survivor_counts_fixed(rng, n, tau, t_c, replicas, block=200_000) -> np.ndarray:
+def _survivor_counts(rng, kind: str, x, tau: float, replicas: int) -> np.ndarray:
+    """Survivor counts on [0, 1] of x uniform photons (kind "count") or of
+    Poisson arrival at rate x (kind "poisson"), drawn in blocks."""
+    block = 200_000 if kind == "count" else 100_000
     out = np.empty(replicas)
-    done = 0
-    while done < replicas:
-        m = min(block, replicas - done)
-        t = np.sort(rng.random((m, n)) * t_c, axis=1)
-        out[done : done + m] = saturation.survivor_mask(t, tau).sum(axis=1)
-        done += m
+    for start in range(0, replicas, block):
+        m = min(block, replicas - start)
+        if kind == "count":
+            arr = np.sort(rng.random((m, x)), axis=1)
+        else:
+            arr, _ = saturation._poisson_sorted_arrivals(rng, x, m, 1.0)
+        out[start : start + m] = saturation.survivor_mask(arr, tau).sum(axis=1)
     return out
 
 
-def _survivor_counts_poisson(rng, lam, tau, t_c, replicas, block=100_000) -> np.ndarray:
-    out = np.empty(replicas)
-    done = 0
-    while done < replicas:
-        m = min(block, replicas - done)
-        arr, _ = saturation._poisson_sorted_arrivals(rng, lam * t_c, m, t_c)
-        out[done : done + m] = saturation.survivor_mask(arr, tau).sum(axis=1)
-        done += m
-    return out
-
-
-def _moment_z(s: np.ndarray, mean: float, second: float, replicas: int) -> float:
-    z1 = abs(s.mean() - mean) / max(s.std(ddof=1) / math.sqrt(replicas), 1e-12)
+def _moment_z(s: np.ndarray, m: saturation.SurvivorMoments) -> float:
+    """Largest |z| of the sample mean, second moment and variance of s."""
+    n = s.size
     s2 = s * s
-    z2 = abs(s2.mean() - second) / max(s2.std(ddof=1) / math.sqrt(replicas), 1e-12)
-    return max(z1, z2)
+    c = s - s.mean()
+    var_se = math.sqrt(max(np.mean(c**4) - np.mean(c**2) ** 2, 0.0) / n)  # via central moments
+    return max(
+        abs(s.mean() - m.mean) / max(s.std(ddof=1) / math.sqrt(n), 1e-12),
+        abs(s2.mean() - m.second_moment) / max(s2.std(ddof=1) / math.sqrt(n), 1e-12),
+        abs(s.var(ddof=1) - m.variance) / max(var_se, 1e-12),
+    )
 
 
 def check_lemma_series(level: str, seed: int) -> CheckResult:
@@ -248,35 +261,36 @@ def check_pair_survival_pieces(level: str, seed: int) -> CheckResult:
             for num, clo in zip(p.numeric, p.closed):
                 worst = max(worst, abs(num - clo) / max(abs(clo), 1e-30))
             m = saturation.survivor_moments_given_count(n, ratio, 1.0)
-            recombined = n * (m.mean / n) + n * (n - 1) * p.pair_survival_numeric
+            recombined = m.mean + n * (n - 1) * p.pair_survival_numeric
             worst_comb = max(worst_comb, abs(recombined - m.second_moment) / m.second_moment)
     ok = worst < 1e-8 and worst_comb < 1e-9
     return _result("pair-survival-pieces", ok, f"max piece rel {worst:.2e}, recombination rel {worst_comb:.2e}")
 
 
 def check_delta_sign_structure(level: str, seed: int) -> CheckResult:
+    """Sign and shape of delta(lambda) = mean - variance of the survivor
+    count: positive below the crossover lambda0, negative above it, rising
+    to an interior peak, falling to an interior trough, then relaxing
+    toward zero.  The grid has about 213 points per decade."""
     ok = True
     details = []
+    a_grid = np.geomspace(1e-4, 50.0, 1213)
     for ratio in (4.0, 10.0, 100.0):
         tau, t_c = 1.0, ratio
-        a_grid = np.geomspace(1e-3, 50.0, 1000)
         deltas = np.array([saturation.delta_lambda(a / tau, tau, t_c) for a in a_grid])
-        signs = np.sign(deltas)
-        changes = int(np.sum(np.abs(np.diff(signs)) > 0))
+        changes = int(np.sum(np.diff(np.sign(deltas)) != 0))
         lam0 = saturation.find_lambda0(tau, t_c)
         below = deltas[a_grid < lam0 * tau]
         above = deltas[a_grid > lam0 * tau]
-        this_ok = changes == 1 and np.all(below > 0) and np.all(above < 0)
-        ok = ok and this_ok
-        details.append(f"T/tau={ratio}: changes={changes}, lam0*tau={lam0 * tau:.4f}")
+        peak, trough = int(np.argmax(deltas)), int(np.argmin(deltas))
+        shape_ok = 0 < peak < trough < deltas.size - 1 and abs(deltas[-1]) < 0.1 * abs(deltas[trough])
+        ok = ok and changes == 1 and np.all(below > 0) and np.all(above < 0) and shape_ok
+        details.append(f"T/tau={ratio:g}: changes={changes}, lam0*tau={lam0 * tau:.4f}, shape={shape_ok}")
     return _result("delta-sign-structure", ok, "; ".join(details))
 
 
 def _ref_spec() -> link.HmmSpec:
-    dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5)
-    timing = CycleTiming(230e-9, 35e-9, 48e-9)
-    env = Environment(t_e=8.0, nu=1e10, cycles_per_symbol=800)
-    return link.LinkConfig(dev=dev, timing=timing, env=env).build_spec(-148.3)
+    return link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV).build_spec(-148.3)
 
 
 def check_hmm_emission_normalization(level: str, seed: int) -> CheckResult:
@@ -392,15 +406,12 @@ def check_first_survivor_vs_mc(level: str, seed: int) -> CheckResult:
 
 def check_kernel_vs_mc_detector(level: str, seed: int) -> CheckResult:
     replicas = 1_000_000 if level == "full" else 200_000
-    dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5)
-    timing = CycleTiming(230e-9, 35e-9, 48e-9)
-    env = Environment(t_e=8.0, nu=1e10, cycles_per_symbol=800)
-    spec = link.LinkConfig(dev=dev, timing=timing, env=env).build_spec(-150.0)
+    spec = link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV).build_spec(-150.0)
     worst_z = 0.0
     for sym, kern in ((0, spec.kernel0), (1, spec.kernel1)):
         for entry, flag in ((0, False), (1, True)):
             st = detection.mc_detector(
-                kern.rate, timing, dev, enter_excited=flag, replicas=replicas,
+                kern.rate, REF_TIMING, REF_DEV, enter_excited=flag, replicas=replicas,
                 rng=substream(seed, 0x07, sym, entry),
             )
             p1 = kern.bit_given_entry[entry, 1]
@@ -410,14 +421,12 @@ def check_kernel_vs_mc_detector(level: str, seed: int) -> CheckResult:
 
 
 def check_saturation_negligible_low_power(level: str, seed: int) -> CheckResult:
-    dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5)
-    timing = CycleTiming(230e-9, 35e-9, 48e-9)
     replicas = 1_000_000 if level == "full" else 200_000
     worst = 0.0
-    for mean in (0.02, 0.1):
-        lam = mean / timing.t_c
+    for mean in (0.02, 0.05, 0.1) if level == "full" else (0.02, 0.1):
         gap, sat = saturation.saturation_gap(
-            lam, timing, dev, replicas=replicas, rng=substream(seed, 0x08, int(mean * 1000))
+            mean / REF_TIMING.t_c, REF_TIMING, REF_DEV, replicas=replicas,
+            rng=substream(seed, 0x08, int(mean * 1000)),
         )
         # the paired gap must sit far inside two unpaired Monte Carlo
         # standard errors of the saturated estimate itself
@@ -449,14 +458,14 @@ CHECKS: tuple = (
 )
 
 
+NAMES: tuple = tuple(fn.__name__.removeprefix("check_").replace("_", "-") for fn in CHECKS)
+
+
 def run_checks(level: str = "quick", seed: int = 0, names: Optional[list] = None) -> list:
-    """Run the battery; returns one CheckResult per check."""
+    """Run the battery, or the checks named in names; one CheckResult per check."""
     if level not in ("quick", "full"):
         raise ValueError("level must be quick or full")
-    results = []
-    for fn in CHECKS:
-        name = fn.__name__.removeprefix("check_").replace("_", "-")
-        if names and name not in names:
-            continue
-        results.append(fn(level, seed))
-    return results
+    unknown = sorted(set(names or ()) - set(NAMES))
+    if unknown:
+        raise ValueError(f"unknown check names {unknown}; valid names: {', '.join(NAMES)}")
+    return [fn(level, seed) for fn, name in zip(CHECKS, NAMES) if not names or name in names]

@@ -1,10 +1,12 @@
 """Acceptance criteria at full size.
 
-Each test prints one PASS/FAIL line (pytest -s shows them live).  These
-are the heavyweight closed-form-versus-oracle gates; deselect with
-`-m "not acceptance"` during development.
+Each test prints one `[ACCEPTANCE <tag>] PASS/FAIL (detail; time)` line
+(pytest -s shows them live); deselect the suite with `-m "not acceptance"`
+during development.  The closed-form-versus-oracle gates are the checks of
+`photonlink validate --level full`: `test_oracle_check` runs each entry of
+`validate.CHECKS` once at seed SEED.  The other tests are the property
+suites at the headline operating point that no check covers.
 """
-import itertools
 import math
 import time
 
@@ -15,173 +17,30 @@ from photonlink import detection, link, saturation, validate
 from photonlink.cli import main as cli_main
 from photonlink.cli import scan_cutoff
 from photonlink.physics import (
-    CycleTiming,
     DeviceParams,
-    Environment,
     PulseProfile,
     detection_prob_single,
-    ground_return_prob,
     single_photon_excitation,
-    thermal_photon_rate,
-    transition_kernels,
 )
-from photonlink.rng import substream
+from photonlink.validate import REF_DEV, REF_ENV, REF_TIMING
 
 pytestmark = pytest.mark.acceptance
 
 SEED = 20260809
-REF_DEV = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5)
-REF_TIMING = CycleTiming(230e-9, 35e-9, 48e-9)
-REF_ENV = Environment(t_e=8.0, nu=1e10, cycles_per_symbol=800)
 
 
-def _report(num, name: str, ok: bool, detail: str, t0: float):
-    tag = f"{num:02d}" if isinstance(num, int) else str(num)
-    line = f"[ACCEPTANCE {tag}] {name}: {'PASS' if ok else 'FAIL'} ({detail}; {time.monotonic() - t0:.1f}s)"
+def _report(tag: str, ok: bool, detail: str, t0: float):
+    line = f"[ACCEPTANCE {tag}] {'PASS' if ok else 'FAIL'} ({detail}; {time.monotonic() - t0:.1f}s)"
     print(line)
     assert ok, line
 
 
-def _variance_se(samples: np.ndarray) -> float:
-    # standard error of the sample variance via central moments
-    n = samples.size
-    c = samples - samples.mean()
-    m2 = np.mean(c**2)
-    m4 = np.mean(c**4)
-    return math.sqrt(max(m4 - m2 * m2, 0.0) / n)
-
-
-def test_c01_trivial_identities():
+@pytest.mark.parametrize("name", validate.NAMES)
+def test_oracle_check(name):
     t0 = time.monotonic()
-    vals = {
-        "E_S(0)": saturation.survivor_moments_given_count(0, 0.1, 1.0).mean,
-        "E_S(1)-1": saturation.survivor_moments_given_count(1, 0.1, 1.0).mean - 1.0,
-        "D_S(1)-1": saturation.survivor_moments_given_count(1, 0.1, 1.0).second_moment - 1.0,
-        "E_S(11)|tau->0 - 11": saturation.survivor_moments_given_count(11, 0.0, 1.0).mean - 11.0,
-        "delta(lam=0)": saturation.delta_lambda(0.0, 0.1, 1.0),
-        "f_b(0)": ground_return_prob(0.0, REF_DEV),
-        "f2(0)": transition_kernels(0.0, 0.0, REF_DEV)[1],
-        "n_e(T_e=0)": thermal_photon_rate(Environment(t_e=0.0, nu=1e10, cycles_per_symbol=800)),
-    }
-    worst = max(abs(v) for v in vals.values())
-    _report(1, "trivial-identities", worst <= 1e-12, f"max |err| {worst:.2e}", t0)
-
-
-def test_c02_survivor_moments_vs_bruteforce():
-    t0 = time.monotonic()
-    replicas = 1_000_000
-    worst_z = 0.0
-    # fixed photon count
-    for i, (n, ratio) in enumerate(itertools.product((2, 5, 10, 20), (4.0, 8.0, 16.0))):
-        tau, t_c = 1.0 / ratio, 1.0
-        rng = substream(SEED, 0xA2, i)
-        s = np.empty(replicas)
-        done = 0
-        while done < replicas:
-            m = min(200_000, replicas - done)
-            t = np.sort(rng.random((m, n)) * t_c, axis=1)
-            s[done : done + m] = saturation.survivor_mask(t, tau).sum(axis=1)
-            done += m
-        mom = saturation.survivor_moments_given_count(n, tau, t_c)
-        z_mean = abs(s.mean() - mom.mean) / (s.std(ddof=1) / math.sqrt(replicas))
-        z_var = abs(s.var(ddof=1) - mom.variance) / max(_variance_se(s), 1e-12)
-        worst_z = max(worst_z, z_mean, z_var)
-    # Poisson arrival
-    for i, (a, ratio) in enumerate(itertools.product((0.05, 0.3, 1.0, 3.0), (4.0, 8.0, 16.0))):
-        tau, t_c = 1.0 / ratio, 1.0
-        lam = a / tau
-        rng = substream(SEED, 0xA3, i)
-        s = np.empty(replicas)
-        done = 0
-        while done < replicas:
-            m = min(100_000, replicas - done)
-            arr, _ = saturation._poisson_sorted_arrivals(rng, lam * t_c, m, t_c)
-            s[done : done + m] = saturation.survivor_mask(arr, tau).sum(axis=1)
-            done += m
-        mom = saturation.survivor_moments_poisson(lam, tau, t_c)
-        z_mean = abs(s.mean() - mom.mean) / (s.std(ddof=1) / math.sqrt(replicas))
-        z_var = abs(s.var(ddof=1) - mom.variance) / max(_variance_se(s), 1e-12)
-        worst_z = max(worst_z, z_mean, z_var)
-    _report(2, "survivor-moments-vs-bruteforce", worst_z < 4.0, f"24 cases, max |z| {worst_z:.2f}", t0)
-
-
-def test_c03_pair_survival_oracle():
-    t0 = time.monotonic()
-    worst = 0.0
-    for n in (2, 3, 7):
-        for ratio in (0.05, 0.2):
-            p = saturation.pair_survival_integrals(n, ratio, 1.0)
-            for num, clo in zip(p.numeric, p.closed):
-                worst = max(worst, abs(num - clo) / max(abs(clo), 1e-30))
-            mom = saturation.survivor_moments_given_count(n, ratio, 1.0)
-            recombined = mom.mean + n * (n - 1) * p.pair_survival_numeric
-            worst = max(worst, abs(recombined - mom.second_moment) / mom.second_moment)
-    _report(3, "pair-survival-oracle", worst < 1e-8, f"max rel err {worst:.2e}", t0)
-
-
-def test_c04_dispersion_crossover():
-    t0 = time.monotonic()
-    ok = True
-    details = []
-    for ratio in (4.0, 10.0, 100.0):
-        tau, t_c = 1.0, ratio
-        a_grid = np.geomspace(1e-4, 50.0, 1000)
-        deltas = np.array([saturation.delta_lambda(a / tau, tau, t_c) for a in a_grid])
-        lam0 = saturation.find_lambda0(tau, t_c)
-        changes = int(np.sum(np.diff(np.sign(deltas)) != 0))
-        below_ok = bool(np.all(deltas[a_grid < lam0 * tau] > 0))
-        above_ok = bool(np.all(deltas[a_grid > lam0 * tau] < 0))
-        # qualitative shape: rises to an interior maximum, falls through the
-        # crossover to an interior minimum, then relaxes toward zero
-        peak = int(np.argmax(deltas))
-        trough = int(np.argmin(deltas))
-        shape_ok = 0 < peak < trough < deltas.size - 1 and abs(deltas[-1]) < abs(deltas[trough]) * 0.1
-        this = changes == 1 and below_ok and above_ok and shape_ok
-        ok = ok and this
-        details.append(f"T/tau={ratio:g}: lam0*tau={lam0 * tau:.4f} changes={changes}")
-    _report(4, "dispersion-crossover", ok, "; ".join(details), t0)
-
-
-def test_c05_detection_exact_vs_oracle():
-    t0 = time.monotonic()
-    rng = substream(SEED, 0xA5)
-    # exact route against exhaustive enumeration
-    worst_enum = 0.0
-    for _ in range(40):
-        n = int(rng.integers(1, 7))
-        t_c = float(rng.uniform(0.5, 2.0))
-        times = np.sort(rng.random(n)) * t_c
-        dev = DeviceParams(kappa=float(rng.uniform(2.0, 60.0)), gamma=float(rng.uniform(0.0, 4.0)))
-        trace = detection.ArrivalTrace(times, t_c)
-        worst_enum = max(
-            worst_enum,
-            abs(
-                detection.excitation_given_arrivals(trace, dev)
-                - detection.excitation_given_arrivals_bruteforce(trace, dev)
-            ),
-        )
-    # Poisson mixture against the event-driven Monte Carlo, 20 random points,
-    # and the closed-form CTMC excitation against both
-    replicas = 1_000_000
-    worst_z = 0.0
-    worst_exact = 0.0
-    for i in range(20):
-        t_c = float(rng.uniform(0.5, 2.0))
-        timing = CycleTiming(t_c=t_c, delta_o=t_c * float(rng.uniform(0.05, 0.3)), t_w=t_c * 0.1)
-        dev = DeviceParams(kappa=4.0 * float(rng.uniform(1.0, 100.0)) / t_c,
-                           gamma=float(rng.uniform(0.0, 2.0)) / t_c)
-        lam = float(rng.uniform(0.1, 3.0)) / t_c
-        analytic = detection.excitation_poisson(lam, timing, dev, rng_seed=SEED + i, mc_samples=100_000)
-        mc = detection.mc_detector(lam, timing, dev, replicas=replicas, rng=substream(SEED, 0xA6, i))
-        se = math.hypot(analytic.stderr, mc.excited_at_obs.stderr)
-        worst_z = max(worst_z, abs(analytic.value - mc.excited_at_obs.value) / max(se, 1e-12))
-        exact = detection.excitation_ctmc(lam, timing, dev)
-        for oracle in (analytic, mc.excited_at_obs):
-            worst_exact = max(worst_exact, abs(exact - oracle.value) / max(oracle.stderr, 1e-12))
-    ok = worst_enum < 1e-12 and worst_z < 4.0 and worst_exact < 4.0
-    _report(5, "detection-exact-vs-oracle", ok,
-            f"max |dp-enum| {worst_enum:.2e}, 20-point max |z| {worst_z:.2f}, "
-            f"exact vs dp/mc max |z| {worst_exact:.2f}", t0)
+    (res,) = validate.run_checks("full", SEED, names=[name])
+    assert res.name == name
+    _report(name, res.passed, res.detail, t0)
 
 
 def test_c06_pulse_and_miss_shapes():
@@ -223,7 +82,7 @@ def test_c06_pulse_and_miss_shapes():
     )
     kappa_ordered = rep_k.rows[1]["p_miss"] < rep_k.rows[0]["p_miss"]
     ok = unimodal and gamma_ordered and lam_monotone and kappa_ordered
-    _report(6, "pulse-and-miss-shapes", ok,
+    _report("06 pulse-and-miss-shapes", ok,
             f"unimodal={unimodal}, peaks by gamma={['%.4f' % p for p in peaks]}, "
             f"miss monotone={lam_monotone}, kappa ordered={kappa_ordered}", t0)
 
@@ -255,7 +114,7 @@ def test_c07_ber_headline():
     crossing_exists = not math.isnan(crossing) and crossing < -140.0
     calibrated = abs(crossing - (-148.3)) <= 2.0
     ok = coin_flip and monotone and crossing_exists and calibrated
-    _report(7, "ber-headline", ok,
+    _report("07 ber-headline", ok,
             f"BER(-200dBm)={ber[0]:.4f}, monotone={monotone}, "
             f"1e-3 crossing at {crossing:.2f} dBm (target -148.3 +- 2)", t0)
 
@@ -271,7 +130,7 @@ def test_c07b_ber_kappa_ordering():
         bers.append((row["ber"], row["stderr"]))
     margin = 2 * math.hypot(bers[0][1], bers[1][1])
     ok = bers[1][0] < bers[0][0] - margin
-    _report("7b", "ber-kappa-ordering", ok,
+    _report("7b ber-kappa-ordering", ok,
             f"BER(kappa=2pi*1e8)={bers[0][0]:.4g} vs BER(kappa=2pi*1e9)={bers[1][0]:.4g}", t0)
 
 
@@ -286,34 +145,28 @@ def test_c08_rate_headline():
     in_unit = all(0.0 <= r <= 1.0 for r in rate)
     zero_at_off = rate[0] <= 2 * se[0]
     monotone = all(rate[i + 1] >= rate[i] - 4 * (se[i] + se[i + 1]) for i in range(len(rate) - 1))
-    # calibration target (headline calibration target): where the curve reaches 0.95
+    # where the curve reaches 0.95: a checked finding.  This model places it
+    # at -149.60 dBm, about 7 dB above the paper's -156.5 dBm target, so the
+    # gate pins the model's own placement and the paper's target is reported
     cross = math.nan
     for i in range(2, len(rate)):
         if rate[i - 1] < 0.95 <= rate[i]:
             cross = powers[i - 1] + (0.95 - rate[i - 1]) * (powers[i] - powers[i - 1]) / (rate[i] - rate[i - 1])
             break
-    calibrated = not math.isnan(cross) and abs(cross - (-156.5)) <= 2.0
-    ok = in_unit and zero_at_off and monotone
-    _report(8, "rate-headline", ok,
+    at_model = not math.isnan(cross) and abs(cross - (-149.60)) <= 1.0
+    at_paper = not math.isnan(cross) and abs(cross - (-156.5)) <= 2.0
+    ok = in_unit and zero_at_off and monotone and at_model
+    _report("08 rate-headline", ok,
             f"I(off)={rate[0]:.4f}+-{se[0]:.4f}, monotone={monotone}, in [0,1]={in_unit}; "
-            f"0.95 reached at {cross:.2f} dBm vs target -156.5 +- 2 "
-            f"(calibration {'met' if calibrated else 'MISSED, see README calibration notes'})", t0)
+            f"0.95 reached at {cross:.2f} dBm vs model -149.60 +- 1; paper target -156.5 +- 2 "
+            f"{'met' if at_paper else 'missed'} (see README calibration notes)", t0)
 
 
 def test_c09_saturation_negligibility():
+    # the excitation half of this criterion is the check
+    # saturation-negligible-low-power; this is the achievable rate with
+    # and without the dead-time filter at low power
     t0 = time.monotonic()
-    replicas = 1_000_000
-    worst = 0.0
-    for j, mean in enumerate((0.02, 0.05, 0.1)):
-        lam = mean / REF_TIMING.t_c
-        gap, sat = saturation.saturation_gap(
-            lam, REF_TIMING, REF_DEV, replicas=replicas, rng=substream(SEED, 0xA9, j)
-        )
-        unpaired_se = math.sqrt(max(sat.value * (1 - sat.value), 1e-12) / replicas)
-        worst = max(worst, (abs(gap.value) + 2 * gap.stderr) / (2 * unpaired_se))
-    excitation_ok = worst < 1.0
-
-    # achievable rate with and without the dead-time filter, low power
     env = REF_ENV
     n_symbols = 200_000
     rates = {}
@@ -323,9 +176,7 @@ def test_c09_saturation_negligibility():
         )
         rates[flag] = link.rate_point(cfg, -150.0, n_symbols, SEED, 50 + int(flag))["rate"]
     rate_gap = abs(rates[True] - rates[False])
-    ok = excitation_ok and rate_gap < 0.01
-    _report(9, "saturation-negligibility", ok,
-            f"excitation gap ratio {worst:.3f} (<1), rate gap {rate_gap:.4f} (<0.01)", t0)
+    _report("09 saturation-negligibility", rate_gap < 0.01, f"rate gap {rate_gap:.4f} (<0.01)", t0)
 
 
 def test_c10_cutoff_fit():
@@ -354,7 +205,7 @@ def test_c10_cutoff_fit():
         f"max prediction err {worst_pred:.1%}, exact vs mc max |z| {worst_z:.2f}, cutoffs "
         + ", ".join(f"{k:g}:{n:.1f}" for k, n in samples)
     )
-    _report(10, "cutoff-fit", ok, detail, t0)
+    _report("10 cutoff-fit", ok, detail, t0)
 
 
 def test_c11_determinism(tmp_path):
@@ -381,4 +232,4 @@ sweeps:
             + (out / "miss_sweep" / "miss_sweep.csv").read_bytes()
         )
     ok = blobs[0] == blobs[1] == blobs[2]
-    _report(11, "determinism", ok, "byte-identical CSVs across reruns and worker counts", t0)
+    _report("11 determinism", ok, "byte-identical CSVs across reruns and worker counts", t0)
