@@ -130,14 +130,11 @@ class McSettings:
     mc_samples: int = 100_000
     n_symbols: int = 100_000
     sat_replicas: int = 4096
-    eps_trunc: float = 1e-10
 
     def __post_init__(self):
         for name in ("mc_samples", "n_symbols", "sat_replicas"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"mc.{name} must be >= 1")
-        if not 0 < self.eps_trunc < 1:
-            raise ConfigError("mc.eps_trunc must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -316,12 +313,11 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
         mc_raw = d["mc"]
-        _check_keys(mc_raw, ("mc_samples", "n_symbols", "sat_replicas", "eps_trunc"), "mc")
+        _check_keys(mc_raw, ("mc_samples", "n_symbols", "sat_replicas"), "mc")
         mc = McSettings(
             mc_samples=_get_int(mc_raw, "mc_samples", 100_000, "mc"),
             n_symbols=_get_int(mc_raw, "n_symbols", 100_000, "mc"),
             sat_replicas=_get_int(mc_raw, "sat_replicas", 4096, "mc"),
-            eps_trunc=parse_quantity(mc_raw.get("eps_trunc", 1e-10), "mc.eps_trunc"),
         )
         lk = d["link"]
         _check_keys(lk, ("mode", "saturation", "dump_frames", "burn_in"), "link")
@@ -372,7 +368,6 @@ class ExperimentConfig:
                 "mc_samples": mc.mc_samples,
                 "n_symbols": mc.n_symbols,
                 "sat_replicas": mc.sat_replicas,
-                "eps_trunc": mc.eps_trunc,
             },
             "link": {
                 "mode": link.mode,

@@ -9,6 +9,11 @@ sequence inside a frame is then itself a two-state Markov chain and
 block emissions depend on the frame only through (first bit, last bit,
 ones count, adjacent-ones count).  The general transfer-matrix product
 is kept alongside as a cross-check.
+
+The transition row of a state does not depend on the next symbol, so
+every recursion over symbols is a chain of 2x2 matrices over the entry
+level.  The recursions evaluate that chain as a prefix scan (Hillis-Steele
+doubling) over chunks of symbols instead of a loop over them.
 """
 from __future__ import annotations
 
@@ -151,6 +156,9 @@ class HmmSpec:
     def __post_init__(self):
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be >= 1")
+        # the physical sampler resets every frame with kernel0's law
+        if not np.allclose(self.kernel0.exit_given_bit, self.kernel1.exit_given_bit):
+            raise ValueError("kernels must share the device reset law")
 
     def kernel(self, symbol: int) -> CycleKernel:
         return self.kernel1 if symbol else self.kernel0
@@ -177,16 +185,16 @@ class HmmSpec:
         return pi
 
     @property
+    def level_exit(self) -> np.ndarray:
+        """P(exit level | entry level, symbol), shape (level, symbol, level')."""
+        return np.array(
+            [[self.exit_distribution(lv, s) for s in (0, 1)] for lv in (GROUND, EXCITED)]
+        )
+
+    @property
     def transition(self) -> np.ndarray:
-        """4x4 state transition matrix P((i', s') | (i, s))."""
-        t = np.zeros((4, 4))
-        for level in (GROUND, EXCITED):
-            for sym in (0, 1):
-                exit_dist = self.exit_distribution(level, sym)
-                for nlevel in (GROUND, EXCITED):
-                    for nsym in (0, 1):
-                        t[2 * level + sym, 2 * nlevel + nsym] = exit_dist[nlevel] * 0.5
-        return t
+        """4x4 state transition matrix P((i', s') | (i, s)) = P(i' | i, s) / 2."""
+        return 0.5 * np.repeat(self.level_exit.reshape(4, 2), 2, axis=1)
 
     # -- block emissions -------------------------------------------------------
     def emission_loglik_stats(self, b1, bn, n1, n11) -> np.ndarray:
@@ -302,9 +310,9 @@ def simulate_link(
     ground either way.
 
     The frame interior is sampled once per symbol as a coupled pair of
-    bit chains (one per possible first bit, shared uniforms); the cheap
-    sequential pass afterwards resolves entry levels and picks the
-    realized variant.
+    bit chains (one per possible first bit, shared uniforms); a scan over
+    the symbols afterwards resolves entry levels and picks the realized
+    variant.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
@@ -341,29 +349,23 @@ def simulate_link(
                 frames[v, :, j] = nxt
     bn = bits  # after the loop, bits holds the last bit of each variant
 
-    # boundary resolution: entry levels and realized first bits
-    u_entry = rng.random(m).tolist()
-    u_first = rng.random(m).tolist()
-    p_first = [
-        [float(spec.first_bit_prob(lv, s)[1]) for s in (0, 1)] for lv in (GROUND, EXCITED)
-    ]
-    exit_bit = [float(spec.kernel0.exit_given_bit[b, EXCITED]) for b in (0, 1)]
-    exit_marg = [
-        [float(spec.exit_distribution(lv, s)[EXCITED]) for s in (0, 1)] for lv in (GROUND, EXCITED)
-    ]
-    sym_l = sym_idx.tolist()
-    bn_l = (bn[0].tolist(), bn[1].tolist())
-    b1_sel = np.empty(m, dtype=np.int8)
-    physical = mode == "physical"
+    # boundary pass: given the uniforms, each symbol maps its entry level to
+    # the next symbol's, and the entry levels follow from composing those maps
+    u_entry = rng.random(m)
+    u_first = rng.random(m)
+    p_first = np.array([[spec.first_bit_prob(lv, s)[1] for s in (0, 1)] for lv in (GROUND, EXCITED)])
+    b1_given = [u_first < p_first[lv, sym_idx] for lv in (GROUND, EXCITED)]
+    if mode == "physical":
+        exit_bit = spec.kernel0.exit_given_bit[:, EXCITED]
+        step = [u_entry < exit_bit[np.where(b1, bn[1], bn[0])] for b1 in b1_given]
+    else:
+        exit_marg = spec.level_exit[:, :, EXCITED]
+        step = [u_entry < exit_marg[lv, sym_idx] for lv in (GROUND, EXCITED)]
+    entry = np.empty(m, dtype=np.int8)
     level = GROUND
-    for i in range(m):
-        s = sym_l[i]
-        b1 = 1 if u_first[i] < p_first[level][s] else 0
-        b1_sel[i] = b1
-        if physical:
-            level = 1 if u_entry[i] < exit_bit[bn_l[b1][i]] else 0
-        else:
-            level = 1 if u_entry[i] < exit_marg[level][s] else 0
+    for sl in _chunks(m):
+        entry[sl], level = _iterate_maps(step[0][sl], step[1][sl], level)
+    b1_sel = np.where(entry, b1_given[1], b1_given[0]).astype(np.int8)
 
     pick = b1_sel.astype(np.int64)
     cols = np.arange(m)
@@ -381,45 +383,105 @@ def simulate_link(
     return run
 
 
+# -- scans over symbols ---------------------------------------------------------
+# Chunks of at most _CHUNK symbols, with the scan state carried from one
+# chunk to the next, keep the scan temporaries O(_CHUNK) at any run length.
+_CHUNK = 1 << 16
+
+
+def _chunks(m: int):
+    for start in range(0, m, _CHUNK):
+        yield slice(start, min(start + _CHUNK, m))
+
+
+def _iterate_maps(f0: np.ndarray, f1: np.ndarray, x0: int):
+    """Run x_{j+1} = f_j(x_j) for maps f_j on {0, 1} given as f_j(0) = f0[j], f_j(1) = f1[j].
+
+    Returns x_0 ... x_{L-1} as int8 and x_L.  The compositions
+    f_j o ... o f_0 come from log2(L) doubling passes, so no pass waits
+    on a single step.
+    """
+    f0 = np.array(f0, dtype=bool)
+    f1 = np.array(f1, dtype=bool)
+    k = 1
+    while k < f0.size:
+        # earlier composite g = f[:-k] first, then the later one h = f[k:]
+        g0, g1, h0, h1 = f0[:-k], f1[:-k], f0[k:], f1[k:]
+        f0[k:], f1[k:] = np.where(g0, h1, h0), np.where(g1, h1, h0)
+        k *= 2
+    after = f1 if x0 else f0
+    before = np.empty(after.size, dtype=np.int8)
+    before[0] = x0
+    before[1:] = after[:-1]
+    return before, int(after[-1])
+
+
+def _unit_sum(x: np.ndarray) -> np.ndarray:
+    """x over its sum along every axis but the last (the symbol axis)."""
+    return x / x.sum(axis=tuple(range(x.ndim - 1)))
+
+
+def _unit_max(x: np.ndarray) -> np.ndarray:
+    """x minus its maximum along every axis but the last; all -inf stays -inf."""
+    top = x.max(axis=tuple(range(x.ndim - 1)))
+    return x - np.where(top > -np.inf, top, 0.0)
+
+
+def _scan_chunk(steps: np.ndarray, carry: np.ndarray, plus, times, rescale):
+    """carry times the exclusive prefix products of one chunk of 2x2 steps.
+
+    steps[l, l', t] holds step t; the products are over the semiring
+    (plus, times): (add, multiply) for the forward sums, (maximum, add)
+    for Viterbi.  Hillis-Steele doubling makes log2(L) passes over the
+    whole chunk, and rescale normalises every prefix.  Returns the row
+    vectors before each step, shape (2, L), and the rescaled vector after
+    the last one.  steps is overwritten with the inclusive prefixes.
+    """
+    x = steps
+    size = x.shape[-1]
+    k = 1
+    while k < size:
+        early, late = x[..., :-k], x[..., k:]
+        x[..., k:] = rescale(plus(times(early[:, 0, None], late[0]), times(early[:, 1, None], late[1])))
+        k *= 2
+    after = plus(times(carry[0], x[0]), times(carry[1], x[1]))
+    before = np.empty((2, size))
+    before[:, 0] = carry
+    before[:, 1:] = after[:, :-1]
+    return before, rescale(after[:, -1:])[:, 0]
+
+
 def viterbi_decode(spec: HmmSpec, run_or_frames) -> np.ndarray:
     """Maximum a posteriori state path; returns the decoded symbol bits.
 
     Log domain; zero-probability branches carry -inf.  Ties break toward
-    the smaller state index.
+    the smaller state index.  The best scores into each level come from a
+    max-plus scan over N_t[l, l'] = max_s(e_t[l, s] + log T[(l, s), l']);
+    the backtrack composes the backpointer maps on the level.
     """
     emis = _emissions_for(spec, run_or_frames)
     m = emis.shape[0]
-    log_a = _log(spec.transition).tolist()
-    log_pi = _log(spec.initial).tolist()
-    row0 = emis[0].tolist()
-    delta = [log_pi[k] + row0[k] for k in range(4)]
-    # four 2-bit backpointers per step, packed into one byte
-    back = bytearray(m)
-    chunk = 65536
-    for start in range(1, m, chunk):
-        block = emis[start : start + chunk].tolist()
-        for off, row in enumerate(block):
-            packed = 0
-            new = [0.0, 0.0, 0.0, 0.0]
-            for to in range(4):
-                best_k = 0
-                best_v = delta[0] + log_a[0][to]
-                for k in (1, 2, 3):
-                    v = delta[k] + log_a[k][to]
-                    if v > best_v:
-                        best_v = v
-                        best_k = k
-                new[to] = best_v + row[to]
-                packed |= best_k << (2 * to)
-            delta = new
-            back[start + off] = packed
-    state = max(range(4), key=lambda k: (delta[k], -k))
-    path = np.empty(m, dtype=np.int64)
-    path[-1] = state
-    for t in range(m - 1, 0, -1):
-        state = (back[t] >> (2 * state)) & 3
-        path[t - 1] = state
-    return (path % 2).astype(np.int8)
+    log_t = _log(0.5 * spec.level_exit)  # log T[(l, s), (l', .)], shape (level, symbol, level')
+    # back[l', t]: state at t on the best path into level l' at t + 1
+    back = np.empty((2, m), dtype=np.int8)
+    best = np.array([math.log(0.5), -math.inf])  # best score into each level at t = 0
+    for sl in _chunks(m):
+        e = emis[sl].T  # (state, t)
+        e2 = e.reshape(2, 2, -1)
+        steps = np.maximum(e2[:, 0, None] + log_t[:, 0, :, None], e2[:, 1, None] + log_t[:, 1, :, None])
+        into, best = _scan_chunk(steps, best, np.maximum, np.add, _unit_max)
+        delta = np.repeat(into, 2, axis=0) + e
+        # argmax keeps the first maximum: the smaller state index wins a tie
+        back[:, sl] = (delta[:, None] + log_t.reshape(4, 2, 1)).argmax(axis=0)
+    state = int(np.argmax(delta[:, -1]))
+    path = np.empty(m, dtype=np.int8)
+    path[-1] = state % 2
+    level = state // 2
+    for sl in reversed(list(_chunks(m - 1))):
+        rev = back[:, sl][:, ::-1]  # level at t + 1 -> state at t, latest t first
+        into, level = _iterate_maps(rev[0] // 2, rev[1] // 2, level)
+        path[sl] = rev[into, np.arange(into.size)][::-1] % 2
+    return path
 
 
 def _emissions_for(spec: HmmSpec, run_or_frames) -> np.ndarray:
@@ -432,21 +494,36 @@ def _emissions_for(spec: HmmSpec, run_or_frames) -> np.ndarray:
     return spec.block_emission_logprob(frames)
 
 
+def _level_forward(spec: HmmSpec, m: int, weights) -> np.ndarray:
+    """Per-symbol log2 P(o_t | o_<t) of a forward recursion over the level.
+
+    weights(sl) gives, for a chunk of steps, shift[t] and w[l, s, t]: the
+    symbol prior times exp(log P(o_t | l, s) - shift[t]).  The level law
+    before step t is the start law times the prefix product of
+    M_t[l, l'] = sum_s w[l, s, t] P(l' | l, s), rescaled by its sum.
+    """
+    exit_ = spec.level_exit
+    out = np.empty(m)
+    prior = np.array([1.0, 0.0])  # the system starts in ground
+    for sl in _chunks(m):
+        w, shift = weights(sl)
+        steps = w[:, 0, None] * exit_[:, 0, :, None] + w[:, 1, None] * exit_[:, 1, :, None]
+        g, prior = _scan_chunk(steps, prior, np.add, np.multiply, _unit_sum)
+        r = w[:, 0] + w[:, 1]
+        out[sl] = np.log2((g[0] * r[0] + g[1] * r[1]) / (g[0] + g[1])) + shift / math.log(2.0)
+    return out
+
+
 def forward_loglik(spec: HmmSpec, run_or_frames) -> np.ndarray:
     """Per-symbol incremental log2-likelihoods log2 P(o_t | o_<t)."""
     emis = _emissions_for(spec, run_or_frames)
-    m = emis.shape[0]
-    a = spec.transition
-    alpha = spec.initial.copy()
-    out = np.empty(m)
-    for t in range(m):
-        alpha = alpha * np.exp(emis[t] - emis[t].max())
-        norm = alpha.sum()
-        out[t] = math.log2(norm) + emis[t].max() / math.log(2.0)
-        alpha /= norm
-        if t + 1 < m:
-            alpha = alpha @ a
-    return out
+
+    def weights(sl):
+        e = emis[sl].T
+        shift = e.max(axis=0)
+        return 0.5 * np.exp(e - shift).reshape(2, 2, -1), shift
+
+    return _level_forward(spec, emis.shape[0], weights)
 
 
 def conditional_forward_loglik(spec: HmmSpec, run_or_frames, symbols) -> np.ndarray:
@@ -456,27 +533,23 @@ def conditional_forward_loglik(spec: HmmSpec, run_or_frames, symbols) -> np.ndar
     with the factorized per-block law P(o | level, s) * P(level' | level, s).
     """
     emis = _emissions_for(spec, run_or_frames)
-    symbols = np.asarray(symbols, dtype=np.int64)
+    symbols = np.asarray(symbols)
     m = emis.shape[0]
     if symbols.shape != (m,):
         raise ValueError("symbols length must match observations")
-    exit_mat = np.stack(
-        [
-            [[spec.exit_distribution(lv, s)[x] for x in (GROUND, EXCITED)] for lv in (GROUND, EXCITED)]
-            for s in (0, 1)
-        ]
-    )  # (sym, level, level')
-    alpha = np.array([1.0, 0.0])
-    out = np.empty(m)
-    for t in range(m):
-        s = symbols[t]
-        e = emis[t, [2 * GROUND + s, 2 * EXCITED + s]]
-        w = alpha * np.exp(e - e.max())
-        norm = w.sum()
-        out[t] = math.log2(norm) + e.max() / math.log(2.0)
-        w /= norm
-        alpha = w @ exit_mat[s]
-    return out
+    if not np.all((symbols == 0) | (symbols == 1)):
+        raise ValueError("symbols must be 0 or 1")
+    symbols = symbols.astype(bool)
+
+    def weights(sl):
+        e = emis[sl].T.reshape(2, 2, -1)
+        s = symbols[sl]
+        own = np.where(s, e[:, 1], e[:, 0])  # (level, t) at the known symbol
+        shift = own.max(axis=0)
+        w = np.exp(own - shift)
+        return np.stack([np.where(s, 0.0, w), np.where(s, w, 0.0)], axis=1), shift
+
+    return _level_forward(spec, m, weights)
 
 
 def mutual_information(
@@ -550,8 +623,6 @@ class LinkConfig:
 
 def build_hmm(kernel0: CycleKernel, kernel1: CycleKernel, n: int) -> HmmSpec:
     """Assemble the 4-state HMM from the two per-symbol cycle kernels."""
-    if not np.allclose(kernel0.exit_given_bit, kernel1.exit_given_bit):
-        raise ValueError("kernels must share the device reset law")
     return HmmSpec(kernel0=kernel0, kernel1=kernel1, n_cycles=n)
 
 

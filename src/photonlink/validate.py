@@ -319,7 +319,7 @@ def check_viterbi_bruteforce(level: str, seed: int) -> CheckResult:
     mismatches = 0
     for trial in range(40):
         n = int(rng.integers(1, 4))
-        t = int(rng.integers(1, 4))
+        t = int(rng.integers(1, 6))
         spec = link.HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=n)
         frames = (rng.random((t, n)) < rng.uniform(0.1, 0.9)).astype(np.int64)
         got = link.viterbi_decode(spec, frames)
@@ -342,7 +342,7 @@ def check_viterbi_bruteforce(level: str, seed: int) -> CheckResult:
 def check_forward_total_probability(level: str, seed: int) -> CheckResult:
     base = _ref_spec()
     worst = 0.0
-    for n, t in [(2, 2), (3, 2), (2, 3), (4, 3)]:
+    for n, t in [(2, 2), (3, 2), (2, 3), (4, 3), (2, 4)]:
         spec = link.HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=n)
         total = 0.0
         for seq in itertools.product(range(2**n), repeat=t):

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from photonlink import detection
-from photonlink.physics import CycleTiming, DeviceParams
+from photonlink import detection, link
+from photonlink.physics import CycleTiming, DeviceParams, Environment
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,3 +38,19 @@ def test_miss_sweep_runs_no_renewal_dp():
     metrics = tracing.layer_metrics(tracer)
     for name in ("detection.excitation_given_count.calls", "detection.dp_traces", "physics.kernel.elems"):
         assert metrics[name] == 0.0
+
+
+def test_link_spans_and_symbol_count():
+    # the link scans must stay behind the names the tracer wraps
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    timing = CycleTiming(230e-9, 35e-9, 48e-9)
+    dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5)
+    cfg = link.LinkConfig(dev=dev, timing=timing, env=Environment(t_e=8.0, nu=1e10, cycles_per_symbol=8))
+    with tracing.instrument(tracer):
+        link.rate_point(cfg, -150.0, 300, seed=3, idx=0)
+        link.ber_point(cfg, -150.0, 300, seed=3, idx=1)
+    metrics = tracing.layer_metrics(tracer)
+    for name in ("simulate_link", "viterbi_decode", "forward_loglik", "conditional_forward_loglik"):
+        assert metrics[f"link.{name}.s"] > 0.0, name
+    assert metrics["link.symbols"] == 600

@@ -75,6 +75,8 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"seed": 1, "sweeps": {"voltage": {"values": [1]}}})
         with pytest.raises(ConfigError, match="unknown keys"):
             ExperimentConfig.from_dict({"seed": 1, "mc": {"replicas": 100}})
+        with pytest.raises(ConfigError, match="unknown keys"):
+            ExperimentConfig.from_dict({"seed": 1, "mc": {"eps_trunc": 1e-10}})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):

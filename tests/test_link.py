@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from photonlink import link
 from photonlink.detection import mc_detector
 from photonlink.link import (
+    _emissions_for,
     CycleKernel,
     HmmSpec,
     LinkConfig,
@@ -48,6 +50,104 @@ def ref_link_cfg(n=800):
     env = Environment(t_e=8.0, nu=1e10, cycles_per_symbol=n)
     return LinkConfig(dev=dev, timing=TIMING, env=env)
 
+
+# -- sequential references: the per-symbol loops the scans replace -------------
+
+def loop_simulate_link(spec, n_symbols, rng, mode):
+    """simulate_link with its boundary pass as a loop over symbols."""
+    m, n = n_symbols, spec.n_cycles
+    symbols = (rng.random(m) < 0.5).astype(np.int8)
+    q = np.stack([spec.kernel0.bit_chain, spec.kernel1.bit_chain])
+    sym_idx = symbols.astype(np.int64)
+    q10 = q[sym_idx, 0, 1].astype(np.float32)
+    dq = (q[sym_idx, 1, 1] - q[sym_idx, 0, 1]).astype(np.float32)
+    bits = [np.zeros(m, dtype=np.int8), np.ones(m, dtype=np.int8)]
+    n1 = [bits[0].astype(np.int32), bits[1].astype(np.int32)]
+    n11 = [np.zeros(m, dtype=np.int32), np.zeros(m, dtype=np.int32)]
+    for _ in range(1, n):
+        u = rng.random(m, dtype=np.float32)
+        for v in (0, 1):
+            prev = bits[v]
+            nxt = (u < q10 + dq * prev).astype(np.int8)
+            n11[v] += prev & nxt
+            n1[v] += nxt
+            bits[v] = nxt
+    u_entry = rng.random(m).tolist()
+    u_first = rng.random(m).tolist()
+    p_first = [[float(spec.first_bit_prob(lv, s)[1]) for s in (0, 1)] for lv in (0, 1)]
+    exit_bit = [float(spec.kernel0.exit_given_bit[b, 1]) for b in (0, 1)]
+    exit_marg = [[float(spec.exit_distribution(lv, s)[1]) for s in (0, 1)] for lv in (0, 1)]
+    bn_l = (bits[0].tolist(), bits[1].tolist())
+    b1_sel = np.empty(m, dtype=np.int8)
+    level = 0
+    for i in range(m):
+        s = int(sym_idx[i])
+        b1 = 1 if u_first[i] < p_first[level][s] else 0
+        b1_sel[i] = b1
+        if mode == "physical":
+            level = 1 if u_entry[i] < exit_bit[bn_l[b1][i]] else 0
+        else:
+            level = 1 if u_entry[i] < exit_marg[level][s] else 0
+    pick, cols = b1_sel.astype(np.int64), np.arange(m)
+    return dict(
+        symbols=symbols, b1=b1_sel, bn=np.stack(bits)[pick, cols],
+        n1=np.stack(n1)[pick, cols].astype(np.int64), n11=np.stack(n11)[pick, cols].astype(np.int64),
+    )
+
+
+def loop_viterbi(spec, emis):
+    """Viterbi over the 4 states, one step per symbol; ties to the smaller index."""
+    m = emis.shape[0]
+    with np.errstate(divide="ignore"):
+        log_a = np.log(spec.transition).tolist()
+        log_pi = np.log(spec.initial).tolist()
+    delta = [log_pi[k] + emis[0, k] for k in range(4)]
+    back = np.zeros((m, 4), dtype=np.int64)
+    for t, row in enumerate(emis[1:].tolist(), start=1):
+        new = [0.0] * 4
+        for to in range(4):
+            best_k, best_v = 0, delta[0] + log_a[0][to]
+            for k in (1, 2, 3):
+                v = delta[k] + log_a[k][to]
+                if v > best_v:
+                    best_k, best_v = k, v
+            new[to] = best_v + row[to]
+            back[t, to] = best_k
+        delta = new
+    state = max(range(4), key=lambda k: (delta[k], -k))
+    path = np.empty(m, dtype=np.int64)
+    path[-1] = state
+    for t in range(m - 1, 0, -1):
+        state = back[t, state]
+        path[t - 1] = state
+    return (path % 2).astype(np.int8)
+
+
+def loop_forward(spec, emis):
+    a = spec.transition.tolist()
+    alpha = spec.initial.tolist()
+    out = []
+    for row in emis.tolist():
+        top = max(row)
+        w = [alpha[k] * math.exp(row[k] - top) for k in range(4)]
+        norm = sum(w)
+        out.append(math.log2(norm) + top / math.log(2.0))
+        alpha = [sum(w[k] / norm * a[k][j] for k in range(4)) for j in range(4)]
+    return np.array(out)
+
+
+def loop_conditional_forward(spec, emis, symbols):
+    exit_ = spec.level_exit.tolist()
+    alpha = [1.0, 0.0]
+    out = []
+    for row, s in zip(emis.tolist(), symbols.tolist()):
+        e = [row[s], row[2 + s]]
+        top = max(e)
+        w = [alpha[lv] * math.exp(e[lv] - top) for lv in (0, 1)]
+        norm = sum(w)
+        out.append(math.log2(norm) + top / math.log(2.0))
+        alpha = [sum(w[lv] / norm * exit_[lv][s][x] for lv in (0, 1)) for x in (0, 1)]
+    return np.array(out)
 
 class TestCycleKernel:
     def test_noise_free_ground_stays_ground(self):
@@ -131,8 +231,10 @@ class TestHmmSpec:
             exit_given_bit=np.array([[0.5, 0.5], [0.0, 1.0]]),
             rate=1.0, p_exc_ground=None, p_exc_excited=0.0,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="reset law"):
             build_hmm(k0, k1_bad, 4)
+        with pytest.raises(ValueError, match="reset law"):
+            HmmSpec(kernel0=k0, kernel1=k1_bad, n_cycles=4)
 
 
 class TestSimulateLink:
@@ -238,6 +340,15 @@ class TestForwardAndRate:
         mi = mutual_information(spec, run, burn_in=50)
         assert mi.value <= 2 * mi.stderr + 1e-9
 
+    def test_conditional_rejects_symbols_outside_0_1(self):
+        spec = ref_link_cfg(n=4).build_spec(-150.0, seed=14)
+        run = simulate_link(spec, 50, substream(41, 12), mode="hmm")
+        for bad in (-1, 2):
+            symbols = run.symbols.astype(np.int64)
+            symbols[7] = bad
+            with pytest.raises(ValueError, match="0 or 1"):
+                conditional_forward_loglik(spec, run, symbols)
+
     def test_rate_bounded_by_observation_entropy(self):
         spec = ref_link_cfg(n=40).build_spec(-152.0, seed=13)
         run = simulate_link(spec, 3000, substream(41, 10), mode="hmm")
@@ -293,3 +404,89 @@ class TestPhysicalVsHmmBer:
         diff = abs(bers["hmm"][0] - bers["physical"][0])
         se = math.hypot(bers["hmm"][1], bers["physical"][1])
         assert diff < 4 * se
+
+
+class TestScansMatchLoops:
+    """The symbol scans against the sequential references above.
+
+    Runs use the link benchmark's operating point (ref_link_cfg(800)) and
+    its powers; m = 65537 crosses a scan chunk boundary.
+    """
+
+    POWERS = (-154.0, -152.0, -150.0, -148.0, -146.0)
+
+    @pytest.mark.parametrize("mode", ["physical", "hmm"])
+    def test_simulate_and_viterbi_at_benchmark_points(self, mode):
+        cfg = ref_link_cfg(800)
+        for idx, power in enumerate(self.POWERS):
+            spec = cfg.build_spec(power, seed=1, key=(0xBE, idx))
+            for seed in (1, 2, 3, 4):
+                run = simulate_link(spec, 17_500, substream(seed, 0xBE, idx, 1), mode=mode)
+                ref = loop_simulate_link(spec, 17_500, substream(seed, 0xBE, idx, 1), mode)
+                for name, want in ref.items():
+                    got = getattr(run, name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (power, seed, name)
+                emis = _emissions_for(spec, run)
+                assert np.array_equal(viterbi_decode(spec, run), loop_viterbi(spec, emis)), (power, seed)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 65537])
+    @pytest.mark.parametrize("mode", ["physical", "hmm"])
+    def test_all_scans_at_lengths(self, m, mode):
+        spec = ref_link_cfg(12).build_spec(-144.0, seed=2)
+        run = simulate_link(spec, m, substream(41, 20, m), mode=mode)
+        ref = loop_simulate_link(spec, m, substream(41, 20, m), mode)
+        for name, want in ref.items():
+            assert np.array_equal(getattr(run, name), want), name
+        emis = _emissions_for(spec, run)
+        assert np.array_equal(viterbi_decode(spec, run), loop_viterbi(spec, emis))
+        assert np.abs(forward_loglik(spec, run) - loop_forward(spec, emis)).max() < 1e-9
+        got = conditional_forward_loglik(spec, run, run.symbols)
+        assert np.abs(got - loop_conditional_forward(spec, emis, run.symbols)).max() < 1e-9
+
+    @pytest.mark.parametrize("resets, n", [((0.3, 0.6), 12), ((0.05, 0.9), 3)])
+    @pytest.mark.parametrize("mode", ["physical", "hmm"])
+    def test_state_carried_across_chunks(self, mode, resets, n, monkeypatch):
+        # a boundary every 7 symbols; reset errors keep both levels busy, and
+        # with (0.05, 0.9) the two frame variants often end in different bits
+        monkeypatch.setattr(link, "_CHUNK", 7)
+        dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5,
+                           p_reset_g=resets[0], p_reset_e=resets[1])
+        cfg = LinkConfig(dev=dev, timing=TIMING, env=Environment(t_e=8.0, nu=1e10, cycles_per_symbol=n))
+        spec = cfg.build_spec(-146.0, seed=4)
+        run = simulate_link(spec, 3000, substream(41, 23), mode=mode)
+        ref = loop_simulate_link(spec, 3000, substream(41, 23), mode)
+        for name, want in ref.items():
+            assert np.array_equal(getattr(run, name), want), name
+        emis = _emissions_for(spec, run)
+        assert np.array_equal(viterbi_decode(spec, run), loop_viterbi(spec, emis))
+        assert np.abs(forward_loglik(spec, run) - loop_forward(spec, emis)).max() < 1e-9
+        got = conditional_forward_loglik(spec, run, run.symbols)
+        assert np.abs(got - loop_conditional_forward(spec, emis, run.symbols)).max() < 1e-9
+
+    def test_forward_recursions_at_benchmark_points(self):
+        cfg = ref_link_cfg(800)
+        for idx, power in enumerate(self.POWERS):
+            spec = cfg.build_spec(power, seed=1, key=(0xEA, idx))
+            run = simulate_link(spec, 5000, substream(1, 0xEA, idx, 1), mode="hmm")
+            emis = _emissions_for(spec, run)
+            assert np.abs(forward_loglik(spec, run) - loop_forward(spec, emis)).max() < 1e-9
+            got = conditional_forward_loglik(spec, run, run.symbols)
+            assert np.abs(got - loop_conditional_forward(spec, emis, run.symbols)).max() < 1e-9
+
+    def test_viterbi_ties_at_zero_signal(self):
+        # identical kernels: every step ties between the two symbols
+        spec = ref_link_cfg(50).build_spec(-math.inf, seed=3)
+        run = simulate_link(spec, 20_000, substream(41, 21), mode="physical")
+        decoded = viterbi_decode(spec, run)
+        assert np.array_equal(decoded, loop_viterbi(spec, _emissions_for(spec, run)))
+        assert not decoded.any()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 65537])
+    def test_viterbi_deterministic_kernels(self, m):
+        # -inf emissions and transitions on every step
+        k0, k1 = deterministic_kernels()
+        spec = HmmSpec(kernel0=k0, kernel1=k1, n_cycles=3)
+        run = simulate_link(spec, m, substream(41, 22, m), mode="hmm")
+        decoded = viterbi_decode(spec, run)
+        assert np.array_equal(decoded, loop_viterbi(spec, _emissions_for(spec, run)))
+        assert np.array_equal(decoded, run.symbols)
