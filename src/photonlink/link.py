@@ -8,7 +8,9 @@ factorizes as P(bit | entry level) * P(exit level | bit); the bit
 sequence inside a frame is then itself a two-state Markov chain and
 block emissions depend on the frame only through (first bit, last bit,
 ones count, adjacent-ones count).  The general transfer-matrix product
-is kept alongside as a cross-check.
+is kept alongside as a cross-check.  The simulator draws those four
+statistics from their exact law (the runs theory of two-state Markov
+chains) instead of stepping through the cycles of each frame.
 
 The transition row of a state does not depend on the next symbol, so
 every recursion over symbols is a chain of 2x2 matrices over the entry
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +35,9 @@ from .saturation import SaturationWindow, saturated_excitation
 __all__ = [
     "CycleKernel",
     "HmmSpec",
+    "FrameStatsLaw",
+    "frame_stats_law",
+    "frame_statistics",
     "LinkRun",
     "LinkConfig",
     "build_cycle_kernel",
@@ -140,6 +146,110 @@ def build_cycle_kernel(
     )
 
 
+# -- exact law of the frame statistics ----------------------------------------
+_DROP = 1e-16  # cells below this probability are left out of a table
+_MASS_TOL = 1e-12  # the kept cells hold all the mass but at most this much
+
+
+@dataclass(frozen=True)
+class FrameStatsLaw:
+    """Law of (last bit, ones count, adjacent-ones count) of a frame with a
+    given first bit, on the cells that carry its mass.
+
+    cells[:, i] is (bn, n1, n11) of cell i and cdf[i] the cumulative
+    probability up to it, with cdf[-1] = 1; mass is what the kept cells
+    held before that normalisation.
+    """
+
+    cells: np.ndarray
+    cdf: np.ndarray
+    mass: float
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF draw: the cells at uniforms u in [0, 1), shape (3, u.size)."""
+        return self.cells[:, np.searchsorted(self.cdf, u, side="right")]
+
+
+def _frame_stats_logp(log_q, log_fact, b1, n, n1, n11) -> np.ndarray:
+    """log P(bn, n1, n11 | b1) on the grid bn x n1 x n11, shape (2, n1.size, n11.size).
+
+    A frame with n1 ones in r = n1 - n11 runs has r0 = r + 1 - b1 - bn
+    runs of n0 = n - n1 zeros.  It is one of C(n1-1, r-1) C(n0-1, r0-1)
+    arrangements, each with probability q00^c00 q01^c01 q10^c10 q11^c11,
+    where c11 = n11, c01 = r - b1, c10 = r - bn and c00 = n0 - r0.
+    """
+    bn = np.arange(2)[:, None, None]
+    n1 = n1[None, :, None]
+    n11 = n11[None, None, :]
+    r = n1 - n11
+    n0 = n - n1
+    r0 = r + 1 - b1 - bn
+    # a block of zero elements has zero runs; every other block has at
+    # least one run and at most one per element
+    possible = (
+        (r >= b1) & (r >= bn) & (r <= n1) & (r0 <= n0) & ((r > 0) | (n1 == 0)) & ((r0 > 0) | (n0 == 0))
+    )
+
+    def log_compositions(total, parts):  # log C(total - 1, parts - 1); 0 at total = parts = 0
+        t, k = np.maximum(total - 1, 0), np.maximum(parts - 1, 0)
+        return log_fact[t] - log_fact[k] - log_fact[np.maximum(t - k, 0)]
+
+    logp = log_compositions(n1, r) + log_compositions(n0, r0)
+    with np.errstate(invalid="ignore"):
+        for count, lq in zip((n0 - r0, r - b1, r - bn, n11), log_q.ravel()):
+            # a pair that never occurs contributes nothing, even at lq = -inf
+            logp = logp + np.where(count == 0, 0.0, count * lq)
+    return np.where(possible, logp, -np.inf)
+
+
+def frame_stats_law(q: np.ndarray, b1: int, n: int) -> FrameStatsLaw:
+    """Exact law of (bn, n1, n11) of n bits of the Markov chain q started at bit b1.
+
+    This is the runs theory of two-state Markov chains (Gabriel 1959; Fu
+    and Koutras 1994).  The table spans a window of (n1, n11) around the
+    stationary means, 10 rough standard deviations wide; the window doubles
+    until the cells of probability >= 1e-16 hold all but 1e-12 of the mass.
+    """
+    q = np.asarray(q, dtype=float)
+    log_q = _log(q)
+    # math.lgamma, not a running sum of logs: that sum drifts by ~1e-12 at n = 800
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    # stationary means, and variances of the iid-pair approximation scaled
+    # by (1 + l) / (1 - l), where l = 1 - flip is the second eigenvalue of q
+    flip = q[0, 1] + q[1, 0]
+    pi1 = q[0, 1] / flip if flip > 0 else float(b1)
+    p11 = pi1 * q[1, 1]
+    spread = (2.0 - flip) / max(flip, 1e-9)
+    mean1, mean11 = n * pi1, n * p11
+    w1 = 10.0 * math.sqrt(n * pi1 * (1.0 - pi1) * spread) + 10.0
+    w11 = 10.0 * math.sqrt(n * p11 * (1.0 + 2.0 * q[1, 1] - 3.0 * p11) * spread) + 10.0
+    while True:
+        lo1, hi1 = max(0, math.floor(mean1 - w1)), min(n, math.ceil(mean1 + w1))
+        lo11, hi11 = max(0, math.floor(mean11 - w11)), min(n - 1, math.ceil(mean11 + w11))
+        n1, n11 = np.arange(lo1, hi1 + 1), np.arange(lo11, hi11 + 1)
+        p = np.exp(_frame_stats_logp(log_q, log_fact, b1, n, n1, n11))
+        keep = p >= _DROP
+        mass = float(p[keep].sum())
+        if abs(mass - 1.0) <= _MASS_TOL:
+            break
+        if (lo1, hi1, lo11, hi11) == (0, n, 0, n - 1):
+            raise ArithmeticError(f"frame statistics table holds mass {mass!r}, not 1")
+        w1, w11 = 2.0 * w1, 2.0 * w11
+    bn_i, n1_i, n11_i = np.nonzero(keep)
+    cdf = np.cumsum(p[keep])
+    return FrameStatsLaw(
+        cells=np.stack([bn_i, n1_i + lo1, n11_i + lo11]).astype(np.int64),
+        cdf=cdf / cdf[-1],
+        mass=mass,
+    )
+
+
+def frame_statistics(frames) -> tuple:
+    """(first bit, last bit, ones count, adjacent-ones count) of each row of an (m, n) frame array."""
+    f = np.asarray(frames, dtype=np.int64)
+    return f[:, 0], f[:, -1], f.sum(axis=1), (f[:, :-1] & f[:, 1:]).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class HmmSpec:
     """Four-state hidden Markov model over (entry level, symbol).
@@ -196,6 +306,14 @@ class HmmSpec:
         """4x4 state transition matrix P((i', s') | (i, s)) = P(i' | i, s) / 2."""
         return 0.5 * np.repeat(self.level_exit.reshape(4, 2), 2, axis=1)
 
+    @cached_property
+    def frame_stats(self) -> tuple:
+        """Exact law of the frame statistics, frame_stats[symbol][b1]; built on first use."""
+        return tuple(
+            tuple(frame_stats_law(self.kernel(s).bit_chain, b1, self.n_cycles) for b1 in (0, 1))
+            for s in (0, 1)
+        )
+
     # -- block emissions -------------------------------------------------------
     def emission_loglik_stats(self, b1, bn, n1, n11) -> np.ndarray:
         """log P(frame | state) from frame sufficient statistics.
@@ -239,11 +357,7 @@ class HmmSpec:
         frames = np.asarray(frames, dtype=np.int64)
         if frames.ndim != 2 or frames.shape[1] != self.n_cycles:
             raise ValueError("frames must have shape (m, n_cycles)")
-        b1 = frames[:, 0]
-        bn = frames[:, -1]
-        n1 = frames.sum(axis=1)
-        n11 = (frames[:, :-1] & frames[:, 1:]).sum(axis=1) if self.n_cycles > 1 else np.zeros(len(frames), dtype=np.int64)
-        return self.emission_loglik_stats(b1, bn, n1, n11)
+        return self.emission_loglik_stats(*frame_statistics(frames))
 
     def block_emission_logprob_matrix(self, frames: np.ndarray) -> np.ndarray:
         """Reference evaluator: explicit transfer-matrix product over cycles."""
@@ -309,45 +423,20 @@ def simulate_link(
     the emitted frame (the factorized model).  The system starts in
     ground either way.
 
-    The frame interior is sampled once per symbol as a coupled pair of
-    bit chains (one per possible first bit, shared uniforms); a scan over
-    the symbols afterwards resolves entry levels and picks the realized
-    variant.
+    Each symbol draws its frame statistics (bn, n1, n11) from their exact
+    law (HmmSpec.frame_stats), once for each possible first bit; a scan
+    over the symbols afterwards resolves entry levels and picks the
+    realized variant.  With store_frames, each realized frame is then
+    drawn uniformly among the frames with its statistics.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
     if mode not in ("hmm", "physical"):
         raise ValueError(f"unknown mode {mode!r}")
     m = int(n_symbols)
-    n = spec.n_cycles
     symbols = (rng.random(m) < 0.5).astype(np.int8)
-
-    q = np.stack([spec.kernel0.bit_chain, spec.kernel1.bit_chain])  # (sym, b, b')
     sym_idx = symbols.astype(np.int64)
-    # per-symbol P(next = 1 | current = 0) and increment toward current = 1
-    q10 = q[sym_idx, 0, 1].astype(np.float32)
-    dq = (q[sym_idx, 1, 1] - q[sym_idx, 0, 1]).astype(np.float32)
-
-    # coupled chains for the two possible first bits, driven by shared uniforms
-    bits = [np.zeros(m, dtype=np.int8), np.ones(m, dtype=np.int8)]
-    n1 = [bits[0].astype(np.int32), bits[1].astype(np.int32)]
-    n11 = [np.zeros(m, dtype=np.int32), np.zeros(m, dtype=np.int32)]
-    frames = None
-    if store_frames:
-        frames = np.empty((2, m, n), dtype=np.int8)
-        frames[0, :, 0] = 0
-        frames[1, :, 0] = 1
-    for j in range(1, n):
-        u = rng.random(m, dtype=np.float32)
-        for v in (0, 1):
-            prev = bits[v]
-            nxt = (u < q10 + dq * prev).astype(np.int8)
-            n11[v] += prev & nxt
-            n1[v] += nxt
-            bits[v] = nxt
-            if store_frames:
-                frames[v, :, j] = nxt
-    bn = bits  # after the loop, bits holds the last bit of each variant
+    bn, n1, n11 = _draw_frame_stats(spec, symbols, rng)  # each (first bit, symbol slot)
 
     # boundary pass: given the uniforms, each symbol maps its entry level to
     # the next symbol's, and the entry levels follow from composing those maps
@@ -369,18 +458,58 @@ def simulate_link(
 
     pick = b1_sel.astype(np.int64)
     cols = np.arange(m)
-    bn_arr = np.stack(bn)
     run = LinkRun(
         symbols=symbols,
         b1=b1_sel,
-        bn=bn_arr[pick, cols],
-        n1=np.stack(n1)[pick, cols].astype(np.int64),
-        n11=np.stack(n11)[pick, cols].astype(np.int64),
+        bn=bn[pick, cols].astype(np.int8),
+        n1=n1[pick, cols],
+        n11=n11[pick, cols],
         mode=mode,
         seed_key=(),
-        frames=frames[pick, cols] if store_frames else None,
     )
+    if store_frames:
+        run.frames = _compose_frames(run.b1, run.bn, run.n1, run.n11, spec.n_cycles, rng)
     return run
+
+
+def _draw_frame_stats(spec: HmmSpec, symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """bn, n1 and n11 of both first-bit variants of every frame, shape (3, 2, m).
+
+    One uniform per variant and symbol slot, read through the inverse CDF
+    of frame_stats[symbol][variant].
+    """
+    u = rng.random((2, symbols.size))
+    out = np.empty((3, 2, symbols.size), dtype=np.int64)
+    for s in (0, 1):
+        slots = np.flatnonzero(symbols == s)
+        for b1 in (0, 1):
+            out[:, b1, slots] = spec.frame_stats[s][b1].draw(u[b1, slots])
+    return out
+
+
+def _compose_frames(b1, bn, n1, n11, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One frame of n bits for each row of statistics, uniform among the frames that have them.
+
+    Given (b1, bn, n1, r = n1 - n11), a frame is a composition of n1 into
+    r runs of ones and one of n0 = n - n1 into r0 = r + 1 - b1 - bn runs
+    of zeros, the runs alternating from bit b1.  Each composition opens
+    its runs at a uniform subset of the gaps inside its block.  Shape
+    (m, n), int8.
+    """
+    b1, bn, n1, n11 = (np.asarray(x, dtype=np.int64)[:, None] for x in (b1, bn, n1, n11))
+    r = n1 - n11
+    r0 = r + 1 - b1 - bn
+    k = np.arange(n)
+    one = k < n1  # slot k of the ones block, else of the zeros block
+    gap = (k > 0) & (k != n1)  # slot k can open a new run of its block
+    key = rng.random((b1.size, n)) + np.where(one, 0.0, 2.0)
+    key[~gap] = np.inf
+    rank = np.argsort(np.argsort(key, axis=1), axis=1)  # the gaps of the ones block rank first
+    opens = gap & np.where(one, rank < r - 1, rank - np.maximum(n1 - 1, 0) < r0 - 1)
+    run = np.cumsum(opens, axis=1) - np.where(one, 0, np.maximum(r - 1, 0))
+    # runs alternate from bit b1: sort the slots by their run's place in the frame
+    place = 2 * run + np.where(one, 1 - b1, b1)
+    return (np.sort(place, axis=1) % 2 == 1 - b1).astype(np.int8)
 
 
 # -- scans over symbols ---------------------------------------------------------
@@ -514,9 +643,13 @@ def _level_forward(spec: HmmSpec, m: int, weights) -> np.ndarray:
     return out
 
 
-def forward_loglik(spec: HmmSpec, run_or_frames) -> np.ndarray:
-    """Per-symbol incremental log2-likelihoods log2 P(o_t | o_<t)."""
-    emis = _emissions_for(spec, run_or_frames)
+def forward_loglik(spec: HmmSpec, run_or_frames, emissions: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-symbol incremental log2-likelihoods log2 P(o_t | o_<t).
+
+    emissions, when given, is the (m, 4) emission table of run_or_frames
+    already computed, and is used in its place.
+    """
+    emis = _emissions_for(spec, run_or_frames) if emissions is None else emissions
 
     def weights(sl):
         e = emis[sl].T
@@ -526,13 +659,16 @@ def forward_loglik(spec: HmmSpec, run_or_frames) -> np.ndarray:
     return _level_forward(spec, emis.shape[0], weights)
 
 
-def conditional_forward_loglik(spec: HmmSpec, run_or_frames, symbols) -> np.ndarray:
+def conditional_forward_loglik(
+    spec: HmmSpec, run_or_frames, symbols, emissions: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Per-symbol log2 P(o_t | o_<t, S) with the symbol sequence known.
 
     The level remains hidden: a two-state forward over entry levels,
     with the factorized per-block law P(o | level, s) * P(level' | level, s).
+    emissions is as in forward_loglik.
     """
-    emis = _emissions_for(spec, run_or_frames)
+    emis = _emissions_for(spec, run_or_frames) if emissions is None else emissions
     symbols = np.asarray(symbols)
     m = emis.shape[0]
     if symbols.shape != (m,):
@@ -566,8 +702,9 @@ def mutual_information(
     block bootstrap over contiguous blocks supplies the standard error.
     The estimate is clamped to [0, 1].
     """
-    inc_o = forward_loglik(spec, run)
-    inc_os = conditional_forward_loglik(spec, run, run.symbols)
+    emis = _emissions_for(spec, run)
+    inc_o = forward_loglik(spec, run, emissions=emis)
+    inc_os = conditional_forward_loglik(spec, run, run.symbols, emissions=emis)
     d = (inc_os - inc_o)[burn_in:]
     if d.size < 10:
         raise ValueError("run too short after burn-in")

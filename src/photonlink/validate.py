@@ -313,6 +313,46 @@ def check_hmm_emission_normalization(level: str, seed: int) -> CheckResult:
     return _result("hmm-emission-normalization", ok, f"max |sum-1| {worst_sum:.2e}, paths diff {worst_pair:.2e}")
 
 
+def frame_stats_enumeration_gap(spec: link.HmmSpec) -> float:
+    """Largest |table - enumeration| of P(b1, bn, n1, n11 | level, symbol), n_cycles <= 12.
+
+    The table side is P(b1 | level, symbol) times spec.frame_stats[symbol][b1];
+    the enumeration side sums enumerate_block_probs over the frames with
+    each set of statistics.
+    """
+    n = spec.n_cycles
+    probs, frames = spec.enumerate_block_probs()
+    stats = link.frame_statistics(frames)
+    worst = 0.0
+    for level in (0, 1):
+        for sym in (0, 1):
+            gap = np.zeros((2, 2, n + 1, n))
+            np.add.at(gap, stats, -probs[:, 2 * level + sym])
+            for b1 in (0, 1):
+                law = spec.frame_stats[sym][b1]
+                pmf = np.diff(law.cdf, prepend=0.0) * spec.first_bit_prob(level, sym)[b1]
+                np.add.at(gap[b1], tuple(law.cells), pmf)
+            worst = max(worst, float(np.abs(gap).max()))
+    return worst
+
+
+def check_frame_stats_law(level: str, seed: int) -> CheckResult:
+    """The exact frame-statistics tables behind simulate_link: at the
+    reference point and N = 800 every (symbol, first bit) table keeps all
+    but 1e-12 of the mass, and at N <= 12 the tables equal exhaustive
+    enumeration."""
+    spec_full = _ref_spec()
+    worst_mass = max(abs(law.mass - 1.0) for row in spec_full.frame_stats for law in row)
+    worst_enum = max(
+        frame_stats_enumeration_gap(link.HmmSpec(kernel0=spec_full.kernel0, kernel1=spec_full.kernel1, n_cycles=n))
+        for n in (1, 2, 3, 8, 12)
+    )
+    ok = worst_mass < 1e-12 and worst_enum < 1e-12
+    return _result(
+        "frame-stats-law", ok, f"N=800 max |mass-1| {worst_mass:.2e}, N<=12 max |table-enum| {worst_enum:.2e}"
+    )
+
+
 def check_viterbi_bruteforce(level: str, seed: int) -> CheckResult:
     base = _ref_spec()
     rng = substream(seed, 0x05)
@@ -370,12 +410,16 @@ def cutoff_law(kappa_tc: float) -> float:
 
 
 def first_survivor_z(points, seed: int) -> float:
-    """Largest |z| of first_survivor_excitation against saturated_excitation.
+    """Largest Wilson score |z| of first_survivor_excitation against saturated_excitation.
 
     points are (kappa t_c, mean photons per cycle, replicas) triples at
     gamma = 0 with ground entry; point i draws from substream (seed, 0x09, i).
-    Points where nearly every replica reads 1 (the top of the plateau)
-    have a degenerate Monte Carlo spread and make z meaningless.
+    z = (estimate - p) / sqrt(p (1 - p) / replicas) at the exact value p,
+    so |z| < z0 says p lies inside the Wilson score interval at z0.  Unlike
+    the Monte Carlo's own stderr, this spread does not shrink when a run
+    near the top of the plateau happens to see few misses.  Each replica
+    is a probability in [0, 1] with mean p, so its variance is at most
+    p (1 - p) and the interval holds at least its nominal level.
     """
     t_c = 230e-9  # the curve depends on t_c only through kappa t_c and the mean
     timing = CycleTiming(t_c=t_c, delta_o=t_c * 1e-9, t_w=t_c * 1e-9)
@@ -386,7 +430,8 @@ def first_survivor_z(points, seed: int) -> float:
         mc = saturation.saturated_excitation(
             nbar / t_c, timing, dev, replicas=replicas, rng=substream(seed, 0x09, i)
         )
-        worst = max(worst, abs(exact - mc.value) / max(mc.stderr, 1e-12))
+        spread = math.sqrt(max(exact * (1.0 - exact), 1e-24) / replicas)
+        worst = max(worst, abs(mc.value - exact) / spread)
     return worst
 
 
@@ -448,6 +493,7 @@ CHECKS: tuple = (
     check_delta_sign_structure,
     check_fit_recovery,
     check_hmm_emission_normalization,
+    check_frame_stats_law,
     check_viterbi_bruteforce,
     check_forward_total_probability,
     check_kernel_vs_mc_detector,

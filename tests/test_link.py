@@ -18,6 +18,7 @@ from photonlink.link import (
     estimate_ber,
     estimate_rate,
     forward_loglik,
+    frame_statistics,
     mutual_information,
     simulate_link,
     viterbi_decode,
@@ -25,6 +26,7 @@ from photonlink.link import (
 )
 from photonlink.physics import CycleTiming, DeviceParams, Environment
 from photonlink.rng import substream
+from photonlink.validate import frame_stats_enumeration_gap
 
 TIMING = CycleTiming(230e-9, 35e-9, 48e-9)
 
@@ -53,17 +55,21 @@ def ref_link_cfg(n=800):
 
 # -- sequential references: the per-symbol loops the scans replace -------------
 
-def loop_simulate_link(spec, n_symbols, rng, mode):
-    """simulate_link with its boundary pass as a loop over symbols."""
-    m, n = n_symbols, spec.n_cycles
-    symbols = (rng.random(m) < 0.5).astype(np.int8)
+def coupled_chain_stats(spec, symbols, rng):
+    """Frame statistics by stepping every frame's bit chain through its cycles.
+
+    The sampler the exact law replaced: one coupled pair of chains per
+    symbol (one per possible first bit, shared uniforms).  Same layout as
+    link._draw_frame_stats: bn, n1, n11, each (first bit, symbol slot).
+    """
+    m, n = symbols.size, spec.n_cycles
     q = np.stack([spec.kernel0.bit_chain, spec.kernel1.bit_chain])
     sym_idx = symbols.astype(np.int64)
     q10 = q[sym_idx, 0, 1].astype(np.float32)
     dq = (q[sym_idx, 1, 1] - q[sym_idx, 0, 1]).astype(np.float32)
     bits = [np.zeros(m, dtype=np.int8), np.ones(m, dtype=np.int8)]
-    n1 = [bits[0].astype(np.int32), bits[1].astype(np.int32)]
-    n11 = [np.zeros(m, dtype=np.int32), np.zeros(m, dtype=np.int32)]
+    n1 = [bits[0].astype(np.int64), bits[1].astype(np.int64)]
+    n11 = [np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)]
     for _ in range(1, n):
         u = rng.random(m, dtype=np.float32)
         for v in (0, 1):
@@ -72,12 +78,21 @@ def loop_simulate_link(spec, n_symbols, rng, mode):
             n11[v] += prev & nxt
             n1[v] += nxt
             bits[v] = nxt
+    return np.stack([np.stack(bits).astype(np.int64), np.stack(n1), np.stack(n11)])
+
+
+def loop_simulate_link(spec, n_symbols, rng, mode, draw_stats=link._draw_frame_stats):
+    """simulate_link with its boundary pass as a loop over symbols."""
+    m = n_symbols
+    symbols = (rng.random(m) < 0.5).astype(np.int8)
+    sym_idx = symbols.astype(np.int64)
+    bn, n1, n11 = draw_stats(spec, symbols, rng)
     u_entry = rng.random(m).tolist()
     u_first = rng.random(m).tolist()
     p_first = [[float(spec.first_bit_prob(lv, s)[1]) for s in (0, 1)] for lv in (0, 1)]
     exit_bit = [float(spec.kernel0.exit_given_bit[b, 1]) for b in (0, 1)]
     exit_marg = [[float(spec.exit_distribution(lv, s)[1]) for s in (0, 1)] for lv in (0, 1)]
-    bn_l = (bits[0].tolist(), bits[1].tolist())
+    bn_l = (bn[0].tolist(), bn[1].tolist())
     b1_sel = np.empty(m, dtype=np.int8)
     level = 0
     for i in range(m):
@@ -90,8 +105,8 @@ def loop_simulate_link(spec, n_symbols, rng, mode):
             level = 1 if u_entry[i] < exit_marg[level][s] else 0
     pick, cols = b1_sel.astype(np.int64), np.arange(m)
     return dict(
-        symbols=symbols, b1=b1_sel, bn=np.stack(bits)[pick, cols],
-        n1=np.stack(n1)[pick, cols].astype(np.int64), n11=np.stack(n11)[pick, cols].astype(np.int64),
+        symbols=symbols, b1=b1_sel, bn=bn[pick, cols].astype(np.int8),
+        n1=n1[pick, cols], n11=n11[pick, cols],
     )
 
 
@@ -248,11 +263,8 @@ class TestSimulateLink:
     def test_stats_match_frames(self):
         spec = ref_link_cfg(n=12).build_spec(-146.0, seed=5)
         run = simulate_link(spec, 2000, substream(41, 2), mode="physical", store_frames=True)
-        f = run.frames.astype(np.int64)
-        assert np.array_equal(run.b1, f[:, 0])
-        assert np.array_equal(run.bn, f[:, -1])
-        assert np.array_equal(run.n1, f.sum(axis=1))
-        assert np.array_equal(run.n11, (f[:, :-1] & f[:, 1:]).sum(axis=1))
+        for got, want in zip(frame_statistics(run.frames), (run.b1, run.bn, run.n1, run.n11)):
+            assert np.array_equal(got, want)
 
     def test_modes_agree_in_distribution(self):
         # two-sample chi-square over the 16 possible frames of a 4-cycle symbol
@@ -280,6 +292,119 @@ class TestSimulateLink:
         spec = ref_link_cfg(n=2).build_spec(-150.0, seed=8)
         with pytest.raises(ValueError):
             simulate_link(spec, 10, substream(41, 4), mode="exact")
+
+    @pytest.mark.parametrize("mode", ["physical", "hmm"])
+    def test_single_cycle_frames(self, mode):
+        spec = ref_link_cfg(n=1).build_spec(-140.0, seed=9)
+        run = simulate_link(spec, 3000, substream(41, 13), mode=mode, store_frames=True)
+        assert run.frames.shape == (3000, 1)
+        assert np.array_equal(run.frames[:, 0], run.b1)
+        assert np.array_equal(run.bn, run.b1) and np.array_equal(run.n1, run.b1.astype(np.int64))
+        assert not run.n11.any()
+        assert 0 < run.b1.sum() < 3000
+
+
+def ref_kernels():
+    """The kernels of the reference link at -146 dBm."""
+    spec = ref_link_cfg(800).build_spec(-146.0, seed=5)
+    return spec.kernel0, spec.kernel1
+
+
+def sticky_kernels():
+    """Kernels whose bit chains keep their bit for many cycles."""
+    exit_given_bit = np.array([[0.97, 0.03], [0.05, 0.95]])
+    k0 = CycleKernel(bit_given_entry=np.array([[0.98, 0.02], [0.1, 0.9]]), exit_given_bit=exit_given_bit,
+                     rate=0.0, p_exc_ground=None, p_exc_excited=0.0)
+    k1 = CycleKernel(bit_given_entry=np.array([[0.6, 0.4], [0.05, 0.95]]), exit_given_bit=exit_given_bit,
+                     rate=1.0, p_exc_ground=None, p_exc_excited=0.0)
+    return k0, k1
+
+
+class TestFrameStatsLaw:
+    """The exact law of (b1, bn, n1, n11) and the frames composed from it."""
+
+    KERNELS = {"ref-146dBm": ref_kernels, "sticky": sticky_kernels, "deterministic": deterministic_kernels}
+
+    @pytest.mark.parametrize("kernels", sorted(KERNELS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+    def test_table_equals_enumeration(self, kernels, n):
+        k0, k1 = self.KERNELS[kernels]()
+        assert frame_stats_enumeration_gap(HmmSpec(kernel0=k0, kernel1=k1, n_cycles=n)) < 1e-12
+
+    @pytest.mark.parametrize("kernels", ["ref-146dBm", "sticky"])
+    def test_truncated_table_against_full_grid(self, kernels):
+        # n = 800: the window keeps the full-grid cells of probability >= 1e-16
+        n = 800
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+        for kern in self.KERNELS[kernels]():
+            q = kern.bit_chain
+            for b1 in (0, 1):
+                law = link.frame_stats_law(q, b1, n)
+                full = np.exp(link._frame_stats_logp(np.log(q), log_fact, b1, n, np.arange(n + 1), np.arange(n)))
+                assert abs(full.sum() - 1.0) < 1e-12 and abs(law.mass - 1.0) < 1e-12
+                assert law.cdf[-1] == 1.0 and np.all(np.diff(law.cdf) >= 0)
+                kept = np.zeros(full.shape, dtype=bool)
+                kept[tuple(law.cells)] = True
+                assert np.array_equal(kept, full >= 1e-16)
+                assert np.abs(np.diff(law.cdf, prepend=0.0) * law.mass - full[tuple(law.cells)]).max() < 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 800])
+    def test_frozen_and_alternating_chains(self, n):
+        # q with zeros: every table holds one cell of probability 1
+        for q, want in ((np.eye(2), lambda b1: (b1, n * b1, (n - 1) * b1)),
+                        (np.array([[0.0, 1.0], [1.0, 0.0]]),
+                         lambda b1: ((b1 + n - 1) % 2, (n + b1) // 2, 0))):
+            for b1 in (0, 1):
+                law = link.frame_stats_law(q, b1, n)
+                assert law.cells.T.tolist() == [list(want(b1))] and law.mass == 1.0
+
+    @pytest.mark.parametrize("mode", ["physical", "hmm"])
+    @pytest.mark.parametrize("power", [-154.0, -150.0, -146.0])
+    def test_matches_coupled_chains(self, power, mode):
+        # two-sample chi-square on the joint law of (b1, bn, n1, r) per symbol,
+        # exact-law sampler against the cycle-stepping one; 12 cases at
+        # p > 1e-3 give a family-wise false-alarm rate of about 1.2 %
+        n, m = 800, 60_000
+        spec = ref_link_cfg(n).build_spec(power, seed=6)
+        run = simulate_link(spec, m, substream(42, 1, int(-power)), mode=mode)
+        ref = loop_simulate_link(spec, m, substream(42, 2, int(-power)), mode, draw_stats=coupled_chain_stats)
+        samples = [(run.symbols, run.b1, run.bn, run.n1, run.n11),
+                   (ref["symbols"], ref["b1"], ref["bn"], ref["n1"], ref["n11"])]
+        for symbol in (0, 1):
+            codes = []
+            for sym, b1, bn, n1, n11 in samples:
+                sel = sym == symbol
+                b1, bn, n1, r = (x[sel].astype(np.int64) for x in (b1, bn, n1, n1 - n11))
+                codes.append(((b1 * 2 + bn) * (n + 1) + n1) * (n + 1) + r)
+            cells, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+            table = np.stack([np.bincount(part, minlength=cells.size)
+                              for part in np.split(inverse, [codes[0].size])])
+            sparse = table.sum(axis=0) < 20
+            pooled = np.column_stack([table[:, ~sparse], table[:, sparse].sum(axis=1)])
+            _, p, _, _ = stats.chi2_contingency(pooled)
+            assert p > 1e-3, (symbol, p)
+
+    def test_composed_frames_uniform_over_arrangements(self):
+        # n = 6: every statistics tuple, 400 composed frames each; each frame
+        # must have its tuple's statistics, and within a tuple every frame is
+        # equally likely (one chi-square goodness of fit over all tuples)
+        n, reps = 6, 400
+        frames = ((np.arange(2**n)[:, None] >> np.arange(n)[None, ::-1]) & 1).astype(np.int64)
+        groups = {}
+        for code, st in enumerate(zip(*frame_statistics(frames))):
+            groups.setdefault(tuple(int(x) for x in st), []).append(code)
+        chi2, dof = 0.0, 0
+        for st, members in groups.items():
+            rows = np.repeat(np.array(st)[None, :], reps, axis=0)
+            got = link._compose_frames(*rows.T, n, substream(42, 3, *st))
+            assert got.dtype == np.int8 and got.shape == (reps, n)
+            assert all(np.array_equal(a, np.full(reps, b)) for a, b in zip(frame_statistics(got), st))
+            counts = np.bincount(got.astype(np.int64) @ (2 ** np.arange(n)[::-1]), minlength=2**n)
+            assert counts[members].sum() == reps
+            expected = reps / len(members)
+            chi2 += float(((counts[members] - expected) ** 2 / expected).sum())
+            dof += len(members) - 1
+        assert dof > 0 and stats.chi2.sf(chi2, dof) > 1e-3
 
 
 class TestViterbi:
@@ -358,6 +483,8 @@ class TestForwardAndRate:
         mi = mutual_information(spec, run, burn_in=100)
         assert 0.0 <= mi.value <= 1.0
         assert mi.value <= h_o + 1e-9
+        # mutual_information feeds one emission table to both recursions
+        assert mi.value == float(np.clip((inc_os - inc_o)[100:].mean(), 0.0, 1.0))
 
 
 class TestSweeps:
@@ -437,6 +564,10 @@ class TestScansMatchLoops:
         ref = loop_simulate_link(spec, m, substream(41, 20, m), mode)
         for name, want in ref.items():
             assert np.array_equal(getattr(run, name), want), name
+        # frames are drawn last, from the realized statistics
+        framed = simulate_link(spec, m, substream(41, 20, m), mode=mode, store_frames=True)
+        for got, want in zip(frame_statistics(framed.frames), (run.b1, run.bn, run.n1, run.n11)):
+            assert np.array_equal(got, want)
         emis = _emissions_for(spec, run)
         assert np.array_equal(viterbi_decode(spec, run), loop_viterbi(spec, emis))
         assert np.abs(forward_loglik(spec, run) - loop_forward(spec, emis)).max() < 1e-9
