@@ -18,11 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__, detection, figures, link, saturation, validate
-from .config import ExperimentConfig, apply_overrides
+from .config import ExperimentConfig, apply_overrides, read_config_file
 from .errors import ConfigError, NumericsError
 from .physics import (
     DeviceParams,
-    PulseProfile,
     detection_prob_single,
     power_to_rate,
     single_photon_excitation,
@@ -111,13 +110,8 @@ def cmd_detect(cfg: ExperimentConfig, runner: _Runner) -> int:
 
 def _pulse_point(args) -> dict:
     cfg, l, kappa, gamma = args
-    dev = DeviceParams(
-        kappa=kappa, gamma=gamma, p0=cfg.device.p0,
-        p_reset_g=cfg.device.p_reset_g, p_reset_e=cfg.device.p_reset_e,
-        alpha_sat=cfg.device.alpha_sat,
-    )
-    pulse = PulseProfile(l=l, shape=cfg.pulse.shape, beta=cfg.pulse.beta, w=cfg.pulse.w,
-                         nodes=cfg.pulse.nodes)
+    dev = dataclasses.replace(cfg.device, kappa=kappa, gamma=gamma)
+    pulse = dataclasses.replace(cfg.pulse, l=l)
     p_exc = single_photon_excitation(pulse, pulse.t_i, dev)
     return {
         "l_ns": l * 1e9,
@@ -217,11 +211,7 @@ def cmd_rate_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
 
 def _saturation_point(args) -> dict:
     cfg, mean, kappa, enter_excited, idx = args
-    dev = DeviceParams(
-        kappa=kappa, gamma=cfg.device.gamma, p0=cfg.device.p0,
-        p_reset_g=cfg.device.p_reset_g, p_reset_e=cfg.device.p_reset_e,
-        alpha_sat=cfg.device.alpha_sat,
-    )
+    dev = dataclasses.replace(cfg.device, kappa=kappa)
     est = saturation.saturated_excitation(
         mean / cfg.timing.t_c, cfg.timing, dev, enter_excited=enter_excited,
         replicas=cfg.mc.sat_replicas, rng=substream(cfg.seed, 0x5C, idx),
@@ -401,13 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
-    import yaml
-
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-    raw = apply_overrides(raw, args.overrides)
+    raw = apply_overrides(read_config_file(args.config), args.overrides)
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.workers is not None:

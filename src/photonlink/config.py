@@ -8,6 +8,7 @@ seed is mandatory so no run ever depends on the wall clock.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -30,6 +31,7 @@ __all__ = [
     "CutoffSettings",
     "parse_quantity",
     "apply_overrides",
+    "read_config_file",
     "DEFAULT_CONFIG",
 ]
 
@@ -53,24 +55,124 @@ def parse_quantity(value, key: str = "") -> float:
     raise ConfigError(f"{key}: expected a number, got {type(value).__name__}")
 
 
-def _check_keys(section: Mapping, allowed, where: str) -> None:
+def _int(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
+def _bool(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key}: expected true or false, got {value!r}")
+    return value
+
+
+def _str(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a string, got {value!r}")
+    return value
+
+
+def _nodes(value, key: str) -> Optional[list]:
+    """Tabulated pulse nodes: a list of [t_ns, rho] pairs; null or [] for none."""
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in value):
+        raise ConfigError(f"{key}: expected a list of [t_ns, rho] pairs, got {value!r}")
+    return [[parse_quantity(t, key), parse_quantity(r, key)] for t, r in value] or None
+
+
+# The config schema: section -> key -> (reader, default).  This is the one
+# place where a section key's reader and default are written; the allowed
+# keys, DEFAULT_CONFIG, the canonical form (and so the hash) and the
+# settings dataclasses all follow from it.
+_SECTIONS: dict = {
+    "device": {
+        "kappa_rad_per_s": (parse_quantity, "2pi*1e9"),
+        "gamma_rad_per_s": (parse_quantity, "2pi*1e5"),
+        "p0": (parse_quantity, 0.0),
+        "p_reset_g": (parse_quantity, 0.01),
+        "p_reset_e": (parse_quantity, 0.05),
+        "alpha_sat": (parse_quantity, 1.14),
+    },
+    "timing": {
+        "t_c_ns": (parse_quantity, 230.0),
+        "delta_o_ns": (parse_quantity, 35.0),
+        "t_w_ns": (parse_quantity, 48.0),
+    },
+    "environment": {
+        "t_e_k": (parse_quantity, 8.0),
+        "nu_hz": (parse_quantity, 1.0e10),
+        "cycles_per_symbol": (_int, 800),
+    },
+    "pulse": {
+        "shape": (_str, "rectangular"),
+        "l_ns": (parse_quantity, 100.0),
+        "beta": (parse_quantity, 1.0),
+        "w_ns": (parse_quantity, 0.0),
+        "nodes": (_nodes, None),
+    },
+    "mc": {
+        "mc_samples": (_int, 100_000),  # read by no command; the benchmark workloads still set it
+        "n_symbols": (_int, 100_000),
+        "sat_replicas": (_int, 4096),
+    },
+    "link": {
+        "mode": (_str, "physical"),
+        "saturation": (_bool, False),
+        "dump_frames": (_bool, False),
+        "burn_in": (_int, 100),
+    },
+    "detect": {"power_dbm": (parse_quantity, -148.3)},
+    "cutoff": {
+        "replicas": (_int, 256),  # unused by the exact gamma = 0 scan; the benchmark workloads still set it
+        "points_per_decade": (_int, 40),
+        "coarse_points_per_decade": (_int, 4),
+        "span_decades": (parse_quantity, 7.0),
+    },
+}
+
+DEFAULT_CONFIG: dict = {
+    "seed": None,  # mandatory
+    "workers": 1,
+    "output_dir": "runs",
+    **{name: {k: default for k, (_, default) in keys.items()} for name, keys in _SECTIONS.items()},
+    "sweeps": {
+        "power_dbm": {"start": -160.0, "stop": -142.0, "points": 10, "scale": "linear"},
+        "mean_photons": {"start": 0.01, "stop": 10.0, "points": 16, "scale": "log"},
+        "pulse_length_ns": {"start": 1.0, "stop": 100000.0, "points": 26, "scale": "log"},
+        "kappa_t_c": {"values": [100.0, 1000.0, 10000.0, 100000.0]},
+        "lambda_tau": {"start": 1.0e-3, "stop": 50.0, "points": 60, "scale": "log"},
+        "t_over_tau": {"values": [4.0, 10.0, 100.0]},
+    },
+}
+
+
+def _check_keys(section, allowed, where: str) -> None:
+    if not isinstance(section, Mapping):
+        raise ConfigError(f"{where} must be a mapping, got {section!r}")
     unknown = set(section) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
 
 
-def _get_int(section: Mapping, key: str, default, where: str) -> int:
-    v = section.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
-    return v
+def _read_section(name: str, section) -> dict:
+    """Read one config section: check its keys, fill in defaults, apply the readers."""
+    keys = _SECTIONS[name]
+    _check_keys(section, keys, name)
+    return {k: read(section.get(k, default), f"{name}.{k}") for k, (read, default) in keys.items()}
 
 
-def _get_bool(section: Mapping, key: str, default: bool, where: str) -> bool:
-    v = section.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(f"{where}.{key}: expected true or false, got {v!r}")
-    return v
+def _merge_axis(default, axis):
+    """Fill a sweep axis from its default when both are ranges, or it is empty.
+
+    An axis given as values replaces a default range whole, and a range
+    replaces default values whole.
+    """
+    if isinstance(default, Mapping) and isinstance(axis, Mapping):
+        if not axis or ("values" in axis) == ("values" in default):
+            return {**default, **axis}
+    return axis
 
 
 @dataclass(frozen=True)
@@ -85,8 +187,6 @@ class GridAxis:
 
     @classmethod
     def from_dict(cls, d: Mapping, where: str) -> "GridAxis":
-        if not isinstance(d, Mapping):
-            raise ConfigError(f"{where}: axis must be a mapping")
         _check_keys(d, ("values", "start", "stop", "points", "scale"), where)
         if "values" in d:
             if any(k in d for k in ("start", "stop", "points")):
@@ -101,7 +201,7 @@ class GridAxis:
         scale = d.get("scale", "linear")
         if scale not in ("linear", "log"):
             raise ConfigError(f"{where}: scale must be linear or log")
-        points = _get_int(d, "points", None, where)
+        points = _int(d["points"], f"{where}.points")
         if points < 1:
             raise ConfigError(f"{where}: points must be >= 1")
         start = parse_quantity(d["start"], where)
@@ -127,9 +227,9 @@ class GridAxis:
 
 @dataclass(frozen=True)
 class McSettings:
-    mc_samples: int = 100_000
-    n_symbols: int = 100_000
-    sat_replicas: int = 4096
+    mc_samples: int
+    n_symbols: int
+    sat_replicas: int
 
     def __post_init__(self):
         for name in ("mc_samples", "n_symbols", "sat_replicas"):
@@ -139,10 +239,10 @@ class McSettings:
 
 @dataclass(frozen=True)
 class LinkSettings:
-    mode: str = "physical"
-    saturation: bool = False
-    dump_frames: bool = False
-    burn_in: int = 100
+    mode: str
+    saturation: bool
+    dump_frames: bool
+    burn_in: int
 
     def __post_init__(self):
         if self.mode not in ("physical", "hmm"):
@@ -153,69 +253,32 @@ class LinkSettings:
 
 @dataclass(frozen=True)
 class CutoffSettings:
-    replicas: int = 256
-    points_per_decade: int = 40
-    coarse_points_per_decade: int = 4
-    span_decades: float = 7.0
+    replicas: int
+    points_per_decade: int
+    coarse_points_per_decade: int
+    span_decades: float
 
     def __post_init__(self):
         if self.replicas < 2 or self.points_per_decade < 2 or self.coarse_points_per_decade < 1:
             raise ConfigError("cutoff settings out of range")
+        if not self.span_decades > 0:
+            raise ConfigError("cutoff.span_decades must be > 0")
 
 
-DEFAULT_CONFIG: dict = {
-    "seed": None,  # mandatory
-    "workers": 1,
-    "output_dir": "runs",
-    "device": {
-        "kappa_rad_per_s": "2pi*1e9",
-        "gamma_rad_per_s": "2pi*1e5",
-        "p0": 0.0,
-        "p_reset_g": 0.01,
-        "p_reset_e": 0.05,
-        "alpha_sat": 1.14,
-    },
-    "timing": {"t_c_ns": 230.0, "delta_o_ns": 35.0, "t_w_ns": 48.0},
-    "environment": {"t_e_k": 8.0, "nu_hz": 1.0e10, "cycles_per_symbol": 800},
-    "pulse": {"shape": "rectangular", "l_ns": 100.0, "beta": 1.0, "w_ns": 0.0},
-    "mc": {},
-    "link": {},
-    "detect": {"power_dbm": -148.3},
-    "cutoff": {},
-    "sweeps": {
-        "power_dbm": {"start": -160.0, "stop": -142.0, "points": 10, "scale": "linear"},
-        "mean_photons": {"start": 0.01, "stop": 10.0, "points": 16, "scale": "log"},
-        "pulse_length_ns": {"start": 1.0, "stop": 100000.0, "points": 26, "scale": "log"},
-        "kappa_t_c": {"values": [100.0, 1000.0, 10000.0, 100000.0]},
-        "lambda_tau": {"start": 1.0e-3, "stop": 50.0, "points": 60, "scale": "log"},
-        "t_over_tau": {"values": [4.0, 10.0, 100.0]},
-    },
-}
-
-_TOP_KEYS = (
-    "seed",
-    "workers",
-    "output_dir",
-    "device",
-    "timing",
-    "environment",
-    "pulse",
-    "mc",
-    "link",
-    "detect",
-    "cutoff",
-    "sweeps",
-)
-
-
-def _merged(base: Mapping, override: Mapping) -> dict:
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, Mapping) and isinstance(out.get(k), Mapping):
-            out[k] = _merged(out[k], v)
-        else:
-            out[k] = v
-    return out
+def read_config_file(path) -> dict:
+    """The raw mapping of a YAML config file; every way it can fail is a ConfigError."""
+    path = Path(path)
+    try:
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"invalid YAML in {path}: {exc}") from None
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config root must be a mapping in {path}, got {type(raw).__name__}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -243,175 +306,61 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ExperimentConfig":
-        if not isinstance(raw, Mapping):
-            raise ConfigError("config root must be a mapping")
-        _check_keys(raw, _TOP_KEYS, "config")
-        d = _merged(DEFAULT_CONFIG, raw)
-        if d.get("seed") is None:
+        _check_keys(raw, DEFAULT_CONFIG, "config")
+        d = {**DEFAULT_CONFIG, **raw}
+        if d["seed"] is None:
             raise ConfigError("seed is mandatory (wall-clock seeding is not allowed)")
-        seed = d["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-        workers = d["workers"]
-        if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-            raise ConfigError(f"workers must be a positive integer, got {workers!r}")
-
-        dv = d["device"]
-        _check_keys(
-            dv, ("kappa_rad_per_s", "gamma_rad_per_s", "p0", "p_reset_g", "p_reset_e", "alpha_sat"), "device"
-        )
-        dev_vals = {k: parse_quantity(dv[k], f"device.{k}") for k in dv}
-        tm = d["timing"]
-        _check_keys(tm, ("t_c_ns", "delta_o_ns", "t_w_ns"), "timing")
-        tm_vals = {k: parse_quantity(tm[k], f"timing.{k}") for k in tm}
-        ev = d["environment"]
-        _check_keys(ev, ("t_e_k", "nu_hz", "cycles_per_symbol"), "environment")
-        ev_vals = {
-            "t_e_k": parse_quantity(ev["t_e_k"], "environment.t_e_k"),
-            "nu_hz": parse_quantity(ev["nu_hz"], "environment.nu_hz"),
-            "cycles_per_symbol": _get_int(ev, "cycles_per_symbol", 800, "environment"),
-        }
-        pu = d["pulse"]
-        _check_keys(pu, ("shape", "l_ns", "beta", "w_ns", "nodes"), "pulse")
-        pu_vals = {
-            "shape": pu.get("shape", "rectangular"),
-            "l_ns": parse_quantity(pu["l_ns"], "pulse.l_ns"),
-            "beta": parse_quantity(pu.get("beta", 1.0), "pulse.beta"),
-            "w_ns": parse_quantity(pu.get("w_ns", 0.0), "pulse.w_ns"),
-        }
-        nodes = pu.get("nodes")
-        if nodes:
-            pu_vals["nodes"] = [
-                [parse_quantity(t, "pulse.nodes"), parse_quantity(r, "pulse.nodes")] for t, r in nodes
-            ]
+        seed, workers = _int(d["seed"], "seed"), _int(d["workers"], "workers")
+        if seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+        if workers < 1:
+            raise ConfigError(f"workers must be a positive integer, got {workers}")
+        output_dir = _str(d["output_dir"], "output_dir")
+        c = {name: _read_section(name, d[name]) for name in _SECTIONS}
+        dv, tm, ev, pu = c["device"], c["timing"], c["environment"], c["pulse"]
+        if pu["nodes"] is None:
+            del pu["nodes"]  # the canonical form lists nodes only for a pulse that has them
         try:
             device = DeviceParams(
-                kappa=dev_vals["kappa_rad_per_s"],
-                gamma=dev_vals["gamma_rad_per_s"],
-                p0=dev_vals["p0"],
-                p_reset_g=dev_vals["p_reset_g"],
-                p_reset_e=dev_vals["p_reset_e"],
-                alpha_sat=dev_vals["alpha_sat"],
+                kappa=dv["kappa_rad_per_s"], gamma=dv["gamma_rad_per_s"], p0=dv["p0"],
+                p_reset_g=dv["p_reset_g"], p_reset_e=dv["p_reset_e"], alpha_sat=dv["alpha_sat"],
             )
-            timing = CycleTiming(
-                t_c=tm_vals["t_c_ns"] * 1e-9,
-                delta_o=tm_vals["delta_o_ns"] * 1e-9,
-                t_w=tm_vals["t_w_ns"] * 1e-9,
-            )
-            environment = Environment(
-                t_e=ev_vals["t_e_k"], nu=ev_vals["nu_hz"],
-                cycles_per_symbol=ev_vals["cycles_per_symbol"],
-            )
+            timing = CycleTiming(t_c=tm["t_c_ns"] * 1e-9, delta_o=tm["delta_o_ns"] * 1e-9, t_w=tm["t_w_ns"] * 1e-9)
+            environment = Environment(t_e=ev["t_e_k"], nu=ev["nu_hz"], cycles_per_symbol=ev["cycles_per_symbol"])
             pulse = PulseProfile(
-                shape=pu_vals["shape"],
-                l=pu_vals["l_ns"] * 1e-9,
-                beta=pu_vals["beta"],
-                w=pu_vals["w_ns"] * 1e-9,
-                nodes=tuple((t * 1e-9, r) for t, r in pu_vals["nodes"]) if nodes else None,
+                shape=pu["shape"], l=pu["l_ns"] * 1e-9, beta=pu["beta"], w=pu["w_ns"] * 1e-9,
+                nodes=tuple((t * 1e-9, r) for t, r in pu["nodes"]) if "nodes" in pu else None,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-        mc_raw = d["mc"]
-        _check_keys(mc_raw, ("mc_samples", "n_symbols", "sat_replicas"), "mc")
-        mc = McSettings(
-            mc_samples=_get_int(mc_raw, "mc_samples", 100_000, "mc"),
-            n_symbols=_get_int(mc_raw, "n_symbols", 100_000, "mc"),
-            sat_replicas=_get_int(mc_raw, "sat_replicas", 4096, "mc"),
-        )
-        lk = d["link"]
-        _check_keys(lk, ("mode", "saturation", "dump_frames", "burn_in"), "link")
-        link = LinkSettings(
-            mode=lk.get("mode", "physical"),
-            saturation=_get_bool(lk, "saturation", False, "link"),
-            dump_frames=_get_bool(lk, "dump_frames", False, "link"),
-            burn_in=_get_int(lk, "burn_in", 100, "link"),
-        )
-        dt = d["detect"]
-        _check_keys(dt, ("power_dbm",), "detect")
-        detect_power = parse_quantity(dt.get("power_dbm", -148.3), "detect.power_dbm")
-        co = d["cutoff"]
-        _check_keys(co, ("replicas", "points_per_decade", "coarse_points_per_decade", "span_decades"), "cutoff")
-        cutoff = CutoffSettings(
-            replicas=_get_int(co, "replicas", 256, "cutoff"),
-            points_per_decade=_get_int(co, "points_per_decade", 40, "cutoff"),
-            coarse_points_per_decade=_get_int(co, "coarse_points_per_decade", 4, "cutoff"),
-            span_decades=parse_quantity(co.get("span_decades", 7.0), "cutoff.span_decades"),
-        )
-        sweeps_raw = d["sweeps"]
-        if not isinstance(sweeps_raw, Mapping):
-            raise ConfigError("sweeps must be a mapping of axis name to axis")
-        allowed_axes = (
-            "power_dbm",
-            "mean_photons",
-            "pulse_length_ns",
-            "kappa_t_c",
-            "lambda_tau",
-            "t_over_tau",
-            "kappa_rad_per_s",
-            "gamma_rad_per_s",
-        )
-        _check_keys(sweeps_raw, allowed_axes, "sweeps")
-        sweeps = {k: GridAxis.from_dict(v, f"sweeps.{k}") for k, v in sweeps_raw.items()}
-        for name, axis in sweeps.items():
-            if axis.resolve().size == 0:
-                raise ConfigError(f"sweeps.{name} resolves to an empty grid")
-        canonical = {
-            "seed": seed,
-            "workers": workers,
-            "output_dir": str(d["output_dir"]),
-            "device": dev_vals,
-            "timing": tm_vals,
-            "environment": ev_vals,
-            "pulse": pu_vals,
-            "mc": {
-                "mc_samples": mc.mc_samples,
-                "n_symbols": mc.n_symbols,
-                "sat_replicas": mc.sat_replicas,
-            },
-            "link": {
-                "mode": link.mode,
-                "saturation": link.saturation,
-                "dump_frames": link.dump_frames,
-                "burn_in": link.burn_in,
-            },
-            "detect": {"power_dbm": detect_power},
-            "cutoff": {
-                "replicas": cutoff.replicas,
-                "points_per_decade": cutoff.points_per_decade,
-                "coarse_points_per_decade": cutoff.coarse_points_per_decade,
-                "span_decades": cutoff.span_decades,
-            },
-            "sweeps": {k: sweeps[k].to_dict() for k in sorted(sweeps)},
-        }
+        sweeps_raw = raw.get("sweeps", {})
+        default_axes = DEFAULT_CONFIG["sweeps"]
+        # the kappa and gamma axes have no default: they are absent unless given
+        _check_keys(sweeps_raw, (*default_axes, "kappa_rad_per_s", "gamma_rad_per_s"), "sweeps")
+        axes = {**default_axes, **{k: _merge_axis(default_axes.get(k), v) for k, v in sweeps_raw.items()}}
+        sweeps = {k: GridAxis.from_dict(v, f"sweeps.{k}") for k, v in axes.items()}
+        canonical = {"seed": seed, "workers": workers, "output_dir": output_dir, **c,
+                     "sweeps": {k: sweeps[k].to_dict() for k in sorted(sweeps)}}
         return cls(
             seed=seed,
             workers=workers,
-            output_dir=str(d["output_dir"]),
+            output_dir=output_dir,
             device=device,
             timing=timing,
             environment=environment,
             pulse=pulse,
-            mc=mc,
-            link=link,
-            detect_power_dbm=detect_power,
-            cutoff=cutoff,
+            mc=McSettings(**c["mc"]),
+            link=LinkSettings(**c["link"]),
+            detect_power_dbm=c["detect"]["power_dbm"],
+            cutoff=CutoffSettings(**c["cutoff"]),
             sweeps=sweeps,
             canonical=canonical,
         )
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"invalid YAML in {path}: {exc}") from None
-        if raw is None:
-            raw = {}
-        return cls.from_dict(raw)
+        return cls.from_dict(read_config_file(path))
 
     def to_dict(self) -> dict:
         """Canonical resolved form, display units, every default explicit."""
@@ -441,7 +390,7 @@ class ExperimentConfig:
 
 def apply_overrides(raw: dict, overrides) -> dict:
     """Apply --set key.path=value pairs onto the raw config mapping."""
-    out = json.loads(json.dumps(raw)) if raw else {}
+    out = copy.deepcopy(raw) if raw else {}
     for item in overrides or ():
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")

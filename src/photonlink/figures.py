@@ -10,47 +10,17 @@ from .report import SweepReport
 
 __all__ = ["emit_figure_data", "FIGURE_COLUMNS"]
 
-# figure id -> (source column, output column) pairs, in output order
+# figure id -> the report columns it keeps, in output order
 FIGURE_COLUMNS = {
-    "fig5": (("l_ns", "l_ns"), ("kappa", "kappa"), ("gamma", "gamma"), ("efficiency", "efficiency")),
-    "fig6": (
-        ("lambda", "lambda"),
-        ("kappa", "kappa"),
-        ("gamma", "gamma"),
-        ("p_miss", "p_miss"),
-        ("stderr", "stderr"),
-    ),
-    "fig8": (("t_over_tau", "t_over_tau"), ("lambda_tau", "lambda_tau"), ("delta", "delta")),
-    "fig9": (
-        ("power_dbm", "power_dbm"),
-        ("kappa", "kappa"),
-        ("gamma", "gamma"),
-        ("n_cycles", "n_cycles"),
-        ("ber", "ber"),
-        ("stderr", "stderr"),
-    ),
-    "fig10": (
-        ("power_dbm", "power_dbm"),
-        ("kappa", "kappa"),
-        ("gamma", "gamma"),
-        ("n_cycles", "n_cycles"),
-        ("rate", "rate"),
-        ("stderr", "stderr"),
-    ),
-    "fig11": (
-        ("mean_photons", "mean_photons"),
-        ("kappa", "kappa"),
-        ("excitation", "excitation"),
-        ("stderr", "stderr"),
-    ),
-    "fig12": (
-        ("mean_photons", "mean_photons"),
-        ("kappa", "kappa"),
-        ("excitation", "excitation"),
-        ("stderr", "stderr"),
-    ),
-    "fig13": (("kappa", "kappa"), ("t_c", "t_c"), ("kappa_tc", "kappa_tc"), ("n_cutoff", "n_cutoff")),
-    "fig15": (("kappa_tc", "kappa_tc"), ("n_cutoff", "n_cutoff"), ("kind", "kind")),
+    "fig5": ("l_ns", "kappa", "gamma", "efficiency"),
+    "fig6": ("lambda", "kappa", "gamma", "p_miss", "stderr"),
+    "fig8": ("t_over_tau", "lambda_tau", "delta"),
+    "fig9": ("power_dbm", "kappa", "gamma", "n_cycles", "ber", "stderr"),
+    "fig10": ("power_dbm", "kappa", "gamma", "n_cycles", "rate", "stderr"),
+    "fig11": ("mean_photons", "kappa", "excitation", "stderr"),
+    "fig12": ("mean_photons", "kappa", "excitation", "stderr"),
+    "fig13": ("kappa", "t_c", "kappa_tc", "n_cutoff"),
+    "fig15": ("kappa_tc", "n_cutoff", "kind"),
 }
 
 # row filters for figures sharing one source report
@@ -66,16 +36,16 @@ def emit_figure_data(report: SweepReport, figure_id: str) -> SweepReport:
         raise ConfigError(f"unknown figure id {figure_id!r}; known: {sorted(FIGURE_COLUMNS)}")
     if not report.rows:
         raise ConfigError(f"empty report, nothing to emit for {figure_id}")
-    mapping = FIGURE_COLUMNS[figure_id]
-    missing = [src for src, _ in mapping if src not in report.columns]
+    columns = FIGURE_COLUMNS[figure_id]
+    missing = [c for c in columns if c not in report.columns]
     if missing:
         raise ConfigError(f"report lacks columns {missing} required by {figure_id}")
-    out = SweepReport(columns=tuple(dst for _, dst in mapping), meta={"figure": figure_id})
+    out = SweepReport(columns=columns, meta={"figure": figure_id})
     keep = _FILTERS.get(figure_id)
     for row in report.rows:
         if keep is not None and row.get(keep[0]) != keep[1]:
             continue
-        out.append(**{dst: row[src] for src, dst in mapping})
+        out.append(**{c: row[c] for c in columns})
     if not out.rows:
         raise ConfigError(f"no rows matched the {figure_id} filter")
     return out

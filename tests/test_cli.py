@@ -142,6 +142,17 @@ class TestExitCodes:
     def test_unknown_key(self, config_file):
         assert run_cli("detect", "--config", str(config_file), "--set", "device.color=red") == 2
 
+    @pytest.mark.parametrize(
+        "text", ["seed: [1\n", "- 1\n- 2\n", "device: {p0: 2020-01-01}\n"],
+        ids=["invalid-yaml", "list-root", "date-value"],
+    )
+    def test_unreadable_config(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert run_cli("detect", "--config", str(path), "--seed", "3", "--out", str(tmp_path / "o")) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "config"
+
     def test_numerics_error_exit_code(self, config_file, tmp_path):
         # a sweep that never saturates: tiny ceiling on the mean photon number
         code = run_cli(

@@ -85,6 +85,21 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"seed": 1, "workers": 0})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"seed": 1, "link": {"mode": "soft"}})
+        bad = [
+            ({"mc": 5}, "mc"),
+            ({"device": None}, "device"),
+            ({"sweeps": None}, "sweeps"),
+            ({"sweeps": {"power_dbm": None}}, "sweeps.power_dbm"),
+            ({"pulse": {"nodes": 5}}, "pulse.nodes"),
+            ({"pulse": {"nodes": [[1, 2, 3]]}}, "pulse.nodes"),
+            ({"output_dir": None}, "output_dir"),
+            ({"output_dir": 5}, "output_dir"),
+            ({"cutoff": {"span_decades": 0}}, "cutoff.span_decades"),
+            ({"cutoff": {"span_decades": -1.0}}, "cutoff.span_decades"),
+        ]
+        for extra, key in bad:
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_dict({"seed": 1, **extra})
 
     def test_booleans_strict(self):
         for key in ("saturation", "dump_frames"):
@@ -106,6 +121,12 @@ class TestExperimentConfig:
         once = cfg.to_dict()
         again = ExperimentConfig.from_dict(yaml.safe_load(cfg.to_yaml())).to_dict()
         assert once == again
+
+    def test_default_yaml_hash_pinned(self):
+        # changing this hash must be a deliberate edit: every manifest records it
+        assert ExperimentConfig.from_file(DEFAULT_YAML).config_hash() == (
+            "f9b7e21d99c477e1989bc97c9929d224d18d57a93bced002fee0dbabedf0b068"
+        )
 
     def test_hash_stability_and_sensitivity(self):
         a = ExperimentConfig.from_dict({"seed": 3})
@@ -145,6 +166,16 @@ class TestOverrides:
         raw = apply_overrides({"seed": 1}, ["sweeps.power_dbm={start: -150, stop: -148, points: 2, scale: linear}"])
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.axis("power_dbm").tolist() == [-150.0, -148.0]
+
+    def test_axis_switches_between_values_and_range(self):
+        raw = apply_overrides({"seed": 1}, ["sweeps.power_dbm={values: [-150, -149]}"])
+        assert ExperimentConfig.from_dict(raw).axis("power_dbm").tolist() == [-150.0, -149.0]
+        raw = apply_overrides({"seed": 1}, ["sweeps.kappa_t_c={start: 10, stop: 1000, points: 3, scale: log}"])
+        assert ExperimentConfig.from_dict(raw).axis("kappa_t_c").tolist() == pytest.approx([10.0, 100.0, 1000.0])
+
+    def test_partial_range_takes_rest_from_default(self):
+        raw = apply_overrides({"seed": 1}, ["sweeps.power_dbm.points=3"])
+        assert ExperimentConfig.from_dict(raw).axis("power_dbm").tolist() == [-160.0, -151.0, -142.0]
 
     def test_rejects_malformed(self):
         with pytest.raises(ConfigError):
