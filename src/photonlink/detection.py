@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate, stats
 
 from .physics import (
     CycleTiming,
@@ -156,6 +155,8 @@ def excitation_given_arrivals_bruteforce(trace: ArrivalTrace, dev: DeviceParams)
 
 def mean_single_photon_conditional(t_c: float, dev: DeviceParams, epsabs: float = 1e-12) -> float:
     """Mean excitation for one photon uniform on [0, t_c], by quadrature."""
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda u: float(excited_kernel(u, dev.kappa, dev.gamma)), 0.0, t_c, epsabs=epsabs, limit=200
     )
@@ -200,6 +201,8 @@ def _poisson_n_max(mean: float, eps: float) -> int:
 
     Chernoff bound first, then walk the exact survival function.
     """
+    from scipy import stats
+
     if mean <= 0:
         return 0
     n = int(mean)
@@ -246,6 +249,8 @@ class ConditionalExcitationTable:
 
     def poisson_mixture(self, lam: float, delta_o: float = 0.0, eps_trunc: float = 1e-10) -> Estimate:
         """Mixture over the Poisson count, decayed from capture end to observation."""
+        from scipy import stats
+
         if lam < 0:
             raise ValueError("lambda must be >= 0")
         if lam == 0.0:

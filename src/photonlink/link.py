@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -202,6 +202,15 @@ def _frame_stats_logp(log_q, log_fact, b1, n, n1, n11) -> np.ndarray:
     return np.where(possible, logp, -np.inf)
 
 
+@lru_cache(maxsize=8)
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only log k! for k = 0..n, built once per frame length."""
+    # math.lgamma, not a running sum of logs: that sum drifts by ~1e-12 at n = 800
+    out = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    out.flags.writeable = False
+    return out
+
+
 def frame_stats_law(q: np.ndarray, b1: int, n: int) -> FrameStatsLaw:
     """Exact law of (bn, n1, n11) of n bits of the Markov chain q started at bit b1.
 
@@ -212,8 +221,7 @@ def frame_stats_law(q: np.ndarray, b1: int, n: int) -> FrameStatsLaw:
     """
     q = np.asarray(q, dtype=float)
     log_q = _log(q)
-    # math.lgamma, not a running sum of logs: that sum drifts by ~1e-12 at n = 800
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    log_fact = _log_factorials(n)
     # stationary means, and variances of the iid-pair approximation scaled
     # by (1 + l) / (1 - l), where l = 1 - flip is the second eigenvalue of q
     flip = q[0, 1] + q[1, 0]

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.constants import h as PLANCK_H
-from scipy.constants import k as BOLTZMANN_K
+
+# exact in the 2019 SI; equal to scipy.constants.h and .k
+PLANCK_H = 6.62607015e-34  # J s
+BOLTZMANN_K = 1.380649e-23  # J / K
 
 __all__ = [
     "DeviceParams",
@@ -168,6 +169,8 @@ class PulseProfile:
 
     def check_normalization(self, tol: float = 1e-9) -> float:
         """Integrated mass of rho; raises if it differs from 1 beyond tol."""
+        from scipy import integrate
+
         ti = self.t_i
         if self.shape == "tabulated":
             pts = sorted(set([-ti, ti] + [float(n[0]) for n in self.nodes if -ti < n[0] < ti]))
@@ -265,6 +268,8 @@ def single_photon_excitation(
     of the drive to t_obs.  The transition window closes at t_i (end of
     the drive), after which only decay acts.
     """
+    from scipy import integrate
+
     ti = pulse.t_i
     if t_obs < ti:
         raise ValueError(f"t_obs {t_obs} must be >= pulse half-width {ti}")
@@ -288,6 +293,8 @@ def single_photon_excitation_double_integral(
     epsabs: float = 1e-12,
 ) -> float:
     """Same quantity by the raw double integral; quadrature cross-check path."""
+    from scipy import integrate
+
     ti = pulse.t_i
     if t_obs < ti:
         raise ValueError(f"t_obs {t_obs} must be >= pulse half-width {ti}")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import FitConvergenceError, NotSaturatingError, RootBracketError
 from .physics import CycleTiming, DeviceParams, detector_events
@@ -271,6 +270,8 @@ def pair_survival_integrals(n: int, tau: float, t_c: float) -> PieceIntegrals:
     near the left edge, in the bulk, and two bands near the right edge.
     Used as the proof-level oracle for the second survivor moment.
     """
+    from scipy import integrate
+
     _require_window(tau, t_c)
     if n < 2:
         raise ValueError("pair survival needs n >= 2")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from . import detection, link, saturation
 from .physics import (
@@ -70,6 +69,8 @@ def check_trivial_identities(level: str, seed: int) -> CheckResult:
 
 
 def check_ground_return_quadrature(level: str, seed: int) -> CheckResult:
+    from scipy import integrate
+
     worst = 0.0
     for kappa, gamma, t in [
         (8.0, 1.0, 1.0),

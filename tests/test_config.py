@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,16 @@ from photonlink.errors import ConfigError
 
 MINIMAL = {"seed": 7}
 DEFAULT_YAML = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestQuantities:
@@ -115,6 +127,15 @@ class TestExperimentConfig:
         assert ExperimentConfig.from_file(DEFAULT_YAML) == ExperimentConfig.from_dict(
             {**DEFAULT_CONFIG, "seed": raw["seed"]}
         )
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_loader_matches_safe_load(self):
+        texts = [DEFAULT_YAML.read_text(encoding="utf-8")]
+        for workload in _perfbench_workloads().WORKLOADS.values():
+            for tiny in (False, True):
+                texts += [item.split("=", 1)[1] for item in workload.sets(tiny)]
+        for text in texts:
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.safe_load(text), text
 
     def test_round_trip_idempotent(self):
         cfg = ExperimentConfig.from_dict({"seed": 3, "device": {"kappa_rad_per_s": "2pi*2e9"}})

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from photonlink.physics import (
+    BOLTZMANN_K,
+    PLANCK_H,
     CycleTiming,
     DeviceParams,
     Environment,
@@ -234,6 +236,12 @@ class TestThermalAndPower:
         got = thermal_photon_rate(ref_env)
         assert got == pytest.approx(expect, rel=1e-15)
         assert got == pytest.approx(0.02084, rel=1e-3)
+
+    def test_si_constants_match_scipy(self):
+        from scipy import constants
+
+        assert PLANCK_H == constants.h
+        assert BOLTZMANN_K == constants.k
 
     def test_inverse_in_cycles(self, ref_env):
         doubled = Environment(t_e=8.0, nu=1e10, cycles_per_symbol=1600)
