@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__, detection, figures, link, saturation, validate
@@ -47,6 +46,8 @@ def _parallel_map(fn, payloads, workers: int) -> list:
     items = list(payloads)
     if workers <= 1 or len(items) <= 1:
         return [fn(p) for p in items]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only workers > 1 need it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -156,7 +157,6 @@ def _link_cfg(cfg: ExperimentConfig) -> link.LinkConfig:
         timing=cfg.timing,
         env=cfg.environment,
         saturation=cfg.link.saturation,
-        sat_replicas=cfg.mc.sat_replicas,
         burn_in=cfg.link.burn_in,
     )
 
@@ -184,7 +184,7 @@ def cmd_ber_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     runner.write_report(report, "ber_sweep.csv")
     runner.write_figure(report, "fig9")
     if cfg.link.dump_frames:
-        spec = lcfg.build_spec(float(powers[0]), seed=cfg.seed, key=(0xBE, 0))
+        spec = lcfg.build_spec(float(powers[0]))
         run = link.simulate_link(
             spec, min(cfg.mc.n_symbols, 1000), substream(cfg.seed, 0xBE, 0, 1),
             mode=cfg.link.mode, store_frames=True,
@@ -209,27 +209,6 @@ def cmd_rate_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     return 0
 
 
-def _saturation_point(args) -> dict:
-    cfg, mean, kappa, enter_excited, idx = args
-    dev = dataclasses.replace(cfg.device, kappa=kappa)
-    est = saturation.saturated_excitation(
-        mean / cfg.timing.t_c, cfg.timing, dev, enter_excited=enter_excited,
-        replicas=cfg.mc.sat_replicas, rng=substream(cfg.seed, 0x5C, idx),
-    )
-    return {
-        "mean_photons": mean,
-        "lambda": mean / cfg.timing.t_c,
-        "kappa": kappa,
-        "gamma": cfg.device.gamma,
-        "t_c": cfg.timing.t_c,
-        "reset": "wrong" if enter_excited else "correct",
-        "excitation": est.value,
-        "stderr": est.stderr,
-        "replicas": cfg.mc.sat_replicas,
-        "seed": cfg.seed,
-    }
-
-
 def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     # survivor statistics and the dispersion gap on normalized axes
     tau = cfg.device.alpha_sat / cfg.device.kappa
@@ -252,25 +231,29 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     runner.write_report(delta_fig, "delta_lambda.csv")
     runner.write_figure(delta_fig, "fig8")
 
-    # saturated excitation curves, correct and wrong reset
+    # saturated excitation curves, correct and wrong reset: exact, so the
+    # stderr and replicas columns read 0
     means = cfg.axis("mean_photons")
     kappas = cfg.axis("kappa_rad_per_s") if "kappa_rad_per_s" in cfg.sweeps else [cfg.device.kappa]
-    payloads = []
-    idx = 0
-    for enter_excited in (False, True):
-        for kappa in kappas:
-            for mean in means:
-                payloads.append((cfg, float(mean), float(kappa), enter_excited, idx))
-                idx += 1
-    rows = _parallel_map(_saturation_point, payloads, cfg.workers)
     exc = SweepReport(
         columns=(
             "mean_photons", "lambda", "kappa", "gamma", "t_c", "reset",
             "excitation", "stderr", "replicas", "seed",
         )
     )
-    for row in rows:
-        exc.append(**row)
+    for enter_excited in (False, True):
+        for kappa in kappas:
+            dev = dataclasses.replace(cfg.device, kappa=float(kappa))
+            values = saturation.survivor_excitation(
+                means / cfg.timing.t_c, cfg.timing, dev, enter_excited=enter_excited
+            )
+            for mean, value in zip(means, values):
+                exc.append(
+                    mean_photons=float(mean), **{"lambda": float(mean) / cfg.timing.t_c},
+                    kappa=float(kappa), gamma=cfg.device.gamma, t_c=cfg.timing.t_c,
+                    reset="wrong" if enter_excited else "correct", excitation=float(value),
+                    stderr=0.0, replicas=0, seed=cfg.seed,
+                )
     runner.write_report(exc, "saturation_excitation.csv")
     runner.write_figure(exc, "fig11")
     runner.write_figure(exc, "fig12")
@@ -278,15 +261,14 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
 
 
 def _cutoff_point(args) -> dict:
-    cfg, kappa_tc, idx = args
+    cfg, kappa_tc = args
     t_c = cfg.timing.t_c
     dev = DeviceParams(kappa=kappa_tc / t_c, gamma=0.0, alpha_sat=cfg.device.alpha_sat)
     result = scan_cutoff(
-        dev, t_c, replicas=cfg.cutoff.replicas,
+        dev, t_c,
         points_per_decade=cfg.cutoff.points_per_decade,
         coarse_points_per_decade=cfg.cutoff.coarse_points_per_decade,
         span_decades=cfg.cutoff.span_decades,
-        rng_seed=cfg.seed + idx,
     )
     return {
         "kappa": dev.kappa,
@@ -300,11 +282,9 @@ def _cutoff_point(args) -> dict:
 def scan_cutoff(
     dev: DeviceParams,
     t_c: float,
-    replicas: int = 256,
     points_per_decade: int = 40,
     coarse_points_per_decade: int = 4,
     span_decades: float = 7.0,
-    rng_seed: int = 0,
 ) -> saturation.CutoffResult:
     """Two-stage cutoff scan: coarse bracket, then a dense grid around it.
 
@@ -314,21 +294,15 @@ def scan_cutoff(
     """
     lo = 0.5
     hi = lo * 10.0**span_decades
-    coarse = saturation.cutoff_photon_number(
-        dev, t_c, saturation.log_grid(lo, hi, coarse_points_per_decade),
-        replicas=max(replicas // 4, 64), rng_seed=rng_seed, early_stop_frac=0.2,
-    )
+    coarse = saturation.cutoff_photon_number(dev, t_c, saturation.log_grid(lo, hi, coarse_points_per_decade))
     center = coarse.n_cutoff
     fine_grid = saturation.log_grid(center / math.sqrt(10.0), center * math.sqrt(10.0), points_per_decade)
-    return saturation.cutoff_photon_number(
-        dev, t_c, fine_grid, replicas=replicas, rng_seed=rng_seed + 1, early_stop_frac=0.2,
-    )
+    return saturation.cutoff_photon_number(dev, t_c, fine_grid)
 
 
 def cmd_cutoff_fit(cfg: ExperimentConfig, runner: _Runner) -> int:
     values = cfg.axis("kappa_t_c")
-    payloads = [(cfg, float(v), i) for i, v in enumerate(values)]
-    rows = _parallel_map(_cutoff_point, payloads, cfg.workers)
+    rows = _parallel_map(_cutoff_point, [(cfg, float(v)) for v in values], cfg.workers)
     table = SweepReport(columns=("kappa", "t_c", "gamma", "kappa_tc", "n_cutoff"))
     for row in rows:
         table.append(**row)

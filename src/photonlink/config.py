@@ -118,7 +118,6 @@ _SECTIONS: dict = {
     "mc": {
         "mc_samples": (_int, 100_000),  # read by no command; the benchmark workloads still set it
         "n_symbols": (_int, 100_000),
-        "sat_replicas": (_int, 4096),
     },
     "link": {
         "mode": (_str, "physical"),
@@ -128,7 +127,7 @@ _SECTIONS: dict = {
     },
     "detect": {"power_dbm": (parse_quantity, -148.3)},
     "cutoff": {
-        "replicas": (_int, 256),  # unused by the exact gamma = 0 scan; the benchmark workloads still set it
+        "replicas": (_int, 256),  # read by no command; the benchmark workloads still set it
         "points_per_decade": (_int, 40),
         "coarse_points_per_decade": (_int, 4),
         "span_decades": (parse_quantity, 7.0),
@@ -232,10 +231,9 @@ class GridAxis:
 class McSettings:
     mc_samples: int
     n_symbols: int
-    sat_replicas: int
 
     def __post_init__(self):
-        for name in ("mc_samples", "n_symbols", "sat_replicas"):
+        for name in ("mc_samples", "n_symbols"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"mc.{name} must be >= 1")
 

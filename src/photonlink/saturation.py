@@ -4,8 +4,8 @@ A photon survives saturation iff no other photon arrives within tau on
 either side.  Closed-form survivor moments are provided for a fixed
 count and for Poisson arrival, together with quadrature and Monte Carlo
 oracles, the sub-/super-Poisson crossover, saturated excitation curves
-(exact for gamma = 0 from the first-survivor delay-renewal equation,
-Monte Carlo otherwise) and the 3 dB cutoff machinery.
+(exact for every gamma and entry level from a delay-Volterra equation,
+with the Monte Carlo kept as its oracle) and the 3 dB cutoff machinery.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FitConvergenceError, NotSaturatingError, RootBracketError
-from .physics import CycleTiming, DeviceParams, detector_events
+from .physics import CycleTiming, DeviceParams, _phi, detector_events
 from .report import Estimate
 from .rng import substream
 
@@ -35,7 +35,7 @@ __all__ = [
     "PieceIntegrals",
     "pair_survival_integrals",
     "saturated_excitation",
-    "first_survivor_excitation",
+    "survivor_excitation",
     "cutoff_photon_number",
     "fit_cutoff_curve",
     "log_grid",
@@ -360,9 +360,9 @@ def saturated_excitation(
     Samples Poisson traces, removes saturated photons, then runs the
     renewal transition dynamics on the survivors.  For gamma = 0 the
     Bernoulli draw is replaced by the exact conditional probability given
-    the first survivor (same estimand, lower variance); with ground entry
-    that estimand has the exact value first_survivor_excitation, and this
-    estimator is its Monte Carlo oracle.
+    the first survivor (same estimand, lower variance).  The estimand has
+    the exact value survivor_excitation, and this estimator is its Monte
+    Carlo oracle.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -416,102 +416,72 @@ def saturated_excitation(
     return Estimate(est, se)
 
 
-def saturation_gap(
-    lam: float,
+def _conv(a, b, x):
+    """int_0^x e^{-a s} e^{-b (x - s)} ds for rates a, b >= 0."""
+    return x * np.exp(-np.minimum(a, b) * x) * _phi(np.abs(a - b) * x)
+
+
+# Taylor coefficients of the cell weights below z = 0.05, highest order first
+_LOWER_SERIES = [(-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(7, -1, -1)]
+_UPPER_SERIES = [(-1) ** k / math.factorial(k + 2) for k in range(7, -1, -1)]
+
+
+def _cell_weights(z):
+    """Weights (lower node, upper node) of int_0^1 f(theta) e^{-z (1 - theta)} dtheta
+    for f linear between its node values, elementwise for z >= 0."""
+    z = np.asarray(z, dtype=float)
+    small = z < 0.05
+    zs = np.where(small, 1.0, z)
+    em1 = np.expm1(-zs)
+    lower = np.where(small, np.polyval(_LOWER_SERIES, z), (-em1 - zs * (em1 + 1.0)) / (zs * zs))
+    upper = np.where(small, np.polyval(_UPPER_SERIES, z), (zs + em1) / (zs * zs))
+    return lower, upper
+
+
+def survivor_excitation(
+    lam,
     timing: CycleTiming,
     dev: DeviceParams,
-    replicas: int = 200_000,
-    rng: Optional[np.random.Generator] = None,
-    window: Optional[SaturationWindow] = None,
-    max_block_elems: int = 20_000_000,
-) -> tuple:
-    """Paired estimate of (unsaturated - saturated) excitation at observation.
-
-    Both dynamics run on the same traces with the same transition and
-    decay clocks; only the dead-time filter differs, so the difference
-    estimator is nearly noise-free.  Returns (gap Estimate, saturated
-    Estimate).
-    """
-    if rng is None:
-        rng = substream(0, 0x5B)
-    if window is None:
-        window = SaturationWindow.from_device(dev)
-    t_c, t_obs = timing.t_c, timing.t_obs
-    kappa, gamma = dev.kappa, dev.gamma
-    mean = lam * t_c
-    block = max(1, min(replicas, int(max_block_elems / max(mean * 1.3 + 8.0, 8.0))))
-    diffs = np.empty(replicas)
-    sat_vals = np.empty(replicas)
-    done = 0
-    while done < replicas:
-        m = min(block, replicas - done)
-        arr, _ = _poisson_sorted_arrivals(rng, mean, m, t_c)
-        keep = survivor_mask(arr, window.tau)
-        n_cols = arr.shape[1]
-        fire_w = rng.exponential(4.0 / kappa, (m, n_cols))
-        decay_w = rng.exponential(1.0 / gamma, (m, n_cols)) if gamma > 0 else np.full((m, n_cols), np.inf)
-        states = []
-        for mask in (None, keep):
-            last_fire, last_decay = detector_events(
-                arr, fire_w, decay_w, t_c, np.zeros(m), np.full(m, np.inf), np.full(m, np.inf), mask
-            )
-            states.append(((last_fire <= t_c) & (last_decay > t_obs)).astype(float))
-        plain, filtered = states
-        diffs[done : done + m] = plain - filtered
-        sat_vals[done : done + m] = filtered
-        done += m
-    gap = Estimate(float(diffs.mean()), float(diffs.std(ddof=1) / math.sqrt(replicas)))
-    sat = Estimate(float(sat_vals.mean()), float(sat_vals.std(ddof=1) / math.sqrt(replicas)))
-    return gap, sat
-
-
-def _exp_weights(z):
-    """((1 - e^-z)/z, (z - 1 + e^-z)/z^2) elementwise for z >= 0.
-
-    Times h, these integrate e^{-lam (h - w)} over w in [0, h] against 1
-    and against the ramp w/h, with z = lam h.
-    """
-    z = np.asarray(z, dtype=float)
-    small = z < 1e-3
-    zs = np.where(small, 1.0, z)
-    p1 = np.where(small, 1.0 - z / 2.0 + z * z / 6.0 - z**3 / 24.0, -np.expm1(-zs) / zs)
-    p2 = np.where(small, 0.5 - z / 6.0 + z * z / 24.0 - z**3 / 120.0, (zs + np.expm1(-zs)) / (zs * zs))
-    return p1, p2
-
-
-def first_survivor_excitation(
-    lam,
-    t_c: float,
-    dev: DeviceParams,
+    enter_excited: bool = False,
     window: Optional[SaturationWindow] = None,
     cells_per_tau: int = 16,
 ) -> np.ndarray:
-    """Exact gamma = 0, ground-entry excitation at t_c under dead-time filtering.
+    """Exact excitation at the observation time under dead-time filtering.
 
-    This is the value saturated_excitation estimates for gamma = 0 and
-    ground entry: the first survivor, arriving at s, arms the detector,
-    which is excited by t_c with probability 1 - exp(-kappa/4 (t_c - s)).
-    Let x(t) be the probability that no survivor has occurred and no
-    photon arrived in (t - tau, t], and a(t) the probability that a
-    survivor arrived by t - tau.  They obey the delay-renewal equations
-    of the dead-time counter (Feller 1948), with the edge rules of
-    survivor_mask (the first and last arrivals are free on their outer
-    side):
+    This is the value saturated_excitation estimates, for every gamma >= 0
+    and both entry levels: P(E at t_c) * exp(-gamma delta_o).  The
+    survivors are the output of a type-II counter (Pyke 1958), and a
+    survivor arms the detector only while it sits in ground; armed, it is
+    excited at rate r = kappa/4 and decays back to ground at rate gamma.
+    Let h(s) be lam times the probability that the detector is in ground
+    at s and no photon arrived in (s - tau, s].  With the edge rules of
+    survivor_mask it obeys the delay-Volterra equation
 
-        x'(t) = -lam x(t) + lam e^{-lam tau} (1 - a(t - tau) - x(t - tau)),
-        a'(t) = lam e^{-lam tau} x(t - tau),
+        h(s) = lam Phi(s) - lam e^{-lam tau} int_0^{s - tau} h(v) B(s - v) e^{-lam min(s - v - tau, tau)} dv,
 
-    with x = e^{-lam t}, a = 0 on [0, tau].  The first two blocks of
-    length tau are solved in closed form.  Later blocks use the method of
-    steps on cells_per_tau cells per block (plus one node at the
-    fractional block where t_c falls): x integrates the exponential kernel
-    exactly against the piecewise-linear forcing of the previous block, a
-    uses the trapezoid rule.  The error is second order in the cell width.
-    Every block map is the same affine map, so the ~t_c/tau blocks are
-    applied by repeated squaring of the stacked per-lambda matrices, and
-    the cost grows with log(kappa t_c), not kappa t_c.  No exponent is
-    positive, so lam tau of 1e5 and more is safe.  Returns an array
-    shaped like lam.
+    Phi(s) = e^{-lam min(s, tau)}, times 1 - e^{-gamma s} for an excited
+    entry, and B(v) = (gamma e^{-r v} - r e^{-gamma v}) / (gamma - r) the
+    probability of being armed or excited v after arming.  A survivor at
+    s arms the detector with density h(s) e^{-lam min(tau, t_c - s)}, so
+
+        P(E at t_c) = [excited entry] e^{-gamma t_c} + int_0^{t_c} h(s) e^{-lam min(tau, t_c - s)} A(t_c - s) ds,
+
+    A(v) = r (e^{-r v} - e^{-gamma v}) / (gamma - r).  The kernel is a
+    sum of exponentials on [tau, 2 tau) and on [2 tau, inf), so the
+    method of steps carries h on the last two blocks of tau
+    (cells_per_tau cells each, plus a node where t_c falls) and two
+    running sums, int h(v) e^{-r (s - v)} dv and int h(v) D(s - v) dv
+    with D = (e^{-r v} - e^{-gamma v}) / (gamma - r), plus e^{-gamma s}
+    for an excited entry.  h is linear between nodes and every
+    exponential is integrated against it exactly, so the error is second
+    order in the cell width.  Blocks 0 to 2 see the steep first-block
+    h(s) = lam e^{-lam s} (1 - [excited] e^{-gamma s}) and are solved
+    in closed form where they touch it.  Every later block map is the
+    same affine map, applied t_c/tau - 2 times by repeated squaring of
+    the stacked per-lambda matrices, so the cost grows with
+    log(kappa t_c).  No exponent is positive.  At gamma = 0 this is the
+    first-survivor delay-renewal equation (Feller 1948) with h = lam x.
+    Returns an array shaped like lam.
     """
     lam = np.asarray(lam, dtype=float)
     shape = lam.shape
@@ -522,11 +492,24 @@ def first_survivor_excitation(
         raise ValueError("cells_per_tau must be >= 1")
     if window is None:
         window = SaturationWindow.from_device(dev)
-    tau = window.tau
+    tau, t_c = window.tau, timing.t_c
     _require_window(tau, t_c)
-    r = dev.transition_rate
+    exc = float(enter_excited)
+    # rates in units of 1/tau, times in units of tau
+    L = lam * tau
+    R, G = dev.transition_rate * tau, dev.gamma * tau
+    if abs(G - R) < 1e-8 * R:
+        # B and A have a removable 0/0 at gamma = r; moving gamma by 1e-8 r
+        # changes the result by about 1e-8, below the discretization error
+        G = R * (1.0 + 1e-8)
+    inv = 1.0 / (G - R)
+    b_r, b_g = G * inv, -R * inv  # B(v) = b_r e^{-R v} + b_g e^{-G v}
 
-    # block nodes in units of tau; t_c = (n + rho) tau is snapped to 1e-9 tau
+    def D(v):
+        v = np.asarray(v, dtype=float)
+        return v * np.exp(-min(R, G) * v) * _phi(abs(G - R) * v)
+
+    # block nodes; t_c = (n + rho) tau is snapped to 1e-9 tau
     blocks = t_c / tau
     n = int(math.floor(blocks + 1e-9))
     rho = max(blocks - n, 0.0)
@@ -535,75 +518,115 @@ def first_survivor_excitation(
         sigma = np.sort(np.append(sigma, rho))
     end = int(np.argmin(np.abs(sigma - rho)))  # node of t_c in its block
     m = sigma.size - 1
-    h = np.diff(sigma) * tau
 
-    # state layout: x and a on the block nodes, y, constant 1
-    ix, ia = np.arange(m + 1), m + 1 + np.arange(m + 1)
-    iy, ione = 2 * m + 2, 2 * m + 3
-    size = 2 * m + 4
+    # state: h on the 2m + 1 nodes of the window [k - 2, k] (block k is
+    # next), the two running sums at k - 2, e^{-G (k - 1)} if excited, 1
+    u = np.concatenate([sigma, 1.0 + sigma[1:]])
+    width = np.diff(u)
+    nh = 2 * m + 1
+    i_r, i_d, i_e = nh, nh + 1, nh + 2
+    one = nh + 2 + int(enter_excited)
+    size = one + 1
     n_lam = lam.size
-    e_lt = np.exp(-lam * tau)
-    flux = lam * e_lt  # survivor flux per unit of x
-    z = lam[:, None] * h[None, :]
-    p1, p2 = _exp_weights(z)
-    w_prev = e_lt[:, None] * z * (p1 - p2)
-    w_next = e_lt[:, None] * z * p2
-    decay = np.exp(-z)
-    q1, q2 = _exp_weights(r * h)
 
-    # rows giving the next block's node values from this block's state
-    x_rows = np.zeros((n_lam, m + 1, size))
-    a_rows = np.zeros((n_lam, m + 1, size))
-    x_rows[:, 0, ix[m]] = 1.0
-    a_rows[:, 0, ia[m]] = 1.0
-    for j in range(m):
-        row = decay[:, j, None] * x_rows[:, j]
-        for k, w in ((j, w_prev[:, j]), (j + 1, w_next[:, j])):
-            row[:, ione] += w  # forcing 1 - a - x at node k
-            row[:, ia[k]] -= w
-            row[:, ix[k]] -= w
-        x_rows[:, j + 1] = row
-        a_rows[:, j + 1] = a_rows[:, j]
-        a_rows[:, j + 1, ix[j]] += flux * h[j] / 2.0
-        a_rows[:, j + 1, ix[j + 1]] += flux * h[j] / 2.0
+    def cells(lo, hi, terms, decay=None):
+        """Weights (lower node, upper node) per row k and cell i of the integral of
+        h(s) sum_(c, a) c_k e^{-a (u[hi_k] - s)} over nodes lo_k..hi_k, exact for h
+        linear between nodes.  With decay = e^{-lam (u[hi_k] - u[i + 1])} per lambda,
+        every rate a becomes lam + a."""
+        inside = (np.arange(nh - 1) >= lo[:, None]) & (np.arange(nh - 1) < hi[:, None])
+        dist = np.where(inside, u[hi, None] - u[1:], 0.0)
+        w_lo = w_hi = 0.0
+        for coef, a in terms:
+            scale = np.where(inside, np.exp(-a * dist) * width, 0.0) * np.reshape(coef, (-1, 1))
+            c_lo, c_hi = _cell_weights((a if decay is None else L[:, None, None] + a) * width)
+            w_lo, w_hi = w_lo + scale * c_lo, w_hi + scale * c_hi
+        if decay is not None:
+            w_lo, w_hi = decay * w_lo, decay * w_hi
+        return w_lo, w_hi
 
-    def y_row(stop: int) -> np.ndarray:
-        """y at node stop of the block, where y(t) = int^t flux x(s) e^{-r (t - s)} ds."""
-        row = np.zeros((n_lam, size))
-        row[:, iy] = math.exp(-r * sigma[stop] * tau)
-        for j in range(stop):
-            g = math.exp(-r * (sigma[stop] - sigma[j + 1]) * tau) * h[j]
-            row[:, ix[j]] += flux * g * (q1[j] - q2[j])
-            row[:, ix[j + 1]] += flux * g * q2[j]
-        return row
+    def rows(w_lo, w_hi):
+        """Cell weights gathered onto the window nodes."""
+        out = np.zeros(np.shape(w_lo)[:-1] + (nh,))
+        out[..., :-1] += w_lo
+        out[..., 1:] += w_hi
+        return out
 
+    # running sums at every node j of the oldest block, as rows on the state
+    j_all = np.arange(m + 1)
+    in_r = rows(*cells(0 * j_all, j_all, [(1.0, R)]))
+    in_g = rows(*cells(0 * j_all, j_all, [(1.0, G)]))
+    run_r = np.zeros((m + 1, size))
+    run_r[:, :nh] = in_r
+    run_r[:, i_r] = np.exp(-R * sigma)
+    run_d = np.zeros((m + 1, size))
+    run_d[:, :nh] = (in_r - in_g) * inv
+    run_d[:, i_r] = D(sigma)
+    run_d[:, i_d] = np.exp(-G * sigma)
+
+    # the lambda-dependent rows: the block map's new nodes 1..m, weighted by
+    # B(w + 1) e^{-lam w}, and the readout, weighted by A(w) e^{-lam w}
+    new = j_all[1:]
+    lo, hi = np.append(new, end), np.append(m + new, m + end)
+    dist = np.maximum(u[hi, None] - u[1:], 0.0)
+    uniq, back = np.unique(dist, return_inverse=True)
+    decay = np.exp(-np.multiply.outer(L, uniq))[:, back.reshape(dist.shape)]
+    coef_r = np.append(np.full(m, b_r * math.exp(-R)), R * inv)
+    coef_g = np.append(np.full(m, b_g * math.exp(-G)), -R * inv)
+    w_lo, w_hi = cells(lo, hi, [(coef_r, R), (coef_g, G)], decay)
+    lam_rows = rows(w_lo, w_hi)
+    near_new, readout_near = lam_rows[:, :m], lam_rows[:, m]
+
+    # block map: h at the new nodes, the window shifted by one block
+    e_l = np.exp(-L)[:, None, None]
+    lel = (L * np.exp(-L))[:, None, None]
+    force = -e_l * ((math.exp(-2.0 * R) + R * D(2.0)) * run_r[new] + (R * math.exp(-2.0 * G)) * run_d[new])
+    force[..., :nh] -= near_new
+    force[..., one] += 1.0
+    if enter_excited:
+        force[..., i_e] -= np.exp(-G * (1.0 + sigma[new]))
     step = np.zeros((n_lam, size, size))
-    step[:, ix] = x_rows
-    step[:, ia] = a_rows
-    step[:, iy] = y_row(m)
-    step[:, ione, ione] = 1.0
+    step[:, : m + 1, m:nh] = np.eye(m + 1)
+    step[:, m + 1 : nh] = lel * force
+    step[:, i_r] = run_r[m]
+    step[:, i_d] = run_d[m]
+    if enter_excited:
+        step[:, i_e, i_e] = math.exp(-G)
+    step[:, one, one] = 1.0
 
-    # readout functional on the state of the block before t_c:
-    # P = a(t_c) - e^{-r tau} y(t_c - tau) + int_0^tau lam e^{-lam u} (1 - e^{-r u}) x(t_c - u) du
-    readout = a_rows[:, end] - math.exp(-r * tau) * y_row(end)
-    unit = np.eye(size)
-    tail = [((sigma[end] - sigma[j]) * tau, x_rows[:, j]) for j in range(end, -1, -1)]
-    tail += [((1.0 + sigma[end] - sigma[j]) * tau, unit[ix[j]]) for j in range(m - 1, end - 1, -1)]
-    for (u0, row0), (u1, row1) in zip(tail, tail[1:]):
-        g = u1 - u0
-        for rate, sign in ((lam, 1.0), (lam + r, -1.0)):
-            s1, s2 = _exp_weights(rate * g)
-            pre = sign * lam * g * np.exp(-rate * u0)
-            readout += (pre * s2)[:, None] * row0 + (pre * (s1 - s2))[:, None] * row1
-
-    # closed-form state of block 1, t in [tau, 2 tau]
-    lts = lam[:, None] * tau * sigma[None, :]
+    # state with the window on blocks 1 and 2; h on block 0 enters in closed form
+    Lc, x = L[:, None], sigma[None, :]
+    coefs = ((b_r, R), (b_g, G))
+    i1 = sum(k * math.exp(-a) * (_conv(0.0, a, x) - exc * _conv(G, a, x)) for k, a in coefs)
+    h1 = Lc * np.exp(-Lc) * (1.0 - exc * np.exp(-G * (1.0 + x)) - Lc * np.exp(-Lc * x) * i1)
+    y = 1.0 - x
+    near0 = Lc * np.exp(-Lc * (1.0 + x)) * sum(
+        k * np.exp(-a * (1.0 + x)) * (_conv(0.0, a, y) - exc * np.exp(-G * x) * _conv(G, a, y))
+        for k, a in coefs
+    )
+    far0 = Lc * np.exp(-Lc) * sum(
+        k * math.exp(-2.0 * a) * (_conv(Lc, a, x) - exc * _conv(Lc + G, a, x)) for k, a in coefs
+    )
+    # block 2 from block 1: the new-node rows, cut to the cells of block 1
+    near1 = np.zeros_like(h1)
+    near1[:, 1:] = np.einsum("lji,li->lj", w_lo[:, :m, m:], h1[:, :-1]) + np.einsum(
+        "lji,li->lj", w_hi[:, :m, m:], h1[:, 1:]
+    )
+    h2 = Lc * np.exp(-Lc) * (1.0 - exc * np.exp(-G * (2.0 + x)) - near0 - near1 - far0)
     state = np.zeros((n_lam, size))
-    state[:, ix] = e_lt[:, None] * (1.0 - lts * np.exp(-lts))
-    state[:, ia] = e_lt[:, None] * -np.expm1(-lts)
-    state[:, iy] = flux * tau * np.exp(-np.minimum(lam, r) * tau) * _exp_weights(np.abs(lam - r) * tau)[0]
-    state[:, ione] = 1.0
+    state[:, : m + 1] = h1
+    state[:, m:nh] = h2  # h at 2 tau ends block 1 and starts block 2
+    sum_r = _conv(L, R, 1.0) - exc * _conv(L + G, R, 1.0)
+    sum_g = _conv(L, G, 1.0) - exc * _conv(L + G, G, 1.0)
+    state[:, i_r] = L * sum_r
+    state[:, i_d] = L * (sum_r - sum_g) * inv
+    if enter_excited:
+        state[:, i_e] = math.exp(-2.0 * G)
+    state[:, one] = 1.0
 
+    # entries below 1e-150 (large lam tau) move no probability, but their
+    # products go subnormal inside the matrix products and halve their speed
+    step[np.abs(step) < 1e-150] = 0.0
     power, todo = step, n - 2
     while todo:
         if todo & 1:
@@ -611,8 +634,15 @@ def first_survivor_excitation(
         todo >>= 1
         if todo:
             power = np.matmul(power, power)
+
+    # readout on the window [n - 1, n + 1], where t_c sits at node m + end
+    readout = e_l[:, 0] * R * (math.exp(-G) * run_d[end] + D(1.0) * run_r[end])
+    readout[:, :nh] += readout_near
+    if enter_excited:
+        readout[:, i_e] += math.exp(-G * rho)
     # rounding in the squarings can leave values ~1e-13 outside [0, 1]
-    return np.clip(np.einsum("ld,ld->l", readout, state), 0.0, 1.0).reshape(shape)
+    p = np.clip(np.einsum("ld,ld->l", readout, state), 0.0, 1.0)
+    return (p * math.exp(-dev.gamma * timing.delta_o)).reshape(shape)
 
 
 def log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
@@ -630,7 +660,6 @@ class CutoffResult:
     n_cutoff: float
     n_grid: np.ndarray
     excitation: np.ndarray
-    stderr: np.ndarray
     peak_value: float
     peak_index: int
 
@@ -639,65 +668,31 @@ def cutoff_photon_number(
     dev: DeviceParams,
     t_c: float,
     n_grid: np.ndarray,
-    replicas: int = 256,
-    rng_seed: int = 0,
-    delta_o: float = 0.0,
-    enter_excited: bool = False,
     window: Optional[SaturationWindow] = None,
-    early_stop_frac: float = 0.2,
 ) -> CutoffResult:
     """Mean photon number where the saturated excitation drops 3 dB.
 
-    Scans the given increasing grid of mean photon numbers, locates the
+    Evaluates the exact survivor_excitation with ground entry over the
+    given increasing grid of mean photon numbers at once, locates the
     maximum, then the first point at or below half the maximum, and
-    interpolates the crossing linearly on log-log axes.
-
-    For gamma = 0 and ground entry the whole grid is evaluated at once by
-    the exact first_survivor_excitation, with zero standard errors, and
-    replicas and rng_seed are not used.  Otherwise each point is a
-    saturated_excitation Monte Carlo estimate, and the scan stops early
-    once the curve has fallen below early_stop_frac of the running
-    maximum (the crossing is already bracketed by then); remaining grid
-    points are reported as NaN.
+    interpolates the crossing linearly on log-log axes.  The curve is
+    taken at t_c: the decay over delta_o is a constant factor and does
+    not move a 3 dB point.
     """
     n_grid = np.asarray(n_grid, dtype=float)
     if n_grid.size < 3 or np.any(np.diff(n_grid) <= 0):
         raise ValueError("n_grid must be increasing with at least 3 points")
-    if dev.gamma == 0.0 and not enter_excited:
-        exc = first_survivor_excitation(n_grid / t_c, t_c, dev, window)
-        se = np.zeros(n_grid.size)
-    else:
-        delta_o_eff = delta_o if delta_o > 0 else t_c * 1e-9
-        timing = CycleTiming(t_c=t_c, delta_o=delta_o_eff, t_w=t_c * 1e-9)
-        exc = np.full(n_grid.size, np.nan)
-        se = np.full(n_grid.size, np.nan)
-        best = 0.0
-        for i, nbar in enumerate(n_grid):
-            est = saturated_excitation(
-                nbar / t_c, timing, dev, enter_excited=enter_excited, replicas=replicas,
-                rng=substream(rng_seed, 0xC0, i), window=window,
-            )
-            exc[i] = est.value
-            se[i] = est.stderr
-            best = max(best, est.value)
-            if best > 0 and est.value <= early_stop_frac * best:
-                break
-    valid = ~np.isnan(exc)
-    peak_index = int(np.nanargmax(exc))
+    timing = CycleTiming(t_c=t_c, delta_o=t_c * 1e-9, t_w=t_c * 1e-9)
+    exc = survivor_excitation(n_grid / t_c, timing, dev, window=window)
+    peak_index = int(np.argmax(exc))
     peak = float(exc[peak_index])
     if peak <= 0:
         raise NotSaturatingError("excitation is zero over the whole sweep")
     half = 0.5 * peak
-    crossing = None
-    for j in range(peak_index + 1, n_grid.size):
-        if not valid[j]:
-            break
-        if exc[j] <= half:
-            crossing = j
-            break
-    if crossing is None:
+    below = np.nonzero(exc[peak_index + 1 :] <= half)[0]
+    if below.size == 0:
         raise NotSaturatingError("no 3 dB drop within the sweep range")
-    j = crossing
+    j = peak_index + 1 + int(below[0])
     x0, x1 = math.log(n_grid[j - 1]), math.log(n_grid[j])
     y0, y1 = math.log(max(exc[j - 1], 1e-300)), math.log(max(exc[j], 1e-300))
     if y0 == y1:
@@ -705,8 +700,7 @@ def cutoff_photon_number(
     else:
         n_cut = math.exp(x0 + (math.log(half) - y0) * (x1 - x0) / (y1 - y0))
     return CutoffResult(
-        n_cutoff=float(n_cut), n_grid=n_grid, excitation=exc, stderr=se,
-        peak_value=peak, peak_index=peak_index,
+        n_cutoff=float(n_cut), n_grid=n_grid, excitation=exc, peak_value=peak, peak_index=peak_index,
     )
 
 

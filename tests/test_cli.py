@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,7 @@ device:
   gamma_rad_per_s: 2pi*1e5
 timing: {t_c_ns: 230.0, delta_o_ns: 35.0, t_w_ns: 48.0}
 environment: {t_e_k: 8.0, nu_hz: 1.0e10, cycles_per_symbol: 16}
-mc: {mc_samples: 3000, n_symbols: 1200, sat_replicas: 600}
+mc: {mc_samples: 3000, n_symbols: 1200}
 sweeps:
   power_dbm: {start: -150.0, stop: -144.0, points: 3, scale: linear}
   mean_photons: {start: 0.1, stop: 2.0, points: 4, scale: log}
@@ -141,6 +142,8 @@ class TestExitCodes:
 
     def test_unknown_key(self, config_file):
         assert run_cli("detect", "--config", str(config_file), "--set", "device.color=red") == 2
+        # the saturated excitation is exact, so it has no replica count
+        assert run_cli("detect", "--config", str(config_file), "--set", "mc.sat_replicas=4096") == 2
 
     @pytest.mark.parametrize(
         "text", ["seed: [1\n", "- 1\n- 2\n", "device: {p0: 2020-01-01}\n"],
@@ -181,6 +184,26 @@ class TestDeterminism:
             ) == 0
             outs.append((out / "miss_sweep" / "miss_sweep.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_saturated_outputs_worker_independent(self, config_file, tmp_path):
+        outs = []
+        for name, workers in (("w1", "1"), ("w2", "2"), ("w1b", "1")):
+            out = tmp_path / name
+            for command in ("saturation-sweep", "rate-sweep"):
+                assert run_cli(
+                    command, "--config", str(config_file), "--out", str(out), "--workers", workers,
+                    "--set", "link.saturation=true",
+                ) == 0
+            outs.append(
+                (out / "saturation_sweep" / "saturation_excitation.csv").read_bytes()
+                + (out / "rate_sweep" / "rate_sweep.csv").read_bytes()
+            )
+        assert outs[0] == outs[1] == outs[2]
+        rows = (out / "saturation_sweep" / "saturation_excitation.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        for line in rows[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert float(row["stderr"]) == 0.0 and int(row["replicas"]) == 0
 
     def test_manifest_hashes_reproducible(self, config_file, tmp_path):
         hashes = []
@@ -234,3 +257,21 @@ class TestFigureExtraction:
         # cutoff-fit pins gamma = 0, so no command can fill a cutoff-versus-gamma figure
         with pytest.raises(ConfigError):
             emit_figure_data(rep, "fig14")
+
+
+def test_saturation_barely_moves_the_rate(tmp_path):
+    # at weak received power the dead-time filter costs almost nothing; a
+    # noisy saturated kernel once read 0.18 bits below the unsaturated rate
+    default = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+    rates = {}
+    for flag in ("false", "true"):
+        out = tmp_path / flag
+        assert run_cli(
+            "rate-sweep", "--config", str(default), "--out", str(out),
+            "--set", "mc.n_symbols=20000", "--set", f"link.saturation={flag}",
+        ) == 0
+        lines = (out / "rate_sweep" / "rate_sweep.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rates[flag] = [float(dict(zip(header, line.split(",")))["rate"]) for line in lines[1:]]
+    gaps = [abs(a - b) for a, b in zip(rates["true"], rates["false"])]
+    assert len(gaps) == 10 and max(gaps) < 0.01, gaps

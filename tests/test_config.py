@@ -146,7 +146,7 @@ class TestExperimentConfig:
     def test_default_yaml_hash_pinned(self):
         # changing this hash must be a deliberate edit: every manifest records it
         assert ExperimentConfig.from_file(DEFAULT_YAML).config_hash() == (
-            "f9b7e21d99c477e1989bc97c9929d224d18d57a93bced002fee0dbabedf0b068"
+            "b936980b55bb1e623bb60f99f83b84d2cb2586bc7c0d3525800df81367c880f3"
         )
 
     def test_hash_stability_and_sensitivity(self):

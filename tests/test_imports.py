@@ -1,4 +1,5 @@
-"""The batch commands run without scipy; only the quadrature routes load it.
+"""The batch commands run without scipy, and without multiprocessing at one
+worker; only the quadrature routes load scipy.
 
 Each case starts a fresh interpreter, since the pytest process has
 already imported scipy through other test modules.
@@ -17,7 +18,6 @@ DEFAULT_YAML = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 SMALL = [
     "mc.mc_samples=2000",
     "mc.n_symbols=1000",
-    "mc.sat_replicas=200",
     "environment.cycles_per_symbol=16",
     "sweeps.power_dbm={start: -150.0, stop: -146.0, points: 2, scale: linear}",
     "sweeps.mean_photons={start: 0.1, stop: 2.0, points: 3, scale: log}",
@@ -41,7 +41,7 @@ for command in commands:
         argv += ["--set", item]
     codes[command] = cli.main(argv)
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy}))
+print(json.dumps({"codes": codes, "scipy": scipy, "futures": "concurrent.futures" in sys.modules}))
 """
 
 
@@ -60,6 +60,7 @@ def test_batch_commands_never_load_scipy(tmp_path):
     got = _run_fresh(commands, tmp_path / "out")
     assert got["codes"] == {c: 0 for c in commands}, got["stderr"]
     assert got["scipy"] == []
+    assert not got["futures"]  # the process pool is imported only for --workers > 1
 
 
 def test_pulse_sweep_loads_scipy_locally(tmp_path):

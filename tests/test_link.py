@@ -188,7 +188,7 @@ class TestCycleKernel:
     def test_matches_mc_detector(self):
         # pinned comparison at reference parameters and -150 dBm equivalent
         cfg = ref_link_cfg()
-        spec = cfg.build_spec(-150.0, seed=13)
+        spec = cfg.build_spec(-150.0)
         for sym, kern in ((0, spec.kernel0), (1, spec.kernel1)):
             for entry, flag in ((0, False), (1, True)):
                 st = mc_detector(kern.rate, TIMING, cfg.dev, enter_excited=flag, replicas=300_000,
@@ -199,12 +199,12 @@ class TestCycleKernel:
 
 class TestHmmSpec:
     def test_transition_rows_sum(self):
-        spec = ref_link_cfg().build_spec(-148.3, seed=1)
+        spec = ref_link_cfg().build_spec(-148.3)
         assert np.allclose(spec.transition.sum(axis=1), 1.0, atol=1e-12)
         assert spec.initial.sum() == pytest.approx(1.0)
 
     def test_block_emission_n1_is_cycle_marginal(self):
-        base = ref_link_cfg().build_spec(-148.3, seed=2)
+        base = ref_link_cfg().build_spec(-148.3)
         spec = HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=1)
         probs, frames = spec.enumerate_block_probs()
         for sym, kern in ((0, base.kernel0), (1, base.kernel1)):
@@ -225,13 +225,13 @@ class TestHmmSpec:
             assert probs[idx_000, 2 * level + 0] == pytest.approx(1.0)
 
     def test_emission_normalization_n4(self):
-        spec_base = ref_link_cfg().build_spec(-148.3, seed=3)
+        spec_base = ref_link_cfg().build_spec(-148.3)
         spec = HmmSpec(kernel0=spec_base.kernel0, kernel1=spec_base.kernel1, n_cycles=4)
         probs, _ = spec.enumerate_block_probs()
         assert np.abs(probs.sum(axis=0) - 1.0).max() < 1e-12
 
     def test_stats_path_equals_matrix_path(self):
-        base = ref_link_cfg().build_spec(-148.3, seed=4)
+        base = ref_link_cfg().build_spec(-148.3)
         spec = HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=9)
         rng = substream(41, 0)
         frames = (rng.random((200, 9)) < 0.4).astype(np.int64)
@@ -261,14 +261,14 @@ class TestSimulateLink:
         assert np.array_equal(run.n1, 5 * run.symbols.astype(np.int64))
 
     def test_stats_match_frames(self):
-        spec = ref_link_cfg(n=12).build_spec(-146.0, seed=5)
+        spec = ref_link_cfg(n=12).build_spec(-146.0)
         run = simulate_link(spec, 2000, substream(41, 2), mode="physical", store_frames=True)
         for got, want in zip(frame_statistics(run.frames), (run.b1, run.bn, run.n1, run.n11)):
             assert np.array_equal(got, want)
 
     def test_modes_agree_in_distribution(self):
         # two-sample chi-square over the 16 possible frames of a 4-cycle symbol
-        spec = ref_link_cfg(n=4).build_spec(-140.0, seed=6)
+        spec = ref_link_cfg(n=4).build_spec(-140.0)
         n_sym = 100_000
         runs = {
             mode: simulate_link(spec, n_sym, substream(41, 3, i), mode=mode, store_frames=True)
@@ -285,17 +285,17 @@ class TestSimulateLink:
 
     def test_zero_signal_symbol_conditionals_identical(self):
         cfg = ref_link_cfg(n=6)
-        spec = cfg.build_spec(-math.inf, seed=7)
+        spec = cfg.build_spec(-math.inf)
         assert np.allclose(spec.kernel0.bit_given_entry, spec.kernel1.bit_given_entry)
 
     def test_rejects_bad_mode(self):
-        spec = ref_link_cfg(n=2).build_spec(-150.0, seed=8)
+        spec = ref_link_cfg(n=2).build_spec(-150.0)
         with pytest.raises(ValueError):
             simulate_link(spec, 10, substream(41, 4), mode="exact")
 
     @pytest.mark.parametrize("mode", ["physical", "hmm"])
     def test_single_cycle_frames(self, mode):
-        spec = ref_link_cfg(n=1).build_spec(-140.0, seed=9)
+        spec = ref_link_cfg(n=1).build_spec(-140.0)
         run = simulate_link(spec, 3000, substream(41, 13), mode=mode, store_frames=True)
         assert run.frames.shape == (3000, 1)
         assert np.array_equal(run.frames[:, 0], run.b1)
@@ -306,7 +306,7 @@ class TestSimulateLink:
 
 def ref_kernels():
     """The kernels of the reference link at -146 dBm."""
-    spec = ref_link_cfg(800).build_spec(-146.0, seed=5)
+    spec = ref_link_cfg(800).build_spec(-146.0)
     return spec.kernel0, spec.kernel1
 
 
@@ -365,7 +365,7 @@ class TestFrameStatsLaw:
         # exact-law sampler against the cycle-stepping one; 12 cases at
         # p > 1e-3 give a family-wise false-alarm rate of about 1.2 %
         n, m = 800, 60_000
-        spec = ref_link_cfg(n).build_spec(power, seed=6)
+        spec = ref_link_cfg(n).build_spec(power)
         run = simulate_link(spec, m, substream(42, 1, int(-power)), mode=mode)
         ref = loop_simulate_link(spec, m, substream(42, 2, int(-power)), mode, draw_stats=coupled_chain_stats)
         samples = [(run.symbols, run.b1, run.bn, run.n1, run.n11),
@@ -416,7 +416,7 @@ class TestViterbi:
         assert np.array_equal(decoded, run.symbols)
 
     def test_single_symbol_equals_map(self):
-        base = ref_link_cfg(n=3).build_spec(-145.0, seed=9)
+        base = ref_link_cfg(n=3).build_spec(-145.0)
         rng = substream(41, 6)
         for _ in range(30):
             frame = (rng.random((1, 3)) < 0.5).astype(np.int64)
@@ -426,7 +426,7 @@ class TestViterbi:
             assert got == want
 
     def test_matches_exhaustive_map_short_sequences(self):
-        base = ref_link_cfg(n=2).build_spec(-145.0, seed=10)
+        base = ref_link_cfg(n=2).build_spec(-145.0)
         rng = substream(41, 7)
         log_a = np.log(base.transition)
         log_pi = np.log(base.initial + 1e-300)
@@ -444,7 +444,7 @@ class TestViterbi:
 
 class TestForwardAndRate:
     def test_total_probability_small(self):
-        base = ref_link_cfg(n=3).build_spec(-148.0, seed=11)
+        base = ref_link_cfg(n=3).build_spec(-148.0)
         total = 0.0
         for seq in itertools.product(range(8), repeat=2):
             frames = ((np.array(seq)[:, None] >> np.arange(3)[None, ::-1]) & 1).astype(np.int64)
@@ -460,13 +460,13 @@ class TestForwardAndRate:
 
     def test_zero_signal_zero_rate(self):
         cfg = ref_link_cfg(n=50)
-        spec = cfg.build_spec(-math.inf, seed=12)
+        spec = cfg.build_spec(-math.inf)
         run = simulate_link(spec, 4000, substream(41, 9), mode="hmm")
         mi = mutual_information(spec, run, burn_in=50)
         assert mi.value <= 2 * mi.stderr + 1e-9
 
     def test_conditional_rejects_symbols_outside_0_1(self):
-        spec = ref_link_cfg(n=4).build_spec(-150.0, seed=14)
+        spec = ref_link_cfg(n=4).build_spec(-150.0)
         run = simulate_link(spec, 50, substream(41, 12), mode="hmm")
         for bad in (-1, 2):
             symbols = run.symbols.astype(np.int64)
@@ -475,7 +475,7 @@ class TestForwardAndRate:
                 conditional_forward_loglik(spec, run, symbols)
 
     def test_rate_bounded_by_observation_entropy(self):
-        spec = ref_link_cfg(n=40).build_spec(-152.0, seed=13)
+        spec = ref_link_cfg(n=40).build_spec(-152.0)
         run = simulate_link(spec, 3000, substream(41, 10), mode="hmm")
         inc_o = forward_loglik(spec, run)
         inc_os = conditional_forward_loglik(spec, run, run.symbols)
@@ -523,7 +523,7 @@ class TestPhysicalVsHmmBer:
         n_sym = 30_000
         bers = {}
         for i, mode in enumerate(("hmm", "physical")):
-            spec = cfg.build_spec(-151.5, seed=17)
+            spec = cfg.build_spec(-151.5)
             run = simulate_link(spec, n_sym, substream(41, 11, i), mode=mode)
             decoded = viterbi_decode(spec, run)
             errors = int((decoded != run.symbols).sum())
@@ -546,7 +546,7 @@ class TestScansMatchLoops:
     def test_simulate_and_viterbi_at_benchmark_points(self, mode):
         cfg = ref_link_cfg(800)
         for idx, power in enumerate(self.POWERS):
-            spec = cfg.build_spec(power, seed=1, key=(0xBE, idx))
+            spec = cfg.build_spec(power)
             for seed in (1, 2, 3, 4):
                 run = simulate_link(spec, 17_500, substream(seed, 0xBE, idx, 1), mode=mode)
                 ref = loop_simulate_link(spec, 17_500, substream(seed, 0xBE, idx, 1), mode)
@@ -559,7 +559,7 @@ class TestScansMatchLoops:
     @pytest.mark.parametrize("m", [1, 2, 3, 65537])
     @pytest.mark.parametrize("mode", ["physical", "hmm"])
     def test_all_scans_at_lengths(self, m, mode):
-        spec = ref_link_cfg(12).build_spec(-144.0, seed=2)
+        spec = ref_link_cfg(12).build_spec(-144.0)
         run = simulate_link(spec, m, substream(41, 20, m), mode=mode)
         ref = loop_simulate_link(spec, m, substream(41, 20, m), mode)
         for name, want in ref.items():
@@ -583,7 +583,7 @@ class TestScansMatchLoops:
         dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5,
                            p_reset_g=resets[0], p_reset_e=resets[1])
         cfg = LinkConfig(dev=dev, timing=TIMING, env=Environment(t_e=8.0, nu=1e10, cycles_per_symbol=n))
-        spec = cfg.build_spec(-146.0, seed=4)
+        spec = cfg.build_spec(-146.0)
         run = simulate_link(spec, 3000, substream(41, 23), mode=mode)
         ref = loop_simulate_link(spec, 3000, substream(41, 23), mode)
         for name, want in ref.items():
@@ -597,7 +597,7 @@ class TestScansMatchLoops:
     def test_forward_recursions_at_benchmark_points(self):
         cfg = ref_link_cfg(800)
         for idx, power in enumerate(self.POWERS):
-            spec = cfg.build_spec(power, seed=1, key=(0xEA, idx))
+            spec = cfg.build_spec(power)
             run = simulate_link(spec, 5000, substream(1, 0xEA, idx, 1), mode="hmm")
             emis = _emissions_for(spec, run)
             assert np.abs(forward_loglik(spec, run) - loop_forward(spec, emis)).max() < 1e-9
@@ -606,7 +606,7 @@ class TestScansMatchLoops:
 
     def test_viterbi_ties_at_zero_signal(self):
         # identical kernels: every step ties between the two symbols
-        spec = ref_link_cfg(50).build_spec(-math.inf, seed=3)
+        spec = ref_link_cfg(50).build_spec(-math.inf)
         run = simulate_link(spec, 20_000, substream(41, 21), mode="physical")
         decoded = viterbi_decode(spec, run)
         assert np.array_equal(decoded, loop_viterbi(spec, _emissions_for(spec, run)))

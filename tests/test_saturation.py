@@ -17,17 +17,17 @@ from photonlink.saturation import (
     delta_lambda,
     filter_survivors,
     find_lambda0,
-    first_survivor_excitation,
     fit_cutoff_curve,
     log_grid,
     poisson_weighted_moments,
     saturated_excitation,
-    saturation_gap,
+    survivor_excitation,
     survivor_mask,
     survivor_moments_given_count,
     survivor_moments_poisson,
 )
-from photonlink.validate import cutoff_law, first_survivor_z
+from photonlink.detection import excitation_ctmc
+from photonlink.validate import cutoff_law, survivor_excitation_z
 
 
 class TestFilter:
@@ -205,10 +205,11 @@ class TestSaturatedExcitation:
         assert est.value == 0.0
 
     def test_low_power_gap_negligible(self, ref_dev):
+        # exact on both sides: far inside two Monte Carlo standard errors at 150k replicas
         lam = 0.05 / self.TIMING.t_c
-        gap, sat = saturation_gap(lam, self.TIMING, ref_dev, replicas=150_000, rng=substream(31, 4))
-        unpaired_se = math.sqrt(sat.value * (1 - sat.value) / 150_000)
-        assert abs(gap.value) + 2 * gap.stderr < 2 * unpaired_se
+        sat = float(survivor_excitation(lam, self.TIMING, ref_dev))
+        gap = excitation_ctmc(lam, self.TIMING, ref_dev) - sat
+        assert abs(gap) < 2 * math.sqrt(sat * (1 - sat) / 150_000)
 
     def test_decreases_after_plateau(self, ref_dev):
         means = [1.0, 10.0, 20000.0]
@@ -238,31 +239,75 @@ class TestSaturatedExcitation:
 
 
 class TestFirstSurvivorExcitation:
-    T_C = 230e-9
+    """survivor_excitation, the exact saturated excitation; at gamma = 0 with
+    ground entry it is the first-survivor delay-renewal solution."""
 
-    def dev(self, kappa_tc):
-        return DeviceParams(kappa=kappa_tc / self.T_C, gamma=0.0)
+    T_C = 230e-9
+    TIMING = CycleTiming(T_C, T_C * 1e-9, T_C * 1e-9)
+
+    def dev(self, kappa_tc, gamma_tc=0.0):
+        return DeviceParams(kappa=kappa_tc / self.T_C, gamma=gamma_tc / self.T_C)
 
     def test_matches_monte_carlo(self):
         # shoulder of the plateau, 3 dB point and tail at three window sizes;
         # the top of the plateau is left out because nearly every replica
         # reads 1 there and the Monte Carlo spread is degenerate
         points = [
-            (ktc, nbar, int(min(8000, 4e7 / nbar)))
+            (ktc, nbar, int(min(8000, 4e7 / nbar)), 0.0, False)
             for ktc in (1e2, 1e3, 1e4)
             for nbar in (5.0, cutoff_law(ktc), 1.2 * cutoff_law(ktc))
         ]
-        assert first_survivor_z(points, seed=31) < 4.0
+        assert survivor_excitation_z(points, seed=31) < 4.0
 
     def test_step_halving(self):
-        for ktc in (1e2, 10**2.5, 1e3, 1e4, 1e5):
-            lam = np.geomspace(0.5, 3.0 * cutoff_law(ktc), 60) / self.T_C
-            coarse = first_survivor_excitation(lam, self.T_C, self.dev(ktc))
-            fine = first_survivor_excitation(lam, self.T_C, self.dev(ktc), cells_per_tau=32)
-            assert np.abs(coarse - fine).max() <= 1e-5
+        for gamma_tc, entry in ((0.0, False), (2.0, False), (2.0, True), (30.0, True)):
+            for ktc in (1e2, 10**2.5, 1e3, 1e4, 1e5):
+                lam = np.geomspace(0.5, 3.0 * cutoff_law(ktc), 60) / self.T_C
+                dev = self.dev(ktc, gamma_tc)
+                coarse = survivor_excitation(lam, self.TIMING, dev, enter_excited=entry)
+                fine = survivor_excitation(lam, self.TIMING, dev, enter_excited=entry, cells_per_tau=32)
+                assert np.abs(coarse - fine).max() <= 1e-5, (gamma_tc, entry, ktc)
+
+    def test_continuous_across_gamma_equal_r(self):
+        # B and A have a removable 0/0 at gamma = kappa/4
+        for ktc in (1e2, 1e3):
+            lam = np.geomspace(0.5, 3.0 * cutoff_law(ktc), 20) / self.T_C
+            for entry in (False, True):
+                lo, mid, hi = (
+                    survivor_excitation(lam, self.TIMING, self.dev(ktc, ktc / 4 * f), enter_excited=entry)
+                    for f in (1 - 1e-4, 1.0, 1 + 1e-4)
+                )
+                assert np.all(np.isfinite(mid))
+                assert np.abs(hi - lo).max() < 1e-4
+                assert np.abs(mid - (lo + hi) / 2).max() < 1e-7
+
+    def test_vanishing_window_is_the_unsaturated_chain(self):
+        # tau -> 0 at t_c / tau = 1e6: ground entry is excitation_ctmc, excited
+        # entry the G -> A -> E -> G chain started in E
+        from scipy.linalg import expm
+
+        window = SaturationWindow(self.T_C / 1e6)
+        timing = CycleTiming(self.T_C, 35e-9, 48e-9)
+        lam = np.geomspace(0.01, 3.0, 7) / self.T_C
+        for gamma_tc in (0.0, 3.0, 30.0):
+            dev = self.dev(1e3, gamma_tc)
+            ground = survivor_excitation(lam, timing, dev, window=window)
+            assert np.abs(ground - excitation_ctmc(lam, timing, dev)).max() < 1e-5
+            excited = survivor_excitation(lam, timing, dev, enter_excited=True, window=window)
+            r, g = dev.transition_rate, dev.gamma
+            chain = [
+                expm(np.array([[-x, x, 0.0], [0.0, -r, r], [g, 0.0, -g]]) * self.T_C)[2, 2]
+                * math.exp(-g * timing.delta_o)
+                for x in lam
+            ]
+            assert np.abs(excited - chain).max() < 1e-5
 
     def test_zero_rate(self):
-        assert first_survivor_excitation(0.0, self.T_C, self.dev(1e3)) == 0.0
+        assert survivor_excitation(0.0, self.TIMING, self.dev(1e3)) == 0.0
+        timing = CycleTiming(self.T_C, 35e-9, 48e-9)
+        dev = self.dev(1e3, 3.0)
+        expect = math.exp(-dev.gamma * timing.t_obs)
+        assert float(survivor_excitation(0.0, timing, dev, enter_excited=True)) == pytest.approx(expect, rel=1e-12)
 
     def test_low_rate_limit(self):
         # to first order in lam every photon survives and arms the detector:
@@ -272,7 +317,7 @@ class TestFirstSurvivorExcitation:
             lam = 1e-5 / self.T_C
             r = dev.transition_rate
             first_order = lam * self.T_C + lam * math.expm1(-r * self.T_C) / r
-            got = float(first_survivor_excitation(lam, self.T_C, dev))
+            got = float(survivor_excitation(lam, self.TIMING, dev))
             assert abs(got / first_order - 1.0) < 1e-4
 
     def test_continuous_across_whole_blocks(self):
@@ -281,42 +326,51 @@ class TestFirstSurvivorExcitation:
         lam = np.array([5.0, 400.0, 1000.0]) / self.T_C
         for blocks in (100, 1001, 8193):
             tau = self.T_C / blocks
-            vals = [
-                first_survivor_excitation(lam, self.T_C * (1 + eps), self.dev(1e3), SaturationWindow(tau))
-                for eps in (-1e-7, 0.0, 1e-7)
-            ]
-            assert np.abs(vals[0] - vals[1]).max() < 1e-6
-            assert np.abs(vals[2] - vals[1]).max() < 1e-6
+            for gamma_tc, entry in ((0.0, False), (3.0, True)):
+                vals = [
+                    survivor_excitation(
+                        lam, CycleTiming(self.T_C * (1 + eps), 35e-9, 48e-9), self.dev(1e3, gamma_tc),
+                        enter_excited=entry, window=SaturationWindow(tau),
+                    )
+                    for eps in (-1e-7, 0.0, 1e-7)
+                ]
+                assert np.abs(vals[0] - vals[1]).max() < 1e-6
+                assert np.abs(vals[2] - vals[1]).max() < 1e-6
 
     def test_vectorised_matches_pointwise(self):
         lam = np.geomspace(1.0, 2e4, 9) / self.T_C
-        vec = first_survivor_excitation(lam, self.T_C, self.dev(1e3))
-        assert vec.shape == lam.shape
-        point = [float(first_survivor_excitation(x, self.T_C, self.dev(1e3))) for x in lam]
-        assert vec.tolist() == point
+        for entry in (False, True):
+            dev = self.dev(1e3, 2.0)
+            vec = survivor_excitation(lam, self.TIMING, dev, enter_excited=entry)
+            assert vec.shape == lam.shape
+            point = [float(survivor_excitation(x, self.TIMING, dev, enter_excited=entry)) for x in lam]
+            assert vec.tolist() == point
 
     def test_extreme_window_and_rate(self):
         lam = np.array([0.5, 5e3, 5e5, 5e6]) / self.T_C
-        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
-            warnings.simplefilter("error")
-            vals = first_survivor_excitation(lam, self.T_C, self.dev(1e5))
-        assert np.all(np.isfinite(vals))
-        assert np.all((vals >= 0.0) & (vals <= 1.0))
-        assert vals[-1] < 1e-12 < vals[1]
+        dev = self.dev(1e5, 2.0)
+        for entry in (False, True):
+            with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+                warnings.simplefilter("error")
+                vals = survivor_excitation(lam, self.TIMING, dev, enter_excited=entry)
+            assert np.all(np.isfinite(vals))
+            assert np.all((vals >= 0.0) & (vals <= 1.0))
+            # at the top rate only an excited entry that has not yet decayed is left
+            left = math.exp(-dev.gamma * self.TIMING.t_obs) if entry else 0.0
+            assert abs(vals[-1] - left) < 1e-12 < vals[1] - left
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            first_survivor_excitation(-1.0, self.T_C, self.dev(1e3))
+            survivor_excitation(-1.0, self.TIMING, self.dev(1e3))
         with pytest.raises(ValueError):
-            first_survivor_excitation(1.0, self.T_C, self.dev(1e3), cells_per_tau=0)
+            survivor_excitation(1.0, self.TIMING, self.dev(1e3), cells_per_tau=0)
 
     def test_drives_gamma0_cutoff_scan(self):
-        # gamma = 0 with ground entry is scanned exactly and noise-free
+        # the cutoff scan evaluates the exact curve over its whole grid
         grid = log_grid(1.0, 3000.0, 12)
         res = cutoff_photon_number(self.dev(100.0), self.T_C, grid)
-        expect = first_survivor_excitation(grid / self.T_C, self.T_C, self.dev(100.0))
+        expect = survivor_excitation(grid / self.T_C, self.TIMING, self.dev(100.0))
         assert res.excitation.tolist() == expect.tolist()
-        assert not np.any(res.stderr)
 
 
 class TestCutoff:
@@ -324,14 +378,14 @@ class TestCutoff:
         # inject a known monotone-decreasing curve halving at n = 100
         from photonlink import saturation as sat
 
-        def fake(lam, t_c, dev, window=None, **kw):
-            nbar = np.asarray(lam) * t_c
+        def fake(lam, timing, dev, window=None, **kw):
+            nbar = np.asarray(lam) * timing.t_c
             return 1.0 / (1.0 + nbar / 100.0)
 
-        monkeypatch.setattr(sat, "first_survivor_excitation", fake)
+        monkeypatch.setattr(sat, "survivor_excitation", fake)
         dev = DeviceParams(kappa=1e9, gamma=0.0)
         grid = log_grid(1.0, 1e4, 40)
-        res = sat.cutoff_photon_number(dev, 230e-9, grid, replicas=16, rng_seed=1)
+        res = sat.cutoff_photon_number(dev, 230e-9, grid)
         step = grid[1] / grid[0]
         assert 100.0 / step <= res.n_cutoff <= 100.0 * step
 
@@ -339,33 +393,29 @@ class TestCutoff:
         from photonlink import saturation as sat
 
         monkeypatch.setattr(
-            sat, "first_survivor_excitation",
-            lambda lam, t_c, dev, window=None, **kw: np.full(np.shape(lam), 0.8),
+            sat, "survivor_excitation",
+            lambda lam, timing, dev, window=None, **kw: np.full(np.shape(lam), 0.8),
         )
         dev = DeviceParams(kappa=1e9, gamma=0.0)
         with pytest.raises(NotSaturatingError):
-            sat.cutoff_photon_number(dev, 230e-9, log_grid(1.0, 100.0, 10), replicas=16)
+            sat.cutoff_photon_number(dev, 230e-9, log_grid(1.0, 100.0, 10))
 
     def test_real_small_scan(self):
         dev = DeviceParams(kappa=100.0 / 230e-9, gamma=0.0)
         grid = log_grid(1.0, 3000.0, 12)
-        res = cutoff_photon_number(dev, 230e-9, grid, replicas=256, rng_seed=5)
+        res = cutoff_photon_number(dev, 230e-9, grid)
         # reference-scale sanity: fit predicts ~266 at kappa*t_c = 100
         assert 150.0 < res.n_cutoff < 450.0
 
     def test_gamma_barely_moves_cutoff(self):
         # the qubit decay rate has little effect on the 3 dB point: a
         # tenfold gamma increase moves the cutoff by about 11% here
-        # (measured 10.5% at kappa*t_c = 1445 with high statistics)
         t_c = 230e-9
         grid = log_grid(30.0, 10000.0, 24)
         cutoffs = []
-        for i, gamma in enumerate(2 * np.pi * np.array([1e5, 2e5, 4e5, 1e6])):
+        for gamma in 2 * np.pi * np.array([1e5, 2e5, 4e5, 1e6]):
             dev = DeviceParams(kappa=1000.0 / t_c, gamma=gamma)
-            res = cutoff_photon_number(
-                dev, t_c, grid, replicas=512, rng_seed=7 + i, delta_o=35e-9
-            )
-            cutoffs.append(res.n_cutoff)
+            cutoffs.append(cutoff_photon_number(dev, t_c, grid).n_cutoff)
         spread = (max(cutoffs) - min(cutoffs)) / min(cutoffs)
         assert sorted(cutoffs, reverse=True) == cutoffs  # monotone in gamma
         assert spread < 0.15
