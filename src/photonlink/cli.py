@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, detection, figures, link, saturation, validate
+from . import __version__, detection, figures, link, saturation
 from .config import ExperimentConfig, apply_overrides, read_config_file
 from .errors import ConfigError, NumericsError
 from .physics import (
@@ -42,14 +42,14 @@ COMMANDS = (
 
 
 def _parallel_map(fn, payloads, workers: int) -> list:
-    """Order-preserving map; results never depend on the worker count."""
+    """fn(*args) for each args tuple of payloads, in order; results never depend on the worker count."""
     items = list(payloads)
     if workers <= 1 or len(items) <= 1:
-        return [fn(p) for p in items]
+        return [fn(*args) for args in items]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only workers > 1 need it
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *zip(*items)))
 
 
 def _sha256(path: Path) -> str:
@@ -109,8 +109,7 @@ def cmd_detect(cfg: ExperimentConfig, runner: _Runner) -> int:
     return 0
 
 
-def _pulse_point(args) -> dict:
-    cfg, l, kappa, gamma = args
+def _pulse_point(cfg: ExperimentConfig, l: float, kappa: float, gamma: float) -> dict:
     dev = dataclasses.replace(cfg.device, kappa=kappa, gamma=gamma)
     pulse = dataclasses.replace(cfg.pulse, l=l)
     p_exc = single_photon_excitation(pulse, pulse.t_i, dev)
@@ -161,30 +160,26 @@ def _link_cfg(cfg: ExperimentConfig) -> link.LinkConfig:
     )
 
 
-def _ber_point(args) -> dict:
-    lcfg, power, n_symbols, seed, idx, mode = args
-    return link.ber_point(lcfg, power, n_symbols, seed, idx, mode)
+def _link_sweep(cfg: ExperimentConfig, runner: _Runner, metric: str, point, figure_id: str, *extra) -> None:
+    """Write <metric>_sweep.csv and its figure.
 
-
-def _rate_point(args) -> dict:
-    lcfg, power, n_symbols, seed, idx, mode = args
-    return link.rate_point(lcfg, power, n_symbols, seed, idx, mode)
+    Each power of the grid gives one row, point(link config, power,
+    n_symbols, seed, grid index, *extra).
+    """
+    lcfg = _link_cfg(cfg)
+    powers = cfg.axis("power_dbm")
+    payloads = [(lcfg, float(p), cfg.mc.n_symbols, cfg.seed, i, *extra) for i, p in enumerate(powers)]
+    report = link._link_report(metric)
+    for row in _parallel_map(point, payloads, cfg.workers):
+        report.append(**row)
+    runner.write_report(report, f"{metric}_sweep.csv")
+    runner.write_figure(report, figure_id)
 
 
 def cmd_ber_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
-    lcfg = _link_cfg(cfg)
-    powers = cfg.axis("power_dbm")
-    payloads = [
-        (lcfg, float(p), cfg.mc.n_symbols, cfg.seed, i, cfg.link.mode) for i, p in enumerate(powers)
-    ]
-    rows = _parallel_map(_ber_point, payloads, cfg.workers)
-    report = link._link_report("ber")
-    for row in rows:
-        report.append(**row)
-    runner.write_report(report, "ber_sweep.csv")
-    runner.write_figure(report, "fig9")
+    _link_sweep(cfg, runner, "ber", link.ber_point, "fig9", cfg.link.mode)
     if cfg.link.dump_frames:
-        spec = lcfg.build_spec(float(powers[0]))
+        spec = _link_cfg(cfg).build_spec(float(cfg.axis("power_dbm")[0]))
         run = link.simulate_link(
             spec, min(cfg.mc.n_symbols, 1000), substream(cfg.seed, 0xBE, 0, 1),
             mode=cfg.link.mode, store_frames=True,
@@ -195,17 +190,7 @@ def cmd_ber_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
 
 
 def cmd_rate_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
-    lcfg = _link_cfg(cfg)
-    powers = cfg.axis("power_dbm")
-    payloads = [
-        (lcfg, float(p), cfg.mc.n_symbols, cfg.seed, i, "hmm") for i, p in enumerate(powers)
-    ]
-    rows = _parallel_map(_rate_point, payloads, cfg.workers)
-    report = link._link_report("rate")
-    for row in rows:
-        report.append(**row)
-    runner.write_report(report, "rate_sweep.csv")
-    runner.write_figure(report, "fig10")
+    _link_sweep(cfg, runner, "rate", link.rate_point, "fig10")
     return 0
 
 
@@ -260,8 +245,7 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     return 0
 
 
-def _cutoff_point(args) -> dict:
-    cfg, kappa_tc = args
+def _cutoff_point(cfg: ExperimentConfig, kappa_tc: float) -> dict:
     t_c = cfg.timing.t_c
     dev = DeviceParams(kappa=kappa_tc / t_c, gamma=0.0, alpha_sat=cfg.device.alpha_sat)
     result = scan_cutoff(
@@ -327,6 +311,8 @@ def cmd_cutoff_fit(cfg: ExperimentConfig, runner: _Runner) -> int:
 
 
 def cmd_validate(cfg: ExperimentConfig, runner: _Runner, level: str = "quick") -> int:
+    from . import validate  # only this command needs the oracle battery
+
     results = validate.run_checks(level=level, seed=cfg.seed)
     failed = [r for r in results if not r.passed]
     for r in results:

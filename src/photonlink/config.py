@@ -42,20 +42,25 @@ _TWO_PI_RE = re.compile(r"^\s*2\s*pi\s*\*\s*(.+)$", re.IGNORECASE)
 
 
 def parse_quantity(value, key: str = "") -> float:
-    """Parse a numeric config value; strings may use the 2pi* prefix."""
+    """Parse a numeric config value; strings may use the 2pi* prefix.
+
+    NaN and +inf are rejected.  -inf is kept: as a power in dBm it means
+    the carrier is off.
+    """
     if isinstance(value, bool):
         raise ConfigError(f"{key}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        m = _TWO_PI_RE.match(value)
-        try:
-            if m:
-                return 2.0 * math.pi * float(m.group(1))
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse {value!r} as a number") from None
-    raise ConfigError(f"{key}: expected a number, got {type(value).__name__}")
+    if not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{key}: expected a number, got {type(value).__name__}")
+    m = _TWO_PI_RE.match(value) if isinstance(value, str) else None
+    try:
+        x = 2.0 * math.pi * float(m.group(1)) if m else float(value)
+    except ValueError:
+        raise ConfigError(f"{key}: cannot parse {value!r} as a number") from None
+    except OverflowError:  # an integer beyond the float range reads as an infinity, as 1e400 does
+        x = math.inf if value > 0 else -math.inf
+    if math.isnan(x) or x == math.inf:
+        raise ConfigError(f"{key}: {value!r} is not a finite number")
+    return x
 
 
 def _int(value, key: str) -> int:
@@ -206,8 +211,10 @@ class GridAxis:
         points = _int(d["points"], f"{where}.points")
         if points < 1:
             raise ConfigError(f"{where}: points must be >= 1")
-        start = parse_quantity(d["start"], where)
-        stop = parse_quantity(d["stop"], where)
+        start = parse_quantity(d["start"], f"{where}.start")
+        stop = parse_quantity(d["stop"], f"{where}.stop")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(f"{where}: range endpoints must be finite, got {start} and {stop}")
         if scale == "log" and (start <= 0 or stop <= 0):
             raise ConfigError(f"{where}: log axis needs positive endpoints")
         return cls(start=start, stop=stop, points=points, scale=scale)

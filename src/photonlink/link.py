@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -42,15 +42,14 @@ __all__ = [
     "LinkRun",
     "LinkConfig",
     "build_cycle_kernel",
-    "build_hmm",
     "simulate_link",
     "viterbi_decode",
     "forward_loglik",
     "conditional_forward_loglik",
     "mutual_information",
-    "estimate_ber",
-    "estimate_rate",
     "wilson_stderr",
+    "ber_point",
+    "rate_point",
     "LINK_SWEEP_COLUMNS",
 ]
 
@@ -400,10 +399,7 @@ class LinkRun:
     bn: np.ndarray
     n1: np.ndarray
     n11: np.ndarray
-    mode: str
-    seed_key: tuple
     frames: Optional[np.ndarray] = None
-    decoded: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return int(self.symbols.size)
@@ -466,8 +462,6 @@ def simulate_link(
         bn=bn[pick, cols].astype(np.int8),
         n1=n1[pick, cols],
         n11=n11[pick, cols],
-        mode=mode,
-        seed_key=(),
     )
     if store_frames:
         run.frames = _compose_frames(run.b1, run.bn, run.n1, run.n11, spec.n_cycles, rng)
@@ -582,15 +576,29 @@ def _scan_chunk(steps: np.ndarray, carry: np.ndarray, plus, times, rescale):
     return before, rescale(after[:, -1:])[:, 0]
 
 
-def viterbi_decode(spec: HmmSpec, run_or_frames) -> np.ndarray:
-    """Maximum a posteriori state path; returns the decoded symbol bits.
+def _checked_emissions(emis) -> np.ndarray:
+    """The emission table of a recursion: log P(o_t | state), shape (m, 4) with m >= 1.
+
+    HmmSpec.emission_loglik_stats builds it from a run's frame statistics,
+    HmmSpec.block_emission_logprob from raw frames.
+    """
+    emis = np.asarray(emis, dtype=float)
+    if emis.ndim != 2 or emis.shape[1] != 4:
+        raise ValueError(f"emissions must have shape (m, 4), got {emis.shape}")
+    if emis.shape[0] == 0:
+        raise ValueError("observations must be nonempty")
+    return emis
+
+
+def viterbi_decode(spec: HmmSpec, emis: np.ndarray) -> np.ndarray:
+    """Maximum a posteriori state path of the emission table emis; returns the decoded symbol bits.
 
     Log domain; zero-probability branches carry -inf.  Ties break toward
     the smaller state index.  The best scores into each level come from a
     max-plus scan over N_t[l, l'] = max_s(e_t[l, s] + log T[(l, s), l']);
     the backtrack composes the backpointer maps on the level.
     """
-    emis = _emissions_for(spec, run_or_frames)
+    emis = _checked_emissions(emis)
     m = emis.shape[0]
     log_t = _log(0.5 * spec.level_exit)  # log T[(l, s), (l', .)], shape (level, symbol, level')
     # back[l', t]: state at t on the best path into level l' at t + 1
@@ -615,16 +623,6 @@ def viterbi_decode(spec: HmmSpec, run_or_frames) -> np.ndarray:
     return path
 
 
-def _emissions_for(spec: HmmSpec, run_or_frames) -> np.ndarray:
-    if isinstance(run_or_frames, LinkRun):
-        r = run_or_frames
-        return spec.emission_loglik_stats(r.b1, r.bn, r.n1, r.n11)
-    frames = np.asarray(run_or_frames)
-    if frames.size == 0:
-        raise ValueError("observations must be nonempty")
-    return spec.block_emission_logprob(frames)
-
-
 def _level_forward(spec: HmmSpec, m: int, weights) -> np.ndarray:
     """Per-symbol log2 P(o_t | o_<t) of a forward recursion over the level.
 
@@ -645,13 +643,9 @@ def _level_forward(spec: HmmSpec, m: int, weights) -> np.ndarray:
     return out
 
 
-def forward_loglik(spec: HmmSpec, run_or_frames, emissions: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-symbol incremental log2-likelihoods log2 P(o_t | o_<t).
-
-    emissions, when given, is the (m, 4) emission table of run_or_frames
-    already computed, and is used in its place.
-    """
-    emis = _emissions_for(spec, run_or_frames) if emissions is None else emissions
+def forward_loglik(spec: HmmSpec, emis: np.ndarray) -> np.ndarray:
+    """Per-symbol incremental log2-likelihoods log2 P(o_t | o_<t) of the emission table emis."""
+    emis = _checked_emissions(emis)
 
     def weights(sl):
         e = emis[sl].T
@@ -661,16 +655,13 @@ def forward_loglik(spec: HmmSpec, run_or_frames, emissions: Optional[np.ndarray]
     return _level_forward(spec, emis.shape[0], weights)
 
 
-def conditional_forward_loglik(
-    spec: HmmSpec, run_or_frames, symbols, emissions: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Per-symbol log2 P(o_t | o_<t, S) with the symbol sequence known.
+def conditional_forward_loglik(spec: HmmSpec, emis: np.ndarray, symbols) -> np.ndarray:
+    """Per-symbol log2 P(o_t | o_<t, S) of the emission table emis with the symbol sequence known.
 
     The level remains hidden: a two-state forward over entry levels,
     with the factorized per-block law P(o | level, s) * P(level' | level, s).
-    emissions is as in forward_loglik.
     """
-    emis = _emissions_for(spec, run_or_frames) if emissions is None else emissions
+    emis = _checked_emissions(emis)
     symbols = np.asarray(symbols)
     m = emis.shape[0]
     if symbols.shape != (m,):
@@ -704,9 +695,9 @@ def mutual_information(
     block bootstrap over contiguous blocks supplies the standard error.
     The estimate is clamped to [0, 1].
     """
-    emis = _emissions_for(spec, run)
-    inc_o = forward_loglik(spec, run, emissions=emis)
-    inc_os = conditional_forward_loglik(spec, run, run.symbols, emissions=emis)
+    emis = spec.emission_loglik_stats(run.b1, run.bn, run.n1, run.n11)
+    inc_o = forward_loglik(spec, emis)
+    inc_os = conditional_forward_loglik(spec, emis, run.symbols)
     d = (inc_os - inc_o)[burn_in:]
     if d.size < 10:
         raise ValueError("run too short after burn-in")
@@ -720,14 +711,12 @@ def mutual_information(
     return Estimate(value, float(reps.std(ddof=1)))
 
 
-def wilson_stderr(successes: int, n: int, z: float = 1.0) -> float:
-    """Half-width of the Wilson score interval at z standard normal units."""
+def wilson_stderr(successes: int, n: int) -> float:
+    """Half-width of the Wilson score interval at one standard normal unit."""
     if n == 0:
         raise ValueError("n must be > 0")
     p = successes / n
-    denom = 1.0 + z * z / n
-    half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
-    return half
+    return math.sqrt(p * (1.0 - p) / n + 1.0 / (4.0 * n * n)) / (1.0 + 1.0 / n)
 
 
 @dataclass(frozen=True)
@@ -750,12 +739,7 @@ class LinkConfig:
         window = SaturationWindow.from_device(self.dev) if self.saturation else None
         kernel0 = build_cycle_kernel(self.dev, self.timing, 0.0, self.n_e, window=window)
         kernel1 = build_cycle_kernel(self.dev, self.timing, lam1, self.n_e, window=window)
-        return build_hmm(kernel0, kernel1, self.env.cycles_per_symbol)
-
-
-def build_hmm(kernel0: CycleKernel, kernel1: CycleKernel, n: int) -> HmmSpec:
-    """Assemble the 4-state HMM from the two per-symbol cycle kernels."""
-    return HmmSpec(kernel0=kernel0, kernel1=kernel1, n_cycles=n)
+        return HmmSpec(kernel0=kernel0, kernel1=kernel1, n_cycles=self.env.cycles_per_symbol)
 
 
 LINK_SWEEP_COLUMNS = (
@@ -772,9 +756,22 @@ LINK_SWEEP_COLUMNS = (
 )
 
 
+def _link_columns(metric: str) -> tuple:
+    return tuple(metric if c == "value" else c for c in LINK_SWEEP_COLUMNS)
+
+
 def _link_report(metric: str) -> SweepReport:
-    cols = tuple(metric if c == "value" else c for c in LINK_SWEEP_COLUMNS)
-    return SweepReport(columns=cols, meta={"metric": metric})
+    return SweepReport(columns=_link_columns(metric), meta={"metric": metric})
+
+
+def _link_row(cfg: LinkConfig, metric: str, power_dbm: float, n_symbols: int, seed: int,
+              value: float, stderr: float) -> dict:
+    """One link sweep row: the metric's value and stderr beside the columns every link sweep shares."""
+    cells = (
+        float(power_dbm), power_to_rate(power_dbm, cfg.env.nu) * cfg.timing.t_c, cfg.n_e, value, stderr,
+        n_symbols, cfg.dev.kappa, cfg.dev.gamma, cfg.env.cycles_per_symbol, seed,
+    )
+    return dict(zip(_link_columns(metric), cells))
 
 
 def ber_point(
@@ -788,73 +785,15 @@ def ber_point(
     """One BER sweep row; substreams are keyed by the grid index only."""
     spec = cfg.build_spec(power_dbm)
     run = simulate_link(spec, n_symbols, substream(seed, 0xBE, idx, 1), mode=mode)
-    run.seed_key = (seed, 0xBE, idx)
-    decoded = viterbi_decode(spec, run)
+    decoded = viterbi_decode(spec, spec.emission_loglik_stats(run.b1, run.bn, run.n1, run.n11))
     errors = int(np.sum(decoded != run.symbols))
-    return {
-        "power_dbm": float(power_dbm),
-        "lambda_t_c": power_to_rate(power_dbm, cfg.env.nu) * cfg.timing.t_c,
-        "n_e": cfg.n_e,
-        "ber": errors / n_symbols,
-        "stderr": wilson_stderr(errors, n_symbols),
-        "n_symbols": n_symbols,
-        "kappa": cfg.dev.kappa,
-        "gamma": cfg.dev.gamma,
-        "n_cycles": cfg.env.cycles_per_symbol,
-        "seed": seed,
-    }
+    stderr = wilson_stderr(errors, n_symbols)
+    return _link_row(cfg, "ber", power_dbm, n_symbols, seed, errors / n_symbols, stderr)
 
 
-def rate_point(
-    cfg: LinkConfig,
-    power_dbm: float,
-    n_symbols: int,
-    seed: int,
-    idx: int,
-    mode: str = "hmm",
-) -> dict:
-    """One achievable-rate sweep row."""
+def rate_point(cfg: LinkConfig, power_dbm: float, n_symbols: int, seed: int, idx: int) -> dict:
+    """One achievable-rate sweep row, sampled from the hmm chain."""
     spec = cfg.build_spec(power_dbm)
-    run = simulate_link(spec, n_symbols, substream(seed, 0xEA, idx, 1), mode=mode)
-    run.seed_key = (seed, 0xEA, idx)
+    run = simulate_link(spec, n_symbols, substream(seed, 0xEA, idx, 1))
     mi = mutual_information(spec, run, burn_in=cfg.burn_in, rng=substream(seed, 0xEA, idx, 2))
-    return {
-        "power_dbm": float(power_dbm),
-        "lambda_t_c": power_to_rate(power_dbm, cfg.env.nu) * cfg.timing.t_c,
-        "n_e": cfg.n_e,
-        "rate": mi.value,
-        "stderr": mi.stderr,
-        "n_symbols": n_symbols,
-        "kappa": cfg.dev.kappa,
-        "gamma": cfg.dev.gamma,
-        "n_cycles": cfg.env.cycles_per_symbol,
-        "seed": seed,
-    }
-
-
-def estimate_ber(
-    cfg: LinkConfig,
-    powers: Sequence[float],
-    n_symbols: int,
-    seed: int = 0,
-    mode: str = "physical",
-) -> SweepReport:
-    """Symbol error rate of the Viterbi receiver over a received-power grid."""
-    report = _link_report("ber")
-    for idx, p_dbm in enumerate(powers):
-        report.append(**ber_point(cfg, p_dbm, n_symbols, seed, idx, mode))
-    return report
-
-
-def estimate_rate(
-    cfg: LinkConfig,
-    powers: Sequence[float],
-    n_symbols: int,
-    seed: int = 0,
-    mode: str = "hmm",
-) -> SweepReport:
-    """Achievable transmission rate (bits/symbol) over a received-power grid."""
-    report = _link_report("rate")
-    for idx, p_dbm in enumerate(powers):
-        report.append(**rate_point(cfg, p_dbm, n_symbols, seed, idx, mode))
-    return report
+    return _link_row(cfg, "rate", power_dbm, n_symbols, seed, mi.value, mi.stderr)

@@ -363,8 +363,8 @@ def check_viterbi_bruteforce(level: str, seed: int) -> CheckResult:
         t = int(rng.integers(1, 6))
         spec = link.HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=n)
         frames = (rng.random((t, n)) < rng.uniform(0.1, 0.9)).astype(np.int64)
-        got = link.viterbi_decode(spec, frames)
         emis = spec.block_emission_logprob(frames)
+        got = link.viterbi_decode(spec, emis)
         log_a = np.log(spec.transition)
         log_pi = np.log(spec.initial + 1e-300)
         best_score, best_path = -math.inf, None
@@ -388,7 +388,7 @@ def check_forward_total_probability(level: str, seed: int) -> CheckResult:
         total = 0.0
         for seq in itertools.product(range(2**n), repeat=t):
             frames = ((np.array(seq)[:, None] >> np.arange(n)[None, ::-1]) & 1).astype(np.int64)
-            total += 2.0 ** float(link.forward_loglik(spec, frames).sum())
+            total += 2.0 ** float(link.forward_loglik(spec, spec.block_emission_logprob(frames)).sum())
         worst = max(worst, abs(total - 1.0))
     return _result("forward-total-probability", worst < 1e-10, f"max |sum-1| {worst:.2e}")
 

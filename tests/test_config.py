@@ -47,6 +47,22 @@ class TestQuantities:
         with pytest.raises(ConfigError):
             parse_quantity([1], "x")
 
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, "nan", "inf", "+inf", "2pi*inf", "2pi*nan", "1e400"]
+    )
+    def test_rejects_nan_and_plus_inf(self, value):
+        with pytest.raises(ConfigError, match="^device.kappa_rad_per_s: .* is not a finite number"):
+            parse_quantity(value, "device.kappa_rad_per_s")
+
+    def test_minus_inf_is_a_carrier_that_is_off(self):
+        assert parse_quantity(-math.inf) == parse_quantity("-inf") == parse_quantity("2pi*-inf") == -math.inf
+
+    def test_integer_beyond_float_range(self):
+        # rounds to an infinity as the float literal 1e400 does, not an OverflowError
+        with pytest.raises(ConfigError, match="^x: .* is not a finite number"):
+            parse_quantity(10**400, "x")
+        assert parse_quantity(-(10**400)) == -math.inf
+
 
 class TestGridAxis:
     def test_values(self):
@@ -64,6 +80,18 @@ class TestGridAxis:
     def test_rejects_bad_scale(self):
         with pytest.raises(ConfigError):
             GridAxis.from_dict({"start": 1, "stop": 2, "points": 2, "scale": "cubic"}, "t")
+
+    @pytest.mark.parametrize("end", ["start", "stop"])
+    def test_rejects_infinite_range_endpoint(self, end):
+        d = {"start": -150.0, "stop": -146.0, "points": 3, "scale": "linear"}
+        with pytest.raises(ConfigError, match="^sweeps.power_dbm: range endpoints must be finite"):
+            GridAxis.from_dict({**d, end: -math.inf}, "sweeps.power_dbm")
+        with pytest.raises(ConfigError, match=f"^sweeps.power_dbm.{end}: .* is not a finite number"):
+            GridAxis.from_dict({**d, end: math.inf}, "sweeps.power_dbm")
+
+    def test_values_may_hold_minus_inf(self):
+        axis = GridAxis.from_dict({"values": [-math.inf, -150.0]}, "sweeps.power_dbm")
+        assert axis.resolve().tolist() == [-math.inf, -150.0]
 
 
 class TestExperimentConfig:
@@ -197,6 +225,21 @@ class TestOverrides:
     def test_partial_range_takes_rest_from_default(self):
         raw = apply_overrides({"seed": 1}, ["sweeps.power_dbm.points=3"])
         assert ExperimentConfig.from_dict(raw).axis("power_dbm").tolist() == [-160.0, -151.0, -142.0]
+
+    @pytest.mark.parametrize("item, key", [
+        ("environment.t_e_k=.nan", "environment.t_e_k"),
+        ("device.gamma_rad_per_s=.inf", "device.gamma_rad_per_s"),
+        ("detect.power_dbm=.nan", "detect.power_dbm"),
+        ("sweeps.power_dbm={start: -.inf, stop: -146.0, points: 3, scale: linear}", "sweeps.power_dbm"),
+        ("sweeps.kappa_t_c={values: [100.0, .nan]}", "sweeps.kappa_t_c"),
+    ])
+    def test_non_finite_override_names_its_key(self, item, key):
+        with pytest.raises(ConfigError, match=f"^{key}"):
+            ExperimentConfig.from_dict(apply_overrides({"seed": 1}, [item]))
+
+    def test_carrier_off_override_parses(self):
+        cfg = ExperimentConfig.from_dict(apply_overrides({"seed": 1}, ["detect.power_dbm=-.inf"]))
+        assert cfg.detect_power_dbm == -math.inf
 
     def test_rejects_malformed(self):
         with pytest.raises(ConfigError):

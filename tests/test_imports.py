@@ -1,14 +1,19 @@
-"""The batch commands run without scipy, and without multiprocessing at one
-worker; only the quadrature routes load scipy.
+"""The batch commands run without scipy, the oracle battery and, at one
+worker, multiprocessing; only the quadrature routes load scipy.
 
-Each case starts a fresh interpreter, since the pytest process has
-already imported scipy through other test modules.
+Each of those cases starts a fresh interpreter, since the pytest process
+has already imported scipy through other test modules.  The last test
+checks that every module exports what its __all__ lists.
 """
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import photonlink
 
@@ -41,7 +46,8 @@ for command in commands:
         argv += ["--set", item]
     codes[command] = cli.main(argv)
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy, "futures": "concurrent.futures" in sys.modules}))
+print(json.dumps({"codes": codes, "scipy": scipy, "futures": "concurrent.futures" in sys.modules,
+                  "validate": "photonlink.validate" in sys.modules}))
 """
 
 
@@ -61,9 +67,18 @@ def test_batch_commands_never_load_scipy(tmp_path):
     assert got["codes"] == {c: 0 for c in commands}, got["stderr"]
     assert got["scipy"] == []
     assert not got["futures"]  # the process pool is imported only for --workers > 1
+    assert not got["validate"]  # the oracle battery is imported only by the validate command
 
 
 def test_pulse_sweep_loads_scipy_locally(tmp_path):
     got = _run_fresh(["pulse-sweep"], tmp_path / "out")
     assert got["codes"] == {"pulse-sweep": 0}, got["stderr"]
     assert "scipy.integrate" in got["scipy"]
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(photonlink.__path__)))
+def test_all_names_resolve(name):
+    # a stale __all__ entry breaks `from photonlink.<module> import *`
+    module = importlib.import_module(f"photonlink.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

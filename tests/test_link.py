@@ -8,18 +8,17 @@ from scipy import stats
 from photonlink import link
 from photonlink.detection import mc_detector
 from photonlink.link import (
-    _emissions_for,
+    LINK_SWEEP_COLUMNS,
     CycleKernel,
     HmmSpec,
     LinkConfig,
+    ber_point,
     build_cycle_kernel,
-    build_hmm,
     conditional_forward_loglik,
-    estimate_ber,
-    estimate_rate,
     forward_loglik,
     frame_statistics,
     mutual_information,
+    rate_point,
     simulate_link,
     viterbi_decode,
     wilson_stderr,
@@ -51,6 +50,11 @@ def ref_link_cfg(n=800):
     dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5)
     env = Environment(t_e=8.0, nu=1e10, cycles_per_symbol=n)
     return LinkConfig(dev=dev, timing=TIMING, env=env)
+
+
+def emissions(spec, run):
+    """The emission table of a simulated run."""
+    return spec.emission_loglik_stats(run.b1, run.bn, run.n1, run.n11)
 
 
 # -- sequential references: the per-symbol loops the scans replace -------------
@@ -247,8 +251,6 @@ class TestHmmSpec:
             rate=1.0, p_exc_ground=None, p_exc_excited=0.0,
         )
         with pytest.raises(ValueError, match="reset law"):
-            build_hmm(k0, k1_bad, 4)
-        with pytest.raises(ValueError, match="reset law"):
             HmmSpec(kernel0=k0, kernel1=k1_bad, n_cycles=4)
 
 
@@ -412,7 +414,7 @@ class TestViterbi:
         k0, k1 = deterministic_kernels()
         spec = HmmSpec(kernel0=k0, kernel1=k1, n_cycles=4)
         run = simulate_link(spec, 2000, substream(41, 5), mode="physical")
-        decoded = viterbi_decode(spec, run)
+        decoded = viterbi_decode(spec, emissions(spec, run))
         assert np.array_equal(decoded, run.symbols)
 
     def test_single_symbol_equals_map(self):
@@ -420,8 +422,9 @@ class TestViterbi:
         rng = substream(41, 6)
         for _ in range(30):
             frame = (rng.random((1, 3)) < 0.5).astype(np.int64)
-            got = viterbi_decode(base, frame)[0]
-            post = base.initial * np.exp(base.block_emission_logprob(frame)[0])
+            emis = base.block_emission_logprob(frame)
+            got = viterbi_decode(base, emis)[0]
+            post = base.initial * np.exp(emis[0])
             want = int(np.argmax(post)) % 2
             assert got == want
 
@@ -438,7 +441,7 @@ class TestViterbi:
                 s = log_pi[path[0]] + emis[0, path[0]] + log_a[path[0], path[1]] + emis[1, path[1]]
                 if s > best_p + 1e-12:
                     best_p, best = s, path
-            got = viterbi_decode(base, frames)
+            got = viterbi_decode(base, emis)
             assert np.array_equal(got, [p % 2 for p in best])
 
 
@@ -448,7 +451,7 @@ class TestForwardAndRate:
         total = 0.0
         for seq in itertools.product(range(8), repeat=2):
             frames = ((np.array(seq)[:, None] >> np.arange(3)[None, ::-1]) & 1).astype(np.int64)
-            total += 2.0 ** float(forward_loglik(base, frames).sum())
+            total += 2.0 ** float(forward_loglik(base, base.block_emission_logprob(frames)).sum())
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_deterministic_kernels_unit_rate(self):
@@ -465,6 +468,23 @@ class TestForwardAndRate:
         mi = mutual_information(spec, run, burn_in=50)
         assert mi.value <= 2 * mi.stderr + 1e-9
 
+    def test_empty_observations_rejected(self):
+        spec = ref_link_cfg(n=4).build_spec(-150.0)
+        emis = spec.block_emission_logprob(np.empty((0, 4), dtype=np.int64))
+        assert emis.shape == (0, 4)
+        for call in (lambda: viterbi_decode(spec, emis), lambda: forward_loglik(spec, emis),
+                     lambda: conditional_forward_loglik(spec, emis, np.zeros(0, dtype=np.int8))):
+            with pytest.raises(ValueError, match="observations must be nonempty"):
+                call()
+
+    def test_recursions_reject_a_table_that_is_not_m_by_4(self):
+        spec = ref_link_cfg(n=6).build_spec(-150.0)
+        frames = np.zeros((5, 6), dtype=np.int64)
+        with pytest.raises(ValueError, match="shape"):
+            viterbi_decode(spec, frames)  # raw frames, not their emission table
+        with pytest.raises(ValueError, match="shape"):
+            forward_loglik(spec, np.zeros(5))
+
     def test_conditional_rejects_symbols_outside_0_1(self):
         spec = ref_link_cfg(n=4).build_spec(-150.0)
         run = simulate_link(spec, 50, substream(41, 12), mode="hmm")
@@ -472,13 +492,14 @@ class TestForwardAndRate:
             symbols = run.symbols.astype(np.int64)
             symbols[7] = bad
             with pytest.raises(ValueError, match="0 or 1"):
-                conditional_forward_loglik(spec, run, symbols)
+                conditional_forward_loglik(spec, emissions(spec, run), symbols)
 
     def test_rate_bounded_by_observation_entropy(self):
         spec = ref_link_cfg(n=40).build_spec(-152.0)
         run = simulate_link(spec, 3000, substream(41, 10), mode="hmm")
-        inc_o = forward_loglik(spec, run)
-        inc_os = conditional_forward_loglik(spec, run, run.symbols)
+        emis = emissions(spec, run)
+        inc_o = forward_loglik(spec, emis)
+        inc_os = conditional_forward_loglik(spec, emis, run.symbols)
         h_o = -inc_o[100:].mean()
         mi = mutual_information(spec, run, burn_in=100)
         assert 0.0 <= mi.value <= 1.0
@@ -488,26 +509,31 @@ class TestForwardAndRate:
 
 
 class TestSweeps:
+    """The sweep rows of ber_point and rate_point, as the CLI sweeps write them."""
+
     def test_ber_zero_signal_is_coin_flip(self):
-        cfg = ref_link_cfg(n=8)
-        report = estimate_ber(cfg, [-math.inf], n_symbols=4000, seed=14)
-        row = report.rows[0]
+        row = ber_point(ref_link_cfg(n=8), -math.inf, 4000, seed=14, idx=0)
         assert abs(row["ber"] - 0.5) < 3 * row["stderr"]
 
     def test_ber_report_schema(self):
         cfg = ref_link_cfg(n=8)
-        report = estimate_ber(cfg, [-150.0, -140.0], n_symbols=500, seed=15)
-        assert list(report.columns) == [
-            "power_dbm", "lambda_t_c", "n_e", "ber", "stderr",
+        rows = [ber_point(cfg, p, 500, seed=15, idx=i) for i, p in enumerate((-150.0, -140.0))]
+        assert LINK_SWEEP_COLUMNS == (
+            "power_dbm", "lambda_t_c", "n_e", "value", "stderr",
             "n_symbols", "kappa", "gamma", "n_cycles", "seed",
-        ]
-        assert report.rows[1]["ber"] <= report.rows[0]["ber"]
+        )
+        for row, power in zip(rows, (-150.0, -140.0)):
+            assert list(row) == [c.replace("value", "ber") for c in LINK_SWEEP_COLUMNS]
+            assert (row["power_dbm"], row["n_symbols"], row["seed"]) == (power, 500, 15)
+            assert (row["kappa"], row["gamma"], row["n_cycles"]) == (cfg.dev.kappa, cfg.dev.gamma, 8)
+        assert rows[1]["ber"] <= rows[0]["ber"]
 
     def test_rate_report_schema(self):
-        cfg = ref_link_cfg(n=8)
-        report = estimate_rate(cfg, [-150.0], n_symbols=2000, seed=16)
-        assert "rate" in report.columns
-        assert 0.0 <= report.rows[0]["rate"] <= 1.0
+        row = rate_point(ref_link_cfg(n=8), -150.0, 2000, seed=16, idx=0)
+        assert list(row) == [c.replace("value", "rate") for c in LINK_SWEEP_COLUMNS]
+        assert (row["power_dbm"], row["n_symbols"], row["seed"], row["n_cycles"]) == (-150.0, 2000, 16, 8)
+        assert 0.0 <= row["rate"] <= 1.0
+        link._link_report("rate").append(**row)  # the row fits the report the CLI writes
 
     def test_wilson_stderr(self):
         assert wilson_stderr(0, 100) > 0.0
@@ -525,7 +551,7 @@ class TestPhysicalVsHmmBer:
         for i, mode in enumerate(("hmm", "physical")):
             spec = cfg.build_spec(-151.5)
             run = simulate_link(spec, n_sym, substream(41, 11, i), mode=mode)
-            decoded = viterbi_decode(spec, run)
+            decoded = viterbi_decode(spec, emissions(spec, run))
             errors = int((decoded != run.symbols).sum())
             bers[mode] = (errors / n_sym, wilson_stderr(errors, n_sym))
         diff = abs(bers["hmm"][0] - bers["physical"][0])
@@ -553,8 +579,8 @@ class TestScansMatchLoops:
                 for name, want in ref.items():
                     got = getattr(run, name)
                     assert got.dtype == want.dtype and np.array_equal(got, want), (power, seed, name)
-                emis = _emissions_for(spec, run)
-                assert np.array_equal(viterbi_decode(spec, run), loop_viterbi(spec, emis)), (power, seed)
+                emis = emissions(spec, run)
+                assert np.array_equal(viterbi_decode(spec, emis), loop_viterbi(spec, emis)), (power, seed)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 65537])
     @pytest.mark.parametrize("mode", ["physical", "hmm"])
@@ -568,10 +594,10 @@ class TestScansMatchLoops:
         framed = simulate_link(spec, m, substream(41, 20, m), mode=mode, store_frames=True)
         for got, want in zip(frame_statistics(framed.frames), (run.b1, run.bn, run.n1, run.n11)):
             assert np.array_equal(got, want)
-        emis = _emissions_for(spec, run)
-        assert np.array_equal(viterbi_decode(spec, run), loop_viterbi(spec, emis))
-        assert np.abs(forward_loglik(spec, run) - loop_forward(spec, emis)).max() < 1e-9
-        got = conditional_forward_loglik(spec, run, run.symbols)
+        emis = emissions(spec, run)
+        assert np.array_equal(viterbi_decode(spec, emis), loop_viterbi(spec, emis))
+        assert np.abs(forward_loglik(spec, emis) - loop_forward(spec, emis)).max() < 1e-9
+        got = conditional_forward_loglik(spec, emis, run.symbols)
         assert np.abs(got - loop_conditional_forward(spec, emis, run.symbols)).max() < 1e-9
 
     @pytest.mark.parametrize("resets, n", [((0.3, 0.6), 12), ((0.05, 0.9), 3)])
@@ -588,10 +614,10 @@ class TestScansMatchLoops:
         ref = loop_simulate_link(spec, 3000, substream(41, 23), mode)
         for name, want in ref.items():
             assert np.array_equal(getattr(run, name), want), name
-        emis = _emissions_for(spec, run)
-        assert np.array_equal(viterbi_decode(spec, run), loop_viterbi(spec, emis))
-        assert np.abs(forward_loglik(spec, run) - loop_forward(spec, emis)).max() < 1e-9
-        got = conditional_forward_loglik(spec, run, run.symbols)
+        emis = emissions(spec, run)
+        assert np.array_equal(viterbi_decode(spec, emis), loop_viterbi(spec, emis))
+        assert np.abs(forward_loglik(spec, emis) - loop_forward(spec, emis)).max() < 1e-9
+        got = conditional_forward_loglik(spec, emis, run.symbols)
         assert np.abs(got - loop_conditional_forward(spec, emis, run.symbols)).max() < 1e-9
 
     def test_forward_recursions_at_benchmark_points(self):
@@ -599,17 +625,18 @@ class TestScansMatchLoops:
         for idx, power in enumerate(self.POWERS):
             spec = cfg.build_spec(power)
             run = simulate_link(spec, 5000, substream(1, 0xEA, idx, 1), mode="hmm")
-            emis = _emissions_for(spec, run)
-            assert np.abs(forward_loglik(spec, run) - loop_forward(spec, emis)).max() < 1e-9
-            got = conditional_forward_loglik(spec, run, run.symbols)
+            emis = emissions(spec, run)
+            assert np.abs(forward_loglik(spec, emis) - loop_forward(spec, emis)).max() < 1e-9
+            got = conditional_forward_loglik(spec, emis, run.symbols)
             assert np.abs(got - loop_conditional_forward(spec, emis, run.symbols)).max() < 1e-9
 
     def test_viterbi_ties_at_zero_signal(self):
         # identical kernels: every step ties between the two symbols
         spec = ref_link_cfg(50).build_spec(-math.inf)
         run = simulate_link(spec, 20_000, substream(41, 21), mode="physical")
-        decoded = viterbi_decode(spec, run)
-        assert np.array_equal(decoded, loop_viterbi(spec, _emissions_for(spec, run)))
+        emis = emissions(spec, run)
+        decoded = viterbi_decode(spec, emis)
+        assert np.array_equal(decoded, loop_viterbi(spec, emis))
         assert not decoded.any()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 65537])
@@ -618,6 +645,7 @@ class TestScansMatchLoops:
         k0, k1 = deterministic_kernels()
         spec = HmmSpec(kernel0=k0, kernel1=k1, n_cycles=3)
         run = simulate_link(spec, m, substream(41, 22, m), mode="hmm")
-        decoded = viterbi_decode(spec, run)
-        assert np.array_equal(decoded, loop_viterbi(spec, _emissions_for(spec, run)))
+        emis = emissions(spec, run)
+        decoded = viterbi_decode(spec, emis)
+        assert np.array_equal(decoded, loop_viterbi(spec, emis))
         assert np.array_equal(decoded, run.symbols)
