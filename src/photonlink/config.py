@@ -20,7 +20,7 @@ from typing import Mapping, Optional
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .physics import CycleTiming, DeviceParams, Environment, PulseProfile
 
 __all__ = [
@@ -137,6 +137,16 @@ _SECTIONS: dict = {
         "coarse_points_per_decade": (_int, 4),
         "span_decades": (parse_quantity, 7.0),
     },
+}
+
+# The config key of each field of the physics dataclasses built from the
+# device, timing, environment and pulse sections, for error messages.
+_FIELD_KEYS = {
+    "kappa": "device.kappa_rad_per_s", "gamma": "device.gamma_rad_per_s", "p0": "device.p0",
+    "p_reset_g": "device.p_reset_g", "p_reset_e": "device.p_reset_e", "alpha_sat": "device.alpha_sat",
+    "t_c": "timing.t_c_ns", "delta_o": "timing.delta_o_ns", "t_w": "timing.t_w_ns",
+    "t_e": "environment.t_e_k", "nu": "environment.nu_hz", "cycles_per_symbol": "environment.cycles_per_symbol",
+    "shape": "pulse.shape", "l": "pulse.l_ns", "beta": "pulse.beta", "w": "pulse.w_ns", "nodes": "pulse.nodes",
 }
 
 DEFAULT_CONFIG: dict = {
@@ -339,8 +349,8 @@ class ExperimentConfig:
                 shape=pu["shape"], l=pu["l_ns"] * 1e-9, beta=pu["beta"], w=pu["w_ns"] * 1e-9,
                 nodes=tuple((t * 1e-9, r) for t, r in pu["nodes"]) if "nodes" in pu else None,
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        except ParameterError as exc:
+            raise ConfigError(f"{_FIELD_KEYS[exc.field]}: {exc}") from None
 
         sweeps_raw = raw.get("sweeps", {})
         default_axes = DEFAULT_CONFIG["sweeps"]

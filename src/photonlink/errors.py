@@ -5,6 +5,14 @@ class ConfigError(ValueError):
     """Configuration file or override is invalid."""
 
 
+class ParameterError(ValueError):
+    """A model parameter is out of range; field names the dataclass field that holds it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 class NumericsError(RuntimeError):
     """A numeric procedure failed to converge or found no solution."""
 

@@ -14,8 +14,10 @@ chains) instead of stepping through the cycles of each frame.
 
 The transition row of a state does not depend on the next symbol, so
 every recursion over symbols is a chain of 2x2 matrices over the entry
-level.  The recursions evaluate that chain as a prefix scan (Hillis-Steele
-doubling) over chunks of symbols instead of a loop over them.
+level.  The recursions evaluate that chain as a prefix scan over chunks
+of symbols instead of a loop over them: a pairwise recursion that
+combines adjacent steps, scans the half-length chain and fills in the
+odd positions, so a chunk of L symbols costs O(L) work (Blelloch 1990).
 """
 from __future__ import annotations
 
@@ -162,6 +164,15 @@ class FrameStatsLaw:
         """Inverse-CDF draw: the cells at uniforms u in [0, 1), shape (3, u.size)."""
         return self.cells[:, np.searchsorted(self.cdf, u, side="right")]
 
+    def last_bit(self, u: np.ndarray) -> np.ndarray:
+        """The last bit of draw(u), as bool, without the search.
+
+        The cells are bn-major, so draw(u) has bn = 1 exactly when the
+        search passes every bn = 0 cell, that is when u >= cdf[n_bn0 - 1].
+        """
+        n_bn0 = int(np.count_nonzero(self.cells[0] == 0))
+        return u >= (self.cdf[n_bn0 - 1] if n_bn0 else -math.inf)
+
 
 def _frame_stats_logp(log_q, log_fact, b1, n, n1, n11) -> np.ndarray:
     """log P(bn, n1, n11 | b1) on the grid bn x n1 x n11, shape (2, n1.size, n11.size).
@@ -236,6 +247,7 @@ def frame_stats_law(q: np.ndarray, b1: int, n: int) -> FrameStatsLaw:
         if (lo1, hi1, lo11, hi11) == (0, n, 0, n - 1):
             raise ArithmeticError(f"frame statistics table holds mass {mass!r}, not 1")
         w1, w11 = 2.0 * w1, 2.0 * w11
+    # np.nonzero walks the grid in C order: the cells are bn-major (FrameStatsLaw.last_bit)
     bn_i, n1_i, n11_i = np.nonzero(keep)
     cdf = np.cumsum(p[keep])
     return FrameStatsLaw(
@@ -422,10 +434,12 @@ def simulate_link(
     ground either way.
 
     Each symbol draws its frame statistics (bn, n1, n11) from their exact
-    law (HmmSpec.frame_stats), once for each possible first bit; a scan
-    over the symbols afterwards resolves entry levels and picks the
-    realized variant.  With store_frames, each realized frame is then
-    drawn uniformly among the frames with its statistics.
+    law (HmmSpec.frame_stats), with one uniform for each possible first
+    bit.  The last bit of both variants follows from a comparison
+    (FrameStatsLaw.last_bit); a scan over the symbols resolves entry
+    levels and first bits, and only the realized variant is then read
+    through its inverse CDF.  With store_frames, each realized frame is
+    then drawn uniformly among the frames with its statistics.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
@@ -434,7 +448,7 @@ def simulate_link(
     m = int(n_symbols)
     symbols = (rng.random(m) < 0.5).astype(np.int8)
     sym_idx = symbols.astype(np.int64)
-    bn, n1, n11 = _draw_frame_stats(spec, symbols, rng)  # each (first bit, symbol slot)
+    u_stats = rng.random((2, m))  # one uniform per (first bit, symbol slot)
 
     # boundary pass: given the uniforms, each symbol maps its entry level to
     # the next symbol's, and the entry levels follow from composing those maps
@@ -442,9 +456,12 @@ def simulate_link(
     u_first = rng.random(m)
     p_first = np.array([[spec.first_bit_prob(lv, s)[1] for s in (0, 1)] for lv in (GROUND, EXCITED)])
     b1_given = [u_first < p_first[lv, sym_idx] for lv in (GROUND, EXCITED)]
+    laws = spec.frame_stats  # laws[symbol][b1]
     if mode == "physical":
+        bn = [np.where(symbols, laws[1][b1].last_bit(u_stats[b1]), laws[0][b1].last_bit(u_stats[b1]))
+              for b1 in (0, 1)]
         exit_bit = spec.kernel0.exit_given_bit[:, EXCITED]
-        step = [u_entry < exit_bit[np.where(b1, bn[1], bn[0])] for b1 in b1_given]
+        step = [u_entry < exit_bit[np.where(b1, bn[1], bn[0]).view(np.int8)] for b1 in b1_given]
     else:
         exit_marg = spec.level_exit[:, :, EXCITED]
         step = [u_entry < exit_marg[lv, sym_idx] for lv in (GROUND, EXCITED)]
@@ -454,33 +471,18 @@ def simulate_link(
         entry[sl], level = _iterate_maps(step[0][sl], step[1][sl], level)
     b1_sel = np.where(entry, b1_given[1], b1_given[0]).astype(np.int8)
 
-    pick = b1_sel.astype(np.int64)
-    cols = np.arange(m)
-    run = LinkRun(
-        symbols=symbols,
-        b1=b1_sel,
-        bn=bn[pick, cols].astype(np.int8),
-        n1=n1[pick, cols],
-        n11=n11[pick, cols],
-    )
+    # the realized variant of each symbol, read through its own inverse CDF
+    u_real = np.where(b1_sel, u_stats[1], u_stats[0])
+    variant = 2 * sym_idx + b1_sel
+    stats = np.empty((3, m), dtype=np.int64)
+    for s in (0, 1):
+        for b1 in (0, 1):
+            slots = np.flatnonzero(variant == 2 * s + b1)
+            stats[:, slots] = laws[s][b1].draw(u_real[slots])
+    run = LinkRun(symbols=symbols, b1=b1_sel, bn=stats[0].astype(np.int8), n1=stats[1], n11=stats[2])
     if store_frames:
         run.frames = _compose_frames(run.b1, run.bn, run.n1, run.n11, spec.n_cycles, rng)
     return run
-
-
-def _draw_frame_stats(spec: HmmSpec, symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """bn, n1 and n11 of both first-bit variants of every frame, shape (3, 2, m).
-
-    One uniform per variant and symbol slot, read through the inverse CDF
-    of frame_stats[symbol][variant].
-    """
-    u = rng.random((2, symbols.size))
-    out = np.empty((3, 2, symbols.size), dtype=np.int64)
-    for s in (0, 1):
-        slots = np.flatnonzero(symbols == s)
-        for b1 in (0, 1):
-            out[:, b1, slots] = spec.frame_stats[s][b1].draw(u[b1, slots])
-    return out
 
 
 def _compose_frames(b1, bn, n1, n11, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -522,23 +524,30 @@ def _chunks(m: int):
 def _iterate_maps(f0: np.ndarray, f1: np.ndarray, x0: int):
     """Run x_{j+1} = f_j(x_j) for maps f_j on {0, 1} given as f_j(0) = f0[j], f_j(1) = f1[j].
 
-    Returns x_0 ... x_{L-1} as int8 and x_L.  The compositions
-    f_j o ... o f_0 come from log2(L) doubling passes, so no pass waits
-    on a single step.
+    Returns x_0 ... x_{L-1} as int8 and x_L.  The pairwise recursion of
+    _scan_chunk on maps: compose adjacent maps, iterate the half-length
+    chain, then step each odd position from its even neighbour.  Chains
+    of at most 16 maps run as a loop.
     """
-    f0 = np.array(f0, dtype=bool)
-    f1 = np.array(f1, dtype=bool)
-    k = 1
-    while k < f0.size:
-        # earlier composite g = f[:-k] first, then the later one h = f[k:]
-        g0, g1, h0, h1 = f0[:-k], f1[:-k], f0[k:], f1[k:]
-        f0[k:], f1[k:] = np.where(g0, h1, h0), np.where(g1, h1, h0)
-        k *= 2
-    after = f1 if x0 else f0
-    before = np.empty(after.size, dtype=np.int8)
-    before[0] = x0
-    before[1:] = after[:-1]
-    return before, int(after[-1])
+    size = len(f0)
+    if size <= 16:
+        before = np.empty(size, dtype=np.int8)
+        x = x0
+        for j, (y0, y1) in enumerate(zip(f0.tolist(), f1.tolist())):
+            before[j] = x
+            x = int(y1 if x else y0)
+        return before, x
+    half = size // 2
+    e0, e1, o0, o1 = f0[0 : 2 * half : 2], f1[0 : 2 * half : 2], f0[1::2], f1[1::2]
+    # the pair map: the even map first, then the odd one; an odd tail passes through
+    g0, g1 = np.where(e0, o1, o0), np.where(e1, o1, o0)
+    if size % 2:
+        g0, g1 = np.append(g0, f0[-1]), np.append(g1, f1[-1])
+    into, x = _iterate_maps(g0, g1, x0)
+    before = np.empty(size, dtype=np.int8)
+    before[0::2] = into
+    before[1::2] = np.where(into[:half], e1, e0)
+    return before, x
 
 
 def _unit_sum(x: np.ndarray) -> np.ndarray:
@@ -557,23 +566,31 @@ def _scan_chunk(steps: np.ndarray, carry: np.ndarray, plus, times, rescale):
 
     steps[l, l', t] holds step t; the products are over the semiring
     (plus, times): (add, multiply) for the forward sums, (maximum, add)
-    for Viterbi.  Hillis-Steele doubling makes log2(L) passes over the
-    whole chunk, and rescale normalises every prefix.  Returns the row
-    vectors before each step, shape (2, L), and the rescaled vector after
-    the last one.  steps is overwritten with the inclusive prefixes.
+    for Viterbi.  A pairwise recursion combines adjacent steps into
+    P_j = S_2j S_2j+1, rescaled, scans the half-length chain for the
+    vector before each pair, and takes each odd position one vector step
+    on from its even neighbour: about L matrix combines and L/2 vector
+    steps in all.  Returns the row vectors before each step, shape
+    (2, L), each correct up to a scale, and the rescaled vector after the
+    last one.
     """
-    x = steps
-    size = x.shape[-1]
-    k = 1
-    while k < size:
-        early, late = x[..., :-k], x[..., k:]
-        x[..., k:] = rescale(plus(times(early[:, 0, None], late[0]), times(early[:, 1, None], late[1])))
-        k *= 2
-    after = plus(times(carry[0], x[0]), times(carry[1], x[1]))
+
+    def advance(v, s):  # row vectors v (2, n) through steps s (2, 2, n)
+        return plus(times(v[0], s[0]), times(v[1], s[1]))
+
+    size = steps.shape[-1]
+    if size == 1:
+        return carry[:, None].copy(), rescale(advance(carry[:, None], steps))[:, 0]
+    half = size // 2
+    even, odd = steps[..., 0 : 2 * half : 2], steps[..., 1::2]
+    pairs = rescale(plus(times(even[:, 0, None], odd[0]), times(even[:, 1, None], odd[1])))
+    if size % 2:  # an odd tail passes through
+        pairs = np.concatenate([pairs, steps[..., -1:]], axis=-1)
+    into, after = _scan_chunk(pairs, carry, plus, times, rescale)
     before = np.empty((2, size))
-    before[:, 0] = carry
-    before[:, 1:] = after[:, :-1]
-    return before, rescale(after[:, -1:])[:, 0]
+    before[:, 0::2] = into
+    before[:, 1::2] = advance(into[:, :half], even)
+    return before, after
 
 
 def _checked_emissions(emis) -> np.ndarray:
@@ -610,8 +627,10 @@ def viterbi_decode(spec: HmmSpec, emis: np.ndarray) -> np.ndarray:
         steps = np.maximum(e2[:, 0, None] + log_t[:, 0, :, None], e2[:, 1, None] + log_t[:, 1, :, None])
         into, best = _scan_chunk(steps, best, np.maximum, np.add, _unit_max)
         delta = np.repeat(into, 2, axis=0) + e
-        # argmax keeps the first maximum: the smaller state index wins a tie
-        back[:, sl] = (delta[:, None] + log_t.reshape(4, 2, 1)).argmax(axis=0)
+        c0, c1, c2, c3 = delta[:, None] + log_t.reshape(4, 2, 1)  # each (level', t)
+        # a first-maximum tournament: strict > lets the smaller state index win a tie
+        hi01, hi23 = c1 > c0, c3 > c2
+        back[:, sl] = np.where(np.where(hi23, c3, c2) > np.where(hi01, c1, c0), 2 + hi23, hi01)
     state = int(np.argmax(delta[:, -1]))
     path = np.empty(m, dtype=np.int8)
     path[-1] = state % 2

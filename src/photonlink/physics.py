@@ -13,6 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import ParameterError
+
 # exact in the 2019 SI; equal to scipy.constants.h and .k
 PLANCK_H = 6.62607015e-34  # J s
 BOLTZMANN_K = 1.380649e-23  # J / K
@@ -68,15 +70,15 @@ class DeviceParams:
 
     def __post_init__(self):
         if not self.kappa > 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+            raise ParameterError("kappa", f"kappa must be > 0, got {self.kappa}")
         if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+            raise ParameterError("gamma", f"gamma must be >= 0, got {self.gamma}")
         for name in ("p0", "p_reset_g", "p_reset_e"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
+                raise ParameterError(name, f"{name} must be in [0, 1], got {p}")
         if not self.alpha_sat > 0:
-            raise ValueError(f"alpha_sat must be > 0, got {self.alpha_sat}")
+            raise ParameterError("alpha_sat", f"alpha_sat must be > 0, got {self.alpha_sat}")
 
     @property
     def transition_rate(self) -> float:
@@ -95,7 +97,7 @@ class CycleTiming:
     def __post_init__(self):
         for name in ("t_c", "delta_o", "t_w"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+                raise ParameterError(name, f"{name} must be > 0, got {getattr(self, name)}")
 
     @property
     def period(self) -> float:
@@ -125,23 +127,27 @@ class PulseProfile:
 
     def __post_init__(self):
         if self.shape not in ("rectangular", "gaussian", "tabulated"):
-            raise ValueError(f"unknown pulse shape {self.shape!r}")
-        if not self.l > 0 or not self.beta > 0 or self.w < 0:
-            raise ValueError("require l > 0, beta > 0, w >= 0")
+            raise ParameterError("shape", f"unknown pulse shape {self.shape!r}")
+        if not self.l > 0:
+            raise ParameterError("l", f"l must be > 0, got {self.l}")
+        if not self.beta > 0:
+            raise ParameterError("beta", f"beta must be > 0, got {self.beta}")
+        if not self.w >= 0:
+            raise ParameterError("w", f"w must be >= 0, got {self.w}")
         if self.shape == "tabulated":
             if not self.nodes or len(self.nodes) < 2:
-                raise ValueError("tabulated pulse needs at least two (t, rho) nodes")
+                raise ParameterError("nodes", "tabulated pulse needs at least two (t, rho) nodes")
             t = np.asarray([n[0] for n in self.nodes], dtype=float)
             r = np.asarray([n[1] for n in self.nodes], dtype=float)
             if np.any(np.diff(t) <= 0):
-                raise ValueError("tabulated nodes must have strictly increasing t")
+                raise ParameterError("nodes", "tabulated nodes must have strictly increasing t")
             if np.any(r < 0):
-                raise ValueError("tabulated density must be nonnegative")
+                raise ParameterError("nodes", "tabulated density must be nonnegative")
             area = np.trapezoid(r, t)
             if area <= 0:
-                raise ValueError("tabulated density has zero mass")
+                raise ParameterError("nodes", "tabulated density has zero mass")
         if not self.t_i > 0:
-            raise ValueError("pulse support collapsed, t_i must be > 0")
+            raise ParameterError("l", "pulse support collapsed, t_i must be > 0")
 
     @property
     def t_i(self) -> float:
@@ -195,11 +201,13 @@ class Environment:
 
     def __post_init__(self):
         if self.t_e < 0:
-            raise ValueError(f"t_e must be >= 0, got {self.t_e}")
+            raise ParameterError("t_e", f"t_e must be >= 0, got {self.t_e}")
         if not self.nu > 0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
+            raise ParameterError("nu", f"nu must be > 0, got {self.nu}")
         if self.cycles_per_symbol < 1:
-            raise ValueError(f"cycles_per_symbol must be >= 1, got {self.cycles_per_symbol}")
+            raise ParameterError(
+                "cycles_per_symbol", f"cycles_per_symbol must be >= 1, got {self.cycles_per_symbol}"
+            )
 
 
 def excited_kernel(t, kappa: float, gamma: float):

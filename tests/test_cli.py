@@ -139,6 +139,7 @@ class TestExitCodes:
     def test_bad_config_value(self, config_file, capsys):
         code = run_cli("detect", "--config", str(config_file), "--set", "device.p0=2.0")
         assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["message"].startswith("device.p0: ")
 
     def test_unknown_key(self, config_file):
         assert run_cli("detect", "--config", str(config_file), "--set", "device.color=red") == 2

@@ -237,6 +237,32 @@ class TestOverrides:
         with pytest.raises(ConfigError, match=f"^{key}"):
             ExperimentConfig.from_dict(apply_overrides({"seed": 1}, [item]))
 
+    @pytest.mark.parametrize("items, key", [
+        (["device.kappa_rad_per_s=-.inf"], "device.kappa_rad_per_s"),
+        (["device.gamma_rad_per_s=-1.0"], "device.gamma_rad_per_s"),
+        (["device.p0=-0.5"], "device.p0"),
+        (["device.p_reset_g=1.5"], "device.p_reset_g"),
+        (["device.p_reset_e=-0.1"], "device.p_reset_e"),
+        (["device.alpha_sat=0"], "device.alpha_sat"),
+        (["timing.t_c_ns=-.inf"], "timing.t_c_ns"),
+        (["timing.delta_o_ns=0"], "timing.delta_o_ns"),
+        (["timing.t_w_ns=-48"], "timing.t_w_ns"),
+        (["environment.t_e_k=-1"], "environment.t_e_k"),
+        (["environment.nu_hz=0"], "environment.nu_hz"),
+        (["environment.cycles_per_symbol=0"], "environment.cycles_per_symbol"),
+        (["pulse.shape=triangle"], "pulse.shape"),
+        (["pulse.l_ns=-.inf"], "pulse.l_ns"),
+        (["pulse.beta=0"], "pulse.beta"),
+        (["pulse.w_ns=-1"], "pulse.w_ns"),
+        (["pulse.shape=tabulated"], "pulse.nodes"),
+        (["pulse.shape=tabulated", "pulse.nodes=[[0.0, 1.0], [0.0, 2.0]]"], "pulse.nodes"),
+        (["pulse.shape=tabulated", "pulse.nodes=[[0.0, 1.0], [1.0, -2.0]]"], "pulse.nodes"),
+    ])
+    def test_out_of_range_value_names_its_key(self, items, key):
+        # the physics dataclasses reject these; the message names the config key
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            ExperimentConfig.from_dict(apply_overrides({"seed": 1}, items))
+
     def test_carrier_off_override_parses(self):
         cfg = ExperimentConfig.from_dict(apply_overrides({"seed": 1}, ["detect.power_dbm=-.inf"]))
         assert cfg.detect_power_dbm == -math.inf

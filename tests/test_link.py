@@ -59,12 +59,28 @@ def emissions(spec, run):
 
 # -- sequential references: the per-symbol loops the scans replace -------------
 
+def draw_frame_stats(spec, symbols, rng):
+    """bn, n1 and n11 of both first-bit variants of every frame, shape (3, 2, m).
+
+    One uniform per variant and symbol slot, read through the inverse CDF
+    of frame_stats[symbol][variant]: the same uniforms simulate_link
+    draws, each variant read in full.
+    """
+    u = rng.random((2, symbols.size))
+    out = np.empty((3, 2, symbols.size), dtype=np.int64)
+    for s in (0, 1):
+        slots = np.flatnonzero(symbols == s)
+        for b1 in (0, 1):
+            out[:, b1, slots] = spec.frame_stats[s][b1].draw(u[b1, slots])
+    return out
+
+
 def coupled_chain_stats(spec, symbols, rng):
     """Frame statistics by stepping every frame's bit chain through its cycles.
 
     The sampler the exact law replaced: one coupled pair of chains per
     symbol (one per possible first bit, shared uniforms).  Same layout as
-    link._draw_frame_stats: bn, n1, n11, each (first bit, symbol slot).
+    draw_frame_stats: bn, n1, n11, each (first bit, symbol slot).
     """
     m, n = symbols.size, spec.n_cycles
     q = np.stack([spec.kernel0.bit_chain, spec.kernel1.bit_chain])
@@ -85,7 +101,7 @@ def coupled_chain_stats(spec, symbols, rng):
     return np.stack([np.stack(bits).astype(np.int64), np.stack(n1), np.stack(n11)])
 
 
-def loop_simulate_link(spec, n_symbols, rng, mode, draw_stats=link._draw_frame_stats):
+def loop_simulate_link(spec, n_symbols, rng, mode, draw_stats=draw_frame_stats):
     """simulate_link with its boundary pass as a loop over symbols."""
     m = n_symbols
     symbols = (rng.random(m) < 0.5).astype(np.int8)
@@ -167,6 +183,29 @@ def loop_conditional_forward(spec, emis, symbols):
         out.append(math.log2(norm) + top / math.log(2.0))
         alpha = [sum(w[lv] / norm * exit_[lv][s][x] for lv in (0, 1)) for x in (0, 1)]
     return np.array(out)
+
+
+def fold_scan(steps, carry, semiring):
+    """The vectors before each 2x2 step and after the last, one step at a time, each rescaled."""
+    before = []
+    v = np.array(carry, dtype=float)
+    for t in range(steps.shape[-1]):
+        before.append(v)
+        if semiring == "sum-product":
+            v = v @ steps[..., t]
+            v = v / v.sum()
+        else:
+            v = np.max(v[:, None] + steps[..., t], axis=0)
+            v = v - v.max()
+    return np.array(before).T, v
+
+
+def loop_iterate_maps(f0, f1, x0):
+    before, x = [], x0
+    for y0, y1 in zip(f0.tolist(), f1.tolist()):
+        before.append(x)
+        x = int(y1 if x else y0)
+    return np.array(before, dtype=np.int8), x
 
 class TestCycleKernel:
     def test_noise_free_ground_stays_ground(self):
@@ -563,7 +602,8 @@ class TestScansMatchLoops:
     """The symbol scans against the sequential references above.
 
     Runs use the link benchmark's operating point (ref_link_cfg(800)) and
-    its powers; m = 65537 crosses a scan chunk boundary.
+    its powers; m = 65536 fills one scan chunk exactly, 65537 crosses a
+    chunk boundary and 131073 carries the scan state twice.
     """
 
     POWERS = (-154.0, -152.0, -150.0, -148.0, -146.0)
@@ -582,7 +622,7 @@ class TestScansMatchLoops:
                 emis = emissions(spec, run)
                 assert np.array_equal(viterbi_decode(spec, emis), loop_viterbi(spec, emis)), (power, seed)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 65537])
+    @pytest.mark.parametrize("m", [1, 2, 3, 65536, 65537, 131073])
     @pytest.mark.parametrize("mode", ["physical", "hmm"])
     def test_all_scans_at_lengths(self, m, mode):
         spec = ref_link_cfg(12).build_spec(-144.0)
@@ -629,6 +669,71 @@ class TestScansMatchLoops:
             assert np.abs(forward_loglik(spec, emis) - loop_forward(spec, emis)).max() < 1e-9
             got = conditional_forward_loglik(spec, emis, run.symbols)
             assert np.abs(got - loop_conditional_forward(spec, emis, run.symbols)).max() < 1e-9
+
+    # every length up to 300, so powers of two and their neighbours are all in
+    SCAN_LENGTHS = range(1, 301)
+
+    @staticmethod
+    def random_steps(rng, size, semiring):
+        """2x2 steps with zero (sum-product) or -inf (max-plus) entries and whole rows of them.
+
+        Entry (0, 0) is never the zero of the semiring, so no prefix product vanishes.
+        """
+        if semiring == "sum-product":
+            steps, zero = rng.random((2, 2, size)) ** 3, 0.0
+        else:
+            steps, zero = 5.0 * rng.standard_normal((2, 2, size)), -np.inf
+        steps[rng.random((2, 2, size)) < 0.2] = zero
+        steps[1, :, rng.random(size) < 0.1] = zero
+        steps[0, 0] = np.where(steps[0, 0] == zero, 1.0, steps[0, 0])
+        return steps
+
+    @pytest.mark.parametrize("semiring", ["sum-product", "max-plus"])
+    def test_scan_chunk_matches_fold(self, semiring):
+        if semiring == "sum-product":
+            args, carries = (np.add, np.multiply, link._unit_sum), ([1.0, 0.0], [0.3, 0.7])
+        else:
+            args, carries = (np.maximum, np.add, link._unit_max), ([math.log(0.5), -np.inf], [-1.5, 0.0])
+        for size in self.SCAN_LENGTHS:
+            rng = substream(41, 30, size)
+            steps = self.random_steps(rng, size, semiring)
+            carry = np.array(carries[size % 2])
+            before, after = link._scan_chunk(steps.copy(), carry, *args)
+            want_before, want_after = fold_scan(steps, carry, semiring)
+            assert before.shape == (2, size)
+            for got, want in ((before, want_before), (after[:, None], want_after[:, None])):
+                # each vector is correct up to a scale: compare the rescaled ones
+                got, want = args[2](got), args[2](want)
+                if semiring == "sum-product":
+                    assert np.array_equal(got == 0, want == 0), size
+                    assert np.abs(got - want).max() < 1e-12, size
+                else:
+                    finite = np.isfinite(want)
+                    assert np.array_equal(np.isfinite(got), finite), size
+                    assert np.abs(got[finite] - want[finite]).max() < 1e-9, size
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8])
+    def test_iterate_maps_matches_loop(self, dtype):
+        for size in self.SCAN_LENGTHS:
+            rng = substream(41, 31, size)
+            f0, f1 = (rng.random((2, size)) < 0.5).astype(dtype)
+            for x0 in (0, 1):
+                before, x = link._iterate_maps(f0, f1, x0)
+                want_before, want_x = loop_iterate_maps(f0, f1, x0)
+                assert before.dtype == np.int8 and np.array_equal(before, want_before), (size, x0)
+                assert x == want_x, (size, x0)
+
+    def test_last_bit_matches_draw(self):
+        # every table at the benchmark powers: last_bit(u) is the bn of
+        # draw(u), for random u and for u at and just below every cdf value
+        cfg = ref_link_cfg(800)
+        for idx, power in enumerate(self.POWERS):
+            for s, laws in enumerate(cfg.build_spec(power).frame_stats):
+                for b1, law in enumerate(laws):
+                    assert np.all(np.diff(law.cells[0]) >= 0)
+                    exact = law.cdf[law.cdf < 1.0]
+                    for u in (substream(41, 32, idx, s, b1).random(100_000), exact, np.nextafter(exact, 0.0)):
+                        assert np.array_equal(law.last_bit(u).astype(np.int64), law.draw(u)[0])
 
     def test_viterbi_ties_at_zero_signal(self):
         # identical kernels: every step ties between the two symbols
