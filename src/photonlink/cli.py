@@ -156,28 +156,23 @@ def _link_cfg(cfg: ExperimentConfig) -> link.LinkConfig:
         timing=cfg.timing,
         env=cfg.environment,
         saturation=cfg.link.saturation,
-        burn_in=cfg.link.burn_in,
     )
 
 
-def _link_sweep(cfg: ExperimentConfig, runner: _Runner, metric: str, point, figure_id: str, *extra) -> None:
-    """Write <metric>_sweep.csv and its figure.
-
-    Each power of the grid gives one row, point(link config, power,
-    n_symbols, seed, grid index, *extra).
-    """
+def _link_sweep(cfg: ExperimentConfig, runner: _Runner, metric: str, point, figure_id: str, args) -> None:
+    """Write <metric>_sweep.csv and its figure: one row point(link config, *a) for each a in args."""
     lcfg = _link_cfg(cfg)
-    powers = cfg.axis("power_dbm")
-    payloads = [(lcfg, float(p), cfg.mc.n_symbols, cfg.seed, i, *extra) for i, p in enumerate(powers)]
     report = link._link_report(metric)
-    for row in _parallel_map(point, payloads, cfg.workers):
+    for row in _parallel_map(point, [(lcfg, *a) for a in args], cfg.workers):
         report.append(**row)
     runner.write_report(report, f"{metric}_sweep.csv")
     runner.write_figure(report, figure_id)
 
 
 def cmd_ber_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
-    _link_sweep(cfg, runner, "ber", link.ber_point, "fig9", cfg.link.mode)
+    powers = cfg.axis("power_dbm")
+    args = [(float(p), cfg.mc.n_symbols, cfg.seed, i, cfg.link.mode) for i, p in enumerate(powers)]
+    _link_sweep(cfg, runner, "ber", link.ber_point, "fig9", args)
     if cfg.link.dump_frames:
         spec = _link_cfg(cfg).build_spec(float(cfg.axis("power_dbm")[0]))
         run = link.simulate_link(
@@ -190,7 +185,8 @@ def cmd_ber_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
 
 
 def cmd_rate_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
-    _link_sweep(cfg, runner, "rate", link.rate_point, "fig10")
+    args = [(float(p), cfg.seed) for p in cfg.axis("power_dbm")]
+    _link_sweep(cfg, runner, "rate", link.rate_point, "fig10", args)
     return 0
 
 

@@ -128,7 +128,6 @@ _SECTIONS: dict = {
         "mode": (_str, "physical"),
         "saturation": (_bool, False),
         "dump_frames": (_bool, False),
-        "burn_in": (_int, 100),
     },
     "detect": {"power_dbm": (parse_quantity, -148.3)},
     "cutoff": {
@@ -260,13 +259,10 @@ class LinkSettings:
     mode: str
     saturation: bool
     dump_frames: bool
-    burn_in: int
 
     def __post_init__(self):
         if self.mode not in ("physical", "hmm"):
             raise ConfigError("link.mode must be physical or hmm")
-        if self.burn_in < 0:
-            raise ConfigError("link.burn_in must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .physics import (
     detector_events,
     excited_kernel,
     ground_return_prob,
+    transition_kernels,
 )
 from .report import Estimate, SweepReport
 from .rng import substream
@@ -137,16 +138,12 @@ def excitation_given_arrivals_bruteforce(trace: ArrivalTrace, dev: DeviceParams)
         return 0.0
     if n > 20:
         raise ValueError("brute force limited to 20 photons")
-    kappa, gamma = dev.kappa, dev.gamma
     total = 0.0
     for mask in itertools.product((0, 1), repeat=n - 1):
         k = [0] + [i + 1 for i, b in enumerate(mask) if b]
         p = transition_set_probability(trace, dev, k)
         kp = k[-1]
-        tt = trace.t_c - t[kp]
-        t0 = t[n - 1] - t[kp]
-        f2 = excited_kernel(tt, kappa, gamma)
-        f1 = math.exp(-dev.transition_rate * t0) + excited_kernel(t0, kappa, gamma) - f2
+        f1, f2 = transition_kernels(trace.t_c - t[kp], t[n - 1] - t[kp], dev)
         denom = f1 + f2
         if denom > 0:
             total += p * f2 / denom

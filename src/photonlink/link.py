@@ -1,5 +1,5 @@
 """OOK link layer: per-cycle kernels, the 4-state hidden Markov model,
-Viterbi decoding, BER and achievable-rate estimation.
+Viterbi decoding, BER estimation and the exact achievable-rate bracket.
 
 Hidden state is (entry level, symbol); a symbol spans n detection
 cycles and emits the n readout bits of the frame.  Because the reset
@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .detection import excitation_ctmc
+from .errors import NumericsError
 from .physics import CycleTiming, DeviceParams, Environment, power_to_rate, thermal_photon_rate
 from .report import Estimate, SweepReport
 from .rng import substream
@@ -49,6 +50,7 @@ __all__ = [
     "forward_loglik",
     "conditional_forward_loglik",
     "mutual_information",
+    "rate_bracket",
     "wilson_stderr",
     "ber_point",
     "rate_point",
@@ -143,7 +145,10 @@ def build_cycle_kernel(
 
 # -- exact law of the frame statistics ----------------------------------------
 _DROP = 1e-16  # cells below this probability are left out of a table
-_MASS_TOL = 1e-12  # the kept cells hold all the mass but at most this much
+# the kept cells hold the mass up to the rounding of the lgamma sums of
+# _frame_stats_logp, which grows as n log n: 3.9e-12 at n = 20000
+_MASS_TOL = 1e-9
+_MAX_CELLS = 1 << 22  # the largest window evaluated: about 58 bytes a cell at the peak, 0.25 GB
 
 
 @dataclass(frozen=True)
@@ -221,11 +226,13 @@ def frame_stats_law(q: np.ndarray, b1: int, n: int) -> FrameStatsLaw:
     This is the runs theory of two-state Markov chains (Gabriel 1959; Fu
     and Koutras 1994).  The table spans a window of (n1, n11) around the
     stationary means, 10 rough standard deviations wide; the window doubles
-    until the cells of probability >= 1e-16 hold all but 1e-12 of the mass.
+    until every cell on its edges, apart from the edges of the grid
+    itself, is below 1e-16.  Raises NumericsError when that window would
+    exceed _MAX_CELLS cells, or when its cells of probability >= 1e-16 do
+    not hold the mass up to rounding.
     """
     q = np.asarray(q, dtype=float)
     log_q = _log(q)
-    log_fact = _log_factorials(n)
     # stationary means, and variances of the iid-pair approximation scaled
     # by (1 + l) / (1 - l), where l = 1 - flip is the second eigenvalue of q
     flip = q[0, 1] + q[1, 0]
@@ -238,15 +245,24 @@ def frame_stats_law(q: np.ndarray, b1: int, n: int) -> FrameStatsLaw:
     while True:
         lo1, hi1 = max(0, math.floor(mean1 - w1)), min(n, math.ceil(mean1 + w1))
         lo11, hi11 = max(0, math.floor(mean11 - w11)), min(n - 1, math.ceil(mean11 + w11))
+        size = 2 * (hi1 - lo1 + 1) * (hi11 - lo11 + 1)
+        if size > _MAX_CELLS:
+            raise NumericsError(f"frame statistics table of n = {n} needs a window of {size} cells")
         n1, n11 = np.arange(lo1, hi1 + 1), np.arange(lo11, hi11 + 1)
-        p = np.exp(_frame_stats_logp(log_q, log_fact, b1, n, n1, n11))
-        keep = p >= _DROP
-        mass = float(p[keep].sum())
-        if abs(mass - 1.0) <= _MASS_TOL:
+        p = np.exp(_frame_stats_logp(log_q, _log_factorials(n), b1, n, n1, n11))
+        # the edges of the window that are not edges of the grid
+        rim = np.zeros(p.shape, dtype=bool)
+        rim[:, 0] |= lo1 > 0
+        rim[:, -1] |= hi1 < n
+        rim[..., 0] |= lo11 > 0
+        rim[..., -1] |= hi11 < n - 1
+        if not np.any(p[rim] >= _DROP):
             break
-        if (lo1, hi1, lo11, hi11) == (0, n, 0, n - 1):
-            raise ArithmeticError(f"frame statistics table holds mass {mass!r}, not 1")
         w1, w11 = 2.0 * w1, 2.0 * w11
+    keep = p >= _DROP
+    mass = float(p[keep].sum())
+    if not abs(mass - 1.0) <= _MASS_TOL:
+        raise NumericsError(f"frame statistics table of n = {n} holds mass {mass!r}, not 1")
     # np.nonzero walks the grid in C order: the cells are bn-major (FrameStatsLaw.last_bit)
     bn_i, n1_i, n11_i = np.nonzero(keep)
     cdf = np.cumsum(p[keep])
@@ -730,6 +746,58 @@ def mutual_information(
     return Estimate(value, float(reps.std(ddof=1)))
 
 
+def _information_bits(w0: np.ndarray, w1: np.ndarray) -> float:
+    """sum of w_s log2(2 w_s / (w_0 + w_1)) over both symbols and every cell; 0 log 0 = 0.
+
+    w_s are joint probabilities P(s, cell) of equiprobable symbols, so the
+    sum is the information the cells carry about the symbol.  It is 0
+    exactly when w0 == w1 cell by cell.
+    """
+    total = w0 + w1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = [np.where(w > 0, w * np.log2(2.0 * w / total), 0.0) for w in (w0, w1)]
+    return math.fsum(float(t.sum()) for t in terms)
+
+
+def rate_bracket(spec: HmmSpec) -> tuple:
+    """Exact (lower, upper) bounds on the information rate of the hmm chain, bits per symbol.
+
+    With y the frame statistics (b1, bn, n1, n11) of one symbol, l its
+    entry level and l' the next one, the lower bound is I(S; Y) at the
+    stationary entry-level law, and the upper bound is
+    1 - H(S | Y, L, L'): a genie that reveals every entry level splits the
+    chain into independent symbols.  Both are finite sums over the cells
+    of HmmSpec.frame_stats; a cell missing from one symbol's table has
+    probability 0 under that symbol.  Both are clipped to [0, 1], and
+    the upper bound is held at or above the lower one, which rounding can
+    pass by 1e-14 near 1 bit.
+    """
+    exit_ = spec.level_exit  # (level, symbol, level')
+    # stationary law of P(l' | l) = sum_s P(l' | l, s) / 2; a chain that never
+    # changes level keeps the ground start
+    up, down = 0.5 * exit_[GROUND, :, EXCITED].sum(), 0.5 * exit_[EXCITED, :, GROUND].sum()
+    pi = np.array([down, up]) / (up + down) if up + down > 0 else np.array([1.0, 0.0])
+    lower = upper = 0.0
+    n = spec.n_cycles
+    for b1 in (0, 1):
+        laws = [spec.frame_stats[s][b1] for s in (0, 1)]
+        keys = [(law.cells[0] * (n + 1) + law.cells[1]) * n + law.cells[2] for law in laws]
+        union = np.union1d(*keys)
+        pmf = np.zeros((2, union.size))  # P(bn, n1, n11 | b1, symbol) on the union
+        for s, (law, key) in enumerate(zip(laws, keys)):
+            pmf[s, np.searchsorted(union, key)] = np.diff(law.cdf, prepend=0.0)
+        # P(s, b1, l, l') = pi_l P(b1 | l, s) P(l' | l, s) / 2, shape (level, symbol, level'),
+        # so P(s, y, l, l') = c[l, s, l'] pmf[s, y]
+        first = np.array([[spec.first_bit_prob(lv, s)[b1] for s in (0, 1)] for lv in (GROUND, EXCITED)])
+        c = 0.5 * (pi[:, None] * first)[:, :, None] * exit_
+        lower += _information_bits(*(c.sum(axis=(0, 2))[:, None] * pmf))
+        for lv in (GROUND, EXCITED):
+            for nxt in (GROUND, EXCITED):
+                upper += _information_bits(*(c[lv, :, nxt, None] * pmf))
+    lower = min(max(lower, 0.0), 1.0)
+    return lower, min(max(upper, lower), 1.0)
+
+
 def wilson_stderr(successes: int, n: int) -> float:
     """Half-width of the Wilson score interval at one standard normal unit."""
     if n == 0:
@@ -746,7 +814,6 @@ class LinkConfig:
     timing: CycleTiming
     env: Environment
     saturation: bool = False
-    burn_in: int = 100
 
     @property
     def n_e(self) -> float:
@@ -810,9 +877,10 @@ def ber_point(
     return _link_row(cfg, "ber", power_dbm, n_symbols, seed, errors / n_symbols, stderr)
 
 
-def rate_point(cfg: LinkConfig, power_dbm: float, n_symbols: int, seed: int, idx: int) -> dict:
-    """One achievable-rate sweep row, sampled from the hmm chain."""
-    spec = cfg.build_spec(power_dbm)
-    run = simulate_link(spec, n_symbols, substream(seed, 0xEA, idx, 1))
-    mi = mutual_information(spec, run, burn_in=cfg.burn_in, rng=substream(seed, 0xEA, idx, 2))
-    return _link_row(cfg, "rate", power_dbm, n_symbols, seed, mi.value, mi.stderr)
+def rate_point(cfg: LinkConfig, power_dbm: float, seed: int) -> dict:
+    """One achievable-rate sweep row from rate_bracket: the information rate lies in [rate, rate + stderr].
+
+    The row is exact, so it draws nothing: n_symbols reads 0 and seed is only recorded.
+    """
+    lower, upper = rate_bracket(cfg.build_spec(power_dbm))
+    return _link_row(cfg, "rate", power_dbm, 0, seed, lower, upper - lower)

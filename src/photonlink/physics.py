@@ -286,10 +286,15 @@ def single_photon_excitation(
     def integrand(t: float) -> float:
         return float(pulse.density(t)) * float(excited_kernel(ti - t, dev.kappa, gamma))
 
-    pts = None
+    # the kernel rises over 1/r after the arrival, so the integrand has a
+    # boundary layer of width 1/r at the end of the drive that adaptive
+    # quadrature over a long pulse steps over; break the interval there
+    r = dev.transition_rate
+    pts = [ti - k / r for k in (1.0, 10.0, 100.0)]
     if pulse.shape == "tabulated":
-        pts = [float(n[0]) for n in pulse.nodes if -ti < n[0] < ti]
-    val, _ = integrate.quad(integrand, -ti, ti, epsabs=epsabs, limit=400, points=pts)
+        pts += [float(n[0]) for n in pulse.nodes]
+    pts = sorted({p for p in pts if -ti < p < ti})
+    val, _ = integrate.quad(integrand, -ti, ti, epsabs=epsabs, limit=400, points=pts or None)
     val *= math.exp(-gamma * (t_obs - ti))
     return min(max(val, 0.0), 1.0)
 
@@ -352,21 +357,18 @@ def power_to_rate(power_dbm: float, nu: float) -> float:
     return dbm_to_watts(power_dbm) / (PLANCK_H * nu)
 
 
-def detector_events(times, fire_w, decay_w, t_c: float, avail, last_fire, last_decay, keep=None):
+def detector_events(times, fire_w, decay_w, t_c: float, avail, last_fire, last_decay):
     """Event-driven detector dynamics over columns of sorted arrival times.
 
     Each row is one replica.  An arrival at t <= t_c that finds the
     system available arms it; the excited level is reached at
     t + fire_w and left at that time + decay_w, when the system becomes
-    available again.  keep, if given, masks out arrivals removed
-    beforehand (the dead-time filter).  All draws are made by the
-    caller; returns the final (last_fire, last_decay) times.
+    available again.  All draws are made by the caller; returns the
+    final (last_fire, last_decay) times.
     """
     for j in range(times.shape[1]):
         t = times[:, j]
         take = (t >= avail) & (t <= t_c)
-        if keep is not None:
-            take &= keep[:, j]
         fire = t + fire_w[:, j]
         decay = fire + decay_w[:, j]
         last_fire = np.where(take, fire, last_fire)

@@ -23,12 +23,14 @@ from .physics import (
     DeviceParams,
     Environment,
     PulseProfile,
+    _phi,
     ground_return_prob,
     single_photon_excitation,
     single_photon_excitation_double_integral,
     thermal_photon_rate,
     transition_kernels,
 )
+from .report import Estimate
 from .rng import substream
 
 __all__ = ["CheckResult", "run_checks", "CHECKS", "NAMES"]
@@ -93,6 +95,10 @@ def check_ground_return_quadrature(level: str, seed: int) -> CheckResult:
 
 
 def check_single_photon_quadrature(level: str, seed: int) -> CheckResult:
+    """single_photon_excitation against the raw double integral at kappa l
+    of order 1-8, and a rectangular pulse on the physical range (l from
+    1e-10 to 1e-4 s at kappa = 2 pi 1e9) against its closed form
+    r/(r - gamma) [phi(gamma T) - phi(r T)], T = 2 t_i, observed at t_i."""
     worst = 0.0
     for shape in ("rectangular", "gaussian"):
         pulse = PulseProfile(l=2.0, shape=shape)
@@ -101,7 +107,21 @@ def check_single_photon_quadrature(level: str, seed: int) -> CheckResult:
             a = single_photon_excitation(pulse, t_obs, dev)
             b = single_photon_excitation_double_integral(pulse, t_obs, dev)
             worst = max(worst, abs(a - b) / max(abs(b), 1e-30))
-    return _result("single-photon-quadrature", worst < 1e-8, f"max rel err {worst:.2e}")
+    worst_physical = 0.0
+    for gamma in (2 * np.pi * 1e5, 2 * np.pi * 1e6):
+        dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=gamma)
+        r = dev.transition_rate
+        for length in np.geomspace(1e-10, 1e-4, 61):
+            pulse = PulseProfile(l=float(length))
+            big_t = 2.0 * pulse.t_i
+            closed = r / (r - gamma) * float(_phi(gamma * big_t) - _phi(r * big_t))
+            got = single_photon_excitation(pulse, pulse.t_i, dev)
+            worst_physical = max(worst_physical, abs(got - closed) / closed)
+    ok = worst < 1e-8 and worst_physical < 1e-8
+    return _result(
+        "single-photon-quadrature", ok,
+        f"max rel err {worst:.2e} vs double integral, {worst_physical:.2e} vs closed form",
+    )
 
 
 def check_dp_vs_enumeration(level: str, seed: int) -> CheckResult:
@@ -354,6 +374,68 @@ def check_frame_stats_law(level: str, seed: int) -> CheckResult:
     )
 
 
+def mc_rate(spec: link.HmmSpec, n_symbols: int, seed: int, idx: int) -> Estimate:
+    """Monte Carlo information rate of the hmm chain, the oracle of link.rate_bracket.
+
+    The simulation-based method of Arnold et al. (IEEE Trans. IT 2006):
+    one run of n_symbols symbols from substream (seed, 0xEA, idx, 1),
+    whose forward recursions give the per-symbol information; the mean
+    after a burn-in of 100 symbols is the rate, and a block bootstrap on
+    substream (seed, 0xEA, idx, 2) gives its standard error.
+    """
+    run = link.simulate_link(spec, n_symbols, substream(seed, 0xEA, idx, 1))
+    return link.mutual_information(spec, run, burn_in=100, rng=substream(seed, 0xEA, idx, 2))
+
+
+def rate_bracket_enumeration(spec: link.HmmSpec) -> tuple:
+    """(lower, upper) of link.rate_bracket by enumeration over every frame, n_cycles <= 12.
+
+    lower = 1 - H(S | frame) and upper = 1 - H(S | frame, L, L'), each
+    from the symbol posterior, with the entry level at the stationary law
+    of its chain.
+    """
+    probs, _ = spec.enumerate_block_probs()
+    by_state = probs.reshape(-1, 2, 2)  # P(frame | level, symbol)
+    chain = 0.5 * spec.level_exit.sum(axis=1)  # P(l' | l)
+    pi = np.linalg.lstsq(np.vstack([chain.T - np.eye(2), np.ones(2)]), [0.0, 0.0, 1.0], rcond=None)[0]
+
+    def info(joint):  # 1 - H(S | cell) from P(cell, s), the symbol on the last axis
+        joint = joint.reshape(-1, 2)
+        post = joint / joint.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 + float(np.where(joint > 0, joint * np.log2(post), 0.0).sum())
+
+    lower = info(0.5 * np.einsum("l,fls->fs", pi, by_state))
+    upper = info(0.5 * np.einsum("l,fls,lsk->flks", pi, by_state, spec.level_exit))
+    return lower, upper
+
+
+def check_rate_bracket(level: str, seed: int) -> CheckResult:
+    """The exact achievable rate of rate-sweep: link.rate_bracket equals
+    enumeration at N <= 12, and at N = 800 the Monte Carlo rate (100k
+    symbols; 20k at quick) lies within 4 standard errors of the bracket."""
+    base = _ref_spec()
+    worst_enum = 0.0
+    for n in (1, 3, 8, 12):
+        spec = link.HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=n)
+        gap = np.subtract(link.rate_bracket(spec), rate_bracket_enumeration(spec))
+        worst_enum = max(worst_enum, float(np.abs(gap).max()))
+    n_symbols = 100_000 if level == "full" else 20_000
+    cfg = link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV)
+    worst_z = 0.0
+    for i, power in enumerate((-156.0, -152.0, -150.0, -148.0)):
+        spec = cfg.build_spec(power)
+        lower, upper = link.rate_bracket(spec)
+        mc = mc_rate(spec, n_symbols, seed, i)
+        worst_z = max(worst_z, max(lower - mc.value, mc.value - upper, 0.0) / max(mc.stderr, 1e-12))
+    ok = worst_enum < 1e-12 and worst_z < 4.0
+    return _result(
+        "rate-bracket", ok,
+        f"N<=12 max |bracket-enum| {worst_enum:.2e}, "
+        f"MC at {n_symbols} symbols max z outside the bracket {worst_z:.2f}",
+    )
+
+
 def check_viterbi_bruteforce(level: str, seed: int) -> CheckResult:
     base = _ref_spec()
     rng = substream(seed, 0x05)
@@ -505,6 +587,7 @@ CHECKS: tuple = (
     check_fit_recovery,
     check_hmm_emission_normalization,
     check_frame_stats_law,
+    check_rate_bracket,
     check_viterbi_bruteforce,
     check_forward_total_probability,
     check_kernel_vs_mc_detector,

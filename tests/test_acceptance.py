@@ -134,46 +134,60 @@ def test_c07b_ber_kappa_ordering():
             f"BER(kappa=2pi*1e8)={bers[0][0]:.4g} vs BER(kappa=2pi*1e9)={bers[1][0]:.4g}", t0)
 
 
+def _rate_crossing_dbm(level: float, lo: float = -160.0, hi: float = -140.0) -> float:
+    """Power where the exact lower rate bound reaches level, by bisection to 1e-4 dB."""
+    cfg = link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV)
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if link.rate_bracket(cfg.build_spec(mid))[0] < level else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def test_c08_rate_headline():
+    # the Monte Carlo rate (validate.mc_rate, the oracle of the exact
+    # bracket that rate-sweep writes) on the headline grid
     t0 = time.monotonic()
     cfg = link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV)
     n_symbols = 100_000
     powers = [-math.inf, -158.0, -156.0, -154.0, -152.0, -151.0, -150.0, -149.0, -148.0, -146.0]
-    rows = [link.rate_point(cfg, p, n_symbols, SEED, i) for i, p in enumerate(powers)]
-    rate = [r["rate"] for r in rows]
-    se = [r["stderr"] for r in rows]
+    ests = [validate.mc_rate(cfg.build_spec(p), n_symbols, SEED, i) for i, p in enumerate(powers)]
+    rate = [e.value for e in ests]
+    se = [e.stderr for e in ests]
     in_unit = all(0.0 <= r <= 1.0 for r in rate)
     zero_at_off = rate[0] <= 2 * se[0]
     monotone = all(rate[i + 1] >= rate[i] - 4 * (se[i] + se[i + 1]) for i in range(len(rate) - 1))
     # where the curve reaches 0.95: a checked finding.  This model places it
-    # at -149.60 dBm, about 7 dB above the paper's -156.5 dBm target, so the
-    # gate pins the model's own placement and the paper's target is reported
+    # at -149.60 dBm (-149.69 on the exact bracket; the Monte Carlo reading
+    # interpolates linearly on a concave curve), about 7 dB above the
+    # paper's -156.5 dBm target, so the gate pins the model's own placement
     cross = math.nan
     for i in range(2, len(rate)):
         if rate[i - 1] < 0.95 <= rate[i]:
             cross = powers[i - 1] + (0.95 - rate[i - 1]) * (powers[i] - powers[i - 1]) / (rate[i] - rate[i - 1])
             break
     at_model = not math.isnan(cross) and abs(cross - (-149.60)) <= 1.0
-    at_paper = not math.isnan(cross) and abs(cross - (-156.5)) <= 2.0
-    ok = in_unit and zero_at_off and monotone and at_model
+    # no receiver reaches the paper's 0.95 bits at -156.5 dBm under this model
+    upper_at_paper = link.rate_bracket(cfg.build_spec(-156.5))[1]
+    paper_gap = upper_at_paper < 0.95
+    ok = in_unit and zero_at_off and monotone and at_model and paper_gap
     _report("08 rate-headline", ok,
             f"I(off)={rate[0]:.4f}+-{se[0]:.4f}, monotone={monotone}, in [0,1]={in_unit}; "
-            f"0.95 reached at {cross:.2f} dBm vs model -149.60 +- 1; paper target -156.5 +- 2 "
-            f"{'met' if at_paper else 'missed'} (see README calibration notes)", t0)
+            f"0.95 reached at {cross:.2f} dBm vs model -149.60 +- 1, exact {_rate_crossing_dbm(0.95):.2f} dBm; "
+            f"exact upper bound at the paper's -156.5 dBm {upper_at_paper:.4f} < 0.95 "
+            f"(see README calibration notes)", t0)
 
 
 def test_c09_saturation_negligibility():
     # the excitation half of this criterion is the check
-    # saturation-negligible-low-power; this is the achievable rate with
-    # and without the dead-time filter at low power
+    # saturation-negligible-low-power; this is the exact achievable rate
+    # with and without the dead-time filter at low power
     t0 = time.monotonic()
-    n_symbols = 200_000
     gaps = []
     for power in (-158.0, -156.0, -154.0, -150.0):
         rates = {}
         for flag in (False, True):
             cfg = link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV, saturation=flag)
-            rates[flag] = link.rate_point(cfg, power, n_symbols, SEED, 50 + int(flag))["rate"]
+            rates[flag] = link.rate_point(cfg, power, SEED)["rate"]
         gaps.append(abs(rates[True] - rates[False]))
     ok = max(gaps) < 0.01
     detail = "rate gaps " + ", ".join(f"{g:.4f}" for g in gaps) + " at -158, -156, -154, -150 dBm (<0.01)"

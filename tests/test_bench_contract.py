@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from photonlink import detection, link
+from photonlink import detection, link, validate
 from photonlink.physics import CycleTiming, DeviceParams, Environment
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -40,17 +40,34 @@ def test_miss_sweep_runs_no_renewal_dp():
         assert metrics[name] == 0.0
 
 
-def test_link_spans_and_symbol_count():
-    # the link scans must stay behind the names the tracer wraps
-    tracing = _tracing()
-    tracer = tracing.Tracer()
+def _ref_link_cfg(n: int) -> link.LinkConfig:
     timing = CycleTiming(230e-9, 35e-9, 48e-9)
     dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5)
-    cfg = link.LinkConfig(dev=dev, timing=timing, env=Environment(t_e=8.0, nu=1e10, cycles_per_symbol=8))
+    return link.LinkConfig(dev=dev, timing=timing, env=Environment(t_e=8.0, nu=1e10, cycles_per_symbol=n))
+
+
+def test_link_spans_and_symbol_count():
+    # the link scans must stay behind the names the tracer wraps; the Monte
+    # Carlo rate, now the oracle of the exact one, runs the forward recursions
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    cfg = _ref_link_cfg(8)
     with tracing.instrument(tracer):
-        link.rate_point(cfg, -150.0, 300, seed=3, idx=0)
+        validate.mc_rate(cfg.build_spec(-150.0), 300, seed=3, idx=0)
         link.ber_point(cfg, -150.0, 300, seed=3, idx=1)
     metrics = tracing.layer_metrics(tracer)
-    for name in ("simulate_link", "viterbi_decode", "forward_loglik", "conditional_forward_loglik"):
+    for name in ("simulate_link", "viterbi_decode", "forward_loglik", "conditional_forward_loglik",
+                 "mutual_information"):
         assert metrics[f"link.{name}.s"] > 0.0, name
     assert metrics["link.symbols"] == 600
+
+
+def test_rate_point_runs_no_simulation():
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        link.rate_point(_ref_link_cfg(800), -150.0, seed=3)
+    names = {span[1] for span in tracer.spans}
+    assert "link.build_spec" in names
+    assert not names & {"link.simulate_link", "link.forward_loglik", "link.conditional_forward_loglik",
+                        "link.mutual_information"}

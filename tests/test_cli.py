@@ -166,6 +166,16 @@ class TestExitCodes:
         )
         assert code == 4
 
+    def test_unbuildable_frame_table_exit_code(self, config_file, tmp_path, capsys):
+        # at N = 1e5 and -142 dBm the frame-statistics window would hold 7.5M cells
+        code = run_cli(
+            "rate-sweep", "--config", str(config_file), "--out", str(tmp_path / "o"),
+            "--set", "environment.cycles_per_symbol=100000",
+            "--set", "sweeps.power_dbm={values: [-142.0]}",
+        )
+        assert code == 4
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "numerics"
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, config_file, tmp_path):
@@ -205,6 +215,22 @@ class TestDeterminism:
         for line in rows[1:]:
             row = dict(zip(header, line.split(",")))
             assert float(row["stderr"]) == 0.0 and int(row["replicas"]) == 0
+
+    def test_rate_sweep_draws_nothing(self, config_file, tmp_path):
+        # the rate is an exact bracket: no seed or worker count moves it
+        tables = []
+        for name, seed, workers in (("s5", "5", "1"), ("s6", "6", "1"), ("s6w2", "6", "2")):
+            out = tmp_path / name
+            assert run_cli(
+                "rate-sweep", "--config", str(config_file), "--out", str(out), "--seed", seed, "--workers", workers
+            ) == 0
+            lines = (out / "rate_sweep" / "rate_sweep.csv").read_text().splitlines()
+            header = lines[0].split(",")
+            rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+            assert [row.pop("seed") for row in rows] == [seed] * 3
+            assert all(row["n_symbols"] == "0" and float(row["stderr"]) >= 0.0 for row in rows)
+            tables.append(rows)
+        assert tables[0] == tables[1] == tables[2]
 
     def test_manifest_hashes_reproducible(self, config_file, tmp_path):
         hashes = []
@@ -268,8 +294,7 @@ def test_saturation_barely_moves_the_rate(tmp_path):
     for flag in ("false", "true"):
         out = tmp_path / flag
         assert run_cli(
-            "rate-sweep", "--config", str(default), "--out", str(out),
-            "--set", "mc.n_symbols=20000", "--set", f"link.saturation={flag}",
+            "rate-sweep", "--config", str(default), "--out", str(out), "--set", f"link.saturation={flag}",
         ) == 0
         lines = (out / "rate_sweep" / "rate_sweep.csv").read_text().splitlines()
         header = lines[0].split(",")

@@ -174,7 +174,7 @@ class TestExperimentConfig:
     def test_default_yaml_hash_pinned(self):
         # changing this hash must be a deliberate edit: every manifest records it
         assert ExperimentConfig.from_file(DEFAULT_YAML).config_hash() == (
-            "b936980b55bb1e623bb60f99f83b84d2cb2586bc7c0d3525800df81367c880f3"
+            "9553f886f27ba8cb82e6e6cab3f3e68e7f149a063184fca9308f84768b659a56"
         )
 
     def test_hash_stability_and_sensitivity(self):

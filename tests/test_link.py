@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from scipy import stats
 
 from photonlink import link
 from photonlink.detection import mc_detector
+from photonlink.errors import NumericsError
 from photonlink.link import (
     LINK_SWEEP_COLUMNS,
     CycleKernel,
@@ -18,6 +23,7 @@ from photonlink.link import (
     forward_loglik,
     frame_statistics,
     mutual_information,
+    rate_bracket,
     rate_point,
     simulate_link,
     viterbi_decode,
@@ -25,7 +31,7 @@ from photonlink.link import (
 )
 from photonlink.physics import CycleTiming, DeviceParams, Environment
 from photonlink.rng import substream
-from photonlink.validate import frame_stats_enumeration_gap
+from photonlink.validate import frame_stats_enumeration_gap, rate_bracket_enumeration
 
 TIMING = CycleTiming(230e-9, 35e-9, 48e-9)
 
@@ -399,6 +405,52 @@ class TestFrameStatsLaw:
                 law = link.frame_stats_law(q, b1, n)
                 assert law.cells.T.tolist() == [list(want(b1))] and law.mass == 1.0
 
+    @pytest.mark.parametrize("n", [12000, 20000])
+    def test_long_frames_in_bounded_memory(self, n):
+        # lgamma rounding alone puts the kept mass 1.3e-12 (n = 12000) and
+        # 3.9e-12 (n = 20000) off 1; a window judged by that total doubled
+        # toward the (n + 1) x n grid until memory ran out.  A child process
+        # under a 2 GiB address-space cap builds the tables and checks their
+        # cells against a window twice as wide around them
+        code = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from photonlink import link
+from photonlink.physics import CycleTiming, DeviceParams, Environment
+n = {n}
+cfg = link.LinkConfig(
+    dev=DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5),
+    timing=CycleTiming(230e-9, 35e-9, 48e-9),
+    env=Environment(t_e=8.0, nu=1e10, cycles_per_symbol=n),
+)
+for power in (-160.0, -146.0):
+    spec = cfg.build_spec(power)
+    for s in (0, 1):
+        q = spec.kernel(s).bit_chain
+        for b1 in (0, 1):
+            law = spec.frame_stats[s][b1]
+            assert law.cdf[-1] == 1.0 and abs(law.mass - 1.0) < 1e-10, law.mass
+            (lo1, lo11), (hi1, hi11) = law.cells[1:].min(axis=1), law.cells[1:].max(axis=1)
+            pad1, pad11 = (hi1 - lo1) // 2 + 1, (hi11 - lo11) // 2 + 1
+            n1 = np.arange(max(0, lo1 - pad1), min(n, hi1 + pad1) + 1)
+            n11 = np.arange(max(0, lo11 - pad11), min(n - 1, hi11 + pad11) + 1)
+            p = np.exp(link._frame_stats_logp(np.log(q), link._log_factorials(n), b1, n, n1, n11))
+            bn_i, n1_i, n11_i = np.nonzero(p >= 1e-16)
+            assert np.array_equal(np.stack([bn_i, n1[n1_i], n11[n11_i]]), law.cells)
+print("ok")
+"""
+        src = str(Path(link.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr[-2000:]
+
+    def test_unbuildable_table_is_a_numerics_error(self):
+        # a chain that almost never flips spreads the law over the whole grid
+        q = np.array([[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]])
+        with pytest.raises(NumericsError, match="cells"):
+            link.frame_stats_law(q, 0, 5000)
+
     @pytest.mark.parametrize("mode", ["physical", "hmm"])
     @pytest.mark.parametrize("power", [-154.0, -150.0, -146.0])
     def test_matches_coupled_chains(self, power, mode):
@@ -547,6 +599,33 @@ class TestForwardAndRate:
         assert mi.value == float(np.clip((inc_os - inc_o)[100:].mean(), 0.0, 1.0))
 
 
+class TestRateBracket:
+    """The exact achievable rate that rate-sweep writes."""
+
+    @pytest.mark.parametrize("kernels", ["ref-146dBm", "sticky"])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_equals_enumeration(self, kernels, n):
+        k0, k1 = TestFrameStatsLaw.KERNELS[kernels]()
+        spec = HmmSpec(kernel0=k0, kernel1=k1, n_cycles=n)
+        got, want = rate_bracket(spec), rate_bracket_enumeration(spec)
+        assert got[0] <= got[1]
+        assert np.abs(np.subtract(got, want)).max() < 1e-12
+
+    def test_deterministic_kernels_carry_one_bit(self):
+        k0, k1 = deterministic_kernels()
+        assert rate_bracket(HmmSpec(kernel0=k0, kernel1=k1, n_cycles=3)) == (1.0, 1.0)
+
+    def test_zero_signal_is_exactly_zero(self):
+        # at -inf dBm both symbols have the same law, cell by cell
+        assert rate_bracket(ref_link_cfg().build_spec(-math.inf)) == (0.0, 0.0)
+
+    def test_rises_with_power_inside_a_narrow_bracket(self):
+        brackets = [rate_bracket(ref_link_cfg().build_spec(p)) for p in np.arange(-154.0, -145.0, 1.0)]
+        lowers = [lo for lo, _ in brackets]
+        assert all(a < b for a, b in zip(lowers, lowers[1:]))
+        assert all(0.0 <= hi - lo < 2e-4 for lo, hi in brackets)  # at most 1.6e-4, at -153 dBm
+
+
 class TestSweeps:
     """The sweep rows of ber_point and rate_point, as the CLI sweeps write them."""
 
@@ -568,10 +647,13 @@ class TestSweeps:
         assert rows[1]["ber"] <= rows[0]["ber"]
 
     def test_rate_report_schema(self):
-        row = rate_point(ref_link_cfg(n=8), -150.0, 2000, seed=16, idx=0)
+        # the exact bracket: rate is its lower end, stderr its width, and nothing is sampled
+        row = rate_point(ref_link_cfg(n=8), -150.0, seed=16)
         assert list(row) == [c.replace("value", "rate") for c in LINK_SWEEP_COLUMNS]
-        assert (row["power_dbm"], row["n_symbols"], row["seed"], row["n_cycles"]) == (-150.0, 2000, 16, 8)
+        assert (row["power_dbm"], row["n_symbols"], row["seed"], row["n_cycles"]) == (-150.0, 0, 16, 8)
         assert 0.0 <= row["rate"] <= 1.0
+        lower, upper = rate_bracket(ref_link_cfg(n=8).build_spec(-150.0))
+        assert (row["rate"], row["stderr"]) == (lower, upper - lower)
         link._link_report("rate").append(**row)  # the row fits the report the CLI writes
 
     def test_wilson_stderr(self):
