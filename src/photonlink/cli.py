@@ -123,7 +123,7 @@ def _pulse_point(cfg: ExperimentConfig, l: float, kappa: float, gamma: float) ->
 
 def cmd_pulse_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     lengths = cfg.axis("pulse_length_ns") * 1e-9
-    gammas = cfg.axis("gamma_rad_per_s") if "gamma_rad_per_s" in cfg.sweeps else [cfg.device.gamma]
+    gammas = cfg.axis("gamma_rad_per_s", cfg.device.gamma)
     payloads = [(cfg, float(l), cfg.device.kappa, float(g)) for g in gammas for l in lengths]
     rows = _parallel_map(_pulse_point, payloads, cfg.workers)
     report = SweepReport(columns=("l_ns", "kappa", "gamma", "efficiency"))
@@ -136,8 +136,8 @@ def cmd_pulse_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
 
 def cmd_miss_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     means = cfg.axis("mean_photons")
-    kappas = cfg.axis("kappa_rad_per_s") if "kappa_rad_per_s" in cfg.sweeps else [cfg.device.kappa]
-    gammas = cfg.axis("gamma_rad_per_s") if "gamma_rad_per_s" in cfg.sweeps else [cfg.device.gamma]
+    kappas = cfg.axis("kappa_rad_per_s", cfg.device.kappa)
+    gammas = cfg.axis("gamma_rad_per_s", cfg.device.gamma)
     grid = [
         (mean / cfg.timing.t_c, kappa, gamma)
         for kappa in kappas
@@ -215,7 +215,7 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     # saturated excitation curves, correct and wrong reset: exact, so the
     # stderr and replicas columns read 0
     means = cfg.axis("mean_photons")
-    kappas = cfg.axis("kappa_rad_per_s") if "kappa_rad_per_s" in cfg.sweeps else [cfg.device.kappa]
+    kappas = cfg.axis("kappa_rad_per_s", cfg.device.kappa)
     exc = SweepReport(
         columns=(
             "mean_photons", "lambda", "kappa", "gamma", "t_c", "reset",

@@ -396,10 +396,13 @@ class ExperimentConfig:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def axis(self, name: str) -> np.ndarray:
-        if name not in self.sweeps:
+    def axis(self, name: str, default: Optional[float] = None) -> np.ndarray:
+        """The values of sweeps.<name>; [default] when the config has no such axis and a default is given."""
+        if name in self.sweeps:
+            return self.sweeps[name].resolve()
+        if default is None:
             raise ConfigError(f"config has no sweeps.{name} axis")
-        return self.sweeps[name].resolve()
+        return np.array([default])
 
 
 def apply_overrides(raw: dict, overrides) -> dict:

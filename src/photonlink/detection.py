@@ -20,11 +20,13 @@ import numpy as np
 from .physics import (
     CycleTiming,
     DeviceParams,
+    PulseProfile,
     _phi,
     detection_prob_single,
     detector_events,
     excited_kernel,
     ground_return_prob,
+    single_photon_excitation,
     transition_kernels,
 )
 from .report import Estimate, SweepReport
@@ -150,16 +152,6 @@ def excitation_given_arrivals_bruteforce(trace: ArrivalTrace, dev: DeviceParams)
     return total
 
 
-def mean_single_photon_conditional(t_c: float, dev: DeviceParams, epsabs: float = 1e-12) -> float:
-    """Mean excitation for one photon uniform on [0, t_c], by quadrature."""
-    from scipy import integrate
-
-    val, _ = integrate.quad(
-        lambda u: float(excited_kernel(u, dev.kappa, dev.gamma)), 0.0, t_c, epsabs=epsabs, limit=200
-    )
-    return val / t_c
-
-
 def excitation_given_count(
     n: int,
     t_c: float,
@@ -169,15 +161,16 @@ def excitation_given_count(
 ) -> Estimate:
     """Excitation probability given exactly n uniform arrivals in [0, t_c].
 
-    Exact for n <= 1 (quadrature); Monte Carlo over sorted uniforms for
-    n >= 2, where the order-statistics integral has no closed form.
+    Exact for n <= 1: one uniform photon is a rectangular pulse of length
+    t_c observed at its end.  Monte Carlo over sorted uniforms for n >= 2,
+    where the order-statistics integral has no closed form.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return Estimate(0.0, 0.0)
     if n == 1:
-        return Estimate(mean_single_photon_conditional(t_c, dev), 0.0)
+        return Estimate(single_photon_excitation(PulseProfile(l=t_c), t_c / 2.0, dev), 0.0)
     if mc_samples < 2:
         raise ValueError("mc_samples must be >= 2")
     if rng is None:

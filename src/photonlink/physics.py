@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "transition_kernels",
     "excited_kernel",
     "single_photon_excitation",
+    "single_photon_excitation_quadrature",
     "single_photon_excitation_double_integral",
     "detection_prob_single",
     "thermal_photon_rate",
@@ -48,6 +50,60 @@ def _phi(x):
     out = -np.expm1(-xs) / xs
     # second-order series through the removable singularity
     return np.where(small, 1.0 - x / 2.0 + x * x / 6.0, out)
+
+
+# Taylor coefficients of the cell weights below z = 0.05, highest order first
+_LOWER_SERIES = [(-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(7, -1, -1)]
+_UPPER_SERIES = [(-1) ** k / math.factorial(k + 2) for k in range(7, -1, -1)]
+_SQUARE_SERIES = [(-1) ** k / (math.factorial(k) * (k + 3)) for k in range(7, -1, -1)]
+
+
+def _cell_weights(z):
+    """Weights (lower node, upper node) of int_0^1 f(theta) e^{-z (1 - theta)} dtheta
+    for f linear between its node values, elementwise for z >= 0."""
+    z = np.asarray(z, dtype=float)
+    small = z < 0.05
+    zs = np.where(small, 1.0, z)
+    em1 = np.expm1(-zs)
+    lower = np.where(small, np.polyval(_LOWER_SERIES, z), (-em1 - zs * (em1 + 1.0)) / (zs * zs))
+    upper = np.where(small, np.polyval(_UPPER_SERIES, z), (zs + em1) / (zs * zs))
+    return lower, upper
+
+
+def _cell_square_weight(z, lower):
+    """int_0^1 s^2 e^{-z s} ds elementwise for z >= 0, from lower = _cell_weights(z)[0]."""
+    z = np.asarray(z, dtype=float)
+    small = z < 0.05
+    zs = np.where(small, 1.0, z)
+    return np.where(small, np.polyval(_SQUARE_SERIES, z), (2.0 * lower - np.exp(-zs)) / zs)
+
+
+#: Above this argument erfcx comes from its asymptotic series: 20 terms of
+#: it reach 1e-18, and below it exp(z^2) carries a relative error of at
+#: most z^2 ulp, 7e-15.
+_ERFCX_ASYMPTOTIC = 8.0
+
+
+def _erfcx_tail(z: float) -> float:
+    """1 - sqrt(pi) z erfcx(z) for z >= _ERFCX_ASYMPTOTIC, by the asymptotic
+    series sum_{n>=1} (-1)^(n+1) (2n-1)!! / (2 z^2)^n."""
+    q = 0.5 / (z * z)
+    term, total = -1.0, 0.0
+    for n in range(1, 21):
+        term *= -(2 * n - 1) * q
+        total += term
+    return total
+
+
+def _erfc_terms(z: float, log_w: float) -> tuple:
+    """(w erfcx(z), w (1/2 - sqrt(pi)/2 z erfcx(z))) with w = e^log_w and
+    erfcx(z) = e^{z^2} erfc(z); finite for z < 0 when log_w + z^2 <= 0."""
+    w = math.exp(log_w)
+    if z < _ERFCX_ASYMPTOTIC:
+        scaled = math.erfc(z) * math.exp(log_w + z * z)
+        return scaled, 0.5 * w - 0.5 * math.sqrt(math.pi) * z * scaled
+    tail = _erfcx_tail(z)
+    return w * (1.0 - tail) / (math.sqrt(math.pi) * z), 0.5 * w * tail
 
 
 @dataclass(frozen=True)
@@ -116,7 +172,8 @@ class PulseProfile:
     The density rho(t) lives on [-t_i, t_i] with t_i = (beta*l + w) / 2.
     Shapes: "rectangular" (uniform), "gaussian" (sigma = l/4, truncated
     and renormalized), "tabulated" (piecewise-linear through the given
-    nodes, renormalized).
+    nodes and zero outside them, cut to [-t_i, t_i] and renormalized
+    there).
     """
 
     l: float
@@ -143,15 +200,38 @@ class PulseProfile:
                 raise ParameterError("nodes", "tabulated nodes must have strictly increasing t")
             if np.any(r < 0):
                 raise ParameterError("nodes", "tabulated density must be nonnegative")
-            area = np.trapezoid(r, t)
-            if area <= 0:
-                raise ParameterError("nodes", "tabulated density has zero mass")
         if not self.t_i > 0:
             raise ParameterError("l", "pulse support collapsed, t_i must be > 0")
+        if self.shape == "tabulated" and not self._tabulated[3] > 0:
+            raise ParameterError("nodes", f"tabulated density has zero mass on [-t_i, t_i], t_i = {self.t_i}")
 
     @property
     def t_i(self) -> float:
         return (self.beta * self.l + self.w) / 2.0
+
+    @cached_property
+    def _tabulated(self) -> tuple:
+        """The tabulated density cut to [-t_i, t_i], before renormalization:
+        breakpoints t, its values at the left and right end of each cell, and
+        its mass there."""
+        ti = self.t_i
+        knots_t = np.asarray([n[0] for n in self.nodes], dtype=float)
+        knots_r = np.asarray([n[1] for n in self.nodes], dtype=float)
+        t = np.unique(np.concatenate([[-ti, ti], knots_t[(knots_t > -ti) & (knots_t < ti)]]))
+        mid = 0.5 * (t[:-1] + t[1:])
+        inside = (mid > knots_t[0]) & (mid < knots_t[-1])  # the density jumps to 0 at the end nodes
+        left = np.where(inside, np.interp(t[:-1], knots_t, knots_r), 0.0)
+        right = np.where(inside, np.interp(t[1:], knots_t, knots_r), 0.0)
+        return t, left, right, float(0.5 * np.sum(np.diff(t) * (left + right)))
+
+    def _cells(self) -> tuple:
+        """A rectangular or tabulated density as piecewise-linear cells of unit
+        mass: breakpoints t and the density at the left and right end of each cell."""
+        if self.shape == "rectangular":
+            rho = np.array([0.5 / self.t_i])
+            return np.array([-self.t_i, self.t_i]), rho, rho
+        t, left, right, mass = self._tabulated
+        return t, left / mass, right / mass
 
     def density(self, t) -> np.ndarray:
         """Evaluate rho(t); zero outside [-t_i, t_i]."""
@@ -169,8 +249,7 @@ class PulseProfile:
         else:
             knots_t = np.asarray([n[0] for n in self.nodes], dtype=float)
             knots_r = np.asarray([n[1] for n in self.nodes], dtype=float)
-            area = np.trapezoid(knots_r, knots_t)
-            rho = np.interp(t, knots_t, knots_r, left=0.0, right=0.0) / area
+            rho = np.interp(t, knots_t, knots_r, left=0.0, right=0.0) / self._tabulated[3]
         return np.where(inside, rho, 0.0)
 
     def check_normalization(self, tol: float = 1e-9) -> float:
@@ -263,18 +342,79 @@ def transition_kernels(t, t0, dev: DeviceParams):
     return f1, f2
 
 
-def single_photon_excitation(
+#: Bound on |r - gamma| M/L (M/L: the mean delay to the end of the drive
+#: under the tilted density) below which the single-photon excitation takes
+#: the first term of its series in r - gamma.  The first neglected term is
+#: at most (|r - gamma| M/L)^2 / 4 = 1e-10 there; outside, the difference
+#: of the two transforms loses about ulp L/(|r - gamma| M) = 1e-11 to rounding.
+_COINCIDENT_EPS = 2e-5
+
+
+def _pulse_transform(pulse: PulseProfile, a: float) -> tuple:
+    """(L, M) = int rho(t) (1, t_i - t) e^{-a (t_i - t)} dt over the pulse support, for a >= 0.
+
+    L is the transform of the pulse density at the end of the drive and M
+    = -dL/da its first moment, both in closed form.  Rectangular and
+    tabulated densities are piecewise linear, and each cell is integrated
+    exactly.  For the gaussian, L(a) = [e^{-x^2} erfcx(z1) - e^{-x^2 - 2 a t_i}
+    erfcx(z2)] / (2 erf(x)) with x = t_i / (sigma sqrt 2) and
+    z1,2 = (a sigma^2 -/+ t_i) / (sigma sqrt 2), and M follows by parts.
+    """
+    ti = pulse.t_i
+    if pulse.shape == "gaussian":
+        sigma = pulse.l / 4.0
+        x = ti / (sigma * math.sqrt(2.0))
+        z1 = (a * sigma * sigma - ti) / (sigma * math.sqrt(2.0))
+        e1, h1 = _erfc_terms(z1, -x * x)
+        e2, h2 = _erfc_terms(z1 + 2.0 * x, -x * x - 2.0 * a * ti)
+        norm = math.erf(x)
+        moment = sigma * math.sqrt(2.0 / math.pi) * (h1 - h2 - x * math.sqrt(math.pi) * e2) / norm
+        return (e1 - e2) / (2.0 * norm), moment
+    t, left, right = pulse._cells()
+    width = np.diff(t)
+    delay = ti - t[1:]  # from the right end of each cell to the end of the drive
+    lower, upper = _cell_weights(a * width)
+    square = _cell_square_weight(a * width, lower)
+    scale = width * np.exp(-a * delay)
+    zeroth = lower * left + upper * right  # int_0^1 rho e^{-a width s} ds, s = 1 - theta
+    first = square * left + (lower - square) * right  # the same with a factor s
+    return float(scale @ zeroth), float(scale @ (delay * zeroth + width * first))
+
+
+def single_photon_excitation(pulse: PulseProfile, t_obs: float, dev: DeviceParams) -> float:
+    """Excitation probability at the observation time for one signal photon.
+
+    A photon arriving at t is excited at the end of the drive t_i with
+    probability K(t_i - t), K(u) = r/(r - gamma) (e^{-gamma u} - e^{-r u}),
+    and then only decays until t_obs.  So P = r [L(gamma) - L(r)] / (r - gamma)
+    * e^{-gamma (t_obs - t_i)} with L from `_pulse_transform`.  Near r = gamma
+    the difference quotient is M((r + gamma)/2) + O((r - gamma)^2), the first
+    term of its series in r - gamma.
+    """
+    ti = pulse.t_i
+    if t_obs < ti:
+        raise ValueError(f"t_obs {t_obs} must be >= pulse half-width {ti}")
+    r, gamma = dev.transition_rate, dev.gamma
+    transform, moment = _pulse_transform(pulse, 0.5 * (r + gamma))
+    if abs(r - gamma) * moment <= _COINCIDENT_EPS * transform:
+        val = r * moment
+    else:
+        val = r * (_pulse_transform(pulse, gamma)[0] - _pulse_transform(pulse, r)[0]) / (r - gamma)
+    val *= math.exp(-gamma * (t_obs - ti))
+    return min(max(val, 0.0), 1.0)
+
+
+def single_photon_excitation_quadrature(
     pulse: PulseProfile,
     t_obs: float,
     dev: DeviceParams,
     epsabs: float = 1e-10,
 ) -> float:
-    """Excitation probability at the observation time for one signal photon.
+    """Same quantity by adaptive quadrature of rho(t) K(t_i - t); oracle of the closed form.
 
-    Integrates rho(t) * P(excited at t_i | arrival at t) over the pulse
-    support by adaptive quadrature, then decays the result from the end
-    of the drive to t_obs.  The transition window closes at t_i (end of
-    the drive), after which only decay acts.
+    The kernel rises over 1/r after the arrival, so the integrand has a
+    boundary layer of width 1/r at the end of the drive that adaptive
+    quadrature over a long pulse steps over; the interval is broken there.
     """
     from scipy import integrate
 
@@ -286,17 +426,13 @@ def single_photon_excitation(
     def integrand(t: float) -> float:
         return float(pulse.density(t)) * float(excited_kernel(ti - t, dev.kappa, gamma))
 
-    # the kernel rises over 1/r after the arrival, so the integrand has a
-    # boundary layer of width 1/r at the end of the drive that adaptive
-    # quadrature over a long pulse steps over; break the interval there
     r = dev.transition_rate
     pts = [ti - k / r for k in (1.0, 10.0, 100.0)]
     if pulse.shape == "tabulated":
         pts += [float(n[0]) for n in pulse.nodes]
     pts = sorted({p for p in pts if -ti < p < ti})
     val, _ = integrate.quad(integrand, -ti, ti, epsabs=epsabs, limit=400, points=pts or None)
-    val *= math.exp(-gamma * (t_obs - ti))
-    return min(max(val, 0.0), 1.0)
+    return val * math.exp(-gamma * (t_obs - ti))
 
 
 def single_photon_excitation_double_integral(

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FitConvergenceError, NotSaturatingError, RootBracketError
-from .physics import CycleTiming, DeviceParams, _phi, detector_events
+from .physics import CycleTiming, DeviceParams, _cell_weights, _phi, detector_events
 from .report import Estimate
 from .rng import substream
 
@@ -419,23 +419,6 @@ def saturated_excitation(
 def _conv(a, b, x):
     """int_0^x e^{-a s} e^{-b (x - s)} ds for rates a, b >= 0."""
     return x * np.exp(-np.minimum(a, b) * x) * _phi(np.abs(a - b) * x)
-
-
-# Taylor coefficients of the cell weights below z = 0.05, highest order first
-_LOWER_SERIES = [(-1) ** k * (k + 1) / math.factorial(k + 2) for k in range(7, -1, -1)]
-_UPPER_SERIES = [(-1) ** k / math.factorial(k + 2) for k in range(7, -1, -1)]
-
-
-def _cell_weights(z):
-    """Weights (lower node, upper node) of int_0^1 f(theta) e^{-z (1 - theta)} dtheta
-    for f linear between its node values, elementwise for z >= 0."""
-    z = np.asarray(z, dtype=float)
-    small = z < 0.05
-    zs = np.where(small, 1.0, z)
-    em1 = np.expm1(-zs)
-    lower = np.where(small, np.polyval(_LOWER_SERIES, z), (-em1 - zs * (em1 + 1.0)) / (zs * zs))
-    upper = np.where(small, np.polyval(_UPPER_SERIES, z), (zs + em1) / (zs * zs))
-    return lower, upper
 
 
 def survivor_excitation(

@@ -189,6 +189,8 @@ class TestExperimentConfig:
         assert cfg.axis("power_dbm").size == 10
         with pytest.raises(ConfigError):
             cfg.axis("kappa_rad_per_s")
+        assert cfg.axis("kappa_rad_per_s", 3.0).tolist() == [3.0]  # the device value stands in
+        assert cfg.axis("power_dbm", 3.0).size == 10
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -257,6 +259,8 @@ class TestOverrides:
         (["pulse.shape=tabulated"], "pulse.nodes"),
         (["pulse.shape=tabulated", "pulse.nodes=[[0.0, 1.0], [0.0, 2.0]]"], "pulse.nodes"),
         (["pulse.shape=tabulated", "pulse.nodes=[[0.0, 1.0], [1.0, -2.0]]"], "pulse.nodes"),
+        # no mass on the support [-t_i, t_i] = [-50, 50] ns
+        (["pulse.shape=tabulated", "pulse.nodes=[[60.0, 1.0], [90.0, 1.0]]"], "pulse.nodes"),
     ])
     def test_out_of_range_value_names_its_key(self, items, key):
         # the physics dataclasses reject these; the message names the config key

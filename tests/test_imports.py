@@ -1,5 +1,5 @@
 """The batch commands run without scipy, the oracle battery and, at one
-worker, multiprocessing; only the quadrature routes load scipy.
+worker, multiprocessing; only the quadrature oracles load scipy.
 
 Each of those cases starts a fresh interpreter, since the pytest process
 has already imported scipy through other test modules.  The last test
@@ -62,18 +62,14 @@ def _run_fresh(commands, out: Path) -> dict:
 
 
 def test_batch_commands_never_load_scipy(tmp_path):
-    commands = ["detect", "miss-sweep", "ber-sweep", "rate-sweep", "saturation-sweep", "cutoff-fit"]
+    commands = [
+        "detect", "pulse-sweep", "miss-sweep", "ber-sweep", "rate-sweep", "saturation-sweep", "cutoff-fit",
+    ]
     got = _run_fresh(commands, tmp_path / "out")
     assert got["codes"] == {c: 0 for c in commands}, got["stderr"]
     assert got["scipy"] == []
     assert not got["futures"]  # the process pool is imported only for --workers > 1
     assert not got["validate"]  # the oracle battery is imported only by the validate command
-
-
-def test_pulse_sweep_loads_scipy_locally(tmp_path):
-    got = _run_fresh(["pulse-sweep"], tmp_path / "out")
-    assert got["codes"] == {"pulse-sweep": 0}, got["stderr"]
-    assert "scipy.integrate" in got["scipy"]
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(photonlink.__path__)))

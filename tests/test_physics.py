@@ -13,18 +13,22 @@ from photonlink.physics import (
     DeviceParams,
     Environment,
     PulseProfile,
+    _pulse_transform,
     dbm_to_watts,
     detection_prob_single,
     ground_return_prob,
     power_to_rate,
     single_photon_excitation,
     single_photon_excitation_double_integral,
+    single_photon_excitation_quadrature,
     thermal_photon_rate,
     transition_kernels,
 )
 from photonlink.rng import substream
+from photonlink.validate import shaped_pulse
 
 DEV = DeviceParams(kappa=8.0, gamma=1.0, p_reset_g=0.0, p_reset_e=0.0)
+SHAPES = ("rectangular", "gaussian", "tabulated")
 
 
 class TestGroundReturn:
@@ -157,6 +161,25 @@ class TestPulseProfiles:
         assert pulse.density(0.0) == pytest.approx(1.0)
         assert pulse.density(2.0) == 0.0
 
+    def test_tabulated_cut_to_support(self):
+        # nodes beyond +-t_i: the density is cut to [-1, 1] and renormalized there
+        pulse = PulseProfile(l=2.0, shape="tabulated", nodes=[(-2.0, 1.0), (2.0, 1.0)])
+        assert pulse.check_normalization() == pytest.approx(1.0, abs=1e-9)
+        assert pulse.density(0.3) == pytest.approx(0.5)
+        rect = PulseProfile(l=2.0)
+        assert single_photon_excitation(pulse, 1.5, DEV) == pytest.approx(
+            single_photon_excitation(rect, 1.5, DEV), rel=1e-14
+        )
+        # mass only partly inside: a jump to zero at the first node
+        half = PulseProfile(l=2.0, shape="tabulated", nodes=[(0.0, 1.0), (3.0, 1.0)])
+        assert half.check_normalization() == pytest.approx(1.0, abs=1e-9)
+        assert half.density(0.5) == pytest.approx(1.0)
+
+    def test_tabulated_without_mass_on_support(self):
+        with pytest.raises(ValueError, match="zero mass") as info:
+            PulseProfile(l=2.0, shape="tabulated", nodes=[(1.5, 1.0), (3.0, 1.0)])
+        assert info.value.field == "nodes"
+
     def test_t_i(self):
         pulse = PulseProfile(l=4.0, beta=1.5, w=1.0)
         assert pulse.t_i == pytest.approx(3.5)
@@ -196,8 +219,8 @@ class TestSinglePhotonExcitation:
         assert abs(value - mc) < 3 * se
 
     def test_reduced_equals_double_integral(self):
-        for shape in ("rectangular", "gaussian"):
-            pulse = PulseProfile(l=2.0, shape=shape)
+        for shape in SHAPES:
+            pulse = shaped_pulse(2.0, shape)
             for gamma in (0.0, 1.0, 2.0):
                 dev = DeviceParams(kappa=8.0, gamma=gamma)
                 a = single_photon_excitation(pulse, 1.4, dev)
@@ -208,6 +231,29 @@ class TestSinglePhotonExcitation:
         pulse = PulseProfile(l=2.0)
         with pytest.raises(ValueError):
             single_photon_excitation(pulse, 0.5, DEV)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kappa, length", [(8.0, 2.0), (2 * np.pi * 1e9, 1e-6)])
+    def test_near_coincident_rates(self, shape, kappa, length):
+        # the difference quotient [L(gamma) - L(r)] / (r - gamma) is 0/0 at gamma = r
+        r = kappa / 4.0
+        pulse = shaped_pulse(length, shape)
+        gammas = [r] + [r * (1.0 + s * 10.0**-k) for k in range(3, 13) for s in (1.0, -1.0)]
+        for gamma in gammas:
+            dev = DeviceParams(kappa=kappa, gamma=gamma)
+            got = single_photon_excitation(pulse, pulse.t_i, dev)
+            oracle = single_photon_excitation_quadrature(pulse, pulse.t_i, dev, epsabs=1e-15)
+            assert got == pytest.approx(oracle, rel=1e-9), gamma
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_gaussian_asymptotic_switch(self, sign):
+        # erfcx changes route at z = 8; the transform is continuous where z1 or z2 crosses it
+        pulse = PulseProfile(l=1.0, shape="gaussian")
+        sigma = pulse.l / 4.0
+        a_switch = (8.0 * math.sqrt(2.0) * sigma + sign * pulse.t_i) / sigma**2
+        below = _pulse_transform(pulse, a_switch * (1.0 - 1e-12))
+        above = _pulse_transform(pulse, a_switch * (1.0 + 1e-12))
+        assert below == pytest.approx(above, rel=1e-13)
 
 
 class TestDetectionProbSingle:
