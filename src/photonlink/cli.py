@@ -8,10 +8,10 @@ seed, artifact version), independent of the worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -95,6 +95,15 @@ class _Runner:
         return path
 
 
+@contextlib.contextmanager
+def _axis_value(axis: str, value):
+    """Turn a ValueError raised at one value of sweeps.<axis> into a ConfigError that starts with both."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"sweeps.{axis}: {value}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # command implementations
 
@@ -111,7 +120,8 @@ def cmd_detect(cfg: ExperimentConfig, runner: _Runner) -> int:
 
 def _pulse_point(cfg: ExperimentConfig, l: float, kappa: float, gamma: float) -> dict:
     dev = dataclasses.replace(cfg.device, kappa=kappa, gamma=gamma)
-    pulse = dataclasses.replace(cfg.pulse, l=l)
+    with _axis_value("pulse_length_ns", l * 1e9):
+        pulse = dataclasses.replace(cfg.pulse, l=l)
     p_exc = single_photon_excitation(pulse, pulse.t_i, dev)
     return {
         "l_ns": l * 1e9,
@@ -199,8 +209,9 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
         t_c = ratio * tau
         for a in cfg.axis("lambda_tau"):
             lam = a / tau
-            m = saturation.survivor_moments_poisson(lam, tau, t_c)
-            d = saturation.delta_lambda(lam, tau, t_c)
+            with _axis_value("t_over_tau", ratio):
+                m = saturation.survivor_moments_poisson(lam, tau, t_c)
+                d = saturation.delta_lambda(lam, tau, t_c)
             surv.append(
                 **{
                     "lambda": lam, "tau": tau, "t_c": t_c, "mean": m.mean,
@@ -244,12 +255,8 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
 def _cutoff_point(cfg: ExperimentConfig, kappa_tc: float) -> dict:
     t_c = cfg.timing.t_c
     dev = DeviceParams(kappa=kappa_tc / t_c, gamma=0.0, alpha_sat=cfg.device.alpha_sat)
-    result = scan_cutoff(
-        dev, t_c,
-        points_per_decade=cfg.cutoff.points_per_decade,
-        coarse_points_per_decade=cfg.cutoff.coarse_points_per_decade,
-        span_decades=cfg.cutoff.span_decades,
-    )
+    with _axis_value("kappa_t_c", kappa_tc):
+        result = saturation.scan_cutoff(dev, t_c)
     return {
         "kappa": dev.kappa,
         "t_c": t_c,
@@ -257,27 +264,6 @@ def _cutoff_point(cfg: ExperimentConfig, kappa_tc: float) -> dict:
         "kappa_tc": kappa_tc,
         "n_cutoff": result.n_cutoff,
     }
-
-
-def scan_cutoff(
-    dev: DeviceParams,
-    t_c: float,
-    points_per_decade: int = 40,
-    coarse_points_per_decade: int = 4,
-    span_decades: float = 7.0,
-) -> saturation.CutoffResult:
-    """Two-stage cutoff scan: coarse bracket, then a dense grid around it.
-
-    The refined grid spans one decade around the coarse crossing, which
-    for this excitation shape always contains the plateau maximum on its
-    left edge.
-    """
-    lo = 0.5
-    hi = lo * 10.0**span_decades
-    coarse = saturation.cutoff_photon_number(dev, t_c, saturation.log_grid(lo, hi, coarse_points_per_decade))
-    center = coarse.n_cutoff
-    fine_grid = saturation.log_grid(center / math.sqrt(10.0), center * math.sqrt(10.0), points_per_decade)
-    return saturation.cutoff_photon_number(dev, t_c, fine_grid)
 
 
 def cmd_cutoff_fit(cfg: ExperimentConfig, runner: _Runner) -> int:
@@ -288,7 +274,8 @@ def cmd_cutoff_fit(cfg: ExperimentConfig, runner: _Runner) -> int:
         table.append(**row)
     runner.write_report(table, "cutoff_table.csv")
     runner.write_figure(table, "fig13")
-    fit = saturation.fit_cutoff_curve([(r["kappa_tc"], r["n_cutoff"]) for r in rows])
+    with _axis_value("kappa_t_c", values.tolist()):
+        fit = saturation.fit_cutoff_curve([(r["kappa_tc"], r["n_cutoff"]) for r in rows])
     runner.write_json(
         {
             "a": fit.a, "b": fit.b, "c": fit.c,

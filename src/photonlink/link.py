@@ -76,8 +76,6 @@ class CycleKernel:
     bit_given_entry: np.ndarray
     exit_given_bit: np.ndarray
     rate: float
-    p_exc_ground: float
-    p_exc_excited: float
 
     def __post_init__(self):
         for name in ("bit_given_entry", "exit_given_bit"):
@@ -134,13 +132,7 @@ def build_cycle_kernel(
     exit_given_bit = np.array(
         [[1.0 - dev.p_reset_g, dev.p_reset_g], [1.0 - dev.p_reset_e, dev.p_reset_e]]
     )
-    return CycleKernel(
-        bit_given_entry=bit,
-        exit_given_bit=exit_given_bit,
-        rate=rate,
-        p_exc_ground=p_exc_g,
-        p_exc_excited=p_exc_e,
-    )
+    return CycleKernel(bit_given_entry=bit, exit_given_bit=exit_given_bit, rate=rate)
 
 
 # -- exact law of the frame statistics ----------------------------------------
@@ -179,17 +171,31 @@ class FrameStatsLaw:
         return u >= (self.cdf[n_bn0 - 1] if n_bn0 else -math.inf)
 
 
-def _frame_stats_logp(log_q, log_fact, b1, n, n1, n11) -> np.ndarray:
-    """log P(bn, n1, n11 | b1) on the grid bn x n1 x n11, shape (2, n1.size, n11.size).
+def _pair_loglik(start, log_q, b1, bn, n1, n11, n) -> np.ndarray:
+    """start plus the log-probability of the bit-pair counts of frames with statistics (b1, bn, n1, n11).
+
+    A frame of n bits of the chain log_q with r = n1 - n11 runs of ones
+    holds c00 = n - 1 - c01 - c10 - c11 00-pairs, c01 = r - b1, c10 = r - bn
+    and c11 = n11; the terms are added to start in that order.
+    """
+    c11 = n11
+    c10 = n1 - bn - n11
+    c01 = n1 - b1 - n11
+    c00 = (n - 1) - c11 - c10 - c01
+    with np.errstate(invalid="ignore"):
+        for count, lq in zip((c00, c01, c10, c11), log_q.ravel()):
+            # a pair that never occurs contributes nothing, even at lq = -inf
+            start = start + np.where(count == 0, 0.0, count * lq)
+    return start
+
+
+def _frame_stats_logp(log_q, log_fact, b1, n, bn, n1, n11) -> np.ndarray:
+    """log P(bn, n1, n11 | b1) at broadcastable cell arrays bn, n1 and n11.
 
     A frame with n1 ones in r = n1 - n11 runs has r0 = r + 1 - b1 - bn
     runs of n0 = n - n1 zeros.  It is one of C(n1-1, r-1) C(n0-1, r0-1)
-    arrangements, each with probability q00^c00 q01^c01 q10^c10 q11^c11,
-    where c11 = n11, c01 = r - b1, c10 = r - bn and c00 = n0 - r0.
+    arrangements, each with the probability _pair_loglik gives its pairs.
     """
-    bn = np.arange(2)[:, None, None]
-    n1 = n1[None, :, None]
-    n11 = n11[None, None, :]
     r = n1 - n11
     n0 = n - n1
     r0 = r + 1 - b1 - bn
@@ -203,11 +209,7 @@ def _frame_stats_logp(log_q, log_fact, b1, n, n1, n11) -> np.ndarray:
         t, k = np.maximum(total - 1, 0), np.maximum(parts - 1, 0)
         return log_fact[t] - log_fact[k] - log_fact[np.maximum(t - k, 0)]
 
-    logp = log_compositions(n1, r) + log_compositions(n0, r0)
-    with np.errstate(invalid="ignore"):
-        for count, lq in zip((n0 - r0, r - b1, r - bn, n11), log_q.ravel()):
-            # a pair that never occurs contributes nothing, even at lq = -inf
-            logp = logp + np.where(count == 0, 0.0, count * lq)
+    logp = _pair_loglik(log_compositions(n1, r) + log_compositions(n0, r0), log_q, b1, bn, n1, n11, n)
     return np.where(possible, logp, -np.inf)
 
 
@@ -249,7 +251,7 @@ def frame_stats_law(q: np.ndarray, b1: int, n: int) -> FrameStatsLaw:
         if size > _MAX_CELLS:
             raise NumericsError(f"frame statistics table of n = {n} needs a window of {size} cells")
         n1, n11 = np.arange(lo1, hi1 + 1), np.arange(lo11, hi11 + 1)
-        p = np.exp(_frame_stats_logp(log_q, _log_factorials(n), b1, n, n1, n11))
+        p = np.exp(_frame_stats_logp(log_q, _log_factorials(n), b1, n, *np.ix_(np.arange(2), n1, n11)))
         # the edges of the window that are not edges of the grid
         rim = np.zeros(p.shape, dtype=bool)
         rim[:, 0] |= lo1 > 0
@@ -354,31 +356,12 @@ class HmmSpec:
         bn = np.asarray(bn, dtype=np.int64)
         n1 = np.asarray(n1, dtype=np.float64)
         n11 = np.asarray(n11, dtype=np.float64)
-        n = float(self.n_cycles)
-        # pair counts follow from the four statistics
-        c11 = n11
-        c10 = n1 - bn - n11
-        c01 = n1 - b1 - n11
-        c00 = (n - 1.0) - c11 - c10 - c01
         out = np.empty((b1.size, 4))
-
-        def _count_term(count, logp):
-            # a pair that never occurs contributes nothing, even at logp = -inf
-            with np.errstate(invalid="ignore"):
-                return np.where(count == 0, 0.0, count * logp)
-
         for sym in (0, 1):
-            q = _log(self.kernel(sym).bit_chain)
-            pair_part = (
-                _count_term(c00, q[0, 0])
-                + _count_term(c01, q[0, 1])
-                + _count_term(c10, q[1, 0])
-                + _count_term(c11, q[1, 1])
-            )
+            pair_part = _pair_loglik(0.0, _log(self.kernel(sym).bit_chain), b1, bn, n1, n11, self.n_cycles)
             for level in (GROUND, EXCITED):
                 p1 = _log(self.first_bit_prob(level, sym))
-                first_part = np.where(b1 == 1, p1[1], p1[0])
-                out[:, 2 * level + sym] = first_part + pair_part
+                out[:, 2 * level + sym] = pair_part + np.where(b1 == 1, p1[1], p1[0])
         return np.nan_to_num(out, nan=-np.inf, posinf=-np.inf)
 
     def block_emission_logprob(self, frames: np.ndarray) -> np.ndarray:
@@ -746,19 +729,6 @@ def mutual_information(
     return Estimate(value, float(reps.std(ddof=1)))
 
 
-def _information_bits(w0: np.ndarray, w1: np.ndarray) -> float:
-    """sum of w_s log2(2 w_s / (w_0 + w_1)) over both symbols and every cell; 0 log 0 = 0.
-
-    w_s are joint probabilities P(s, cell) of equiprobable symbols, so the
-    sum is the information the cells carry about the symbol.  It is 0
-    exactly when w0 == w1 cell by cell.
-    """
-    total = w0 + w1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = [np.where(w > 0, w * np.log2(2.0 * w / total), 0.0) for w in (w0, w1)]
-    return math.fsum(float(t.sum()) for t in terms)
-
-
 def rate_bracket(spec: HmmSpec) -> tuple:
     """Exact (lower, upper) bounds on the information rate of the hmm chain, bits per symbol.
 
@@ -766,36 +736,37 @@ def rate_bracket(spec: HmmSpec) -> tuple:
     entry level and l' the next one, the lower bound is I(S; Y) at the
     stationary entry-level law, and the upper bound is
     1 - H(S | Y, L, L'): a genie that reveals every entry level splits the
-    chain into independent symbols.  Both are finite sums over the cells
-    of HmmSpec.frame_stats; a cell missing from one symbol's table has
-    probability 0 under that symbol.  Both are clipped to [0, 1], and
-    the upper bound is held at or above the lower one, which rounding can
-    pass by 1e-14 near 1 bit.
+    chain into independent symbols.  Both are finite sums of
+    w_s log2(2 w_s / (w_0 + w_1)), w_s = P(s, y, ...), taken for each
+    symbol s over the cells of its own HmmSpec.frame_stats tables, where
+    both symbols' probabilities come from the closed-form law; a cell
+    missing from a table carries less than 1e-16 under its symbol.  Both
+    are clipped to [0, 1], and the upper bound is held at or above the
+    lower one, which rounding can pass by 1e-14 near 1 bit.
     """
     exit_ = spec.level_exit  # (level, symbol, level')
     # stationary law of P(l' | l) = sum_s P(l' | l, s) / 2; a chain that never
     # changes level keeps the ground start
     up, down = 0.5 * exit_[GROUND, :, EXCITED].sum(), 0.5 * exit_[EXCITED, :, GROUND].sum()
     pi = np.array([down, up]) / (up + down) if up + down > 0 else np.array([1.0, 0.0])
-    lower = upper = 0.0
     n = spec.n_cycles
+    log_q, log_fact = [_log(spec.kernel(s).bit_chain) for s in (0, 1)], _log_factorials(n)
+    bits = np.zeros(5)  # the lower bound, then the upper bound's term at each (l, l')
     for b1 in (0, 1):
-        laws = [spec.frame_stats[s][b1] for s in (0, 1)]
-        keys = [(law.cells[0] * (n + 1) + law.cells[1]) * n + law.cells[2] for law in laws]
-        union = np.union1d(*keys)
-        pmf = np.zeros((2, union.size))  # P(bn, n1, n11 | b1, symbol) on the union
-        for s, (law, key) in enumerate(zip(laws, keys)):
-            pmf[s, np.searchsorted(union, key)] = np.diff(law.cdf, prepend=0.0)
         # P(s, b1, l, l') = pi_l P(b1 | l, s) P(l' | l, s) / 2, shape (level, symbol, level'),
-        # so P(s, y, l, l') = c[l, s, l'] pmf[s, y]
+        # so P(s, y, l, l') = c[l, s, l'] P(bn, n1, n11 | b1, s); row 0 of weight marginalizes l and l'
         first = np.array([[spec.first_bit_prob(lv, s)[b1] for s in (0, 1)] for lv in (GROUND, EXCITED)])
         c = 0.5 * (pi[:, None] * first)[:, :, None] * exit_
-        lower += _information_bits(*(c.sum(axis=(0, 2))[:, None] * pmf))
-        for lv in (GROUND, EXCITED):
-            for nxt in (GROUND, EXCITED):
-                upper += _information_bits(*(c[lv, :, nxt, None] * pmf))
-    lower = min(max(lower, 0.0), 1.0)
-    return lower, min(max(upper, lower), 1.0)
+        weight = np.concatenate([c.sum(axis=(0, 2))[None], c.transpose(0, 2, 1).reshape(4, 2)])
+        for s in (0, 1):
+            cells = spec.frame_stats[s][b1].cells
+            law = np.exp([_frame_stats_logp(lq, log_fact, b1, n, *cells) for lq in log_q])
+            w = weight[:, :, None] * law  # (term, symbol, cell)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.where(w[:, s] > 0, w[:, s] * np.log2(2.0 * w[:, s] / w.sum(axis=1)), 0.0)
+            bits += terms.sum(axis=1)
+    lower = min(max(float(bits[0]), 0.0), 1.0)
+    return lower, min(max(float(bits[1:].sum()), lower), 1.0)
 
 
 def wilson_stderr(successes: int, n: int) -> float:

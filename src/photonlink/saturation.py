@@ -37,6 +37,7 @@ __all__ = [
     "saturated_excitation",
     "survivor_excitation",
     "cutoff_photon_number",
+    "scan_cutoff",
     "fit_cutoff_curve",
     "log_grid",
 ]
@@ -685,6 +686,25 @@ def cutoff_photon_number(
     return CutoffResult(
         n_cutoff=float(n_cut), n_grid=n_grid, excitation=exc, peak_value=peak, peak_index=peak_index,
     )
+
+
+# the grids of scan_cutoff: a coarse one over 0.5 ... 0.5e7 mean photons,
+# then a dense one half a decade either side of the coarse crossing
+_SCAN_RANGE = (0.5, 0.5e7)
+_SCAN_COARSE_PER_DECADE = 4
+_SCAN_FINE_PER_DECADE = 40
+
+
+def scan_cutoff(dev: DeviceParams, t_c: float) -> CutoffResult:
+    """Two-stage cutoff scan: coarse bracket, then a dense grid around it.
+
+    The refined grid spans one decade around the coarse crossing, which
+    for this excitation shape always contains the plateau maximum on its
+    left edge.
+    """
+    center = cutoff_photon_number(dev, t_c, log_grid(*_SCAN_RANGE, _SCAN_COARSE_PER_DECADE)).n_cutoff
+    fine_grid = log_grid(center / math.sqrt(10.0), center * math.sqrt(10.0), _SCAN_FINE_PER_DECADE)
+    return cutoff_photon_number(dev, t_c, fine_grid)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import pytest
 
 from photonlink import detection, link, saturation, validate
 from photonlink.cli import main as cli_main
-from photonlink.cli import scan_cutoff
 from photonlink.physics import (
     DeviceParams,
     PulseProfile,
@@ -201,7 +200,7 @@ def test_c10_cutoff_fit():
     samples = []
     for ktc in kappa_tcs:
         dev = DeviceParams(kappa=ktc / t_c, gamma=0.0, alpha_sat=1.14)
-        res = scan_cutoff(dev, t_c, points_per_decade=40)
+        res = saturation.scan_cutoff(dev, t_c)
         samples.append((ktc, res.n_cutoff))
     fit = saturation.fit_cutoff_curve(samples)
     b_ok = 1.0 <= fit.b <= 1.3

@@ -96,8 +96,6 @@ class TestCommands:
         code = run_cli(
             "cutoff-fit", "--config", str(config_file), "--out", str(out),
             "--set", "cutoff.replicas=64",
-            "--set", "cutoff.points_per_decade=8",
-            "--set", "cutoff.coarse_points_per_decade=3",
             "--set", "sweeps.kappa_t_c={values: [100.0, 300.0, 1000.0, 3000.0, 10000.0]}",
         )
         assert code == 0
@@ -157,12 +155,31 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "config"
 
+    @pytest.mark.parametrize(
+        "command, overrides, start",
+        [
+            ("pulse-sweep", ["pulse.shape=tabulated", "pulse.nodes=[[40.0, 1.0], [60.0, 1.0]]",
+                             "sweeps.pulse_length_ns={values: [1.0]}"], "sweeps.pulse_length_ns: 1.0: "),
+            ("miss-sweep", ["sweeps.mean_photons={values: [-1.0]}"], "sweeps.mean_photons: -1.0: "),
+            ("cutoff-fit", ["sweeps.kappa_t_c={values: [1.0, 100.0, 1000.0, 10000.0]}"], "sweeps.kappa_t_c: 1.0: "),
+            ("cutoff-fit", ["sweeps.kappa_t_c={values: [100.0, 1000.0]}"], "sweeps.kappa_t_c: [100.0, 1000.0]: "),
+            ("saturation-sweep", ["sweeps.t_over_tau={values: [2.0]}"], "sweeps.t_over_tau: 2.0: "),
+        ],
+        ids=["pulse-length-off-nodes", "negative-mean", "window-too-short", "too-few-fit-samples", "t-over-tau-below-4"],
+    )
+    def test_rejected_sweep_value_names_its_key(self, config_file, tmp_path, capsys, command, overrides, start):
+        argv = [command, "--config", str(config_file), "--out", str(tmp_path / "o")]
+        for item in overrides:
+            argv += ["--set", item]
+        assert run_cli(*argv) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config" and err["message"].startswith(start), err["message"]
+
     def test_numerics_error_exit_code(self, config_file, tmp_path):
-        # a sweep that never saturates: tiny ceiling on the mean photon number
+        # at kappa t_c = 1e6 the excitation never drops 3 dB within the scan's photon numbers
         code = run_cli(
             "cutoff-fit", "--config", str(config_file), "--out", str(tmp_path / "o"),
-            "--set", "cutoff.span_decades=0.7",
-            "--set", "cutoff.coarse_points_per_decade=4",
+            "--set", "sweeps.kappa_t_c={values: [100.0, 1000.0, 10000.0, 1.0e6]}",
         )
         assert code == 4
 

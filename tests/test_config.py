@@ -134,8 +134,11 @@ class TestExperimentConfig:
             ({"pulse": {"nodes": [[1, 2, 3]]}}, "pulse.nodes"),
             ({"output_dir": None}, "output_dir"),
             ({"output_dir": 5}, "output_dir"),
-            ({"cutoff": {"span_decades": 0}}, "cutoff.span_decades"),
-            ({"cutoff": {"span_decades": -1.0}}, "cutoff.span_decades"),
+            ({"sweeps": {"mean_photons": {"values": [0.0, -1.0]}}}, r"sweeps.mean_photons: -1.0: must be >= 0"),
+            ({"sweeps": {"kappa_t_c": {"values": [0.0]}}}, r"sweeps.kappa_t_c: 0.0: must be > 0"),
+            # the cutoff scan grid is fixed: its former knobs are unknown keys
+            ({"cutoff": {"span_decades": 7.0}}, r"unknown keys in cutoff: \['span_decades'\]"),
+            ({"cutoff": {"points_per_decade": 40}}, r"unknown keys in cutoff: \['points_per_decade'\]"),
         ]
         for extra, key in bad:
             with pytest.raises(ConfigError, match=key):
@@ -174,7 +177,7 @@ class TestExperimentConfig:
     def test_default_yaml_hash_pinned(self):
         # changing this hash must be a deliberate edit: every manifest records it
         assert ExperimentConfig.from_file(DEFAULT_YAML).config_hash() == (
-            "9553f886f27ba8cb82e6e6cab3f3e68e7f149a063184fca9308f84768b659a56"
+            "56bbb5aba127c77a8a52496ee427aac573a42dd759696e7b158cdcdad3aee949"
         )
 
     def test_hash_stability_and_sensitivity(self):

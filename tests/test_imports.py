@@ -31,8 +31,6 @@ SMALL = [
     "sweeps.lambda_tau={start: 0.01, stop: 10.0, points: 4, scale: log}",
     "sweeps.t_over_tau={values: [4.0]}",
     "cutoff.replicas=32",
-    "cutoff.points_per_decade=8",
-    "cutoff.coarse_points_per_decade=3",
 ]
 
 SCRIPT = """

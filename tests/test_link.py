@@ -42,12 +42,12 @@ def deterministic_kernels():
     k0 = CycleKernel(
         bit_given_entry=np.array([[1.0, 0.0], [1.0, 0.0]]),
         exit_given_bit=exit_given_bit,
-        rate=0.0, p_exc_ground=None, p_exc_excited=0.0,
+        rate=0.0,
     )
     k1 = CycleKernel(
         bit_given_entry=np.array([[0.0, 1.0], [0.0, 1.0]]),
         exit_given_bit=exit_given_bit,
-        rate=1.0, p_exc_ground=None, p_exc_excited=0.0,
+        rate=1.0,
     )
     return k0, k1
 
@@ -293,7 +293,7 @@ class TestHmmSpec:
         k1_bad = CycleKernel(
             bit_given_entry=k1.bit_given_entry,
             exit_given_bit=np.array([[0.5, 0.5], [0.0, 1.0]]),
-            rate=1.0, p_exc_ground=None, p_exc_excited=0.0,
+            rate=1.0,
         )
         with pytest.raises(ValueError, match="reset law"):
             HmmSpec(kernel0=k0, kernel1=k1_bad, n_cycles=4)
@@ -361,9 +361,9 @@ def sticky_kernels():
     """Kernels whose bit chains keep their bit for many cycles."""
     exit_given_bit = np.array([[0.97, 0.03], [0.05, 0.95]])
     k0 = CycleKernel(bit_given_entry=np.array([[0.98, 0.02], [0.1, 0.9]]), exit_given_bit=exit_given_bit,
-                     rate=0.0, p_exc_ground=None, p_exc_excited=0.0)
+                     rate=0.0)
     k1 = CycleKernel(bit_given_entry=np.array([[0.6, 0.4], [0.05, 0.95]]), exit_given_bit=exit_given_bit,
-                     rate=1.0, p_exc_ground=None, p_exc_excited=0.0)
+                     rate=1.0)
     return k0, k1
 
 
@@ -387,7 +387,8 @@ class TestFrameStatsLaw:
             q = kern.bit_chain
             for b1 in (0, 1):
                 law = link.frame_stats_law(q, b1, n)
-                full = np.exp(link._frame_stats_logp(np.log(q), log_fact, b1, n, np.arange(n + 1), np.arange(n)))
+                grid = np.ix_(range(2), range(n + 1), range(n))
+                full = np.exp(link._frame_stats_logp(np.log(q), log_fact, b1, n, *grid))
                 assert abs(full.sum() - 1.0) < 1e-12 and abs(law.mass - 1.0) < 1e-12
                 assert law.cdf[-1] == 1.0 and np.all(np.diff(law.cdf) >= 0)
                 kept = np.zeros(full.shape, dtype=bool)
@@ -435,7 +436,7 @@ for power in (-160.0, -146.0):
             pad1, pad11 = (hi1 - lo1) // 2 + 1, (hi11 - lo11) // 2 + 1
             n1 = np.arange(max(0, lo1 - pad1), min(n, hi1 + pad1) + 1)
             n11 = np.arange(max(0, lo11 - pad11), min(n - 1, hi11 + pad11) + 1)
-            p = np.exp(link._frame_stats_logp(np.log(q), link._log_factorials(n), b1, n, n1, n11))
+            p = np.exp(link._frame_stats_logp(np.log(q), link._log_factorials(n), b1, n, *np.ix_(range(2), n1, n11)))
             bn_i, n1_i, n11_i = np.nonzero(p >= 1e-16)
             assert np.array_equal(np.stack([bn_i, n1[n1_i], n11[n11_i]]), law.cells)
 print("ok")
@@ -444,6 +445,28 @@ print("ok")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr[-2000:]
+
+    @pytest.mark.parametrize("power", [-154.0, -146.0])
+    def test_emissions_and_table_read_one_law(self, power):
+        # log P(y | l, s) = emission - log P(b1 | l, s) + log C(n1-1, r-1) C(n0-1, r0-1)
+        # at random cells of each table
+        spec = ref_link_cfg(800).build_spec(power)
+        n, rng, log_fact = spec.n_cycles, substream(41, 21), link._log_factorials(spec.n_cycles)
+
+        def log_compositions(total, parts):  # 0 at total = parts = 0
+            return 0.0 if total == parts == 0 else log_fact[total - 1] - log_fact[parts - 1] - log_fact[total - parts]
+
+        for s in (0, 1):
+            for b1 in (0, 1):
+                cells = spec.frame_stats[s][b1].cells
+                bn, n1, n11 = cells[:, rng.integers(0, cells.shape[1], size=200)]
+                emis = spec.emission_loglik_stats(np.full(bn.size, b1), bn, n1, n11)
+                law = link._frame_stats_logp(np.log(spec.kernel(s).bit_chain), log_fact, b1, n, bn, n1, n11)
+                count = np.array([log_compositions(k1, k1 - k11) + log_compositions(n - k1, k1 - k11 + 1 - b1 - kn)
+                                  for kn, k1, k11 in zip(bn, n1, n11)])
+                for level in (0, 1):
+                    got = emis[:, 2 * level + s] - math.log(spec.first_bit_prob(level, s)[b1]) + count
+                    assert np.abs(got - law).max() < 1e-12
 
     def test_unbuildable_table_is_a_numerics_error(self):
         # a chain that almost never flips spreads the law over the whole grid
@@ -624,6 +647,18 @@ class TestRateBracket:
         lowers = [lo for lo, _ in brackets]
         assert all(a < b for a, b in zip(lowers, lowers[1:]))
         assert all(0.0 <= hi - lo < 2e-4 for lo, hi in brackets)  # at most 1.6e-4, at -153 dBm
+
+
+    @pytest.mark.parametrize("power, lower, upper", [
+        (-156.5, 0.1898171230847341, 0.18990438971688584),
+        (-152.0, 0.7226411156022506, 0.7227874504521933),
+        (-150.0, 0.931510711876119, 0.9315779332244747),
+        (-148.0, 0.9954975723089823, 0.9955054861462665),
+    ])
+    def test_reference_values(self, power, lower, upper):
+        # the values of the bracket on the union of both symbols' renormalized tables
+        got = rate_bracket(ref_link_cfg().build_spec(power))
+        assert np.abs(np.subtract(got, (lower, upper))).max() < 2e-13
 
 
 class TestSweeps:
