@@ -169,22 +169,27 @@ def _link_cfg(cfg: ExperimentConfig) -> link.LinkConfig:
     )
 
 
-def _link_sweep(cfg: ExperimentConfig, runner: _Runner, metric: str, point, figure_id: str, args) -> None:
-    """Write <metric>_sweep.csv and its figure: one row point(link config, *a) for each a in args."""
+def _link_sweep(cfg: ExperimentConfig, runner: _Runner, metric: str, point, figure_id: str,
+                args) -> link.LinkConfig:
+    """Write <metric>_sweep.csv and its figure: one row point(link config, *a) for each a in args.
+
+    Returns the link config, so later work of the same command shares its noise kernel and tables.
+    """
     lcfg = _link_cfg(cfg)
     report = link._link_report(metric)
     for row in _parallel_map(point, [(lcfg, *a) for a in args], cfg.workers):
         report.append(**row)
     runner.write_report(report, f"{metric}_sweep.csv")
     runner.write_figure(report, figure_id)
+    return lcfg
 
 
 def cmd_ber_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     powers = cfg.axis("power_dbm")
     args = [(float(p), cfg.mc.n_symbols, cfg.seed, i, cfg.link.mode) for i, p in enumerate(powers)]
-    _link_sweep(cfg, runner, "ber", link.ber_point, "fig9", args)
+    lcfg = _link_sweep(cfg, runner, "ber", link.ber_point, "fig9", args)
     if cfg.link.dump_frames:
-        spec = _link_cfg(cfg).build_spec(float(cfg.axis("power_dbm")[0]))
+        spec = lcfg.build_spec(float(cfg.axis("power_dbm")[0]))
         run = link.simulate_link(
             spec, min(cfg.mc.n_symbols, 1000), substream(cfg.seed, 0xBE, 0, 1),
             mode=cfg.link.mode, store_frames=True,

@@ -22,7 +22,7 @@ odd positions, so a chunk of L symbols costs O(L) work (Blelloch 1990).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -76,6 +76,7 @@ class CycleKernel:
     bit_given_entry: np.ndarray
     exit_given_bit: np.ndarray
     rate: float
+    _frame_stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("bit_given_entry", "exit_given_bit"):
@@ -95,6 +96,16 @@ class CycleKernel:
     def bit_chain(self) -> np.ndarray:
         """Markov kernel of the in-frame bit sequence, P(next bit | bit)."""
         return self.exit_given_bit @ self.bit_given_entry
+
+    def frame_stats(self, n: int) -> tuple:
+        """frame_stats_law of the bit chain at frame length n for first bits 0 and 1.
+
+        Built on first use for each n, so the specs that share a kernel
+        (LinkConfig.build_spec) share its tables.
+        """
+        if n not in self._frame_stats:
+            self._frame_stats[n] = tuple(frame_stats_law(self.bit_chain, b1, n) for b1 in (0, 1))
+        return self._frame_stats[n]
 
 
 def build_cycle_kernel(
@@ -138,7 +149,7 @@ def build_cycle_kernel(
 # -- exact law of the frame statistics ----------------------------------------
 _DROP = 1e-16  # cells below this probability are left out of a table
 # the kept cells hold the mass up to the rounding of the lgamma sums of
-# _frame_stats_logp, which grows as n log n: 3.9e-12 at n = 20000
+# _log_arrangements, which grows as n log n: 3.9e-12 at n = 20000
 _MASS_TOL = 1e-9
 _MAX_CELLS = 1 << 22  # the largest window evaluated: about 58 bytes a cell at the peak, 0.25 GB
 
@@ -148,14 +159,22 @@ class FrameStatsLaw:
     """Law of (last bit, ones count, adjacent-ones count) of a frame with a
     given first bit, on the cells that carry its mass.
 
-    cells[:, i] is (bn, n1, n11) of cell i and cdf[i] the cumulative
-    probability up to it, with cdf[-1] = 1; mass is what the kept cells
-    held before that normalisation.
+    cells[:, i] is (bn, n1, n11) of cell i, log_count[i] the log of its
+    number of arrangements C(n1-1, r-1) C(n0-1, r0-1), which does not
+    depend on the chain, and cdf[i] the cumulative probability up to it,
+    with cdf[-1] = 1; mass is what the kept cells held before that
+    normalisation.  The arrays are read-only: one table can serve many
+    specs (LinkConfig.build_spec).
     """
 
     cells: np.ndarray
     cdf: np.ndarray
+    log_count: np.ndarray
     mass: float
+
+    def __post_init__(self):
+        for a in (self.cells, self.cdf, self.log_count):
+            a.flags.writeable = False
 
     def draw(self, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF draw: the cells at uniforms u in [0, 1), shape (3, u.size)."""
@@ -189,12 +208,13 @@ def _pair_loglik(start, log_q, b1, bn, n1, n11, n) -> np.ndarray:
     return start
 
 
-def _frame_stats_logp(log_q, log_fact, b1, n, bn, n1, n11) -> np.ndarray:
-    """log P(bn, n1, n11 | b1) at broadcastable cell arrays bn, n1 and n11.
+def _log_arrangements(log_fact, b1, n, bn, n1, n11) -> tuple:
+    """(possible, log count) of frames with statistics (b1, bn, n1, n11), at broadcastable cell arrays.
 
     A frame with n1 ones in r = n1 - n11 runs has r0 = r + 1 - b1 - bn
     runs of n0 = n - n1 zeros.  It is one of C(n1-1, r-1) C(n0-1, r0-1)
-    arrangements, each with the probability _pair_loglik gives its pairs.
+    arrangements, a count that does not depend on the chain; possible is
+    False where no frame has the statistics.
     """
     r = n1 - n11
     n0 = n - n1
@@ -209,8 +229,17 @@ def _frame_stats_logp(log_q, log_fact, b1, n, bn, n1, n11) -> np.ndarray:
         t, k = np.maximum(total - 1, 0), np.maximum(parts - 1, 0)
         return log_fact[t] - log_fact[k] - log_fact[np.maximum(t - k, 0)]
 
-    logp = _pair_loglik(log_compositions(n1, r) + log_compositions(n0, r0), log_q, b1, bn, n1, n11, n)
-    return np.where(possible, logp, -np.inf)
+    return possible, log_compositions(n1, r) + log_compositions(n0, r0)
+
+
+def _frame_stats_logp(log_q, log_fact, b1, n, bn, n1, n11) -> np.ndarray:
+    """log P(bn, n1, n11 | b1) at broadcastable cell arrays bn, n1 and n11.
+
+    Each of the _log_arrangements frames has the probability _pair_loglik
+    gives its pairs.
+    """
+    possible, log_count = _log_arrangements(log_fact, b1, n, bn, n1, n11)
+    return np.where(possible, _pair_loglik(log_count, log_q, b1, bn, n1, n11, n), -np.inf)
 
 
 @lru_cache(maxsize=8)
@@ -250,8 +279,10 @@ def frame_stats_law(q: np.ndarray, b1: int, n: int) -> FrameStatsLaw:
         size = 2 * (hi1 - lo1 + 1) * (hi11 - lo11 + 1)
         if size > _MAX_CELLS:
             raise NumericsError(f"frame statistics table of n = {n} needs a window of {size} cells")
-        n1, n11 = np.arange(lo1, hi1 + 1), np.arange(lo11, hi11 + 1)
-        p = np.exp(_frame_stats_logp(log_q, _log_factorials(n), b1, n, *np.ix_(np.arange(2), n1, n11)))
+        grid = np.ix_(np.arange(2), np.arange(lo1, hi1 + 1), np.arange(lo11, hi11 + 1))
+        possible, log_count = _log_arrangements(_log_factorials(n), b1, n, *grid)
+        p = np.exp(np.where(possible, _pair_loglik(log_count, log_q, b1, *grid, n), -np.inf))
+        del possible
         # the edges of the window that are not edges of the grid
         rim = np.zeros(p.shape, dtype=bool)
         rim[:, 0] |= lo1 > 0
@@ -271,6 +302,7 @@ def frame_stats_law(q: np.ndarray, b1: int, n: int) -> FrameStatsLaw:
     return FrameStatsLaw(
         cells=np.stack([bn_i, n1_i + lo1, n11_i + lo11]).astype(np.int64),
         cdf=cdf / cdf[-1],
+        log_count=log_count[keep],
         mass=mass,
     )
 
@@ -337,13 +369,10 @@ class HmmSpec:
         """4x4 state transition matrix P((i', s') | (i, s)) = P(i' | i, s) / 2."""
         return 0.5 * np.repeat(self.level_exit.reshape(4, 2), 2, axis=1)
 
-    @cached_property
+    @property
     def frame_stats(self) -> tuple:
         """Exact law of the frame statistics, frame_stats[symbol][b1]; built on first use."""
-        return tuple(
-            tuple(frame_stats_law(self.kernel(s).bit_chain, b1, self.n_cycles) for b1 in (0, 1))
-            for s in (0, 1)
-        )
+        return tuple(self.kernel(s).frame_stats(self.n_cycles) for s in (0, 1))
 
     # -- block emissions -------------------------------------------------------
     def emission_loglik_stats(self, b1, bn, n1, n11) -> np.ndarray:
@@ -739,8 +768,9 @@ def rate_bracket(spec: HmmSpec) -> tuple:
     chain into independent symbols.  Both are finite sums of
     w_s log2(2 w_s / (w_0 + w_1)), w_s = P(s, y, ...), taken for each
     symbol s over the cells of its own HmmSpec.frame_stats tables, where
-    both symbols' probabilities come from the closed-form law; a cell
-    missing from a table carries less than 1e-16 under its symbol.  Both
+    both symbols' probabilities are the table's log arrangement count
+    plus each symbol's pair terms; a cell missing from a table carries
+    less than 1e-16 under its symbol.  Both
     are clipped to [0, 1], and the upper bound is held at or above the
     lower one, which rounding can pass by 1e-14 near 1 bit.
     """
@@ -750,7 +780,7 @@ def rate_bracket(spec: HmmSpec) -> tuple:
     up, down = 0.5 * exit_[GROUND, :, EXCITED].sum(), 0.5 * exit_[EXCITED, :, GROUND].sum()
     pi = np.array([down, up]) / (up + down) if up + down > 0 else np.array([1.0, 0.0])
     n = spec.n_cycles
-    log_q, log_fact = [_log(spec.kernel(s).bit_chain) for s in (0, 1)], _log_factorials(n)
+    log_q = [_log(spec.kernel(s).bit_chain) for s in (0, 1)]
     bits = np.zeros(5)  # the lower bound, then the upper bound's term at each (l, l')
     for b1 in (0, 1):
         # P(s, b1, l, l') = pi_l P(b1 | l, s) P(l' | l, s) / 2, shape (level, symbol, level'),
@@ -759,8 +789,9 @@ def rate_bracket(spec: HmmSpec) -> tuple:
         c = 0.5 * (pi[:, None] * first)[:, :, None] * exit_
         weight = np.concatenate([c.sum(axis=(0, 2))[None], c.transpose(0, 2, 1).reshape(4, 2)])
         for s in (0, 1):
-            cells = spec.frame_stats[s][b1].cells
-            law = np.exp([_frame_stats_logp(lq, log_fact, b1, n, *cells) for lq in log_q])
+            table = spec.frame_stats[s][b1]
+            # kept cells are possible: both symbols' law is the table's count plus their pair terms
+            law = np.exp([_pair_loglik(table.log_count, lq, b1, *table.cells, n) for lq in log_q])
             w = weight[:, :, None] * law  # (term, symbol, cell)
             with np.errstate(divide="ignore", invalid="ignore"):
                 terms = np.where(w[:, s] > 0, w[:, s] * np.log2(2.0 * w[:, s] / w.sum(axis=1)), 0.0)
@@ -790,13 +821,19 @@ class LinkConfig:
     def n_e(self) -> float:
         return thermal_photon_rate(self.env)
 
+    def _kernel(self, lambda_signal: float) -> CycleKernel:
+        window = SaturationWindow.from_device(self.dev) if self.saturation else None
+        return build_cycle_kernel(self.dev, self.timing, lambda_signal, self.n_e, window=window)
+
+    @cached_property
+    def _noise_kernel(self) -> CycleKernel:
+        """The symbol-0 kernel: it carries no signal, so every point of a sweep shares it and its tables."""
+        return self._kernel(0.0)
+
     def build_spec(self, power_dbm: float) -> HmmSpec:
         """Kernels and HMM for one received-power point."""
-        lam1 = power_to_rate(power_dbm, self.env.nu)
-        window = SaturationWindow.from_device(self.dev) if self.saturation else None
-        kernel0 = build_cycle_kernel(self.dev, self.timing, 0.0, self.n_e, window=window)
-        kernel1 = build_cycle_kernel(self.dev, self.timing, lam1, self.n_e, window=window)
-        return HmmSpec(kernel0=kernel0, kernel1=kernel1, n_cycles=self.env.cycles_per_symbol)
+        kernel1 = self._kernel(power_to_rate(power_dbm, self.env.nu))
+        return HmmSpec(kernel0=self._noise_kernel, kernel1=kernel1, n_cycles=self.env.cycles_per_symbol)
 
 
 LINK_SWEEP_COLUMNS = (

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from photonlink import link
 from photonlink.cli import main
 from photonlink.figures import emit_figure_data
 from photonlink.errors import ConfigError
@@ -248,6 +249,30 @@ class TestDeterminism:
             assert all(row["n_symbols"] == "0" and float(row["stderr"]) >= 0.0 for row in rows)
             tables.append(rows)
         assert tables[0] == tables[1] == tables[2]
+
+    def test_rate_sweep_builds_noise_tables_once(self, config_file, tmp_path, monkeypatch):
+        # 5 points: the two symbol-0 tables once, then two symbol-1 tables a point;
+        # a second call in the same process builds its own
+        built = []
+        frame_stats_law = link.frame_stats_law
+
+        def counted(q, b1, n):
+            built.append((b1, n))
+            return frame_stats_law(q, b1, n)
+
+        monkeypatch.setattr(link, "frame_stats_law", counted)
+        outs = []
+        for name, workers in (("a", "1"), ("b", "1"), ("w2", "2")):
+            built.clear()
+            out = tmp_path / name
+            assert run_cli(
+                "rate-sweep", "--config", str(config_file), "--out", str(out), "--workers", workers,
+                "--set", "sweeps.power_dbm={start: -154.0, stop: -146.0, points: 5, scale: linear}",
+            ) == 0
+            if workers == "1":
+                assert len(built) == 2 + 2 * 5, name
+            outs.append((out / "rate_sweep" / "rate_sweep.csv").read_bytes())
+        assert outs[0] == outs[1] == outs[2]
 
     def test_manifest_hashes_reproducible(self, config_file, tmp_path):
         hashes = []

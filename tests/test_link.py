@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -458,15 +459,39 @@ print("ok")
 
         for s in (0, 1):
             for b1 in (0, 1):
-                cells = spec.frame_stats[s][b1].cells
-                bn, n1, n11 = cells[:, rng.integers(0, cells.shape[1], size=200)]
+                table = spec.frame_stats[s][b1]
+                idx = rng.integers(0, table.cells.shape[1], size=200)
+                bn, n1, n11 = table.cells[:, idx]
                 emis = spec.emission_loglik_stats(np.full(bn.size, b1), bn, n1, n11)
                 law = link._frame_stats_logp(np.log(spec.kernel(s).bit_chain), log_fact, b1, n, bn, n1, n11)
                 count = np.array([log_compositions(k1, k1 - k11) + log_compositions(n - k1, k1 - k11 + 1 - b1 - kn)
                                   for kn, k1, k11 in zip(bn, n1, n11)])
+                # the table keeps the same count at its cells
+                assert np.abs(table.log_count[idx] - count).max() < 1e-12
                 for level in (0, 1):
                     got = emis[:, 2 * level + s] - math.log(spec.first_bit_prob(level, s)[b1]) + count
                     assert np.abs(got - law).max() < 1e-12
+
+    def test_shared_tables_are_read_only(self):
+        # every point of a sweep reads the same symbol-0 tables, so none may be written
+        cfg = ref_link_cfg(50)
+        quiet, loud = cfg.build_spec(-150.0), cfg.build_spec(-146.0)
+        assert quiet.frame_stats[0] is loud.frame_stats[0]
+        for law in quiet.frame_stats[0] + loud.frame_stats[1]:
+            for name in ("cells", "cdf", "log_count"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(law, name)[...] = 0
+
+    def test_shared_kernel_builds_tables_at_each_length(self):
+        # one kernel in specs of two frame lengths: each spec reads the tables of its own n
+        k0, k1 = sticky_kernels()
+        for n in (6, 12, 6):
+            spec = HmmSpec(kernel0=k0, kernel1=k1, n_cycles=n)
+            for s, laws in enumerate(spec.frame_stats):
+                for b1, law in enumerate(laws):
+                    fresh = link.frame_stats_law(spec.kernel(s).bit_chain, b1, n)
+                    for name in ("cells", "cdf", "log_count"):
+                        assert np.array_equal(getattr(law, name), getattr(fresh, name)), (n, s, b1, name)
 
     def test_unbuildable_table_is_a_numerics_error(self):
         # a chain that almost never flips spreads the law over the whole grid
@@ -622,8 +647,48 @@ class TestForwardAndRate:
         assert mi.value == float(np.clip((inc_os - inc_o)[100:].mean(), 0.0, 1.0))
 
 
+def cell_law_rate_bracket(spec):
+    """rate_bracket with both symbols' law evaluated in full at each table's cells.
+
+    The form rate_bracket had before the tables kept their arrangement
+    count: _frame_stats_logp rebuilds the count for each symbol.
+    """
+    exit_ = spec.level_exit
+    up, down = 0.5 * exit_[0, :, 1].sum(), 0.5 * exit_[1, :, 0].sum()
+    pi = np.array([down, up]) / (up + down) if up + down > 0 else np.array([1.0, 0.0])
+    n = spec.n_cycles
+    log_q, log_fact = [link._log(spec.kernel(s).bit_chain) for s in (0, 1)], link._log_factorials(n)
+    bits = np.zeros(5)
+    for b1 in (0, 1):
+        first = np.array([[spec.first_bit_prob(lv, s)[b1] for s in (0, 1)] for lv in (0, 1)])
+        c = 0.5 * (pi[:, None] * first)[:, :, None] * exit_
+        weight = np.concatenate([c.sum(axis=(0, 2))[None], c.transpose(0, 2, 1).reshape(4, 2)])
+        for s in (0, 1):
+            cells = spec.frame_stats[s][b1].cells
+            law = np.exp([link._frame_stats_logp(lq, log_fact, b1, n, *cells) for lq in log_q])
+            w = weight[:, :, None] * law
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.where(w[:, s] > 0, w[:, s] * np.log2(2.0 * w[:, s] / w.sum(axis=1)), 0.0)
+            bits += terms.sum(axis=1)
+    lower = min(max(float(bits[0]), 0.0), 1.0)
+    return lower, min(max(float(bits[1:].sum()), lower), 1.0)
+
+
 class TestRateBracket:
     """The exact achievable rate that rate-sweep writes."""
+
+    @pytest.mark.parametrize("n, resets, power", [
+        *((800, None, p) for p in (-170.0, -160.0, -156.5, -150.0, -146.0, -142.0)),
+        *((100, (0.2, 0.6), p) for p in (-156.0, -150.0, -146.0)),
+    ])
+    def test_equals_cell_law_form(self, n, resets, power):
+        # the table's kept count plus the pair terms is the full law, bit for bit
+        cfg = ref_link_cfg(n)
+        if resets is not None:
+            dev = dataclasses.replace(cfg.dev, p_reset_g=resets[0], p_reset_e=resets[1])
+            cfg = dataclasses.replace(cfg, dev=dev)
+        spec = cfg.build_spec(power)
+        assert rate_bracket(spec) == cell_law_rate_bracket(spec)
 
     @pytest.mark.parametrize("kernels", ["ref-146dBm", "sticky"])
     @pytest.mark.parametrize("n", [1, 3, 8])
