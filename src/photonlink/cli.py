@@ -176,6 +176,7 @@ def _link_sweep(cfg: ExperimentConfig, runner: _Runner, metric: str, point, figu
     Returns the link config, so later work of the same command shares its noise kernel and tables.
     """
     lcfg = _link_cfg(cfg)
+    lcfg.noise_tables()  # before the pool starts, so that every task's copy of lcfg carries them
     report = link._link_report(metric)
     for row in _parallel_map(point, [(lcfg, *a) for a in args], cfg.workers):
         report.append(**row)

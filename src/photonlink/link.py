@@ -154,6 +154,11 @@ _MASS_TOL = 1e-9
 _MAX_CELLS = 1 << 22  # the largest window evaluated: about 58 bytes a cell at the peak, 0.25 GB
 
 
+def _bucket(x: np.ndarray, k: int) -> np.ndarray:
+    """The guide bucket floor(x k) of values x in [0, 1]: FrameStatsLaw files cdf and uniforms alike."""
+    return (x * k).astype(np.intp)
+
+
 @dataclass(frozen=True)
 class FrameStatsLaw:
     """Law of (last bit, ones count, adjacent-ones count) of a frame with a
@@ -163,48 +168,94 @@ class FrameStatsLaw:
     number of arrangements C(n1-1, r-1) C(n0-1, r0-1), which does not
     depend on the chain, and cdf[i] the cumulative probability up to it,
     with cdf[-1] = 1; mass is what the kept cells held before that
-    normalisation.  The arrays are read-only: one table can serve many
-    specs (LinkConfig.build_spec).
+    normalisation; bn1_from is the cdf of the last bn = 0 cell (-inf when
+    there is none).  The arrays are read-only, also in a copy that
+    arrives by pickle: one table can serve many specs
+    (LinkConfig.build_spec).
     """
 
     cells: np.ndarray
     cdf: np.ndarray
     log_count: np.ndarray
     mass: float
+    bn1_from: float = field(init=False)
 
     def __post_init__(self):
         for a in (self.cells, self.cdf, self.log_count):
             a.flags.writeable = False
+        n_bn0 = int(np.count_nonzero(self.cells[0] == 0))
+        object.__setattr__(self, "bn1_from", float(self.cdf[n_bn0 - 1]) if n_bn0 else -math.inf)
+
+    def __reduce__(self):
+        # rebuilt through __init__, which locks the arrays that unpickling hands over writeable
+        return FrameStatsLaw, (self.cells, self.cdf, self.log_count, self.mass)
+
+    @cached_property
+    def _guide(self) -> np.ndarray:
+        """Bucket index over cdf (Chen and Asau 1974), built on the first draw.
+
+        With k = 2 cells.size buckets, guide[j] is the number of cells with
+        _bucket(cdf, k) < j, for j = 0..k + 1.
+        """
+        k = 2 * self.cdf.size
+        guide = np.zeros(k + 2, dtype=np.int32)
+        np.cumsum(np.bincount(_bucket(self.cdf, k), minlength=k + 1), out=guide[1:])
+        guide.flags.writeable = False
+        return guide
+
+    def index(self, u: np.ndarray) -> np.ndarray:
+        """searchsorted(cdf, u, side="right"): the cell that each uniform u in [0, 1) draws.
+
+        _bucket is monotone, so the cells with cdf <= u are all those of
+        the buckets below b = _bucket(u) and some of those in bucket b: the
+        index lies in [guide[b], guide[b + 1]].  Only the uniforms whose
+        bucket holds a cdf value, where the two differ, are searched.
+        """
+        guide = self._guide
+        b = _bucket(u, guide.size - 2)
+        out, upper = guide[b], guide[b + 1]
+        open_ = np.flatnonzero(out != upper)
+        out[open_] = np.searchsorted(self.cdf, u[open_], side="right")
+        return out
 
     def draw(self, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF draw: the cells at uniforms u in [0, 1), shape (3, u.size)."""
-        return self.cells[:, np.searchsorted(self.cdf, u, side="right")]
+        return self.cells.take(self.index(u), axis=1)
 
     def last_bit(self, u: np.ndarray) -> np.ndarray:
         """The last bit of draw(u), as bool, without the search.
 
         The cells are bn-major, so draw(u) has bn = 1 exactly when the
-        search passes every bn = 0 cell, that is when u >= cdf[n_bn0 - 1].
+        search passes every bn = 0 cell, that is when u >= bn1_from.
         """
-        n_bn0 = int(np.count_nonzero(self.cells[0] == 0))
-        return u >= (self.cdf[n_bn0 - 1] if n_bn0 else -math.inf)
+        return u >= self.bn1_from
 
 
-def _pair_loglik(start, log_q, b1, bn, n1, n11, n) -> np.ndarray:
-    """start plus the log-probability of the bit-pair counts of frames with statistics (b1, bn, n1, n11).
+def _pair_counts(b1, bn, n1, n11, n) -> tuple:
+    """(c00, c01, c10, c11): the bit-pair counts of frames of n bits with statistics (b1, bn, n1, n11).
 
-    A frame of n bits of the chain log_q with r = n1 - n11 runs of ones
-    holds c00 = n - 1 - c01 - c10 - c11 00-pairs, c01 = r - b1, c10 = r - bn
-    and c11 = n11; the terms are added to start in that order.
+    A frame with r = n1 - n11 runs of ones holds c01 = r - b1 01-pairs,
+    c10 = r - bn 10-pairs, c11 = n11 11-pairs and c00 = n - 1 - c01 - c10 - c11
+    00-pairs.  The counts do not depend on the chain, so one set serves
+    both symbols.
     """
     c11 = n11
     c10 = n1 - bn - n11
     c01 = n1 - b1 - n11
     c00 = (n - 1) - c11 - c10 - c01
+    return c00, c01, c10, c11
+
+
+def _pair_loglik(start, log_q, counts) -> np.ndarray:
+    """start plus the log-probability of the _pair_counts counts under the chain log_q.
+
+    The terms count * log q are added to start in the order of counts.  A
+    pair that never occurs contributes nothing, even at lq = -inf; at a
+    finite lq its term 0 * lq is a zero, which leaves the sum as it is.
+    """
     with np.errstate(invalid="ignore"):
-        for count, lq in zip((c00, c01, c10, c11), log_q.ravel()):
-            # a pair that never occurs contributes nothing, even at lq = -inf
-            start = start + np.where(count == 0, 0.0, count * lq)
+        for count, lq in zip(counts, log_q.ravel()):
+            start = start + (np.where(count == 0, 0.0, count * lq) if lq == -math.inf else count * lq)
     return start
 
 
@@ -236,10 +287,10 @@ def _frame_stats_logp(log_q, log_fact, b1, n, bn, n1, n11) -> np.ndarray:
     """log P(bn, n1, n11 | b1) at broadcastable cell arrays bn, n1 and n11.
 
     Each of the _log_arrangements frames has the probability _pair_loglik
-    gives its pairs.
+    gives its _pair_counts.
     """
     possible, log_count = _log_arrangements(log_fact, b1, n, bn, n1, n11)
-    return np.where(possible, _pair_loglik(log_count, log_q, b1, bn, n1, n11, n), -np.inf)
+    return np.where(possible, _pair_loglik(log_count, log_q, _pair_counts(b1, bn, n1, n11, n)), -np.inf)
 
 
 @lru_cache(maxsize=8)
@@ -281,7 +332,7 @@ def frame_stats_law(q: np.ndarray, b1: int, n: int) -> FrameStatsLaw:
             raise NumericsError(f"frame statistics table of n = {n} needs a window of {size} cells")
         grid = np.ix_(np.arange(2), np.arange(lo1, hi1 + 1), np.arange(lo11, hi11 + 1))
         possible, log_count = _log_arrangements(_log_factorials(n), b1, n, *grid)
-        p = np.exp(np.where(possible, _pair_loglik(log_count, log_q, b1, *grid, n), -np.inf))
+        p = np.exp(np.where(possible, _pair_loglik(log_count, log_q, _pair_counts(b1, *grid, n)), -np.inf))
         del possible
         # the edges of the window that are not edges of the grid
         rim = np.zeros(p.shape, dtype=bool)
@@ -293,14 +344,15 @@ def frame_stats_law(q: np.ndarray, b1: int, n: int) -> FrameStatsLaw:
             break
         w1, w11 = 2.0 * w1, 2.0 * w11
     keep = p >= _DROP
-    mass = float(p[keep].sum())
+    kept = p[keep]
+    mass = float(kept.sum())
     if not abs(mass - 1.0) <= _MASS_TOL:
         raise NumericsError(f"frame statistics table of n = {n} holds mass {mass!r}, not 1")
     # np.nonzero walks the grid in C order: the cells are bn-major (FrameStatsLaw.last_bit)
     bn_i, n1_i, n11_i = np.nonzero(keep)
-    cdf = np.cumsum(p[keep])
+    cdf = np.cumsum(kept)
     return FrameStatsLaw(
-        cells=np.stack([bn_i, n1_i + lo1, n11_i + lo11]).astype(np.int64),
+        cells=np.stack([bn_i, n1_i + lo1, n11_i + lo11]),
         cdf=cdf / cdf[-1],
         log_count=log_count[keep],
         mass=mass,
@@ -385,13 +437,15 @@ class HmmSpec:
         bn = np.asarray(bn, dtype=np.int64)
         n1 = np.asarray(n1, dtype=np.float64)
         n11 = np.asarray(n11, dtype=np.float64)
-        out = np.empty((b1.size, 4))
+        out = np.empty((4, b1.size))  # returned transposed: each state's column is contiguous
+        counts = _pair_counts(b1, bn, n1, n11, self.n_cycles)
+        first_one = (b1 == 1).view(np.int8)
         for sym in (0, 1):
-            pair_part = _pair_loglik(0.0, _log(self.kernel(sym).bit_chain), b1, bn, n1, n11, self.n_cycles)
+            pair_part = _pair_loglik(0.0, _log(self.kernel(sym).bit_chain), counts)
             for level in (GROUND, EXCITED):
-                p1 = _log(self.first_bit_prob(level, sym))
-                out[:, 2 * level + sym] = pair_part + np.where(b1 == 1, p1[1], p1[0])
-        return np.nan_to_num(out, nan=-np.inf, posinf=-np.inf)
+                log_first = _log(self.first_bit_prob(level, sym)).take(first_one)
+                np.add(pair_part, log_first, out=out[2 * level + sym])
+        return np.nan_to_num(out, copy=False, nan=-np.inf, posinf=-np.inf).T
 
     def block_emission_logprob(self, frames: np.ndarray) -> np.ndarray:
         """log P(frame | state) for an (m, n_cycles) array of frames."""
@@ -466,8 +520,9 @@ def simulate_link(
     bit.  The last bit of both variants follows from a comparison
     (FrameStatsLaw.last_bit); a scan over the symbols resolves entry
     levels and first bits, and only the realized variant is then read
-    through its inverse CDF.  With store_frames, each realized frame is
-    then drawn uniformly among the frames with its statistics.
+    through its inverse CDF (FrameStatsLaw.index).  With store_frames,
+    each realized frame is then drawn uniformly among the frames with its
+    statistics.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
@@ -475,42 +530,55 @@ def simulate_link(
         raise ValueError(f"unknown mode {mode!r}")
     m = int(n_symbols)
     symbols = (rng.random(m) < 0.5).astype(np.int8)
-    sym_idx = symbols.astype(np.int64)
+    one = symbols.view(bool)
     u_stats = rng.random((2, m))  # one uniform per (first bit, symbol slot)
 
     # boundary pass: given the uniforms, each symbol maps its entry level to
     # the next symbol's, and the entry levels follow from composing those maps
     u_entry = rng.random(m)
     u_first = rng.random(m)
-    p_first = np.array([[spec.first_bit_prob(lv, s)[1] for s in (0, 1)] for lv in (GROUND, EXCITED)])
-    b1_given = [u_first < p_first[lv, sym_idx] for lv in (GROUND, EXCITED)]
+    p_first = [[spec.first_bit_prob(lv, s)[1] for s in (0, 1)] for lv in (GROUND, EXCITED)]
+    b1_given = [_below(u_first, p_first[lv], one) for lv in (GROUND, EXCITED)]
     laws = spec.frame_stats  # laws[symbol][b1]
     if mode == "physical":
-        bn = [np.where(symbols, laws[1][b1].last_bit(u_stats[b1]), laws[0][b1].last_bit(u_stats[b1]))
-              for b1 in (0, 1)]
+        bn = [_select(one, laws[1][b1].last_bit(u), laws[0][b1].last_bit(u)) for b1, u in enumerate(u_stats)]
         exit_bit = spec.kernel0.exit_given_bit[:, EXCITED]
-        step = [u_entry < exit_bit[np.where(b1, bn[1], bn[0]).view(np.int8)] for b1 in b1_given]
+        step = [_below(u_entry, exit_bit, _select(b1, bn[1], bn[0])) for b1 in b1_given]
     else:
         exit_marg = spec.level_exit[:, :, EXCITED]
-        step = [u_entry < exit_marg[lv, sym_idx] for lv in (GROUND, EXCITED)]
+        step = [_below(u_entry, exit_marg[lv], one) for lv in (GROUND, EXCITED)]
     entry = np.empty(m, dtype=np.int8)
     level = GROUND
     for sl in _chunks(m):
         entry[sl], level = _iterate_maps(step[0][sl], step[1][sl], level)
-    b1_sel = np.where(entry, b1_given[1], b1_given[0]).astype(np.int8)
+    b1_sel = _select(entry, b1_given[1], b1_given[0])
 
     # the realized variant of each symbol, read through its own inverse CDF
-    u_real = np.where(b1_sel, u_stats[1], u_stats[0])
-    variant = 2 * sym_idx + b1_sel
-    stats = np.empty((3, m), dtype=np.int64)
+    variant = 2 * symbols + b1_sel
+    bn_sel, n1, n11 = np.empty(m, dtype=np.int8), np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
     for s in (0, 1):
         for b1 in (0, 1):
             slots = np.flatnonzero(variant == 2 * s + b1)
-            stats[:, slots] = laws[s][b1].draw(u_real[slots])
-    run = LinkRun(symbols=symbols, b1=b1_sel, bn=stats[0].astype(np.int8), n1=stats[1], n11=stats[2])
+            for out, drawn in zip((bn_sel, n1, n11), laws[s][b1].draw(u_stats[b1][slots])):
+                out[slots] = drawn
+    run = LinkRun(symbols=symbols, b1=b1_sel, bn=bn_sel, n1=n1, n11=n11)
     if store_frames:
         run.frames = _compose_frames(run.b1, run.bn, run.n1, run.n11, spec.n_cycles, rng)
     return run
+
+
+def _select(cond: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.where(cond, a, b) for 0/1 arrays (bool or int8), in bitwise operations.
+
+    np.where branches on each element, which costs many times more than
+    these three passes when cond is random.
+    """
+    return b ^ (cond & (a ^ b))
+
+
+def _below(u: np.ndarray, thresholds, key: np.ndarray) -> np.ndarray:
+    """u < thresholds[key] at 0/1 keys, as bool: one comparison per threshold instead of a gather."""
+    return _select(key, u < thresholds[1], u < thresholds[0])
 
 
 def _compose_frames(b1, bn, n1, n11, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -568,13 +636,13 @@ def _iterate_maps(f0: np.ndarray, f1: np.ndarray, x0: int):
     half = size // 2
     e0, e1, o0, o1 = f0[0 : 2 * half : 2], f1[0 : 2 * half : 2], f0[1::2], f1[1::2]
     # the pair map: the even map first, then the odd one; an odd tail passes through
-    g0, g1 = np.where(e0, o1, o0), np.where(e1, o1, o0)
+    g0, g1 = _select(e0, o1, o0), _select(e1, o1, o0)
     if size % 2:
         g0, g1 = np.append(g0, f0[-1]), np.append(g1, f1[-1])
     into, x = _iterate_maps(g0, g1, x0)
     before = np.empty(size, dtype=np.int8)
     before[0::2] = into
-    before[1::2] = np.where(into[:half], e1, e0)
+    before[1::2] = _select(into[:half], e1, e0)
     return before, x
 
 
@@ -632,6 +700,10 @@ def _checked_emissions(emis) -> np.ndarray:
         raise ValueError(f"emissions must have shape (m, 4), got {emis.shape}")
     if emis.shape[0] == 0:
         raise ValueError("observations must be nonempty")
+    # Viterbi compares np.maximum of candidate pairs, which keeps its strict-> tie rule only without
+    # nan; an entry of +inf turns into nan when the scans rescale
+    if not np.all(emis < np.inf):
+        raise ValueError("emissions must be log-probabilities, finite or -inf, not nan or +inf")
     return emis
 
 
@@ -641,32 +713,38 @@ def viterbi_decode(spec: HmmSpec, emis: np.ndarray) -> np.ndarray:
     Log domain; zero-probability branches carry -inf.  Ties break toward
     the smaller state index.  The best scores into each level come from a
     max-plus scan over N_t[l, l'] = max_s(e_t[l, s] + log T[(l, s), l']);
-    the backtrack composes the backpointer maps on the level.
+    each back pointer is a first-maximum tournament over the four
+    (into[l] + e_t[(l, s)]) + log T[(l, s), l'], kept as its level and
+    its symbol.  The backtrack composes the level maps, then reads each
+    symbol off its level.
     """
     emis = _checked_emissions(emis)
     m = emis.shape[0]
     log_t = _log(0.5 * spec.level_exit)  # log T[(l, s), (l', .)], shape (level, symbol, level')
-    # back[l', t]: state at t on the best path into level l' at t + 1
-    back = np.empty((2, m), dtype=np.int8)
+    # the state (l, s) at t on the best path into level l' at t + 1, as its
+    # level back_level[l', t] and its symbol back_symbol[l', t]
+    back_level = np.empty((2, m), dtype=bool)
+    back_symbol = np.empty((2, m), dtype=bool)
     best = np.array([math.log(0.5), -math.inf])  # best score into each level at t = 0
     for sl in _chunks(m):
         e = emis[sl].T  # (state, t)
         e2 = e.reshape(2, 2, -1)
         steps = np.maximum(e2[:, 0, None] + log_t[:, 0, :, None], e2[:, 1, None] + log_t[:, 1, :, None])
         into, best = _scan_chunk(steps, best, np.maximum, np.add, _unit_max)
-        delta = np.repeat(into, 2, axis=0) + e
+        delta = (into[:, None] + e2).reshape(4, -1)  # into[l] + e[(l, s)]
         c0, c1, c2, c3 = delta[:, None] + log_t.reshape(4, 2, 1)  # each (level', t)
         # a first-maximum tournament: strict > lets the smaller state index win a tie
         hi01, hi23 = c1 > c0, c3 > c2
-        back[:, sl] = np.where(np.where(hi23, c3, c2) > np.where(hi01, c1, c0), 2 + hi23, hi01)
+        up = np.greater(np.maximum(c2, c3), np.maximum(c0, c1), out=back_level[:, sl])
+        back_symbol[:, sl] = _select(up, hi23, hi01)
     state = int(np.argmax(delta[:, -1]))
     path = np.empty(m, dtype=np.int8)
     path[-1] = state % 2
     level = state // 2
     for sl in reversed(list(_chunks(m - 1))):
-        rev = back[:, sl][:, ::-1]  # level at t + 1 -> state at t, latest t first
-        into, level = _iterate_maps(rev[0] // 2, rev[1] // 2, level)
-        path[sl] = rev[into, np.arange(into.size)][::-1] % 2
+        # level at t + 1 -> level at t, latest t first
+        into, level = _iterate_maps(back_level[0, sl][::-1], back_level[1, sl][::-1], level)
+        path[sl][::-1] = _select(into, back_symbol[1, sl][::-1], back_symbol[0, sl][::-1])
     return path
 
 
@@ -791,7 +869,8 @@ def rate_bracket(spec: HmmSpec) -> tuple:
         for s in (0, 1):
             table = spec.frame_stats[s][b1]
             # kept cells are possible: both symbols' law is the table's count plus their pair terms
-            law = np.exp([_pair_loglik(table.log_count, lq, b1, *table.cells, n) for lq in log_q])
+            counts = _pair_counts(b1, *table.cells, n)
+            law = np.exp([_pair_loglik(table.log_count, lq, counts) for lq in log_q])
             w = weight[:, :, None] * law  # (term, symbol, cell)
             with np.errstate(divide="ignore", invalid="ignore"):
                 terms = np.where(w[:, s] > 0, w[:, s] * np.log2(2.0 * w[:, s] / w.sum(axis=1)), 0.0)
@@ -829,6 +908,14 @@ class LinkConfig:
     def _noise_kernel(self) -> CycleKernel:
         """The symbol-0 kernel: it carries no signal, so every point of a sweep shares it and its tables."""
         return self._kernel(0.0)
+
+    def noise_tables(self) -> tuple:
+        """The frame-statistics tables of the noise kernel, built on first use like every spec's.
+
+        A copy of this config pickled after the call carries them, so a
+        pool task does not build them again.
+        """
+        return self._noise_kernel.frame_stats(self.env.cycles_per_symbol)
 
     def build_spec(self, power_dbm: float) -> HmmSpec:
         """Kernels and HMM for one received-power point."""

@@ -1,9 +1,11 @@
+import hashlib
 import json
+import pickle
 from pathlib import Path
 
 import pytest
 
-from photonlink import link
+from photonlink import cli, link
 from photonlink.cli import main
 from photonlink.figures import emit_figure_data
 from photonlink.errors import ConfigError
@@ -274,6 +276,28 @@ class TestDeterminism:
             outs.append((out / "rate_sweep" / "rate_sweep.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("command", ["rate-sweep", "ber-sweep"])
+    def test_pool_tasks_carry_the_noise_tables(self, config_file, tmp_path, monkeypatch, command):
+        # a pool task unpickles its own copy of the link config; the noise tables,
+        # built before the pool starts, travel with it: 2 + 2 * 5 builds for 5 points
+        built = []
+        frame_stats_law = link.frame_stats_law
+
+        def counted(q, b1, n):
+            built.append((b1, n))
+            return frame_stats_law(q, b1, n)
+
+        def pickled_map(fn, payloads, workers):
+            return [fn(*pickle.loads(pickle.dumps(args))) for args in payloads]
+
+        monkeypatch.setattr(link, "frame_stats_law", counted)
+        monkeypatch.setattr(cli, "_parallel_map", pickled_map)
+        assert run_cli(
+            command, "--config", str(config_file), "--out", str(tmp_path / "o"), "--workers", "2",
+            "--set", "sweeps.power_dbm={start: -154.0, stop: -146.0, points: 5, scale: linear}",
+        ) == 0
+        assert len(built) == 2 + 2 * 5
+
     def test_manifest_hashes_reproducible(self, config_file, tmp_path):
         hashes = []
         for name in ("m1", "m2"):
@@ -343,3 +367,44 @@ def test_saturation_barely_moves_the_rate(tmp_path):
         rates[flag] = [float(dict(zip(header, line.split(",")))["rate"]) for line in lines[1:]]
     gaps = [abs(a - b) for a, b in zip(rates["true"], rates["false"])]
     assert len(gaps) == 10 and max(gaps) < 0.01, gaps
+
+
+# The overrides of the link-ber and link-rate benchmark workloads (perfbench/workloads.py), at seed 7.
+LINK_BENCH_SETS = (
+    "sweeps.power_dbm={start: -154.0, stop: -146.0, points: 5, scale: linear}",
+    "link.saturation=false",
+    "device.p0=0.0",
+)
+# sha256 of each file, recorded at version 0.5.1.  A version meant to move one
+# updates its digest and says so in CHANGES.md.  The rate columns print every
+# digit of sums of np.exp and np.log2, whose AVX-512 kernels round some last
+# bits differently from numpy's baseline ones: those files have a digest for
+# each (checked by turning the AVX-512 kernels off with NPY_DISABLE_CPU_FEATURES).
+PINNED_LINK_OUTPUTS = {
+    "ber-sweep": (("mc.n_symbols=17500", "link.mode=physical"), {
+        "ber_sweep.csv": {"21b53c491a6e9e646e8b6aa42b25bcb31a26fe5388f97899e36e33bf7ba58ec0"},
+        "fig9.csv": {"7351c246da87a7b2d87481e56e8f3a80f544ebea61b9265a80fc1f9b7f0f73e3"},
+    }),
+    "rate-sweep": ((), {
+        "rate_sweep.csv": {"d8381ee3d2a1ae8a629233b38d20197f7d4b1a79aabab856229481fc5df2cd33",
+                           "16a6c4df78b512f474edbb97bc62d4d3da990e2a55b9a15e192a08a73d3dfd0b"},
+        "fig10.csv": {"6c262c87dc7d789dc7141cf9cc2453fcc670e493ded1adeba55d8a4e568ea446",
+                      "2266b48a884e97c0258885401bd86531446b44ce819f87935959c983647a84bb"},
+    }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_LINK_OUTPUTS))
+def test_link_outputs_pinned_at_any_worker_count(tmp_path, command):
+    # a byte-level gate for changes that should move no link output
+    default = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+    extra, digests = PINNED_LINK_OUTPUTS[command]
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        argv = [command, "--config", str(default), "--out", str(out), "--seed", "7", "--workers", workers]
+        for item in LINK_BENCH_SETS + extra:
+            argv += ["--set", item]
+        assert run_cli(*argv) == 0
+        for name, want in digests.items():
+            path = out / command.replace("-", "_") / name
+            assert hashlib.sha256(path.read_bytes()).hexdigest() in want, (workers, name)

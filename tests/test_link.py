@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -70,15 +71,17 @@ def draw_frame_stats(spec, symbols, rng):
     """bn, n1 and n11 of both first-bit variants of every frame, shape (3, 2, m).
 
     One uniform per variant and symbol slot, read through the inverse CDF
-    of frame_stats[symbol][variant]: the same uniforms simulate_link
-    draws, each variant read in full.
+    of frame_stats[symbol][variant] by a plain search, not the table's
+    guided one: the same uniforms simulate_link draws, each variant read
+    in full.
     """
     u = rng.random((2, symbols.size))
     out = np.empty((3, 2, symbols.size), dtype=np.int64)
     for s in (0, 1):
         slots = np.flatnonzero(symbols == s)
         for b1 in (0, 1):
-            out[:, b1, slots] = spec.frame_stats[s][b1].draw(u[b1, slots])
+            law = spec.frame_stats[s][b1]
+            out[:, b1, slots] = law.cells[:, np.searchsorted(law.cdf, u[b1, slots], side="right")]
     return out
 
 
@@ -407,6 +410,51 @@ class TestFrameStatsLaw:
                 law = link.frame_stats_law(q, b1, n)
                 assert law.cells.T.tolist() == [list(want(b1))] and law.mass == 1.0
 
+    @staticmethod
+    def guided_index_tables():
+        """(name, table): every table at the link benchmark's powers, the one-cell tables
+        at n = 1 and those of the frozen and alternating chains."""
+        cfg = ref_link_cfg(800)
+        for power in TestScansMatchLoops.POWERS:
+            for s, laws in enumerate(cfg.build_spec(power).frame_stats):
+                for b1, law in enumerate(laws):
+                    yield (power, s, b1), law
+        for s, laws in enumerate(ref_link_cfg(1).build_spec(-146.0).frame_stats):
+            for b1, law in enumerate(laws):
+                assert law.cells.shape == (3, 1)
+                yield ("n = 1", s, b1), law
+        for name, q in (("frozen", np.eye(2)), ("alternating", np.array([[0.0, 1.0], [1.0, 0.0]]))):
+            for n in (1, 2, 800):
+                for b1 in (0, 1):
+                    yield (name, n, b1), link.frame_stats_law(q, b1, n)
+
+    def test_guided_index_equals_searchsorted(self):
+        # uniforms at every place where the bucket bounds could be off by one
+        near_one = 1.0 - np.arange(1, 65) * 2.0**-53  # 1 - 2^-53 and the doubles below it
+        for name, law in self.guided_index_tables():
+            k = law._guide.size - 2
+            edges = np.arange(k + 1) / k
+            u = np.concatenate([
+                [0.0], law.cdf, np.nextafter(law.cdf, 0.0), np.nextafter(law.cdf, 1.0),
+                edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), near_one,
+                substream(41, 33).random(10_000),
+            ])
+            u = u[(u >= 0.0) & (u < 1.0)]
+            want = np.searchsorted(law.cdf, u, side="right")
+            assert np.array_equal(law.index(u), want), name
+            assert np.array_equal(law.draw(u), law.cells[:, want]), name
+        # the top bucket: a cdf of 1 files in bucket k, past every uniform in [0, 1)
+        assert link._bucket(np.array([1.0, near_one[0]]), 6).tolist() == [6, 5]
+
+    def test_pair_loglik_adds_nothing_for_a_pair_that_never_occurs(self):
+        # 01-pairs are impossible (log q = -inf): a frame without one keeps a finite
+        # probability, a frame with one has none
+        with np.errstate(divide="ignore"):
+            log_q = np.log(np.array([[1.0, 0.0], [0.5, 0.5]]))
+        counts = tuple(np.array(c) for c in ((3, 3), (0, 1), (1, 1), (0, 0)))
+        got = link._pair_loglik(np.array([0.25, 0.25]), log_q, counts)
+        assert got.tolist() == [0.25 + math.log(0.5), -math.inf]
+
     @pytest.mark.parametrize("n", [12000, 20000])
     def test_long_frames_in_bounded_memory(self, n):
         # lgamma rounding alone puts the kept mass 1.3e-12 (n = 12000) and
@@ -473,14 +521,21 @@ print("ok")
                     assert np.abs(got - law).max() < 1e-12
 
     def test_shared_tables_are_read_only(self):
-        # every point of a sweep reads the same symbol-0 tables, so none may be written
+        # every point of a sweep reads the same symbol-0 tables, so none may be
+        # written, not even in the copy a pool task unpickles
         cfg = ref_link_cfg(50)
         quiet, loud = cfg.build_spec(-150.0), cfg.build_spec(-146.0)
         assert quiet.frame_stats[0] is loud.frame_stats[0]
         for law in quiet.frame_stats[0] + loud.frame_stats[1]:
-            for name in ("cells", "cdf", "log_count"):
-                with pytest.raises(ValueError, match="read-only"):
-                    getattr(law, name)[...] = 0
+            law.draw(np.array([0.5]))  # builds the guide
+            copy = pickle.loads(pickle.dumps(law))
+            assert copy.bn1_from == law.bn1_from
+            for table in (law, copy):
+                for name in ("cells", "cdf", "log_count", "_guide"):
+                    with pytest.raises(ValueError, match="read-only"):
+                        getattr(table, name)[...] = 0
+            for name in ("cells", "cdf", "log_count", "_guide"):
+                assert np.array_equal(getattr(copy, name), getattr(law, name))
 
     def test_shared_kernel_builds_tables_at_each_length(self):
         # one kernel in specs of two frame lengths: each spec reads the tables of its own n
@@ -623,6 +678,17 @@ class TestForwardAndRate:
             viterbi_decode(spec, frames)  # raw frames, not their emission table
         with pytest.raises(ValueError, match="shape"):
             forward_loglik(spec, np.zeros(5))
+
+    def test_recursions_reject_nan_and_positive_infinity(self):
+        spec = ref_link_cfg(n=4).build_spec(-150.0)
+        run = simulate_link(spec, 50, substream(41, 12), mode="hmm")
+        for bad in (math.nan, math.inf):
+            emis = np.array(emissions(spec, run))
+            emis[7, 2] = bad
+            for call in (lambda: viterbi_decode(spec, emis), lambda: forward_loglik(spec, emis),
+                         lambda: conditional_forward_loglik(spec, emis, run.symbols)):
+                with pytest.raises(ValueError, match="log-probabilities"):
+                    call()
 
     def test_conditional_rejects_symbols_outside_0_1(self):
         spec = ref_link_cfg(n=4).build_spec(-150.0)
@@ -906,8 +972,9 @@ class TestScansMatchLoops:
                 assert x == want_x, (size, x0)
 
     def test_last_bit_matches_draw(self):
-        # every table at the benchmark powers: last_bit(u) is the bn of
-        # draw(u), for random u and for u at and just below every cdf value
+        # every table at the benchmark powers: last_bit(u) is the bn of the
+        # cell a plain inverse-CDF search finds, for random u and for u at
+        # and just below every cdf value
         cfg = ref_link_cfg(800)
         for idx, power in enumerate(self.POWERS):
             for s, laws in enumerate(cfg.build_spec(power).frame_stats):
@@ -915,7 +982,8 @@ class TestScansMatchLoops:
                     assert np.all(np.diff(law.cells[0]) >= 0)
                     exact = law.cdf[law.cdf < 1.0]
                     for u in (substream(41, 32, idx, s, b1).random(100_000), exact, np.nextafter(exact, 0.0)):
-                        assert np.array_equal(law.last_bit(u).astype(np.int64), law.draw(u)[0])
+                        want = law.cells[0, np.searchsorted(law.cdf, u, side="right")]
+                        assert np.array_equal(law.last_bit(u).astype(np.int64), want)
 
     def test_viterbi_ties_at_zero_signal(self):
         # identical kernels: every step ties between the two symbols
