@@ -34,7 +34,7 @@ from .physics import CycleTiming, DeviceParams, Environment, power_to_rate, ther
 from .report import Estimate, SweepReport
 from .rng import substream
 # saturated_excitation is not used here; the benchmark tracer looks it up in this module
-from .saturation import SaturationWindow, saturated_excitation, survivor_excitation  # noqa: F401
+from .saturation import SurvivorOperator, saturated_excitation  # noqa: F401
 
 __all__ = [
     "CycleKernel",
@@ -113,13 +113,14 @@ def build_cycle_kernel(
     timing: CycleTiming,
     lambda_signal: float,
     n_e: float,
-    window: Optional[SaturationWindow] = None,
+    saturation: Optional[SurvivorOperator] = None,
 ) -> CycleKernel:
     """Per-cycle kernel at signal rate lambda_signal plus thermal load n_e.
 
     The total arrival rate is lambda_signal + n_e / t_c.  A ground entry
     is excited with the exact Poisson-arrival excitation probability, or
-    its exact dead-time filtered value when window is given; an excited
+    its exact dead-time filtered value when saturation, the ground-entry
+    SurvivorOperator of dev and timing, is given; an excited
     entry stays excited through capture and observation only by surviving
     decay.  Readout flips an excited observation to 0 with probability
     1 - exp(-gamma t_w); reset leaves the system excited with p_reset_e
@@ -128,8 +129,8 @@ def build_cycle_kernel(
     if lambda_signal < 0 or n_e < 0:
         raise ValueError("rates must be >= 0")
     rate = lambda_signal + n_e / timing.t_c
-    if window is not None:
-        p_exc_g = float(survivor_excitation(rate, timing, dev, window=window))
+    if saturation is not None:
+        p_exc_g = float(saturation.excitation(rate))
     else:
         p_exc_g = float(excitation_ctmc(rate, timing, dev))
     p_exc_e = math.exp(-dev.gamma * (timing.t_c + timing.delta_o))
@@ -409,12 +410,21 @@ class HmmSpec:
         pi[2 * GROUND + 1] = 0.5
         return pi
 
-    @property
+    @cached_property
     def level_exit(self) -> np.ndarray:
-        """P(exit level | entry level, symbol), shape (level, symbol, level')."""
-        return np.array(
-            [[self.exit_distribution(lv, s) for s in (0, 1)] for lv in (GROUND, EXCITED)]
-        )
+        """P(exit level | entry level, symbol), shape (level, symbol, level'), read-only.
+
+        exit_distribution for every level and symbol, with one matrix power
+        per symbol, built on first use.
+        """
+        out = np.empty((2, 2, 2))
+        for s in (0, 1):
+            k = self.kernel(s)
+            steps = np.linalg.matrix_power(k.bit_chain, self.n_cycles - 1)
+            for lv in (GROUND, EXCITED):
+                out[lv, s] = k.bit_given_entry[lv] @ steps @ k.exit_given_bit
+        out.flags.writeable = False
+        return out
 
     @property
     def transition(self) -> np.ndarray:
@@ -900,9 +910,15 @@ class LinkConfig:
     def n_e(self) -> float:
         return thermal_photon_rate(self.env)
 
+    @cached_property
+    def _saturation_operator(self) -> Optional[SurvivorOperator]:
+        """The ground-entry dead-time operator when saturation is on: every kernel of a sweep evaluates it."""
+        return SurvivorOperator.build(self.timing, self.dev) if self.saturation else None
+
     def _kernel(self, lambda_signal: float) -> CycleKernel:
-        window = SaturationWindow.from_device(self.dev) if self.saturation else None
-        return build_cycle_kernel(self.dev, self.timing, lambda_signal, self.n_e, window=window)
+        return build_cycle_kernel(
+            self.dev, self.timing, lambda_signal, self.n_e, saturation=self._saturation_operator
+        )
 
     @cached_property
     def _noise_kernel(self) -> CycleKernel:
@@ -912,8 +928,9 @@ class LinkConfig:
     def noise_tables(self) -> tuple:
         """The frame-statistics tables of the noise kernel, built on first use like every spec's.
 
-        A copy of this config pickled after the call carries them, so a
-        pool task does not build them again.
+        Building the noise kernel also builds the saturation operator.  A
+        copy of this config pickled after the call carries both, so a pool
+        task builds neither again.
         """
         return self._noise_kernel.frame_stats(self.env.cycles_per_symbol)
 

@@ -10,7 +10,7 @@ with the Monte Carlo kept as its oracle) and the 3 dB cutoff machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,8 +35,10 @@ __all__ = [
     "PieceIntegrals",
     "pair_survival_integrals",
     "saturated_excitation",
+    "SurvivorOperator",
     "survivor_excitation",
     "cutoff_photon_number",
+    "cutoff_operator",
     "scan_cutoff",
     "fit_cutoff_curve",
     "log_grid",
@@ -422,6 +424,288 @@ def _conv(a, b, x):
     return x * np.exp(-np.minimum(a, b) * x) * _phi(np.abs(a - b) * x)
 
 
+def _cell_sum(scales, rates, width, shift=0.0):
+    """Weights (lower node, upper node) per row k and cell i of the integral of
+    h(s) sum_j c_jk e^{-(shift + a_j) (u[hi_k] - s)} over the nodes of row k,
+    exact for h linear between nodes.  scales[j] holds the cell scales
+    c_jk e^{-a_j (u[hi_k] - u[i + 1])} width_i of the rate a_j = rates[j],
+    zero outside the row; one call gives the cell weights of every rate."""
+    a = np.reshape(rates, (-1,) + (1,) * max(np.ndim(shift), 1))
+    c_lo, c_hi = _cell_weights((shift + a) * width)
+    w_lo = w_hi = 0.0
+    for scale, lo, hi in zip(scales, c_lo, c_hi):
+        w_lo, w_hi = w_lo + scale * lo, w_hi + scale * hi
+    return w_lo, w_hi
+
+
+def _node_rows(w_lo, w_hi):
+    """Cell weights (lower node, upper node) gathered onto the nodes."""
+    out = np.zeros(np.shape(w_lo)[:-1] + (np.shape(w_lo)[-1] + 1,))
+    out[..., :-1] += w_lo
+    out[..., 1:] += w_hi
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class SurvivorOperator:
+    """survivor_excitation for one device, cycle timing, window, entry level
+    and cells_per_tau, split at lambda.
+
+    build() makes everything that depends only on (kappa tau/4, gamma tau,
+    t_c/tau, the entry level, cells_per_tau): the node grid sigma (one
+    block of tau; width spans the window of two blocks), the lag table
+    lags/lag_index of the e^{-lam w} weights, the cell scales of the
+    new-node and readout rows, the lambda-free part of the force rows, the
+    block map's shift, running-sum and constant rows (step_base), the
+    block-0 integrals and the readout vector.  excitation(lam) adds the
+    lambda-dependent rows, squares the block map and reads out, so one
+    operator serves every lambda grid of a cutoff scan or every kernel of
+    a link sweep.  The arrays are read-only, also in a copy that arrives
+    by pickle.
+    """
+
+    tau: float
+    t_c: float
+    rates: tuple  # (R, G) = (kappa/4, gamma) in units of 1/tau
+    enter_excited: bool
+    blocks: int  # whole blocks of tau in t_c
+    rho: float  # the part block at the end, t_c = (blocks + rho) tau
+    sigma: np.ndarray
+    width: np.ndarray
+    lags: np.ndarray
+    lag_index: np.ndarray
+    cell_scales: np.ndarray  # one per rate, R then G
+    far_coefs: tuple  # one per rate: the block-0 weights of the far sum
+    force_base: np.ndarray
+    step_base: np.ndarray
+    i1: np.ndarray
+    near0_sum: np.ndarray
+    entry_ground: np.ndarray  # 1 - [excited] e^{-gamma s} at blocks 1 and 2
+    readout_base: np.ndarray
+    readout_decay: float  # e^{-gamma delta_o}
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def __reduce__(self):
+        # rebuilt through __init__, which locks the arrays that unpickling hands over writeable
+        return SurvivorOperator, tuple(getattr(self, f.name) for f in fields(self))
+
+    @classmethod
+    def build(
+        cls,
+        timing: CycleTiming,
+        dev: DeviceParams,
+        enter_excited: bool = False,
+        window: Optional[SaturationWindow] = None,
+        cells_per_tau: int = 16,
+    ) -> "SurvivorOperator":
+        """The lambda-free part of survivor_excitation, built once."""
+        if cells_per_tau < 1:
+            raise ValueError("cells_per_tau must be >= 1")
+        if window is None:
+            window = SaturationWindow.from_device(dev)
+        tau, t_c = window.tau, timing.t_c
+        _require_window(tau, t_c)
+        exc = float(enter_excited)
+        # rates in units of 1/tau, times in units of tau
+        R, G = dev.transition_rate * tau, dev.gamma * tau
+        if abs(G - R) < 1e-8 * R:
+            # B and A have a removable 0/0 at gamma = r; moving gamma by 1e-8 r
+            # changes the result by about 1e-8, below the discretization error
+            G = R * (1.0 + 1e-8)
+        inv = 1.0 / (G - R)
+        b_r, b_g = G * inv, -R * inv  # B(v) = b_r e^{-R v} + b_g e^{-G v}
+
+        def D(v):
+            v = np.asarray(v, dtype=float)
+            return v * np.exp(-min(R, G) * v) * _phi(abs(G - R) * v)
+
+        # block nodes; t_c = (n + rho) tau is snapped to 1e-9 tau
+        blocks = t_c / tau
+        n = int(math.floor(blocks + 1e-9))
+        rho = max(blocks - n, 0.0)
+        sigma = np.linspace(0.0, 1.0, cells_per_tau + 1)
+        if np.abs(sigma - rho).min() > 1e-9:
+            sigma = np.sort(np.append(sigma, rho))
+        end = int(np.argmin(np.abs(sigma - rho)))  # node of t_c in its block
+        m = sigma.size - 1
+
+        # state: h on the 2m + 1 nodes of the window [k - 2, k] (block k is
+        # next), the two running sums at k - 2, e^{-G (k - 1)} if excited, 1
+        u = np.concatenate([sigma, 1.0 + sigma[1:]])
+        width = np.diff(u)
+        nh = 2 * m + 1
+        i_r, i_d, i_e = nh, nh + 1, nh + 2
+        one = nh + 2 + int(enter_excited)
+        size = one + 1
+
+        def cell_scales(lo, hi, coefs, rates):
+            """The scales of _cell_sum over the nodes lo_k..hi_k of row k, one per rate."""
+            inside = (np.arange(nh - 1) >= lo[:, None]) & (np.arange(nh - 1) < hi[:, None])
+            dist = np.where(inside, u[hi, None] - u[1:], 0.0)
+            return np.stack([
+                np.where(inside, np.exp(-a * dist) * width, 0.0) * np.reshape(coef, (-1, 1))
+                for coef, a in zip(coefs, rates)
+            ])
+
+        # running sums at every node j of the oldest block, as rows on the state
+        j_all = np.arange(m + 1)
+        in_r = _node_rows(*_cell_sum(cell_scales(0 * j_all, j_all, [1.0], [R]), [R], width))
+        in_g = _node_rows(*_cell_sum(cell_scales(0 * j_all, j_all, [1.0], [G]), [G], width))
+        run_r = np.zeros((m + 1, size))
+        run_r[:, :nh] = in_r
+        run_r[:, i_r] = np.exp(-R * sigma)
+        run_d = np.zeros((m + 1, size))
+        run_d[:, :nh] = (in_r - in_g) * inv
+        run_d[:, i_r] = D(sigma)
+        run_d[:, i_d] = np.exp(-G * sigma)
+
+        # the lambda-dependent rows: the block map's new nodes 1..m, weighted by
+        # B(w + 1) e^{-lam w}, and the readout, weighted by A(w) e^{-lam w}
+        new = j_all[1:]
+        lo, hi = np.append(new, end), np.append(m + new, m + end)
+        dist = np.maximum(u[hi, None] - u[1:], 0.0)
+        lags, back = np.unique(dist, return_inverse=True)
+        coef_r = np.append(np.full(m, b_r * math.exp(-R)), R * inv)
+        coef_g = np.append(np.full(m, b_g * math.exp(-G)), -R * inv)
+        scales = cell_scales(lo, hi, [coef_r, coef_g], [R, G])
+
+        # block map: h at the new nodes (the force rows, times lam e^{-lam}),
+        # the window shifted by one block, the running sums and the constant
+        force_base = (math.exp(-2.0 * R) + R * D(2.0)) * run_r[new] + (R * math.exp(-2.0 * G)) * run_d[new]
+        step = np.zeros((size, size))
+        step[: m + 1, m:nh] = np.eye(m + 1)
+        step[i_r] = run_r[m]
+        step[i_d] = run_d[m]
+        if enter_excited:
+            step[i_e, i_e] = math.exp(-G)
+        step[one, one] = 1.0
+        # entries below 1e-150 (large lam tau) move no probability, but their
+        # products go subnormal inside the matrix products and halve their speed
+        step[np.abs(step) < 1e-150] = 0.0
+
+        # h on block 0 enters in closed form
+        x = sigma[None, :]
+        coefs = ((b_r, R), (b_g, G))
+        i1 = sum(k * math.exp(-a) * (_conv(0.0, a, x) - exc * _conv(G, a, x)) for k, a in coefs)
+        y = 1.0 - x
+        near0_sum = sum(
+            k * np.exp(-a * (1.0 + x)) * (_conv(0.0, a, y) - exc * np.exp(-G * x) * _conv(G, a, y))
+            for k, a in coefs
+        )
+        entry_ground = np.stack([1.0 - exc * np.exp(-G * (1.0 + x)), 1.0 - exc * np.exp(-G * (2.0 + x))])
+
+        # readout on the window [n - 1, n + 1], where t_c sits at node m + end
+        readout_base = math.exp(-G) * run_d[end] + D(1.0) * run_r[end]
+        return cls(
+            tau=tau, t_c=t_c, rates=(R, G), enter_excited=bool(enter_excited), blocks=n, rho=rho,
+            sigma=sigma, width=width, lags=lags, lag_index=back.reshape(dist.shape),
+            cell_scales=scales,
+            far_coefs=tuple(k * math.exp(-2.0 * a) for k, a in coefs),
+            force_base=force_base, step_base=step, i1=i1, near0_sum=near0_sum,
+            entry_ground=entry_ground, readout_base=readout_base,
+            readout_decay=math.exp(-dev.gamma * timing.delta_o),
+        )
+
+    def _lam_rows(self, L, h1) -> tuple:
+        """The new-node and readout rows at lam tau = L, and near1, the
+        new-node rows cut to the cells of block 1 and applied to h1.
+
+        Each row is the cell scales at rates lam + a, times e^{-lam w}.
+        """
+        m = self.sigma.size - 1
+        decay = np.exp(-np.multiply.outer(L, self.lags))[:, self.lag_index]
+        w_lo, w_hi = _cell_sum(self.cell_scales, self.rates, self.width, L[:, None, None])
+        w_lo, w_hi = decay * w_lo, decay * w_hi
+        near1 = np.zeros_like(h1)
+        near1[:, 1:] = np.einsum("lji,li->lj", w_lo[:, :m, m:], h1[:, :-1]) + np.einsum(
+            "lji,li->lj", w_hi[:, :m, m:], h1[:, 1:]
+        )
+        return _node_rows(w_lo, w_hi), near1
+
+    def excitation(self, lam) -> np.ndarray:
+        """survivor_excitation at the arrival rates lam; returns an array shaped like lam."""
+        lam = np.asarray(lam, dtype=float)
+        shape = lam.shape
+        lam = lam.ravel()
+        if np.any(lam < 0):
+            raise ValueError("lambda must be >= 0")
+        R, G = self.rates
+        inv = 1.0 / (G - R)
+        m = self.sigma.size - 1
+        nh = 2 * m + 1
+        i_r, i_d, i_e = nh, nh + 1, nh + 2
+        one = self.step_base.shape[0] - 1
+        excited = self.enter_excited
+        L = lam * self.tau
+        # the working arrays are dropped as soon as they are used: a call that
+        # holds fewer of them at once hands less memory back to the system
+        # between calls and page-faults less on the next one.  The rates R and
+        # G share one call of each closed form along a leading axis, and the
+        # exc * terms, exact zeros for a ground entry, are left out
+
+        # h on blocks 1 and 2 in closed form
+        Lc, x = L[:, None], self.sigma[None, :]
+        lead = Lc * np.exp(-Lc)
+        h1 = lead * (self.entry_ground[0] - Lc * np.exp(-Lc * x) * self.i1)
+        near0 = Lc * np.exp(-Lc * (1.0 + x)) * self.near0_sum
+        rates = np.reshape(self.rates, (2, 1, 1))
+        far = _conv(Lc, rates, x) - _conv(Lc + G, rates, x) if excited else _conv(Lc, rates, x)
+        far0 = lead * sum(k * conv for k, conv in zip(self.far_coefs, far))
+        lam_rows, near1 = self._lam_rows(L, h1)
+        h2 = lead * (self.entry_ground[1] - near0 - near1 - far0)
+        state = np.zeros((L.size, one + 1))
+        state[:, : m + 1] = h1
+        state[:, m:nh] = h2  # h at 2 tau ends block 1 and starts block 2
+        rates = rates[:, 0]
+        sum_r, sum_g = _conv(L, rates, 1.0) - _conv(L + G, rates, 1.0) if excited else _conv(L, rates, 1.0)
+        state[:, i_r] = L * sum_r
+        state[:, i_d] = L * (sum_r - sum_g) * inv
+        if excited:
+            state[:, i_e] = math.exp(-2.0 * G)
+        state[:, one] = 1.0
+
+        # readout: (e^{-lam} R) times the lambda-free vector, plus its lambda row
+        e_lam = np.exp(-L)
+        e_l = e_lam[:, None, None]
+        readout = e_l[:, 0] * R * self.readout_base
+        readout[:, :nh] += lam_rows[:, m]
+        if excited:
+            readout[:, i_e] += math.exp(-G * self.rho)
+
+        # block map: step_base with the new-node rows, under the same 1e-150 cut
+        force = -e_l * self.force_base
+        force[..., :nh] -= lam_rows[:, :m]
+        del lam_rows
+        force[..., one] += 1.0
+        if excited:
+            force[..., i_e] -= np.exp(-G * (1.0 + self.sigma[1:]))
+        power = np.empty((L.size,) + self.step_base.shape)
+        power[:] = self.step_base
+        new_rows = power[:, m + 1 : nh]
+        np.multiply((L * e_lam)[:, None, None], force, out=new_rows)
+        del force
+        np.copyto(new_rows, 0.0, where=np.abs(new_rows) < 1e-150)
+
+        # the block map, applied blocks - 2 times by repeated squaring
+        spare, todo = np.empty_like(power), self.blocks - 2
+        while todo:
+            if todo & 1:
+                state = np.matmul(power, state[:, :, None])[:, :, 0]
+            todo >>= 1
+            if todo:
+                np.matmul(power, power, out=spare)
+                power, spare = spare, power
+
+        # rounding in the squarings can leave values ~1e-13 outside [0, 1]
+        p = np.clip(np.einsum("ld,ld->l", readout, state), 0.0, 1.0)
+        return (p * self.readout_decay).reshape(shape)
+
+
 def survivor_excitation(
     lam,
     timing: CycleTiming,
@@ -465,168 +749,10 @@ def survivor_excitation(
     the stacked per-lambda matrices, so the cost grows with
     log(kappa t_c).  No exponent is positive.  At gamma = 0 this is the
     first-survivor delay-renewal equation (Feller 1948) with h = lam x.
-    Returns an array shaped like lam.
+    Returns an array shaped like lam.  A caller that evaluates several
+    lambda grids at one device builds SurvivorOperator once instead.
     """
-    lam = np.asarray(lam, dtype=float)
-    shape = lam.shape
-    lam = lam.ravel()
-    if np.any(lam < 0):
-        raise ValueError("lambda must be >= 0")
-    if cells_per_tau < 1:
-        raise ValueError("cells_per_tau must be >= 1")
-    if window is None:
-        window = SaturationWindow.from_device(dev)
-    tau, t_c = window.tau, timing.t_c
-    _require_window(tau, t_c)
-    exc = float(enter_excited)
-    # rates in units of 1/tau, times in units of tau
-    L = lam * tau
-    R, G = dev.transition_rate * tau, dev.gamma * tau
-    if abs(G - R) < 1e-8 * R:
-        # B and A have a removable 0/0 at gamma = r; moving gamma by 1e-8 r
-        # changes the result by about 1e-8, below the discretization error
-        G = R * (1.0 + 1e-8)
-    inv = 1.0 / (G - R)
-    b_r, b_g = G * inv, -R * inv  # B(v) = b_r e^{-R v} + b_g e^{-G v}
-
-    def D(v):
-        v = np.asarray(v, dtype=float)
-        return v * np.exp(-min(R, G) * v) * _phi(abs(G - R) * v)
-
-    # block nodes; t_c = (n + rho) tau is snapped to 1e-9 tau
-    blocks = t_c / tau
-    n = int(math.floor(blocks + 1e-9))
-    rho = max(blocks - n, 0.0)
-    sigma = np.linspace(0.0, 1.0, cells_per_tau + 1)
-    if np.abs(sigma - rho).min() > 1e-9:
-        sigma = np.sort(np.append(sigma, rho))
-    end = int(np.argmin(np.abs(sigma - rho)))  # node of t_c in its block
-    m = sigma.size - 1
-
-    # state: h on the 2m + 1 nodes of the window [k - 2, k] (block k is
-    # next), the two running sums at k - 2, e^{-G (k - 1)} if excited, 1
-    u = np.concatenate([sigma, 1.0 + sigma[1:]])
-    width = np.diff(u)
-    nh = 2 * m + 1
-    i_r, i_d, i_e = nh, nh + 1, nh + 2
-    one = nh + 2 + int(enter_excited)
-    size = one + 1
-    n_lam = lam.size
-
-    def cells(lo, hi, terms, decay=None):
-        """Weights (lower node, upper node) per row k and cell i of the integral of
-        h(s) sum_(c, a) c_k e^{-a (u[hi_k] - s)} over nodes lo_k..hi_k, exact for h
-        linear between nodes.  With decay = e^{-lam (u[hi_k] - u[i + 1])} per lambda,
-        every rate a becomes lam + a."""
-        inside = (np.arange(nh - 1) >= lo[:, None]) & (np.arange(nh - 1) < hi[:, None])
-        dist = np.where(inside, u[hi, None] - u[1:], 0.0)
-        w_lo = w_hi = 0.0
-        for coef, a in terms:
-            scale = np.where(inside, np.exp(-a * dist) * width, 0.0) * np.reshape(coef, (-1, 1))
-            c_lo, c_hi = _cell_weights((a if decay is None else L[:, None, None] + a) * width)
-            w_lo, w_hi = w_lo + scale * c_lo, w_hi + scale * c_hi
-        if decay is not None:
-            w_lo, w_hi = decay * w_lo, decay * w_hi
-        return w_lo, w_hi
-
-    def rows(w_lo, w_hi):
-        """Cell weights gathered onto the window nodes."""
-        out = np.zeros(np.shape(w_lo)[:-1] + (nh,))
-        out[..., :-1] += w_lo
-        out[..., 1:] += w_hi
-        return out
-
-    # running sums at every node j of the oldest block, as rows on the state
-    j_all = np.arange(m + 1)
-    in_r = rows(*cells(0 * j_all, j_all, [(1.0, R)]))
-    in_g = rows(*cells(0 * j_all, j_all, [(1.0, G)]))
-    run_r = np.zeros((m + 1, size))
-    run_r[:, :nh] = in_r
-    run_r[:, i_r] = np.exp(-R * sigma)
-    run_d = np.zeros((m + 1, size))
-    run_d[:, :nh] = (in_r - in_g) * inv
-    run_d[:, i_r] = D(sigma)
-    run_d[:, i_d] = np.exp(-G * sigma)
-
-    # the lambda-dependent rows: the block map's new nodes 1..m, weighted by
-    # B(w + 1) e^{-lam w}, and the readout, weighted by A(w) e^{-lam w}
-    new = j_all[1:]
-    lo, hi = np.append(new, end), np.append(m + new, m + end)
-    dist = np.maximum(u[hi, None] - u[1:], 0.0)
-    uniq, back = np.unique(dist, return_inverse=True)
-    decay = np.exp(-np.multiply.outer(L, uniq))[:, back.reshape(dist.shape)]
-    coef_r = np.append(np.full(m, b_r * math.exp(-R)), R * inv)
-    coef_g = np.append(np.full(m, b_g * math.exp(-G)), -R * inv)
-    w_lo, w_hi = cells(lo, hi, [(coef_r, R), (coef_g, G)], decay)
-    lam_rows = rows(w_lo, w_hi)
-    near_new, readout_near = lam_rows[:, :m], lam_rows[:, m]
-
-    # block map: h at the new nodes, the window shifted by one block
-    e_l = np.exp(-L)[:, None, None]
-    lel = (L * np.exp(-L))[:, None, None]
-    force = -e_l * ((math.exp(-2.0 * R) + R * D(2.0)) * run_r[new] + (R * math.exp(-2.0 * G)) * run_d[new])
-    force[..., :nh] -= near_new
-    force[..., one] += 1.0
-    if enter_excited:
-        force[..., i_e] -= np.exp(-G * (1.0 + sigma[new]))
-    step = np.zeros((n_lam, size, size))
-    step[:, : m + 1, m:nh] = np.eye(m + 1)
-    step[:, m + 1 : nh] = lel * force
-    step[:, i_r] = run_r[m]
-    step[:, i_d] = run_d[m]
-    if enter_excited:
-        step[:, i_e, i_e] = math.exp(-G)
-    step[:, one, one] = 1.0
-
-    # state with the window on blocks 1 and 2; h on block 0 enters in closed form
-    Lc, x = L[:, None], sigma[None, :]
-    coefs = ((b_r, R), (b_g, G))
-    i1 = sum(k * math.exp(-a) * (_conv(0.0, a, x) - exc * _conv(G, a, x)) for k, a in coefs)
-    h1 = Lc * np.exp(-Lc) * (1.0 - exc * np.exp(-G * (1.0 + x)) - Lc * np.exp(-Lc * x) * i1)
-    y = 1.0 - x
-    near0 = Lc * np.exp(-Lc * (1.0 + x)) * sum(
-        k * np.exp(-a * (1.0 + x)) * (_conv(0.0, a, y) - exc * np.exp(-G * x) * _conv(G, a, y))
-        for k, a in coefs
-    )
-    far0 = Lc * np.exp(-Lc) * sum(
-        k * math.exp(-2.0 * a) * (_conv(Lc, a, x) - exc * _conv(Lc + G, a, x)) for k, a in coefs
-    )
-    # block 2 from block 1: the new-node rows, cut to the cells of block 1
-    near1 = np.zeros_like(h1)
-    near1[:, 1:] = np.einsum("lji,li->lj", w_lo[:, :m, m:], h1[:, :-1]) + np.einsum(
-        "lji,li->lj", w_hi[:, :m, m:], h1[:, 1:]
-    )
-    h2 = Lc * np.exp(-Lc) * (1.0 - exc * np.exp(-G * (2.0 + x)) - near0 - near1 - far0)
-    state = np.zeros((n_lam, size))
-    state[:, : m + 1] = h1
-    state[:, m:nh] = h2  # h at 2 tau ends block 1 and starts block 2
-    sum_r = _conv(L, R, 1.0) - exc * _conv(L + G, R, 1.0)
-    sum_g = _conv(L, G, 1.0) - exc * _conv(L + G, G, 1.0)
-    state[:, i_r] = L * sum_r
-    state[:, i_d] = L * (sum_r - sum_g) * inv
-    if enter_excited:
-        state[:, i_e] = math.exp(-2.0 * G)
-    state[:, one] = 1.0
-
-    # entries below 1e-150 (large lam tau) move no probability, but their
-    # products go subnormal inside the matrix products and halve their speed
-    step[np.abs(step) < 1e-150] = 0.0
-    power, todo = step, n - 2
-    while todo:
-        if todo & 1:
-            state = np.matmul(power, state[:, :, None])[:, :, 0]
-        todo >>= 1
-        if todo:
-            power = np.matmul(power, power)
-
-    # readout on the window [n - 1, n + 1], where t_c sits at node m + end
-    readout = e_l[:, 0] * R * (math.exp(-G) * run_d[end] + D(1.0) * run_r[end])
-    readout[:, :nh] += readout_near
-    if enter_excited:
-        readout[:, i_e] += math.exp(-G * rho)
-    # rounding in the squarings can leave values ~1e-13 outside [0, 1]
-    p = np.clip(np.einsum("ld,ld->l", readout, state), 0.0, 1.0)
-    return (p * math.exp(-dev.gamma * timing.delta_o)).reshape(shape)
+    return SurvivorOperator.build(timing, dev, enter_excited, window, cells_per_tau).excitation(lam)
 
 
 def log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
@@ -648,26 +774,18 @@ class CutoffResult:
     peak_index: int
 
 
-def cutoff_photon_number(
-    dev: DeviceParams,
-    t_c: float,
-    n_grid: np.ndarray,
-    window: Optional[SaturationWindow] = None,
-) -> CutoffResult:
+def cutoff_photon_number(operator: SurvivorOperator, n_grid: np.ndarray) -> CutoffResult:
     """Mean photon number where the saturated excitation drops 3 dB.
 
-    Evaluates the exact survivor_excitation with ground entry over the
-    given increasing grid of mean photon numbers at once, locates the
-    maximum, then the first point at or below half the maximum, and
-    interpolates the crossing linearly on log-log axes.  The curve is
-    taken at t_c: the decay over delta_o is a constant factor and does
-    not move a 3 dB point.
+    Evaluates operator, a ground-entry SurvivorOperator, over the given
+    increasing grid of mean photon numbers at once, locates the maximum,
+    then the first point at or below half the maximum, and interpolates
+    the crossing linearly on log-log axes.
     """
     n_grid = np.asarray(n_grid, dtype=float)
     if n_grid.size < 3 or np.any(np.diff(n_grid) <= 0):
         raise ValueError("n_grid must be increasing with at least 3 points")
-    timing = CycleTiming(t_c=t_c, delta_o=t_c * 1e-9, t_w=t_c * 1e-9)
-    exc = survivor_excitation(n_grid / t_c, timing, dev, window=window)
+    exc = operator.excitation(n_grid / operator.t_c)
     peak_index = int(np.argmax(exc))
     peak = float(exc[peak_index])
     if peak <= 0:
@@ -695,16 +813,26 @@ _SCAN_COARSE_PER_DECADE = 4
 _SCAN_FINE_PER_DECADE = 40
 
 
+def cutoff_operator(dev: DeviceParams, t_c: float) -> SurvivorOperator:
+    """The ground-entry operator of a cutoff scan at cycle t_c.
+
+    The curve is taken at t_c: the decay over delta_o is a constant factor
+    and does not move a 3 dB point, so delta_o is 1e-9 t_c.
+    """
+    return SurvivorOperator.build(CycleTiming(t_c=t_c, delta_o=t_c * 1e-9, t_w=t_c * 1e-9), dev)
+
+
 def scan_cutoff(dev: DeviceParams, t_c: float) -> CutoffResult:
     """Two-stage cutoff scan: coarse bracket, then a dense grid around it.
 
-    The refined grid spans one decade around the coarse crossing, which
-    for this excitation shape always contains the plateau maximum on its
-    left edge.
+    Both stages evaluate one operator.  The refined grid spans one decade
+    around the coarse crossing, which for this excitation shape always
+    contains the plateau maximum on its left edge.
     """
-    center = cutoff_photon_number(dev, t_c, log_grid(*_SCAN_RANGE, _SCAN_COARSE_PER_DECADE)).n_cutoff
+    operator = cutoff_operator(dev, t_c)
+    center = cutoff_photon_number(operator, log_grid(*_SCAN_RANGE, _SCAN_COARSE_PER_DECADE)).n_cutoff
     fine_grid = log_grid(center / math.sqrt(10.0), center * math.sqrt(10.0), _SCAN_FINE_PER_DECADE)
-    return cutoff_photon_number(dev, t_c, fine_grid)
+    return cutoff_photon_number(operator, fine_grid)
 
 
 @dataclass(frozen=True)

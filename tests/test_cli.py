@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from photonlink import cli, link
+from photonlink import cli, link, saturation
 from photonlink.cli import main
 from photonlink.figures import emit_figure_data
 from photonlink.errors import ConfigError
@@ -276,6 +276,36 @@ class TestDeterminism:
             outs.append((out / "rate_sweep" / "rate_sweep.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_saturated_sweep_builds_one_operator(self, config_file, tmp_path, monkeypatch):
+        # the dead-time operator is built with the noise kernel, before the pool
+        # starts, and every kernel evaluates it; at --workers 2 each task gets a
+        # pickled copy of the link config, as in a pool, but in this process
+        built = []
+        build = saturation.SurvivorOperator.build
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        def pickled_map(fn, payloads, workers):
+            return [fn(*pickle.loads(pickle.dumps(args))) for args in payloads]
+
+        monkeypatch.setattr(saturation.SurvivorOperator, "build", counted)
+        outs = []
+        for workers in ("1", "2"):
+            if workers == "2":
+                monkeypatch.setattr(cli, "_parallel_map", pickled_map)
+            built.clear()
+            out = tmp_path / workers
+            assert run_cli(
+                "rate-sweep", "--config", str(config_file), "--out", str(out), "--workers", workers,
+                "--set", "link.saturation=true",
+                "--set", "sweeps.power_dbm={start: -154.0, stop: -146.0, points: 5, scale: linear}",
+            ) == 0
+            assert len(built) == 1, workers
+            outs.append((out / "rate_sweep" / "rate_sweep.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("command", ["rate-sweep", "ber-sweep"])
     def test_pool_tasks_carry_the_noise_tables(self, config_file, tmp_path, monkeypatch, command):
         # a pool task unpickles its own copy of the link config; the noise tables,
@@ -394,17 +424,62 @@ PINNED_LINK_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(PINNED_LINK_OUTPUTS))
-def test_link_outputs_pinned_at_any_worker_count(tmp_path, command):
-    # a byte-level gate for changes that should move no link output
+def _assert_pinned(tmp_path, command, sets, digests):
+    """Run command on configs/default.yaml at seed 7 and workers 1 and 2; check each file's sha256."""
     default = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
-    extra, digests = PINNED_LINK_OUTPUTS[command]
     for workers in ("1", "2"):
         out = tmp_path / workers
         argv = [command, "--config", str(default), "--out", str(out), "--seed", "7", "--workers", workers]
-        for item in LINK_BENCH_SETS + extra:
+        for item in sets:
             argv += ["--set", item]
         assert run_cli(*argv) == 0
         for name, want in digests.items():
             path = out / command.replace("-", "_") / name
             assert hashlib.sha256(path.read_bytes()).hexdigest() in want, (workers, name)
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_LINK_OUTPUTS))
+def test_link_outputs_pinned_at_any_worker_count(tmp_path, command):
+    # a byte-level gate for changes that should move no link output
+    extra, digests = PINNED_LINK_OUTPUTS[command]
+    _assert_pinned(tmp_path, command, LINK_BENCH_SETS + extra, digests)
+
+
+# The overrides of the sat-cutoff benchmark workload (perfbench/workloads.py).
+SAT_CUTOFF_SETS = (
+    "sweeps.kappa_t_c={values: [100.0, 316.22776601683796, 1000.0, 3162.2776601683795, 10000.0]}",
+    "cutoff.replicas=64",
+)
+# sha256 of the saturation outputs and of the saturated link outputs on
+# configs/default.yaml at seed 7, recorded at version 0.5.1 like the link pins.
+# fit.json, fig15.csv and saturation_excitation.csv print values that pass
+# through np.exp and np.log, so they also have a digest for numpy's baseline
+# kernels (NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4").
+PINNED_SATURATION_OUTPUTS = {
+    "cutoff-fit": (SAT_CUTOFF_SETS, {
+        "cutoff_table.csv": {"7a2efb0df4383833cf0c1d511ae81f8196947edec75d61b5cbb18bc3b21c41e3"},
+        "fit.json": {"095f23bbbd2649b1b9322ec75d8e5f1a608280bea34ea706f50975ec5b2da468",
+                     "b01e2fe7f2465441406c6b3086e04e471def0b01ede9b3efc3a3f3be7f3c55ff"},
+        "fig13.csv": {"778789de6122f235c3301b777c79dcda41a29b174b6d2922305b783ee7b0a84a"},
+        "fig15.csv": {"ce75ecff9ef5593482be35684efbc3c807ba988b8a6086c873dca04d274e4889",
+                      "d74d5b8186833cc1a34d7a74618ddda1d0e17d0397d3d583012cfa990d8f2f85"},
+    }),
+    "saturation-sweep": ((), {
+        "saturation_excitation.csv": {"b3c44faf0a476714386918dd49389abe93a827b1229ea229bc260e6fed483991",
+                                      "2a330896039b66b7dda9594eb415bd49fed4ba45c1f761f33e70a6bbcbe62d02"},
+    }),
+    "ber-sweep": (LINK_BENCH_SETS + ("link.saturation=true", "mc.n_symbols=17500", "link.mode=physical"), {
+        "ber_sweep.csv": {"dcb01b74ed931cd8eedfbaba9ad174700863c2230d7f9134cfc8109ae38de297"},
+        "fig9.csv": {"a7ce31c58649be60084ef98e79d8d53ce3890a8a74c6480a7028230d7f9dae99"},
+    }),
+    "rate-sweep": (LINK_BENCH_SETS + ("link.saturation=true",), {
+        "rate_sweep.csv": {"87f60134a254b124ddb16ce5745ddf4076975756d843b4c5cb59ff8f0da415b7"},
+        "fig10.csv": {"0d8e013324d35d72df981db7ab371a8d544f88ce53f3147885045d1ba9f522cc"},
+    }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_SATURATION_OUTPUTS))
+def test_saturation_outputs_pinned_at_any_worker_count(tmp_path, command):
+    # a byte-level gate for changes that should move no saturation output
+    _assert_pinned(tmp_path, command, *PINNED_SATURATION_OUTPUTS[command])

@@ -292,6 +292,24 @@ class TestHmmSpec:
         b = spec.block_emission_logprob_matrix(frames)
         assert np.abs(a - b).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 800])
+    def test_level_exit_built_once_equals_per_level_form(self, n, monkeypatch):
+        base = ref_link_cfg().build_spec(-148.3)
+        spec = HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=n)
+        per_level = [[spec.exit_distribution(lv, s).tolist() for s in (0, 1)] for lv in (0, 1)]
+        powers = []
+        matrix_power = np.linalg.matrix_power
+
+        def counted(q, k):
+            powers.append(k)
+            return matrix_power(q, k)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counted)
+        first = spec.level_exit
+        assert spec.level_exit is first and powers == [n - 1, n - 1]
+        assert first.tolist() == per_level
+        assert not first.flags.writeable
+
     def test_kernels_must_share_reset_law(self):
         k0, k1 = deterministic_kernels()
         k1_bad = CycleKernel(

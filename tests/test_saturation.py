@@ -1,5 +1,8 @@
 import math
+import pickle
 import warnings
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -7,11 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonlink.errors import NotSaturatingError
-from photonlink.physics import CycleTiming, DeviceParams
+from photonlink.physics import CycleTiming, DeviceParams, _cell_weights, _phi
 from photonlink.rng import substream
 from photonlink.saturation import (
     CutoffFit,
     SaturationWindow,
+    SurvivorOperator,
+    _conv,
+    _require_window,
+    cutoff_operator,
     pair_survival_integrals,
     cutoff_photon_number,
     delta_lambda,
@@ -238,6 +245,237 @@ class TestSaturatedExcitation:
         assert abs(est.value - expect) < 4 * est.stderr
 
 
+def survivor_excitation_reference(
+    lam,
+    timing: CycleTiming,
+    dev: DeviceParams,
+    enter_excited: bool = False,
+    window: Optional[SaturationWindow] = None,
+    cells_per_tau: int = 16,
+) -> np.ndarray:
+    """survivor_excitation written as one function that builds and evaluates
+    its discretisation in one pass: the bit-for-bit reference of SurvivorOperator."""
+    lam = np.asarray(lam, dtype=float)
+    shape = lam.shape
+    lam = lam.ravel()
+    if np.any(lam < 0):
+        raise ValueError("lambda must be >= 0")
+    if cells_per_tau < 1:
+        raise ValueError("cells_per_tau must be >= 1")
+    if window is None:
+        window = SaturationWindow.from_device(dev)
+    tau, t_c = window.tau, timing.t_c
+    _require_window(tau, t_c)
+    exc = float(enter_excited)
+    # rates in units of 1/tau, times in units of tau
+    L = lam * tau
+    R, G = dev.transition_rate * tau, dev.gamma * tau
+    if abs(G - R) < 1e-8 * R:
+        # B and A have a removable 0/0 at gamma = r; moving gamma by 1e-8 r
+        # changes the result by about 1e-8, below the discretization error
+        G = R * (1.0 + 1e-8)
+    inv = 1.0 / (G - R)
+    b_r, b_g = G * inv, -R * inv  # B(v) = b_r e^{-R v} + b_g e^{-G v}
+
+    def D(v):
+        v = np.asarray(v, dtype=float)
+        return v * np.exp(-min(R, G) * v) * _phi(abs(G - R) * v)
+
+    # block nodes; t_c = (n + rho) tau is snapped to 1e-9 tau
+    blocks = t_c / tau
+    n = int(math.floor(blocks + 1e-9))
+    rho = max(blocks - n, 0.0)
+    sigma = np.linspace(0.0, 1.0, cells_per_tau + 1)
+    if np.abs(sigma - rho).min() > 1e-9:
+        sigma = np.sort(np.append(sigma, rho))
+    end = int(np.argmin(np.abs(sigma - rho)))  # node of t_c in its block
+    m = sigma.size - 1
+
+    # state: h on the 2m + 1 nodes of the window [k - 2, k] (block k is
+    # next), the two running sums at k - 2, e^{-G (k - 1)} if excited, 1
+    u = np.concatenate([sigma, 1.0 + sigma[1:]])
+    width = np.diff(u)
+    nh = 2 * m + 1
+    i_r, i_d, i_e = nh, nh + 1, nh + 2
+    one = nh + 2 + int(enter_excited)
+    size = one + 1
+    n_lam = lam.size
+
+    def cells(lo, hi, terms, decay=None):
+        """Weights (lower node, upper node) per row k and cell i of the integral of
+        h(s) sum_(c, a) c_k e^{-a (u[hi_k] - s)} over nodes lo_k..hi_k, exact for h
+        linear between nodes.  With decay = e^{-lam (u[hi_k] - u[i + 1])} per lambda,
+        every rate a becomes lam + a."""
+        inside = (np.arange(nh - 1) >= lo[:, None]) & (np.arange(nh - 1) < hi[:, None])
+        dist = np.where(inside, u[hi, None] - u[1:], 0.0)
+        w_lo = w_hi = 0.0
+        for coef, a in terms:
+            scale = np.where(inside, np.exp(-a * dist) * width, 0.0) * np.reshape(coef, (-1, 1))
+            c_lo, c_hi = _cell_weights((a if decay is None else L[:, None, None] + a) * width)
+            w_lo, w_hi = w_lo + scale * c_lo, w_hi + scale * c_hi
+        if decay is not None:
+            w_lo, w_hi = decay * w_lo, decay * w_hi
+        return w_lo, w_hi
+
+    def rows(w_lo, w_hi):
+        """Cell weights gathered onto the window nodes."""
+        out = np.zeros(np.shape(w_lo)[:-1] + (nh,))
+        out[..., :-1] += w_lo
+        out[..., 1:] += w_hi
+        return out
+
+    # running sums at every node j of the oldest block, as rows on the state
+    j_all = np.arange(m + 1)
+    in_r = rows(*cells(0 * j_all, j_all, [(1.0, R)]))
+    in_g = rows(*cells(0 * j_all, j_all, [(1.0, G)]))
+    run_r = np.zeros((m + 1, size))
+    run_r[:, :nh] = in_r
+    run_r[:, i_r] = np.exp(-R * sigma)
+    run_d = np.zeros((m + 1, size))
+    run_d[:, :nh] = (in_r - in_g) * inv
+    run_d[:, i_r] = D(sigma)
+    run_d[:, i_d] = np.exp(-G * sigma)
+
+    # the lambda-dependent rows: the block map's new nodes 1..m, weighted by
+    # B(w + 1) e^{-lam w}, and the readout, weighted by A(w) e^{-lam w}
+    new = j_all[1:]
+    lo, hi = np.append(new, end), np.append(m + new, m + end)
+    dist = np.maximum(u[hi, None] - u[1:], 0.0)
+    uniq, back = np.unique(dist, return_inverse=True)
+    decay = np.exp(-np.multiply.outer(L, uniq))[:, back.reshape(dist.shape)]
+    coef_r = np.append(np.full(m, b_r * math.exp(-R)), R * inv)
+    coef_g = np.append(np.full(m, b_g * math.exp(-G)), -R * inv)
+    w_lo, w_hi = cells(lo, hi, [(coef_r, R), (coef_g, G)], decay)
+    lam_rows = rows(w_lo, w_hi)
+    near_new, readout_near = lam_rows[:, :m], lam_rows[:, m]
+
+    # block map: h at the new nodes, the window shifted by one block
+    e_l = np.exp(-L)[:, None, None]
+    lel = (L * np.exp(-L))[:, None, None]
+    force = -e_l * ((math.exp(-2.0 * R) + R * D(2.0)) * run_r[new] + (R * math.exp(-2.0 * G)) * run_d[new])
+    force[..., :nh] -= near_new
+    force[..., one] += 1.0
+    if enter_excited:
+        force[..., i_e] -= np.exp(-G * (1.0 + sigma[new]))
+    step = np.zeros((n_lam, size, size))
+    step[:, : m + 1, m:nh] = np.eye(m + 1)
+    step[:, m + 1 : nh] = lel * force
+    step[:, i_r] = run_r[m]
+    step[:, i_d] = run_d[m]
+    if enter_excited:
+        step[:, i_e, i_e] = math.exp(-G)
+    step[:, one, one] = 1.0
+
+    # state with the window on blocks 1 and 2; h on block 0 enters in closed form
+    Lc, x = L[:, None], sigma[None, :]
+    coefs = ((b_r, R), (b_g, G))
+    i1 = sum(k * math.exp(-a) * (_conv(0.0, a, x) - exc * _conv(G, a, x)) for k, a in coefs)
+    h1 = Lc * np.exp(-Lc) * (1.0 - exc * np.exp(-G * (1.0 + x)) - Lc * np.exp(-Lc * x) * i1)
+    y = 1.0 - x
+    near0 = Lc * np.exp(-Lc * (1.0 + x)) * sum(
+        k * np.exp(-a * (1.0 + x)) * (_conv(0.0, a, y) - exc * np.exp(-G * x) * _conv(G, a, y))
+        for k, a in coefs
+    )
+    far0 = Lc * np.exp(-Lc) * sum(
+        k * math.exp(-2.0 * a) * (_conv(Lc, a, x) - exc * _conv(Lc + G, a, x)) for k, a in coefs
+    )
+    # block 2 from block 1: the new-node rows, cut to the cells of block 1
+    near1 = np.zeros_like(h1)
+    near1[:, 1:] = np.einsum("lji,li->lj", w_lo[:, :m, m:], h1[:, :-1]) + np.einsum(
+        "lji,li->lj", w_hi[:, :m, m:], h1[:, 1:]
+    )
+    h2 = Lc * np.exp(-Lc) * (1.0 - exc * np.exp(-G * (2.0 + x)) - near0 - near1 - far0)
+    state = np.zeros((n_lam, size))
+    state[:, : m + 1] = h1
+    state[:, m:nh] = h2  # h at 2 tau ends block 1 and starts block 2
+    sum_r = _conv(L, R, 1.0) - exc * _conv(L + G, R, 1.0)
+    sum_g = _conv(L, G, 1.0) - exc * _conv(L + G, G, 1.0)
+    state[:, i_r] = L * sum_r
+    state[:, i_d] = L * (sum_r - sum_g) * inv
+    if enter_excited:
+        state[:, i_e] = math.exp(-2.0 * G)
+    state[:, one] = 1.0
+
+    # entries below 1e-150 (large lam tau) move no probability, but their
+    # products go subnormal inside the matrix products and halve their speed
+    step[np.abs(step) < 1e-150] = 0.0
+    power, todo = step, n - 2
+    while todo:
+        if todo & 1:
+            state = np.matmul(power, state[:, :, None])[:, :, 0]
+        todo >>= 1
+        if todo:
+            power = np.matmul(power, power)
+
+    # readout on the window [n - 1, n + 1], where t_c sits at node m + end
+    readout = e_l[:, 0] * R * (math.exp(-G) * run_d[end] + D(1.0) * run_r[end])
+    readout[:, :nh] += readout_near
+    if enter_excited:
+        readout[:, i_e] += math.exp(-G * rho)
+    # rounding in the squarings can leave values ~1e-13 outside [0, 1]
+    p = np.clip(np.einsum("ld,ld->l", readout, state), 0.0, 1.0)
+    return (p * math.exp(-dev.gamma * timing.delta_o)).reshape(shape)
+
+
+class TestSurvivorOperator:
+    T_C = 230e-9
+    TIMING = CycleTiming(T_C, 35e-9, 48e-9)
+
+    def test_bitwise_equal_to_reference(self):
+        lam = np.concatenate([[0.0], np.geomspace(1e-2, 5e6, 11)]) / self.T_C
+        windows = [None] + [SaturationWindow(self.T_C / blocks) for blocks in (100, 1001, 8193)]
+        for cells_per_tau in (16, 32):
+            for gamma_tc in (0.0, 2.0, 30.0):
+                for entry in (False, True):
+                    for ktc in (1e2, 10**2.5, 1e3, 1e4, 1e5):
+                        dev = DeviceParams(kappa=ktc / self.T_C, gamma=gamma_tc / self.T_C)
+                        for window in windows:
+                            for f in ((1.0,) if window is None else (1 - 1e-7, 1 + 1e-7)):
+                                timing = CycleTiming(self.T_C * f, 35e-9, 48e-9)
+                                args = (timing, dev, entry, window, cells_per_tau)
+                                want = survivor_excitation_reference(lam, *args).tolist()
+                                got = SurvivorOperator.build(*args).excitation(lam).tolist()
+                                assert got == want, (cells_per_tau, gamma_tc, entry, ktc, window, f)
+
+    def test_chunks_equal_one_call(self):
+        lam = np.geomspace(0.5, 5e6, 30) / self.T_C
+        dev = DeviceParams(kappa=1e3 / self.T_C, gamma=2.0 / self.T_C)
+        for entry in (False, True):
+            op = SurvivorOperator.build(self.TIMING, dev, entry)
+            chunks = np.concatenate([op.excitation(part) for part in (lam[:7], lam[7:8], lam[8:])])
+            assert chunks.tolist() == op.excitation(lam).tolist()
+
+    def test_read_only_and_picklable(self):
+        op = SurvivorOperator.build(self.TIMING, DeviceParams(kappa=1e3 / self.T_C, gamma=0.0))
+        copy = pickle.loads(pickle.dumps(op))
+        lam = np.geomspace(1.0, 1e4, 9) / self.T_C
+        assert copy.excitation(lam).tolist() == op.excitation(lam).tolist()
+        for held in (op, copy):
+            with pytest.raises(ValueError):
+                held.step_base[0, 0] = 1.0
+
+    def test_cutoff_fit_builds_one_operator_a_point(self, tmp_path, monkeypatch):
+        # the coarse and the fine stage of a scan share its operator; a second
+        # call in the same process builds its own
+        from photonlink import cli
+
+        built = []
+        build = SurvivorOperator.build
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(SurvivorOperator, "build", counted)
+        config = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+        points = "sweeps.kappa_t_c={values: [100.0, 316.2, 1000.0, 3162.3, 10000.0]}"
+        for name in ("a", "b"):
+            built.clear()
+            assert cli.main(["cutoff-fit", "--config", str(config), "--out", str(tmp_path / name),
+                             "--set", points]) == 0
+            assert len(built) == 5, name
+
+
 class TestFirstSurvivorExcitation:
     """survivor_excitation, the exact saturated excitation; at gamma = 0 with
     ground entry it is the first-survivor delay-renewal solution."""
@@ -368,42 +606,38 @@ class TestFirstSurvivorExcitation:
     def test_drives_gamma0_cutoff_scan(self):
         # the cutoff scan evaluates the exact curve over its whole grid
         grid = log_grid(1.0, 3000.0, 12)
-        res = cutoff_photon_number(self.dev(100.0), self.T_C, grid)
+        res = cutoff_photon_number(cutoff_operator(self.dev(100.0), self.T_C), grid)
         expect = survivor_excitation(grid / self.T_C, self.TIMING, self.dev(100.0))
         assert res.excitation.tolist() == expect.tolist()
 
 
+class StubOperator:
+    """Stands in for a SurvivorOperator: the curve curve(nbar) at cycle t_c."""
+
+    def __init__(self, curve, t_c=230e-9):
+        self.curve, self.t_c = curve, t_c
+
+    def excitation(self, lam):
+        return self.curve(np.asarray(lam) * self.t_c)
+
+
 class TestCutoff:
-    def test_synthetic_curve(self, monkeypatch):
-        # inject a known monotone-decreasing curve halving at n = 100
-        from photonlink import saturation as sat
-
-        def fake(lam, timing, dev, window=None, **kw):
-            nbar = np.asarray(lam) * timing.t_c
-            return 1.0 / (1.0 + nbar / 100.0)
-
-        monkeypatch.setattr(sat, "survivor_excitation", fake)
-        dev = DeviceParams(kappa=1e9, gamma=0.0)
+    def test_synthetic_curve(self):
+        # a known monotone-decreasing curve halving at n = 100
         grid = log_grid(1.0, 1e4, 40)
-        res = sat.cutoff_photon_number(dev, 230e-9, grid)
+        res = cutoff_photon_number(StubOperator(lambda nbar: 1.0 / (1.0 + nbar / 100.0)), grid)
         step = grid[1] / grid[0]
         assert 100.0 / step <= res.n_cutoff <= 100.0 * step
 
-    def test_not_saturating_error(self, monkeypatch):
-        from photonlink import saturation as sat
-
-        monkeypatch.setattr(
-            sat, "survivor_excitation",
-            lambda lam, timing, dev, window=None, **kw: np.full(np.shape(lam), 0.8),
-        )
-        dev = DeviceParams(kappa=1e9, gamma=0.0)
+    def test_not_saturating_error(self):
         with pytest.raises(NotSaturatingError):
-            sat.cutoff_photon_number(dev, 230e-9, log_grid(1.0, 100.0, 10))
+            flat = StubOperator(lambda nbar: np.full(np.shape(nbar), 0.8))
+            cutoff_photon_number(flat, log_grid(1.0, 100.0, 10))
 
     def test_real_small_scan(self):
         dev = DeviceParams(kappa=100.0 / 230e-9, gamma=0.0)
         grid = log_grid(1.0, 3000.0, 12)
-        res = cutoff_photon_number(dev, 230e-9, grid)
+        res = cutoff_photon_number(cutoff_operator(dev, 230e-9), grid)
         # reference-scale sanity: fit predicts ~266 at kappa*t_c = 100
         assert 150.0 < res.n_cutoff < 450.0
 
@@ -415,7 +649,7 @@ class TestCutoff:
         cutoffs = []
         for gamma in 2 * np.pi * np.array([1e5, 2e5, 4e5, 1e6]):
             dev = DeviceParams(kappa=1000.0 / t_c, gamma=gamma)
-            cutoffs.append(cutoff_photon_number(dev, t_c, grid).n_cutoff)
+            cutoffs.append(cutoff_photon_number(cutoff_operator(dev, t_c), grid).n_cutoff)
         spread = (max(cutoffs) - min(cutoffs)) / min(cutoffs)
         assert sorted(cutoffs, reverse=True) == cutoffs  # monotone in gamma
         assert spread < 0.15
