@@ -208,7 +208,7 @@ def cmd_rate_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
 
 def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     # survivor statistics and the dispersion gap on normalized axes
-    tau = cfg.device.alpha_sat / cfg.device.kappa
+    tau = cfg.device.dead_time
     surv = SweepReport(columns=("lambda", "tau", "t_c", "mean", "var", "delta", "regime"))
     delta_fig = SweepReport(columns=("t_over_tau", "lambda_tau", "delta"))
     for ratio in cfg.axis("t_over_tau"):

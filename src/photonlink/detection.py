@@ -2,7 +2,7 @@
 
 Under Poisson arrival the unsaturated detector is a three-state Markov
 chain, and `excitation_ctmc` evaluates its transient law in closed form;
-every production path (stage chain, miss sweep, link kernels) uses it.
+every production path (miss sweep, link kernels) uses it.
 Two independent routes are kept as its oracles: the renewal dynamic
 program over transition photons, mixed over the Poisson count by Monte
 Carlo over order statistics, and an event-driven Monte Carlo of the raw
@@ -26,6 +26,7 @@ from .physics import (
     detector_events,
     excited_kernel,
     ground_return_prob,
+    readout_prob,
     single_photon_excitation,
     transition_kernels,
 )
@@ -35,7 +36,6 @@ from .rng import substream
 __all__ = [
     "ArrivalTrace",
     "DetectorStats",
-    "StageProbabilities",
     "excitation_given_arrivals",
     "excitation_given_arrivals_bruteforce",
     "transition_set_probability",
@@ -44,7 +44,6 @@ __all__ = [
     "excitation_poisson",
     "excitation_ctmc",
     "mc_detector",
-    "stage_probabilities",
     "miss_probability_sweep",
     "MISS_SWEEP_COLUMNS",
 ]
@@ -403,37 +402,6 @@ def mc_detector(
     )
 
 
-@dataclass(frozen=True)
-class StageProbabilities:
-    """Chained capture / readout / reset-error probabilities."""
-
-    p_capture: Estimate
-    p_readout: Estimate
-    p_reset_err: Estimate
-
-    @property
-    def p_miss(self) -> Estimate:
-        return Estimate(1.0 - self.p_readout.value, self.p_readout.stderr)
-
-
-def _stage_chain(p_exc: float, timing: CycleTiming, dev: DeviceParams) -> StageProbabilities:
-    p_cap = detection_prob_single(p_exc, dev)
-    p_out = p_cap * math.exp(-dev.gamma * timing.t_w)
-    p_re = dev.p_reset_g * (1.0 - p_out) + dev.p_reset_e * p_out
-    return StageProbabilities(
-        p_capture=Estimate(p_cap), p_readout=Estimate(p_out), p_reset_err=Estimate(p_re)
-    )
-
-
-def stage_probabilities(lam: float, timing: CycleTiming, dev: DeviceParams) -> StageProbabilities:
-    """Capture, readout and reset-error probabilities at arrival rate lam.
-
-    Exact (the standard errors are 0): the excitation comes from
-    `excitation_ctmc`.
-    """
-    return _stage_chain(excitation_ctmc(lam, timing, dev), timing, dev)
-
-
 MISS_SWEEP_COLUMNS = (
     "lambda",
     "kappa",
@@ -459,8 +427,9 @@ def miss_probability_sweep(
     """Miss probability over a grid of (lambda, kappa, gamma) points.
 
     Exact: the rates of each (kappa, gamma) group go through one
-    vectorised `excitation_ctmc` call, so stderr and replicas are 0.  The
-    seed is only recorded in its column.
+    vectorised `excitation_ctmc` call and one readout chain
+    (`detection_prob_single`, `readout_prob`), so stderr and replicas
+    are 0.  The seed is only recorded in its column.
     """
     grid = [(float(lam), float(kappa), float(gamma)) for lam, kappa, gamma in grid]
     if not grid:
@@ -468,14 +437,14 @@ def miss_probability_sweep(
     groups: dict[tuple, list[int]] = {}
     for idx, (_, kappa, gamma) in enumerate(grid):
         groups.setdefault((kappa, gamma), []).append(idx)
-    stages: list = [None] * len(grid)
+    p_capture, p_readout = np.empty(len(grid)), np.empty(len(grid))
     for (kappa, gamma), idxs in groups.items():
         dev = replace(dev_template, kappa=kappa, gamma=gamma)
         p_exc = excitation_ctmc([grid[i][0] for i in idxs], timing, dev)
-        for i, p in zip(idxs, p_exc):
-            stages[i] = _stage_chain(float(p), timing, dev)
+        p_capture[idxs] = detection_prob_single(p_exc, dev)
+        p_readout[idxs] = readout_prob(p_capture[idxs], timing, dev)
     report = SweepReport(columns=MISS_SWEEP_COLUMNS, meta={"seed": seed})
-    for (lam, kappa, gamma), probs in zip(grid, stages):
+    for (lam, kappa, gamma), p_cap, p_out in zip(grid, p_capture.tolist(), p_readout.tolist()):
         report.append(
             **{
                 "lambda": lam,
@@ -484,10 +453,10 @@ def miss_probability_sweep(
                 "t_c": timing.t_c,
                 "delta_o": timing.delta_o,
                 "t_w": timing.t_w,
-                "p_capture": probs.p_capture.value,
-                "p_readout": probs.p_readout.value,
-                "p_miss": probs.p_miss.value,
-                "stderr": probs.p_readout.stderr,
+                "p_capture": p_cap,
+                "p_readout": p_out,
+                "p_miss": 1.0 - p_out,
+                "stderr": 0.0,
                 "replicas": 0,
                 "seed": seed,
             }

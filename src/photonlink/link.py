@@ -30,7 +30,15 @@ import numpy as np
 
 from .detection import excitation_ctmc
 from .errors import NumericsError
-from .physics import CycleTiming, DeviceParams, Environment, power_to_rate, thermal_photon_rate
+from .physics import (
+    CycleTiming,
+    DeviceParams,
+    Environment,
+    detection_prob_single,
+    power_to_rate,
+    readout_prob,
+    thermal_photon_rate,
+)
 from .report import Estimate, SweepReport
 from .rng import substream
 # saturated_excitation is not used here; the benchmark tracer looks it up in this module
@@ -122,9 +130,10 @@ def build_cycle_kernel(
     its exact dead-time filtered value when saturation, the ground-entry
     SurvivorOperator of dev and timing, is given; an excited
     entry stays excited through capture and observation only by surviving
-    decay.  Readout flips an excited observation to 0 with probability
-    1 - exp(-gamma t_w); reset leaves the system excited with p_reset_e
-    after a 1 bit and p_reset_g after a 0 bit.
+    decay.  Readout (physics.detection_prob_single, then readout_prob)
+    flips the observation with probability p0 and then an excited one to
+    0 with probability 1 - exp(-gamma t_w); reset leaves the system
+    excited with p_reset_e after a 1 bit and p_reset_g after a 0 bit.
     """
     if lambda_signal < 0 or n_e < 0:
         raise ValueError("rates must be >= 0")
@@ -134,12 +143,10 @@ def build_cycle_kernel(
     else:
         p_exc_g = float(excitation_ctmc(rate, timing, dev))
     p_exc_e = math.exp(-dev.gamma * (timing.t_c + timing.delta_o))
-    p_w = math.exp(-dev.gamma * timing.t_w)
 
     bit = np.empty((2, 2))
     for entry, p_exc in ((GROUND, p_exc_g), (EXCITED, p_exc_e)):
-        p_cap = (1.0 - dev.p0) * p_exc + dev.p0 * (1.0 - p_exc)
-        p1 = p_w * p_cap
+        p1 = readout_prob(detection_prob_single(p_exc, dev), timing, dev)
         bit[entry] = (1.0 - p1, p1)
     exit_given_bit = np.array(
         [[1.0 - dev.p_reset_g, dev.p_reset_g], [1.0 - dev.p_reset_e, dev.p_reset_e]]
@@ -284,14 +291,15 @@ def _log_arrangements(log_fact, b1, n, bn, n1, n11) -> tuple:
     return possible, log_compositions(n1, r) + log_compositions(n0, r0)
 
 
-def _frame_stats_logp(log_q, log_fact, b1, n, bn, n1, n11) -> np.ndarray:
-    """log P(bn, n1, n11 | b1) at broadcastable cell arrays bn, n1 and n11.
+def _frame_stats_logp(log_q, log_fact, b1, n, bn, n1, n11) -> tuple:
+    """(log P(bn, n1, n11 | b1), log count) at broadcastable cell arrays bn, n1 and n11.
 
     Each of the _log_arrangements frames has the probability _pair_loglik
-    gives its _pair_counts.
+    gives its _pair_counts; the log count is that of _log_arrangements.
     """
     possible, log_count = _log_arrangements(log_fact, b1, n, bn, n1, n11)
-    return np.where(possible, _pair_loglik(log_count, log_q, _pair_counts(b1, bn, n1, n11, n)), -np.inf)
+    logp = np.where(possible, _pair_loglik(log_count, log_q, _pair_counts(b1, bn, n1, n11, n)), -np.inf)
+    return logp, log_count
 
 
 @lru_cache(maxsize=8)
@@ -332,9 +340,9 @@ def frame_stats_law(q: np.ndarray, b1: int, n: int) -> FrameStatsLaw:
         if size > _MAX_CELLS:
             raise NumericsError(f"frame statistics table of n = {n} needs a window of {size} cells")
         grid = np.ix_(np.arange(2), np.arange(lo1, hi1 + 1), np.arange(lo11, hi11 + 1))
-        possible, log_count = _log_arrangements(_log_factorials(n), b1, n, *grid)
-        p = np.exp(np.where(possible, _pair_loglik(log_count, log_q, _pair_counts(b1, *grid, n)), -np.inf))
-        del possible
+        logp, log_count = _frame_stats_logp(log_q, _log_factorials(n), b1, n, *grid)
+        p = np.exp(logp)
+        del logp
         # the edges of the window that are not edges of the grid
         rim = np.zeros(p.shape, dtype=bool)
         rim[:, 0] |= lo1 > 0
@@ -393,15 +401,6 @@ class HmmSpec:
     def first_bit_prob(self, level: int, symbol: int) -> np.ndarray:
         return self.kernel(symbol).bit_given_entry[level]
 
-    def last_bit_marginal(self, level: int, symbol: int) -> np.ndarray:
-        pi = self.first_bit_prob(level, symbol)
-        q = self.kernel(symbol).bit_chain
-        return pi @ np.linalg.matrix_power(q, self.n_cycles - 1)
-
-    def exit_distribution(self, level: int, symbol: int) -> np.ndarray:
-        """P(exit level after the block | entry level, symbol)."""
-        return self.last_bit_marginal(level, symbol) @ self.kernel(symbol).exit_given_bit
-
     @property
     def initial(self) -> np.ndarray:
         """Initial state distribution: ground level, symbols equiprobable."""
@@ -414,7 +413,8 @@ class HmmSpec:
     def level_exit(self) -> np.ndarray:
         """P(exit level | entry level, symbol), shape (level, symbol, level'), read-only.
 
-        exit_distribution for every level and symbol, with one matrix power
+        The first-bit law times n_cycles - 1 steps of the bit chain gives
+        the last bit, and the reset law the exit level: one matrix power
         per symbol, built on first use.
         """
         out = np.empty((2, 2, 2))
@@ -513,7 +513,7 @@ def simulate_link(
     spec: HmmSpec,
     n_symbols: int,
     rng: np.random.Generator,
-    mode: str = "hmm",
+    mode: str,
     store_frames: bool = False,
 ) -> LinkRun:
     """Sample an OOK link run of n_symbols symbols.

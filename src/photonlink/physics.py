@@ -32,6 +32,7 @@ __all__ = [
     "single_photon_excitation_quadrature",
     "single_photon_excitation_double_integral",
     "detection_prob_single",
+    "readout_prob",
     "thermal_photon_rate",
     "power_to_rate",
     "dbm_to_watts",
@@ -111,10 +112,11 @@ class DeviceParams:
     """Effective detector rates and error probabilities.
 
     kappa and gamma are angular rates in rad/s; the effective transition
-    rate of the absorption model is kappa/4 and is always derived, never
-    stored.  p_reset_g / p_reset_e are the probabilities that the reset
-    stage leaves the system excited given it ended the cycle in ground /
-    excited; the defaults are documented modelling assumptions.
+    rate of the absorption model, kappa/4, and the saturation dead time,
+    alpha_sat/kappa, are always derived, never stored.  p_reset_g /
+    p_reset_e are the probabilities that the reset stage leaves the
+    system excited given it ended the cycle in ground / excited; the
+    defaults are documented modelling assumptions.
     """
 
     kappa: float
@@ -135,11 +137,20 @@ class DeviceParams:
                 raise ParameterError(name, f"{name} must be in [0, 1], got {p}")
         if not self.alpha_sat > 0:
             raise ParameterError("alpha_sat", f"alpha_sat must be > 0, got {self.alpha_sat}")
+        if not self.dead_time > 0:
+            raise ParameterError(
+                "alpha_sat", f"the dead time alpha_sat/kappa = {self.alpha_sat}/{self.kappa} rounds to 0"
+            )
 
     @property
     def transition_rate(self) -> float:
         """Effective ground-to-excited transition rate, kappa/4."""
         return self.kappa / 4.0
+
+    @property
+    def dead_time(self) -> float:
+        """Saturation dead time tau = alpha_sat/kappa on either side of each arrival."""
+        return self.alpha_sat / self.kappa
 
 
 @dataclass(frozen=True)
@@ -460,14 +471,26 @@ def single_photon_excitation_double_integral(
     return val
 
 
-def detection_prob_single(p_exc: float, dev: DeviceParams) -> float:
+def detection_prob_single(p_exc, dev: DeviceParams):
     """Single-photon detection probability with dark-count flipping.
 
-    (1 - P0) * p_exc + P0 * (1 - p_exc); equals p_exc when P0 = 0.
+    (1 - P0) * p_exc + P0 * (1 - p_exc), elementwise over an array of
+    p_exc; equals p_exc when P0 = 0.
     """
-    if not 0.0 <= p_exc <= 1.0:
+    p = np.asarray(p_exc, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"p_exc must be in [0, 1], got {p_exc}")
-    return (1.0 - dev.p0) * p_exc + dev.p0 * (1.0 - p_exc)
+    out = (1.0 - dev.p0) * p + dev.p0 * (1.0 - p)
+    return float(out) if out.ndim == 0 else out
+
+
+def readout_prob(p_capture, timing: CycleTiming, dev: DeviceParams):
+    """P(readout bit 1) of a cycle whose capture stage reads 1 with probability p_capture.
+
+    p_capture is detection_prob_single of the excitation; the bit then
+    survives decay over the readout window t_w.  Elementwise over an array.
+    """
+    return math.exp(-dev.gamma * timing.t_w) * p_capture
 
 
 def thermal_photon_rate(env: Environment) -> float:

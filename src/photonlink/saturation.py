@@ -1,11 +1,12 @@
 """Fixed-window dead-time (saturation) model and survivor counting statistics.
 
-A photon survives saturation iff no other photon arrives within tau on
-either side.  Closed-form survivor moments are provided for a fixed
-count and for Poisson arrival, together with quadrature and Monte Carlo
-oracles, the sub-/super-Poisson crossover, saturated excitation curves
-(exact for every gamma and entry level from a delay-Volterra equation,
-with the Monte Carlo kept as its oracle) and the 3 dB cutoff machinery.
+A photon survives saturation iff no other photon arrives within the
+dead time tau (DeviceParams.dead_time) on either side.  Closed-form
+survivor moments are provided for a fixed count and for Poisson
+arrival, together with quadrature and Monte Carlo oracles, the
+sub-/super-Poisson crossover, saturated excitation curves (exact for
+every gamma and entry level from a delay-Volterra equation, with the
+Monte Carlo kept as its oracle) and the 3 dB cutoff machinery.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .report import Estimate
 from .rng import substream
 
 __all__ = [
-    "SaturationWindow",
     "SurvivorMoments",
     "CutoffFit",
     "CutoffResult",
@@ -45,21 +45,6 @@ __all__ = [
 ]
 
 _MIN_WINDOW_RATIO = 4.0  # closed forms assume t_c / tau >= 4
-
-
-@dataclass(frozen=True)
-class SaturationWindow:
-    """Dead-time half-window tau around each arrival."""
-
-    tau: float
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be > 0")
-
-    @classmethod
-    def from_device(cls, dev: DeviceParams) -> "SaturationWindow":
-        return cls(tau=dev.alpha_sat / dev.kappa)
 
 
 @dataclass(frozen=True)
@@ -107,12 +92,12 @@ def survivor_mask(times: np.ndarray, tau: float) -> np.ndarray:
     return mask[0] if np.asarray(times).ndim == 1 else mask
 
 
-def filter_survivors(times, window: SaturationWindow) -> np.ndarray:
-    """Return the surviving sub-sequence of a sorted arrival trace."""
+def filter_survivors(times, tau: float) -> np.ndarray:
+    """Return the surviving sub-sequence of a sorted arrival trace at dead time tau."""
     t = np.asarray(times, dtype=float)
     if t.size and np.any(np.diff(t) < 0):
         raise ValueError("arrival times must be nondecreasing")
-    return t[survivor_mask(t, window.tau)]
+    return t[survivor_mask(t, tau)]
 
 
 def _require_window(tau: float, t_c: float) -> None:
@@ -355,7 +340,6 @@ def saturated_excitation(
     enter_excited: bool = False,
     replicas: int = 4096,
     rng: Optional[np.random.Generator] = None,
-    window: Optional[SaturationWindow] = None,
     max_block_elems: int = 20_000_000,
 ) -> Estimate:
     """Excitation probability at the observation time with dead-time filtering.
@@ -373,9 +357,7 @@ def saturated_excitation(
         raise ValueError("lambda must be >= 0")
     if rng is None:
         rng = substream(0, 0x5A)
-    if window is None:
-        window = SaturationWindow.from_device(dev)
-    tau = window.tau
+    tau = dev.dead_time
     t_c, t_obs = timing.t_c, timing.t_obs
     kappa, gamma = dev.kappa, dev.gamma
     r = dev.transition_rate
@@ -448,8 +430,8 @@ def _node_rows(w_lo, w_hi):
 
 @dataclass(frozen=True, eq=False)
 class SurvivorOperator:
-    """survivor_excitation for one device, cycle timing, window, entry level
-    and cells_per_tau, split at lambda.
+    """survivor_excitation for one device, cycle timing, entry level and
+    cells_per_tau, split at lambda.
 
     build() makes everything that depends only on (kappa tau/4, gamma tau,
     t_c/tau, the entry level, cells_per_tau): the node grid sigma (one
@@ -500,15 +482,12 @@ class SurvivorOperator:
         timing: CycleTiming,
         dev: DeviceParams,
         enter_excited: bool = False,
-        window: Optional[SaturationWindow] = None,
         cells_per_tau: int = 16,
     ) -> "SurvivorOperator":
         """The lambda-free part of survivor_excitation, built once."""
         if cells_per_tau < 1:
             raise ValueError("cells_per_tau must be >= 1")
-        if window is None:
-            window = SaturationWindow.from_device(dev)
-        tau, t_c = window.tau, timing.t_c
+        tau, t_c = dev.dead_time, timing.t_c
         _require_window(tau, t_c)
         exc = float(enter_excited)
         # rates in units of 1/tau, times in units of tau
@@ -711,7 +690,6 @@ def survivor_excitation(
     timing: CycleTiming,
     dev: DeviceParams,
     enter_excited: bool = False,
-    window: Optional[SaturationWindow] = None,
     cells_per_tau: int = 16,
 ) -> np.ndarray:
     """Exact excitation at the observation time under dead-time filtering.
@@ -752,7 +730,7 @@ def survivor_excitation(
     Returns an array shaped like lam.  A caller that evaluates several
     lambda grids at one device builds SurvivorOperator once instead.
     """
-    return SurvivorOperator.build(timing, dev, enter_excited, window, cells_per_tau).excitation(lam)
+    return SurvivorOperator.build(timing, dev, enter_excited, cells_per_tau).excitation(lam)
 
 
 def log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:

@@ -390,7 +390,7 @@ def mc_rate(spec: link.HmmSpec, n_symbols: int, seed: int, idx: int) -> Estimate
     after a burn-in of 100 symbols is the rate, and a block bootstrap on
     substream (seed, 0xEA, idx, 2) gives its standard error.
     """
-    run = link.simulate_link(spec, n_symbols, substream(seed, 0xEA, idx, 1))
+    run = link.simulate_link(spec, n_symbols, substream(seed, 0xEA, idx, 1), mode="hmm")
     return link.mutual_information(spec, run, burn_in=100, rng=substream(seed, 0xEA, idx, 2))
 
 

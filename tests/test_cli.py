@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pickle
+import warnings
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,23 @@ class TestExitCodes:
         assert run_cli(*argv) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "config" and err["message"].startswith(start), err["message"]
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [("cutoff-fit", []), ("saturation-sweep", []), ("ber-sweep", ["link.saturation=true"])],
+    )
+    def test_dead_time_underflow_names_alpha_sat(self, config_file, tmp_path, capsys, command, overrides):
+        # alpha_sat / kappa rounds to 0: the message names device.alpha_sat, not a sweep
+        # value that later divides by the dead time, and nothing warns on the way
+        argv = [command, "--config", str(config_file), "--out", str(tmp_path / "o"),
+                "--set", "device.alpha_sat=1e-320"]
+        for item in overrides:
+            argv += ["--set", item]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config" and err["message"].startswith("device.alpha_sat: "), err["message"]
 
     def test_numerics_error_exit_code(self, config_file, tmp_path):
         # at kappa t_c = 1e6 the excitation never drops 3 dB within the scan's photon numbers
@@ -452,9 +470,9 @@ SAT_CUTOFF_SETS = (
 )
 # sha256 of the saturation outputs and of the saturated link outputs on
 # configs/default.yaml at seed 7, recorded at version 0.5.1 like the link pins.
-# fit.json, fig15.csv and saturation_excitation.csv print values that pass
-# through np.exp and np.log, so they also have a digest for numpy's baseline
-# kernels (NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4").
+# fit.json, fig15.csv and the saturation-sweep files print values that pass
+# through numpy's vectorised exp and log, so they also have a digest for
+# numpy's baseline kernels (NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4").
 PINNED_SATURATION_OUTPUTS = {
     "cutoff-fit": (SAT_CUTOFF_SETS, {
         "cutoff_table.csv": {"7a2efb0df4383833cf0c1d511ae81f8196947edec75d61b5cbb18bc3b21c41e3"},
@@ -467,6 +485,16 @@ PINNED_SATURATION_OUTPUTS = {
     "saturation-sweep": ((), {
         "saturation_excitation.csv": {"b3c44faf0a476714386918dd49389abe93a827b1229ea229bc260e6fed483991",
                                       "2a330896039b66b7dda9594eb415bd49fed4ba45c1f761f33e70a6bbcbe62d02"},
+        "survivors.csv": {"008074f4c188fe3c7c7c04aeb5d707886caf72b0721910dbde0961226750fd03",
+                          "a86f57d9668fe814b19b88f52af25fea97cd31a406b64776bf74291e3d0445fe"},
+        "delta_lambda.csv": {"6c8bbcb59e44802cfa6702f737e54826acc5deaf83189d0747fc79196868e725",
+                             "668a5ed096b12c23e229c7486b2bf89463448a44262725f75d2912cbe76edae0"},
+        "fig8.csv": {"6c8bbcb59e44802cfa6702f737e54826acc5deaf83189d0747fc79196868e725",
+                     "668a5ed096b12c23e229c7486b2bf89463448a44262725f75d2912cbe76edae0"},
+        "fig11.csv": {"403a92c77ea56f0e31dc2b3e8a08e14f763d2ea22e443a3d216cbc3d6eac9016",
+                      "55d3aea534a9bf2ae322f92cd84f3c7114023f5cf463d5f244dc9570475e51ce"},
+        "fig12.csv": {"3b84e3ea4a69b60a5baacc3a9d69474beaa9e3263bf25ef7674a7b43fb6e7d84",
+                      "d87627dc217f047d9db254fab8b448d91a5876c283913708b16c9f8192c1c1cb"},
     }),
     "ber-sweep": (LINK_BENCH_SETS + ("link.saturation=true", "mc.n_symbols=17500", "link.mode=physical"), {
         "ber_sweep.csv": {"dcb01b74ed931cd8eedfbaba9ad174700863c2230d7f9134cfc8109ae38de297"},
@@ -483,3 +511,56 @@ PINNED_SATURATION_OUTPUTS = {
 def test_saturation_outputs_pinned_at_any_worker_count(tmp_path, command):
     # a byte-level gate for changes that should move no saturation output
     _assert_pinned(tmp_path, command, *PINNED_SATURATION_OUTPUTS[command])
+
+
+# The overrides of the detect-miss benchmark workload (perfbench/workloads.py).
+DETECT_MISS_SETS = (
+    "sweeps.mean_photons={start: 0.01, stop: 10.0, points: 16, scale: log}",
+    "mc.mc_samples=1250",
+    "device.p0=0.0",
+)
+# sha256 of the detection outputs on configs/default.yaml at seed 7, recorded at
+# version 0.5.1 like the link pins.  The second miss sweep adds dark-count flips
+# and a 2 x 2 (kappa, gamma) grid, so that the p0 flip and the grouping of the
+# rates by (kappa, gamma) are pinned too; the pulse sweep's efficiency is pinned
+# with and without the flip.  The miss and pulse sweeps go through numpy's
+# vectorised exp, so they also have a digest for numpy's baseline kernels.
+PINNED_DETECTION_OUTPUTS = {
+    "detect": ("detect", (), {
+        "detect.csv": {"badfa4bfc821310817b9d161047b5d2cfe467bd5142919bc04ba26fd5e162e8e"},
+    }),
+    "miss-sweep": ("miss-sweep", DETECT_MISS_SETS, {
+        "miss_sweep.csv": {"712c2a626b4bf8fea124b18667f7731b0d550f58fa29b537149294118e19e697",
+                           "0ce0750dc39f6f095089322402b11dbe91e4b2c5b4a3a70622d531f11673b1ef"},
+        "fig6.csv": {"6fcf800efced6014ab059efd27ffa669e084e49c952df986aed9e56de32ef548",
+                     "a9be139331e48b52f16483bf31227eca29ae1ef1663c84017d29db356e3e49ff"},
+    }),
+    "miss-sweep-p0-grid": ("miss-sweep", DETECT_MISS_SETS + (
+        "device.p0=0.02",
+        "sweeps.kappa_rad_per_s={values: [2pi*1e9, 2pi*2e8]}",
+        "sweeps.gamma_rad_per_s={values: [2pi*1e5, 2pi*3e6]}",
+    ), {
+        "miss_sweep.csv": {"677223d1253809840b210683e5b5dbfa278da1769dae569c7e2ab58ed8e37d9a",
+                           "bc9f41b77dd7111c0f44523c7650d5e5c4c14c7d6f8f783c463c0abeeef9d0d6"},
+        "fig6.csv": {"45c98fd0623f3db1d0a6ffeb4c48052d1515059aeb208a2a03cc84ff434f2d01",
+                     "2d5663534d1f469f0c2a60f1e5e3a300a18df9bfa8721540f298b6daeb7b8caa"},
+    }),
+    "pulse-sweep": ("pulse-sweep", (), {
+        "pulse_sweep.csv": {"9b08cd8a0fe2ebcca4b22e1c6dc8b8dfdf1c4af1e66bd51e4d3c7f1d3e041976",
+                            "347b85e6a7e1943650a6a8f4e9a356348210375154bc5f6d55d98cb0ef911589"},
+        "fig5.csv": {"9b08cd8a0fe2ebcca4b22e1c6dc8b8dfdf1c4af1e66bd51e4d3c7f1d3e041976",
+                     "347b85e6a7e1943650a6a8f4e9a356348210375154bc5f6d55d98cb0ef911589"},
+    }),
+    "pulse-sweep-p0": ("pulse-sweep", ("device.p0=0.02",), {
+        "pulse_sweep.csv": {"55f1098262e9629a34cc1bae44a6cd4a486e600bb723fe8f5f0fda3e0350c5ac",
+                            "eaebad5623239c64d89351819fb9e20bf193a94bca47f313bba424bd286f7cfe"},
+        "fig5.csv": {"55f1098262e9629a34cc1bae44a6cd4a486e600bb723fe8f5f0fda3e0350c5ac",
+                     "eaebad5623239c64d89351819fb9e20bf193a94bca47f313bba424bd286f7cfe"},
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DETECTION_OUTPUTS))
+def test_detection_outputs_pinned_at_any_worker_count(tmp_path, case):
+    # a byte-level gate for changes that should move no detection output
+    _assert_pinned(tmp_path, *PINNED_DETECTION_OUTPUTS[case])

@@ -17,11 +17,11 @@ from photonlink.detection import (
     excitation_poisson,
     mc_detector,
     miss_probability_sweep,
-    stage_probabilities,
     transition_set_probability,
     _poisson_n_max,
 )
-from photonlink.physics import CycleTiming, DeviceParams, excited_kernel
+from photonlink.link import EXCITED, GROUND, build_cycle_kernel
+from photonlink.physics import CycleTiming, DeviceParams, detection_prob_single, excited_kernel, readout_prob
 from photonlink.rng import substream
 
 DEV = DeviceParams(kappa=2 * np.pi * 1e8, gamma=2 * np.pi * 1e5, p_reset_g=0.0, p_reset_e=0.0)
@@ -291,36 +291,56 @@ class TestMcDetector:
 
 
 class TestStageProbabilities:
+    """The capture, readout and reset stages of one cycle: the miss sweep's
+    rows, physics.readout_prob and the reset law of build_cycle_kernel."""
+
     def test_zero_rate(self, ref_timing):
         dev = DeviceParams(kappa=DEV.kappa, gamma=DEV.gamma, p_reset_g=0.01, p_reset_e=0.05)
-        probs = stage_probabilities(0.0, ref_timing, dev)
-        assert probs.p_capture.value == 0.0
-        assert probs.p_readout.value == 0.0
-        assert probs.p_reset_err.value == pytest.approx(0.01, abs=1e-15)
-        assert probs.p_miss.value == 1.0
+        row = miss_probability_sweep([(0.0, dev.kappa, dev.gamma)], ref_timing, dev).rows[0]
+        assert row["p_capture"] == 0.0
+        assert row["p_readout"] == 0.0
+        assert row["p_miss"] == 1.0
+        kernel = build_cycle_kernel(dev, ref_timing, 0.0, 0.0)
+        reset_err = kernel.bit_given_entry[GROUND] @ kernel.exit_given_bit[:, EXCITED]
+        assert reset_err == pytest.approx(0.01, abs=1e-15)
 
     def test_no_decay_readout_equals_capture(self):
         dev = DeviceParams(kappa=DEV.kappa, gamma=0.0)
         timing = CycleTiming(T_C, 35e-9, 48e-9)
-        probs = stage_probabilities(0.5 / T_C, timing, dev)
-        assert probs.p_readout.value == pytest.approx(probs.p_capture.value, rel=1e-12)
+        row = miss_probability_sweep([(0.5 / T_C, dev.kappa, dev.gamma)], timing, dev).rows[0]
+        assert row["p_readout"] == pytest.approx(row["p_capture"], rel=1e-12)
 
     def test_chain_identities(self, ref_timing):
         dev = DeviceParams(kappa=DEV.kappa, gamma=DEV.gamma, p0=0.02, p_reset_g=0.01, p_reset_e=0.05)
-        probs = stage_probabilities(0.8 / T_C, ref_timing, dev)
+        lam = 0.8 / T_C
+        row = miss_probability_sweep([(lam, dev.kappa, dev.gamma)], ref_timing, dev).rows[0]
         p_w = math.exp(-dev.gamma * ref_timing.t_w)
-        assert probs.p_readout.value == pytest.approx(p_w * probs.p_capture.value, rel=1e-12)
-        expect_re = 0.01 * (1 - probs.p_readout.value) + 0.05 * probs.p_readout.value
-        assert probs.p_reset_err.value == pytest.approx(expect_re, rel=1e-12)
-
+        assert row["p_readout"] == pytest.approx(p_w * row["p_capture"], rel=1e-12)
+        # the reset marginal: the kernel's reset law at the readout bit of a ground entry
+        kernel = build_cycle_kernel(dev, ref_timing, lam, 0.0)
+        assert kernel.bit_given_entry[GROUND, 1] == pytest.approx(row["p_readout"], rel=1e-15)
+        reset_err = kernel.bit_given_entry[GROUND] @ kernel.exit_given_bit[:, EXCITED]
+        expect_re = 0.01 * (1 - row["p_readout"]) + 0.05 * row["p_readout"]
+        assert reset_err == pytest.approx(expect_re, rel=1e-12)
 
     def test_exact_chain(self, ref_dev, ref_timing):
         lam = 0.8 / T_C
-        probs = stage_probabilities(lam, ref_timing, ref_dev)
-        p_w = math.exp(-ref_dev.gamma * ref_timing.t_w)
-        assert probs.p_capture.value == excitation_ctmc(lam, ref_timing, ref_dev)
-        assert probs.p_readout.value == pytest.approx(p_w * probs.p_capture.value, rel=1e-15)
-        assert probs.p_capture.stderr == probs.p_readout.stderr == probs.p_reset_err.stderr == 0.0
+        row = miss_probability_sweep([(lam, ref_dev.kappa, ref_dev.gamma)], ref_timing, ref_dev).rows[0]
+        # p0 = 0: the capture stage is the excitation, and the readout its decay over t_w
+        assert row["p_capture"] == pytest.approx(excitation_ctmc(lam, ref_timing, ref_dev), rel=1e-15)
+        assert row["p_capture"] == detection_prob_single(row["p_capture"], ref_dev)
+        assert row["p_readout"] == readout_prob(row["p_capture"], ref_timing, ref_dev)
+        assert row["p_readout"] == math.exp(-ref_dev.gamma * ref_timing.t_w) * row["p_capture"]
+        assert row["stderr"] == 0.0 and row["replicas"] == 0
+
+    def test_readout_prob_vectorised_matches_pointwise(self, ref_timing):
+        dev = DeviceParams(kappa=DEV.kappa, gamma=DEV.gamma, p0=0.03)
+        p_exc = np.array([0.0, 1e-9, 0.25, 0.5, 0.999, 1.0])
+        vec = readout_prob(detection_prob_single(p_exc, dev), ref_timing, dev)
+        assert vec.tolist() == [readout_prob(detection_prob_single(float(p), dev), ref_timing, dev) for p in p_exc]
+        assert isinstance(readout_prob(detection_prob_single(0.25, dev), ref_timing, dev), float)
+        # p0 flips: at p_exc = 0 the bit reads 1 with probability p0, then decays
+        assert vec[0] == math.exp(-dev.gamma * ref_timing.t_w) * 0.03
 
 
 class TestMissSweep:
@@ -345,13 +365,19 @@ class TestMissSweep:
         assert report.rows[1]["p_miss"] < report.rows[0]["p_miss"]
 
     def test_rows_match_stage_probabilities(self, ref_timing):
-        # interleaved (kappa, gamma) groups come back in grid order
+        # interleaved (kappa, gamma) groups come back in grid order, each row
+        # the readout chain of its own point
+        dev_template = replace(DEV, p0=0.02)
         grid = [(m / T_C, k, DEV.gamma) for m in (0.1, 2.0, 0.5) for k in (2 * np.pi * 1e8, 2 * np.pi * 1e9)]
-        report = miss_probability_sweep(grid, ref_timing, DEV, seed=79)
+        report = miss_probability_sweep(grid, ref_timing, dev_template, seed=79)
         for (lam, kappa, gamma), row in zip(grid, report.rows):
-            probs = stage_probabilities(lam, ref_timing, replace(DEV, kappa=kappa, gamma=gamma))
+            dev = replace(dev_template, kappa=kappa, gamma=gamma)
+            p_exc = excitation_ctmc(lam, ref_timing, dev)
             assert (row["lambda"], row["kappa"]) == (lam, kappa)
-            assert row["p_readout"] == pytest.approx(probs.p_readout.value, rel=1e-14)
+            assert row["p_capture"] == pytest.approx(detection_prob_single(p_exc, dev), rel=1e-14)
+            assert row["p_readout"] == pytest.approx(
+                readout_prob(detection_prob_single(p_exc, dev), ref_timing, dev), rel=1e-14
+            )
             assert row["stderr"] == 0.0 and row["replicas"] == 0
 
     def test_rejects_empty_grid(self, ref_timing):

@@ -121,7 +121,7 @@ def loop_simulate_link(spec, n_symbols, rng, mode, draw_stats=draw_frame_stats):
     u_first = rng.random(m).tolist()
     p_first = [[float(spec.first_bit_prob(lv, s)[1]) for s in (0, 1)] for lv in (0, 1)]
     exit_bit = [float(spec.kernel0.exit_given_bit[b, 1]) for b in (0, 1)]
-    exit_marg = [[float(spec.exit_distribution(lv, s)[1]) for s in (0, 1)] for lv in (0, 1)]
+    exit_marg = [[float(spec.level_exit[lv, s, 1]) for s in (0, 1)] for lv in (0, 1)]
     bn_l = (bn[0].tolist(), bn[1].tolist())
     b1_sel = np.empty(m, dtype=np.int8)
     level = 0
@@ -296,7 +296,21 @@ class TestHmmSpec:
     def test_level_exit_built_once_equals_per_level_form(self, n, monkeypatch):
         base = ref_link_cfg().build_spec(-148.3)
         spec = HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=n)
-        per_level = [[spec.exit_distribution(lv, s).tolist() for s in (0, 1)] for lv in (0, 1)]
+        # per level, one matrix power each: the last-bit marginal, then the reset law
+        per_level = [
+            [(spec.first_bit_prob(lv, s) @ np.linalg.matrix_power(spec.kernel(s).bit_chain, n - 1)
+              @ spec.kernel(s).exit_given_bit).tolist() for s in (0, 1)]
+            for lv in (0, 1)
+        ]
+        # and the first-bit law stepped through the bit chain one cycle at a time
+        stepped = np.empty((2, 2, 2))
+        for s in (0, 1):
+            k = spec.kernel(s)
+            for lv in (0, 1):
+                last = k.bit_given_entry[lv]
+                for _ in range(n - 1):
+                    last = last @ k.bit_chain
+                stepped[lv, s] = last @ k.exit_given_bit
         powers = []
         matrix_power = np.linalg.matrix_power
 
@@ -308,6 +322,7 @@ class TestHmmSpec:
         first = spec.level_exit
         assert spec.level_exit is first and powers == [n - 1, n - 1]
         assert first.tolist() == per_level
+        assert np.abs(first - stepped).max() < 1e-13
         assert not first.flags.writeable
 
     def test_kernels_must_share_reset_law(self):
@@ -410,7 +425,7 @@ class TestFrameStatsLaw:
             for b1 in (0, 1):
                 law = link.frame_stats_law(q, b1, n)
                 grid = np.ix_(range(2), range(n + 1), range(n))
-                full = np.exp(link._frame_stats_logp(np.log(q), log_fact, b1, n, *grid))
+                full = np.exp(link._frame_stats_logp(np.log(q), log_fact, b1, n, *grid)[0])
                 assert abs(full.sum() - 1.0) < 1e-12 and abs(law.mass - 1.0) < 1e-12
                 assert law.cdf[-1] == 1.0 and np.all(np.diff(law.cdf) >= 0)
                 kept = np.zeros(full.shape, dtype=bool)
@@ -503,7 +518,7 @@ for power in (-160.0, -146.0):
             pad1, pad11 = (hi1 - lo1) // 2 + 1, (hi11 - lo11) // 2 + 1
             n1 = np.arange(max(0, lo1 - pad1), min(n, hi1 + pad1) + 1)
             n11 = np.arange(max(0, lo11 - pad11), min(n - 1, hi11 + pad11) + 1)
-            p = np.exp(link._frame_stats_logp(np.log(q), link._log_factorials(n), b1, n, *np.ix_(range(2), n1, n11)))
+            p = np.exp(link._frame_stats_logp(np.log(q), link._log_factorials(n), b1, n, *np.ix_(range(2), n1, n11))[0])
             bn_i, n1_i, n11_i = np.nonzero(p >= 1e-16)
             assert np.array_equal(np.stack([bn_i, n1[n1_i], n11[n11_i]]), law.cells)
 print("ok")
@@ -529,7 +544,7 @@ print("ok")
                 idx = rng.integers(0, table.cells.shape[1], size=200)
                 bn, n1, n11 = table.cells[:, idx]
                 emis = spec.emission_loglik_stats(np.full(bn.size, b1), bn, n1, n11)
-                law = link._frame_stats_logp(np.log(spec.kernel(s).bit_chain), log_fact, b1, n, bn, n1, n11)
+                law, _ = link._frame_stats_logp(np.log(spec.kernel(s).bit_chain), log_fact, b1, n, bn, n1, n11)
                 count = np.array([log_compositions(k1, k1 - k11) + log_compositions(n - k1, k1 - k11 + 1 - b1 - kn)
                                   for kn, k1, k11 in zip(bn, n1, n11)])
                 # the table keeps the same count at its cells
@@ -749,7 +764,7 @@ def cell_law_rate_bracket(spec):
         weight = np.concatenate([c.sum(axis=(0, 2))[None], c.transpose(0, 2, 1).reshape(4, 2)])
         for s in (0, 1):
             cells = spec.frame_stats[s][b1].cells
-            law = np.exp([link._frame_stats_logp(lq, log_fact, b1, n, *cells) for lq in log_q])
+            law = np.exp([link._frame_stats_logp(lq, log_fact, b1, n, *cells)[0] for lq in log_q])
             w = weight[:, :, None] * law
             with np.errstate(divide="ignore", invalid="ignore"):
                 terms = np.where(w[:, s] > 0, w[:, s] * np.log2(2.0 * w[:, s] / w.sum(axis=1)), 0.0)

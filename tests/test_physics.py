@@ -24,6 +24,7 @@ from photonlink.physics import (
     thermal_photon_rate,
     transition_kernels,
 )
+from photonlink.errors import ParameterError
 from photonlink.rng import substream
 from photonlink.validate import shaped_pulse
 
@@ -269,6 +270,13 @@ class TestDetectionProbSingle:
         dev = DeviceParams(kappa=8.0, gamma=1.0, p0=0.1)
         assert detection_prob_single(0.9, dev) == pytest.approx(0.82, abs=1e-12)
 
+    def test_elementwise(self):
+        dev = DeviceParams(kappa=8.0, gamma=1.0, p0=0.1)
+        p = np.array([0.0, 0.3, 0.9, 1.0])
+        assert detection_prob_single(p, dev).tolist() == [detection_prob_single(float(x), dev) for x in p]
+        with pytest.raises(ValueError):
+            detection_prob_single(np.array([0.2, -0.1]), dev)
+
 
 class TestThermalAndPower:
     def test_zero_temperature(self):
@@ -316,6 +324,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             DeviceParams(kappa=1.0, gamma=0.0, p0=1.5)
         assert DeviceParams(kappa=8.0, gamma=2.0).transition_rate == 2.0
+
+    def test_dead_time(self):
+        dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=0.0, alpha_sat=1.14)
+        assert dev.dead_time == 1.14 / (2 * np.pi * 1e9)
+        # alpha_sat / kappa underflows to 0: the device names alpha_sat, not a later tau
+        with pytest.raises(ParameterError) as err:
+            DeviceParams(kappa=2 * np.pi * 1e9, gamma=0.0, alpha_sat=1e-320)
+        assert err.value.field == "alpha_sat"
 
     def test_timing_invariants(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,6 @@ import math
 import pickle
 import warnings
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from photonlink.physics import CycleTiming, DeviceParams, _cell_weights, _phi
 from photonlink.rng import substream
 from photonlink.saturation import (
     CutoffFit,
-    SaturationWindow,
     SurvivorOperator,
     _conv,
     _require_window,
@@ -38,25 +36,25 @@ from photonlink.validate import cutoff_law, survivor_excitation_z
 
 
 class TestFilter:
-    W = SaturationWindow(tau=1.0)
+    TAU = 1.0
 
     def test_single_photon_survives(self):
-        assert filter_survivors([3.0], self.W).tolist() == [3.0]
+        assert filter_survivors([3.0], self.TAU).tolist() == [3.0]
 
     def test_pair_window(self):
-        assert filter_survivors([0.0, 0.5], self.W).size == 0
-        assert filter_survivors([0.0, 2.0], self.W).tolist() == [0.0, 2.0]
+        assert filter_survivors([0.0, 0.5], self.TAU).size == 0
+        assert filter_survivors([0.0, 2.0], self.TAU).tolist() == [0.0, 2.0]
 
     def test_middle_destroyed(self):
-        assert filter_survivors([0.0, 0.4, 2.5, 5.0], self.W).tolist() == [2.5, 5.0]
+        assert filter_survivors([0.0, 0.4, 2.5, 5.0], self.TAU).tolist() == [2.5, 5.0]
 
     def test_idempotent_and_translation_invariant(self):
         rng = substream(31, 0)
         for _ in range(50):
             t = np.sort(rng.random(rng.integers(0, 20)) * 10.0)
-            s = filter_survivors(t, self.W)
-            assert filter_survivors(s, self.W).tolist() == s.tolist()
-            shifted = filter_survivors(t + 5.0, self.W)
+            s = filter_survivors(t, self.TAU)
+            assert filter_survivors(s, self.TAU).tolist() == s.tolist()
+            shifted = filter_survivors(t + 5.0, self.TAU)
             assert np.allclose(shifted, s + 5.0)
             assert s.size <= t.size
 
@@ -64,7 +62,7 @@ class TestFilter:
     @given(st.lists(st.floats(0.0, 100.0), max_size=30), st.floats(0.01, 10.0))
     def test_survivors_are_subset(self, times, tau):
         t = np.sort(np.asarray(times))
-        s = filter_survivors(t, SaturationWindow(tau))
+        s = filter_survivors(t, tau)
         assert set(np.round(s, 12)) <= set(np.round(t, 12))
 
 
@@ -245,12 +243,18 @@ class TestSaturatedExcitation:
         assert abs(est.value - expect) < 4 * est.stderr
 
 
+def scaled_device(t_c, kappa_tc, gamma_tc=0.0, blocks=None) -> DeviceParams:
+    """The device at kappa t_c and gamma t_c, with the dead time t_c / blocks when blocks is given."""
+    kappa = kappa_tc / t_c
+    alpha = {} if blocks is None else {"alpha_sat": kappa * t_c / blocks}
+    return DeviceParams(kappa=kappa, gamma=gamma_tc / t_c, **alpha)
+
+
 def survivor_excitation_reference(
     lam,
     timing: CycleTiming,
     dev: DeviceParams,
     enter_excited: bool = False,
-    window: Optional[SaturationWindow] = None,
     cells_per_tau: int = 16,
 ) -> np.ndarray:
     """survivor_excitation written as one function that builds and evaluates
@@ -262,9 +266,7 @@ def survivor_excitation_reference(
         raise ValueError("lambda must be >= 0")
     if cells_per_tau < 1:
         raise ValueError("cells_per_tau must be >= 1")
-    if window is None:
-        window = SaturationWindow.from_device(dev)
-    tau, t_c = window.tau, timing.t_c
+    tau, t_c = dev.dead_time, timing.t_c
     _require_window(tau, t_c)
     exc = float(enter_excited)
     # rates in units of 1/tau, times in units of tau
@@ -423,19 +425,20 @@ class TestSurvivorOperator:
 
     def test_bitwise_equal_to_reference(self):
         lam = np.concatenate([[0.0], np.geomspace(1e-2, 5e6, 11)]) / self.T_C
-        windows = [None] + [SaturationWindow(self.T_C / blocks) for blocks in (100, 1001, 8193)]
+        # the default dead time, then t_c / tau near 100, 1001 and 8193 whole blocks
+        blocks = [None, 100, 1001, 8193]
         for cells_per_tau in (16, 32):
             for gamma_tc in (0.0, 2.0, 30.0):
                 for entry in (False, True):
                     for ktc in (1e2, 10**2.5, 1e3, 1e4, 1e5):
-                        dev = DeviceParams(kappa=ktc / self.T_C, gamma=gamma_tc / self.T_C)
-                        for window in windows:
-                            for f in ((1.0,) if window is None else (1 - 1e-7, 1 + 1e-7)):
+                        for n in blocks:
+                            dev = scaled_device(self.T_C, ktc, gamma_tc, n)
+                            for f in ((1.0,) if n is None else (1 - 1e-7, 1 + 1e-7)):
                                 timing = CycleTiming(self.T_C * f, 35e-9, 48e-9)
-                                args = (timing, dev, entry, window, cells_per_tau)
+                                args = (timing, dev, entry, cells_per_tau)
                                 want = survivor_excitation_reference(lam, *args).tolist()
                                 got = SurvivorOperator.build(*args).excitation(lam).tolist()
-                                assert got == want, (cells_per_tau, gamma_tc, entry, ktc, window, f)
+                                assert got == want, (cells_per_tau, gamma_tc, entry, ktc, n, f)
 
     def test_chunks_equal_one_call(self):
         lam = np.geomspace(0.5, 5e6, 30) / self.T_C
@@ -483,8 +486,8 @@ class TestFirstSurvivorExcitation:
     T_C = 230e-9
     TIMING = CycleTiming(T_C, T_C * 1e-9, T_C * 1e-9)
 
-    def dev(self, kappa_tc, gamma_tc=0.0):
-        return DeviceParams(kappa=kappa_tc / self.T_C, gamma=gamma_tc / self.T_C)
+    def dev(self, kappa_tc, gamma_tc=0.0, blocks=None):
+        return scaled_device(self.T_C, kappa_tc, gamma_tc, blocks)
 
     def test_matches_monte_carlo(self):
         # shoulder of the plateau, 3 dB point and tail at three window sizes;
@@ -524,14 +527,13 @@ class TestFirstSurvivorExcitation:
         # entry the G -> A -> E -> G chain started in E
         from scipy.linalg import expm
 
-        window = SaturationWindow(self.T_C / 1e6)
         timing = CycleTiming(self.T_C, 35e-9, 48e-9)
         lam = np.geomspace(0.01, 3.0, 7) / self.T_C
         for gamma_tc in (0.0, 3.0, 30.0):
-            dev = self.dev(1e3, gamma_tc)
-            ground = survivor_excitation(lam, timing, dev, window=window)
+            dev = self.dev(1e3, gamma_tc, blocks=1e6)
+            ground = survivor_excitation(lam, timing, dev)
             assert np.abs(ground - excitation_ctmc(lam, timing, dev)).max() < 1e-5
-            excited = survivor_excitation(lam, timing, dev, enter_excited=True, window=window)
+            excited = survivor_excitation(lam, timing, dev, enter_excited=True)
             r, g = dev.transition_rate, dev.gamma
             chain = [
                 expm(np.array([[-x, x, 0.0], [0.0, -r, r], [g, 0.0, -g]]) * self.T_C)[2, 2]
@@ -563,12 +565,11 @@ class TestFirstSurvivorExcitation:
         # changes the number of squared block maps and the final partial block
         lam = np.array([5.0, 400.0, 1000.0]) / self.T_C
         for blocks in (100, 1001, 8193):
-            tau = self.T_C / blocks
             for gamma_tc, entry in ((0.0, False), (3.0, True)):
                 vals = [
                     survivor_excitation(
-                        lam, CycleTiming(self.T_C * (1 + eps), 35e-9, 48e-9), self.dev(1e3, gamma_tc),
-                        enter_excited=entry, window=SaturationWindow(tau),
+                        lam, CycleTiming(self.T_C * (1 + eps), 35e-9, 48e-9), self.dev(1e3, gamma_tc, blocks),
+                        enter_excited=entry,
                     )
                     for eps in (-1e-7, 0.0, 1e-7)
                 ]
