@@ -95,13 +95,18 @@ class _Runner:
         return path
 
 
+# the config keys that set the window ratio t_c/tau of the dead time tau = alpha_sat/kappa
+_WINDOW_KEYS = "timing.t_c_ns, device.alpha_sat, device.kappa_rad_per_s"
+
+
 @contextlib.contextmanager
-def _axis_value(axis: str, value):
-    """Turn a ValueError raised at one value of sweeps.<axis> into a ConfigError that starts with both."""
+def _config_keys(where: str):
+    """Turn a ValueError raised in the block into a ConfigError that starts with where,
+    the config keys or the sweep value that set the rejected parameter."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"sweeps.{axis}: {value}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +125,7 @@ def cmd_detect(cfg: ExperimentConfig, runner: _Runner) -> int:
 
 def _pulse_point(cfg: ExperimentConfig, l: float, kappa: float, gamma: float) -> dict:
     dev = dataclasses.replace(cfg.device, kappa=kappa, gamma=gamma)
-    with _axis_value("pulse_length_ns", l * 1e9):
+    with _config_keys(f"sweeps.pulse_length_ns: {l * 1e9}"):
         pulse = dataclasses.replace(cfg.pulse, l=l)
     p_exc = single_photon_excitation(pulse, pulse.t_i, dev)
     return {
@@ -176,7 +181,8 @@ def _link_sweep(cfg: ExperimentConfig, runner: _Runner, metric: str, point, figu
     Returns the link config, so later work of the same command shares its noise kernel and tables.
     """
     lcfg = _link_cfg(cfg)
-    lcfg.noise_tables()  # before the pool starts, so that every task's copy of lcfg carries them
+    with _config_keys(_WINDOW_KEYS):  # a saturated link builds its dead-time operator here
+        lcfg.noise_tables()  # before the pool starts, so that every task's copy of lcfg carries them
     report = link._link_report(metric)
     for row in _parallel_map(point, [(lcfg, *a) for a in args], cfg.workers):
         report.append(**row)
@@ -215,7 +221,7 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
         t_c = ratio * tau
         for a in cfg.axis("lambda_tau"):
             lam = a / tau
-            with _axis_value("t_over_tau", ratio):
+            with _config_keys(f"sweeps.t_over_tau: {ratio}"):
                 m = saturation.survivor_moments_poisson(lam, tau, t_c)
                 d = saturation.delta_lambda(lam, tau, t_c)
             surv.append(
@@ -241,10 +247,12 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     )
     for enter_excited in (False, True):
         for kappa in kappas:
-            dev = dataclasses.replace(cfg.device, kappa=float(kappa))
-            values = saturation.survivor_excitation(
-                means / cfg.timing.t_c, cfg.timing, dev, enter_excited=enter_excited
-            )
+            where = f"sweeps.kappa_rad_per_s: {kappa}" if "kappa_rad_per_s" in cfg.sweeps else _WINDOW_KEYS
+            with _config_keys(where):
+                dev = dataclasses.replace(cfg.device, kappa=float(kappa))
+                values = saturation.survivor_excitation(
+                    means / cfg.timing.t_c, cfg.timing, dev, enter_excited=enter_excited
+                )
             for mean, value in zip(means, values):
                 exc.append(
                     mean_photons=float(mean), **{"lambda": float(mean) / cfg.timing.t_c},
@@ -261,7 +269,7 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
 def _cutoff_point(cfg: ExperimentConfig, kappa_tc: float) -> dict:
     t_c = cfg.timing.t_c
     dev = DeviceParams(kappa=kappa_tc / t_c, gamma=0.0, alpha_sat=cfg.device.alpha_sat)
-    with _axis_value("kappa_t_c", kappa_tc):
+    with _config_keys(f"sweeps.kappa_t_c: {kappa_tc}"):
         result = saturation.scan_cutoff(dev, t_c)
     return {
         "kappa": dev.kappa,
@@ -280,7 +288,7 @@ def cmd_cutoff_fit(cfg: ExperimentConfig, runner: _Runner) -> int:
         table.append(**row)
     runner.write_report(table, "cutoff_table.csv")
     runner.write_figure(table, "fig13")
-    with _axis_value("kappa_t_c", values.tolist()):
+    with _config_keys(f"sweeps.kappa_t_c: {values.tolist()}"):
         fit = saturation.fit_cutoff_curve([(r["kappa_tc"], r["n_cutoff"]) for r in rows])
     runner.write_json(
         {

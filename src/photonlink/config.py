@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
@@ -26,9 +27,6 @@ from .physics import CycleTiming, DeviceParams, Environment, PulseProfile
 __all__ = [
     "ExperimentConfig",
     "GridAxis",
-    "McSettings",
-    "LinkSettings",
-    "CutoffSettings",
     "parse_quantity",
     "apply_overrides",
     "read_config_file",
@@ -69,6 +67,29 @@ def _int(value, key: str) -> int:
     return value
 
 
+def _at_least(low: int):
+    """Reader of an integer >= low."""
+
+    def read(value, key: str) -> int:
+        n = _int(value, key)
+        if n < low:
+            raise ConfigError(f"{key}: must be >= {low}, got {n}")
+        return n
+
+    return read
+
+
+def _choice(*options: str):
+    """Reader of one of the given strings."""
+
+    def read(value, key: str) -> str:
+        if value not in options:
+            raise ConfigError(f"{key}: must be {' or '.join(options)}, got {value!r}")
+        return value
+
+    return read
+
+
 def _bool(value, key: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{key}: expected true or false, got {value!r}")
@@ -90,82 +111,91 @@ def _nodes(value, key: str) -> Optional[list]:
     return [[parse_quantity(t, key), parse_quantity(r, key)] for t, r in value] or None
 
 
-# The config schema: section -> key -> (reader, default).  This is the one
-# place where a section key's reader and default are written; the allowed
-# keys, DEFAULT_CONFIG, the canonical form (and so the hash) and the
-# settings dataclasses all follow from it.
+# The config schema: section -> key -> (reader, default, field).  This is
+# the one place where a section key's reader, default and field are
+# written; the allowed keys, DEFAULT_CONFIG, the canonical form (and so the
+# hash) and the objects that from_dict builds all follow from it.  A field
+# is an attribute of the section's model in _MODELS, or of the config itself
+# for a section without one.  A key whose field is None is read, checked and
+# hashed, and no command reads it: only the benchmark workloads set it.
 _SECTIONS: dict = {
     "device": {
-        "kappa_rad_per_s": (parse_quantity, "2pi*1e9"),
-        "gamma_rad_per_s": (parse_quantity, "2pi*1e5"),
-        "p0": (parse_quantity, 0.0),
-        "p_reset_g": (parse_quantity, 0.01),
-        "p_reset_e": (parse_quantity, 0.05),
-        "alpha_sat": (parse_quantity, 1.14),
+        "kappa_rad_per_s": (parse_quantity, "2pi*1e9", "kappa"),
+        "gamma_rad_per_s": (parse_quantity, "2pi*1e5", "gamma"),
+        "p0": (parse_quantity, 0.0, "p0"),
+        "p_reset_g": (parse_quantity, 0.01, "p_reset_g"),
+        "p_reset_e": (parse_quantity, 0.05, "p_reset_e"),
+        "alpha_sat": (parse_quantity, 1.14, "alpha_sat"),
     },
     "timing": {
-        "t_c_ns": (parse_quantity, 230.0),
-        "delta_o_ns": (parse_quantity, 35.0),
-        "t_w_ns": (parse_quantity, 48.0),
+        "t_c_ns": (parse_quantity, 230.0, "t_c"),
+        "delta_o_ns": (parse_quantity, 35.0, "delta_o"),
+        "t_w_ns": (parse_quantity, 48.0, "t_w"),
     },
     "environment": {
-        "t_e_k": (parse_quantity, 8.0),
-        "nu_hz": (parse_quantity, 1.0e10),
-        "cycles_per_symbol": (_int, 800),
+        "t_e_k": (parse_quantity, 8.0, "t_e"),
+        "nu_hz": (parse_quantity, 1.0e10, "nu"),
+        "cycles_per_symbol": (_int, 800, "cycles_per_symbol"),
     },
     "pulse": {
-        "shape": (_str, "rectangular"),
-        "l_ns": (parse_quantity, 100.0),
-        "beta": (parse_quantity, 1.0),
-        "w_ns": (parse_quantity, 0.0),
-        "nodes": (_nodes, None),
+        "shape": (_str, "rectangular", "shape"),
+        "l_ns": (parse_quantity, 100.0, "l"),
+        "beta": (parse_quantity, 1.0, "beta"),
+        "w_ns": (parse_quantity, 0.0, "w"),
+        "nodes": (_nodes, None, "nodes"),
     },
     "mc": {
-        "mc_samples": (_int, 100_000),  # read by no command; the benchmark workloads still set it
-        "n_symbols": (_int, 100_000),
+        "mc_samples": (_at_least(1), 100_000, None),
+        "n_symbols": (_at_least(1), 100_000, "n_symbols"),
     },
     "link": {
-        "mode": (_str, "physical"),
-        "saturation": (_bool, False),
-        "dump_frames": (_bool, False),
+        "mode": (_choice("physical", "hmm"), "physical", "mode"),
+        "saturation": (_bool, False, "saturation"),
+        "dump_frames": (_bool, False, "dump_frames"),
     },
-    "detect": {"power_dbm": (parse_quantity, -148.3)},
-    "cutoff": {
-        "replicas": (_int, 256),  # read by no command; the benchmark workloads still set it
-    },
+    "detect": {"power_dbm": (parse_quantity, -148.3, "detect_power_dbm")},
+    "cutoff": {"replicas": (_at_least(2), 256, None)},
 }
 
-# The config key of each field of the physics dataclasses built from the
-# device, timing, environment and pulse sections, for error messages.
-_FIELD_KEYS = {
-    "kappa": "device.kappa_rad_per_s", "gamma": "device.gamma_rad_per_s", "p0": "device.p0",
-    "p_reset_g": "device.p_reset_g", "p_reset_e": "device.p_reset_e", "alpha_sat": "device.alpha_sat",
-    "t_c": "timing.t_c_ns", "delta_o": "timing.delta_o_ns", "t_w": "timing.t_w_ns",
-    "t_e": "environment.t_e_k", "nu": "environment.nu_hz", "cycles_per_symbol": "environment.cycles_per_symbol",
-    "shape": "pulse.shape", "l": "pulse.l_ns", "beta": "pulse.beta", "w": "pulse.w_ns", "nodes": "pulse.nodes",
+# the settings that commands read, as immutable records; module names, so that
+# a config pickled for a pool task finds them
+McRecord = namedtuple("McRecord", [f for _, _, f in _SECTIONS["mc"].values() if f])
+LinkRecord = namedtuple("LinkRecord", [f for _, _, f in _SECTIONS["link"].values() if f])
+
+_MODELS = {
+    "device": DeviceParams, "timing": CycleTiming, "environment": Environment, "pulse": PulseProfile,
+    "mc": McRecord, "link": LinkRecord,
 }
 
-# the sweep axes whose values the model bounds below by 0 on their own,
-# and whether 0 itself is out
-_AXES_BOUNDED_BY_ZERO = {
-    "mean_photons": False, "lambda_tau": False, "gamma_rad_per_s": False,
-    "pulse_length_ns": True, "kappa_t_c": True, "t_over_tau": True, "kappa_rad_per_s": True,
+# sweep axis -> (default, bound): an axis without a default is absent unless
+# given, and the model bounds the values of an axis by ">" or ">=" 0, or not
+_AXES = {
+    "power_dbm": ({"start": -160.0, "stop": -142.0, "points": 10, "scale": "linear"}, None),
+    "mean_photons": ({"start": 0.01, "stop": 10.0, "points": 16, "scale": "log"}, ">="),
+    "pulse_length_ns": ({"start": 1.0, "stop": 100000.0, "points": 26, "scale": "log"}, ">"),
+    "kappa_t_c": ({"values": [100.0, 1000.0, 10000.0, 100000.0]}, ">"),
+    "lambda_tau": ({"start": 1.0e-3, "stop": 50.0, "points": 60, "scale": "log"}, ">="),
+    "t_over_tau": ({"values": [4.0, 10.0, 100.0]}, ">"),
+    "kappa_rad_per_s": (None, ">"),
+    "gamma_rad_per_s": (None, ">="),
 }
 
 DEFAULT_CONFIG: dict = {
     "seed": None,  # mandatory
     "workers": 1,
     "output_dir": "runs",
-    **{name: {k: default for k, (_, default) in keys.items()} for name, keys in _SECTIONS.items()},
-    "sweeps": {
-        "power_dbm": {"start": -160.0, "stop": -142.0, "points": 10, "scale": "linear"},
-        "mean_photons": {"start": 0.01, "stop": 10.0, "points": 16, "scale": "log"},
-        "pulse_length_ns": {"start": 1.0, "stop": 100000.0, "points": 26, "scale": "log"},
-        "kappa_t_c": {"values": [100.0, 1000.0, 10000.0, 100000.0]},
-        "lambda_tau": {"start": 1.0e-3, "stop": 50.0, "points": 60, "scale": "log"},
-        "t_over_tau": {"values": [4.0, 10.0, 100.0]},
-    },
+    **{name: {k: default for k, (_, default, _) in keys.items()} for name, keys in _SECTIONS.items()},
+    "sweeps": {k: default for k, (default, _) in _AXES.items() if default is not None},
 }
+
+
+def _si(key: str, value):
+    """A section value in the SI units of its field: keys ending in _ns, and the node times, are in ns."""
+    if key.endswith("_ns"):
+        return value * 1e-9
+    if key == "nodes" and value is not None:
+        return tuple((t * 1e-9, r) for t, r in value)
+    return value
 
 
 def _check_keys(section, allowed, where: str) -> None:
@@ -180,7 +210,7 @@ def _read_section(name: str, section) -> dict:
     """Read one config section: check its keys, fill in defaults, apply the readers."""
     keys = _SECTIONS[name]
     _check_keys(section, keys, name)
-    return {k: read(section.get(k, default), f"{name}.{k}") for k, (read, default) in keys.items()}
+    return {k: read(section.get(k, default), f"{name}.{k}") for k, (read, default, _) in keys.items()}
 
 
 def _merge_axis(default, axis):
@@ -247,37 +277,6 @@ class GridAxis:
         return {"start": self.start, "stop": self.stop, "points": self.points, "scale": self.scale}
 
 
-@dataclass(frozen=True)
-class McSettings:
-    mc_samples: int
-    n_symbols: int
-
-    def __post_init__(self):
-        for name in ("mc_samples", "n_symbols"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"mc.{name} must be >= 1")
-
-
-@dataclass(frozen=True)
-class LinkSettings:
-    mode: str
-    saturation: bool
-    dump_frames: bool
-
-    def __post_init__(self):
-        if self.mode not in ("physical", "hmm"):
-            raise ConfigError("link.mode must be physical or hmm")
-
-
-@dataclass(frozen=True)
-class CutoffSettings:
-    replicas: int
-
-    def __post_init__(self):
-        if self.replicas < 2:
-            raise ConfigError(f"cutoff.replicas must be >= 2, got {self.replicas}")
-
-
 def read_config_file(path) -> dict:
     """The raw mapping of a YAML config file; every way it can fail is a ConfigError."""
     path = Path(path)
@@ -310,10 +309,9 @@ class ExperimentConfig:
     timing: CycleTiming
     environment: Environment
     pulse: PulseProfile
-    mc: McSettings
-    link: LinkSettings
+    mc: McRecord
+    link: LinkRecord
     detect_power_dbm: float
-    cutoff: CutoffSettings
     sweeps: Mapping
     canonical: Mapping = field(default_factory=dict, repr=False)
 
@@ -323,58 +321,40 @@ class ExperimentConfig:
         d = {**DEFAULT_CONFIG, **raw}
         if d["seed"] is None:
             raise ConfigError("seed is mandatory (wall-clock seeding is not allowed)")
-        seed, workers = _int(d["seed"], "seed"), _int(d["workers"], "workers")
-        if seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
-        if workers < 1:
-            raise ConfigError(f"workers must be a positive integer, got {workers}")
-        output_dir = _str(d["output_dir"], "output_dir")
+        top = {
+            "seed": _at_least(0)(d["seed"], "seed"),
+            "workers": _at_least(1)(d["workers"], "workers"),
+            "output_dir": _str(d["output_dir"], "output_dir"),
+        }
         c = {name: _read_section(name, d[name]) for name in _SECTIONS}
-        dv, tm, ev, pu = c["device"], c["timing"], c["environment"], c["pulse"]
-        if pu["nodes"] is None:
-            del pu["nodes"]  # the canonical form lists nodes only for a pulse that has them
-        try:
-            device = DeviceParams(
-                kappa=dv["kappa_rad_per_s"], gamma=dv["gamma_rad_per_s"], p0=dv["p0"],
-                p_reset_g=dv["p_reset_g"], p_reset_e=dv["p_reset_e"], alpha_sat=dv["alpha_sat"],
-            )
-            timing = CycleTiming(t_c=tm["t_c_ns"] * 1e-9, delta_o=tm["delta_o_ns"] * 1e-9, t_w=tm["t_w_ns"] * 1e-9)
-            environment = Environment(t_e=ev["t_e_k"], nu=ev["nu_hz"], cycles_per_symbol=ev["cycles_per_symbol"])
-            pulse = PulseProfile(
-                shape=pu["shape"], l=pu["l_ns"] * 1e-9, beta=pu["beta"], w=pu["w_ns"] * 1e-9,
-                nodes=tuple((t * 1e-9, r) for t, r in pu["nodes"]) if "nodes" in pu else None,
-            )
-        except ParameterError as exc:
-            raise ConfigError(f"{_FIELD_KEYS[exc.field]}: {exc}") from None
+        built = {}
+        for name, keys in _SECTIONS.items():
+            values = {f: _si(k, c[name][k]) for k, (_, _, f) in keys.items() if f}
+            if name not in _MODELS:
+                built.update(values)
+                continue
+            try:
+                built[name] = _MODELS[name](**values)
+            except ParameterError as exc:
+                key = next(k for k, (_, _, f) in keys.items() if f == exc.field)
+                raise ConfigError(f"{name}.{key}: {exc}") from None
+        if c["pulse"]["nodes"] is None:
+            del c["pulse"]["nodes"]  # the canonical form lists nodes only for a pulse that has them
 
         sweeps_raw = raw.get("sweeps", {})
+        _check_keys(sweeps_raw, _AXES, "sweeps")
         default_axes = DEFAULT_CONFIG["sweeps"]
-        # the kappa and gamma axes have no default: they are absent unless given
-        _check_keys(sweeps_raw, (*default_axes, "kappa_rad_per_s", "gamma_rad_per_s"), "sweeps")
         axes = {**default_axes, **{k: _merge_axis(default_axes.get(k), v) for k, v in sweeps_raw.items()}}
         sweeps = {k: GridAxis.from_dict(v, f"sweeps.{k}") for k, v in axes.items()}
-        for k, strict in _AXES_BOUNDED_BY_ZERO.items():
-            values = sweeps[k].resolve() if k in sweeps else np.empty(0)
-            bad = values[(values <= 0) if strict else (values < 0)]
-            if bad.size:
-                raise ConfigError(f"sweeps.{k}: {bad[0]}: must be {'>' if strict else '>='} 0")
-        canonical = {"seed": seed, "workers": workers, "output_dir": output_dir, **c,
-                     "sweeps": {k: sweeps[k].to_dict() for k in sorted(sweeps)}}
-        return cls(
-            seed=seed,
-            workers=workers,
-            output_dir=output_dir,
-            device=device,
-            timing=timing,
-            environment=environment,
-            pulse=pulse,
-            mc=McSettings(**c["mc"]),
-            link=LinkSettings(**c["link"]),
-            detect_power_dbm=c["detect"]["power_dbm"],
-            cutoff=CutoffSettings(**c["cutoff"]),
-            sweeps=sweeps,
-            canonical=canonical,
-        )
+        for k, axis in sweeps.items():
+            bound = _AXES[k][1]
+            if bound:
+                values = axis.resolve()
+                bad = values[(values <= 0) if bound == ">" else (values < 0)]
+                if bad.size:
+                    raise ConfigError(f"sweeps.{k}: {bad[0]}: must be {bound} 0")
+        canonical = {**top, **c, "sweeps": {k: sweeps[k].to_dict() for k in sorted(sweeps)}}
+        return cls(**top, **built, sweeps=sweeps, canonical=canonical)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

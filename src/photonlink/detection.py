@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _DEFAULT_MC_SAMPLES = 100_000
+_MC_BLOCK = 200_000  # replicas per block of mc_detector
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,8 @@ def excitation_given_count(
     t_c: float,
     dev: DeviceParams,
     mc_samples: int = _DEFAULT_MC_SAMPLES,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> Estimate:
     """Excitation probability given exactly n uniform arrivals in [0, t_c].
 
@@ -172,8 +174,6 @@ def excitation_given_count(
         return Estimate(single_photon_excitation(PulseProfile(l=t_c), t_c / 2.0, dev), 0.0)
     if mc_samples < 2:
         raise ValueError("mc_samples must be >= 2")
-    if rng is None:
-        rng = substream(0, 0xD0)
     vals = np.empty(mc_samples)
     block = max(1, min(mc_samples, int(2e6 // max(n, 1))))
     done = 0
@@ -221,19 +221,17 @@ class ConditionalExcitationTable:
         dev: DeviceParams,
         mc_samples: int = _DEFAULT_MC_SAMPLES,
         seed: int = 0,
-        key: Sequence[int] = (),
     ):
         self.t_c = float(t_c)
         self.dev = dev
         self.mc_samples = int(mc_samples)
         self.seed = int(seed)
-        self.key = tuple(int(k) for k in key)
         self._values: dict[int, Estimate] = {}
 
     def conditional(self, n: int) -> Estimate:
         if n not in self._values:
-            rng = substream(self.seed, *self.key, n)
-            self._values[n] = excitation_given_count(n, self.t_c, self.dev, self.mc_samples, rng)
+            rng = substream(self.seed, n)
+            self._values[n] = excitation_given_count(n, self.t_c, self.dev, self.mc_samples, rng=rng)
         return self._values[n]
 
     def poisson_mixture(self, lam: float, delta_o: float = 0.0, eps_trunc: float = 1e-10) -> Estimate:
@@ -318,7 +316,6 @@ def excitation_ctmc(lam, timing: CycleTiming, dev: DeviceParams):
 class DetectorStats:
     """Empirical outcome frequencies of the event-driven detector."""
 
-    excited_at_tc: Estimate
     excited_at_obs: Estimate
     readout_bit: Estimate
     reset_ok: Estimate
@@ -336,8 +333,8 @@ def mc_detector(
     dev: DeviceParams,
     enter_excited: bool = False,
     replicas: int = _DEFAULT_MC_SAMPLES,
-    rng: Optional[np.random.Generator] = None,
-    block: int = 200_000,
+    *,
+    rng: np.random.Generator,
 ) -> DetectorStats:
     """Event-driven Monte Carlo of one full detection cycle.
 
@@ -354,15 +351,13 @@ def mc_detector(
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    if rng is None:
-        rng = substream(0, 0xAC)
     t_c, t_obs = timing.t_c, timing.t_obs
     kappa, gamma = dev.kappa, dev.gamma
     mu = lam * t_c
-    sums = np.zeros(4)
+    sums = np.zeros(3)
     done = 0
     while done < replicas:
-        m = min(block, replicas - done)
+        m = min(_MC_BLOCK, replicas - done)
         counts = rng.poisson(mu, m)
         n_max = int(counts.max()) if m else 0
         if enter_excited:
@@ -383,7 +378,6 @@ def mc_detector(
             last_fire, last_decay = detector_events(
                 arrivals, fire_w, decay_w, t_c, avail, last_fire, last_decay
             )
-        exc_tc = (last_fire <= t_c) & (last_decay > t_c)
         exc_obs = (last_fire <= t_c) & (last_decay > t_obs)
         if dev.p0 > 0:
             exc_obs = exc_obs ^ (rng.random(m) < dev.p0)
@@ -391,13 +385,12 @@ def mc_detector(
         bit = exc_obs & (rng.random(m) < p_w)
         reset_draw = rng.random(m)
         exit_excited = np.where(bit, reset_draw < dev.p_reset_e, reset_draw < dev.p_reset_g)
-        sums += np.array([exc_tc.sum(), exc_obs.sum(), bit.sum(), (~exit_excited).sum()], dtype=float)
+        sums += np.array([exc_obs.sum(), bit.sum(), (~exit_excited).sum()], dtype=float)
         done += m
     return DetectorStats(
-        excited_at_tc=_binomial_estimate(sums[0], replicas),
-        excited_at_obs=_binomial_estimate(sums[1], replicas),
-        readout_bit=_binomial_estimate(sums[2], replicas),
-        reset_ok=_binomial_estimate(sums[3], replicas),
+        excited_at_obs=_binomial_estimate(sums[0], replicas),
+        readout_bit=_binomial_estimate(sums[1], replicas),
+        reset_ok=_binomial_estimate(sums[2], replicas),
         replicas=replicas,
     )
 

@@ -816,12 +816,15 @@ def conditional_forward_loglik(spec: HmmSpec, emis: np.ndarray, symbols) -> np.n
     return _level_forward(spec, m, weights)
 
 
+_BOOTSTRAP_BLOCKS = 100  # the most blocks of the bootstrap in mutual_information
+
+
 def mutual_information(
     spec: HmmSpec,
     run: LinkRun,
     burn_in: int = 100,
-    bootstrap_blocks: int = 100,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> Estimate:
     """Per-symbol mutual information between symbols and frames, in bits.
 
@@ -837,9 +840,7 @@ def mutual_information(
     if d.size < 10:
         raise ValueError("run too short after burn-in")
     value = float(np.clip(d.mean(), 0.0, 1.0))
-    if rng is None:
-        rng = substream(0, 0xB0)
-    n_blocks = min(bootstrap_blocks, max(2, d.size // 50))
+    n_blocks = min(_BOOTSTRAP_BLOCKS, max(2, d.size // 50))
     block_len = d.size // n_blocks
     block_means = np.array([d[i * block_len : (i + 1) * block_len].mean() for i in range(n_blocks)])
     reps = rng.choice(block_means, size=(200, n_blocks), replace=True).mean(axis=1)

@@ -446,11 +446,13 @@ def single_photon_excitation_quadrature(
     return val * math.exp(-gamma * (t_obs - ti))
 
 
+_DOUBLE_INTEGRAL_EPSABS = 1e-12
+
+
 def single_photon_excitation_double_integral(
     pulse: PulseProfile,
     t_obs: float,
     dev: DeviceParams,
-    epsabs: float = 1e-12,
 ) -> float:
     """Same quantity by the raw double integral; quadrature cross-check path."""
     from scipy import integrate
@@ -466,7 +468,7 @@ def single_photon_excitation_double_integral(
         ti,
         lambda t: t,
         lambda t: ti,
-        epsabs=epsabs,
+        epsabs=_DOUBLE_INTEGRAL_EPSABS,
     )
     return val
 

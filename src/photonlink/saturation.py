@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import FitConvergenceError, NotSaturatingError, RootBracketError
 from .physics import CycleTiming, DeviceParams, _cell_weights, _phi, detector_events
 from .report import Estimate
-from .rng import substream
 
 __all__ = [
     "SurvivorMoments",
@@ -45,6 +44,9 @@ __all__ = [
 ]
 
 _MIN_WINDOW_RATIO = 4.0  # closed forms assume t_c / tau >= 4
+_LAMBDA0_A_MAX = 50.0
+_LAMBDA0_REL_TOL = 1e-10
+_MAX_BLOCK_ELEMS = 20_000_000  # arrival times per block of saturated_excitation
 
 
 @dataclass(frozen=True)
@@ -201,27 +203,27 @@ def delta_lambda(lam: float, tau: float, t_c: float) -> float:
     )
 
 
-def find_lambda0(tau: float, t_c: float, rel_tol: float = 1e-10, a_max: float = 50.0) -> float:
+def find_lambda0(tau: float, t_c: float) -> float:
     """Arrival rate where the survivor statistics cross from sub- to super-Poisson.
 
-    Brackets the sign change of delta_lambda on lam*tau in (0, a_max]
-    and bisects to the requested relative tolerance.
+    Brackets the sign change of delta_lambda on lam*tau in
+    (0, _LAMBDA0_A_MAX] and bisects to the relative tolerance _LAMBDA0_REL_TOL.
     """
     _require_window(tau, t_c)
     if tau <= 0:
         raise ValueError("tau must be > 0 to locate a crossover")
-    a_grid = np.geomspace(1e-6, a_max, 400)
+    a_grid = np.geomspace(1e-6, _LAMBDA0_A_MAX, 400)
     signs = np.array([delta_lambda(a / tau, tau, t_c) for a in a_grid])
     pos = np.nonzero(signs > 0)[0]
     neg = np.nonzero(signs < 0)[0]
     if pos.size == 0 or neg.size == 0 or neg[-1] < pos[0]:
-        raise RootBracketError(f"no sub-to-super crossover on lam*tau in (0, {a_max}]")
+        raise RootBracketError(f"no sub-to-super crossover on lam*tau in (0, {_LAMBDA0_A_MAX}]")
     i = pos[-1]
     j = i + 1
     if j >= a_grid.size or signs[j] >= 0:
         raise RootBracketError("sign pattern is not a single crossover")
     lo, hi = a_grid[i], a_grid[j]
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > _LAMBDA0_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if delta_lambda(mid / tau, tau, t_c) > 0:
             lo = mid
@@ -339,8 +341,8 @@ def saturated_excitation(
     dev: DeviceParams,
     enter_excited: bool = False,
     replicas: int = 4096,
-    rng: Optional[np.random.Generator] = None,
-    max_block_elems: int = 20_000_000,
+    *,
+    rng: np.random.Generator,
 ) -> Estimate:
     """Excitation probability at the observation time with dead-time filtering.
 
@@ -355,14 +357,12 @@ def saturated_excitation(
         raise ValueError("replicas must be >= 1")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    if rng is None:
-        rng = substream(0, 0x5A)
     tau = dev.dead_time
     t_c, t_obs = timing.t_c, timing.t_obs
     kappa, gamma = dev.kappa, dev.gamma
     r = dev.transition_rate
     mean = lam * t_c
-    block = max(1, min(replicas, int(max_block_elems / max(mean * 1.3 + 8.0, 8.0))))
+    block = max(1, min(replicas, int(_MAX_BLOCK_ELEMS / max(mean * 1.3 + 8.0, 8.0))))
 
     vals = np.empty(replicas)
     done = 0
@@ -748,8 +748,6 @@ class CutoffResult:
     n_cutoff: float
     n_grid: np.ndarray
     excitation: np.ndarray
-    peak_value: float
-    peak_index: int
 
 
 def cutoff_photon_number(operator: SurvivorOperator, n_grid: np.ndarray) -> CutoffResult:
@@ -779,9 +777,7 @@ def cutoff_photon_number(operator: SurvivorOperator, n_grid: np.ndarray) -> Cuto
         n_cut = n_grid[j]
     else:
         n_cut = math.exp(x0 + (math.log(half) - y0) * (x1 - x0) / (y1 - y0))
-    return CutoffResult(
-        n_cutoff=float(n_cut), n_grid=n_grid, excitation=exc, peak_value=peak, peak_index=peak_index,
-    )
+    return CutoffResult(n_cutoff=float(n_cut), n_grid=n_grid, excitation=exc)
 
 
 # the grids of scan_cutoff: a coarse one over 0.5 ... 0.5e7 mean photons,
@@ -835,12 +831,13 @@ class CutoffFit:
         return self.a * x**self.b + self.c
 
 
-def fit_cutoff_curve(
-    samples: Sequence[tuple],
-    init: tuple = (1.0, 1.0, 0.0),
-    max_iter: int = 200,
-    step_tol: float = 1e-12,
-) -> CutoffFit:
+# the start (a, b, c) of every fit_cutoff_curve, its iteration cap and its relative step tolerance
+_FIT_INIT = (1.0, 1.0, 0.0)
+_FIT_MAX_ITER = 200
+_FIT_STEP_TOL = 1e-12
+
+
+def fit_cutoff_curve(samples: Sequence[tuple]) -> CutoffFit:
     """Least-squares fit of a three-parameter power law on relative residuals.
 
     Levenberg-Marquardt damping with the analytic Jacobian; deterministic
@@ -857,7 +854,7 @@ def fit_cutoff_curve(
     if x[-1] / x[0] < 100.0 * (1 - 1e-9):
         raise ValueError("samples must span at least two decades")
 
-    theta = np.array(init, dtype=float)
+    theta = np.array(_FIT_INIT, dtype=float)
     lam_damp = 1e-3
 
     def residuals(th):
@@ -867,7 +864,7 @@ def fit_cutoff_curve(
     res = residuals(theta)
     cost = float(res @ res)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_FIT_MAX_ITER):
         a, b, c = theta
         xb = x**b
         jac = np.column_stack([xb / y, a * xb * np.log(x) / y, 1.0 / y])
@@ -892,11 +889,11 @@ def fit_cutoff_curve(
         if not step_ok:
             converged = True  # damping exhausted: at a (local) minimum
             break
-        if np.linalg.norm(delta) <= step_tol * (np.linalg.norm(theta) + step_tol):
+        if np.linalg.norm(delta) <= _FIT_STEP_TOL * (np.linalg.norm(theta) + _FIT_STEP_TOL):
             converged = True
             break
     if not converged:
-        raise FitConvergenceError(f"no convergence after {max_iter} iterations")
+        raise FitConvergenceError(f"no convergence after {_FIT_MAX_ITER} iterations")
     rms = math.sqrt(cost / x.size)
     return CutoffFit(a=float(theta[0]), b=float(theta[1]), c=float(theta[2]),
                      residual=rms, x_range=(float(x[0]), float(x[-1])))

@@ -42,6 +42,10 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+# the start of the message when t_c/tau falls below 4 with nothing swept
+WINDOW_KEYS = "timing.t_c_ns, device.alpha_sat, device.kappa_rad_per_s: closed forms require t_c/tau >= 4.0"
+
+
 class TestCommands:
     def test_detect(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -168,8 +172,14 @@ class TestExitCodes:
             ("cutoff-fit", ["sweeps.kappa_t_c={values: [1.0, 100.0, 1000.0, 10000.0]}"], "sweeps.kappa_t_c: 1.0: "),
             ("cutoff-fit", ["sweeps.kappa_t_c={values: [100.0, 1000.0]}"], "sweeps.kappa_t_c: [100.0, 1000.0]: "),
             ("saturation-sweep", ["sweeps.t_over_tau={values: [2.0]}"], "sweeps.t_over_tau: 2.0: "),
+            # t_c/tau below 4 at a swept kappa, or with nothing swept: the keys that set the ratio
+            ("saturation-sweep", ["sweeps.kappa_rad_per_s={values: [1e6]}"], "sweeps.kappa_rad_per_s: 1000000.0: "),
+            ("saturation-sweep", ["device.alpha_sat=500"], WINDOW_KEYS),
+            ("rate-sweep", ["link.saturation=true", "device.kappa_rad_per_s=1e6"], WINDOW_KEYS),
+            ("ber-sweep", ["link.saturation=true", "timing.t_c_ns=0.5"], WINDOW_KEYS),
         ],
-        ids=["pulse-length-off-nodes", "negative-mean", "window-too-short", "too-few-fit-samples", "t-over-tau-below-4"],
+        ids=["pulse-length-off-nodes", "negative-mean", "window-too-short", "too-few-fit-samples", "t-over-tau-below-4",
+             "swept-kappa-window", "alpha-sat-window", "saturated-rate-window", "saturated-ber-window"],
     )
     def test_rejected_sweep_value_names_its_key(self, config_file, tmp_path, capsys, command, overrides, start):
         argv = [command, "--config", str(config_file), "--out", str(tmp_path / "o")]

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import sys
@@ -6,7 +7,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+from photonlink import cli
 from photonlink.config import (
+    _MODELS,
+    _SECTIONS,
     DEFAULT_CONFIG,
     ExperimentConfig,
     GridAxis,
@@ -202,6 +206,35 @@ class TestExperimentConfig:
         assert cfg.mc.n_symbols == 5000
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(tmp_path / "missing.yaml")
+
+
+class TestSchema:
+    @pytest.mark.parametrize("section", ["device", "timing", "environment", "pulse"])
+    def test_schema_sets_each_physics_field_once(self, section):
+        fields = [f for _, _, f in _SECTIONS[section].values()]
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(_MODELS[section]))
+
+    def test_every_key_sets_a_field_that_a_command_reads(self):
+        cli_source = Path(cli.__file__).read_text(encoding="utf-8")
+        unread = []
+        for section, keys in _SECTIONS.items():
+            for key, (_, _, field) in keys.items():
+                if field is None:
+                    unread.append(f"{section}.{key}")
+                elif section in ("mc", "link", "detect"):
+                    attr = f"cfg.{section}.{field}" if section in _MODELS else f"cfg.{field}"
+                    assert attr in cli_source, attr
+        # the two keys that only the benchmark workloads set
+        assert unread == ["mc.mc_samples", "cutoff.replicas"]
+
+    def test_default_yaml_lists_the_schema_keys(self):
+        raw = yaml.safe_load(DEFAULT_YAML.read_text(encoding="utf-8"))
+        for section, keys in _SECTIONS.items():
+            assert sorted(raw[section]) == sorted(keys), section
+
+    def test_rejected_link_mode_names_its_value(self):
+        with pytest.raises(ConfigError, match="^link.mode: .*'soft'"):
+            ExperimentConfig.from_dict({"seed": 1, "link": {"mode": "soft"}})
 
 
 class TestOverrides:

@@ -112,11 +112,11 @@ class TestGivenArrivals:
 
 class TestGivenCount:
     def test_zero_photons(self):
-        est = excitation_given_count(0, T_C, DEV)
+        est = excitation_given_count(0, T_C, DEV, rng=substream(0, 0xD0))
         assert est.value == 0.0 and est.stderr == 0.0
 
     def test_one_photon_quadrature(self):
-        est = excitation_given_count(1, T_C, DEV)
+        est = excitation_given_count(1, T_C, DEV, rng=substream(0, 0xD0))
         # independent oracle: fixed-grid Simpson over the uniform arrival
         grid = np.linspace(0.0, T_C, 20001)
         vals = excited_kernel(T_C - grid, DEV.kappa, DEV.gamma)
@@ -156,7 +156,7 @@ class TestPoissonMixture:
         timing = CycleTiming(T_C, 35e-9, 48e-9)
         mean = 1e-3
         est = excitation_poisson(mean / T_C, timing, DEV, rng_seed=3)
-        single = excitation_given_count(1, T_C, DEV).value
+        single = excitation_given_count(1, T_C, DEV, rng=substream(0, 0xD0)).value
         decay = math.exp(-DEV.gamma * timing.delta_o)
         first_order = mean * math.exp(-mean) * single * decay
         assert est.value == pytest.approx(first_order, rel=0.02)
