@@ -27,6 +27,7 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .detection import excitation_ctmc
 from .errors import NumericsError
@@ -106,13 +107,13 @@ class CycleKernel:
         return self.exit_given_bit @ self.bit_given_entry
 
     def frame_stats(self, n: int) -> tuple:
-        """frame_stats_law of the bit chain at frame length n for first bits 0 and 1.
+        """frame_stats_law of the bit chain at frame length n: the tables of first bits 0 and 1.
 
-        Built on first use for each n, so the specs that share a kernel
-        (LinkConfig.build_spec) share its tables.
+        One call builds both, on first use for each n, so the specs that
+        share a kernel (LinkConfig.build_spec) share its tables.
         """
         if n not in self._frame_stats:
-            self._frame_stats[n] = tuple(frame_stats_law(self.bit_chain, b1, n) for b1 in (0, 1))
+            self._frame_stats[n] = frame_stats_law(self.bit_chain, n)
         return self._frame_stats[n]
 
 
@@ -157,9 +158,9 @@ def build_cycle_kernel(
 # -- exact law of the frame statistics ----------------------------------------
 _DROP = 1e-16  # cells below this probability are left out of a table
 # the kept cells hold the mass up to the rounding of the lgamma sums of
-# _log_arrangements, which grows as n log n: 3.9e-12 at n = 20000
+# the log arrangement counts, which grows as n log n: 3.9e-12 at n = 20000
 _MASS_TOL = 1e-9
-_MAX_CELLS = 1 << 22  # the largest window evaluated: about 58 bytes a cell at the peak, 0.25 GB
+_MAX_CELLS = 1 << 22  # the largest window evaluated: about 43 bytes a cell at the peak (tracemalloc), 0.18 GB
 
 
 def _bucket(x: np.ndarray, k: int) -> np.ndarray:
@@ -172,31 +173,35 @@ class FrameStatsLaw:
     """Law of (last bit, ones count, adjacent-ones count) of a frame with a
     given first bit, on the cells that carry its mass.
 
-    cells[:, i] is (bn, n1, n11) of cell i, log_count[i] the log of its
-    number of arrangements C(n1-1, r-1) C(n0-1, r0-1), which does not
-    depend on the chain, and cdf[i] the cumulative probability up to it,
-    with cdf[-1] = 1; mass is what the kept cells held before that
-    normalisation; bn1_from is the cdf of the last bn = 0 cell (-inf when
-    there is none).  The arrays are read-only, also in a copy that
-    arrives by pickle: one table can serve many specs
+    cells[:, i] is (bn, n1, n11) of cell i, prob[i] its probability and
+    log_count[i] the log of its number of arrangements C(n1-1, r-1)
+    C(n0-1, r0-1), which does not depend on the chain.  mass is what the
+    cells hold, prob.sum(), and cdf[i] the cumulative probability up to
+    cell i over that mass, with cdf[-1] = 1; bn1_from is the cdf of the
+    last bn = 0 cell (-inf when there is none).  The arrays are read-only,
+    also in a copy that arrives by pickle: one table can serve many specs
     (LinkConfig.build_spec).
     """
 
     cells: np.ndarray
-    cdf: np.ndarray
+    prob: np.ndarray
     log_count: np.ndarray
-    mass: float
+    cdf: np.ndarray = field(init=False)
+    mass: float = field(init=False)
     bn1_from: float = field(init=False)
 
     def __post_init__(self):
-        for a in (self.cells, self.cdf, self.log_count):
+        cdf = np.cumsum(self.prob)
+        object.__setattr__(self, "mass", float(self.prob.sum()))
+        object.__setattr__(self, "cdf", cdf / cdf[-1])
+        for a in (self.cells, self.prob, self.log_count, self.cdf):
             a.flags.writeable = False
         n_bn0 = int(np.count_nonzero(self.cells[0] == 0))
         object.__setattr__(self, "bn1_from", float(self.cdf[n_bn0 - 1]) if n_bn0 else -math.inf)
 
     def __reduce__(self):
         # rebuilt through __init__, which locks the arrays that unpickling hands over writeable
-        return FrameStatsLaw, (self.cells, self.cdf, self.log_count, self.mass)
+        return FrameStatsLaw, (self.cells, self.prob, self.log_count)
 
     @cached_property
     def _guide(self) -> np.ndarray:
@@ -254,52 +259,27 @@ def _pair_counts(b1, bn, n1, n11, n) -> tuple:
     return c00, c01, c10, c11
 
 
+def _pair_term(count, lq):
+    """count * lq, the log-probability of count pairs of chain log-probability lq.
+
+    A pair that never occurs contributes nothing, even at lq = -inf; at a
+    finite lq its term 0 * lq is a zero, which leaves a sum as it is.
+    """
+    return np.where(count == 0, 0.0, count * lq) if lq == -math.inf else count * lq
+
+
 def _pair_loglik(start, log_q, counts) -> np.ndarray:
     """start plus the log-probability of the _pair_counts counts under the chain log_q.
 
-    The terms count * log q are added to start in the order of counts.  A
-    pair that never occurs contributes nothing, even at lq = -inf; at a
-    finite lq its term 0 * lq is a zero, which leaves the sum as it is.
+    The _pair_term of each count is added to start in the order of counts,
+    the later ones in place: the c00 count has the shape of them all.
     """
+    terms = zip(counts, log_q.ravel())
     with np.errstate(invalid="ignore"):
-        for count, lq in zip(counts, log_q.ravel()):
-            start = start + (np.where(count == 0, 0.0, count * lq) if lq == -math.inf else count * lq)
-    return start
-
-
-def _log_arrangements(log_fact, b1, n, bn, n1, n11) -> tuple:
-    """(possible, log count) of frames with statistics (b1, bn, n1, n11), at broadcastable cell arrays.
-
-    A frame with n1 ones in r = n1 - n11 runs has r0 = r + 1 - b1 - bn
-    runs of n0 = n - n1 zeros.  It is one of C(n1-1, r-1) C(n0-1, r0-1)
-    arrangements, a count that does not depend on the chain; possible is
-    False where no frame has the statistics.
-    """
-    r = n1 - n11
-    n0 = n - n1
-    r0 = r + 1 - b1 - bn
-    # a block of zero elements has zero runs; every other block has at
-    # least one run and at most one per element
-    possible = (
-        (r >= b1) & (r >= bn) & (r <= n1) & (r0 <= n0) & ((r > 0) | (n1 == 0)) & ((r0 > 0) | (n0 == 0))
-    )
-
-    def log_compositions(total, parts):  # log C(total - 1, parts - 1); 0 at total = parts = 0
-        t, k = np.maximum(total - 1, 0), np.maximum(parts - 1, 0)
-        return log_fact[t] - log_fact[k] - log_fact[np.maximum(t - k, 0)]
-
-    return possible, log_compositions(n1, r) + log_compositions(n0, r0)
-
-
-def _frame_stats_logp(log_q, log_fact, b1, n, bn, n1, n11) -> tuple:
-    """(log P(bn, n1, n11 | b1), log count) at broadcastable cell arrays bn, n1 and n11.
-
-    Each of the _log_arrangements frames has the probability _pair_loglik
-    gives its _pair_counts; the log count is that of _log_arrangements.
-    """
-    possible, log_count = _log_arrangements(log_fact, b1, n, bn, n1, n11)
-    logp = np.where(possible, _pair_loglik(log_count, log_q, _pair_counts(b1, bn, n1, n11, n)), -np.inf)
-    return logp, log_count
+        out = start + _pair_term(*next(terms))
+        for count, lq in terms:
+            out += _pair_term(count, lq)
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -311,61 +291,150 @@ def _log_factorials(n: int) -> np.ndarray:
     return out
 
 
-def frame_stats_law(q: np.ndarray, b1: int, n: int) -> FrameStatsLaw:
-    """Exact law of (bn, n1, n11) of n bits of the Markov chain q started at bit b1.
+def _diagonals(table: np.ndarray, rows: int, cols: int, step: int) -> np.ndarray:
+    """A view of each row v of the C-contiguous table on a rows x cols window: out[k, i, j] = v[step (rows - 1 - i) + j].
+
+    For v over r = n1 - n11 from its largest value down (step 1), or over
+    2 n1 - n11 from its largest value down (step 2), out[k, i, j] is v at
+    the window cell (lo1 + i, lo11 + j).
+    """
+    item = table.itemsize
+    return as_strided(table[:, step * (rows - 1):], (table.shape[0], rows, cols),
+                      (table.strides[0], -step * item, item))
+
+
+def _window_laws(log_q: np.ndarray, n: int, b1s: tuple, lo1: int, hi1: int, lo11: int, hi11: int):
+    """Yield (b1, p, log_count) on the window lo1 <= n1 <= hi1, lo11 <= n11 <= hi11, for each b1 in b1s.
+
+    p[bn, i, j] is P(bn, n1 = lo1 + i, n11 = lo11 + j | b1) and
+    log_count[bn, i, j] the log of that cell's number of arrangements.  A
+    frame with n1 ones in r = n1 - n11 runs has r0 = r + 1 - b1 - bn runs
+    of n0 = n - n1 zeros, so it is one of C(n1-1, r-1) C(n0-1, r0-1)
+    arrangements, each of probability q00^c00 q01^c01 q10^c10 q11^c11 with
+    the _pair_counts c00 = n - 1 + b1 + bn - (2 n1 - n11), c01 = r - b1,
+    c10 = r - bn and c11 = n11.  Every term of the log is read from a 1-D
+    array over n1, over n11, over r or over 2 n1 - n11 (the last two
+    through _diagonals), and the terms are summed in the order
+    log C(n1-1, r-1), + log C(n0-1, r0-1), then the pair terms in
+    _pair_loglik's order.  log C(n1-1, r-1), which depends on neither
+    bit, is built once, and the log count once for each value of b1 + bn.
+    p is overwritten by the next first bit's table.
+
+    With 0 < n1 < n, a frame is possible exactly when r >= max(1, b1 + bn)
+    and c00 >= 0.  An impossible cell gets log count -inf from a log
+    (r0 - 1)! of +inf at r < max(1, b1 + bn), and pair term -inf at a
+    negative count.  That also holds every cell of the rows n1 = 0 and
+    n1 = n apart from the two frames of one repeated bit, which have one
+    arrangement each and get log count 0.
+    """
+    log_fact = _log_factorials(n)
+    rows, cols = hi1 - lo1 + 1, hi11 - lo11 + 1
+    n1 = np.arange(lo1, hi1 + 1)
+    n11 = np.arange(lo11, hi11 + 1)
+    r = np.arange(hi1 - lo11, lo1 - hi11 - 1, -1)  # n1 - n11 along the diagonals, largest first
+    c00 = n - 1 + np.arange(3)[:, None] - np.arange(2 * hi1 - lo11, 2 * lo1 - hi11 - 1, -1)  # at b1 + bn = 0, 1, 2
+
+    def lf(k):  # log k!, clipped into 0..n: an impossible cell reads a finite stand-in
+        return log_fact[np.minimum(np.maximum(k, 0), n)]
+
+    def pair_terms(count, lq):  # _pair_term, and -inf at a negative count
+        with np.errstate(invalid="ignore"):
+            out = _pair_term(count, lq)
+        out[count < 0] = -np.inf
+        return out
+
+    lq00, lq01, lq10, lq11 = log_q.ravel()
+    runs = r - np.arange(3)[:, None]  # r0 - 1 at b1 + bn = 0, 1, 2
+    at_r = _diagonals(np.concatenate([
+        lf(r - 1)[None],  # log (r-1)!
+        np.where((runs >= 0) & (r >= 1), lf(runs), np.inf),  # log (r0-1)!, +inf where impossible
+        pair_terms(runs[:2], lq01),  # c01 = r - b1
+        pair_terms(runs[:2], lq10),  # c10 = r - bn
+    ]), rows, cols, 1)
+    at_s = _diagonals(np.concatenate([lf(c00), pair_terms(c00, lq00)]), rows, cols, 2)
+    ones = lf(n1 - 1)[:, None] - at_r[0]  # log C(n1-1, r-1)
+    ones -= log_fact[n11]
+    log_count = np.empty((3, rows, cols))  # at b1 + bn = 0, 1, 2
+    for sigma in range(min(b1s), max(b1s) + 2):
+        np.subtract(lf(n - n1 - 1)[:, None], at_r[1 + sigma], out=log_count[sigma])
+        log_count[sigma] -= at_s[sigma]  # log C(n0-1, r0-1)
+        np.add(ones, log_count[sigma], out=log_count[sigma])
+    del ones
+    if lo1 == lo11 == 0:  # the frame of n zeros
+        log_count[0, 0, 0] = 0.0
+    if hi1 == n and hi11 == n - 1:  # the frame of n ones
+        log_count[2, -1, -1] = 0.0
+    t11 = pair_terms(n11, lq11)
+    p = np.empty((2, rows, cols))
+    for b1 in b1s:
+        np.add(log_count[b1 : b1 + 2], at_s[3 + b1 : 5 + b1], out=p)
+        p += at_r[4 + b1]
+        p += at_r[6:8]
+        p += t11
+        np.exp(p, out=p)
+        yield b1, p, log_count[b1 : b1 + 2]
+
+
+def frame_stats_law(q: np.ndarray, n: int) -> tuple:
+    """Exact laws of (bn, n1, n11) of n bits of the Markov chain q started at bit 0 and at bit 1.
 
     This is the runs theory of two-state Markov chains (Gabriel 1959; Fu
-    and Koutras 1994).  The table spans a window of (n1, n11) around the
+    and Koutras 1994).  Each table spans a window of (n1, n11) around the
     stationary means, 10 rough standard deviations wide; the window doubles
     until every cell on its edges, apart from the edges of the grid
-    itself, is below 1e-16.  Raises NumericsError when that window would
-    exceed _MAX_CELLS cells, or when its cells of probability >= 1e-16 do
-    not hold the mass up to rounding.
+    itself, is below 1e-16.  The two first bits share each window
+    (_window_laws), apart from a chain that never flips, whose mean is its
+    first bit.  Raises NumericsError when a window would exceed _MAX_CELLS
+    cells, or when a table's cells of probability >= 1e-16 do not hold the
+    mass up to rounding.
     """
     q = np.asarray(q, dtype=float)
     log_q = _log(q)
     # stationary means, and variances of the iid-pair approximation scaled
     # by (1 + l) / (1 - l), where l = 1 - flip is the second eigenvalue of q
     flip = q[0, 1] + q[1, 0]
-    pi1 = q[0, 1] / flip if flip > 0 else float(b1)
-    p11 = pi1 * q[1, 1]
-    spread = (2.0 - flip) / max(flip, 1e-9)
-    mean1, mean11 = n * pi1, n * p11
-    w1 = 10.0 * math.sqrt(n * pi1 * (1.0 - pi1) * spread) + 10.0
-    w11 = 10.0 * math.sqrt(n * p11 * (1.0 + 2.0 * q[1, 1] - 3.0 * p11) * spread) + 10.0
-    while True:
-        lo1, hi1 = max(0, math.floor(mean1 - w1)), min(n, math.ceil(mean1 + w1))
-        lo11, hi11 = max(0, math.floor(mean11 - w11)), min(n - 1, math.ceil(mean11 + w11))
-        size = 2 * (hi1 - lo1 + 1) * (hi11 - lo11 + 1)
-        if size > _MAX_CELLS:
-            raise NumericsError(f"frame statistics table of n = {n} needs a window of {size} cells")
-        grid = np.ix_(np.arange(2), np.arange(lo1, hi1 + 1), np.arange(lo11, hi11 + 1))
-        logp, log_count = _frame_stats_logp(log_q, _log_factorials(n), b1, n, *grid)
-        p = np.exp(logp)
-        del logp
-        # the edges of the window that are not edges of the grid
-        rim = np.zeros(p.shape, dtype=bool)
-        rim[:, 0] |= lo1 > 0
-        rim[:, -1] |= hi1 < n
-        rim[..., 0] |= lo11 > 0
-        rim[..., -1] |= hi11 < n - 1
-        if not np.any(p[rim] >= _DROP):
-            break
-        w1, w11 = 2.0 * w1, 2.0 * w11
-    keep = p >= _DROP
-    kept = p[keep]
-    mass = float(kept.sum())
-    if not abs(mass - 1.0) <= _MASS_TOL:
-        raise NumericsError(f"frame statistics table of n = {n} holds mass {mass!r}, not 1")
-    # np.nonzero walks the grid in C order: the cells are bn-major (FrameStatsLaw.last_bit)
-    bn_i, n1_i, n11_i = np.nonzero(keep)
-    cdf = np.cumsum(kept)
-    return FrameStatsLaw(
-        cells=np.stack([bn_i, n1_i + lo1, n11_i + lo11]),
-        cdf=cdf / cdf[-1],
-        log_count=log_count[keep],
-        mass=mass,
-    )
+    laws = [None, None]
+    for b1s in ((0, 1),) if flip > 0 else ((0,), (1,)):
+        pi1 = q[0, 1] / flip if flip > 0 else float(b1s[0])
+        p11 = pi1 * q[1, 1]
+        spread = (2.0 - flip) / max(flip, 1e-9)
+        mean1, mean11 = n * pi1, n * p11
+        w1 = 10.0 * math.sqrt(n * pi1 * (1.0 - pi1) * spread) + 10.0
+        w11 = 10.0 * math.sqrt(n * p11 * (1.0 + 2.0 * q[1, 1] - 3.0 * p11) * spread) + 10.0
+        while b1s:
+            lo1, hi1 = max(0, math.floor(mean1 - w1)), min(n, math.ceil(mean1 + w1))
+            lo11, hi11 = max(0, math.floor(mean11 - w11)), min(n - 1, math.ceil(mean11 + w11))
+            size = 2 * (hi1 - lo1 + 1) * (hi11 - lo11 + 1)
+            if size > _MAX_CELLS:
+                raise NumericsError(f"frame statistics table of n = {n} needs a window of {size} cells")
+            # the edges of the window that are not edges of the grid
+            edges = [e for e, is_open in ((np.s_[:, 0], lo1 > 0), (np.s_[:, -1], hi1 < n),
+                                          (np.s_[..., 0], lo11 > 0), (np.s_[..., -1], hi11 < n - 1)) if is_open]
+            for b1, p, log_count in _window_laws(log_q, n, b1s, lo1, hi1, lo11, hi11):
+                keep = p >= _DROP
+                if not any(keep[e].any() for e in edges):
+                    laws[b1] = _kept_law(keep, p, log_count, n, lo1, lo11)
+            b1s = tuple(b1 for b1 in b1s if laws[b1] is None)
+            w1, w11 = 2.0 * w1, 2.0 * w11
+    return tuple(laws)
+
+
+def _kept_law(keep: np.ndarray, p: np.ndarray, log_count: np.ndarray, n: int, lo1: int, lo11: int) -> FrameStatsLaw:
+    """The FrameStatsLaw of the cells keep of one _window_laws table."""
+    kept = np.flatnonzero(keep)  # C order: the cells are bn-major (FrameStatsLaw.last_bit)
+    rows, cols = keep.shape[1:]
+    # floor division by a scalar, several times faster than np.divmod
+    line = kept // cols  # bn rows + (n1 - lo1)
+    cells = np.empty((3, kept.size), dtype=kept.dtype)
+    np.floor_divide(line, rows, out=cells[0])
+    np.subtract(line, cells[0] * rows, out=cells[1])
+    cells[1] += lo1
+    np.subtract(kept, line * cols, out=cells[2])
+    cells[2] += lo11
+    law = FrameStatsLaw(cells=cells, prob=p.take(kept), log_count=log_count.take(kept))
+    if not abs(law.mass - 1.0) <= _MASS_TOL:
+        raise NumericsError(f"frame statistics table of n = {n} holds mass {law.mass!r}, not 1")
+    return law
 
 
 def frame_statistics(frames) -> tuple:
@@ -856,12 +925,12 @@ def rate_bracket(spec: HmmSpec) -> tuple:
     1 - H(S | Y, L, L'): a genie that reveals every entry level splits the
     chain into independent symbols.  Both are finite sums of
     w_s log2(2 w_s / (w_0 + w_1)), w_s = P(s, y, ...), taken for each
-    symbol s over the cells of its own HmmSpec.frame_stats tables, where
-    both symbols' probabilities are the table's log arrangement count
-    plus each symbol's pair terms; a cell missing from a table carries
-    less than 1e-16 under its symbol.  Both
-    are clipped to [0, 1], and the upper bound is held at or above the
-    lower one, which rounding can pass by 1e-14 near 1 bit.
+    symbol s over the cells of its own HmmSpec.frame_stats tables.  There
+    the symbol's own law is the table's prob, and the other symbol's is
+    the table's log arrangement count plus that symbol's pair terms; a
+    cell missing from a table carries less than 1e-16 under its symbol.
+    Both are clipped to [0, 1], and the upper bound is held at or above
+    the lower one, which rounding can pass by 1e-14 near 1 bit.
     """
     exit_ = spec.level_exit  # (level, symbol, level')
     # stationary law of P(l' | l) = sum_s P(l' | l, s) / 2; a chain that never
@@ -879,13 +948,19 @@ def rate_bracket(spec: HmmSpec) -> tuple:
         weight = np.concatenate([c.sum(axis=(0, 2))[None], c.transpose(0, 2, 1).reshape(4, 2)])
         for s in (0, 1):
             table = spec.frame_stats[s][b1]
-            # kept cells are possible: both symbols' law is the table's count plus their pair terms
-            counts = _pair_counts(b1, *table.cells, n)
-            law = np.exp([_pair_loglik(table.log_count, lq, counts) for lq in log_q])
-            w = weight[:, :, None] * law  # (term, symbol, cell)
+            # kept cells are possible: the other symbol's law is the table's count plus its pair terms
+            other = np.exp(_pair_loglik(table.log_count, log_q[1 - s], _pair_counts(b1, *table.cells, n)))
+            own = weight[:, s, None] * table.prob  # (term, cell)
+            # own * log2(2 own / (w_0 + w_1)) where own > 0, else 0, built in x
+            x = weight[:, 1 - s, None] * other
+            w = (own, x) if s == 0 else (x, own)  # (w_0, w_1)
+            np.add(*w, out=x)
             with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(w[:, s] > 0, w[:, s] * np.log2(2.0 * w[:, s] / w.sum(axis=1)), 0.0)
-            bits += terms.sum(axis=1)
+                np.divide(2.0 * own, x, out=x)
+                np.log2(x, out=x)
+                np.multiply(own, x, out=x)
+            np.copyto(x, 0.0, where=~(own > 0))
+            bits += x.sum(axis=1)
     lower = min(max(float(bits[0]), 0.0), 1.0)
     return lower, min(max(float(bits[1:].sum()), lower), 1.0)
 

@@ -281,16 +281,17 @@ class TestDeterminism:
         assert tables[0] == tables[1] == tables[2]
 
     def test_rate_sweep_builds_noise_tables_once(self, config_file, tmp_path, monkeypatch):
-        # 5 points: the two symbol-0 tables once, then two symbol-1 tables a point;
-        # a second call in the same process builds its own
+        # 5 points: one window evaluation for the symbol-0 chain, then one for each
+        # point's symbol-1 chain, each building both first-bit tables; a second
+        # call in the same process evaluates its own
         built = []
-        frame_stats_law = link.frame_stats_law
+        window_laws = link._window_laws
 
-        def counted(q, b1, n):
-            built.append((b1, n))
-            return frame_stats_law(q, b1, n)
+        def counted(log_q, n, *window):
+            built.append(window)
+            return window_laws(log_q, n, *window)
 
-        monkeypatch.setattr(link, "frame_stats_law", counted)
+        monkeypatch.setattr(link, "_window_laws", counted)
         outs = []
         for name, workers in (("a", "1"), ("b", "1"), ("w2", "2")):
             built.clear()
@@ -300,7 +301,7 @@ class TestDeterminism:
                 "--set", "sweeps.power_dbm={start: -154.0, stop: -146.0, points: 5, scale: linear}",
             ) == 0
             if workers == "1":
-                assert len(built) == 2 + 2 * 5, name
+                assert len(built) == 1 + 5, name
             outs.append((out / "rate_sweep" / "rate_sweep.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
@@ -337,24 +338,25 @@ class TestDeterminism:
     @pytest.mark.parametrize("command", ["rate-sweep", "ber-sweep"])
     def test_pool_tasks_carry_the_noise_tables(self, config_file, tmp_path, monkeypatch, command):
         # a pool task unpickles its own copy of the link config; the noise tables,
-        # built before the pool starts, travel with it: 2 + 2 * 5 builds for 5 points
+        # built before the pool starts, travel with it: 1 + 5 window evaluations
+        # (one per chain) for 5 points
         built = []
-        frame_stats_law = link.frame_stats_law
+        window_laws = link._window_laws
 
-        def counted(q, b1, n):
-            built.append((b1, n))
-            return frame_stats_law(q, b1, n)
+        def counted(log_q, n, *window):
+            built.append(window)
+            return window_laws(log_q, n, *window)
 
         def pickled_map(fn, payloads, workers):
             return [fn(*pickle.loads(pickle.dumps(args))) for args in payloads]
 
-        monkeypatch.setattr(link, "frame_stats_law", counted)
+        monkeypatch.setattr(link, "_window_laws", counted)
         monkeypatch.setattr(cli, "_parallel_map", pickled_map)
         assert run_cli(
             command, "--config", str(config_file), "--out", str(tmp_path / "o"), "--workers", "2",
             "--set", "sweeps.power_dbm={start: -154.0, stop: -146.0, points: 5, scale: linear}",
         ) == 0
-        assert len(built) == 2 + 2 * 5
+        assert len(built) == 1 + 5
 
     def test_manifest_hashes_reproducible(self, config_file, tmp_path):
         hashes = []

@@ -1,10 +1,12 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import os
 import pickle
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,14 @@ def ref_link_cfg(n=800):
     return LinkConfig(dev=dev, timing=TIMING, env=env)
 
 
+def zero_entry_cfg(n=800):
+    """ref_link_cfg with no thermal load and no reset error from ground: the
+    noise kernel's bit chain never leaves 0, so its log q01 is -inf."""
+    cfg = ref_link_cfg(n)
+    return dataclasses.replace(cfg, env=dataclasses.replace(cfg.env, t_e=0.0),
+                               dev=dataclasses.replace(cfg.dev, p_reset_g=0.0))
+
+
 def emissions(spec, run):
     """The emission table of a simulated run."""
     return spec.emission_loglik_stats(run.b1, run.bn, run.n1, run.n11)
@@ -83,6 +93,82 @@ def draw_frame_stats(spec, symbols, rng):
             law = spec.frame_stats[s][b1]
             out[:, b1, slots] = law.cells[:, np.searchsorted(law.cdf, u[b1, slots], side="right")]
     return out
+
+
+def _log_arrangements(log_fact, b1, n, bn, n1, n11) -> tuple:
+    """(possible, log count) of frames with statistics (b1, bn, n1, n11), at broadcastable cell arrays.
+
+    A frame with n1 ones in r = n1 - n11 runs has r0 = r + 1 - b1 - bn
+    runs of n0 = n - n1 zeros.  It is one of C(n1-1, r-1) C(n0-1, r0-1)
+    arrangements; possible is False where no frame has the statistics.
+    """
+    r = n1 - n11
+    n0 = n - n1
+    r0 = r + 1 - b1 - bn
+    # a block of zero elements has zero runs; every other block has at
+    # least one run and at most one per element
+    possible = (
+        (r >= b1) & (r >= bn) & (r <= n1) & (r0 <= n0) & ((r > 0) | (n1 == 0)) & ((r0 > 0) | (n0 == 0))
+    )
+
+    def log_compositions(total, parts):  # log C(total - 1, parts - 1); 0 at total = parts = 0
+        t, k = np.maximum(total - 1, 0), np.maximum(parts - 1, 0)
+        return log_fact[t] - log_fact[k] - log_fact[np.maximum(t - k, 0)]
+
+    return possible, log_compositions(n1, r) + log_compositions(n0, r0)
+
+
+def _frame_stats_logp(log_q, log_fact, b1, n, bn, n1, n11) -> tuple:
+    """(log P(bn, n1, n11 | b1), log count) at broadcastable cell arrays bn, n1 and n11.
+
+    The bitwise reference of link._window_laws: every cell evaluated
+    elementwise from its own statistics.
+    """
+    possible, log_count = _log_arrangements(log_fact, b1, n, bn, n1, n11)
+    logp = np.where(possible, link._pair_loglik(log_count, log_q, link._pair_counts(b1, bn, n1, n11, n)), -np.inf)
+    return logp, log_count
+
+
+def reference_frame_stats_law(q, b1, n):
+    """link.frame_stats_law's table of first bit b1, one first bit and one full-window mask at a time.
+
+    The bitwise reference of the shared-window builder: its own window
+    doubling, rim mask and kept-cell search.  Returns a namespace with
+    cells, cdf, log_count, prob and mass.
+    """
+    q = np.asarray(q, dtype=float)
+    log_q = link._log(q)
+    flip = q[0, 1] + q[1, 0]
+    pi1 = q[0, 1] / flip if flip > 0 else float(b1)
+    p11 = pi1 * q[1, 1]
+    spread = (2.0 - flip) / max(flip, 1e-9)
+    mean1, mean11 = n * pi1, n * p11
+    w1 = 10.0 * math.sqrt(n * pi1 * (1.0 - pi1) * spread) + 10.0
+    w11 = 10.0 * math.sqrt(n * p11 * (1.0 + 2.0 * q[1, 1] - 3.0 * p11) * spread) + 10.0
+    while True:
+        lo1, hi1 = max(0, math.floor(mean1 - w1)), min(n, math.ceil(mean1 + w1))
+        lo11, hi11 = max(0, math.floor(mean11 - w11)), min(n - 1, math.ceil(mean11 + w11))
+        if 2 * (hi1 - lo1 + 1) * (hi11 - lo11 + 1) > link._MAX_CELLS:
+            raise NumericsError("window too large")
+        grid = np.ix_(np.arange(2), np.arange(lo1, hi1 + 1), np.arange(lo11, hi11 + 1))
+        logp, log_count = _frame_stats_logp(log_q, link._log_factorials(n), b1, n, *grid)
+        p = np.exp(logp)
+        rim = np.zeros(p.shape, dtype=bool)
+        rim[:, 0] |= lo1 > 0
+        rim[:, -1] |= hi1 < n
+        rim[..., 0] |= lo11 > 0
+        rim[..., -1] |= hi11 < n - 1
+        if not np.any(p[rim] >= 1e-16):
+            break
+        w1, w11 = 2.0 * w1, 2.0 * w11
+    keep = p >= 1e-16
+    kept = p[keep]
+    bn_i, n1_i, n11_i = np.nonzero(keep)
+    cdf = np.cumsum(kept)
+    return types.SimpleNamespace(
+        cells=np.stack([bn_i, n1_i + lo1, n11_i + lo11]), cdf=cdf / cdf[-1],
+        log_count=log_count[keep], prob=kept, mass=float(kept.sum()),
+    )
 
 
 def coupled_chain_stats(spec, symbols, rng):
@@ -415,6 +501,38 @@ class TestFrameStatsLaw:
         k0, k1 = self.KERNELS[kernels]()
         assert frame_stats_enumeration_gap(HmmSpec(kernel0=k0, kernel1=k1, n_cycles=n)) < 1e-12
 
+    @staticmethod
+    def assert_equals_reference(laws, q, n, where):
+        # every array of both tables equals the one-first-bit reference, bit for bit
+        for b1, law in enumerate(laws):
+            ref = reference_frame_stats_law(q, b1, n)
+            for name in ("cells", "cdf", "log_count", "prob", "mass"):
+                got, want = np.asarray(getattr(law, name)), np.asarray(getattr(ref, name))
+                assert got.tolist() == want.tolist(), (where, n, b1, name)
+
+    @pytest.mark.parametrize("chain", [*sorted(KERNELS), "frozen", "alternating", "zero-entry"])
+    def test_tables_equal_reference(self, chain):
+        if chain in self.KERNELS:
+            qs = [k.bit_chain for k in self.KERNELS[chain]()]
+        elif chain == "zero-entry":
+            spec = zero_entry_cfg(800).build_spec(-150.0)
+            qs = [spec.kernel0.bit_chain, spec.kernel1.bit_chain]
+            assert spec.kernel0.bit_chain[0, 1] == 0.0
+        else:
+            qs = [np.eye(2) if chain == "frozen" else np.array([[0.0, 1.0], [1.0, 0.0]])]
+        for q in qs:
+            for n in (1, 2, 3, 6, 12, 800, 2000):
+                self.assert_equals_reference(link.frame_stats_law(q, n), q, n, chain)
+
+    @pytest.mark.parametrize("saturation", [False, True])
+    def test_link_workload_tables_equal_reference(self, saturation):
+        # every table of the link benchmark's sweep, the noise tables included
+        cfg = dataclasses.replace(ref_link_cfg(800), saturation=saturation)
+        for power in TestScansMatchLoops.POWERS:
+            spec = cfg.build_spec(power)
+            for s, laws in enumerate(spec.frame_stats):
+                self.assert_equals_reference(laws, spec.kernel(s).bit_chain, 800, (power, s))
+
     @pytest.mark.parametrize("kernels", ["ref-146dBm", "sticky"])
     def test_truncated_table_against_full_grid(self, kernels):
         # n = 800: the window keeps the full-grid cells of probability >= 1e-16
@@ -422,10 +540,9 @@ class TestFrameStatsLaw:
         log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
         for kern in self.KERNELS[kernels]():
             q = kern.bit_chain
-            for b1 in (0, 1):
-                law = link.frame_stats_law(q, b1, n)
+            for b1, law in enumerate(link.frame_stats_law(q, n)):
                 grid = np.ix_(range(2), range(n + 1), range(n))
-                full = np.exp(link._frame_stats_logp(np.log(q), log_fact, b1, n, *grid)[0])
+                full = np.exp(_frame_stats_logp(np.log(q), log_fact, b1, n, *grid)[0])
                 assert abs(full.sum() - 1.0) < 1e-12 and abs(law.mass - 1.0) < 1e-12
                 assert law.cdf[-1] == 1.0 and np.all(np.diff(law.cdf) >= 0)
                 kept = np.zeros(full.shape, dtype=bool)
@@ -439,8 +556,7 @@ class TestFrameStatsLaw:
         for q, want in ((np.eye(2), lambda b1: (b1, n * b1, (n - 1) * b1)),
                         (np.array([[0.0, 1.0], [1.0, 0.0]]),
                          lambda b1: ((b1 + n - 1) % 2, (n + b1) // 2, 0))):
-            for b1 in (0, 1):
-                law = link.frame_stats_law(q, b1, n)
+            for b1, law in enumerate(link.frame_stats_law(q, n)):
                 assert law.cells.T.tolist() == [list(want(b1))] and law.mass == 1.0
 
     @staticmethod
@@ -458,8 +574,8 @@ class TestFrameStatsLaw:
                 yield ("n = 1", s, b1), law
         for name, q in (("frozen", np.eye(2)), ("alternating", np.array([[0.0, 1.0], [1.0, 0.0]]))):
             for n in (1, 2, 800):
-                for b1 in (0, 1):
-                    yield (name, n, b1), link.frame_stats_law(q, b1, n)
+                for b1, law in enumerate(link.frame_stats_law(q, n)):
+                    yield (name, n, b1), law
 
     def test_guided_index_equals_searchsorted(self):
         # uniforms at every place where the bucket bounds could be off by one
@@ -494,7 +610,9 @@ class TestFrameStatsLaw:
         # 3.9e-12 (n = 20000) off 1; a window judged by that total doubled
         # toward the (n + 1) x n grid until memory ran out.  A child process
         # under a 2 GiB address-space cap builds the tables and checks their
-        # cells against a window twice as wide around them
+        # cells against a window twice as wide around them, by this module's
+        # reference law
+        reference = "".join(inspect.getsource(f) for f in (_log_arrangements, _frame_stats_logp))
         code = f"""
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -507,6 +625,7 @@ cfg = link.LinkConfig(
     timing=CycleTiming(230e-9, 35e-9, 48e-9),
     env=Environment(t_e=8.0, nu=1e10, cycles_per_symbol=n),
 )
+{reference}
 for power in (-160.0, -146.0):
     spec = cfg.build_spec(power)
     for s in (0, 1):
@@ -518,7 +637,7 @@ for power in (-160.0, -146.0):
             pad1, pad11 = (hi1 - lo1) // 2 + 1, (hi11 - lo11) // 2 + 1
             n1 = np.arange(max(0, lo1 - pad1), min(n, hi1 + pad1) + 1)
             n11 = np.arange(max(0, lo11 - pad11), min(n - 1, hi11 + pad11) + 1)
-            p = np.exp(link._frame_stats_logp(np.log(q), link._log_factorials(n), b1, n, *np.ix_(range(2), n1, n11))[0])
+            p = np.exp(_frame_stats_logp(np.log(q), link._log_factorials(n), b1, n, *np.ix_(range(2), n1, n11))[0])
             bn_i, n1_i, n11_i = np.nonzero(p >= 1e-16)
             assert np.array_equal(np.stack([bn_i, n1[n1_i], n11[n11_i]]), law.cells)
 print("ok")
@@ -544,7 +663,7 @@ print("ok")
                 idx = rng.integers(0, table.cells.shape[1], size=200)
                 bn, n1, n11 = table.cells[:, idx]
                 emis = spec.emission_loglik_stats(np.full(bn.size, b1), bn, n1, n11)
-                law, _ = link._frame_stats_logp(np.log(spec.kernel(s).bit_chain), log_fact, b1, n, bn, n1, n11)
+                law, _ = _frame_stats_logp(np.log(spec.kernel(s).bit_chain), log_fact, b1, n, bn, n1, n11)
                 count = np.array([log_compositions(k1, k1 - k11) + log_compositions(n - k1, k1 - k11 + 1 - b1 - kn)
                                   for kn, k1, k11 in zip(bn, n1, n11)])
                 # the table keeps the same count at its cells
@@ -564,10 +683,10 @@ print("ok")
             copy = pickle.loads(pickle.dumps(law))
             assert copy.bn1_from == law.bn1_from
             for table in (law, copy):
-                for name in ("cells", "cdf", "log_count", "_guide"):
+                for name in ("cells", "prob", "cdf", "log_count", "_guide"):
                     with pytest.raises(ValueError, match="read-only"):
                         getattr(table, name)[...] = 0
-            for name in ("cells", "cdf", "log_count", "_guide"):
+            for name in ("cells", "prob", "cdf", "log_count", "_guide"):
                 assert np.array_equal(getattr(copy, name), getattr(law, name))
 
     def test_shared_kernel_builds_tables_at_each_length(self):
@@ -577,15 +696,15 @@ print("ok")
             spec = HmmSpec(kernel0=k0, kernel1=k1, n_cycles=n)
             for s, laws in enumerate(spec.frame_stats):
                 for b1, law in enumerate(laws):
-                    fresh = link.frame_stats_law(spec.kernel(s).bit_chain, b1, n)
-                    for name in ("cells", "cdf", "log_count"):
+                    fresh = link.frame_stats_law(spec.kernel(s).bit_chain, n)[b1]
+                    for name in ("cells", "prob", "cdf", "log_count"):
                         assert np.array_equal(getattr(law, name), getattr(fresh, name)), (n, s, b1, name)
 
     def test_unbuildable_table_is_a_numerics_error(self):
         # a chain that almost never flips spreads the law over the whole grid
         q = np.array([[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]])
         with pytest.raises(NumericsError, match="cells"):
-            link.frame_stats_law(q, 0, 5000)
+            link.frame_stats_law(q, 5000)
 
     @pytest.mark.parametrize("mode", ["physical", "hmm"])
     @pytest.mark.parametrize("power", [-154.0, -150.0, -146.0])
@@ -764,7 +883,7 @@ def cell_law_rate_bracket(spec):
         weight = np.concatenate([c.sum(axis=(0, 2))[None], c.transpose(0, 2, 1).reshape(4, 2)])
         for s in (0, 1):
             cells = spec.frame_stats[s][b1].cells
-            law = np.exp([link._frame_stats_logp(lq, log_fact, b1, n, *cells)[0] for lq in log_q])
+            law = np.exp([_frame_stats_logp(lq, log_fact, b1, n, *cells)[0] for lq in log_q])
             w = weight[:, :, None] * law
             with np.errstate(divide="ignore", invalid="ignore"):
                 terms = np.where(w[:, s] > 0, w[:, s] * np.log2(2.0 * w[:, s] / w.sum(axis=1)), 0.0)
@@ -779,11 +898,18 @@ class TestRateBracket:
     @pytest.mark.parametrize("n, resets, power", [
         *((800, None, p) for p in (-170.0, -160.0, -156.5, -150.0, -146.0, -142.0)),
         *((100, (0.2, 0.6), p) for p in (-156.0, -150.0, -146.0)),
+        *((800, variant, p) for variant in ("saturated", "zero-entry") for p in (-156.0, -150.0, -146.0)),
     ])
     def test_equals_cell_law_form(self, n, resets, power):
-        # the table's kept count plus the pair terms is the full law, bit for bit
+        # each table's prob plus the other symbol's count and pair terms is the
+        # full law, bit for bit; resets is (p_reset_g, p_reset_e), or names the
+        # dead-time-filtered link or the chain with a zero entry
         cfg = ref_link_cfg(n)
-        if resets is not None:
+        if resets == "saturated":
+            cfg = dataclasses.replace(cfg, saturation=True)
+        elif resets == "zero-entry":
+            cfg = zero_entry_cfg(n)
+        elif resets is not None:
             dev = dataclasses.replace(cfg.dev, p_reset_g=resets[0], p_reset_e=resets[1])
             cfg = dataclasses.replace(cfg, dev=dev)
         spec = cfg.build_spec(power)
