@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
 import time
 from pathlib import Path
 
-from . import __version__, detection, figures, link, saturation
+from . import __version__, detection, link, saturation
 from .config import ExperimentConfig, apply_overrides, read_config_file
 from .errors import ConfigError, NumericsError
 from .physics import (
@@ -28,18 +29,6 @@ from .physics import (
 )
 from .report import SweepReport, write_frames
 from .rng import substream
-
-COMMANDS = (
-    "detect",
-    "pulse-sweep",
-    "miss-sweep",
-    "ber-sweep",
-    "rate-sweep",
-    "saturation-sweep",
-    "cutoff-fit",
-    "validate",
-)
-
 
 def _parallel_map(fn, payloads, workers: int) -> list:
     """fn(*args) for each args tuple of payloads, in order; results never depend on the worker count."""
@@ -78,8 +67,10 @@ class _Runner:
         self.outputs.append(path)
         return path
 
-    def write_figure(self, report: SweepReport, figure_id: str) -> Path:
-        return self.write_report(figures.emit_figure_data(report, figure_id), f"{figure_id}.csv")
+    def write_figure(self, figure_id: str, columns: tuple, rows: list) -> Path:
+        """Write <figure_id>.csv, the plot-ready table of one paper figure: the given columns of rows."""
+        figure = SweepReport(columns, [{c: row[c] for c in columns} for row in rows])
+        return self.write_report(figure, f"{figure_id}.csv")
 
     def finish(self) -> Path:
         manifest = {
@@ -145,7 +136,7 @@ def cmd_pulse_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     for row in rows:
         report.append(**row)
     runner.write_report(report, "pulse_sweep.csv")
-    runner.write_figure(report, "fig5")
+    runner.write_figure("fig5", report.columns, report.rows)
     return 0
 
 
@@ -161,7 +152,7 @@ def cmd_miss_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     ]
     report = detection.miss_probability_sweep(grid, cfg.timing, cfg.device, seed=cfg.seed)
     runner.write_report(report, "miss_sweep.csv")
-    runner.write_figure(report, "fig6")
+    runner.write_figure("fig6", ("lambda", "kappa", "gamma", "p_miss", "stderr"), report.rows)
     return 0
 
 
@@ -187,7 +178,7 @@ def _link_sweep(cfg: ExperimentConfig, runner: _Runner, metric: str, point, figu
     for row in _parallel_map(point, [(lcfg, *a) for a in args], cfg.workers):
         report.append(**row)
     runner.write_report(report, f"{metric}_sweep.csv")
-    runner.write_figure(report, figure_id)
+    runner.write_figure(figure_id, ("power_dbm", "kappa", "gamma", "n_cycles", metric, "stderr"), report.rows)
     return lcfg
 
 
@@ -233,7 +224,7 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
             delta_fig.append(t_over_tau=float(ratio), lambda_tau=float(a), delta=d)
     runner.write_report(surv, "survivors.csv")
     runner.write_report(delta_fig, "delta_lambda.csv")
-    runner.write_figure(delta_fig, "fig8")
+    runner.write_figure("fig8", delta_fig.columns, delta_fig.rows)
 
     # saturated excitation curves, correct and wrong reset: exact, so the
     # stderr and replicas columns read 0
@@ -261,8 +252,9 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
                     stderr=0.0, replicas=0, seed=cfg.seed,
                 )
     runner.write_report(exc, "saturation_excitation.csv")
-    runner.write_figure(exc, "fig11")
-    runner.write_figure(exc, "fig12")
+    for figure_id, reset in (("fig11", "correct"), ("fig12", "wrong")):
+        runner.write_figure(figure_id, ("mean_photons", "kappa", "excitation", "stderr"),
+                            [row for row in exc.rows if row["reset"] == reset])
     return 0
 
 
@@ -287,7 +279,7 @@ def cmd_cutoff_fit(cfg: ExperimentConfig, runner: _Runner) -> int:
     for row in rows:
         table.append(**row)
     runner.write_report(table, "cutoff_table.csv")
-    runner.write_figure(table, "fig13")
+    runner.write_figure("fig13", ("kappa", "t_c", "kappa_tc", "n_cutoff"), table.rows)
     with _config_keys(f"sweeps.kappa_t_c: {values.tolist()}"):
         fit = saturation.fit_cutoff_curve([(r["kappa_tc"], r["n_cutoff"]) for r in rows])
     runner.write_json(
@@ -307,7 +299,7 @@ def cmd_cutoff_fit(cfg: ExperimentConfig, runner: _Runner) -> int:
     return 0
 
 
-def cmd_validate(cfg: ExperimentConfig, runner: _Runner, level: str = "quick") -> int:
+def cmd_validate(cfg: ExperimentConfig, runner: _Runner, level: str) -> int:
     from . import validate  # only this command needs the oracle battery
 
     results = validate.run_checks(level=level, seed=cfg.seed)
@@ -327,23 +319,34 @@ def cmd_validate(cfg: ExperimentConfig, runner: _Runner, level: str = "quick") -
 
 # ---------------------------------------------------------------------------
 
+# command name -> handler(cfg, runner); cmd_validate also takes the --level
+COMMANDS = {
+    "detect": cmd_detect,
+    "pulse-sweep": cmd_pulse_sweep,
+    "miss-sweep": cmd_miss_sweep,
+    "ber-sweep": cmd_ber_sweep,
+    "rate-sweep": cmd_rate_sweep,
+    "saturation-sweep": cmd_saturation_sweep,
+    "cutoff-fit": cmd_cutoff_fit,
+    "validate": cmd_validate,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="photonlink",
         description="Three-level microwave photon detector and OOK link simulator.",
     )
     parser.add_argument("--version", action="version", version=f"photonlink {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="YAML experiment configuration")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="dotted-path config override")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=None, help="override the worker count")
-        p.add_argument("--out", default=None, help="output directory")
-        if name == "validate":
-            p.add_argument("--level", choices=("quick", "full"), default="quick")
+    parser.add_argument("command", choices=COMMANDS, help="the experiment to run")
+    parser.add_argument("--config", required=True, help="YAML experiment configuration")
+    parser.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY=VALUE", help="dotted-path config override")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--workers", type=int, default=None, help="override the worker count")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--level", choices=("quick", "full"),
+                        help="oracle battery level of validate (default quick)")
     return parser
 
 
@@ -358,26 +361,18 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-_DISPATCH = {
-    "detect": cmd_detect,
-    "pulse-sweep": cmd_pulse_sweep,
-    "miss-sweep": cmd_miss_sweep,
-    "ber-sweep": cmd_ber_sweep,
-    "rate-sweep": cmd_rate_sweep,
-    "saturation-sweep": cmd_saturation_sweep,
-    "cutoff-fit": cmd_cutoff_fit,
-}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    handler = COMMANDS[args.command]
+    if handler is cmd_validate:
+        handler = functools.partial(cmd_validate, level=args.level or "quick")
+    elif args.level is not None:
+        parser.error(f"argument --level: not allowed with {args.command}")
     try:
         cfg = _load_config(args)
         runner = _Runner(cfg, args.command, Path(cfg.output_dir))
-        if args.command == "validate":
-            status = cmd_validate(cfg, runner, level=args.level)
-        else:
-            status = _DISPATCH[args.command](cfg, runner)
+        status = handler(cfg, runner)
         manifest = runner.finish()
         print(f"wrote {len(runner.outputs)} file(s) under {runner.dir} (manifest: {manifest.name})")
         return status

@@ -239,7 +239,7 @@ class GridAxis:
     def from_dict(cls, d: Mapping, where: str) -> "GridAxis":
         _check_keys(d, ("values", "start", "stop", "points", "scale"), where)
         if "values" in d:
-            if any(k in d for k in ("start", "stop", "points")):
+            if any(k in d for k in ("start", "stop", "points", "scale")):
                 raise ConfigError(f"{where}: give either values or a range, not both")
             vals = d["values"]
             if not isinstance(vals, (list, tuple)) or not vals:

@@ -436,7 +436,7 @@ def miss_probability_sweep(
         p_exc = excitation_ctmc([grid[i][0] for i in idxs], timing, dev)
         p_capture[idxs] = detection_prob_single(p_exc, dev)
         p_readout[idxs] = readout_prob(p_capture[idxs], timing, dev)
-    report = SweepReport(columns=MISS_SWEEP_COLUMNS, meta={"seed": seed})
+    report = SweepReport(columns=MISS_SWEEP_COLUMNS)
     for (lam, kappa, gamma), p_cap, p_out in zip(grid, p_capture.tolist(), p_readout.tolist()):
         report.append(
             **{

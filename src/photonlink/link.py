@@ -1035,7 +1035,7 @@ def _link_columns(metric: str) -> tuple:
 
 
 def _link_report(metric: str) -> SweepReport:
-    return SweepReport(columns=_link_columns(metric), meta={"metric": metric})
+    return SweepReport(columns=_link_columns(metric))
 
 
 def _link_row(cfg: LinkConfig, metric: str, power_dbm: float, n_symbols: int, seed: int,

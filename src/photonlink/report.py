@@ -24,9 +24,6 @@ class Estimate:
         if self.stderr < 0:
             raise ValueError("stderr must be >= 0")
 
-    def scaled(self, factor: float) -> "Estimate":
-        return Estimate(self.value * factor, self.stderr * abs(factor))
-
 
 def format_number(x) -> str:
     """Deterministic CSV cell formatting.
@@ -61,7 +58,6 @@ class SweepReport:
 
     columns: Sequence[str]
     rows: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     def append(self, **cells) -> None:
         missing = set(self.columns) - set(cells)

@@ -499,10 +499,6 @@ class SurvivorOperator:
         inv = 1.0 / (G - R)
         b_r, b_g = G * inv, -R * inv  # B(v) = b_r e^{-R v} + b_g e^{-G v}
 
-        def D(v):
-            v = np.asarray(v, dtype=float)
-            return v * np.exp(-min(R, G) * v) * _phi(abs(G - R) * v)
-
         # block nodes; t_c = (n + rho) tau is snapped to 1e-9 tau
         blocks = t_c / tau
         n = int(math.floor(blocks + 1e-9))
@@ -540,7 +536,7 @@ class SurvivorOperator:
         run_r[:, i_r] = np.exp(-R * sigma)
         run_d = np.zeros((m + 1, size))
         run_d[:, :nh] = (in_r - in_g) * inv
-        run_d[:, i_r] = D(sigma)
+        run_d[:, i_r] = _conv(R, G, sigma)
         run_d[:, i_d] = np.exp(-G * sigma)
 
         # the lambda-dependent rows: the block map's new nodes 1..m, weighted by
@@ -555,7 +551,7 @@ class SurvivorOperator:
 
         # block map: h at the new nodes (the force rows, times lam e^{-lam}),
         # the window shifted by one block, the running sums and the constant
-        force_base = (math.exp(-2.0 * R) + R * D(2.0)) * run_r[new] + (R * math.exp(-2.0 * G)) * run_d[new]
+        force_base = (math.exp(-2.0 * R) + R * _conv(R, G, 2.0)) * run_r[new] + (R * math.exp(-2.0 * G)) * run_d[new]
         step = np.zeros((size, size))
         step[: m + 1, m:nh] = np.eye(m + 1)
         step[i_r] = run_r[m]
@@ -579,7 +575,7 @@ class SurvivorOperator:
         entry_ground = np.stack([1.0 - exc * np.exp(-G * (1.0 + x)), 1.0 - exc * np.exp(-G * (2.0 + x))])
 
         # readout on the window [n - 1, n + 1], where t_c sits at node m + end
-        readout_base = math.exp(-G) * run_d[end] + D(1.0) * run_r[end]
+        readout_base = math.exp(-G) * run_d[end] + _conv(R, G, 1.0) * run_r[end]
         return cls(
             tau=tau, t_c=t_c, rates=(R, G), enter_excited=bool(enter_excited), blocks=n, rho=rho,
             sigma=sigma, width=width, lags=lags, lag_index=back.reshape(dist.shape),

@@ -8,9 +8,6 @@ import pytest
 
 from photonlink import cli, link, saturation
 from photonlink.cli import main
-from photonlink.figures import emit_figure_data
-from photonlink.errors import ConfigError
-from photonlink.report import SweepReport
 
 BASE = """
 seed: 99
@@ -378,38 +375,39 @@ class TestDeterminism:
         assert texts[0] != texts[1]
 
 
-class TestFigureExtraction:
-    def test_unknown_figure(self):
-        rep = SweepReport(columns=("x",))
-        rep.append(x=1.0)
-        with pytest.raises(ConfigError):
-            emit_figure_data(rep, "fig99")
+class TestParser:
+    """The argument grammar: a usage error exits 2 before any config is read."""
 
-    def test_empty_report(self):
-        rep = SweepReport(columns=("t_over_tau", "lambda_tau", "delta"))
-        with pytest.raises(ConfigError):
-            emit_figure_data(rep, "fig8")
+    @pytest.mark.parametrize(
+        "argv",
+        [["detect"], ["simulate", "--config", "{config}"], ["ber-sweep", "--config", "{config}", "--level", "full"]],
+        ids=["missing-config", "unknown-command", "level-outside-validate"],
+    )
+    def test_usage_error_exits_2(self, config_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*(a.format(config=config_file) for a in argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: photonlink")
 
-    def test_missing_columns(self):
-        rep = SweepReport(columns=("x",))
-        rep.append(x=1.0)
-        with pytest.raises(ConfigError):
-            emit_figure_data(rep, "fig8")
+    @pytest.mark.parametrize("extra, level", [([], "quick"), (["--level", "full"], "full")], ids=["default", "full"])
+    def test_validate_level_reaches_the_battery(self, config_file, tmp_path, monkeypatch, extra, level):
+        from photonlink import validate as validate_mod
 
-    def test_fig8_schema(self):
-        rep = SweepReport(columns=("t_over_tau", "lambda_tau", "delta"))
-        rep.append(t_over_tau=4.0, lambda_tau=0.1, delta=0.007)
-        out = emit_figure_data(rep, "fig8")
-        assert out.to_csv_text().splitlines()[0] == "t_over_tau,lambda_tau,delta"
+        levels = []
 
-    def test_cutoff_table_feeds_fig13(self):
-        rep = SweepReport(columns=("kappa", "t_c", "gamma", "kappa_tc", "n_cutoff"))
-        rep.append(kappa=1e9, t_c=230e-9, gamma=0.0, kappa_tc=230.0, n_cutoff=700.0)
-        f13 = emit_figure_data(rep, "fig13")
-        assert list(f13.columns) == ["kappa", "t_c", "kappa_tc", "n_cutoff"]
-        # cutoff-fit pins gamma = 0, so no command can fill a cutoff-versus-gamma figure
-        with pytest.raises(ConfigError):
-            emit_figure_data(rep, "fig14")
+        def run_checks(level, seed):
+            levels.append(level)
+            return []
+
+        monkeypatch.setattr(validate_mod, "run_checks", run_checks)
+        assert run_cli("validate", "--config", str(config_file), "--out", str(tmp_path / "o"), *extra) == 0
+        assert levels == [level]
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--version")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "photonlink 0.5.1\n"
 
 
 def test_saturation_barely_moves_the_rate(tmp_path):

@@ -78,8 +78,10 @@ class TestGridAxis:
         assert axis.resolve().tolist() == pytest.approx([1.0, 10.0, 100.0])
 
     def test_rejects_mixed(self):
-        with pytest.raises(ConfigError):
-            GridAxis.from_dict({"values": [1], "start": 0}, "t")
+        # scale is a range key too: beside values the canonical form, and so the hash, would drop it
+        for extra in ({"start": 0}, {"scale": "log"}, {"scale": "bogus"}):
+            with pytest.raises(ConfigError, match="^t: give either values or a range, not both"):
+                GridAxis.from_dict({"values": [1], **extra}, "t")
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ConfigError):

@@ -49,10 +49,6 @@ class TestSweepReport:
 
 
 class TestEstimate:
-    def test_scaling(self):
-        e = Estimate(0.5, 0.1).scaled(-2.0)
-        assert (e.value, e.stderr) == (-1.0, 0.2)
-
     def test_rejects_negative_stderr(self):
         with pytest.raises(ValueError):
             Estimate(0.0, -1.0)
