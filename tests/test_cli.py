@@ -375,6 +375,40 @@ class TestDeterminism:
         assert texts[0] != texts[1]
 
 
+class TestFigureExtraction:
+    """A figure file is the named columns, in order, of the rows its command keeps."""
+
+    def test_fig8_schema(self, config_file, tmp_path):
+        from photonlink.config import ExperimentConfig
+        from photonlink.report import SweepReport
+
+        runner = cli._Runner(ExperimentConfig.from_file(config_file), "saturation-sweep", tmp_path)
+        rep = SweepReport(columns=("t_over_tau", "lambda_tau", "delta"))
+        rep.append(t_over_tau=4.0, lambda_tau=0.1, delta=0.007)
+        path = runner.write_figure("fig8", rep.columns, rep.rows)
+        assert path == tmp_path / "saturation_sweep" / "fig8.csv"
+        assert path.read_text().splitlines()[0] == "t_over_tau,lambda_tau,delta"
+        assert path in runner.outputs
+
+    def test_cutoff_table_feeds_fig13(self, config_file, tmp_path, monkeypatch):
+        def cutoff_point(cfg, kappa_tc):
+            t_c = cfg.timing.t_c
+            return {"kappa": kappa_tc / t_c, "t_c": t_c, "gamma": 0.0, "kappa_tc": kappa_tc,
+                    "n_cutoff": 2.0 * kappa_tc**1.1}
+
+        monkeypatch.setattr(cli, "_cutoff_point", cutoff_point)
+        out = tmp_path / "out"
+        assert run_cli("cutoff-fit", "--config", str(config_file), "--out", str(out)) == 0
+        table = (out / "cutoff_fit" / "cutoff_table.csv").read_text().splitlines()
+        fig13 = (out / "cutoff_fit" / "fig13.csv").read_text().splitlines()
+        assert table[0] == "kappa,t_c,gamma,kappa_tc,n_cutoff"
+        assert fig13[0] == "kappa,t_c,kappa_tc,n_cutoff"
+        # fig13 is cutoff_table.csv without its gamma column, row for row
+        assert fig13[1:] == [",".join(f for i, f in enumerate(line.split(",")) if i != 2) for line in table[1:]]
+        # cutoff-fit pins gamma = 0, so no command fills a cutoff-versus-gamma figure
+        assert not (out / "cutoff_fit" / "fig14.csv").exists()
+
+
 class TestParser:
     """The argument grammar: a usage error exits 2 before any config is read."""
 
