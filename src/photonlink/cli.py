@@ -37,7 +37,7 @@ def _parallel_map(fn, payloads, workers: int) -> list:
         return [fn(*args) for args in items]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only workers > 1 need it
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, *zip(*items)))
 
 
@@ -52,7 +52,10 @@ class _Runner:
         self.cfg = cfg
         self.command = command
         self.dir = out_dir / command.replace("-", "_")
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output_dir: {exc}") from None
         self.outputs: list[Path] = []
         self.t0 = time.monotonic()
 
@@ -69,7 +72,7 @@ class _Runner:
 
     def write_figure(self, figure_id: str, columns: tuple, rows: list) -> Path:
         """Write <figure_id>.csv, the plot-ready table of one paper figure: the given columns of rows."""
-        figure = SweepReport(columns, [{c: row[c] for c in columns} for row in rows])
+        figure = SweepReport([{c: row[c] for c in columns} for row in rows])
         return self.write_report(figure, f"{figure_id}.csv")
 
     def finish(self) -> Path:
@@ -131,10 +134,7 @@ def cmd_pulse_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     lengths = cfg.axis("pulse_length_ns") * 1e-9
     gammas = cfg.axis("gamma_rad_per_s", cfg.device.gamma)
     payloads = [(cfg, float(l), cfg.device.kappa, float(g)) for g in gammas for l in lengths]
-    rows = _parallel_map(_pulse_point, payloads, cfg.workers)
-    report = SweepReport(columns=("l_ns", "kappa", "gamma", "efficiency"))
-    for row in rows:
-        report.append(**row)
+    report = SweepReport(_parallel_map(_pulse_point, payloads, cfg.workers))
     runner.write_report(report, "pulse_sweep.csv")
     runner.write_figure("fig5", report.columns, report.rows)
     return 0
@@ -156,27 +156,16 @@ def cmd_miss_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     return 0
 
 
-def _link_cfg(cfg: ExperimentConfig) -> link.LinkConfig:
-    return link.LinkConfig(
-        dev=cfg.device,
-        timing=cfg.timing,
-        env=cfg.environment,
-        saturation=cfg.link.saturation,
-    )
-
-
 def _link_sweep(cfg: ExperimentConfig, runner: _Runner, metric: str, point, figure_id: str,
                 args) -> link.LinkConfig:
     """Write <metric>_sweep.csv and its figure: one row point(link config, *a) for each a in args.
 
     Returns the link config, so later work of the same command shares its noise kernel and tables.
     """
-    lcfg = _link_cfg(cfg)
+    lcfg = link.LinkConfig(dev=cfg.device, timing=cfg.timing, env=cfg.environment, saturation=cfg.link.saturation)
     with _config_keys(_WINDOW_KEYS):  # a saturated link builds its dead-time operator here
         lcfg.noise_tables()  # before the pool starts, so that every task's copy of lcfg carries them
-    report = link._link_report(metric)
-    for row in _parallel_map(point, [(lcfg, *a) for a in args], cfg.workers):
-        report.append(**row)
+    report = SweepReport(_parallel_map(point, [(lcfg, *a) for a in args], cfg.workers))
     runner.write_report(report, f"{metric}_sweep.csv")
     runner.write_figure(figure_id, ("power_dbm", "kappa", "gamma", "n_cycles", metric, "stderr"), report.rows)
     return lcfg
@@ -206,8 +195,7 @@ def cmd_rate_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
 def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     # survivor statistics and the dispersion gap on normalized axes
     tau = cfg.device.dead_time
-    surv = SweepReport(columns=("lambda", "tau", "t_c", "mean", "var", "delta", "regime"))
-    delta_fig = SweepReport(columns=("t_over_tau", "lambda_tau", "delta"))
+    surv, delta_rows = [], []
     for ratio in cfg.axis("t_over_tau"):
         t_c = ratio * tau
         for a in cfg.axis("lambda_tau"):
@@ -215,27 +203,21 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
             with _config_keys(f"sweeps.t_over_tau: {ratio}"):
                 m = saturation.survivor_moments_poisson(lam, tau, t_c)
                 d = saturation.delta_lambda(lam, tau, t_c)
-            surv.append(
-                **{
-                    "lambda": lam, "tau": tau, "t_c": t_c, "mean": m.mean,
-                    "var": m.variance, "delta": d, "regime": m.regime,
-                }
-            )
-            delta_fig.append(t_over_tau=float(ratio), lambda_tau=float(a), delta=d)
-    runner.write_report(surv, "survivors.csv")
-    runner.write_report(delta_fig, "delta_lambda.csv")
-    runner.write_figure("fig8", delta_fig.columns, delta_fig.rows)
+            surv.append({
+                "lambda": lam, "tau": tau, "t_c": t_c, "mean": m.mean,
+                "var": m.variance, "delta": d, "regime": m.regime,
+            })
+            delta_rows.append({"t_over_tau": float(ratio), "lambda_tau": float(a), "delta": d})
+    runner.write_report(SweepReport(surv), "survivors.csv")
+    delta_table = SweepReport(delta_rows)
+    runner.write_report(delta_table, "delta_lambda.csv")
+    runner.write_figure("fig8", delta_table.columns, delta_rows)
 
     # saturated excitation curves, correct and wrong reset: exact, so the
     # stderr and replicas columns read 0
     means = cfg.axis("mean_photons")
     kappas = cfg.axis("kappa_rad_per_s", cfg.device.kappa)
-    exc = SweepReport(
-        columns=(
-            "mean_photons", "lambda", "kappa", "gamma", "t_c", "reset",
-            "excitation", "stderr", "replicas", "seed",
-        )
-    )
+    exc = []
     for enter_excited in (False, True):
         for kappa in kappas:
             where = f"sweeps.kappa_rad_per_s: {kappa}" if "kappa_rad_per_s" in cfg.sweeps else _WINDOW_KEYS
@@ -245,16 +227,16 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
                     means / cfg.timing.t_c, cfg.timing, dev, enter_excited=enter_excited
                 )
             for mean, value in zip(means, values):
-                exc.append(
-                    mean_photons=float(mean), **{"lambda": float(mean) / cfg.timing.t_c},
-                    kappa=float(kappa), gamma=cfg.device.gamma, t_c=cfg.timing.t_c,
-                    reset="wrong" if enter_excited else "correct", excitation=float(value),
-                    stderr=0.0, replicas=0, seed=cfg.seed,
-                )
-    runner.write_report(exc, "saturation_excitation.csv")
+                exc.append({
+                    "mean_photons": float(mean), "lambda": float(mean) / cfg.timing.t_c,
+                    "kappa": float(kappa), "gamma": cfg.device.gamma, "t_c": cfg.timing.t_c,
+                    "reset": "wrong" if enter_excited else "correct", "excitation": float(value),
+                    "stderr": 0.0, "replicas": 0, "seed": cfg.seed,
+                })
+    runner.write_report(SweepReport(exc), "saturation_excitation.csv")
     for figure_id, reset in (("fig11", "correct"), ("fig12", "wrong")):
         runner.write_figure(figure_id, ("mean_photons", "kappa", "excitation", "stderr"),
-                            [row for row in exc.rows if row["reset"] == reset])
+                            [row for row in exc if row["reset"] == reset])
     return 0
 
 
@@ -275,11 +257,8 @@ def _cutoff_point(cfg: ExperimentConfig, kappa_tc: float) -> dict:
 def cmd_cutoff_fit(cfg: ExperimentConfig, runner: _Runner) -> int:
     values = cfg.axis("kappa_t_c")
     rows = _parallel_map(_cutoff_point, [(cfg, float(v)) for v in values], cfg.workers)
-    table = SweepReport(columns=("kappa", "t_c", "gamma", "kappa_tc", "n_cutoff"))
-    for row in rows:
-        table.append(**row)
-    runner.write_report(table, "cutoff_table.csv")
-    runner.write_figure("fig13", ("kappa", "t_c", "kappa_tc", "n_cutoff"), table.rows)
+    runner.write_report(SweepReport(rows), "cutoff_table.csv")
+    runner.write_figure("fig13", ("kappa", "t_c", "kappa_tc", "n_cutoff"), rows)
     with _config_keys(f"sweeps.kappa_t_c: {values.tolist()}"):
         fit = saturation.fit_cutoff_curve([(r["kappa_tc"], r["n_cutoff"]) for r in rows])
     runner.write_json(
@@ -290,12 +269,12 @@ def cmd_cutoff_fit(cfg: ExperimentConfig, runner: _Runner) -> int:
         },
         "fit.json",
     )
-    fig = SweepReport(columns=("kappa_tc", "n_cutoff", "kind"))
-    for row in rows:
-        fig.append(kappa_tc=row["kappa_tc"], n_cutoff=row["n_cutoff"], kind="simulated")
-    for x in saturation.log_grid(fit.x_range[0], fit.x_range[1], 10):
-        fig.append(kappa_tc=float(x), n_cutoff=float(fit.predict(x)), kind="fit")
-    runner.write_report(fig, "fig15.csv")
+    fig = [{"kappa_tc": row["kappa_tc"], "n_cutoff": row["n_cutoff"], "kind": "simulated"} for row in rows]
+    fig += [
+        {"kappa_tc": float(x), "n_cutoff": float(fit.predict(x)), "kind": "fit"}
+        for x in saturation.log_grid(fit.x_range[0], fit.x_range[1], 10)
+    ]
+    runner.write_report(SweepReport(fig), "fig15.csv")
     return 0
 
 

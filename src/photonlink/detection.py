@@ -45,7 +45,6 @@ __all__ = [
     "excitation_ctmc",
     "mc_detector",
     "miss_probability_sweep",
-    "MISS_SWEEP_COLUMNS",
 ]
 
 _DEFAULT_MC_SAMPLES = 100_000
@@ -395,22 +394,6 @@ def mc_detector(
     )
 
 
-MISS_SWEEP_COLUMNS = (
-    "lambda",
-    "kappa",
-    "gamma",
-    "t_c",
-    "delta_o",
-    "t_w",
-    "p_capture",
-    "p_readout",
-    "p_miss",
-    "stderr",
-    "replicas",
-    "seed",
-)
-
-
 def miss_probability_sweep(
     grid: Sequence[tuple],
     timing: CycleTiming,
@@ -436,22 +419,20 @@ def miss_probability_sweep(
         p_exc = excitation_ctmc([grid[i][0] for i in idxs], timing, dev)
         p_capture[idxs] = detection_prob_single(p_exc, dev)
         p_readout[idxs] = readout_prob(p_capture[idxs], timing, dev)
-    report = SweepReport(columns=MISS_SWEEP_COLUMNS)
-    for (lam, kappa, gamma), p_cap, p_out in zip(grid, p_capture.tolist(), p_readout.tolist()):
-        report.append(
-            **{
-                "lambda": lam,
-                "kappa": kappa,
-                "gamma": gamma,
-                "t_c": timing.t_c,
-                "delta_o": timing.delta_o,
-                "t_w": timing.t_w,
-                "p_capture": p_cap,
-                "p_readout": p_out,
-                "p_miss": 1.0 - p_out,
-                "stderr": 0.0,
-                "replicas": 0,
-                "seed": seed,
-            }
-        )
-    return report
+    return SweepReport([
+        {
+            "lambda": lam,
+            "kappa": kappa,
+            "gamma": gamma,
+            "t_c": timing.t_c,
+            "delta_o": timing.delta_o,
+            "t_w": timing.t_w,
+            "p_capture": p_cap,
+            "p_readout": p_out,
+            "p_miss": 1.0 - p_out,
+            "stderr": 0.0,
+            "replicas": 0,
+            "seed": seed,
+        }
+        for (lam, kappa, gamma), p_cap, p_out in zip(grid, p_capture.tolist(), p_readout.tolist())
+    ])

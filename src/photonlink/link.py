@@ -40,7 +40,7 @@ from .physics import (
     readout_prob,
     thermal_photon_rate,
 )
-from .report import Estimate, SweepReport
+from .report import Estimate
 from .rng import substream
 # saturated_excitation is not used here; the benchmark tracer looks it up in this module
 from .saturation import SurvivorOperator, saturated_excitation  # noqa: F401
@@ -63,7 +63,6 @@ __all__ = [
     "wilson_stderr",
     "ber_point",
     "rate_point",
-    "LINK_SWEEP_COLUMNS",
 ]
 
 GROUND, EXCITED = 0, 1
@@ -1016,36 +1015,21 @@ class LinkConfig:
         return HmmSpec(kernel0=self._noise_kernel, kernel1=kernel1, n_cycles=self.env.cycles_per_symbol)
 
 
-LINK_SWEEP_COLUMNS = (
-    "power_dbm",
-    "lambda_t_c",
-    "n_e",
-    "value",
-    "stderr",
-    "n_symbols",
-    "kappa",
-    "gamma",
-    "n_cycles",
-    "seed",
-)
-
-
-def _link_columns(metric: str) -> tuple:
-    return tuple(metric if c == "value" else c for c in LINK_SWEEP_COLUMNS)
-
-
-def _link_report(metric: str) -> SweepReport:
-    return SweepReport(columns=_link_columns(metric))
-
-
 def _link_row(cfg: LinkConfig, metric: str, power_dbm: float, n_symbols: int, seed: int,
               value: float, stderr: float) -> dict:
     """One link sweep row: the metric's value and stderr beside the columns every link sweep shares."""
-    cells = (
-        float(power_dbm), power_to_rate(power_dbm, cfg.env.nu) * cfg.timing.t_c, cfg.n_e, value, stderr,
-        n_symbols, cfg.dev.kappa, cfg.dev.gamma, cfg.env.cycles_per_symbol, seed,
-    )
-    return dict(zip(_link_columns(metric), cells))
+    return {
+        "power_dbm": float(power_dbm),
+        "lambda_t_c": power_to_rate(power_dbm, cfg.env.nu) * cfg.timing.t_c,
+        "n_e": cfg.n_e,
+        metric: value,
+        "stderr": stderr,
+        "n_symbols": n_symbols,
+        "kappa": cfg.dev.kappa,
+        "gamma": cfg.dev.gamma,
+        "n_cycles": cfg.env.cycles_per_symbol,
+        "seed": seed,
+    }
 
 
 def ber_point(

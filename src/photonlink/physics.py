@@ -167,10 +167,6 @@ class CycleTiming:
                 raise ParameterError(name, f"{name} must be > 0, got {getattr(self, name)}")
 
     @property
-    def period(self) -> float:
-        return self.t_c + self.delta_o + self.t_w
-
-    @property
     def t_obs(self) -> float:
         """Observation instant measured from the start of the capture stage."""
         return self.t_c + self.delta_o

@@ -4,9 +4,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -52,22 +51,17 @@ def format_number(x) -> str:
     return str(x)
 
 
-@dataclass
 class SweepReport:
-    """Tabular sweep result: fixed column order, one dict per row."""
+    """Tabular sweep result: one dict per row, the columns the key order of the first row."""
 
-    columns: Sequence[str]
-    rows: list = field(default_factory=list)
-
-    def append(self, **cells) -> None:
-        missing = set(self.columns) - set(cells)
-        extra = set(cells) - set(self.columns)
-        if missing or extra:
-            raise ValueError(f"row keys mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        self.rows.append(dict(cells))
-
-    def column(self, name: str) -> list:
-        return [row[name] for row in self.rows]
+    def __init__(self, rows: list):
+        if not rows:
+            raise ValueError("a report needs at least one row")
+        self.columns = tuple(rows[0])
+        for row in rows:
+            if tuple(row) != self.columns:
+                raise ValueError(f"row keys {list(row)} differ from the columns {list(self.columns)}")
+        self.rows = rows
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()

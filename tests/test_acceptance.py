@@ -71,8 +71,8 @@ def test_c06_pulse_and_miss_shapes():
     means = np.geomspace(0.05, 5.0, 8)
     grid = [(m / REF_TIMING.t_c, REF_DEV.kappa, REF_DEV.gamma) for m in means]
     rep = detection.miss_probability_sweep(grid, REF_TIMING, REF_DEV, seed=SEED)
-    miss = rep.column("p_miss")
-    err = rep.column("stderr")
+    miss = [row["p_miss"] for row in rep.rows]
+    err = [row["stderr"] for row in rep.rows]
     lam_monotone = all(miss[i + 1] <= miss[i] + 3 * (err[i] + err[i + 1]) for i in range(len(miss) - 1))
     lam_fixed = 0.5 / REF_TIMING.t_c
     rep_k = detection.miss_probability_sweep(

@@ -203,6 +203,14 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "config" and err["message"].startswith("device.alpha_sat: "), err["message"]
 
+    def test_uncreatable_output_dir(self, config_file, tmp_path, capsys):
+        # --out names a regular file, so no directory can be made under it
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli("detect", "--config", str(config_file), "--out", str(blocker)) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config" and err["message"].startswith("output_dir: "), err["message"]
+
     def test_numerics_error_exit_code(self, config_file, tmp_path):
         # at kappa t_c = 1e6 the excitation never drops 3 dB within the scan's photon numbers
         code = run_cli(
@@ -240,6 +248,36 @@ class TestDeterminism:
             ) == 0
             outs.append((out / "miss_sweep" / "miss_sweep.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_worker_count_capped_at_points(self, config_file, tmp_path, monkeypatch):
+        # a pool never starts more processes than there are grid points; the fake
+        # pool records its size and maps in this process, so it starts none
+        import concurrent.futures
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        texts = []
+        for workers in ("1", "64"):
+            out = tmp_path / workers
+            assert run_cli("cutoff-fit", "--config", str(config_file), "--out", str(out), "--workers", workers) == 0
+            texts.append([(out / "cutoff_fit" / name).read_bytes()
+                          for name in ("cutoff_table.csv", "fig13.csv", "fit.json", "fig15.csv")])
+        assert sizes == [4]  # the 4 values of sweeps.kappa_t_c
+        assert texts[0] == texts[1]
 
     def test_saturated_outputs_worker_independent(self, config_file, tmp_path):
         outs = []
@@ -380,14 +418,12 @@ class TestFigureExtraction:
 
     def test_fig8_schema(self, config_file, tmp_path):
         from photonlink.config import ExperimentConfig
-        from photonlink.report import SweepReport
 
         runner = cli._Runner(ExperimentConfig.from_file(config_file), "saturation-sweep", tmp_path)
-        rep = SweepReport(columns=("t_over_tau", "lambda_tau", "delta"))
-        rep.append(t_over_tau=4.0, lambda_tau=0.1, delta=0.007)
-        path = runner.write_figure("fig8", rep.columns, rep.rows)
+        rows = [{"t_over_tau": 4.0, "lambda_tau": 0.1, "regime": "poisson", "delta": 0.007}]
+        path = runner.write_figure("fig8", ("t_over_tau", "lambda_tau", "delta"), rows)
         assert path == tmp_path / "saturation_sweep" / "fig8.csv"
-        assert path.read_text().splitlines()[0] == "t_over_tau,lambda_tau,delta"
+        assert path.read_text() == "t_over_tau,lambda_tau,delta\n4.0,0.1,0.007\n"
         assert path in runner.outputs
 
     def test_cutoff_table_feeds_fig13(self, config_file, tmp_path, monkeypatch):
@@ -472,10 +508,12 @@ LINK_BENCH_SETS = (
 # digit of sums of np.exp and np.log2, whose AVX-512 kernels round some last
 # bits differently from numpy's baseline ones: those files have a digest for
 # each (checked by turning the AVX-512 kernels off with NPY_DISABLE_CPU_FEATURES).
+# The ber sweep also dumps the frames of its first power point, so frames.txt is pinned too.
 PINNED_LINK_OUTPUTS = {
-    "ber-sweep": (("mc.n_symbols=17500", "link.mode=physical"), {
+    "ber-sweep": (("mc.n_symbols=17500", "link.mode=physical", "link.dump_frames=true"), {
         "ber_sweep.csv": {"21b53c491a6e9e646e8b6aa42b25bcb31a26fe5388f97899e36e33bf7ba58ec0"},
         "fig9.csv": {"7351c246da87a7b2d87481e56e8f3a80f544ebea61b9265a80fc1f9b7f0f73e3"},
+        "frames.txt": {"7b3c4a5f4d41f88230816e9a3c0690eb8a98c83a5efd121a81c34192c999ef4f"},
     }),
     "rate-sweep": ((), {
         "rate_sweep.csv": {"d8381ee3d2a1ae8a629233b38d20197f7d4b1a79aabab856229481fc5df2cd33",

@@ -353,8 +353,8 @@ class TestMissSweep:
             "p_capture", "p_readout", "p_miss", "stderr", "replicas", "seed",
         ]
         assert len(report.rows) == len(grid)
-        miss = report.column("p_miss")
-        err = report.column("stderr")
+        miss = [row["p_miss"] for row in report.rows]
+        err = [row["stderr"] for row in report.rows]
         for i in range(len(miss) - 1):
             assert miss[i + 1] <= miss[i] + 3 * (err[i] + err[i + 1])
 

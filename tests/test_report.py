@@ -27,23 +27,28 @@ class TestFormatNumber:
 
 class TestSweepReport:
     def test_roundtrip_and_schema(self):
-        rep = SweepReport(columns=("a", "b"))
-        rep.append(a=1.5, b=2)
-        assert rep.to_csv_text() == "a,b\n1.5,2\n"
+        rep = SweepReport([{"a": 1.5, "b": 2}, {"a": 0.0, "b": 3}])
+        assert rep.columns == ("a", "b")
+        assert rep.to_csv_text() == "a,b\n1.5,2\n0.0,3\n"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [{"a": 1, "b": 2}, {"a": 1}], [{"a": 1, "b": 2}, {"a": 1, "b": 2, "c": 3}],
+         [{"a": 1, "b": 2}, {"b": 2, "a": 1}]],
+        ids=["empty", "missing-key", "extra-key", "reordered"],
+    )
+    def test_rejects_rows_unlike_the_first(self, rows):
         with pytest.raises(ValueError):
-            rep.append(a=1.0)
-        with pytest.raises(ValueError):
-            rep.append(a=1.0, b=2.0, c=3.0)
+            SweepReport(rows)
 
     def test_column_access(self):
-        rep = SweepReport(columns=("x",))
-        rep.append(x=1.0)
-        rep.append(x=2.0)
-        assert rep.column("x") == [1.0, 2.0]
+        # the columns are the first row's keys in their order, not sorted
+        rep = SweepReport([{"y": 1.0, "x": 2.0}])
+        assert rep.columns == ("y", "x")
+        assert rep.rows == [{"y": 1.0, "x": 2.0}]
 
     def test_write(self, tmp_path):
-        rep = SweepReport(columns=("x",))
-        rep.append(x=1e-6)
+        rep = SweepReport([{"x": 1e-6}])
         p = rep.write_csv(tmp_path / "sub" / "r.csv")
         assert p.read_text() == "x\n1.000000000000e-06\n"
 
