@@ -16,8 +16,9 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, detection, link, saturation
+from . import __version__
 from .config import ExperimentConfig, apply_overrides, read_config_file
 from .errors import ConfigError, NumericsError
 from .physics import (
@@ -29,6 +30,10 @@ from .physics import (
 )
 from .report import SweepReport, write_frames
 from .rng import substream
+
+if TYPE_CHECKING:
+    from .link import LinkConfig
+
 
 def _parallel_map(fn, payloads, workers: int) -> list:
     """fn(*args) for each args tuple of payloads, in order; results never depend on the worker count."""
@@ -104,9 +109,12 @@ def _config_keys(where: str):
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each imports the layers it runs, so that a
+# command loads neither link nor saturation nor detection unless it needs it
 
 def cmd_detect(cfg: ExperimentConfig, runner: _Runner) -> int:
+    from . import detection
+
     lam_signal = power_to_rate(cfg.detect_power_dbm, cfg.environment.nu)
     n_e = thermal_photon_rate(cfg.environment)
     lam = lam_signal + n_e / cfg.timing.t_c
@@ -141,6 +149,8 @@ def cmd_pulse_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
 
 
 def cmd_miss_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
+    from . import detection
+
     means = cfg.axis("mean_photons")
     kappas = cfg.axis("kappa_rad_per_s", cfg.device.kappa)
     gammas = cfg.axis("gamma_rad_per_s", cfg.device.gamma)
@@ -157,11 +167,13 @@ def cmd_miss_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
 
 
 def _link_sweep(cfg: ExperimentConfig, runner: _Runner, metric: str, point, figure_id: str,
-                args) -> link.LinkConfig:
+                args) -> LinkConfig:
     """Write <metric>_sweep.csv and its figure: one row point(link config, *a) for each a in args.
 
     Returns the link config, so later work of the same command shares its noise kernel and tables.
     """
+    from . import link
+
     lcfg = link.LinkConfig(dev=cfg.device, timing=cfg.timing, env=cfg.environment, saturation=cfg.link.saturation)
     with _config_keys(_WINDOW_KEYS):  # a saturated link builds its dead-time operator here
         lcfg.noise_tables()  # before the pool starts, so that every task's copy of lcfg carries them
@@ -172,6 +184,8 @@ def _link_sweep(cfg: ExperimentConfig, runner: _Runner, metric: str, point, figu
 
 
 def cmd_ber_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
+    from . import link
+
     powers = cfg.axis("power_dbm")
     args = [(float(p), cfg.mc.n_symbols, cfg.seed, i, cfg.link.mode) for i, p in enumerate(powers)]
     lcfg = _link_sweep(cfg, runner, "ber", link.ber_point, "fig9", args)
@@ -187,12 +201,16 @@ def cmd_ber_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
 
 
 def cmd_rate_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
+    from . import link
+
     args = [(float(p), cfg.seed) for p in cfg.axis("power_dbm")]
     _link_sweep(cfg, runner, "rate", link.rate_point, "fig10", args)
     return 0
 
 
 def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
+    from . import saturation
+
     # survivor statistics and the dispersion gap on normalized axes
     tau = cfg.device.dead_time
     surv, delta_rows = [], []
@@ -241,6 +259,8 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
 
 
 def _cutoff_point(cfg: ExperimentConfig, kappa_tc: float) -> dict:
+    from . import saturation
+
     t_c = cfg.timing.t_c
     dev = DeviceParams(kappa=kappa_tc / t_c, gamma=0.0, alpha_sat=cfg.device.alpha_sat)
     with _config_keys(f"sweeps.kappa_t_c: {kappa_tc}"):
@@ -255,6 +275,8 @@ def _cutoff_point(cfg: ExperimentConfig, kappa_tc: float) -> dict:
 
 
 def cmd_cutoff_fit(cfg: ExperimentConfig, runner: _Runner) -> int:
+    from . import saturation
+
     values = cfg.axis("kappa_t_c")
     rows = _parallel_map(_cutoff_point, [(cfg, float(v)) for v in values], cfg.workers)
     runner.write_report(SweepReport(rows), "cutoff_table.csv")

@@ -78,31 +78,33 @@ class ArrivalTrace:
 def _dp_batch(times: np.ndarray, t_c: float, dev: DeviceParams) -> np.ndarray:
     """Renewal DP over a batch of traces, all with the same photon count.
 
-    times has shape (m, n), rows sorted.  W[:, j] is the probability that
-    photon j causes a transition and no photon between the previous
-    transition photon and j does; the factor for a step from transition
-    photon i to j is f_b(t_j - t_i) - f_b(t_{j-1} - t_i).  The excited
-    weight of the last transition photon closes the sum.
+    times has shape (m, n), rows sorted.  The excited probability at t_c
+    is sum_i W_i K(t_c - t_i), where W_i is the probability that photon i
+    causes a transition and K = excited_kernel.  Its running value
+    p_j = P(excited at t_j) needs no W: just after a photon the system is
+    never in ground (a photon in ground starts a transition), so it is
+    armed with probability 1 - p_j, and across the photon-free gap dt to
+    the next photon or to t_c
+
+        p_{j+1} = e^{-gamma dt} p_j + K(dt) (1 - p_j),
+
+    O(n) in all.  K's phi form needs no branch at r = gamma.
     """
     m, n = times.shape
-    if n == 0:
-        return np.zeros(m)
-    kappa, gamma = dev.kappa, dev.gamma
-    W = np.zeros((m, n))
-    W[:, 0] = 1.0
-    for j in range(1, n):
-        dt_g = times[:, j : j + 1] - times[:, :j]
-        dt_e = times[:, j - 1 : j] - times[:, :j]
-        step = ground_return_prob(dt_g, dev) - ground_return_prob(dt_e, dev)
-        W[:, j] = np.einsum("ij,ij->i", W[:, :j], step)
-    tail = excited_kernel(t_c - times, kappa, gamma)
-    return np.clip(np.einsum("ij,ij->i", W, tail), 0.0, 1.0)
+    # gaps[j] runs from photon j to photon j + 1, and the last one to t_c
+    gaps = np.ascontiguousarray(np.diff(times, axis=1, append=t_c).T)
+    stay = np.exp(-dev.gamma * gaps)
+    fire = excited_kernel(gaps, dev.kappa, dev.gamma)
+    p = np.zeros(m)  # the window starts in ground
+    for j in range(n):
+        p = stay[j] * p + fire[j] * (1.0 - p)
+    return np.clip(p, 0.0, 1.0)
 
 
 def excitation_given_arrivals(trace: ArrivalTrace, dev: DeviceParams) -> float:
     """Excitation probability at the end of capture, given the exact arrivals.
 
-    O(n^2) dynamic program; the first photon always begins a transition
+    O(n) dynamic program; the first photon always begins a transition
     (the system enters the window in ground).
     """
     if len(trace) == 0:

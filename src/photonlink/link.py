@@ -523,7 +523,7 @@ class HmmSpec:
             for level in (GROUND, EXCITED):
                 log_first = _log(self.first_bit_prob(level, sym)).take(first_one)
                 np.add(pair_part, log_first, out=out[2 * level + sym])
-        return np.nan_to_num(out, copy=False, nan=-np.inf, posinf=-np.inf).T
+        return np.nan_to_num(out, copy=False, nan=-np.inf, posinf=-np.inf, neginf=-np.inf).T
 
     def block_emission_logprob(self, frames: np.ndarray) -> np.ndarray:
         """log P(frame | state) for an (m, n_cycles) array of frames."""
@@ -551,7 +551,7 @@ class HmmSpec:
                         logscale += np.log(norm)
                         alpha = np.where(norm[:, None] > 0, alpha / norm[:, None], 0.0)
                 out[:, 2 * level + sym] = logscale
-        return np.nan_to_num(out, nan=-np.inf, posinf=-np.inf)
+        return np.nan_to_num(out, nan=-np.inf, posinf=-np.inf, neginf=-np.inf)
 
     def enumerate_block_probs(self) -> np.ndarray:
         """Exact P(frame | state) for every frame; only for small n_cycles."""

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from photonlink.detection import (
     ArrivalTrace,
     ConditionalExcitationTable,
+    _dp_batch,
     excitation_ctmc,
     excitation_given_arrivals,
     excitation_given_arrivals_bruteforce,
@@ -21,7 +22,14 @@ from photonlink.detection import (
     _poisson_n_max,
 )
 from photonlink.link import EXCITED, GROUND, build_cycle_kernel
-from photonlink.physics import CycleTiming, DeviceParams, detection_prob_single, excited_kernel, readout_prob
+from photonlink.physics import (
+    CycleTiming,
+    DeviceParams,
+    detection_prob_single,
+    excited_kernel,
+    ground_return_prob,
+    readout_prob,
+)
 from photonlink.rng import substream
 
 DEV = DeviceParams(kappa=2 * np.pi * 1e8, gamma=2 * np.pi * 1e5, p_reset_g=0.0, p_reset_e=0.0)
@@ -39,6 +47,24 @@ class TestArrivalTrace:
     def test_rejects_out_of_window(self):
         with pytest.raises(ValueError):
             ArrivalTrace(np.array([T_C * 1.5]), T_C)
+
+
+def quadratic_dp_batch(times, t_c, dev):
+    """The renewal DP in its O(n^2) form, the reference of _dp_batch: W[:, j] is the probability
+    that photon j transitions, summed over the previous transition photon i with the step factor
+    f_b(t_j - t_i) - f_b(t_{j-1} - t_i); the excited weight of each transition photon closes it."""
+    m, n = times.shape
+    if n == 0:
+        return np.zeros(m)
+    W = np.zeros((m, n))
+    W[:, 0] = 1.0
+    for j in range(1, n):
+        dt_g = times[:, j : j + 1] - times[:, :j]
+        dt_e = times[:, j - 1 : j] - times[:, :j]
+        step = ground_return_prob(dt_g, dev) - ground_return_prob(dt_e, dev)
+        W[:, j] = np.einsum("ij,ij->i", W[:, :j], step)
+    tail = excited_kernel(t_c - times, dev.kappa, dev.gamma)
+    return np.clip(np.einsum("ij,ij->i", W, tail), 0.0, 1.0)
 
 
 class TestGivenArrivals:
@@ -60,6 +86,19 @@ class TestGivenArrivals:
             dp = excitation_given_arrivals(trace, DEV)
             en = excitation_given_arrivals_bruteforce(trace, DEV)
             assert abs(dp - en) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 15])
+    def test_linear_dp_matches_quadratic(self, n):
+        rng = substream(21, 6, n)
+        for case in range(60):
+            t_c = float(rng.uniform(0.5, 2.0))
+            kappa = float(rng.uniform(2.0, 400.0)) / t_c
+            # every third case puts gamma exactly on r = kappa/4, every fifth at 0
+            gamma = kappa / 4 if case % 3 == 0 else 0.0 if case % 5 == 0 else float(rng.uniform(0.0, 8.0)) / t_c
+            dev = DeviceParams(kappa=kappa, gamma=gamma)
+            times = np.sort(rng.random((50, n)) * t_c, axis=1)
+            got = _dp_batch(times, t_c, dev)
+            assert np.max(np.abs(got - quadratic_dp_batch(times, t_c, dev)), initial=0.0) <= 1e-14
 
     def test_four_photon_point_vs_mc(self):
         times = np.array([20e-9, 60e-9, 61e-9, 200e-9])

@@ -1,5 +1,6 @@
 """The batch commands run without scipy, the oracle battery and, at one
-worker, multiprocessing; only the quadrature oracles load scipy.
+worker, multiprocessing; only the quadrature oracles load scipy.  Each
+command loads only the photonlink modules it runs.
 
 Each of those cases starts a fresh interpreter, since the pytest process
 has already imported scipy through other test modules.  The last test
@@ -33,9 +34,24 @@ SMALL = [
     "cutoff.replicas=32",
 ]
 
+# the photonlink modules each batch command loads beyond those of `import photonlink.cli`;
+# link imports detection and saturation at module level
+LOADS = {
+    "detect": {"detection"},
+    "pulse-sweep": set(),
+    "miss-sweep": {"detection"},
+    "ber-sweep": {"link", "detection", "saturation"},
+    "rate-sweep": {"link", "detection", "saturation"},
+    "saturation-sweep": {"saturation"},
+    "cutoff-fit": {"saturation"},
+}
+
 SCRIPT = """
 import json, sys
+def photonlink_modules():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("photonlink."))
 from photonlink import cli
+imported = photonlink_modules()
 commands, config, out, sets = json.loads(sys.argv[1])
 codes = {}
 for command in commands:
@@ -45,7 +61,7 @@ for command in commands:
     codes[command] = cli.main(argv)
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"codes": codes, "scipy": scipy, "futures": "concurrent.futures" in sys.modules,
-                  "validate": "photonlink.validate" in sys.modules}))
+                  "imported": imported, "loaded": photonlink_modules()}))
 """
 
 
@@ -60,14 +76,24 @@ def _run_fresh(commands, out: Path) -> dict:
 
 
 def test_batch_commands_never_load_scipy(tmp_path):
-    commands = [
-        "detect", "pulse-sweep", "miss-sweep", "ber-sweep", "rate-sweep", "saturation-sweep", "cutoff-fit",
-    ]
+    commands = list(LOADS)
     got = _run_fresh(commands, tmp_path / "out")
     assert got["codes"] == {c: 0 for c in commands}, got["stderr"]
     assert got["scipy"] == []
     assert not got["futures"]  # the process pool is imported only for --workers > 1
-    assert not got["validate"]  # the oracle battery is imported only by the validate command
+    assert "validate" not in got["loaded"]  # the oracle battery is imported only by the validate command
+
+
+def test_cli_import_loads_no_command_module(tmp_path):
+    got = _run_fresh([], tmp_path / "out")
+    assert {"detection", "link", "saturation", "validate"}.isdisjoint(got["imported"])
+
+
+@pytest.mark.parametrize("command", sorted(LOADS))
+def test_each_command_loads_only_its_modules(command, tmp_path):
+    got = _run_fresh([command], tmp_path / "out")
+    assert got["codes"] == {command: 0}, got["stderr"]
+    assert set(got["loaded"]) - set(got["imported"]) == LOADS[command]
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(photonlink.__path__)))

@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -978,6 +979,24 @@ class TestSweeps:
         assert 0.0 <= row["rate"] <= 1.0
         lower, upper = rate_bracket(ref_link_cfg(n=8).build_spec(-150.0))
         assert (row["rate"], row["stderr"]) == (lower, upper - lower)
+
+    def test_gamma_zero_impossible_frames_read_minus_inf(self):
+        # with gamma = 0 the excited level never decays, so many frames are impossible from some
+        # states: both evaluators give them -inf, not -DBL_MAX, and decoding them warns of nothing
+        cfg = ref_link_cfg()
+        cfg = dataclasses.replace(cfg, dev=dataclasses.replace(cfg.dev, gamma=0.0))
+        spec = cfg.build_spec(-148.0)
+        run = simulate_link(spec, 2000, substream(17, 1), mode="physical", store_frames=True)
+        emis = emissions(spec, run)
+        assert np.isneginf(emis).sum() > 1000
+        assert emis[np.isfinite(emis)].min() > -1e3
+        matrix = spec.block_emission_logprob_matrix(run.frames[:40])
+        assert np.array_equal(np.isneginf(matrix), np.isneginf(emis[:40]))
+        assert matrix[np.isfinite(matrix)].min() > -1e3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = ber_point(cfg, -148.0, 2000, seed=17, idx=0)
+        assert 0.0 <= row["ber"] < 0.01
 
     def test_wilson_stderr(self):
         assert wilson_stderr(0, 100) > 0.0
