@@ -220,12 +220,11 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
             lam = a / tau
             with _config_keys(f"sweeps.t_over_tau: {ratio}"):
                 m = saturation.survivor_moments_poisson(lam, tau, t_c)
-                d = saturation.delta_lambda(lam, tau, t_c)
             surv.append({
                 "lambda": lam, "tau": tau, "t_c": t_c, "mean": m.mean,
-                "var": m.variance, "delta": d, "regime": m.regime,
+                "var": m.variance, "delta": m.delta, "regime": m.regime,
             })
-            delta_rows.append({"t_over_tau": float(ratio), "lambda_tau": float(a), "delta": d})
+            delta_rows.append({"t_over_tau": float(ratio), "lambda_tau": float(a), "delta": m.delta})
     runner.write_report(SweepReport(surv), "survivors.csv")
     delta_table = SweepReport(delta_rows)
     runner.write_report(delta_table, "delta_lambda.csv")

@@ -221,7 +221,8 @@ class ConditionalExcitationTable:
         t_c: float,
         dev: DeviceParams,
         mc_samples: int = _DEFAULT_MC_SAMPLES,
-        seed: int = 0,
+        *,
+        seed: int,
     ):
         self.t_c = float(t_c)
         self.dev = dev
@@ -261,7 +262,8 @@ def excitation_poisson(
     timing: CycleTiming,
     dev: DeviceParams,
     eps_trunc: float = 1e-10,
-    rng_seed: int = 0,
+    *,
+    rng_seed: int,
     mc_samples: int = _DEFAULT_MC_SAMPLES,
 ) -> Estimate:
     """Excitation probability at the observation time under Poisson arrival.

@@ -22,6 +22,7 @@ from .report import Estimate
 
 __all__ = [
     "SurvivorMoments",
+    "PoissonSurvivorMoments",
     "CutoffFit",
     "CutoffResult",
     "filter_survivors",
@@ -51,27 +52,31 @@ _MAX_BLOCK_ELEMS = 20_000_000  # arrival times per block of saturated_excitation
 
 @dataclass(frozen=True)
 class SurvivorMoments:
-    """First two moments of the survivor count and the dispersion regime.
-
-    regime compares mean against variance: "sub-poisson" when the count
-    is narrower than Poisson (mean > variance), "super-poisson" when
-    wider, "poisson-boundary" on the boundary.
-    """
+    """First two moments of the survivor count."""
 
     mean: float
     second_moment: float
     variance: float
-    regime: str
 
 
-def _classify(mean: float, variance: float) -> str:
-    tol = 1e-12 * max(1.0, abs(mean))
-    delta = mean - variance
-    if delta > tol:
-        return "sub-poisson"
-    if delta < -tol:
-        return "super-poisson"
-    return "poisson-boundary"
+@dataclass(frozen=True)
+class PoissonSurvivorMoments(SurvivorMoments):
+    """Survivor moments under Poisson arrival, with delta = mean - variance.
+
+    regime is the sign of delta: "sub-poisson" when the count is narrower
+    than Poisson (delta > 0), "super-poisson" when wider (delta < 0),
+    "poisson-boundary" where delta = 0.
+    """
+
+    delta: float
+
+    @property
+    def regime(self) -> str:
+        if self.delta > 0:
+            return "sub-poisson"
+        if self.delta < 0:
+            return "super-poisson"
+        return "poisson-boundary"
 
 
 def survivor_mask(times: np.ndarray, tau: float) -> np.ndarray:
@@ -125,7 +130,7 @@ def survivor_moments_given_count(n: int, tau: float, t_c: float) -> SurvivorMome
         if variance < -1e-9 * max(1.0, second):
             raise ArithmeticError(f"negative variance {variance} for n={n}")
         variance = 0.0
-    return SurvivorMoments(mean=mean, second_moment=second, variance=variance, regime=_classify(mean, variance))
+    return SurvivorMoments(mean=mean, second_moment=second, variance=variance)
 
 
 def poisson_weighted_moments(alpha: float, big_lambda: float) -> tuple:
@@ -143,15 +148,13 @@ def poisson_weighted_moments(alpha: float, big_lambda: float) -> tuple:
     return base, al * base, (al * al + al) * base
 
 
-def survivor_moments_poisson(lam: float, tau: float, t_c: float) -> SurvivorMoments:
+def survivor_moments_poisson(lam: float, tau: float, t_c: float) -> PoissonSurvivorMoments:
     """Survivor-count moments under Poisson arrival at rate lam.
 
     The variance is computed as second moment minus squared mean and is
-    cross-checked against its independently expanded closed form.
+    cross-checked against mean - delta_lambda, which carries the regime.
     """
-    _require_window(tau, t_c)
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    delta = delta_lambda(lam, tau, t_c)
     lt = lam * tau
     e1, e2, e3, e4 = (math.exp(-k * lt) for k in (1, 2, 3, 4))
     mean = 2.0 * e1 + (lam * (t_c - 2.0 * tau) - 2.0) * e2
@@ -164,19 +167,13 @@ def survivor_moments_poisson(lam: float, tau: float, t_c: float) -> SurvivorMome
         + (y4 * y4 - 6.0 * y4 + 12.0) * e4
     )
     variance = second - mean * mean
-    expanded = (
-        2.0 * e1
-        + lam * (t_c - 2.0 * tau) * e2
-        + (2.0 * lam * t_c - 10.0 * lt - 10.0) * e3
-        + (-4.0 * lam * lam * t_c * tau + 12.0 * lt * lt - 2.0 * lam * t_c + 16.0 * lt + 8.0) * e4
-    )
-    if abs(variance - expanded) > 1e-10 * max(1.0, abs(variance)):
-        raise ArithmeticError(f"variance forms disagree: {variance} vs {expanded}")
+    if abs(variance - (mean - delta)) > 1e-10 * max(1.0, abs(variance)):
+        raise ArithmeticError(f"variance forms disagree: {variance} vs {mean - delta}")
     if variance < 0:
         if variance < -1e-9:
             raise ArithmeticError(f"negative variance {variance}")
         variance = 0.0
-    return SurvivorMoments(mean=mean, second_moment=second, variance=variance, regime=_classify(mean, variance))
+    return PoissonSurvivorMoments(mean=mean, second_moment=second, variance=variance, delta=delta)
 
 
 def delta_lambda(lam: float, tau: float, t_c: float) -> float:

@@ -48,11 +48,7 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
-def check_trivial_identities(level: str, seed: int) -> CheckResult:
+def check_trivial_identities(level: str, seed: int) -> tuple:
     tol = 1e-12
     vals = {
         "E_S(0)": saturation.survivor_moments_given_count(0, 0.1, 1.0).mean,
@@ -67,10 +63,10 @@ def check_trivial_identities(level: str, seed: int) -> CheckResult:
         vals[f"f_b(0) {label}"] = ground_return_prob(0.0, dev)
         vals[f"f2(0) {label}"] = transition_kernels(0.0, 0.0, dev)[1]
     bad = {k: v for k, v in vals.items() if abs(v) > tol}
-    return _result("trivial-identities", not bad, f"max |err| {max(abs(v) for v in vals.values()):.2e}")
+    return not bad, f"max |err| {max(abs(v) for v in vals.values()):.2e}"
 
 
-def check_ground_return_quadrature(level: str, seed: int) -> CheckResult:
+def check_ground_return_quadrature(level: str, seed: int) -> tuple:
     from scipy import integrate
 
     worst = 0.0
@@ -91,7 +87,7 @@ def check_ground_return_quadrature(level: str, seed: int) -> CheckResult:
             epsrel=1e-12,
         )
         worst = max(worst, abs(closed - numeric) / max(abs(numeric), 1e-30))
-    return _result("ground-return-quadrature", worst < 1e-8, f"max rel err {worst:.2e}")
+    return worst < 1e-8, f"max rel err {worst:.2e}"
 
 
 def shaped_pulse(length: float, shape: str) -> PulseProfile:
@@ -104,7 +100,7 @@ def shaped_pulse(length: float, shape: str) -> PulseProfile:
     )
 
 
-def check_single_photon_quadrature(level: str, seed: int) -> CheckResult:
+def check_single_photon_quadrature(level: str, seed: int) -> tuple:
     """The closed-form single_photon_excitation for every pulse shape against
     adaptive quadrature on the physical range (l from 1e-10 to 1e-4 s at
     kappa = 2 pi 1e9), and against the raw double integral at kappa l of
@@ -125,13 +121,10 @@ def check_single_photon_quadrature(level: str, seed: int) -> CheckResult:
                 oracle = single_photon_excitation_quadrature(pulse, pulse.t_i, dev, epsabs=1e-14)
                 worst_physical = max(worst_physical, abs(got - oracle) / oracle)
     ok = worst < 1e-8 and worst_physical < 1e-8
-    return _result(
-        "single-photon-quadrature", ok,
-        f"max rel err {worst:.2e} vs double integral, {worst_physical:.2e} vs quadrature",
-    )
+    return ok, f"max rel err {worst:.2e} vs double integral, {worst_physical:.2e} vs quadrature"
 
 
-def check_dp_vs_enumeration(level: str, seed: int) -> CheckResult:
+def check_dp_vs_enumeration(level: str, seed: int) -> tuple:
     rng = substream(seed, 0x01)
     worst = 0.0
     worst_total = 0.0
@@ -150,10 +143,10 @@ def check_dp_vs_enumeration(level: str, seed: int) -> CheckResult:
         )
         worst_total = max(worst_total, abs(total - 1.0))
     ok = worst < 1e-12 and worst_total < 1e-12
-    return _result("dp-vs-enumeration", ok, f"max |dp-enum| {worst:.2e}, max |sum P(K)-1| {worst_total:.2e}")
+    return ok, f"max |dp-enum| {worst:.2e}, max |sum P(K)-1| {worst_total:.2e}"
 
 
-def check_poisson_excitation_vs_mc(level: str, seed: int) -> CheckResult:
+def check_poisson_excitation_vs_mc(level: str, seed: int) -> tuple:
     """Renewal DP against the event-driven MC, and the exact CTMC
     excitation against each of them, on the same random points.
 
@@ -179,13 +172,10 @@ def check_poisson_excitation_vs_mc(level: str, seed: int) -> CheckResult:
         for oracle in (analytic, mc.excited_at_obs):
             worst_exact = max(worst_exact, abs(exact - oracle.value) / max(oracle.stderr, 1e-12))
     ok = worst_z < 4.0 and worst_exact < 4.0
-    return _result(
-        "poisson-excitation-vs-mc", ok,
-        f"{n_points} points, max |z| {worst_z:.2f}, exact vs dp/mc max |z| {worst_exact:.2f}",
-    )
+    return ok, f"{n_points} points, max |z| {worst_z:.2f}, exact vs dp/mc max |z| {worst_exact:.2f}"
 
 
-def check_survivor_moments_vs_mc(level: str, seed: int) -> CheckResult:
+def check_survivor_moments_vs_mc(level: str, seed: int) -> tuple:
     """Closed-form survivor moments against survivor_mask on sampled
     traces, for a fixed photon count and for Poisson arrival.
 
@@ -207,7 +197,7 @@ def check_survivor_moments_vs_mc(level: str, seed: int) -> CheckResult:
         else:
             moments = saturation.survivor_moments_poisson(x, tau, 1.0)
         worst_z = max(worst_z, _moment_z(s, moments))
-    return _result("survivor-moments-vs-mc", worst_z < 4.0, f"{len(keyed)} cases, max |z| {worst_z:.2f}")
+    return worst_z < 4.0, f"{len(keyed)} cases, max |z| {worst_z:.2f}"
 
 
 def _survivor_counts(rng, kind: str, x, tau: float, replicas: int) -> np.ndarray:
@@ -238,7 +228,7 @@ def _moment_z(s: np.ndarray, m: saturation.SurvivorMoments) -> float:
     )
 
 
-def check_lemma_series(level: str, seed: int) -> CheckResult:
+def check_lemma_series(level: str, seed: int) -> tuple:
     worst = 0.0
     from scipy import stats
 
@@ -252,10 +242,10 @@ def check_lemma_series(level: str, seed: int) -> CheckResult:
             float(np.sum(w * n * n * alpha**n)),
         )
         worst = max(worst, max(abs(a - b) for a, b in zip(closed, series)))
-    return _result("lemma-series", worst < 1e-12, f"max |err| {worst:.2e}")
+    return worst < 1e-12, f"max |err| {worst:.2e}"
 
 
-def check_theorem2_vs_mixture(level: str, seed: int) -> CheckResult:
+def check_theorem2_vs_mixture(level: str, seed: int) -> tuple:
     worst = 0.0
     for a, ratio in [(0.05, 4.0), (0.5, 8.0), (2.0, 16.0), (5.0, 10.0)]:
         tau, t_c = 1.0, ratio
@@ -276,10 +266,10 @@ def check_theorem2_vs_mixture(level: str, seed: int) -> CheckResult:
         )
         m = saturation.survivor_moments_poisson(lam, tau, t_c)
         worst = max(worst, abs(mean_mix - m.mean), abs(second_mix - m.second_moment))
-    return _result("theorem2-vs-mixture", worst < 1e-10, f"max |err| {worst:.2e}")
+    return worst < 1e-10, f"max |err| {worst:.2e}"
 
 
-def check_pair_survival_pieces(level: str, seed: int) -> CheckResult:
+def check_pair_survival_pieces(level: str, seed: int) -> tuple:
     ns = (2, 3, 7) if level == "full" else (2, 3)
     worst = 0.0
     worst_comb = 0.0
@@ -292,10 +282,10 @@ def check_pair_survival_pieces(level: str, seed: int) -> CheckResult:
             recombined = m.mean + n * (n - 1) * p.pair_survival_numeric
             worst_comb = max(worst_comb, abs(recombined - m.second_moment) / m.second_moment)
     ok = worst < 1e-8 and worst_comb < 1e-9
-    return _result("pair-survival-pieces", ok, f"max piece rel {worst:.2e}, recombination rel {worst_comb:.2e}")
+    return ok, f"max piece rel {worst:.2e}, recombination rel {worst_comb:.2e}"
 
 
-def check_delta_sign_structure(level: str, seed: int) -> CheckResult:
+def check_delta_sign_structure(level: str, seed: int) -> tuple:
     """Sign and shape of delta(lambda) = mean - variance of the survivor
     count: positive below the crossover lambda0, negative above it, rising
     to an interior peak, falling to an interior trough, then relaxing
@@ -314,14 +304,14 @@ def check_delta_sign_structure(level: str, seed: int) -> CheckResult:
         shape_ok = 0 < peak < trough < deltas.size - 1 and abs(deltas[-1]) < 0.1 * abs(deltas[trough])
         ok = ok and changes == 1 and np.all(below > 0) and np.all(above < 0) and shape_ok
         details.append(f"T/tau={ratio:g}: changes={changes}, lam0*tau={lam0 * tau:.4f}, shape={shape_ok}")
-    return _result("delta-sign-structure", ok, "; ".join(details))
+    return ok, "; ".join(details)
 
 
 def _ref_spec() -> link.HmmSpec:
     return link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV).build_spec(-148.3)
 
 
-def check_hmm_emission_normalization(level: str, seed: int) -> CheckResult:
+def check_hmm_emission_normalization(level: str, seed: int) -> tuple:
     spec_full = _ref_spec()
     worst_sum = 0.0
     worst_pair = 0.0
@@ -338,7 +328,7 @@ def check_hmm_emission_normalization(level: str, seed: int) -> CheckResult:
         if not np.array_equal(np.isfinite(a), np.isfinite(b)):
             worst_pair = math.inf
     ok = worst_sum < 1e-12 and worst_pair < 1e-10
-    return _result("hmm-emission-normalization", ok, f"max |sum-1| {worst_sum:.2e}, paths diff {worst_pair:.2e}")
+    return ok, f"max |sum-1| {worst_sum:.2e}, paths diff {worst_pair:.2e}"
 
 
 def frame_stats_enumeration_gap(spec: link.HmmSpec) -> float:
@@ -364,7 +354,7 @@ def frame_stats_enumeration_gap(spec: link.HmmSpec) -> float:
     return worst
 
 
-def check_frame_stats_law(level: str, seed: int) -> CheckResult:
+def check_frame_stats_law(level: str, seed: int) -> tuple:
     """The exact frame-statistics tables behind simulate_link: at the
     reference point and N = 800 every (symbol, first bit) table keeps all
     but 1e-12 of the mass, and at N <= 12 the tables equal exhaustive
@@ -376,9 +366,7 @@ def check_frame_stats_law(level: str, seed: int) -> CheckResult:
         for n in (1, 2, 3, 8, 12)
     )
     ok = worst_mass < 1e-12 and worst_enum < 1e-12
-    return _result(
-        "frame-stats-law", ok, f"N=800 max |mass-1| {worst_mass:.2e}, N<=12 max |table-enum| {worst_enum:.2e}"
-    )
+    return ok, f"N=800 max |mass-1| {worst_mass:.2e}, N<=12 max |table-enum| {worst_enum:.2e}"
 
 
 def mc_rate(spec: link.HmmSpec, n_symbols: int, seed: int, idx: int) -> Estimate:
@@ -417,7 +405,7 @@ def rate_bracket_enumeration(spec: link.HmmSpec) -> tuple:
     return lower, upper
 
 
-def check_rate_bracket(level: str, seed: int) -> CheckResult:
+def check_rate_bracket(level: str, seed: int) -> tuple:
     """The exact achievable rate of rate-sweep: link.rate_bracket equals
     enumeration at N <= 12, and at N = 800 the Monte Carlo rate (100k
     symbols at both levels) lies within 4 standard errors of the bracket."""
@@ -436,14 +424,13 @@ def check_rate_bracket(level: str, seed: int) -> CheckResult:
         mc = mc_rate(spec, n_symbols, seed, i)
         worst_z = max(worst_z, max(lower - mc.value, mc.value - upper, 0.0) / max(mc.stderr, 1e-12))
     ok = worst_enum < 1e-12 and worst_z < 4.0
-    return _result(
-        "rate-bracket", ok,
+    return ok, (
         f"N<=12 max |bracket-enum| {worst_enum:.2e}, "
-        f"MC at {n_symbols} symbols max z outside the bracket {worst_z:.2f}",
+        f"MC at {n_symbols} symbols max z outside the bracket {worst_z:.2f}"
     )
 
 
-def check_viterbi_bruteforce(level: str, seed: int) -> CheckResult:
+def check_viterbi_bruteforce(level: str, seed: int) -> tuple:
     base = _ref_spec()
     rng = substream(seed, 0x05)
     mismatches = 0
@@ -466,10 +453,10 @@ def check_viterbi_bruteforce(level: str, seed: int) -> CheckResult:
         want = np.array([p % 2 for p in best_path])
         if not np.array_equal(got, want):
             mismatches += 1
-    return _result("viterbi-bruteforce", mismatches == 0, f"{mismatches} mismatches over 40 trials")
+    return mismatches == 0, f"{mismatches} mismatches over 40 trials"
 
 
-def check_forward_total_probability(level: str, seed: int) -> CheckResult:
+def check_forward_total_probability(level: str, seed: int) -> tuple:
     base = _ref_spec()
     worst = 0.0
     for n, t in [(2, 2), (3, 2), (2, 3), (4, 3), (2, 4)]:
@@ -479,10 +466,10 @@ def check_forward_total_probability(level: str, seed: int) -> CheckResult:
             frames = ((np.array(seq)[:, None] >> np.arange(n)[None, ::-1]) & 1).astype(np.int64)
             total += 2.0 ** float(link.forward_loglik(spec, spec.block_emission_logprob(frames)).sum())
         worst = max(worst, abs(total - 1.0))
-    return _result("forward-total-probability", worst < 1e-10, f"max |sum-1| {worst:.2e}")
+    return worst < 1e-10, f"max |sum-1| {worst:.2e}"
 
 
-def check_fit_recovery(level: str, seed: int) -> CheckResult:
+def check_fit_recovery(level: str, seed: int) -> tuple:
     xs = np.geomspace(100.0, 1e5, 9)
     ys = cutoff_law(xs)
     fit = saturation.fit_cutoff_curve(list(zip(xs, ys)))
@@ -491,7 +478,7 @@ def check_fit_recovery(level: str, seed: int) -> CheckResult:
     noisy = ys * (1.0 + 0.05 * rng.standard_normal(ys.size))
     fit_noisy = saturation.fit_cutoff_curve(list(zip(xs, noisy)))
     ok = err < 1e-6 and abs(fit_noisy.b - 1.132) < 0.05
-    return _result("fit-recovery", ok, f"exact err {err:.2e}, noisy b {fit_noisy.b:.4f}")
+    return ok, f"exact err {err:.2e}, noisy b {fit_noisy.b:.4f}"
 
 
 def cutoff_law(kappa_tc: float) -> float:
@@ -526,7 +513,7 @@ def survivor_excitation_z(points, seed: int) -> float:
     return worst
 
 
-def check_survivor_excitation_vs_mc(level: str, seed: int) -> CheckResult:
+def check_survivor_excitation_vs_mc(level: str, seed: int) -> tuple:
     """Exact saturated excitation against the Monte Carlo on the shoulder
     of the plateau, at the 3 dB point and in the tail: gamma = 0 with
     ground entry, then gamma t_c = 2 with both entries, then gamma = kappa/4,
@@ -548,10 +535,10 @@ def check_survivor_excitation_vs_mc(level: str, seed: int) -> CheckResult:
     ]
     points.append((1e2, cutoff_law(1e2), int(min(40_000, budget / 4 / cutoff_law(1e2))), 25.0, False))
     worst = survivor_excitation_z(points, seed)
-    return _result("survivor-excitation-vs-mc", worst < 4.0, f"{len(points)} points, max |z| {worst:.2f}")
+    return worst < 4.0, f"{len(points)} points, max |z| {worst:.2f}"
 
 
-def check_kernel_vs_mc_detector(level: str, seed: int) -> CheckResult:
+def check_kernel_vs_mc_detector(level: str, seed: int) -> tuple:
     replicas = 1_000_000 if level == "full" else 200_000
     spec = link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV).build_spec(-150.0)
     worst_z = 0.0
@@ -564,10 +551,10 @@ def check_kernel_vs_mc_detector(level: str, seed: int) -> CheckResult:
             p1 = kern.bit_given_entry[entry, 1]
             z = abs(st.readout_bit.value - p1) / max(st.readout_bit.stderr, 1e-12)
             worst_z = max(worst_z, z)
-    return _result("kernel-vs-mc-detector", worst_z < 4.0, f"max |z| {worst_z:.2f}")
+    return worst_z < 4.0, f"max |z| {worst_z:.2f}"
 
 
-def check_saturation_negligible_low_power(level: str, seed: int) -> CheckResult:
+def check_saturation_negligible_low_power(level: str, seed: int) -> tuple:
     """The dead-time filter moves the excitation at low mean photon
     numbers by far less than two Monte Carlo standard errors at 1e6
     replicas; both sides are exact."""
@@ -577,9 +564,7 @@ def check_saturation_negligible_low_power(level: str, seed: int) -> CheckResult:
         sat = float(saturation.survivor_excitation(lam, REF_TIMING, REF_DEV))
         gap = detection.excitation_ctmc(lam, REF_TIMING, REF_DEV) - sat
         worst = max(worst, abs(gap) / (2.0 * math.sqrt(sat * (1.0 - sat) / 1e6)))
-    return _result(
-        "saturation-negligible-low-power", worst < 1.0, f"max |gap|/(2 se at 1e6 replicas) {worst:.4f}"
-    )
+    return worst < 1.0, f"max |gap|/(2 se at 1e6 replicas) {worst:.4f}"
 
 
 CHECKS: tuple = (
@@ -608,11 +593,19 @@ CHECKS: tuple = (
 NAMES: tuple = tuple(fn.__name__.removeprefix("check_").replace("_", "-") for fn in CHECKS)
 
 
-def run_checks(level: str = "quick", seed: int = 0, names: Optional[list] = None) -> list:
-    """Run the battery, or the checks named in names; one CheckResult per check."""
+def run_checks(level: str, seed: int, names: Optional[list] = None) -> list:
+    """Run the battery, or the checks named in names; one CheckResult per check.
+
+    Each check returns (passed, detail) and is named after its function.
+    """
     if level not in ("quick", "full"):
         raise ValueError("level must be quick or full")
     unknown = sorted(set(names or ()) - set(NAMES))
     if unknown:
         raise ValueError(f"unknown check names {unknown}; valid names: {', '.join(NAMES)}")
-    return [fn(level, seed) for fn, name in zip(CHECKS, NAMES) if not names or name in names]
+    results = []
+    for fn, name in zip(CHECKS, NAMES):
+        if not names or name in names:
+            passed, detail = fn(level, seed)
+            results.append(CheckResult(name, bool(passed), detail))
+    return results

@@ -87,10 +87,18 @@ class TestCommands:
 
     def test_saturation_sweep(self, config_file, tmp_path):
         out = tmp_path / "out"
-        assert run_cli("saturation-sweep", "--config", str(config_file), "--out", str(out)) == 0
+        # up to lambda tau = 50, where delta is negative but far below 1e-12
+        assert run_cli(
+            "saturation-sweep", "--config", str(config_file), "--out", str(out),
+            "--set", "sweeps.lambda_tau={start: 0.01, stop: 50.0, points: 6, scale: log}",
+        ) == 0
         surv = (out / "saturation_sweep" / "survivors.csv").read_text().splitlines()
         assert surv[0] == "lambda,tau,t_c,mean,var,delta,regime"
         assert len(surv) == 1 + 2 * 6
+        for line in surv[1:]:
+            delta, regime = line.split(",")[-2:]
+            sign = (float(delta) > 0) - (float(delta) < 0)
+            assert regime == {1: "sub-poisson", -1: "super-poisson", 0: "poisson-boundary"}[sign], line
         fig8 = (out / "saturation_sweep" / "fig8.csv").read_text().splitlines()
         assert fig8[0] == "t_over_tau,lambda_tau,delta"
         for name in ("fig11.csv", "fig12.csv"):
@@ -477,7 +485,7 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run_cli("--version")
         assert exc.value.code == 0
-        assert capsys.readouterr().out == "photonlink 0.5.1\n"
+        assert capsys.readouterr().out == "photonlink 0.5.2\n"
 
 
 def test_saturation_barely_moves_the_rate(tmp_path):
@@ -551,7 +559,8 @@ SAT_CUTOFF_SETS = (
     "cutoff.replicas=64",
 )
 # sha256 of the saturation outputs and of the saturated link outputs on
-# configs/default.yaml at seed 7, recorded at version 0.5.1 like the link pins.
+# configs/default.yaml at seed 7, recorded at version 0.5.1 like the link pins;
+# survivors.csv was re-recorded at 0.5.2, where its regime became the sign of delta.
 # fit.json, fig15.csv and the saturation-sweep files print values that pass
 # through numpy's vectorised exp and log, so they also have a digest for
 # numpy's baseline kernels (NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4").
@@ -567,8 +576,8 @@ PINNED_SATURATION_OUTPUTS = {
     "saturation-sweep": ((), {
         "saturation_excitation.csv": {"b3c44faf0a476714386918dd49389abe93a827b1229ea229bc260e6fed483991",
                                       "2a330896039b66b7dda9594eb415bd49fed4ba45c1f761f33e70a6bbcbe62d02"},
-        "survivors.csv": {"008074f4c188fe3c7c7c04aeb5d707886caf72b0721910dbde0961226750fd03",
-                          "a86f57d9668fe814b19b88f52af25fea97cd31a406b64776bf74291e3d0445fe"},
+        "survivors.csv": {"9bac0271b6dfc589c394c31bc491364c36dbb06d204e23f5315d2fa598b0997c",
+                          "e4a2e25f3e78832362eb99c7256bedfd39762e8d46a18ebe010d8777aeb5d94e"},
         "delta_lambda.csv": {"6c8bbcb59e44802cfa6702f737e54826acc5deaf83189d0747fc79196868e725",
                              "668a5ed096b12c23e229c7486b2bf89463448a44262725f75d2912cbe76edae0"},
         "fig8.csv": {"6c8bbcb59e44802cfa6702f737e54826acc5deaf83189d0747fc79196868e725",

@@ -187,8 +187,15 @@ class TestGivenCount:
 
 class TestPoissonMixture:
     def test_zero_rate(self):
-        est = excitation_poisson(0.0, CycleTiming(T_C, 35e-9, 48e-9), DEV)
+        est = excitation_poisson(0.0, CycleTiming(T_C, 35e-9, 48e-9), DEV, rng_seed=2)
         assert est.value == 0.0
+
+    def test_seed_is_required(self):
+        # no stochastic routine falls back to a fixed seed of its own
+        with pytest.raises(TypeError, match="rng_seed"):
+            excitation_poisson(0.1 / T_C, CycleTiming(T_C, 35e-9, 48e-9), DEV)
+        with pytest.raises(TypeError, match="seed"):
+            ConditionalExcitationTable(T_C, DEV)
 
     def test_first_order_expansion(self):
         # slope at lambda -> 0 equals E[single-photon conditional] * T_c

@@ -121,7 +121,7 @@ class TestMomentsPoisson:
     def test_zero_rate(self):
         m = survivor_moments_poisson(0.0, 0.1, 1.0)
         assert m.mean == 0.0 and m.second_moment == 0.0 and m.variance == 0.0
-        assert m.regime == "poisson-boundary"
+        assert m.delta == 0.0 and m.regime == "poisson-boundary"
 
     def test_vanishing_window(self):
         lam, t_c = 3.0, 1.0
@@ -176,6 +176,18 @@ class TestDispersionCrossover:
         lam0 = find_lambda0(tau, ratio)
         assert survivor_moments_poisson(lam0 / 2, tau, ratio).regime == "sub-poisson"
         assert survivor_moments_poisson(lam0 * 2, tau, ratio).regime == "super-poisson"
+        # delta is about -1e-17 here: the regime is its sign, with no tolerance
+        m = survivor_moments_poisson(20.0, tau, 4.0)
+        assert m.regime == "super-poisson"
+        assert m.delta == delta_lambda(20.0, tau, 4.0) < 0
+
+    def test_variance_cross_check(self, monkeypatch):
+        from photonlink import saturation
+
+        # a delta off by 1e-9 moves mean - delta past the 1e-10 gate
+        monkeypatch.setattr(saturation, "delta_lambda", lambda lam, tau, t_c: delta_lambda(lam, tau, t_c) + 1e-9)
+        with pytest.raises(ArithmeticError, match="variance forms disagree"):
+            survivor_moments_poisson(1.0, 0.1, 1.0)
 
 
 class TestAppendixPieces:
