@@ -34,6 +34,30 @@ from .rng import substream
 if TYPE_CHECKING:
     from .link import LinkConfig
 
+_M_TOP_PAD = -2  # glibc's mallopt parameter number
+# a point of the default config (100k symbols) peaks at about 31 MB
+_HEAP_TOP_PAD = 64 << 20
+
+
+@functools.cache
+def _keep_freed_heap() -> bool:
+    """Let glibc keep _HEAP_TOP_PAD bytes of freed heap when it trims, for the whole process.
+
+    Without it every sweep point frees its Viterbi peak, glibc returns the
+    heap top to the kernel, and the next point page-faults the same memory
+    in again.  True when the policy is set; a no-op where libc cannot be
+    loaded or has no mallopt.
+    """
+    import ctypes  # numpy has imported it already
+
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(_M_TOP_PAD, _HEAP_TOP_PAD) == 1
+
 
 def _parallel_map(fn, payloads, workers: int) -> list:
     """fn(*args) for each args tuple of payloads, in order; results never depend on the worker count."""
@@ -42,7 +66,8 @@ def _parallel_map(fn, payloads, workers: int) -> list:
         return [fn(*args) for args in items]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only workers > 1 need it
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+    # spawn and forkserver workers do not inherit the allocator policy
+    with ProcessPoolExecutor(max_workers=min(workers, len(items)), initializer=_keep_freed_heap) as pool:
         return list(pool.map(fn, *zip(*items)))
 
 
@@ -362,6 +387,7 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = COMMANDS[args.command]

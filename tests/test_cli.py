@@ -1,6 +1,10 @@
+import ctypes
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -265,7 +269,8 @@ class TestDeterminism:
         sizes = []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
+                assert initializer is cli._keep_freed_heap  # each worker process sets the heap policy
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -551,6 +556,65 @@ def test_link_outputs_pinned_at_any_worker_count(tmp_path, command):
     # a byte-level gate for changes that should move no link output
     extra, digests = PINNED_LINK_OUTPUTS[command]
     _assert_pinned(tmp_path, command, LINK_BENCH_SETS + extra, digests)
+
+
+# Five link-ber calls in a fresh interpreter: the minor page faults of each, and whether the heap policy is set.
+FAULTS_SCRIPT = """
+import json, resource, sys
+from photonlink import cli
+argv = json.loads(sys.argv[1])
+faults = []
+for seed in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(argv + ["--seed", str(seed)]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"policy": cli._keep_freed_heap(), "faults": faults}))
+"""
+# Fixed before the test first ran: a steady-state link-ber call faulted 4,284-4,483 pages
+# without the policy and 0-17 with it (12 calls each, glibc 2.36).
+MAX_FAULTS_PER_CALL = 1000
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+def _libc_without_mallopt(name):
+    return object()
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(sys.platform != "linux", reason="the policy is glibc's")
+    def test_sweep_points_reuse_freed_heap(self, tmp_path):
+        default = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+        argv = ["ber-sweep", "--config", str(default), "--out", str(tmp_path), "--workers", "1"]
+        for item in LINK_BENCH_SETS + ("mc.n_symbols=17500", "mc.mc_samples=1500", "link.mode=physical"):
+            argv += ["--set", item]
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT, json.dumps(argv)],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        if not got["policy"]:
+            pytest.skip("libc has no mallopt")
+        assert max(got["faults"][2:]) < MAX_FAULTS_PER_CALL, got["faults"]  # after two warm-up calls
+
+    @pytest.mark.parametrize("cdll", [_no_libc, _libc_without_mallopt])
+    def test_without_mallopt_outputs_unchanged(self, config_file, tmp_path, monkeypatch, cdll):
+        def outputs(name):
+            out = tmp_path / name
+            assert run_cli("ber-sweep", "--config", str(config_file), "--out", str(out)) == 0
+            return {p.name: p.read_bytes() for p in (out / "ber_sweep").glob("*.csv")}
+
+        want = outputs("policy")
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        cli._keep_freed_heap.cache_clear()
+        try:
+            assert outputs("fallback") == want
+            assert cli._keep_freed_heap() is False
+        finally:
+            cli._keep_freed_heap.cache_clear()
 
 
 # The overrides of the sat-cutoff benchmark workload (perfbench/workloads.py).
