@@ -364,9 +364,6 @@ class ExperimentConfig:
         """Canonical resolved form, display units, every default explicit."""
         return json.loads(json.dumps(self.canonical))
 
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.to_dict(), sort_keys=True)
-
     def config_hash(self) -> str:
         """Hash of the experiment-defining content.
 

@@ -259,23 +259,6 @@ class PulseProfile:
             rho = np.interp(t, knots_t, knots_r, left=0.0, right=0.0) / self._tabulated[3]
         return np.where(inside, rho, 0.0)
 
-    def check_normalization(self, tol: float = 1e-9) -> float:
-        """Integrated mass of rho; raises if it differs from 1 beyond tol."""
-        from scipy import integrate
-
-        ti = self.t_i
-        if self.shape == "tabulated":
-            pts = sorted(set([-ti, ti] + [float(n[0]) for n in self.nodes if -ti < n[0] < ti]))
-            total = sum(
-                integrate.quad(lambda t: float(self.density(t)), a, b, epsabs=1e-12)[0]
-                for a, b in zip(pts[:-1], pts[1:])
-            )
-        else:
-            total = integrate.quad(lambda t: float(self.density(t)), -ti, ti, epsabs=1e-12)[0]
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"pulse density mass {total} differs from 1 beyond {tol}")
-        return total
-
 
 @dataclass(frozen=True)
 class Environment:

@@ -86,16 +86,13 @@ def survivor_mask(times: np.ndarray, tau: float) -> np.ndarray:
     +inf, padding never survives.
     """
     t = np.atleast_2d(np.asarray(times, dtype=float))
-    if t.shape[1] == 0:
-        mask = np.zeros_like(t, dtype=bool)
-    else:
-        with np.errstate(invalid="ignore"):
-            # padded rows produce inf - inf gaps; NaN compares False below
-            gaps = np.diff(t, axis=1)
-        big = np.full((t.shape[0], 1), np.inf)
-        left_ok = np.concatenate([big, gaps], axis=1) >= tau
-        right_ok = np.concatenate([gaps, big], axis=1) >= tau
-        mask = left_ok & right_ok & np.isfinite(t)
+    with np.errstate(invalid="ignore"):
+        # padded rows produce inf - inf gaps; NaN compares False below
+        gap_ok = np.diff(t, axis=1) >= tau
+    # each gap clears the photon on its left and the one on its right
+    mask = np.isfinite(t)
+    mask[:, 1:] &= gap_ok
+    mask[:, :-1] &= gap_ok
     return mask[0] if np.asarray(times).ndim == 1 else mask
 
 
@@ -244,10 +241,6 @@ class PieceIntegrals:
     @property
     def pair_survival_numeric(self) -> float:
         return float(sum(self.numeric))
-
-    @property
-    def pair_survival_closed(self) -> float:
-        return float(sum(self.closed))
 
 
 def pair_survival_integrals(n: int, tau: float, t_c: float) -> PieceIntegrals:
@@ -747,9 +740,11 @@ def cutoff_photon_number(operator: SurvivorOperator, n_grid: np.ndarray) -> Cuto
     """Mean photon number where the saturated excitation drops 3 dB.
 
     Evaluates operator, a ground-entry SurvivorOperator, over the given
-    increasing grid of mean photon numbers at once, locates the maximum,
-    then the first point at or below half the maximum, and interpolates
-    the crossing linearly on log-log axes.
+    increasing grid of mean photon numbers at once and takes the 3 dB
+    level as half the grid maximum.  The first grid point past the
+    maximum at or below that level and its left neighbour bracket the
+    crossing, and n_cutoff is the root of excitation = level on log n
+    inside that bracket (_half_root).  excitation holds the grid values.
     """
     n_grid = np.asarray(n_grid, dtype=float)
     if n_grid.size < 3 or np.any(np.diff(n_grid) <= 0):
@@ -764,20 +759,92 @@ def cutoff_photon_number(operator: SurvivorOperator, n_grid: np.ndarray) -> Cuto
     if below.size == 0:
         raise NotSaturatingError("no 3 dB drop within the sweep range")
     j = peak_index + 1 + int(below[0])
-    x0, x1 = math.log(n_grid[j - 1]), math.log(n_grid[j])
-    y0, y1 = math.log(max(exc[j - 1], 1e-300)), math.log(max(exc[j], 1e-300))
-    if y0 == y1:
-        n_cut = n_grid[j]
-    else:
-        n_cut = math.exp(x0 + (math.log(half) - y0) * (x1 - x0) / (y1 - y0))
-    return CutoffResult(n_cutoff=float(n_cut), n_grid=n_grid, excitation=exc)
+    n_cut = math.exp(_half_root(operator, np.log(n_grid[j - 1 : j + 1]), exc[j - 1 : j + 1], half))
+    return CutoffResult(n_cutoff=n_cut, n_grid=n_grid, excitation=exc)
 
 
-# the grids of scan_cutoff: a coarse one over 0.5 ... 0.5e7 mean photons,
-# then a dense one half a decade either side of the coarse crossing
-_SCAN_RANGE = (0.5, 0.5e7)
+# the root of a cutoff scan: rates per round, the width of a round about an
+# estimate as a fraction of the bracket, and a cap on the rounds that only a
+# bracket near the float spacing of log n could reach
+_ROOT_RATES = 6
+_ROOT_WINDOW = 1e-3
+_ROOT_MAX_ROUNDS = 16
+
+
+def _cloglog(p) -> np.ndarray:
+    """log(-log(1 - p)), the coordinate of _half_root's cubic.
+
+    Past its peak the excitation is close to 1 - e^{-m}, m the mean
+    number of photons that survive the dead time, about n e^{-2 lam tau}.
+    On this axis the curve is then close to log m = log n - 2 lam tau,
+    whose derivatives in log n stay small, so a cubic through four
+    points places the root far more closely than one on p itself.
+    """
+    with np.errstate(divide="ignore"):  # p = 0 maps to -inf, still below the level
+        return np.log(-np.log1p(-np.asarray(p, dtype=float)))
+
+
+def _inverse_cubic(x: list, y: list) -> float:
+    """x at y = 0 on the cubic x(y) through four points (Lagrange form); nan if two y coincide."""
+    try:
+        return sum(x[i] * math.prod(y[j] / (y[j] - y[i]) for j in range(4) if j != i) for i in range(4))
+    except ZeroDivisionError:
+        return math.nan
+
+
+def _half_root(operator: SurvivorOperator, x, p, half: float) -> float:
+    """The log n in the bracket x = (lo, hi) where the excitation equals half.
+
+    p holds the excitation at the bracket ends, above half at lo and at or
+    below it at hi; the excitation falls across the bracket.  Each round
+    evaluates _ROOT_RATES rates in one excitation call, inside the
+    tightest bracket found so far, and fits the cubic log n(y),
+    y = _cloglog(p) - _cloglog(half), through the four points around the
+    sign change; an estimate outside that bracket falls back to its
+    midpoint (Brent 1973 safeguards inverse interpolation the same way).
+    The first round spreads its rates over the bracket, the next over a
+    window _ROOT_WINDOW of the bracket wide about the estimate.  A window
+    that misses the root leaves a tighter bracket, which the round after
+    fills again.  The search stops once the bracket is no wider than the
+    spacing of a window's rates: the cubic through four such points is
+    exact to rounding.
+    """
+    level = _cloglog(half)
+    xs = np.asarray(x, dtype=float)
+    ys = _cloglog(p) - level
+    width = _ROOT_WINDOW * float(xs[1] - xs[0])
+    est = math.nan  # no estimate to centre a window on
+    for _ in range(_ROOT_MAX_ROUNDS):
+        k = int(np.argmax(ys <= 0))  # the first point at or below the level
+        lo, hi = float(xs[k - 1]), float(xs[k])
+        window = not math.isnan(est) and hi - lo > width
+        if window:
+            lo = min(max(est - 0.5 * width, lo), hi - width)
+            hi = lo + width
+        new = np.linspace(lo, hi, _ROOT_RATES + 2)[1:-1]
+        # new lies inside the bracket, so it goes between xs[k - 1] and xs[k]
+        xs = np.concatenate([xs[:k], new, xs[k:]])
+        y_new = _cloglog(operator.excitation(np.exp(new) / operator.t_c)) - level
+        ys = np.concatenate([ys[:k], y_new, ys[k:]])
+        k = int(np.argmax(ys <= 0))
+        lo, hi = float(xs[k - 1]), float(xs[k])
+        s = min(max(k - 2, 0), xs.size - 4)
+        est = _inverse_cubic(xs[s : s + 4].tolist(), ys[s : s + 4].tolist())
+        if not lo <= est <= hi:
+            est = 0.5 * (lo + hi)
+        if hi - lo <= width / (_ROOT_RATES + 1) * (1.0 + 1e-9):
+            break
+        if window:
+            est = math.nan
+    return est
+
+
+# the coarse grid of scan_cutoff: 0.5 * 10^(k/4) mean photons up to the last
+# point with lam tau <= 50, where fewer than 1e-30 photons survive the dead
+# time on average (n e^{-2 lam tau}, up to kappa t_c = 1e7)
+_SCAN_START = 0.5
 _SCAN_COARSE_PER_DECADE = 4
-_SCAN_FINE_PER_DECADE = 40
+_SCAN_MAX_LAM_TAU = 50.0
 
 
 def cutoff_operator(dev: DeviceParams, t_c: float) -> SurvivorOperator:
@@ -790,16 +857,17 @@ def cutoff_operator(dev: DeviceParams, t_c: float) -> SurvivorOperator:
 
 
 def scan_cutoff(dev: DeviceParams, t_c: float) -> CutoffResult:
-    """Two-stage cutoff scan: coarse bracket, then a dense grid around it.
+    """The 3 dB cutoff on one operator: a coarse grid brackets it, a root places it.
 
-    Both stages evaluate one operator.  The refined grid spans one decade
-    around the coarse crossing, which for this excitation shape always
-    contains the plateau maximum on its left edge.
+    The grid holds 0.5 * 10^(k/4) mean photons up to the last point with
+    lam tau <= 50, so it reaches past the crossing, which sits at
+    lam tau of about 3 to 9 for kappa t_c from 1e2 to 1e7.
     """
     operator = cutoff_operator(dev, t_c)
-    center = cutoff_photon_number(operator, log_grid(*_SCAN_RANGE, _SCAN_COARSE_PER_DECADE)).n_cutoff
-    fine_grid = log_grid(center / math.sqrt(10.0), center * math.sqrt(10.0), _SCAN_FINE_PER_DECADE)
-    return cutoff_photon_number(operator, fine_grid)
+    top = _SCAN_MAX_LAM_TAU * t_c / operator.tau  # mean photons at lam tau = 50
+    count = int(math.floor(_SCAN_COARSE_PER_DECADE * math.log10(top / _SCAN_START) + 1e-9)) + 1
+    grid = _SCAN_START * 10.0 ** (np.arange(count) / _SCAN_COARSE_PER_DECADE)
+    return cutoff_photon_number(operator, grid)
 
 
 @dataclass(frozen=True)

@@ -538,6 +538,28 @@ def check_survivor_excitation_vs_mc(level: str, seed: int) -> tuple:
     return worst < 4.0, f"{len(points)} points, max |z| {worst:.2f}"
 
 
+def check_cutoff_root(level: str, seed: int) -> tuple:
+    """scan_cutoff's 3 dB cutoff is a root, not an interpolation, at
+    gamma = 0: a fresh survivor_excitation at n_cut reads half the grid
+    peak, and the root on an operator with half the cell width (32 cells
+    per tau) on the same grid moves n_cut by less than 1e-5."""
+    t_c = 230e-9
+    timing = CycleTiming(t_c=t_c, delta_o=t_c * 1e-9, t_w=t_c * 1e-9)  # as in saturation.cutoff_operator
+    worst_level = worst_cell = 0.0
+    for kappa_tc in (1e2, 1e3, 1e4, 1e5):
+        dev = DeviceParams(kappa=kappa_tc / t_c, gamma=0.0)
+        res = saturation.scan_cutoff(dev, t_c)
+        half = 0.5 * float(res.excitation.max())
+        at_root = float(saturation.survivor_excitation(res.n_cutoff / t_c, timing, dev))
+        worst_level = max(worst_level, abs(at_root / half - 1.0))
+        fine = saturation.SurvivorOperator.build(timing, dev, cells_per_tau=32)
+        moved = saturation.cutoff_photon_number(fine, res.n_grid).n_cutoff / res.n_cutoff - 1.0
+        worst_cell = max(worst_cell, abs(moved))
+    ok = worst_level < 1e-9 and worst_cell < 1e-5
+    detail = f"max |p(n_cut)/(peak/2) - 1| {worst_level:.1e} (<1e-9), max cell-halving move {worst_cell:.1e} (<1e-5)"
+    return ok, detail
+
+
 def check_kernel_vs_mc_detector(level: str, seed: int) -> tuple:
     replicas = 1_000_000 if level == "full" else 200_000
     spec = link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV).build_spec(-150.0)
@@ -587,6 +609,7 @@ CHECKS: tuple = (
     check_survivor_moments_vs_mc,
     check_saturation_negligible_low_power,
     check_survivor_excitation_vs_mc,
+    check_cutoff_root,
 )
 
 

@@ -223,13 +223,15 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "config" and err["message"].startswith("output_dir: "), err["message"]
 
-    def test_numerics_error_exit_code(self, config_file, tmp_path):
-        # at kappa t_c = 1e6 the excitation never drops 3 dB within the scan's photon numbers
-        code = run_cli(
-            "cutoff-fit", "--config", str(config_file), "--out", str(tmp_path / "o"),
-            "--set", "sweeps.kappa_t_c={values: [100.0, 1000.0, 10000.0, 1.0e6]}",
-        )
+    def test_numerics_error_exit_code(self, config_file, tmp_path, monkeypatch, capsys):
+        # a scan grid cut at lam tau = 1, before every crossing, has no 3 dB drop
+        from photonlink import saturation
+
+        monkeypatch.setattr(saturation, "_SCAN_MAX_LAM_TAU", 1.0)
+        code = run_cli("cutoff-fit", "--config", str(config_file), "--out", str(tmp_path / "o"))
         assert code == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "numerics" and "no 3 dB drop" in err["message"], err
 
     def test_unbuildable_frame_table_exit_code(self, config_file, tmp_path, capsys):
         # at N = 1e5 and -142 dBm the frame-statistics window would hold 7.5M cells
@@ -490,7 +492,7 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run_cli("--version")
         assert exc.value.code == 0
-        assert capsys.readouterr().out == "photonlink 0.5.2\n"
+        assert capsys.readouterr().out == "photonlink 0.5.3\n"
 
 
 def test_saturation_barely_moves_the_rate(tmp_path):
@@ -624,18 +626,21 @@ SAT_CUTOFF_SETS = (
 )
 # sha256 of the saturation outputs and of the saturated link outputs on
 # configs/default.yaml at seed 7, recorded at version 0.5.1 like the link pins;
-# survivors.csv was re-recorded at 0.5.2, where its regime became the sign of delta.
-# fit.json, fig15.csv and the saturation-sweep files print values that pass
-# through numpy's vectorised exp and log, so they also have a digest for
-# numpy's baseline kernels (NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4").
+# survivors.csv was re-recorded at 0.5.2, where its regime became the sign of delta,
+# and the cutoff-fit files at 0.5.3, where the cutoff became a root.  The
+# cutoff-fit and saturation-sweep files print values that pass through numpy's
+# vectorised exp and log, so they also have a digest for numpy's baseline
+# kernels (NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4").
 PINNED_SATURATION_OUTPUTS = {
     "cutoff-fit": (SAT_CUTOFF_SETS, {
-        "cutoff_table.csv": {"7a2efb0df4383833cf0c1d511ae81f8196947edec75d61b5cbb18bc3b21c41e3"},
-        "fit.json": {"095f23bbbd2649b1b9322ec75d8e5f1a608280bea34ea706f50975ec5b2da468",
-                     "b01e2fe7f2465441406c6b3086e04e471def0b01ede9b3efc3a3f3be7f3c55ff"},
-        "fig13.csv": {"778789de6122f235c3301b777c79dcda41a29b174b6d2922305b783ee7b0a84a"},
-        "fig15.csv": {"ce75ecff9ef5593482be35684efbc3c807ba988b8a6086c873dca04d274e4889",
-                      "d74d5b8186833cc1a34d7a74618ddda1d0e17d0397d3d583012cfa990d8f2f85"},
+        "cutoff_table.csv": {"df75c49ef5111a80829faf061298864eb57d237c5e6d922210c53b278f369e11",
+                             "f45c726627b4ebbb68c4124969d47edd29d217b4a1778e85c70e014afd0b2b6f"},
+        "fit.json": {"3ff5f7dd169a56a4f3ba79c55935bdab4ebc1ef731ec586b5f841b3653ed1277",
+                     "1a9146b039077fa7036e5053279ff69f38a30aca4bef44523cdef8a5b01125de"},
+        "fig13.csv": {"4e31e6b4ef4a0afb72cf2a9679bd5608006da7516f065d72c5da5d9ce436c0ec",
+                      "40a95435092d5f45f8ce6a4f884218f942061762d1ef1b6d4e46707855fc330d"},
+        "fig15.csv": {"350b0f148c7946227d7cb9dfad69f5021d40d81b04863dd7ae56f006bccc5860",
+                      "8e8dc874483b65761ae5cc57cdb51277f208a79455a6103b722d37e630f59d64"},
     }),
     "saturation-sweep": ((), {
         "saturation_excitation.csv": {"b3c44faf0a476714386918dd49389abe93a827b1229ea229bc260e6fed483991",

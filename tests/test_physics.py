@@ -150,22 +150,34 @@ class TestTransitionKernels:
         assert 0.0 <= f2 <= 1.0
 
 
+def pulse_mass(pulse: PulseProfile) -> float:
+    """Integrated mass of the pulse density by quadrature, split at the tabulated nodes."""
+    ti = pulse.t_i
+    pts = [-ti, ti]
+    if pulse.shape == "tabulated":
+        pts = sorted(set(pts + [float(n[0]) for n in pulse.nodes if -ti < n[0] < ti]))
+    return sum(
+        integrate.quad(lambda t: float(pulse.density(t)), a, b, epsabs=1e-12)[0]
+        for a, b in zip(pts[:-1], pts[1:])
+    )
+
+
 class TestPulseProfiles:
     @pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
     def test_unit_mass(self, shape):
         pulse = PulseProfile(l=3.0, shape=shape, beta=1.2, w=0.4)
-        assert pulse.check_normalization() == pytest.approx(1.0, abs=1e-9)
+        assert pulse_mass(pulse) == pytest.approx(1.0, abs=1e-9)
 
     def test_tabulated(self):
         pulse = PulseProfile(l=2.0, shape="tabulated", nodes=[(-1.0, 0.0), (0.0, 2.0), (1.0, 0.0)])
-        assert pulse.check_normalization() == pytest.approx(1.0, abs=1e-9)
+        assert pulse_mass(pulse) == pytest.approx(1.0, abs=1e-9)
         assert pulse.density(0.0) == pytest.approx(1.0)
         assert pulse.density(2.0) == 0.0
 
     def test_tabulated_cut_to_support(self):
         # nodes beyond +-t_i: the density is cut to [-1, 1] and renormalized there
         pulse = PulseProfile(l=2.0, shape="tabulated", nodes=[(-2.0, 1.0), (2.0, 1.0)])
-        assert pulse.check_normalization() == pytest.approx(1.0, abs=1e-9)
+        assert pulse_mass(pulse) == pytest.approx(1.0, abs=1e-9)
         assert pulse.density(0.3) == pytest.approx(0.5)
         rect = PulseProfile(l=2.0)
         assert single_photon_excitation(pulse, 1.5, DEV) == pytest.approx(
@@ -173,7 +185,7 @@ class TestPulseProfiles:
         )
         # mass only partly inside: a jump to zero at the first node
         half = PulseProfile(l=2.0, shape="tabulated", nodes=[(0.0, 1.0), (3.0, 1.0)])
-        assert half.check_normalization() == pytest.approx(1.0, abs=1e-9)
+        assert pulse_mass(half) == pytest.approx(1.0, abs=1e-9)
         assert half.density(0.5) == pytest.approx(1.0)
 
     def test_tabulated_without_mass_on_support(self):

@@ -15,6 +15,7 @@ from photonlink.saturation import (
     CutoffFit,
     SurvivorOperator,
     _conv,
+    _poisson_sorted_arrivals,
     _require_window,
     cutoff_operator,
     pair_survival_integrals,
@@ -26,6 +27,7 @@ from photonlink.saturation import (
     log_grid,
     poisson_weighted_moments,
     saturated_excitation,
+    scan_cutoff,
     survivor_excitation,
     survivor_mask,
     survivor_moments_given_count,
@@ -35,8 +37,37 @@ from photonlink.detection import excitation_ctmc
 from photonlink.validate import cutoff_law, survivor_excitation_z
 
 
+def mask_by_concatenation(times, tau):
+    """survivor_mask's former form, the reference of its one-diff form: the
+    gaps padded with an inf column on either side, compared twice."""
+    t = np.atleast_2d(np.asarray(times, dtype=float))
+    if t.shape[1] == 0:
+        mask = np.zeros_like(t, dtype=bool)
+    else:
+        with np.errstate(invalid="ignore"):
+            gaps = np.diff(t, axis=1)
+        big = np.full((t.shape[0], 1), np.inf)
+        left_ok = np.concatenate([big, gaps], axis=1) >= tau
+        right_ok = np.concatenate([gaps, big], axis=1) >= tau
+        mask = left_ok & right_ok & np.isfinite(t)
+    return mask[0] if np.asarray(times).ndim == 1 else mask
+
+
 class TestFilter:
     TAU = 1.0
+
+    def test_mask_matches_concatenation_form(self):
+        rng = substream(31, 2)
+        padded = [
+            _poisson_sorted_arrivals(rng, mean, 64, 50.0)[0] for mean in (0.0, 0.5, 5.0, 40.0)
+        ]
+        one_d = [np.sort(rng.random(n) * 10.0) for n in (0, 1, 2, 30)]
+        edge = [np.array([[3.0]]), np.array([[np.inf]]), np.zeros((0, 4)), np.zeros((3, 0)),
+                np.array([[0.0, 1.0, 1.0, 2.0]])]
+        for t in padded + one_d + edge:
+            got, want = survivor_mask(t, self.TAU), mask_by_concatenation(t, self.TAU)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want), t
 
     def test_single_photon_survives(self):
         assert filter_survivors([3.0], self.TAU).tolist() == [3.0]
@@ -207,7 +238,7 @@ class TestAppendixPieces:
 
     def test_vanishing_window_pair_survival(self):
         p = pair_survival_integrals(4, 1e-9, 1.0)
-        assert p.pair_survival_closed == pytest.approx(1.0, abs=1e-6)
+        assert float(sum(p.closed)) == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -470,8 +501,8 @@ class TestSurvivorOperator:
                 held.step_base[0, 0] = 1.0
 
     def test_cutoff_fit_builds_one_operator_a_point(self, tmp_path, monkeypatch):
-        # the coarse and the fine stage of a scan share its operator; a second
-        # call in the same process builds its own
+        # the grid and the root of a scan share its operator; a second call in
+        # the same process builds its own
         from photonlink import cli
 
         built = []
@@ -635,12 +666,47 @@ class StubOperator:
 
 
 class TestCutoff:
+    T_C = 230e-9
+    TIMING = CycleTiming(T_C, T_C * 1e-9, T_C * 1e-9)  # as in cutoff_operator
+
     def test_synthetic_curve(self):
-        # a known monotone-decreasing curve halving at n = 100
+        # a known monotone-decreasing curve; its grid maximum 1/1.01 at n = 1
+        # halves at n = 102 exactly
         grid = log_grid(1.0, 1e4, 40)
         res = cutoff_photon_number(StubOperator(lambda nbar: 1.0 / (1.0 + nbar / 100.0)), grid)
-        step = grid[1] / grid[0]
-        assert 100.0 / step <= res.n_cutoff <= 100.0 * step
+        assert res.n_cutoff == pytest.approx(102.0, rel=1e-13)
+
+    def test_root_through_a_kink(self):
+        # a curve whose derivative jumps inside the bracket: the cubic misses
+        # the first window, and the rounds that follow still close on the root
+        calls = []
+
+        def kinked(nbar):
+            calls.append(np.size(nbar))
+            return np.clip(0.9 - 0.5 * np.log(np.maximum(nbar, 100.0) / 100.0), 0.0, 0.9)
+
+        res = cutoff_photon_number(StubOperator(kinked), np.array([1.0, 299.0, 302.0, 1e4]))
+        assert res.n_cutoff == pytest.approx(100.0 * math.exp(0.9), rel=1e-12)
+        assert len(calls) > 3  # the grid and more than the two rounds of a smooth curve
+
+    def test_cutoff_fit_reaches_large_kappa_tc(self, tmp_path):
+        # the grid ends at lam tau = 50, not at a fixed photon number, so the
+        # cutoffs past 0.5e7 photons at kappa t_c = 1e6 and 1e7 are found too;
+        # each is a root of excitation = half the grid maximum
+        from photonlink import cli
+
+        config = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+        assert cli.main(["cutoff-fit", "--config", str(config), "--out", str(tmp_path),
+                         "--set", "sweeps.kappa_t_c={values: [100.0, 1.0e4, 1.0e6, 1.0e7]}"]) == 0
+        lines = (tmp_path / "cutoff_fit" / "cutoff_table.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]]
+        assert [r["n_cutoff"] for r in rows[2:]] == pytest.approx([7.0786e6, 8.1503e7], rel=1e-4)
+        for r in rows:
+            dev = DeviceParams(kappa=r["kappa_tc"] / self.T_C, gamma=0.0, alpha_sat=1.14)
+            res = scan_cutoff(dev, self.T_C)
+            assert res.n_cutoff == pytest.approx(r["n_cutoff"], rel=1e-12)  # the table prints t_c rounded
+            at_root = float(survivor_excitation(res.n_cutoff / self.T_C, self.TIMING, dev))
+            assert abs(at_root / (0.5 * res.excitation.max()) - 1.0) < 1e-9
 
     def test_not_saturating_error(self):
         with pytest.raises(NotSaturatingError):
