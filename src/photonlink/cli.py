@@ -282,27 +282,28 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     return 0
 
 
-def _cutoff_point(cfg: ExperimentConfig, kappa_tc: float) -> dict:
+def _cutoff_share(cfg: ExperimentConfig, share: list) -> list:
+    """The cutoff_table rows of the kappa t_c values in share, from one lockstep scan."""
     from . import saturation
 
     t_c = cfg.timing.t_c
-    dev = DeviceParams(kappa=kappa_tc / t_c, gamma=0.0, alpha_sat=cfg.device.alpha_sat)
-    with _config_keys(f"sweeps.kappa_t_c: {kappa_tc}"):
-        result = saturation.scan_cutoff(dev, t_c)
-    return {
-        "kappa": dev.kappa,
-        "t_c": t_c,
-        "gamma": 0.0,
-        "kappa_tc": kappa_tc,
-        "n_cutoff": result.n_cutoff,
-    }
+    devices = [DeviceParams(kappa=kappa_tc / t_c, gamma=0.0, alpha_sat=cfg.device.alpha_sat) for kappa_tc in share]
+    results = saturation.scan_cutoff(devices, t_c, lambda i: _config_keys(f"sweeps.kappa_t_c: {share[i]}"))
+    return [
+        {"kappa": dev.kappa, "t_c": t_c, "gamma": 0.0, "kappa_tc": kappa_tc, "n_cutoff": result.n_cutoff}
+        for kappa_tc, dev, result in zip(share, devices, results)
+    ]
 
 
 def cmd_cutoff_fit(cfg: ExperimentConfig, runner: _Runner) -> int:
     from . import saturation
 
     values = cfg.axis("kappa_t_c")
-    rows = _parallel_map(_cutoff_point, [(cfg, float(v)) for v in values], cfg.workers)
+    # one contiguous share of the axis per worker: a share solves its roots in lockstep
+    points = values.tolist()
+    n = min(cfg.workers, len(points))
+    shares = [(cfg, points[len(points) * i // n : len(points) * (i + 1) // n]) for i in range(n)]
+    rows = [row for part in _parallel_map(_cutoff_share, shares, cfg.workers) for row in part]
     runner.write_report(SweepReport(rows), "cutoff_table.csv")
     runner.write_figure("fig13", ("kappa", "t_c", "kappa_tc", "n_cutoff"), rows)
     with _config_keys(f"sweeps.kappa_t_c: {values.tolist()}"):

@@ -22,6 +22,7 @@ from .physics import (
     DeviceParams,
     PulseProfile,
     _phi,
+    _poisson_sorted_arrivals,
     detection_prob_single,
     detector_events,
     excited_kernel,
@@ -361,26 +362,21 @@ def mc_detector(
     done = 0
     while done < replicas:
         m = min(_MC_BLOCK, replicas - done)
-        counts = rng.poisson(mu, m)
-        n_max = int(counts.max()) if m else 0
         if enter_excited:
+            rng.poisson(mu, m)  # drawn and not used: a decay-only cycle ignores the photon stream
             init_decay = rng.exponential(1.0 / gamma, m) if gamma > 0 else np.full(m, np.inf)
             last_fire = np.zeros(m)
             last_decay = init_decay
-            n_max = 0  # decay-only cycle, the photon stream is ignored
         else:
-            avail = np.zeros(m)
+            arrivals, counts = _poisson_sorted_arrivals(rng, mu, m, t_c)
             last_fire = np.full(m, np.inf)
             last_decay = np.full(m, np.inf)
-        if n_max > 0:
-            arrivals = rng.random((m, n_max)) * t_c
-            arrivals[np.arange(n_max)[None, :] >= counts[:, None]] = np.inf
-            arrivals.sort(axis=1)
-            fire_w = rng.exponential(4.0 / kappa, (m, n_max))
-            decay_w = rng.exponential(1.0 / gamma, (m, n_max)) if gamma > 0 else np.full((m, n_max), np.inf)
-            last_fire, last_decay = detector_events(
-                arrivals, fire_w, decay_w, t_c, avail, last_fire, last_decay
-            )
+            if counts.any():
+                fire_w = rng.exponential(4.0 / kappa, arrivals.shape)
+                decay_w = rng.exponential(1.0 / gamma, arrivals.shape) if gamma > 0 else np.full(arrivals.shape, np.inf)
+                last_fire, last_decay = detector_events(
+                    arrivals, fire_w, decay_w, t_c, np.zeros(m), last_fire, last_decay
+                )
         exc_obs = (last_fire <= t_c) & (last_decay > t_obs)
         if dev.p0 > 0:
             exc_obs = exc_obs ^ (rng.random(m) < dev.p0)

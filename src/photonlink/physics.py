@@ -497,6 +497,23 @@ def power_to_rate(power_dbm: float, nu: float) -> float:
     return dbm_to_watts(power_dbm) / (PLANCK_H * nu)
 
 
+def _poisson_sorted_arrivals(rng: np.random.Generator, mean: float, m: int, t_c: float):
+    """m rows of sorted Poisson-process arrivals on [0, t_c], padded with +inf, and their counts.
+
+    Draws the m counts, then, if any is positive, one uniform per row and
+    column up to the largest count; with no arrival at all the rows are a
+    single +inf column and nothing more is drawn.
+    """
+    counts = rng.poisson(mean, m)
+    n_max = int(counts.max()) if m else 0
+    if n_max == 0:
+        return np.full((m, 1), np.inf), counts
+    arr = rng.random((m, n_max)) * t_c
+    arr[np.arange(n_max)[None, :] >= counts[:, None]] = np.inf
+    arr.sort(axis=1)
+    return arr, counts
+
+
 def detector_events(times, fire_w, decay_w, t_c: float, avail, last_fire, last_decay):
     """Event-driven detector dynamics over columns of sorted arrival times.
 

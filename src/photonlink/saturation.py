@@ -10,14 +10,15 @@ Monte Carlo kept as its oracle) and the 3 dB cutoff machinery.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import Generator, Iterable, Sequence
 
 import numpy as np
 
 from .errors import FitConvergenceError, NotSaturatingError, RootBracketError
-from .physics import CycleTiming, DeviceParams, _cell_weights, _phi, detector_events
+from .physics import CycleTiming, DeviceParams, _cell_weights, _phi, _poisson_sorted_arrivals, detector_events
 from .report import Estimate
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "SurvivorOperator",
     "survivor_excitation",
     "cutoff_photon_number",
+    "cutoff_photon_numbers",
     "cutoff_operator",
     "scan_cutoff",
     "fit_cutoff_curve",
@@ -302,18 +304,6 @@ def pair_survival_integrals(n: int, tau: float, t_c: float) -> PieceIntegrals:
     return PieceIntegrals(numeric=numeric, closed=(closed_a, closed_b, closed_c, closed_d))
 
 
-def _poisson_sorted_arrivals(rng: np.random.Generator, mean: float, m: int, t_c: float):
-    """m rows of sorted Poisson-process arrivals on [0, t_c], padded with +inf."""
-    counts = rng.poisson(mean, m)
-    n_max = int(counts.max()) if m else 0
-    if n_max == 0:
-        return np.full((m, 1), np.inf), counts
-    arr = rng.random((m, n_max)) * t_c
-    arr[np.arange(n_max)[None, :] >= counts[:, None]] = np.inf
-    arr.sort(axis=1)
-    return arr, counts
-
-
 def _pack_rows(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Left-pack kept entries of each row, preserving order; pad with +inf."""
     order = np.argsort(~keep, axis=1, kind="stable")
@@ -396,20 +386,6 @@ def _conv(a, b, x):
     return x * np.exp(-np.minimum(a, b) * x) * _phi(np.abs(a - b) * x)
 
 
-def _cell_sum(scales, rates, width, shift=0.0):
-    """Weights (lower node, upper node) per row k and cell i of the integral of
-    h(s) sum_j c_jk e^{-(shift + a_j) (u[hi_k] - s)} over the nodes of row k,
-    exact for h linear between nodes.  scales[j] holds the cell scales
-    c_jk e^{-a_j (u[hi_k] - u[i + 1])} width_i of the rate a_j = rates[j],
-    zero outside the row; one call gives the cell weights of every rate."""
-    a = np.reshape(rates, (-1,) + (1,) * max(np.ndim(shift), 1))
-    c_lo, c_hi = _cell_weights((shift + a) * width)
-    w_lo = w_hi = 0.0
-    for scale, lo, hi in zip(scales, c_lo, c_hi):
-        w_lo, w_hi = w_lo + scale * lo, w_hi + scale * hi
-    return w_lo, w_hi
-
-
 def _node_rows(w_lo, w_hi):
     """Cell weights (lower node, upper node) gathered onto the nodes."""
     out = np.zeros(np.shape(w_lo)[:-1] + (np.shape(w_lo)[-1] + 1,))
@@ -426,14 +402,15 @@ class SurvivorOperator:
     build() makes everything that depends only on (kappa tau/4, gamma tau,
     t_c/tau, the entry level, cells_per_tau): the node grid sigma (one
     block of tau; width spans the window of two blocks), the lag table
-    lags/lag_index of the e^{-lam w} weights, the cell scales of the
-    new-node and readout rows, the lambda-free part of the force rows, the
-    block map's shift, running-sum and constant rows (step_base), the
-    block-0 integrals and the readout vector.  excitation(lam) adds the
+    dist of the e^{-lam w} weights, the cell scales of the new-node and
+    readout rows, the lambda-free part of the force rows, the block map's
+    shift, running-sum and constant rows (step_base), the block-0
+    integrals and the readout vector.  excitation(lam) adds the
     lambda-dependent rows, squares the block map and reads out, so one
     operator serves every lambda grid of a cutoff scan or every kernel of
-    a link sweep.  The arrays are read-only, also in a copy that arrives
-    by pickle.
+    a link sweep; _stacked_excitation does the same for rates spread over
+    several operators.  The arrays are read-only, also in a copy that
+    arrives by pickle.
     """
 
     tau: float
@@ -444,8 +421,7 @@ class SurvivorOperator:
     rho: float  # the part block at the end, t_c = (blocks + rho) tau
     sigma: np.ndarray
     width: np.ndarray
-    lags: np.ndarray
-    lag_index: np.ndarray
+    dist: np.ndarray  # per lambda row and cell: the lag w of its e^{-lam w} weight
     cell_scales: np.ndarray  # one per rate, R then G
     far_coefs: tuple  # one per rate: the block-0 weights of the far sum
     force_base: np.ndarray
@@ -479,7 +455,6 @@ class SurvivorOperator:
             raise ValueError("cells_per_tau must be >= 1")
         tau, t_c = dev.dead_time, timing.t_c
         _require_window(tau, t_c)
-        exc = float(enter_excited)
         # rates in units of 1/tau, times in units of tau
         R, G = dev.transition_rate * tau, dev.gamma * tau
         if abs(G - R) < 1e-8 * R:
@@ -509,7 +484,8 @@ class SurvivorOperator:
         size = one + 1
 
         def cell_scales(lo, hi, coefs, rates):
-            """The scales of _cell_sum over the nodes lo_k..hi_k of row k, one per rate."""
+            """Per rate a_j, the cell scales coef_jk e^{-a_j (u[hi_k] - u[i + 1])} width_i
+            of row k over its nodes lo_k..hi_k, zero outside the row."""
             inside = (np.arange(nh - 1) >= lo[:, None]) & (np.arange(nh - 1) < hi[:, None])
             dist = np.where(inside, u[hi, None] - u[1:], 0.0)
             return np.stack([
@@ -517,10 +493,12 @@ class SurvivorOperator:
                 for coef, a in zip(coefs, rates)
             ])
 
-        # running sums at every node j of the oldest block, as rows on the state
+        # running sums at every node j of the oldest block, as rows on the state;
+        # the rates R and G share one evaluation of the scales and the cell weights
         j_all = np.arange(m + 1)
-        in_r = _node_rows(*_cell_sum(cell_scales(0 * j_all, j_all, [1.0], [R]), [R], width))
-        in_g = _node_rows(*_cell_sum(cell_scales(0 * j_all, j_all, [1.0], [G]), [G], width))
+        in_scales = cell_scales(0 * j_all, j_all, [1.0, 1.0], [R, G])
+        c_lo, c_hi = _cell_weights(np.multiply.outer([R, G], width))
+        in_r, in_g = _node_rows(in_scales * c_lo[:, None], in_scales * c_hi[:, None])
         run_r = np.zeros((m + 1, size))
         run_r[:, :nh] = in_r
         run_r[:, i_r] = np.exp(-R * sigma)
@@ -534,7 +512,6 @@ class SurvivorOperator:
         new = j_all[1:]
         lo, hi = np.append(new, end), np.append(m + new, m + end)
         dist = np.maximum(u[hi, None] - u[1:], 0.0)
-        lags, back = np.unique(dist, return_inverse=True)
         coef_r = np.append(np.full(m, b_r * math.exp(-R)), R * inv)
         coef_g = np.append(np.full(m, b_g * math.exp(-G)), -R * inv)
         scales = cell_scales(lo, hi, [coef_r, coef_g], [R, G])
@@ -554,121 +531,197 @@ class SurvivorOperator:
         step[np.abs(step) < 1e-150] = 0.0
 
         # h on block 0 enters in closed form
-        x = sigma[None, :]
+        x, y = sigma, 1.0 - sigma
         coefs = ((b_r, R), (b_g, G))
-        i1 = sum(k * math.exp(-a) * (_conv(0.0, a, x) - exc * _conv(G, a, x)) for k, a in coefs)
-        y = 1.0 - x
-        near0_sum = sum(
-            k * np.exp(-a * (1.0 + x)) * (_conv(0.0, a, y) - exc * np.exp(-G * x) * _conv(G, a, y))
-            for k, a in coefs
-        )
-        entry_ground = np.stack([1.0 - exc * np.exp(-G * (1.0 + x)), 1.0 - exc * np.exp(-G * (2.0 + x))])
+        if enter_excited:
+            i1 = sum(k * math.exp(-a) * (_conv(0.0, a, x) - _conv(G, a, x)) for k, a in coefs)
+            near0_sum = sum(
+                k * np.exp(-a * (1.0 + x)) * (_conv(0.0, a, y) - np.exp(-G * x) * _conv(G, a, y))
+                for k, a in coefs
+            )
+            entry_ground = np.stack([1.0 - np.exp(-G * (1.0 + x)), 1.0 - np.exp(-G * (2.0 + x))])
+        else:  # the terms that an excited entry subtracts are exact zeros here
+            i1 = sum(k * math.exp(-a) * _conv(0.0, a, x) for k, a in coefs)
+            near0_sum = sum(k * np.exp(-a * (1.0 + x)) * _conv(0.0, a, y) for k, a in coefs)
+            entry_ground = np.ones((2, m + 1))
 
         # readout on the window [n - 1, n + 1], where t_c sits at node m + end
         readout_base = math.exp(-G) * run_d[end] + _conv(R, G, 1.0) * run_r[end]
         return cls(
             tau=tau, t_c=t_c, rates=(R, G), enter_excited=bool(enter_excited), blocks=n, rho=rho,
-            sigma=sigma, width=width, lags=lags, lag_index=back.reshape(dist.shape),
-            cell_scales=scales,
+            sigma=sigma, width=width, dist=dist, cell_scales=scales,
             far_coefs=tuple(k * math.exp(-2.0 * a) for k, a in coefs),
             force_base=force_base, step_base=step, i1=i1, near0_sum=near0_sum,
             entry_ground=entry_ground, readout_base=readout_base,
             readout_decay=math.exp(-dev.gamma * timing.delta_o),
         )
 
-    def _lam_rows(self, L, h1) -> tuple:
-        """The new-node and readout rows at lam tau = L, and near1, the
-        new-node rows cut to the cells of block 1 and applied to h1.
-
-        Each row is the cell scales at rates lam + a, times e^{-lam w}.
-        """
-        m = self.sigma.size - 1
-        decay = np.exp(-np.multiply.outer(L, self.lags))[:, self.lag_index]
-        w_lo, w_hi = _cell_sum(self.cell_scales, self.rates, self.width, L[:, None, None])
-        w_lo, w_hi = decay * w_lo, decay * w_hi
-        near1 = np.zeros_like(h1)
-        near1[:, 1:] = np.einsum("lji,li->lj", w_lo[:, :m, m:], h1[:, :-1]) + np.einsum(
-            "lji,li->lj", w_hi[:, :m, m:], h1[:, 1:]
-        )
-        return _node_rows(w_lo, w_hi), near1
-
     def excitation(self, lam) -> np.ndarray:
         """survivor_excitation at the arrival rates lam; returns an array shaped like lam."""
         lam = np.asarray(lam, dtype=float)
-        shape = lam.shape
-        lam = lam.ravel()
-        if np.any(lam < 0):
-            raise ValueError("lambda must be >= 0")
-        R, G = self.rates
-        inv = 1.0 / (G - R)
-        m = self.sigma.size - 1
-        nh = 2 * m + 1
-        i_r, i_d, i_e = nh, nh + 1, nh + 2
-        one = self.step_base.shape[0] - 1
-        excited = self.enter_excited
-        L = lam * self.tau
-        # the working arrays are dropped as soon as they are used: a call that
-        # holds fewer of them at once hands less memory back to the system
-        # between calls and page-faults less on the next one.  The rates R and
-        # G share one call of each closed form along a leading axis, and the
-        # exc * terms, exact zeros for a ground entry, are left out
+        return _stacked_excitation((self,), None, lam.ravel()).reshape(lam.shape)
 
-        # h on blocks 1 and 2 in closed form
-        Lc, x = L[:, None], self.sigma[None, :]
-        lead = Lc * np.exp(-Lc)
-        h1 = lead * (self.entry_ground[0] - Lc * np.exp(-Lc * x) * self.i1)
-        near0 = Lc * np.exp(-Lc * (1.0 + x)) * self.near0_sum
-        rates = np.reshape(self.rates, (2, 1, 1))
-        far = _conv(Lc, rates, x) - _conv(Lc + G, rates, x) if excited else _conv(Lc, rates, x)
-        far0 = lead * sum(k * conv for k, conv in zip(self.far_coefs, far))
-        lam_rows, near1 = self._lam_rows(L, h1)
-        h2 = lead * (self.entry_ground[1] - near0 - near1 - far0)
-        state = np.zeros((L.size, one + 1))
-        state[:, : m + 1] = h1
-        state[:, m:nh] = h2  # h at 2 tau ends block 1 and starts block 2
-        rates = rates[:, 0]
-        sum_r, sum_g = _conv(L, rates, 1.0) - _conv(L + G, rates, 1.0) if excited else _conv(L, rates, 1.0)
-        state[:, i_r] = L * sum_r
-        state[:, i_d] = L * (sum_r - sum_g) * inv
-        if excited:
-            state[:, i_e] = math.exp(-2.0 * G)
-        state[:, one] = 1.0
 
-        # readout: (e^{-lam} R) times the lambda-free vector, plus its lambda row
-        e_lam = np.exp(-L)
-        e_l = e_lam[:, None, None]
-        readout = e_l[:, 0] * R * self.readout_base
-        readout[:, :nh] += lam_rows[:, m]
-        if excited:
-            readout[:, i_e] += math.exp(-G * self.rho)
+def _stacked_excitation(operators: Sequence[SurvivorOperator], which, lam: np.ndarray) -> np.ndarray:
+    """survivor_excitation at each rate lam[i] on the operator operators[which[i]].
 
-        # block map: step_base with the new-node rows, under the same 1e-150 cut
-        force = -e_l * self.force_base
-        force[..., :nh] -= lam_rows[:, :m]
-        del lam_rows
-        force[..., one] += 1.0
-        if excited:
-            force[..., i_e] -= np.exp(-G * (1.0 + self.sigma[1:]))
-        power = np.empty((L.size,) + self.step_base.shape)
-        power[:] = self.step_base
-        new_rows = power[:, m + 1 : nh]
-        np.multiply((L * e_lam)[:, None, None], force, out=new_rows)
-        del force
-        np.copyto(new_rows, 0.0, where=np.abs(new_rows) < 1e-150)
+    The operators share their node count and entry level.  Their
+    lambda-free arrays are stacked along a leading axis and gathered per
+    rate (which is None for one operator, whose arrays broadcast over the
+    rates instead), so every rate is the same arithmetic as on its own
+    operator, bit for bit.  The rates are taken in order of falling block
+    count: those whose block map still squares are then a leading slice.
+    """
+    if np.any(lam < 0):
+        raise ValueError("lambda must be >= 0")
+    first = operators[0]
+    # runs: (end, blocks - 2) of each run of rates with the same block count
+    if which is None:
+        runs = [(lam.size, first.blocks - 2)]
 
-        # the block map, applied blocks - 2 times by repeated squaring
-        spare, todo = np.empty_like(power), self.blocks - 2
-        while todo:
-            if todo & 1:
-                state = np.matmul(power, state[:, :, None])[:, :, 0]
-            todo >>= 1
-            if todo:
-                np.matmul(power, power, out=spare)
-                power, spare = spare, power
+        def per_rate(get):
+            return np.asarray(get(first))[None]
+    else:
+        blocks = np.array([op.blocks for op in operators])
+        order = np.argsort(-blocks[which], kind="stable")
+        lam, which = lam[order], which[order]
+        counts = np.bincount(which, minlength=len(operators))
+        runs = [(int(counts[blocks >= b].sum()), int(b) - 2) for b in sorted(set(blocks.tolist()), reverse=True)]
 
-        # rounding in the squarings can leave values ~1e-13 outside [0, 1]
-        p = np.clip(np.einsum("ld,ld->l", readout, state), 0.0, 1.0)
-        return (p * self.readout_decay).reshape(shape)
+        def per_rate(get):
+            return np.stack([np.asarray(get(op)) for op in operators])[which]
+    m = first.sigma.size - 1
+    nh = 2 * m + 1
+    i_r, i_d, i_e = nh, nh + 1, nh + 2
+    one = first.step_base.shape[0] - 1
+    excited = first.enter_excited
+    rates = per_rate(lambda op: op.rates).T  # (R, G) by rate, in units of 1/tau
+    R, G = rates
+    inv = 1.0 / (G - R)
+    L = lam * per_rate(lambda op: op.tau)
+    # the working arrays are dropped as soon as they are used: a call that
+    # holds fewer of them at once hands less memory back to the system
+    # between calls and page-faults less on the next one.  The rates R and
+    # G share one call of each closed form along a leading axis, and the
+    # excited-entry terms are left out for a ground entry
+
+    # h on blocks 1 and 2 in closed form
+    Lc, x = L[:, None], per_rate(lambda op: op.sigma)
+    entry_ground = per_rate(lambda op: op.entry_ground)
+    lead = Lc * np.exp(-Lc)
+    h1 = lead * (entry_ground[:, 0] - Lc * np.exp(-Lc * x) * per_rate(lambda op: op.i1))
+    near0 = Lc * np.exp(-Lc * (1.0 + x)) * per_rate(lambda op: op.near0_sum)
+    ra = rates[:, :, None]
+    far = _conv(Lc, ra, x) - _conv(Lc + G[:, None], ra, x) if excited else _conv(Lc, ra, x)
+    far0 = lead * sum(k[:, None] * conv for k, conv in zip(per_rate(lambda op: op.far_coefs).T, far))
+
+    # the new-node and readout rows, weights (lower node, upper node) per row k
+    # and cell i of the integral of h(s) sum_j c_jk e^{-(lam + a_j) (u[hi_k] - s)},
+    # exact for h linear between nodes: the cell scales times the cell weights
+    # at lam + a_j, times e^{-lam w}; near1 is the new-node rows cut to the cells
+    # of block 1 and applied to h1
+    shift = L[:, None, None]
+    c_lo, c_hi = _cell_weights((shift + rates[:, :, None, None]) * per_rate(lambda op: op.width)[:, None])
+    (scale_r, scale_g), (lo_r, lo_g), (hi_r, hi_g) = np.moveaxis(per_rate(lambda op: op.cell_scales), 1, 0), c_lo, c_hi
+    w_lo, w_hi = scale_r * lo_r, scale_r * hi_r
+    w_lo += scale_g * lo_g
+    w_hi += scale_g * hi_g
+    decay = np.exp(-(shift * per_rate(lambda op: op.dist)))
+    w_lo *= decay
+    w_hi *= decay
+    del decay
+    near1 = np.zeros_like(h1)
+    near1[:, 1:] = np.einsum("lji,li->lj", w_lo[:, :m, m:], h1[:, :-1]) + np.einsum(
+        "lji,li->lj", w_hi[:, :m, m:], h1[:, 1:]
+    )
+    lam_rows = _node_rows(w_lo, w_hi)
+    del w_lo, w_hi
+
+    h2 = lead * (entry_ground[:, 1] - near0 - near1 - far0)
+    state = np.zeros((L.size, one + 1))
+    state[:, : m + 1] = h1
+    state[:, m:nh] = h2  # h at 2 tau ends block 1 and starts block 2
+    sum_r, sum_g = _conv(L, rates, 1.0) - _conv(L + G, rates, 1.0) if excited else _conv(L, rates, 1.0)
+    state[:, i_r] = L * sum_r
+    state[:, i_d] = L * (sum_r - sum_g) * inv
+    if excited:
+        state[:, i_e] = per_rate(lambda op: math.exp(-2.0 * op.rates[1]))
+    state[:, one] = 1.0
+
+    # readout: (e^{-lam} R) times the lambda-free vector, plus its lambda row
+    e_lam = np.exp(-L)
+    e_l = e_lam[:, None, None]
+    readout = e_l[:, 0] * R[:, None] * per_rate(lambda op: op.readout_base)
+    readout[:, :nh] += lam_rows[:, m]
+    if excited:
+        readout[:, i_e] += per_rate(lambda op: math.exp(-op.rates[1] * op.rho))
+
+    # block map: step_base with the new-node rows, under the same 1e-150 cut
+    force = -e_l * per_rate(lambda op: op.force_base)
+    force[..., :nh] -= lam_rows[:, :m]
+    del lam_rows
+    force[..., one] += 1.0
+    if excited:
+        force[..., i_e] -= np.exp(-G[:, None] * (1.0 + x[:, 1:]))
+    if which is None:  # one operator's map, copied for every rate
+        power = np.empty((L.size,) + first.step_base.shape)
+        power[:] = first.step_base
+    else:
+        power = per_rate(lambda op: op.step_base)
+    new_rows = power[:, m + 1 : nh]
+    np.multiply((L * e_lam)[:, None, None], force, out=new_rows)
+    del force
+    np.copyto(new_rows, 0.0, where=np.abs(new_rows) < 1e-150)
+
+    # the block map of each rate, applied blocks - 2 times by repeated squaring
+    spare = np.empty_like(power)
+    while runs:
+        if any(todo & 1 for _, todo in runs):
+            moved = np.matmul(power[: runs[-1][0]], state[: runs[-1][0], :, None])[:, :, 0]
+            start = 0
+            for end, todo in runs:
+                if todo & 1:
+                    state[start:end] = moved[start:end]
+                start = end
+        runs = [(end, todo >> 1) for end, todo in runs if todo >> 1]
+        if runs:
+            k = runs[-1][0]
+            np.matmul(power[:k], power[:k], out=spare[:k])
+            power, spare = spare, power
+
+    # rounding in the squarings can leave values ~1e-13 outside [0, 1]
+    p = np.clip(np.einsum("ld,ld->l", readout, state), 0.0, 1.0)
+    p = p * per_rate(lambda op: op.readout_decay)
+    if which is None:
+        return p
+    out = np.empty_like(p)
+    out[order] = p
+    return out
+
+
+def _excitations(operators: Sequence, lams: Sequence) -> list:
+    """operators[i].excitation(lams[i]) for each i, flat.
+
+    The SurvivorOperators with the same node count and entry level share
+    one _stacked_excitation; any other operator, or one alone in its
+    group, makes its own excitation call.
+    """
+    groups = {}
+    for i, op in enumerate(operators):
+        key = (op.sigma.size, op.enter_excited) if isinstance(op, SurvivorOperator) else ("own", i)
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(operators)
+    for idx in groups.values():
+        if len(idx) == 1:
+            out[idx[0]] = np.ravel(operators[idx[0]].excitation(lams[idx[0]]))
+            continue
+        parts = [np.ravel(np.asarray(lams[i], dtype=float)) for i in idx]
+        sizes = [part.size for part in parts]
+        which = np.repeat(np.arange(len(idx)), sizes)
+        values = _stacked_excitation([operators[i] for i in idx], which, np.concatenate(parts))
+        for i, value in zip(idx, np.split(values, np.cumsum(sizes)[:-1])):
+            out[i] = value
+    return out
 
 
 def survivor_excitation(
@@ -746,21 +799,61 @@ def cutoff_photon_number(operator: SurvivorOperator, n_grid: np.ndarray) -> Cuto
     crossing, and n_cutoff is the root of excitation = level on log n
     inside that bracket (_half_root).  excitation holds the grid values.
     """
-    n_grid = np.asarray(n_grid, dtype=float)
-    if n_grid.size < 3 or np.any(np.diff(n_grid) <= 0):
-        raise ValueError("n_grid must be increasing with at least 3 points")
-    exc = operator.excitation(n_grid / operator.t_c)
-    peak_index = int(np.argmax(exc))
-    peak = float(exc[peak_index])
-    if peak <= 0:
-        raise NotSaturatingError("excitation is zero over the whole sweep")
-    half = 0.5 * peak
-    below = np.nonzero(exc[peak_index + 1 :] <= half)[0]
-    if below.size == 0:
-        raise NotSaturatingError("no 3 dB drop within the sweep range")
-    j = peak_index + 1 + int(below[0])
-    n_cut = math.exp(_half_root(operator, np.log(n_grid[j - 1 : j + 1]), exc[j - 1 : j + 1], half))
-    return CutoffResult(n_cutoff=n_cut, n_grid=n_grid, excitation=exc)
+    return cutoff_photon_numbers([(operator, n_grid)])[0]
+
+
+def cutoff_photon_numbers(scans: Iterable[tuple]) -> list:
+    """cutoff_photon_number of each (operator, n_grid) pair of scans, the roots in lockstep.
+
+    Each grid is one excitation call of its own operator, made as its
+    pair is drawn from scans, so the first pair in order whose curve
+    does not drop 3 dB raises.  Every round of the roots is then one
+    evaluation over the rates of all roots still solving (_excitations).
+    """
+    scanned = []
+    for operator, n_grid in scans:
+        n_grid = np.asarray(n_grid, dtype=float)
+        if n_grid.size < 3 or np.any(np.diff(n_grid) <= 0):
+            raise ValueError("n_grid must be increasing with at least 3 points")
+        exc = operator.excitation(n_grid / operator.t_c)
+        peak_index = int(np.argmax(exc))
+        peak = float(exc[peak_index])
+        if peak <= 0:
+            raise NotSaturatingError("excitation is zero over the whole sweep")
+        half = 0.5 * peak
+        below = np.nonzero(exc[peak_index + 1 :] <= half)[0]
+        if below.size == 0:
+            raise NotSaturatingError("no 3 dB drop within the sweep range")
+        j = peak_index + 1 + int(below[0])
+        root = _half_root(np.log(n_grid[j - 1 : j + 1]), exc[j - 1 : j + 1], half)
+        scanned.append((operator, n_grid, exc, root))
+    roots = _lockstep([s[0] for s in scanned], [s[3] for s in scanned])
+    return [
+        CutoffResult(n_cutoff=math.exp(x), n_grid=n_grid, excitation=exc)
+        for (_, n_grid, exc, _), x in zip(scanned, roots)
+    ]
+
+
+def _lockstep(operators: Sequence, roots: Sequence) -> list:
+    """Run the _half_root generators roots[i] on operators[i] together; the log n each returns.
+
+    Each round is one _excitations call over the rates that every root
+    still solving has yielded, and sends each root its values.
+    """
+    out = [math.nan] * len(roots)
+    pending = {i: next(root) for i, root in enumerate(roots)}
+    while pending:
+        ids = list(pending)
+        values = _excitations(
+            [operators[i] for i in ids], [np.exp(pending[i]) / operators[i].t_c for i in ids]
+        )
+        for i, value in zip(ids, values):
+            try:
+                pending[i] = roots[i].send(value)
+            except StopIteration as done:
+                out[i] = done.value
+                del pending[i]
+    return out
 
 
 # the root of a cutoff scan: rates per round, the width of a round about an
@@ -792,13 +885,14 @@ def _inverse_cubic(x: list, y: list) -> float:
         return math.nan
 
 
-def _half_root(operator: SurvivorOperator, x, p, half: float) -> float:
+def _half_root(x, p, half: float) -> Generator:
     """The log n in the bracket x = (lo, hi) where the excitation equals half.
 
-    p holds the excitation at the bracket ends, above half at lo and at or
-    below it at hi; the excitation falls across the bracket.  Each round
-    evaluates _ROOT_RATES rates in one excitation call, inside the
-    tightest bracket found so far, and fits the cubic log n(y),
+    A generator: each round yields _ROOT_RATES values of log n inside the
+    tightest bracket found so far and is sent the excitation at them, and
+    the root is its return value.  p holds the excitation at the bracket
+    ends, above half at lo and at or below it at hi; the excitation falls
+    across the bracket.  Each round fits the cubic log n(y),
     y = _cloglog(p) - _cloglog(half), through the four points around the
     sign change; an estimate outside that bracket falls back to its
     midpoint (Brent 1973 safeguards inverse interpolation the same way).
@@ -824,7 +918,7 @@ def _half_root(operator: SurvivorOperator, x, p, half: float) -> float:
         new = np.linspace(lo, hi, _ROOT_RATES + 2)[1:-1]
         # new lies inside the bracket, so it goes between xs[k - 1] and xs[k]
         xs = np.concatenate([xs[:k], new, xs[k:]])
-        y_new = _cloglog(operator.excitation(np.exp(new) / operator.t_c)) - level
+        y_new = _cloglog((yield new)) - level
         ys = np.concatenate([ys[:k], y_new, ys[k:]])
         k = int(np.argmax(ys <= 0))
         lo, hi = float(xs[k - 1]), float(xs[k])
@@ -847,27 +941,40 @@ _SCAN_COARSE_PER_DECADE = 4
 _SCAN_MAX_LAM_TAU = 50.0
 
 
-def cutoff_operator(dev: DeviceParams, t_c: float) -> SurvivorOperator:
+def cutoff_operator(dev: DeviceParams, t_c: float, cells_per_tau: int = 16) -> SurvivorOperator:
     """The ground-entry operator of a cutoff scan at cycle t_c.
 
     The curve is taken at t_c: the decay over delta_o is a constant factor
     and does not move a 3 dB point, so delta_o is 1e-9 t_c.
     """
-    return SurvivorOperator.build(CycleTiming(t_c=t_c, delta_o=t_c * 1e-9, t_w=t_c * 1e-9), dev)
+    timing = CycleTiming(t_c=t_c, delta_o=t_c * 1e-9, t_w=t_c * 1e-9)
+    return SurvivorOperator.build(timing, dev, cells_per_tau=cells_per_tau)
 
 
-def scan_cutoff(dev: DeviceParams, t_c: float) -> CutoffResult:
-    """The 3 dB cutoff on one operator: a coarse grid brackets it, a root places it.
+def scan_cutoff(devices, t_c: float, context=None):
+    """The 3 dB cutoff of each device at cycle t_c: a coarse grid brackets it, a root places it.
 
-    The grid holds 0.5 * 10^(k/4) mean photons up to the last point with
+    Each device's cutoff_operator is built and evaluated on its grid in
+    order, then the roots run in lockstep (cutoff_photon_numbers).  The
+    grid holds 0.5 * 10^(k/4) mean photons up to the last point with
     lam tau <= 50, so it reaches past the crossing, which sits at
-    lam tau of about 3 to 9 for kappa t_c from 1e2 to 1e7.
+    lam tau of about 3 to 9 for kappa t_c from 1e2 to 1e7.  Returns a
+    list of CutoffResult, or one for a single DeviceParams.  context(i),
+    if given, is a context manager that the build of operator i runs in:
+    the CLI names the config value of a rejected point with it.
     """
-    operator = cutoff_operator(dev, t_c)
-    top = _SCAN_MAX_LAM_TAU * t_c / operator.tau  # mean photons at lam tau = 50
-    count = int(math.floor(_SCAN_COARSE_PER_DECADE * math.log10(top / _SCAN_START) + 1e-9)) + 1
-    grid = _SCAN_START * 10.0 ** (np.arange(count) / _SCAN_COARSE_PER_DECADE)
-    return cutoff_photon_number(operator, grid)
+    if isinstance(devices, DeviceParams):
+        return scan_cutoff([devices], t_c, context)[0]
+
+    def scans():
+        for i, dev in enumerate(devices):
+            with context(i) if context else contextlib.nullcontext():
+                operator = cutoff_operator(dev, t_c)
+            top = _SCAN_MAX_LAM_TAU * t_c / operator.tau  # mean photons at lam tau = 50
+            count = int(math.floor(_SCAN_COARSE_PER_DECADE * math.log10(top / _SCAN_START) + 1e-9)) + 1
+            yield operator, _SCAN_START * 10.0 ** (np.arange(count) / _SCAN_COARSE_PER_DECADE)
+
+    return cutoff_photon_numbers(scans())
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .physics import (
     DeviceParams,
     Environment,
     PulseProfile,
+    _poisson_sorted_arrivals,
     ground_return_prob,
     single_photon_excitation,
     single_photon_excitation_double_integral,
@@ -210,7 +211,7 @@ def _survivor_counts(rng, kind: str, x, tau: float, replicas: int) -> np.ndarray
         if kind == "count":
             arr = np.sort(rng.random((m, x)), axis=1)
         else:
-            arr, _ = saturation._poisson_sorted_arrivals(rng, x, m, 1.0)
+            arr, _ = _poisson_sorted_arrivals(rng, x, m, 1.0)
         out[start : start + m] = saturation.survivor_mask(arr, tau).sum(axis=1)
     return out
 
@@ -540,19 +541,18 @@ def check_survivor_excitation_vs_mc(level: str, seed: int) -> tuple:
 
 def check_cutoff_root(level: str, seed: int) -> tuple:
     """scan_cutoff's 3 dB cutoff is a root, not an interpolation, at
-    gamma = 0: a fresh survivor_excitation at n_cut reads half the grid
+    gamma = 0: a freshly built operator at n_cut reads half the grid
     peak, and the root on an operator with half the cell width (32 cells
-    per tau) on the same grid moves n_cut by less than 1e-5."""
+    per tau) on the same grid moves n_cut by less than 1e-5.  The four
+    points share one lockstep scan."""
     t_c = 230e-9
-    timing = CycleTiming(t_c=t_c, delta_o=t_c * 1e-9, t_w=t_c * 1e-9)  # as in saturation.cutoff_operator
+    devices = [DeviceParams(kappa=kappa_tc / t_c, gamma=0.0) for kappa_tc in (1e2, 1e3, 1e4, 1e5)]
     worst_level = worst_cell = 0.0
-    for kappa_tc in (1e2, 1e3, 1e4, 1e5):
-        dev = DeviceParams(kappa=kappa_tc / t_c, gamma=0.0)
-        res = saturation.scan_cutoff(dev, t_c)
+    for dev, res in zip(devices, saturation.scan_cutoff(devices, t_c)):
         half = 0.5 * float(res.excitation.max())
-        at_root = float(saturation.survivor_excitation(res.n_cutoff / t_c, timing, dev))
+        at_root = float(saturation.cutoff_operator(dev, t_c).excitation(res.n_cutoff / t_c))
         worst_level = max(worst_level, abs(at_root / half - 1.0))
-        fine = saturation.SurvivorOperator.build(timing, dev, cells_per_tau=32)
+        fine = saturation.cutoff_operator(dev, t_c, cells_per_tau=32)
         moved = saturation.cutoff_photon_number(fine, res.n_grid).n_cutoff / res.n_cutoff - 1.0
         worst_cell = max(worst_cell, abs(moved))
     ok = worst_level < 1e-9 and worst_cell < 1e-5

@@ -442,12 +442,12 @@ class TestFigureExtraction:
         assert path in runner.outputs
 
     def test_cutoff_table_feeds_fig13(self, config_file, tmp_path, monkeypatch):
-        def cutoff_point(cfg, kappa_tc):
+        def cutoff_share(cfg, share):
             t_c = cfg.timing.t_c
-            return {"kappa": kappa_tc / t_c, "t_c": t_c, "gamma": 0.0, "kappa_tc": kappa_tc,
-                    "n_cutoff": 2.0 * kappa_tc**1.1}
+            return [{"kappa": kappa_tc / t_c, "t_c": t_c, "gamma": 0.0, "kappa_tc": kappa_tc,
+                     "n_cutoff": 2.0 * kappa_tc**1.1} for kappa_tc in share]
 
-        monkeypatch.setattr(cli, "_cutoff_point", cutoff_point)
+        monkeypatch.setattr(cli, "_cutoff_share", cutoff_share)
         out = tmp_path / "out"
         assert run_cli("cutoff-fit", "--config", str(config_file), "--out", str(out)) == 0
         table = (out / "cutoff_fit" / "cutoff_table.csv").read_text().splitlines()

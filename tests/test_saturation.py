@@ -1,3 +1,4 @@
+import contextlib
 import math
 import pickle
 import warnings
@@ -15,11 +16,13 @@ from photonlink.saturation import (
     CutoffFit,
     SurvivorOperator,
     _conv,
+    _excitations,
     _poisson_sorted_arrivals,
     _require_window,
     cutoff_operator,
     pair_survival_integrals,
     cutoff_photon_number,
+    cutoff_photon_numbers,
     delta_lambda,
     filter_survivors,
     find_lambda0,
@@ -521,6 +524,22 @@ class TestSurvivorOperator:
                              "--set", points]) == 0
             assert len(built) == 5, name
 
+    def test_one_evaluation_over_several_operators(self):
+        # rates that each carry their own operator, in one call, read the bits
+        # of each operator's own excitation; kappa t_c = 114 at alpha_sat 1.14
+        # is a whole t_c / tau (17 nodes), the others are fractional (18 nodes)
+        ops = [
+            SurvivorOperator.build(self.TIMING, DeviceParams(kappa=ktc / self.T_C, gamma=gtc / self.T_C), entry)
+            for ktc in (1e2, 114.0, 10**2.5, 1e3, 1e4, 1e5)
+            for gtc in (0.0, 2.0)
+            for entry in (False, True)
+        ]
+        assert {op.sigma.size for op in ops} == {17, 18}
+        lams = [np.geomspace(0.5, 5e4, 5 + i % 4) * (1.0 + 0.1 * i) / self.T_C for i in range(len(ops))]
+        got = _excitations(ops, lams)
+        for op, lam, value in zip(ops, lams, got):
+            assert value.tolist() == op.excitation(lam).tolist(), (op.blocks, op.rates, op.enter_excited)
+
 
 class TestFirstSurvivorExcitation:
     """survivor_excitation, the exact saturated excitation; at gamma = 0 with
@@ -707,6 +726,56 @@ class TestCutoff:
             assert res.n_cutoff == pytest.approx(r["n_cutoff"], rel=1e-12)  # the table prints t_c rounded
             at_root = float(survivor_excitation(res.n_cutoff / self.T_C, self.TIMING, dev))
             assert abs(at_root / (0.5 * res.excitation.max()) - 1.0) < 1e-9
+
+    def test_lockstep_scan_equals_one_device_at_a_time(self):
+        devices = [DeviceParams(kappa=ktc / self.T_C, gamma=0.0) for ktc in (1e2, 114.0, 1e3, 1e4, 1e5)]
+        together = scan_cutoff(devices, self.T_C)
+        for dev, res in zip(devices, together):
+            alone = scan_cutoff(dev, self.T_C)
+            assert res.n_cutoff == alone.n_cutoff
+            assert res.n_grid.tolist() == alone.n_grid.tolist()
+            assert res.excitation.tolist() == alone.excitation.tolist()
+
+    def test_root_through_a_kink_in_a_batch(self):
+        # the kinked root needs a third round after the smooth roots of its
+        # batch have finished, and still closes on the same root
+        calls = []
+
+        def kinked(nbar):
+            calls.append(np.size(nbar))
+            return np.clip(0.9 - 0.5 * np.log(np.maximum(nbar, 100.0) / 100.0), 0.0, 0.9)
+
+        smooth = StubOperator(lambda nbar: 1.0 / (1.0 + nbar / 100.0))
+        real = cutoff_operator(DeviceParams(kappa=100.0 / self.T_C, gamma=0.0), self.T_C)
+        scans = [(smooth, log_grid(1.0, 1e4, 40)), (StubOperator(kinked), np.array([1.0, 299.0, 302.0, 1e4])),
+                 (real, log_grid(1.0, 3000.0, 12))]
+        batch = cutoff_photon_numbers(scans)
+        assert batch[1].n_cutoff == pytest.approx(100.0 * math.exp(0.9), rel=1e-12)
+        assert len(calls) > 3
+        for (op, grid), res in zip(scans, batch):
+            assert res.n_cutoff == cutoff_photon_number(op, grid).n_cutoff
+
+    def test_first_point_that_cannot_saturate_raises(self):
+        falling = StubOperator(lambda nbar: 1.0 / (1.0 + nbar / 100.0))
+        flat = StubOperator(lambda nbar: np.full(np.shape(nbar), 0.8))
+        dark = StubOperator(lambda nbar: np.zeros(np.shape(nbar)))
+        grid = log_grid(1.0, 1e4, 10)
+        with pytest.raises(NotSaturatingError, match="no 3 dB drop"):
+            cutoff_photon_numbers([(falling, grid), (flat, grid), (dark, grid)])
+
+    def test_build_context_names_the_first_rejected_device(self):
+        # kappa t_c = 2 and 3 put t_c / tau below 4 at alpha_sat 1.14
+        devices = [DeviceParams(kappa=ktc / self.T_C, gamma=0.0) for ktc in (100.0, 2.0, 3.0)]
+
+        @contextlib.contextmanager
+        def named(i):
+            try:
+                yield
+            except ValueError as exc:
+                raise ValueError(f"point {i}: {exc}") from None
+
+        with pytest.raises(ValueError, match="^point 1: "):
+            scan_cutoff(devices, self.T_C, named)
 
     def test_not_saturating_error(self):
         with pytest.raises(NotSaturatingError):
