@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -242,7 +243,9 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     for ratio in cfg.axis("t_over_tau"):
         t_c = ratio * tau
         for a in cfg.axis("lambda_tau"):
-            lam = a / tau
+            lam = float(a) / tau
+            if math.isinf(lam):
+                raise ConfigError(f"sweeps.lambda_tau: {a}: lambda = lambda_tau/tau = {a}/{tau} overflows")
             with _config_keys(f"sweeps.t_over_tau: {ratio}"):
                 m = saturation.survivor_moments_poisson(lam, tau, t_c)
             surv.append({
@@ -287,11 +290,14 @@ def _cutoff_share(cfg: ExperimentConfig, share: list) -> list:
     from . import saturation
 
     t_c = cfg.timing.t_c
-    devices = [DeviceParams(kappa=kappa_tc / t_c, gamma=0.0, alpha_sat=cfg.device.alpha_sat) for kappa_tc in share]
-    results = saturation.scan_cutoff(devices, t_c, lambda i: _config_keys(f"sweeps.kappa_t_c: {share[i]}"))
+    operators = []
+    for kappa_tc in share:
+        with _config_keys(f"sweeps.kappa_t_c: {kappa_tc}"):
+            dev = DeviceParams(kappa=kappa_tc / t_c, gamma=0.0, alpha_sat=cfg.device.alpha_sat)
+            operators.append(saturation.cutoff_operator(dev, t_c))
     return [
-        {"kappa": dev.kappa, "t_c": t_c, "gamma": 0.0, "kappa_tc": kappa_tc, "n_cutoff": result.n_cutoff}
-        for kappa_tc, dev, result in zip(share, devices, results)
+        {"kappa": kappa_tc / t_c, "t_c": t_c, "gamma": 0.0, "kappa_tc": kappa_tc, "n_cutoff": result.n_cutoff}
+        for kappa_tc, result in zip(share, saturation.scan_cutoff(operators))
     ]
 
 

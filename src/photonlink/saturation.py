@@ -10,10 +10,10 @@ Monte Carlo kept as its oracle) and the 3 dB cutoff machinery.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, fields
-from typing import Generator, Iterable, Sequence
+from itertools import accumulate
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -156,6 +156,8 @@ def survivor_moments_poisson(lam: float, tau: float, t_c: float) -> PoissonSurvi
     delta = delta_lambda(lam, tau, t_c)
     lt = lam * tau
     e1, e2, e3, e4 = (math.exp(-k * lt) for k in (1, 2, 3, 4))
+    if e1 == 0.0:  # no photon survives to double precision, and lam * t_c squared may overflow
+        return PoissonSurvivorMoments(mean=0.0, second_moment=0.0, variance=0.0, delta=delta)
     mean = 2.0 * e1 + (lam * (t_c - 2.0 * tau) - 2.0) * e2
     y3 = lam * t_c - 3.0 * lam * tau
     y4 = lam * t_c - 4.0 * lam * tau
@@ -166,7 +168,7 @@ def survivor_moments_poisson(lam: float, tau: float, t_c: float) -> PoissonSurvi
         + (y4 * y4 - 6.0 * y4 + 12.0) * e4
     )
     variance = second - mean * mean
-    if abs(variance - (mean - delta)) > 1e-10 * max(1.0, abs(variance)):
+    if not abs(variance - (mean - delta)) <= 1e-10 * max(1.0, abs(variance)):  # also on nan
         raise ArithmeticError(f"variance forms disagree: {variance} vs {mean - delta}")
     if variance < 0:
         if variance < -1e-9:
@@ -191,6 +193,8 @@ def delta_lambda(lam: float, tau: float, t_c: float) -> float:
     if tau == 0.0 or lam == 0.0:
         return 0.0
     a = lam * tau
+    if math.exp(-a) == 0.0:  # every term underflows, and a * a may overflow
+        return 0.0
     b = t_c / tau
     return (
         -2.0 * math.exp(-2.0 * a)
@@ -559,37 +563,31 @@ class SurvivorOperator:
     def excitation(self, lam) -> np.ndarray:
         """survivor_excitation at the arrival rates lam; returns an array shaped like lam."""
         lam = np.asarray(lam, dtype=float)
-        return _stacked_excitation((self,), None, lam.ravel()).reshape(lam.shape)
+        return _stacked_excitation((self,), (lam.size,), lam.ravel()).reshape(lam.shape)
 
 
-def _stacked_excitation(operators: Sequence[SurvivorOperator], which, lam: np.ndarray) -> np.ndarray:
-    """survivor_excitation at each rate lam[i] on the operator operators[which[i]].
+def _stacked_excitation(operators: Sequence[SurvivorOperator], sizes: Sequence[int], lam: np.ndarray) -> np.ndarray:
+    """survivor_excitation at the rates lam, sizes[i] of them in a row on operators[i].
 
-    The operators share their node count and entry level.  Their
-    lambda-free arrays are stacked along a leading axis and gathered per
-    rate (which is None for one operator, whose arrays broadcast over the
-    rates instead), so every rate is the same arithmetic as on its own
-    operator, bit for bit.  The rates are taken in order of falling block
-    count: those whose block map still squares are then a leading slice.
+    The operators share their node count and entry level and come in
+    order of falling block count, so the rates whose block map still
+    squares are a leading slice.  One operator's lambda-free arrays
+    broadcast over its rates; several operators' arrays are stacked and
+    gathered per rate.  Either way every rate is the same arithmetic as
+    on its own operator, bit for bit.
     """
     if np.any(lam < 0):
         raise ValueError("lambda must be >= 0")
     first = operators[0]
     # runs: (end, blocks - 2) of each run of rates with the same block count
-    if which is None:
-        runs = [(lam.size, first.blocks - 2)]
+    blocks = [op.blocks for op in operators]
+    runs = [(end, b - 2) for end, b, after in zip(accumulate(sizes), blocks, blocks[1:] + [None]) if b != after]
 
-        def per_rate(get):
+    def per_rate(get):
+        if len(operators) == 1:  # a view: gathering would copy the arrays for every call
             return np.asarray(get(first))[None]
-    else:
-        blocks = np.array([op.blocks for op in operators])
-        order = np.argsort(-blocks[which], kind="stable")
-        lam, which = lam[order], which[order]
-        counts = np.bincount(which, minlength=len(operators))
-        runs = [(int(counts[blocks >= b].sum()), int(b) - 2) for b in sorted(set(blocks.tolist()), reverse=True)]
+        return np.repeat(np.stack([np.asarray(get(op)) for op in operators]), sizes, axis=0)
 
-        def per_rate(get):
-            return np.stack([np.asarray(get(op)) for op in operators])[which]
     m = first.sigma.size - 1
     nh = 2 * m + 1
     i_r, i_d, i_e = nh, nh + 1, nh + 2
@@ -622,7 +620,7 @@ def _stacked_excitation(operators: Sequence[SurvivorOperator], which, lam: np.nd
     # of block 1 and applied to h1
     shift = L[:, None, None]
     c_lo, c_hi = _cell_weights((shift + rates[:, :, None, None]) * per_rate(lambda op: op.width)[:, None])
-    (scale_r, scale_g), (lo_r, lo_g), (hi_r, hi_g) = np.moveaxis(per_rate(lambda op: op.cell_scales), 1, 0), c_lo, c_hi
+    (scale_r, scale_g), (lo_r, lo_g), (hi_r, hi_g) = per_rate(lambda op: op.cell_scales).swapaxes(0, 1), c_lo, c_hi
     w_lo, w_hi = scale_r * lo_r, scale_r * hi_r
     w_lo += scale_g * lo_g
     w_hi += scale_g * hi_g
@@ -663,11 +661,8 @@ def _stacked_excitation(operators: Sequence[SurvivorOperator], which, lam: np.nd
     force[..., one] += 1.0
     if excited:
         force[..., i_e] -= np.exp(-G[:, None] * (1.0 + x[:, 1:]))
-    if which is None:  # one operator's map, copied for every rate
-        power = np.empty((L.size,) + first.step_base.shape)
-        power[:] = first.step_base
-    else:
-        power = per_rate(lambda op: op.step_base)
+    power = np.empty((L.size,) + first.step_base.shape)
+    power[:] = per_rate(lambda op: op.step_base)
     new_rows = power[:, m + 1 : nh]
     np.multiply((L * e_lam)[:, None, None], force, out=new_rows)
     del force
@@ -691,34 +686,28 @@ def _stacked_excitation(operators: Sequence[SurvivorOperator], which, lam: np.nd
 
     # rounding in the squarings can leave values ~1e-13 outside [0, 1]
     p = np.clip(np.einsum("ld,ld->l", readout, state), 0.0, 1.0)
-    p = p * per_rate(lambda op: op.readout_decay)
-    if which is None:
-        return p
-    out = np.empty_like(p)
-    out[order] = p
-    return out
+    return p * per_rate(lambda op: op.readout_decay)
 
 
 def _excitations(operators: Sequence, lams: Sequence) -> list:
     """operators[i].excitation(lams[i]) for each i, flat.
 
     The SurvivorOperators with the same node count and entry level share
-    one _stacked_excitation; any other operator, or one alone in its
-    group, makes its own excitation call.
+    one _stacked_excitation, in order of falling block count; any other
+    operator makes its own excitation call.
     """
+    out = [None] * len(operators)
     groups = {}
     for i, op in enumerate(operators):
-        key = (op.sigma.size, op.enter_excited) if isinstance(op, SurvivorOperator) else ("own", i)
-        groups.setdefault(key, []).append(i)
-    out = [None] * len(operators)
+        if isinstance(op, SurvivorOperator):
+            groups.setdefault((op.sigma.size, op.enter_excited), []).append(i)
+        else:
+            out[i] = np.ravel(op.excitation(lams[i]))
     for idx in groups.values():
-        if len(idx) == 1:
-            out[idx[0]] = np.ravel(operators[idx[0]].excitation(lams[idx[0]]))
-            continue
+        idx.sort(key=lambda i: -operators[i].blocks)
         parts = [np.ravel(np.asarray(lams[i], dtype=float)) for i in idx]
         sizes = [part.size for part in parts]
-        which = np.repeat(np.arange(len(idx)), sizes)
-        values = _stacked_excitation([operators[i] for i in idx], which, np.concatenate(parts))
+        values = _stacked_excitation([operators[i] for i in idx], sizes, np.concatenate(parts))
         for i, value in zip(idx, np.split(values, np.cumsum(sizes)[:-1])):
             out[i] = value
     return out
@@ -802,12 +791,11 @@ def cutoff_photon_number(operator: SurvivorOperator, n_grid: np.ndarray) -> Cuto
     return cutoff_photon_numbers([(operator, n_grid)])[0]
 
 
-def cutoff_photon_numbers(scans: Iterable[tuple]) -> list:
+def cutoff_photon_numbers(scans: Sequence[tuple]) -> list:
     """cutoff_photon_number of each (operator, n_grid) pair of scans, the roots in lockstep.
 
-    Each grid is one excitation call of its own operator, made as its
-    pair is drawn from scans, so the first pair in order whose curve
-    does not drop 3 dB raises.  Every round of the roots is then one
+    Each grid is one excitation call of its own operator, made in order,
+    so the first pair whose curve does not drop 3 dB raises.  Every round of the roots is then one
     evaluation over the rates of all roots still solving (_excitations).
     """
     scanned = []
@@ -951,30 +939,22 @@ def cutoff_operator(dev: DeviceParams, t_c: float, cells_per_tau: int = 16) -> S
     return SurvivorOperator.build(timing, dev, cells_per_tau=cells_per_tau)
 
 
-def scan_cutoff(devices, t_c: float, context=None):
-    """The 3 dB cutoff of each device at cycle t_c: a coarse grid brackets it, a root places it.
+def scan_cutoff(operators: Sequence[SurvivorOperator]) -> list:
+    """The 3 dB cutoff on each cutoff_operator: a coarse grid brackets it, a root places it.
 
-    Each device's cutoff_operator is built and evaluated on its grid in
-    order, then the roots run in lockstep (cutoff_photon_numbers).  The
-    grid holds 0.5 * 10^(k/4) mean photons up to the last point with
-    lam tau <= 50, so it reaches past the crossing, which sits at
-    lam tau of about 3 to 9 for kappa t_c from 1e2 to 1e7.  Returns a
-    list of CutoffResult, or one for a single DeviceParams.  context(i),
-    if given, is a context manager that the build of operator i runs in:
-    the CLI names the config value of a rejected point with it.
+    Each operator is evaluated on its grid in order, then the roots run
+    in lockstep (cutoff_photon_numbers); one CutoffResult per operator.
+    The grid holds 0.5 * 10^(k/4) mean photons up to the last point with
+    lam tau <= 50, so it depends only on t_c / tau and reaches past the
+    crossing, which sits at lam tau of about 3 to 9 for kappa t_c from
+    1e2 to 1e7.
     """
-    if isinstance(devices, DeviceParams):
-        return scan_cutoff([devices], t_c, context)[0]
-
-    def scans():
-        for i, dev in enumerate(devices):
-            with context(i) if context else contextlib.nullcontext():
-                operator = cutoff_operator(dev, t_c)
-            top = _SCAN_MAX_LAM_TAU * t_c / operator.tau  # mean photons at lam tau = 50
-            count = int(math.floor(_SCAN_COARSE_PER_DECADE * math.log10(top / _SCAN_START) + 1e-9)) + 1
-            yield operator, _SCAN_START * 10.0 ** (np.arange(count) / _SCAN_COARSE_PER_DECADE)
-
-    return cutoff_photon_numbers(scans())
+    scans = []
+    for op in operators:
+        top = _SCAN_MAX_LAM_TAU * op.t_c / op.tau  # mean photons at lam tau = 50
+        count = int(math.floor(_SCAN_COARSE_PER_DECADE * math.log10(top / _SCAN_START) + 1e-9)) + 1
+        scans.append((op, _SCAN_START * 10.0 ** (np.arange(count) / _SCAN_COARSE_PER_DECADE)))
+    return cutoff_photon_numbers(scans)
 
 
 @dataclass(frozen=True)

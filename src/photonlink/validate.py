@@ -541,20 +541,20 @@ def check_survivor_excitation_vs_mc(level: str, seed: int) -> tuple:
 
 def check_cutoff_root(level: str, seed: int) -> tuple:
     """scan_cutoff's 3 dB cutoff is a root, not an interpolation, at
-    gamma = 0: a freshly built operator at n_cut reads half the grid
-    peak, and the root on an operator with half the cell width (32 cells
-    per tau) on the same grid moves n_cut by less than 1e-5.  The four
-    points share one lockstep scan."""
+    gamma = 0: the scanned operator at n_cut reads half the grid peak,
+    and the root on an operator with half the cell width (32 cells per
+    tau), whose grid is the same, moves n_cut by less than 1e-5.  Each
+    cell width scans its four points in one lockstep call."""
     t_c = 230e-9
     devices = [DeviceParams(kappa=kappa_tc / t_c, gamma=0.0) for kappa_tc in (1e2, 1e3, 1e4, 1e5)]
+    operators = [saturation.cutoff_operator(dev, t_c) for dev in devices]
+    fine = saturation.scan_cutoff([saturation.cutoff_operator(dev, t_c, cells_per_tau=32) for dev in devices])
     worst_level = worst_cell = 0.0
-    for dev, res in zip(devices, saturation.scan_cutoff(devices, t_c)):
+    for op, res, res_fine in zip(operators, saturation.scan_cutoff(operators), fine):
         half = 0.5 * float(res.excitation.max())
-        at_root = float(saturation.cutoff_operator(dev, t_c).excitation(res.n_cutoff / t_c))
+        at_root = float(op.excitation(res.n_cutoff / t_c))
         worst_level = max(worst_level, abs(at_root / half - 1.0))
-        fine = saturation.cutoff_operator(dev, t_c, cells_per_tau=32)
-        moved = saturation.cutoff_photon_number(fine, res.n_grid).n_cutoff / res.n_cutoff - 1.0
-        worst_cell = max(worst_cell, abs(moved))
+        worst_cell = max(worst_cell, abs(res_fine.n_cutoff / res.n_cutoff - 1.0))
     ok = worst_level < 1e-9 and worst_cell < 1e-5
     detail = f"max |p(n_cut)/(peak/2) - 1| {worst_level:.1e} (<1e-9), max cell-halving move {worst_cell:.1e} (<1e-5)"
     return ok, detail

@@ -200,7 +200,7 @@ def test_c10_cutoff_fit():
     samples = []
     for ktc in kappa_tcs:
         dev = DeviceParams(kappa=ktc / t_c, gamma=0.0, alpha_sat=1.14)
-        res = saturation.scan_cutoff(dev, t_c)
+        res = saturation.scan_cutoff([saturation.cutoff_operator(dev, t_c)])[0]
         samples.append((ktc, res.n_cutoff))
     fit = saturation.fit_cutoff_curve(samples)
     b_ok = 1.0 <= fit.b <= 1.3

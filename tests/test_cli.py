@@ -180,6 +180,11 @@ class TestExitCodes:
             ("miss-sweep", ["sweeps.mean_photons={values: [-1.0]}"], "sweeps.mean_photons: -1.0: "),
             ("cutoff-fit", ["sweeps.kappa_t_c={values: [1.0, 100.0, 1000.0, 10000.0]}"], "sweeps.kappa_t_c: 1.0: "),
             ("cutoff-fit", ["sweeps.kappa_t_c={values: [100.0, 1000.0]}"], "sweeps.kappa_t_c: [100.0, 1000.0]: "),
+            # the first rejected point in axis order, also when a second share holds another
+            *[("cutoff-fit", ["sweeps.kappa_t_c={values: [100.0, 2.0, 3.0, 1000.0, 10000.0]}", f"workers={w}"],
+               "sweeps.kappa_t_c: 2.0: ") for w in (1, 2)],
+            # kappa = kappa_t_c / t_c overflows, so the dead time rounds to 0 in the device build
+            ("cutoff-fit", ["sweeps.kappa_t_c={values: [100.0, 1.0e3, 1.0e308, 1.0e4]}"], "sweeps.kappa_t_c: 1e+308: "),
             ("saturation-sweep", ["sweeps.t_over_tau={values: [2.0]}"], "sweeps.t_over_tau: 2.0: "),
             # t_c/tau below 4 at a swept kappa, or with nothing swept: the keys that set the ratio
             ("saturation-sweep", ["sweeps.kappa_rad_per_s={values: [1e6]}"], "sweeps.kappa_rad_per_s: 1000000.0: "),
@@ -187,7 +192,8 @@ class TestExitCodes:
             ("rate-sweep", ["link.saturation=true", "device.kappa_rad_per_s=1e6"], WINDOW_KEYS),
             ("ber-sweep", ["link.saturation=true", "timing.t_c_ns=0.5"], WINDOW_KEYS),
         ],
-        ids=["pulse-length-off-nodes", "negative-mean", "window-too-short", "too-few-fit-samples", "t-over-tau-below-4",
+        ids=["pulse-length-off-nodes", "negative-mean", "window-too-short", "too-few-fit-samples",
+             "first-rejected-point-workers-1", "first-rejected-point-workers-2", "kappa-overflow", "t-over-tau-below-4",
              "swept-kappa-window", "alpha-sat-window", "saturated-rate-window", "saturated-ber-window"],
     )
     def test_rejected_sweep_value_names_its_key(self, config_file, tmp_path, capsys, command, overrides, start):
@@ -214,6 +220,28 @@ class TestExitCodes:
             assert run_cli(*argv) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "config" and err["message"].startswith("device.alpha_sat: "), err["message"]
+
+    @pytest.mark.parametrize("value", ["1.0e200", "1.0e300"])
+    def test_huge_lambda_tau(self, config_file, tmp_path, capsys, value):
+        # at lambda_tau = 1e200 no photon survives the dead time: every moment reads an exact 0, where
+        # (lambda t_c)^2 overflows against e^{-4 lambda tau} = 0; at 1e300 lambda = lambda_tau/tau overflows
+        argv = ["saturation-sweep", "--config", str(config_file), "--out", str(tmp_path),
+                "--set", f"sweeps.lambda_tau={{values: [1.0, {value}]}}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*argv)
+        if value == "1.0e300":
+            assert code == 2
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err["kind"] == "config" and err["message"].startswith("sweeps.lambda_tau: 1e+300: "), err
+            return
+        assert code == 0
+        out = tmp_path / "saturation_sweep"
+        for name in ("survivors.csv", "delta_lambda.csv", "fig8.csv"):
+            assert "nan" not in (out / name).read_text(), name
+        lines = (out / "survivors.csv").read_text().splitlines()
+        huge = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[2::2]]
+        assert [(r["mean"], r["var"], r["delta"]) for r in huge] == [("0.0", "0.0", "0.0")] * 2
 
     def test_uncreatable_output_dir(self, config_file, tmp_path, capsys):
         # --out names a regular file, so no directory can be made under it

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import pickle
 import warnings
@@ -181,6 +180,16 @@ class TestMomentsPoisson:
             m = survivor_moments_poisson(a, 1.0, 8.0)
             assert m.mean <= a * 8.0 + 1e-12
 
+    def test_exact_zeros_once_no_photon_survives(self):
+        # e^{-lam tau} underflows past lam tau ~ 745, and (lam t_c)^2 overflows past 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lt in (800.0, 1e200, math.inf):
+                for ratio in (4.0, 10.0):
+                    m = survivor_moments_poisson(lt, 1.0, ratio)
+                    assert (m.mean, m.second_moment, m.variance, m.delta) == (0.0, 0.0, 0.0, 0.0)
+                    assert m.regime == "poisson-boundary"
+
     def test_variance_nonnegative(self):
         for lam in np.geomspace(0.001, 40.0, 80):
             assert survivor_moments_poisson(lam, 1.0, 6.0).variance >= 0.0
@@ -218,10 +227,13 @@ class TestDispersionCrossover:
     def test_variance_cross_check(self, monkeypatch):
         from photonlink import saturation
 
-        # a delta off by 1e-9 moves mean - delta past the 1e-10 gate
-        monkeypatch.setattr(saturation, "delta_lambda", lambda lam, tau, t_c: delta_lambda(lam, tau, t_c) + 1e-9)
-        with pytest.raises(ArithmeticError, match="variance forms disagree"):
-            survivor_moments_poisson(1.0, 0.1, 1.0)
+        # a delta off by 1e-9 moves mean - delta past the 1e-10 gate, and a nan delta fails it too
+        for shift in (1e-9, math.nan):
+            monkeypatch.setattr(
+                saturation, "delta_lambda", lambda lam, tau, t_c, s=shift: delta_lambda(lam, tau, t_c) + s
+            )
+            with pytest.raises(ArithmeticError, match="variance forms disagree"):
+                survivor_moments_poisson(1.0, 0.1, 1.0)
 
 
 class TestAppendixPieces:
@@ -722,16 +734,16 @@ class TestCutoff:
         assert [r["n_cutoff"] for r in rows[2:]] == pytest.approx([7.0786e6, 8.1503e7], rel=1e-4)
         for r in rows:
             dev = DeviceParams(kappa=r["kappa_tc"] / self.T_C, gamma=0.0, alpha_sat=1.14)
-            res = scan_cutoff(dev, self.T_C)
+            res = scan_cutoff([cutoff_operator(dev, self.T_C)])[0]
             assert res.n_cutoff == pytest.approx(r["n_cutoff"], rel=1e-12)  # the table prints t_c rounded
             at_root = float(survivor_excitation(res.n_cutoff / self.T_C, self.TIMING, dev))
             assert abs(at_root / (0.5 * res.excitation.max()) - 1.0) < 1e-9
 
     def test_lockstep_scan_equals_one_device_at_a_time(self):
         devices = [DeviceParams(kappa=ktc / self.T_C, gamma=0.0) for ktc in (1e2, 114.0, 1e3, 1e4, 1e5)]
-        together = scan_cutoff(devices, self.T_C)
+        together = scan_cutoff([cutoff_operator(dev, self.T_C) for dev in devices])
         for dev, res in zip(devices, together):
-            alone = scan_cutoff(dev, self.T_C)
+            alone = scan_cutoff([cutoff_operator(dev, self.T_C)])[0]
             assert res.n_cutoff == alone.n_cutoff
             assert res.n_grid.tolist() == alone.n_grid.tolist()
             assert res.excitation.tolist() == alone.excitation.tolist()
@@ -762,20 +774,6 @@ class TestCutoff:
         grid = log_grid(1.0, 1e4, 10)
         with pytest.raises(NotSaturatingError, match="no 3 dB drop"):
             cutoff_photon_numbers([(falling, grid), (flat, grid), (dark, grid)])
-
-    def test_build_context_names_the_first_rejected_device(self):
-        # kappa t_c = 2 and 3 put t_c / tau below 4 at alpha_sat 1.14
-        devices = [DeviceParams(kappa=ktc / self.T_C, gamma=0.0) for ktc in (100.0, 2.0, 3.0)]
-
-        @contextlib.contextmanager
-        def named(i):
-            try:
-                yield
-            except ValueError as exc:
-                raise ValueError(f"point {i}: {exc}") from None
-
-        with pytest.raises(ValueError, match="^point 1: "):
-            scan_cutoff(devices, self.T_C, named)
 
     def test_not_saturating_error(self):
         with pytest.raises(NotSaturatingError):
