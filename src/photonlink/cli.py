@@ -151,14 +151,14 @@ def cmd_detect(cfg: ExperimentConfig, runner: _Runner) -> int:
     return 0
 
 
-def _pulse_point(cfg: ExperimentConfig, l: float, kappa: float, gamma: float) -> dict:
-    dev = dataclasses.replace(cfg.device, kappa=kappa, gamma=gamma)
+def _pulse_point(cfg: ExperimentConfig, l: float, gamma: float) -> dict:
+    dev = dataclasses.replace(cfg.device, gamma=gamma)
     with _config_keys(f"sweeps.pulse_length_ns: {l * 1e9}"):
         pulse = dataclasses.replace(cfg.pulse, l=l)
     p_exc = single_photon_excitation(pulse, pulse.t_i, dev)
     return {
         "l_ns": l * 1e9,
-        "kappa": kappa,
+        "kappa": dev.kappa,
         "gamma": gamma,
         "efficiency": detection_prob_single(p_exc, dev),
     }
@@ -167,25 +167,31 @@ def _pulse_point(cfg: ExperimentConfig, l: float, kappa: float, gamma: float) ->
 def cmd_pulse_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     lengths = cfg.axis("pulse_length_ns") * 1e-9
     gammas = cfg.axis("gamma_rad_per_s", cfg.device.gamma)
-    payloads = [(cfg, float(l), cfg.device.kappa, float(g)) for g in gammas for l in lengths]
-    report = SweepReport(_parallel_map(_pulse_point, payloads, cfg.workers))
+    report = SweepReport([_pulse_point(cfg, float(l), float(g)) for g in gammas for l in lengths])
     runner.write_report(report, "pulse_sweep.csv")
     runner.write_figure("fig5", report.columns, report.rows)
     return 0
 
 
+def _photon_rates(cfg: ExperimentConfig) -> list:
+    """The rates mean/t_c of sweeps.mean_photons; a mean whose rate overflows is a config error."""
+    t_c = cfg.timing.t_c
+    rates = []
+    for mean in cfg.axis("mean_photons").tolist():
+        lam = mean / t_c
+        if math.isinf(lam):
+            raise ConfigError(f"sweeps.mean_photons: {mean}: lambda = mean_photons/t_c = {mean}/{t_c} overflows")
+        rates.append(lam)
+    return rates
+
+
 def cmd_miss_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     from . import detection
 
-    means = cfg.axis("mean_photons")
+    lams = _photon_rates(cfg)
     kappas = cfg.axis("kappa_rad_per_s", cfg.device.kappa)
     gammas = cfg.axis("gamma_rad_per_s", cfg.device.gamma)
-    grid = [
-        (mean / cfg.timing.t_c, kappa, gamma)
-        for kappa in kappas
-        for gamma in gammas
-        for mean in means
-    ]
+    grid = [(lam, kappa, gamma) for kappa in kappas for gamma in gammas for lam in lams]
     report = detection.miss_probability_sweep(grid, cfg.timing, cfg.device, seed=cfg.seed)
     runner.write_report(report, "miss_sweep.csv")
     runner.write_figure("fig6", ("lambda", "kappa", "gamma", "p_miss", "stderr"), report.rows)
@@ -261,6 +267,7 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     # saturated excitation curves, correct and wrong reset: exact, so the
     # stderr and replicas columns read 0
     means = cfg.axis("mean_photons")
+    lams = _photon_rates(cfg)
     kappas = cfg.axis("kappa_rad_per_s", cfg.device.kappa)
     exc = []
     for enter_excited in (False, True):
@@ -268,12 +275,10 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
             where = f"sweeps.kappa_rad_per_s: {kappa}" if "kappa_rad_per_s" in cfg.sweeps else _WINDOW_KEYS
             with _config_keys(where):
                 dev = dataclasses.replace(cfg.device, kappa=float(kappa))
-                values = saturation.survivor_excitation(
-                    means / cfg.timing.t_c, cfg.timing, dev, enter_excited=enter_excited
-                )
-            for mean, value in zip(means, values):
+                values = saturation.survivor_excitation(lams, cfg.timing, dev, enter_excited=enter_excited)
+            for mean, lam, value in zip(means, lams, values):
                 exc.append({
-                    "mean_photons": float(mean), "lambda": float(mean) / cfg.timing.t_c,
+                    "mean_photons": float(mean), "lambda": lam,
                     "kappa": float(kappa), "gamma": cfg.device.gamma, "t_c": cfg.timing.t_c,
                     "reset": "wrong" if enter_excited else "correct", "excitation": float(value),
                     "stderr": 0.0, "replicas": 0, "seed": cfg.seed,
@@ -285,34 +290,23 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     return 0
 
 
-def _cutoff_share(cfg: ExperimentConfig, share: list) -> list:
-    """The cutoff_table rows of the kappa t_c values in share, from one lockstep scan."""
-    from . import saturation
-
-    t_c = cfg.timing.t_c
-    operators = []
-    for kappa_tc in share:
-        with _config_keys(f"sweeps.kappa_t_c: {kappa_tc}"):
-            dev = DeviceParams(kappa=kappa_tc / t_c, gamma=0.0, alpha_sat=cfg.device.alpha_sat)
-            operators.append(saturation.cutoff_operator(dev, t_c))
-    return [
-        {"kappa": kappa_tc / t_c, "t_c": t_c, "gamma": 0.0, "kappa_tc": kappa_tc, "n_cutoff": result.n_cutoff}
-        for kappa_tc, result in zip(share, saturation.scan_cutoff(operators))
-    ]
-
-
 def cmd_cutoff_fit(cfg: ExperimentConfig, runner: _Runner) -> int:
     from . import saturation
 
-    values = cfg.axis("kappa_t_c")
-    # one contiguous share of the axis per worker: a share solves its roots in lockstep
-    points = values.tolist()
-    n = min(cfg.workers, len(points))
-    shares = [(cfg, points[len(points) * i // n : len(points) * (i + 1) // n]) for i in range(n)]
-    rows = [row for part in _parallel_map(_cutoff_share, shares, cfg.workers) for row in part]
+    values = cfg.axis("kappa_t_c").tolist()
+    t_c = cfg.timing.t_c
+    operators = []
+    for kappa_tc in values:
+        with _config_keys(f"sweeps.kappa_t_c: {kappa_tc}"):
+            dev = DeviceParams(kappa=kappa_tc / t_c, gamma=0.0, alpha_sat=cfg.device.alpha_sat)
+            operators.append(saturation.cutoff_operator(dev, t_c))
+    rows = [
+        {"kappa": kappa_tc / t_c, "t_c": t_c, "gamma": 0.0, "kappa_tc": kappa_tc, "n_cutoff": result.n_cutoff}
+        for kappa_tc, result in zip(values, saturation.scan_cutoff(operators))
+    ]
     runner.write_report(SweepReport(rows), "cutoff_table.csv")
     runner.write_figure("fig13", ("kappa", "t_c", "kappa_tc", "n_cutoff"), rows)
-    with _config_keys(f"sweeps.kappa_t_c: {values.tolist()}"):
+    with _config_keys(f"sweeps.kappa_t_c: {values}"):
         fit = saturation.fit_cutoff_curve([(r["kappa_tc"], r["n_cutoff"]) for r in rows])
     runner.write_json(
         {

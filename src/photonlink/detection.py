@@ -299,10 +299,13 @@ def excitation_ctmc(lam, timing: CycleTiming, dev: DeviceParams):
     r, gamma = dev.transition_rate, dev.gamma
     h = (lam + r + gamma) / 2.0
     c = lam * r + r * gamma + lam * gamma
-    # b^2/4 - c regrouped so that gamma = 0 gives |lam - r| / 2 exactly
-    d2 = ((lam - r - gamma) ** 2 - 4.0 * r * gamma) / 4.0
+    # b^2/4 - c regrouped so that gamma = 0 gives |lam - r| / 2 exactly; where the
+    # square overflows, 4 r gamma is below its last bit and d = |lam - r - gamma| / 2
+    u = lam - r - gamma
+    with np.errstate(over="ignore"):
+        d2 = (u**2 - 4.0 * r * gamma) / 4.0
     real = d2 >= 0.0
-    d = np.sqrt(np.where(real, d2, 0.0))
+    d = np.where(np.isinf(d2), 0.5 * np.abs(u), np.sqrt(np.where(real, d2, 0.0)))
     w = np.sqrt(np.where(real, 0.0, -d2))
     slow_t = c / (h + d) * t
     bracket = np.where(

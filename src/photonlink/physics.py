@@ -48,9 +48,10 @@ def _phi(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_EPS
     xs = np.where(small, 1.0, x)
-    out = -np.expm1(-xs) / xs
-    # second-order series through the removable singularity
-    return np.where(small, 1.0 - x / 2.0 + x * x / 6.0, out)
+    out = np.asarray(-np.expm1(-xs) / xs)
+    t = x[small]  # the series through the removable singularity, only where taken: past 1e154 t * t overflows
+    out[small] = 1.0 - t / 2.0 + t * t / 6.0
+    return out
 
 
 # Taylor coefficients of the cell weights below z = 0.05, highest order first
@@ -66,8 +67,13 @@ def _cell_weights(z):
     small = z < 0.05
     zs = np.where(small, 1.0, z)
     em1 = np.expm1(-zs)
-    lower = np.where(small, np.polyval(_LOWER_SERIES, z), (-em1 - zs * (em1 + 1.0)) / (zs * zs))
-    upper = np.where(small, np.polyval(_UPPER_SERIES, z), (zs + em1) / (zs * zs))
+    with np.errstate(over="ignore"):  # past z = 1e154 the weights, below 1/z, read 0
+        zz = zs * zs
+    lower = np.asarray((-em1 - zs * (em1 + 1.0)) / zz)
+    upper = np.asarray((zs + em1) / zz)
+    zt = z[small]  # the series only where they are taken: past z = 1e38 their powers overflow
+    lower[small] = np.polyval(_LOWER_SERIES, zt)
+    upper[small] = np.polyval(_UPPER_SERIES, zt)
     return lower, upper
 
 
@@ -76,7 +82,9 @@ def _cell_square_weight(z, lower):
     z = np.asarray(z, dtype=float)
     small = z < 0.05
     zs = np.where(small, 1.0, z)
-    return np.where(small, np.polyval(_SQUARE_SERIES, z), (2.0 * lower - np.exp(-zs)) / zs)
+    out = np.asarray((2.0 * lower - np.exp(-zs)) / zs)
+    out[small] = np.polyval(_SQUARE_SERIES, z[small])
+    return out
 
 
 #: Above this argument erfcx comes from its asymptotic series: 20 terms of

@@ -794,11 +794,11 @@ def cutoff_photon_number(operator: SurvivorOperator, n_grid: np.ndarray) -> Cuto
 def cutoff_photon_numbers(scans: Sequence[tuple]) -> list:
     """cutoff_photon_number of each (operator, n_grid) pair of scans, the roots in lockstep.
 
-    Each grid is one excitation call of its own operator, made in order,
-    so the first pair whose curve does not drop 3 dB raises.  Every round of the roots is then one
-    evaluation over the rates of all roots still solving (_excitations).
+    Each grid is one excitation call of its own operator, made in order, so the first pair whose
+    curve does not drop 3 dB raises.  Each round of the _half_root generators is then one
+    _excitations call over the rates of every root still solving, which sends each root its values.
     """
-    scanned = []
+    operators, curves, roots = [], [], []
     for operator, n_grid in scans:
         n_grid = np.asarray(n_grid, dtype=float)
         if n_grid.size < 3 or np.any(np.diff(n_grid) <= 0):
@@ -813,22 +813,10 @@ def cutoff_photon_numbers(scans: Sequence[tuple]) -> list:
         if below.size == 0:
             raise NotSaturatingError("no 3 dB drop within the sweep range")
         j = peak_index + 1 + int(below[0])
-        root = _half_root(np.log(n_grid[j - 1 : j + 1]), exc[j - 1 : j + 1], half)
-        scanned.append((operator, n_grid, exc, root))
-    roots = _lockstep([s[0] for s in scanned], [s[3] for s in scanned])
-    return [
-        CutoffResult(n_cutoff=math.exp(x), n_grid=n_grid, excitation=exc)
-        for (_, n_grid, exc, _), x in zip(scanned, roots)
-    ]
-
-
-def _lockstep(operators: Sequence, roots: Sequence) -> list:
-    """Run the _half_root generators roots[i] on operators[i] together; the log n each returns.
-
-    Each round is one _excitations call over the rates that every root
-    still solving has yielded, and sends each root its values.
-    """
-    out = [math.nan] * len(roots)
+        operators.append(operator)
+        curves.append((n_grid, exc))
+        roots.append(_half_root(np.log(n_grid[j - 1 : j + 1]), exc[j - 1 : j + 1], half))
+    log_n = [math.nan] * len(roots)
     pending = {i: next(root) for i, root in enumerate(roots)}
     while pending:
         ids = list(pending)
@@ -839,9 +827,12 @@ def _lockstep(operators: Sequence, roots: Sequence) -> list:
             try:
                 pending[i] = roots[i].send(value)
             except StopIteration as done:
-                out[i] = done.value
+                log_n[i] = done.value
                 del pending[i]
-    return out
+    return [
+        CutoffResult(n_cutoff=math.exp(x), n_grid=n_grid, excitation=exc)
+        for (n_grid, exc), x in zip(curves, log_n)
+    ]
 
 
 # the root of a cutoff scan: rates per round, the width of a round about an

@@ -197,11 +197,10 @@ def test_c10_cutoff_fit():
     t0 = time.monotonic()
     kappa_tcs = [10 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)]
     t_c = REF_TIMING.t_c
-    samples = []
-    for ktc in kappa_tcs:
-        dev = DeviceParams(kappa=ktc / t_c, gamma=0.0, alpha_sat=1.14)
-        res = saturation.scan_cutoff([saturation.cutoff_operator(dev, t_c)])[0]
-        samples.append((ktc, res.n_cutoff))
+    # one lockstep scan; its cutoffs equal those of one operator at a time bit for bit
+    operators = [saturation.cutoff_operator(DeviceParams(kappa=ktc / t_c, gamma=0.0, alpha_sat=1.14), t_c)
+                 for ktc in kappa_tcs]
+    samples = [(ktc, res.n_cutoff) for ktc, res in zip(kappa_tcs, saturation.scan_cutoff(operators))]
     fit = saturation.fit_cutoff_curve(samples)
     b_ok = 1.0 <= fit.b <= 1.3
     # the reference power-law must predict the simulated cutoffs within 15%

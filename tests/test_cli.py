@@ -1,12 +1,14 @@
 import ctypes
 import hashlib
 import json
+import math
 import os
 import pickle
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -180,7 +182,7 @@ class TestExitCodes:
             ("miss-sweep", ["sweeps.mean_photons={values: [-1.0]}"], "sweeps.mean_photons: -1.0: "),
             ("cutoff-fit", ["sweeps.kappa_t_c={values: [1.0, 100.0, 1000.0, 10000.0]}"], "sweeps.kappa_t_c: 1.0: "),
             ("cutoff-fit", ["sweeps.kappa_t_c={values: [100.0, 1000.0]}"], "sweeps.kappa_t_c: [100.0, 1000.0]: "),
-            # the first rejected point in axis order, also when a second share holds another
+            # the first rejected point in axis order, at any worker count
             *[("cutoff-fit", ["sweeps.kappa_t_c={values: [100.0, 2.0, 3.0, 1000.0, 10000.0]}", f"workers={w}"],
                "sweeps.kappa_t_c: 2.0: ") for w in (1, 2)],
             # kappa = kappa_t_c / t_c overflows, so the dead time rounds to 0 in the device build
@@ -243,6 +245,33 @@ class TestExitCodes:
         huge = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[2::2]]
         assert [(r["mean"], r["var"], r["delta"]) for r in huge] == [("0.0", "0.0", "0.0")] * 2
 
+    @pytest.mark.parametrize("command, name, column", [("saturation-sweep", "saturation_excitation.csv", "excitation"),
+                                                         ("miss-sweep", "miss_sweep.csv", "p_miss")])
+    def test_huge_mean_photons(self, config_file, tmp_path, capsys, command, name, column):
+        # at 1e200 mean photons the series of the physics kernels and the square in excitation_ctmc would
+        # overflow on elements they do not keep, and the curves read what they read at 1e100, saturated;
+        # at 1e303 the rate mean_photons/t_c overflows
+        values = {}
+        for value in ("1.0e100", "1.0e200", "1.0e303"):
+            argv = [command, "--config", str(config_file), "--out", str(tmp_path / value),
+                    "--set", f"sweeps.mean_photons={{values: [1.0, {value}]}}"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_cli(*argv)
+            if value == "1.0e303":
+                assert code == 2
+                err = json.loads(capsys.readouterr().err)["error"]
+                assert err["kind"] == "config" and err["message"].startswith("sweeps.mean_photons: 1e+303: "), err
+                break
+            assert code == 0
+            lines = (tmp_path / value / command.replace("-", "_") / name).read_text().splitlines()
+            rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+            assert all(math.isfinite(float(row[column])) for row in rows)
+            values[value] = [row[column] for row in rows[1::2]]
+        assert values["1.0e200"] == values["1.0e100"]
+        if command == "miss-sweep":
+            assert float(values["1.0e200"][0]) == pytest.approx(0.0512, abs=1e-4)
+
     def test_uncreatable_output_dir(self, config_file, tmp_path, capsys):
         # --out names a regular file, so no directory can be made under it
         blocker = tmp_path / "file"
@@ -260,6 +289,19 @@ class TestExitCodes:
         assert code == 4
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "numerics" and "no 3 dB drop" in err["message"], err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_config_error_before_numerics_error(self, config_file, tmp_path, monkeypatch, capsys, workers):
+        # every point's operator is built before any scan, so a kappa t_c below the window is
+        # named although the scans of the points before it would find no 3 dB drop
+        from photonlink import saturation
+
+        monkeypatch.setattr(saturation, "_SCAN_MAX_LAM_TAU", 1.0)
+        code = run_cli("cutoff-fit", "--config", str(config_file), "--out", str(tmp_path / "o"), "--workers", workers,
+                       "--set", "sweeps.kappa_t_c={values: [100.0, 1000.0, 2.0]}")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config" and err["message"].startswith("sweeps.kappa_t_c: 2.0: "), err
 
     def test_unbuildable_frame_table_exit_code(self, config_file, tmp_path, capsys):
         # at N = 1e5 and -142 dBm the frame-statistics window would hold 7.5M cells
@@ -314,13 +356,12 @@ class TestDeterminism:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         texts = []
-        for workers in ("1", "64"):
+        for workers in ("1", "2", "64"):
             out = tmp_path / workers
-            assert run_cli("cutoff-fit", "--config", str(config_file), "--out", str(out), "--workers", workers) == 0
-            texts.append([(out / "cutoff_fit" / name).read_bytes()
-                          for name in ("cutoff_table.csv", "fig13.csv", "fit.json", "fig15.csv")])
-        assert sizes == [4]  # the 4 values of sweeps.kappa_t_c
-        assert texts[0] == texts[1]
+            assert run_cli("rate-sweep", "--config", str(config_file), "--out", str(out), "--workers", workers) == 0
+            texts.append([(out / "rate_sweep" / name).read_bytes() for name in ("rate_sweep.csv", "fig10.csv")])
+        assert sizes == [2, 3]  # min(workers, the 3 values of sweeps.power_dbm)
+        assert texts[0] == texts[1] == texts[2]
 
     def test_saturated_outputs_worker_independent(self, config_file, tmp_path):
         outs = []
@@ -470,12 +511,11 @@ class TestFigureExtraction:
         assert path in runner.outputs
 
     def test_cutoff_table_feeds_fig13(self, config_file, tmp_path, monkeypatch):
-        def cutoff_share(cfg, share):
-            t_c = cfg.timing.t_c
-            return [{"kappa": kappa_tc / t_c, "t_c": t_c, "gamma": 0.0, "kappa_tc": kappa_tc,
-                     "n_cutoff": 2.0 * kappa_tc**1.1} for kappa_tc in share]
+        def scan_cutoff(operators):
+            # kappa t_c = alpha_sat t_c / tau, alpha_sat = 1.14 by default
+            return [SimpleNamespace(n_cutoff=2.0 * (1.14 * op.t_c / op.tau) ** 1.1) for op in operators]
 
-        monkeypatch.setattr(cli, "_cutoff_share", cutoff_share)
+        monkeypatch.setattr(saturation, "scan_cutoff", scan_cutoff)
         out = tmp_path / "out"
         assert run_cli("cutoff-fit", "--config", str(config_file), "--out", str(out)) == 0
         table = (out / "cutoff_fit" / "cutoff_table.csv").read_text().splitlines()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -291,6 +292,15 @@ class TestExcitationCtmc:
         assert vec.shape == lams.shape
         for lam, v in zip(lams, vec):
             assert v == pytest.approx(excitation_ctmc(float(lam), ref_timing, ref_dev), rel=1e-14)
+
+    def test_huge_rate_saturates_without_overflow(self, ref_dev, ref_timing):
+        # past |lam - r - gamma| = 1e154 the square in d overflows, and d = |lam - r - gamma| / 2 to the last bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = excitation_ctmc(np.array([1e106, 1e206]), ref_timing, ref_dev)
+        assert p[1] == pytest.approx(p[0], rel=1e-15)
+        assert p[0] == pytest.approx(ref_dev.transition_rate / (ref_dev.transition_rate + ref_dev.gamma)
+                                     * math.exp(-ref_dev.gamma * ref_timing.delta_o), rel=1e-12)
 
     def test_zero_rate_and_rejects_negative(self, ref_dev, ref_timing):
         assert excitation_ctmc(0.0, ref_timing, ref_dev) == 0.0

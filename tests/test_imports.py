@@ -1,5 +1,6 @@
 """The batch commands run without scipy, the oracle battery and, at one
-worker, multiprocessing; only the quadrature oracles load scipy.  Each
+worker, multiprocessing; cutoff-fit and pulse-sweep never load
+multiprocessing.  Only the quadrature oracles load scipy.  Each
 command loads only the photonlink modules it runs.
 
 Each of those cases starts a fresh interpreter, since the pytest process
@@ -52,10 +53,10 @@ def photonlink_modules():
     return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("photonlink."))
 from photonlink import cli
 imported = photonlink_modules()
-commands, config, out, sets = json.loads(sys.argv[1])
+commands, config, out, sets, workers = json.loads(sys.argv[1])
 codes = {}
 for command in commands:
-    argv = [command, "--config", config, "--out", out, "--workers", "1"]
+    argv = [command, "--config", config, "--out", out, "--workers", workers]
     for item in sets:
         argv += ["--set", item]
     codes[command] = cli.main(argv)
@@ -65,9 +66,9 @@ print(json.dumps({"codes": codes, "scipy": scipy, "futures": "concurrent.futures
 """
 
 
-def _run_fresh(commands, out: Path) -> dict:
+def _run_fresh(commands, out: Path, workers: str = "1") -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    arg = json.dumps([commands, str(DEFAULT_YAML), str(out), SMALL])
+    arg = json.dumps([commands, str(DEFAULT_YAML), str(out), SMALL, workers])
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, arg], env=env, capture_output=True, text=True, timeout=600
     )
@@ -82,6 +83,20 @@ def test_batch_commands_never_load_scipy(tmp_path):
     assert got["scipy"] == []
     assert not got["futures"]  # the process pool is imported only for --workers > 1
     assert "validate" not in got["loaded"]  # the oracle battery is imported only by the validate command
+
+
+def test_exact_sweeps_never_start_a_pool(tmp_path):
+    # cutoff-fit and pulse-sweep evaluate every point in this process, whatever --workers is
+    commands = ["cutoff-fit", "pulse-sweep"]
+    outputs = []
+    for workers in ("1", "4"):
+        got = _run_fresh(commands, tmp_path / workers, workers)
+        assert got["codes"] == {c: 0 for c in commands}, got["stderr"]
+        assert not got["futures"]
+        # the manifests record wall times
+        outputs.append({p.relative_to(tmp_path / workers): p.read_bytes()
+                        for p in (tmp_path / workers).rglob("*.*") if p.name != "manifest.json"})
+    assert len(outputs[0]) == 4 + 2 and outputs[0] == outputs[1]
 
 
 def test_cli_import_loads_no_command_module(tmp_path):

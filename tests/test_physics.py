@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from photonlink.physics import (
     DeviceParams,
     Environment,
     PulseProfile,
+    _cell_square_weight,
+    _cell_weights,
+    _phi,
     _pulse_transform,
     dbm_to_watts,
     detection_prob_single,
@@ -325,6 +329,23 @@ class TestThermalAndPower:
         up = 10.0 * math.log10(2.0)
         assert power_to_rate(-100.0 + up, 1e10) / power_to_rate(-100.0, 1e10) == pytest.approx(2.0, rel=1e-12)
         assert dbm_to_watts(-148.3) == pytest.approx(10 ** (-17.83), rel=1e-12)
+
+
+class TestSeriesKernels:
+    """The series branches of _phi and the cell weights run only on the elements that take them."""
+
+    def test_huge_argument_neither_warns_nor_moves_the_others(self):
+        # past 1e154 a series power would overflow; every element reads as it does alone
+        x = np.array([0.0, 3e-9, 0.02, 0.7, 40.0, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = _phi(x)
+            lower, upper = _cell_weights(x)
+            square = _cell_square_weight(x, lower)
+            alone = [(_phi(v), *_cell_weights(v), _cell_square_weight(v, _cell_weights(v)[0])) for v in x]
+        assert [tuple(map(float, a)) for a in alone] == list(zip(phi, lower, upper, square))
+        assert phi[-1] == 1e-200 and lower[-1] == upper[-1] == square[-1] == 0.0
+        assert _phi(3e-9).shape == _cell_weights(3e-9)[0].shape == ()
 
 
 class TestValidation:
