@@ -1,7 +1,7 @@
 """Statistical simulator for a driven three-level microwave photon
 detector and the on-off-keyed communication link built on it."""
 
-__version__ = "0.5.3"
+__version__ = "0.6.0"
 
 from .physics import (  # noqa: F401
     CycleTiming,

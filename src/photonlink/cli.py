@@ -141,12 +141,10 @@ def _config_keys(where: str):
 def cmd_detect(cfg: ExperimentConfig, runner: _Runner) -> int:
     from . import detection
 
-    lam_signal = power_to_rate(cfg.detect_power_dbm, cfg.environment.nu)
-    n_e = thermal_photon_rate(cfg.environment)
-    lam = lam_signal + n_e / cfg.timing.t_c
-    report = detection.miss_probability_sweep(
-        [(lam, cfg.device.kappa, cfg.device.gamma)], cfg.timing, cfg.device, seed=cfg.seed
-    )
+    p = cfg.detect_power_dbm
+    lam = _rate("detect.power_dbm", p, power_to_rate(p, cfg.environment.nu), "P/(h nu)")
+    lam += thermal_photon_rate(cfg.environment) / cfg.timing.t_c
+    report = detection.miss_probability_sweep([(lam, cfg.device.kappa, cfg.device.gamma)], cfg.timing, cfg.device)
     runner.write_report(report, "detect.csv")
     return 0
 
@@ -173,16 +171,18 @@ def cmd_pulse_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     return 0
 
 
+def _rate(key: str, value: float, lam: float, formula: str) -> float:
+    """lam, the photon rate that value of config key sets through formula; a rate that overflows is a config error."""
+    if math.isinf(lam):
+        raise ConfigError(f"{key}: {value}: lambda = {formula} overflows")
+    return lam
+
+
 def _photon_rates(cfg: ExperimentConfig) -> list:
-    """The rates mean/t_c of sweeps.mean_photons; a mean whose rate overflows is a config error."""
+    """The rates mean/t_c of sweeps.mean_photons."""
     t_c = cfg.timing.t_c
-    rates = []
-    for mean in cfg.axis("mean_photons").tolist():
-        lam = mean / t_c
-        if math.isinf(lam):
-            raise ConfigError(f"sweeps.mean_photons: {mean}: lambda = mean_photons/t_c = {mean}/{t_c} overflows")
-        rates.append(lam)
-    return rates
+    return [_rate("sweeps.mean_photons", mean, mean / t_c, f"mean_photons/t_c = {mean}/{t_c}")
+            for mean in cfg.axis("mean_photons").tolist()]
 
 
 def cmd_miss_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
@@ -192,9 +192,9 @@ def cmd_miss_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     kappas = cfg.axis("kappa_rad_per_s", cfg.device.kappa)
     gammas = cfg.axis("gamma_rad_per_s", cfg.device.gamma)
     grid = [(lam, kappa, gamma) for kappa in kappas for gamma in gammas for lam in lams]
-    report = detection.miss_probability_sweep(grid, cfg.timing, cfg.device, seed=cfg.seed)
+    report = detection.miss_probability_sweep(grid, cfg.timing, cfg.device)
     runner.write_report(report, "miss_sweep.csv")
-    runner.write_figure("fig6", ("lambda", "kappa", "gamma", "p_miss", "stderr"), report.rows)
+    runner.write_figure("fig6", ("lambda", "kappa", "gamma", "p_miss"), report.rows)
     return 0
 
 
@@ -206,6 +206,8 @@ def _link_sweep(cfg: ExperimentConfig, runner: _Runner, metric: str, point, figu
     """
     from . import link
 
+    for p in cfg.axis("power_dbm").tolist():
+        _rate("sweeps.power_dbm", p, power_to_rate(p, cfg.environment.nu), "P/(h nu)")
     lcfg = link.LinkConfig(dev=cfg.device, timing=cfg.timing, env=cfg.environment, saturation=cfg.link.saturation)
     with _config_keys(_WINDOW_KEYS):  # a saturated link builds its dead-time operator here
         lcfg.noise_tables()  # before the pool starts, so that every task's copy of lcfg carries them
@@ -235,7 +237,7 @@ def cmd_ber_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
 def cmd_rate_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     from . import link
 
-    args = [(float(p), cfg.seed) for p in cfg.axis("power_dbm")]
+    args = [(float(p),) for p in cfg.axis("power_dbm")]
     _link_sweep(cfg, runner, "rate", link.rate_point, "fig10", args)
     return 0
 
@@ -249,9 +251,7 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     for ratio in cfg.axis("t_over_tau"):
         t_c = ratio * tau
         for a in cfg.axis("lambda_tau"):
-            lam = float(a) / tau
-            if math.isinf(lam):
-                raise ConfigError(f"sweeps.lambda_tau: {a}: lambda = lambda_tau/tau = {a}/{tau} overflows")
+            lam = _rate("sweeps.lambda_tau", a, float(a) / tau, f"lambda_tau/tau = {a}/{tau}")
             with _config_keys(f"sweeps.t_over_tau: {ratio}"):
                 m = saturation.survivor_moments_poisson(lam, tau, t_c)
             surv.append({
@@ -264,8 +264,7 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     runner.write_report(delta_table, "delta_lambda.csv")
     runner.write_figure("fig8", delta_table.columns, delta_rows)
 
-    # saturated excitation curves, correct and wrong reset: exact, so the
-    # stderr and replicas columns read 0
+    # saturated excitation curves, correct and wrong reset, exact
     means = cfg.axis("mean_photons")
     lams = _photon_rates(cfg)
     kappas = cfg.axis("kappa_rad_per_s", cfg.device.kappa)
@@ -281,11 +280,10 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
                     "mean_photons": float(mean), "lambda": lam,
                     "kappa": float(kappa), "gamma": cfg.device.gamma, "t_c": cfg.timing.t_c,
                     "reset": "wrong" if enter_excited else "correct", "excitation": float(value),
-                    "stderr": 0.0, "replicas": 0, "seed": cfg.seed,
                 })
     runner.write_report(SweepReport(exc), "saturation_excitation.csv")
     for figure_id, reset in (("fig11", "correct"), ("fig12", "wrong")):
-        runner.write_figure(figure_id, ("mean_photons", "kappa", "excitation", "stderr"),
+        runner.write_figure(figure_id, ("mean_photons", "kappa", "excitation"),
                             [row for row in exc if row["reset"] == reset])
     return 0
 

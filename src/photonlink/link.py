@@ -1015,20 +1015,16 @@ class LinkConfig:
         return HmmSpec(kernel0=self._noise_kernel, kernel1=kernel1, n_cycles=self.env.cycles_per_symbol)
 
 
-def _link_row(cfg: LinkConfig, metric: str, power_dbm: float, n_symbols: int, seed: int,
-              value: float, stderr: float) -> dict:
-    """One link sweep row: the metric's value and stderr beside the columns every link sweep shares."""
+def _link_row(cfg: LinkConfig, power_dbm: float, metric: dict) -> dict:
+    """One link sweep row: the metric's columns between the power's and the device's, which every link sweep shares."""
     return {
         "power_dbm": float(power_dbm),
         "lambda_t_c": power_to_rate(power_dbm, cfg.env.nu) * cfg.timing.t_c,
         "n_e": cfg.n_e,
-        metric: value,
-        "stderr": stderr,
-        "n_symbols": n_symbols,
+        **metric,
         "kappa": cfg.dev.kappa,
         "gamma": cfg.dev.gamma,
         "n_cycles": cfg.env.cycles_per_symbol,
-        "seed": seed,
     }
 
 
@@ -1045,14 +1041,11 @@ def ber_point(
     run = simulate_link(spec, n_symbols, substream(seed, 0xBE, idx, 1), mode=mode)
     decoded = viterbi_decode(spec, spec.emission_loglik_stats(run.b1, run.bn, run.n1, run.n11))
     errors = int(np.sum(decoded != run.symbols))
-    stderr = wilson_stderr(errors, n_symbols)
-    return _link_row(cfg, "ber", power_dbm, n_symbols, seed, errors / n_symbols, stderr)
+    metric = {"ber": errors / n_symbols, "stderr": wilson_stderr(errors, n_symbols), "n_symbols": n_symbols}
+    return _link_row(cfg, power_dbm, metric) | {"seed": seed}
 
 
-def rate_point(cfg: LinkConfig, power_dbm: float, seed: int) -> dict:
-    """One achievable-rate sweep row from rate_bracket: the information rate lies in [rate, rate + stderr].
-
-    The row is exact, so it draws nothing: n_symbols reads 0 and seed is only recorded.
-    """
+def rate_point(cfg: LinkConfig, power_dbm: float) -> dict:
+    """One exact achievable-rate sweep row from rate_bracket: the information rate lies in [rate, rate + stderr]."""
     lower, upper = rate_bracket(cfg.build_spec(power_dbm))
-    return _link_row(cfg, "rate", power_dbm, 0, seed, lower, upper - lower)
+    return _link_row(cfg, power_dbm, {"rate": lower, "stderr": upper - lower})

@@ -495,7 +495,10 @@ def dbm_to_watts(power_dbm: float) -> float:
     """dBm to watts; -inf maps to 0 (carrier off)."""
     if power_dbm == -math.inf:
         return 0.0
-    return 10.0 ** ((power_dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((power_dbm - 30.0) / 10.0)
+    except OverflowError:  # past about 3110 dBm
+        return math.inf
 
 
 def power_to_rate(power_dbm: float, nu: float) -> float:

@@ -70,14 +70,13 @@ def test_c06_pulse_and_miss_shapes():
     # miss probability falls with arrival rate and with kappa
     means = np.geomspace(0.05, 5.0, 8)
     grid = [(m / REF_TIMING.t_c, REF_DEV.kappa, REF_DEV.gamma) for m in means]
-    rep = detection.miss_probability_sweep(grid, REF_TIMING, REF_DEV, seed=SEED)
+    rep = detection.miss_probability_sweep(grid, REF_TIMING, REF_DEV)
     miss = [row["p_miss"] for row in rep.rows]
     err = [row["stderr"] for row in rep.rows]
     lam_monotone = all(miss[i + 1] <= miss[i] + 3 * (err[i] + err[i + 1]) for i in range(len(miss) - 1))
     lam_fixed = 0.5 / REF_TIMING.t_c
     rep_k = detection.miss_probability_sweep(
-        [(lam_fixed, 2 * np.pi * 1e8, REF_DEV.gamma), (lam_fixed, 2 * np.pi * 1e9, REF_DEV.gamma)],
-        REF_TIMING, REF_DEV, seed=SEED + 1,
+        [(lam_fixed, 2 * np.pi * 1e8, REF_DEV.gamma), (lam_fixed, 2 * np.pi * 1e9, REF_DEV.gamma)], REF_TIMING, REF_DEV
     )
     kappa_ordered = rep_k.rows[1]["p_miss"] < rep_k.rows[0]["p_miss"]
     ok = unimodal and gamma_ordered and lam_monotone and kappa_ordered
@@ -186,7 +185,7 @@ def test_c09_saturation_negligibility():
         rates = {}
         for flag in (False, True):
             cfg = link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV, saturation=flag)
-            rates[flag] = link.rate_point(cfg, power, SEED)["rate"]
+            rates[flag] = link.rate_point(cfg, power)["rate"]
         gaps.append(abs(rates[True] - rates[False]))
     ok = max(gaps) < 0.01
     detail = "rate gaps " + ", ".join(f"{g:.4f}" for g in gaps) + " at -158, -156, -154, -150 dBm (<0.01)"

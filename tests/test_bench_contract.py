@@ -66,7 +66,7 @@ def test_rate_point_runs_no_simulation():
     tracing = _tracing()
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
-        link.rate_point(_ref_link_cfg(800), -150.0, seed=3)
+        link.rate_point(_ref_link_cfg(800), -150.0)
     names = {span[1] for span in tracer.spans}
     assert "link.build_spec" in names
     assert not names & {"link.simulate_link", "link.forward_loglik", "link.conditional_forward_loglik",

