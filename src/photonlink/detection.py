@@ -295,8 +295,8 @@ def excitation_ctmc(lam, timing: CycleTiming, dev: DeviceParams):
     every finite lam reads in [0, 1].
     """
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("lambda must be >= 0")
+    if not np.all(ok := (lam >= 0.0) & (lam < np.inf)):  # false at nan
+        raise ValueError(f"lambda must be finite and >= 0, got {lam[~ok][0]}")
     t = timing.t_c
     r, gamma = dev.transition_rate, dev.gamma
     h = (lam + r + gamma) / 2.0

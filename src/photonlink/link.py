@@ -523,7 +523,8 @@ class HmmSpec:
             for level in (GROUND, EXCITED):
                 log_first = _log(self.first_bit_prob(level, sym)).take(first_one)
                 np.add(pair_part, log_first, out=out[2 * level + sym])
-        return np.nan_to_num(out, copy=False, nan=-np.inf, posinf=-np.inf, neginf=-np.inf).T
+        np.copyto(out, -np.inf, where=~(out < np.inf))  # nan and +inf read as impossible
+        return out.T
 
     def block_emission_logprob(self, frames: np.ndarray) -> np.ndarray:
         """log P(frame | state) for an (m, n_cycles) array of frames."""
@@ -625,10 +626,7 @@ def simulate_link(
     else:
         exit_marg = spec.level_exit[:, :, EXCITED]
         step = [_below(u_entry, exit_marg[lv], one) for lv in (GROUND, EXCITED)]
-    entry = np.empty(m, dtype=np.int8)
-    level = GROUND
-    for sl in _chunks(m):
-        entry[sl], level = _iterate_maps(step[0][sl], step[1][sl], level)
+    entry, _ = _iterate_maps(step[0], step[1], GROUND)
     b1_sel = _select(entry, b1_given[1], b1_given[0])
 
     # the realized variant of each symbol, read through its own inverse CDF
@@ -695,32 +693,42 @@ def _chunks(m: int):
         yield slice(start, min(start + _CHUNK, m))
 
 
+# _COMPOSE[a + 4 b] codes "map a, then map b" for maps f on {0, 1} coded as f(0) + 2 f(1)
+_COMPOSE = np.array([(b >> (a & 1) & 1) + 2 * (b >> (a >> 1) & 1) for b in range(4) for a in range(4)], dtype=np.int8)
+
+
 def _iterate_maps(f0: np.ndarray, f1: np.ndarray, x0: int):
     """Run x_{j+1} = f_j(x_j) for maps f_j on {0, 1} given as f_j(0) = f0[j], f_j(1) = f1[j].
 
-    Returns x_0 ... x_{L-1} as int8 and x_L.  The pairwise recursion of
-    _scan_chunk on maps: compose adjacent maps, iterate the half-length
-    chain, then step each odd position from its even neighbour.  Chains
-    of at most 16 maps run as a loop.
+    f0 and f1 are 0/1 arrays, bool or int8.  Returns x_0 ... x_{L-1} as
+    int8 and x_L, chunk by chunk.
     """
-    size = len(f0)
+    codes = f0.view(np.int8) + 2 * f1.view(np.int8)
+    before = np.empty(len(codes), dtype=np.int8)
+    for sl in _chunks(len(codes)):
+        before[sl], x0 = _iterate_codes(codes[sl], x0)
+    return before, x0
+
+
+def _iterate_codes(codes: np.ndarray, x0: int):
+    """_iterate_maps on a chunk of maps coded f(0) + 2 f(1), by the pairwise recursion of _scan_chunk."""
+    size = len(codes)
     if size <= 16:
-        before = np.empty(size, dtype=np.int8)
-        x = x0
-        for j, (y0, y1) in enumerate(zip(f0.tolist(), f1.tolist())):
-            before[j] = x
-            x = int(y1 if x else y0)
-        return before, x
+        before = []
+        for code in codes.tolist():
+            before.append(x0)
+            x0 = code >> x0 & 1
+        return np.array(before, dtype=np.int8), x0
     half = size // 2
-    e0, e1, o0, o1 = f0[0 : 2 * half : 2], f1[0 : 2 * half : 2], f0[1::2], f1[1::2]
+    even, odd = codes[0 : 2 * half : 2], codes[1::2]
     # the pair map: the even map first, then the odd one; an odd tail passes through
-    g0, g1 = _select(e0, o1, o0), _select(e1, o1, o0)
+    pairs = _COMPOSE.take(even + 4 * odd)
     if size % 2:
-        g0, g1 = np.append(g0, f0[-1]), np.append(g1, f1[-1])
-    into, x = _iterate_maps(g0, g1, x0)
+        pairs = np.append(pairs, codes[-1])
+    into, x = _iterate_codes(pairs, x0)
     before = np.empty(size, dtype=np.int8)
     before[0::2] = into
-    before[1::2] = _select(into[:half], e1, e0)
+    before[1::2] = even >> into[:half] & 1
     return before, x
 
 
@@ -729,35 +737,30 @@ def _unit_sum(x: np.ndarray) -> np.ndarray:
     return x / x.sum(axis=tuple(range(x.ndim - 1)))
 
 
-def _unit_max(x: np.ndarray) -> np.ndarray:
-    """x minus its maximum along every axis but the last; all -inf stays -inf."""
-    top = x.max(axis=tuple(range(x.ndim - 1)))
-    return x - np.where(top > -np.inf, top, 0.0)
-
-
-def _scan_chunk(steps: np.ndarray, carry: np.ndarray, plus, times, rescale):
+def _scan_chunk(steps: np.ndarray, carry: np.ndarray, plus, times, rescale=None):
     """carry times the exclusive prefix products of one chunk of 2x2 steps.
 
     steps[l, l', t] holds step t; the products are over the semiring
     (plus, times): (add, multiply) for the forward sums, (maximum, add)
     for Viterbi.  A pairwise recursion combines adjacent steps into
-    P_j = S_2j S_2j+1, rescaled, scans the half-length chain for the
+    P_j = S_2j S_2j+1, rescaled if rescale is given (max-plus scores add,
+    so they need none for range), scans the half-length chain for the
     vector before each pair, and takes each odd position one vector step
     on from its even neighbour: about L matrix combines and L/2 vector
-    steps in all.  Returns the row vectors before each step, shape
-    (2, L), each correct up to a scale, and the rescaled vector after the
-    last one.
+    steps in all.  Returns the row vectors before each step, shape (2, L),
+    each correct up to a scale, and the vector after the last one.
     """
 
     def advance(v, s):  # row vectors v (2, n) through steps s (2, 2, n)
         return plus(times(v[0], s[0]), times(v[1], s[1]))
 
+    keep = rescale or (lambda x: x)
     size = steps.shape[-1]
     if size == 1:
-        return carry[:, None].copy(), rescale(advance(carry[:, None], steps))[:, 0]
+        return carry[:, None].copy(), keep(advance(carry[:, None], steps))[:, 0]
     half = size // 2
     even, odd = steps[..., 0 : 2 * half : 2], steps[..., 1::2]
-    pairs = rescale(plus(times(even[:, 0, None], odd[0]), times(even[:, 1, None], odd[1])))
+    pairs = keep(plus(times(even[:, 0, None], odd[0]), times(even[:, 1, None], odd[1])))
     if size % 2:  # an odd tail passes through
         pairs = np.concatenate([pairs, steps[..., -1:]], axis=-1)
     into, after = _scan_chunk(pairs, carry, plus, times, rescale)
@@ -778,8 +781,7 @@ def _checked_emissions(emis) -> np.ndarray:
         raise ValueError(f"emissions must have shape (m, 4), got {emis.shape}")
     if emis.shape[0] == 0:
         raise ValueError("observations must be nonempty")
-    # Viterbi compares np.maximum of candidate pairs, which keeps its strict-> tie rule only without
-    # nan; an entry of +inf turns into nan when the scans rescale
+    # Viterbi's strict > keeps its tie rule only without nan, which +inf makes in a rescale or carry shift
     if not np.all(emis < np.inf):
         raise ValueError("emissions must be log-probabilities, finite or -inf, not nan or +inf")
     return emis
@@ -788,13 +790,13 @@ def _checked_emissions(emis) -> np.ndarray:
 def viterbi_decode(spec: HmmSpec, emis: np.ndarray) -> np.ndarray:
     """Maximum a posteriori state path of the emission table emis; returns the decoded symbol bits.
 
-    Log domain; zero-probability branches carry -inf.  Ties break toward
-    the smaller state index.  The best scores into each level come from a
-    max-plus scan over N_t[l, l'] = max_s(e_t[l, s] + log T[(l, s), l']);
-    each back pointer is a first-maximum tournament over the four
-    (into[l] + e_t[(l, s)]) + log T[(l, s), l'], kept as its level and
-    its symbol.  The backtrack composes the level maps, then reads each
-    symbol off its level.
+    Log domain; zero-probability branches carry -inf.  The best scores
+    into each level come from a max-plus scan over N_t = max(a_0, a_1),
+    a_s[l, l'] = e_t[l, s] + log T[(l, s), l'].  The back pointers come off
+    the same arrays, the symbol a_1 > a_0 and the level into[1] + N[1, l']
+    > into[0] + N[0, l'], strict, so a tie goes to the smaller state index.
+    The backtrack composes the level maps, then reads each symbol off its
+    level.
     """
     emis = _checked_emissions(emis)
     m = emis.shape[0]
@@ -805,24 +807,22 @@ def viterbi_decode(spec: HmmSpec, emis: np.ndarray) -> np.ndarray:
     back_symbol = np.empty((2, m), dtype=bool)
     best = np.array([math.log(0.5), -math.inf])  # best score into each level at t = 0
     for sl in _chunks(m):
-        e = emis[sl].T  # (state, t)
-        e2 = e.reshape(2, 2, -1)
-        steps = np.maximum(e2[:, 0, None] + log_t[:, 0, :, None], e2[:, 1, None] + log_t[:, 1, :, None])
-        into, best = _scan_chunk(steps, best, np.maximum, np.add, _unit_max)
-        delta = (into[:, None] + e2).reshape(4, -1)  # into[l] + e[(l, s)]
-        c0, c1, c2, c3 = delta[:, None] + log_t.reshape(4, 2, 1)  # each (level', t)
-        # a first-maximum tournament: strict > lets the smaller state index win a tie
-        hi01, hi23 = c1 > c0, c3 > c2
-        up = np.greater(np.maximum(c2, c3), np.maximum(c0, c1), out=back_level[:, sl])
-        back_symbol[:, sl] = _select(up, hi23, hi01)
-    state = int(np.argmax(delta[:, -1]))
+        e = emis[sl].T.reshape(2, 2, -1)  # (level, symbol, t)
+        a0, a1 = (e[:, s, None] + log_t[:, s, :, None] for s in (0, 1))  # each (level, level', t)
+        steps = np.maximum(a0, a1)
+        into, best = _scan_chunk(steps, best, np.maximum, np.add)
+        best -= best.max() if best.max() > -math.inf else 0.0  # the next chunk starts from a best score of 0
+        steps += into[:, None]
+        up = np.greater(steps[1], steps[0], out=back_level[:, sl])
+        hi = a1 > a0
+        hi[0] &= into[0] > -np.inf  # at into[0] = -inf, level 0 wins only when all four tie at -inf
+        back_symbol[:, sl] = _select(up, hi[1], hi[0])
+    state = int(np.argmax(into[:, -1, None] + e[:, :, -1]))
     path = np.empty(m, dtype=np.int8)
     path[-1] = state % 2
-    level = state // 2
-    for sl in reversed(list(_chunks(m - 1))):
-        # level at t + 1 -> level at t, latest t first
-        into, level = _iterate_maps(back_level[0, sl][::-1], back_level[1, sl][::-1], level)
-        path[sl][::-1] = _select(into, back_symbol[1, sl][::-1], back_symbol[0, sl][::-1])
+    # the maps level at t + 1 -> level at t, latest t first, give the level after each t < m - 1
+    after, _ = _iterate_maps(back_level[0, -2::-1], back_level[1, -2::-1], state // 2)
+    path[-2::-1] = _select(after, back_symbol[1, -2::-1], back_symbol[0, -2::-1])
     return path
 
 

@@ -316,6 +316,13 @@ class TestExcitationCtmc:
         with pytest.raises(ValueError):
             excitation_ctmc(-1.0, ref_timing, ref_dev)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0], ids=["inf", "nan", "negative"])
+    def test_rejects_rate_naming_it(self, ref_dev, ref_timing, bad):
+        with pytest.raises(ValueError, match=f"lambda must be finite and >= 0, got {bad}"):
+            excitation_ctmc(np.array([1.0, bad, 2.0]), ref_timing, ref_dev)
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            excitation_ctmc(bad, ref_timing, ref_dev)
+
     @pytest.mark.parametrize("mean", [0.1, 1.0, 3.0])
     def test_matches_renewal_dp_and_mc(self, mean):
         dev = DeviceParams(kappa=4 * 10 / T_C, gamma=0.5 / T_C)

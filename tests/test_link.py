@@ -280,8 +280,15 @@ def loop_conditional_forward(spec, emis, symbols):
     return np.array(out)
 
 
+def unit_max(x):
+    """x minus its maximum along every axis but the last; all -inf stays -inf."""
+    top = x.max(axis=tuple(range(x.ndim - 1)))
+    return x - np.where(top > -np.inf, top, 0.0)
+
+
 def fold_scan(steps, carry, semiring):
-    """The vectors before each 2x2 step and after the last, one step at a time, each rescaled."""
+    """The vectors before each 2x2 step and after the last, one step at a time, each rescaled
+    unless the semiring is "max-plus-unrescaled"."""
     before = []
     v = np.array(carry, dtype=float)
     for t in range(steps.shape[-1]):
@@ -291,7 +298,8 @@ def fold_scan(steps, carry, semiring):
             v = v / v.sum()
         else:
             v = np.max(v[:, None] + steps[..., t], axis=0)
-            v = v - v.max()
+            if semiring == "max-plus":
+                v = v - v.max()
     return np.array(before).T, v
 
 
@@ -1107,12 +1115,14 @@ class TestScansMatchLoops:
         steps[0, 0] = np.where(steps[0, 0] == zero, 1.0, steps[0, 0])
         return steps
 
-    @pytest.mark.parametrize("semiring", ["sum-product", "max-plus"])
+    @pytest.mark.parametrize("semiring", ["sum-product", "max-plus", "max-plus-unrescaled"])
     def test_scan_chunk_matches_fold(self, semiring):
         if semiring == "sum-product":
             args, carries = (np.add, np.multiply, link._unit_sum), ([1.0, 0.0], [0.3, 0.7])
-        else:
-            args, carries = (np.maximum, np.add, link._unit_max), ([math.log(0.5), -np.inf], [-1.5, 0.0])
+        elif semiring == "max-plus":
+            args, carries = (np.maximum, np.add, unit_max), ([math.log(0.5), -np.inf], [-1.5, 0.0])
+        else:  # as Viterbi scans: each vector is the best score itself, not up to a shift
+            args, carries = (np.maximum, np.add), ([math.log(0.5), -np.inf], [-1.5, 0.0])
         for size in self.SCAN_LENGTHS:
             rng = substream(41, 30, size)
             steps = self.random_steps(rng, size, semiring)
@@ -1121,8 +1131,8 @@ class TestScansMatchLoops:
             want_before, want_after = fold_scan(steps, carry, semiring)
             assert before.shape == (2, size)
             for got, want in ((before, want_before), (after[:, None], want_after[:, None])):
-                # each vector is correct up to a scale: compare the rescaled ones
-                got, want = args[2](got), args[2](want)
+                if len(args) == 3:  # each vector is correct up to a scale: compare the rescaled ones
+                    got, want = args[2](got), args[2](want)
                 if semiring == "sum-product":
                     assert np.array_equal(got == 0, want == 0), size
                     assert np.abs(got - want).max() < 1e-12, size
@@ -1133,14 +1143,24 @@ class TestScansMatchLoops:
 
     @pytest.mark.parametrize("dtype", [bool, np.int8])
     def test_iterate_maps_matches_loop(self, dtype):
+        # contiguous maps, and the reversed (negative-stride) views of rows of a (2, m) array that the
+        # Viterbi backtrack passes, and step-2 views
         for size in self.SCAN_LENGTHS:
             rng = substream(41, 31, size)
-            f0, f1 = (rng.random((2, size)) < 0.5).astype(dtype)
-            for x0 in (0, 1):
-                before, x = link._iterate_maps(f0, f1, x0)
-                want_before, want_x = loop_iterate_maps(f0, f1, x0)
-                assert before.dtype == np.int8 and np.array_equal(before, want_before), (size, x0)
-                assert x == want_x, (size, x0)
+            maps = (rng.random((2, 2 * size)) < 0.5).astype(dtype)
+            for view in (maps[:, :size], maps[:, size - 1 :: -1], maps[:, ::2]):
+                f0, f1 = view
+                for x0 in (0, 1):
+                    before, x = link._iterate_maps(f0, f1, x0)
+                    want_before, want_x = loop_iterate_maps(f0, f1, x0)
+                    assert before.dtype == np.int8 and np.array_equal(before, want_before), (size, x0)
+                    assert x == want_x, (size, x0)
+
+    def test_compose_table(self):
+        # a map f on {0, 1} is coded f(0) + 2 f(1); entry a + 4 b is a, then b
+        for a0, a1, b0, b1 in itertools.product((0, 1), repeat=4):
+            a, b = (a0, a1), (b0, b1)
+            assert link._COMPOSE[a0 + 2 * a1 + 4 * (b0 + 2 * b1)] == b[a[0]] + 2 * b[a[1]]
 
     def test_last_bit_matches_draw(self):
         # every table at the benchmark powers: last_bit(u) is the bn of the
@@ -1156,6 +1176,14 @@ class TestScansMatchLoops:
                         want = law.cells[0, np.searchsorted(law.cdf, u, side="right")]
                         assert np.array_equal(law.last_bit(u).astype(np.int64), want)
 
+    def test_viterbi_over_three_chunks_at_high_power(self):
+        # the scores into each level grow with the chunk length, unrescaled within a chunk;
+        # 196,609 symbols carry them across three chunk boundaries, the last into a one-symbol chunk
+        spec = ref_link_cfg(800).build_spec(-146.0)
+        run = simulate_link(spec, 3 * 65536 + 1, substream(41, 24), mode="physical")
+        emis = emissions(spec, run)
+        assert np.array_equal(viterbi_decode(spec, emis), loop_viterbi(spec, emis))
+
     def test_viterbi_ties_at_zero_signal(self):
         # identical kernels: every step ties between the two symbols
         spec = ref_link_cfg(50).build_spec(-math.inf)
@@ -1164,6 +1192,16 @@ class TestScansMatchLoops:
         decoded = viterbi_decode(spec, emis)
         assert np.array_equal(decoded, loop_viterbi(spec, emis))
         assert not decoded.any()
+
+    @pytest.mark.parametrize("m", [101, 65537])
+    def test_viterbi_after_an_impossible_frame(self, m):
+        # from the frame that no state can emit on, every path scores -inf and the path is state 0
+        spec = ref_link_cfg(12).build_spec(-144.0)
+        emis = emissions(spec, simulate_link(spec, m, substream(41, 25, m), mode="physical"))
+        emis[m // 2] = -np.inf
+        decoded = viterbi_decode(spec, emis)
+        assert np.array_equal(decoded, loop_viterbi(spec, emis))
+        assert decoded.any() and not decoded[m // 2 :].any()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 65537])
     def test_viterbi_deterministic_kernels(self, m):
