@@ -143,7 +143,7 @@ def cmd_detect(cfg: ExperimentConfig, runner: _Runner) -> int:
 
     p = cfg.detect_power_dbm
     lam = _rate("detect.power_dbm", p, power_to_rate(p, cfg.environment.nu), "P/(h nu)")
-    lam += thermal_photon_rate(cfg.environment) / cfg.timing.t_c
+    lam += _thermal_rate(cfg)
     report = detection.miss_probability_sweep([(lam, cfg.device.kappa, cfg.device.gamma)], cfg.timing, cfg.device)
     runner.write_report(report, "detect.csv")
     return 0
@@ -171,11 +171,18 @@ def cmd_pulse_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     return 0
 
 
-def _rate(key: str, value: float, lam: float, formula: str) -> float:
+def _rate(key: str, value: float | str, lam: float, formula: str) -> float:
     """lam, the photon rate that value of config key sets through formula; a rate that overflows is a config error."""
     if math.isinf(lam):
         raise ConfigError(f"{key}: {value}: lambda = {formula} overflows")
     return lam
+
+
+def _thermal_rate(cfg: ExperimentConfig) -> float:
+    """The thermal photon rate n_e/t_c of the receiver environment."""
+    env = cfg.environment
+    return _rate("environment.t_e_k, environment.nu_hz", f"{env.t_e}, {env.nu}",
+                 thermal_photon_rate(env) / cfg.timing.t_c, "k_B T_e/(N h nu t_c)")
 
 
 def _photon_rates(cfg: ExperimentConfig) -> list:
@@ -208,9 +215,11 @@ def _link_sweep(cfg: ExperimentConfig, runner: _Runner, metric: str, point, figu
 
     for p in cfg.axis("power_dbm").tolist():
         _rate("sweeps.power_dbm", p, power_to_rate(p, cfg.environment.nu), "P/(h nu)")
+    _thermal_rate(cfg)
     lcfg = link.LinkConfig(dev=cfg.device, timing=cfg.timing, env=cfg.environment, saturation=cfg.link.saturation)
-    with _config_keys(_WINDOW_KEYS):  # a saturated link builds its dead-time operator here
-        lcfg.noise_tables()  # before the pool starts, so that every task's copy of lcfg carries them
+    with _config_keys(_WINDOW_KEYS):
+        lcfg.saturation_operator  # a saturated link builds its dead-time operator here
+    lcfg.noise_tables()  # before the pool starts, so that every task's copy of lcfg carries them
     report = SweepReport(_parallel_map(point, [(lcfg, *a) for a in args], cfg.workers))
     runner.write_report(report, f"{metric}_sweep.csv")
     runner.write_figure(figure_id, ("power_dbm", "kappa", "gamma", "n_cycles", metric, "stderr"), report.rows)

@@ -574,9 +574,6 @@ class LinkRun:
     n11: np.ndarray
     frames: Optional[np.ndarray] = None
 
-    def __len__(self) -> int:
-        return int(self.symbols.size)
-
 
 def simulate_link(
     spec: HmmSpec,
@@ -915,51 +912,54 @@ def mutual_information(
     return Estimate(value, float(reps.std(ddof=1)))
 
 
-def rate_bracket(spec: HmmSpec) -> tuple:
-    """Exact (lower, upper) bounds on the information rate of the hmm chain, bits per symbol.
+def _joint_cells(spec: HmmSpec):
+    """The law P(s, y, l, l') of a symbol s, its frame statistics y = (b1, bn, n1, n11),
+    its entry level l at the stationary law and the next one l', cell by cell.
 
-    With y the frame statistics (b1, bn, n1, n11) of one symbol, l its
-    entry level and l' the next one, the lower bound is I(S; Y) at the
-    stationary entry-level law, and the upper bound is
-    1 - H(S | Y, L, L'): a genie that reveals every entry level splits the
-    chain into independent symbols.  Both are finite sums of
-    w_s log2(2 w_s / (w_0 + w_1)), w_s = P(s, y, ...), taken for each
-    symbol s over the cells of its own HmmSpec.frame_stats tables.  There
-    the symbol's own law is the table's prob, and the other symbol's is
+    For each b1 and s, yields s and, in fresh (5, cells) arrays, P(s, y, .)
+    and P(1 - s, y, .) on the cells of s's own HmmSpec.frame_stats table:
+    row 0 marginalizes l and l', rows 1-4 hold (l, l') = (0, 0), (0, 1),
+    (1, 0), (1, 1).  The own law is the table's prob, the other symbol's
     the table's log arrangement count plus that symbol's pair terms; a
     cell missing from a table carries less than 1e-16 under its symbol.
-    Both are clipped to [0, 1], and the upper bound is held at or above
-    the lower one, which rounding can pass by 1e-14 near 1 bit.
     """
     exit_ = spec.level_exit  # (level, symbol, level')
     # stationary law of P(l' | l) = sum_s P(l' | l, s) / 2; a chain that never
     # changes level keeps the ground start
     up, down = 0.5 * exit_[GROUND, :, EXCITED].sum(), 0.5 * exit_[EXCITED, :, GROUND].sum()
     pi = np.array([down, up]) / (up + down) if up + down > 0 else np.array([1.0, 0.0])
-    n = spec.n_cycles
     log_q = [_log(spec.kernel(s).bit_chain) for s in (0, 1)]
-    bits = np.zeros(5)  # the lower bound, then the upper bound's term at each (l, l')
     for b1 in (0, 1):
-        # P(s, b1, l, l') = pi_l P(b1 | l, s) P(l' | l, s) / 2, shape (level, symbol, level'),
-        # so P(s, y, l, l') = c[l, s, l'] P(bn, n1, n11 | b1, s); row 0 of weight marginalizes l and l'
+        # c[l, s, l'] = P(s, b1, l, l'), so P(s, y, l, l') = c[l, s, l'] P(bn, n1, n11 | b1, s)
         first = np.array([[spec.first_bit_prob(lv, s)[b1] for s in (0, 1)] for lv in (GROUND, EXCITED)])
         c = 0.5 * (pi[:, None] * first)[:, :, None] * exit_
         weight = np.concatenate([c.sum(axis=(0, 2))[None], c.transpose(0, 2, 1).reshape(4, 2)])
         for s in (0, 1):
             table = spec.frame_stats[s][b1]
-            # kept cells are possible: the other symbol's law is the table's count plus its pair terms
-            other = np.exp(_pair_loglik(table.log_count, log_q[1 - s], _pair_counts(b1, *table.cells, n)))
-            own = weight[:, s, None] * table.prob  # (term, cell)
-            # own * log2(2 own / (w_0 + w_1)) where own > 0, else 0, built in x
-            x = weight[:, 1 - s, None] * other
-            w = (own, x) if s == 0 else (x, own)  # (w_0, w_1)
-            np.add(*w, out=x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(2.0 * own, x, out=x)
-                np.log2(x, out=x)
-                np.multiply(own, x, out=x)
-            np.copyto(x, 0.0, where=~(own > 0))
-            bits += x.sum(axis=1)
+            other = np.exp(_pair_loglik(table.log_count, log_q[1 - s], _pair_counts(b1, *table.cells, spec.n_cycles)))
+            yield s, weight[:, s, None] * table.prob, weight[:, 1 - s, None] * other
+
+
+def rate_bracket(spec: HmmSpec) -> tuple:
+    """Exact (lower, upper) bounds on the information rate of the hmm and the physical chain, bits per symbol.
+
+    The lower bound is I(S; Y), and the upper bound 1 - H(S | Y, L, L'): a
+    genie that reveals every entry level splits the chain into independent
+    symbols.  Both are sums of w_s log2(2 w_s / (w_0 + w_1)), w_s = P(s, y, ...),
+    over the cells of _joint_cells, clipped to [0, 1]; the upper bound is held
+    at or above the lower one, which rounding can pass by 1e-14 near 1 bit.
+    """
+    bits = np.zeros(5)  # the lower bound, then the upper bound's term at each (l, l')
+    for s, own, x in _joint_cells(spec):
+        # own * log2(2 own / (w_0 + w_1)) where own > 0, else 0, built in x
+        w = (own, x) if s == 0 else (x, own)  # (w_0, w_1)
+        np.add(*w, out=x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(2.0 * own, x, out=x)
+            np.log2(x, out=x)
+            np.multiply(own, x, out=x)
+        np.copyto(x, 0.0, where=~(own > 0))
+        bits += x.sum(axis=1)
     lower = min(max(float(bits[0]), 0.0), 1.0)
     return lower, min(max(float(bits[1:].sum()), lower), 1.0)
 
@@ -986,13 +986,13 @@ class LinkConfig:
         return thermal_photon_rate(self.env)
 
     @cached_property
-    def _saturation_operator(self) -> Optional[SurvivorOperator]:
+    def saturation_operator(self) -> Optional[SurvivorOperator]:
         """The ground-entry dead-time operator when saturation is on: every kernel of a sweep evaluates it."""
         return SurvivorOperator.build(self.timing, self.dev) if self.saturation else None
 
     def _kernel(self, lambda_signal: float) -> CycleKernel:
         return build_cycle_kernel(
-            self.dev, self.timing, lambda_signal, self.n_e, saturation=self._saturation_operator
+            self.dev, self.timing, lambda_signal, self.n_e, saturation=self.saturation_operator
         )
 
     @cached_property

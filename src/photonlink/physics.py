@@ -279,8 +279,8 @@ class Environment:
     def __post_init__(self):
         if self.t_e < 0:
             raise ParameterError("t_e", f"t_e must be >= 0, got {self.t_e}")
-        if not self.nu > 0:
-            raise ParameterError("nu", f"nu must be > 0, got {self.nu}")
+        if not PLANCK_H * self.nu > 0:
+            raise ParameterError("nu", f"nu must be > 0 and h nu must not round to 0, got {self.nu}")
         if self.cycles_per_symbol < 1:
             raise ParameterError(
                 "cycles_per_symbol", f"cycles_per_symbol must be >= 1, got {self.cycles_per_symbol}"
@@ -503,8 +503,8 @@ def dbm_to_watts(power_dbm: float) -> float:
 
 def power_to_rate(power_dbm: float, nu: float) -> float:
     """Received power in dBm to photon arrival rate in photons/s."""
-    if not nu > 0:
-        raise ValueError(f"nu must be > 0, got {nu}")
+    if not PLANCK_H * nu > 0:
+        raise ValueError(f"nu must be > 0 and h nu must not round to 0, got {nu}")
     return dbm_to_watts(power_dbm) / (PLANCK_H * nu)
 
 

@@ -1003,34 +1003,36 @@ def fit_cutoff_curve(samples: Sequence[tuple]) -> CutoffFit:
     res = residuals(theta)
     cost = float(res @ res)
     converged = False
-    for _ in range(_FIT_MAX_ITER):
-        a, b, c = theta
-        xb = x**b
-        jac = np.column_stack([xb / y, a * xb * np.log(x) / y, 1.0 / y])
-        g = jac.T @ res
-        h = jac.T @ jac
-        step_ok = False
-        for _ in range(50):
-            try:
-                delta = np.linalg.solve(h + lam_damp * np.diag(np.diag(h)), -g)
-            except np.linalg.LinAlgError:
+    # a trial step that overflows costs inf or nan, which never beats cost: it is rejected, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_FIT_MAX_ITER):
+            a, b, c = theta
+            xb = x**b
+            jac = np.column_stack([xb / y, a * xb * np.log(x) / y, 1.0 / y])
+            g = jac.T @ res
+            h = jac.T @ jac
+            step_ok = False
+            for _ in range(50):
+                try:
+                    delta = np.linalg.solve(h + lam_damp * np.diag(np.diag(h)), -g)
+                except np.linalg.LinAlgError:
+                    lam_damp *= 10.0
+                    continue
+                trial = theta + delta
+                tr_res = residuals(trial)
+                tr_cost = float(tr_res @ tr_res)
+                if tr_cost < cost:
+                    theta, res, cost = trial, tr_res, tr_cost
+                    lam_damp = max(lam_damp / 10.0, 1e-12)
+                    step_ok = True
+                    break
                 lam_damp *= 10.0
-                continue
-            trial = theta + delta
-            tr_res = residuals(trial)
-            tr_cost = float(tr_res @ tr_res)
-            if tr_cost < cost:
-                theta, res, cost = trial, tr_res, tr_cost
-                lam_damp = max(lam_damp / 10.0, 1e-12)
-                step_ok = True
+            if not step_ok:
+                converged = True  # damping exhausted: at a (local) minimum
                 break
-            lam_damp *= 10.0
-        if not step_ok:
-            converged = True  # damping exhausted: at a (local) minimum
-            break
-        if np.linalg.norm(delta) <= _FIT_STEP_TOL * (np.linalg.norm(theta) + _FIT_STEP_TOL):
-            converged = True
-            break
+            if np.linalg.norm(delta) <= _FIT_STEP_TOL * (np.linalg.norm(theta) + _FIT_STEP_TOL):
+                converged = True
+                break
     if not converged:
         raise FitConvergenceError(f"no convergence after {_FIT_MAX_ITER} iterations")
     rms = math.sqrt(cost / x.size)

@@ -44,6 +44,9 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+# the commands that turn the receiver environment into photon rates
+LINK_RATE_COMMANDS = ("detect", "rate-sweep", "ber-sweep")
+
 # the start of the message when t_c/tau falls below 4 with nothing swept
 WINDOW_KEYS = "timing.t_c_ns, device.alpha_sat, device.kappa_rad_per_s: closed forms require t_c/tau >= 4.0"
 
@@ -192,10 +195,15 @@ class TestExitCodes:
             ("saturation-sweep", ["device.alpha_sat=500"], WINDOW_KEYS),
             ("rate-sweep", ["link.saturation=true", "device.kappa_rad_per_s=1e6"], WINDOW_KEYS),
             ("ber-sweep", ["link.saturation=true", "timing.t_c_ns=0.5"], WINDOW_KEYS),
+            # the photon energy h nu rounds to 0, or the thermal rate k_B T_e/(N h nu t_c) overflows
+            *[(c, ["environment.nu_hz=1e-300"], "environment.nu_hz: ") for c in LINK_RATE_COMMANDS],
+            *[(c, ["environment.t_e_k=1e300", "environment.nu_hz=1e-10"], "environment.t_e_k, environment.nu_hz: ")
+              for c in LINK_RATE_COMMANDS],
         ],
         ids=["pulse-length-off-nodes", "negative-mean", "window-too-short", "too-few-fit-samples",
              "first-rejected-point-workers-1", "first-rejected-point-workers-2", "kappa-overflow", "t-over-tau-below-4",
-             "swept-kappa-window", "alpha-sat-window", "saturated-rate-window", "saturated-ber-window"],
+             "swept-kappa-window", "alpha-sat-window", "saturated-rate-window", "saturated-ber-window",
+             *[f"{kind}-{c}" for kind in ("photon-energy-underflow", "thermal-rate-overflow") for c in LINK_RATE_COMMANDS]],
     )
     def test_rejected_sweep_value_names_its_key(self, config_file, tmp_path, capsys, command, overrides, start):
         argv = [command, "--config", str(config_file), "--out", str(tmp_path / "o")]

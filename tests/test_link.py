@@ -899,6 +899,17 @@ def cell_law_rate_bracket(spec):
     return lower, min(max(float(bits[1:].sum()), lower), 1.0)
 
 
+def level_genie_rate(spec):
+    """1 - H(S | Y, L) in bits: the (l, l') rows of link._joint_cells summed over l'."""
+    bits = 0.0
+    for s, own, other in link._joint_cells(spec):
+        w = [np.stack([v[1] + v[2], v[3] + v[4]]) for v in ((own, other) if s == 0 else (other, own))]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = w[s] * np.log2(2.0 * w[s] / (w[0] + w[1]))
+        bits += float(np.where(w[s] > 0, terms, 0.0).sum())
+    return bits
+
+
 class TestRateBracket:
     """The exact achievable rate that rate-sweep writes."""
 
@@ -945,6 +956,16 @@ class TestRateBracket:
         assert all(a < b for a, b in zip(lowers, lowers[1:]))
         assert all(0.0 <= hi - lo < 2e-4 for lo, hi in brackets)  # at most 1.6e-4, at -153 dBm
 
+    @pytest.mark.parametrize("saturation", [False, True], ids=["plain", "saturated"])
+    def test_brackets_the_physical_chain(self, saturation):
+        # in physical mode S_t is independent of every other frame given (Y_t, L_t), so that chain's
+        # rate lies in [I(S; Y), 1 - H(S | Y, L)]: inside the bracket, at most 2.14e-6 below its top
+        cfg = dataclasses.replace(ref_link_cfg(), saturation=saturation)
+        for power in np.arange(-160.0, -143.5, 1.0):
+            spec = cfg.build_spec(power)
+            lower, upper = rate_bracket(spec)
+            value = level_genie_rate(spec)
+            assert lower <= value <= upper and upper - value < 3e-6, power
 
     @pytest.mark.parametrize("power, lower, upper", [
         (-156.5, 0.1898171230847341, 0.18990438971688584),
@@ -1183,6 +1204,20 @@ class TestScansMatchLoops:
         run = simulate_link(spec, 3 * 65536 + 1, substream(41, 24), mode="physical")
         emis = emissions(spec, run)
         assert np.array_equal(viterbi_decode(spec, emis), loop_viterbi(spec, emis))
+
+    @pytest.mark.parametrize("offset", [2.0**46, 2.0**48], ids=["2^46", "2^48"])
+    def test_viterbi_carry_shift_keeps_the_path(self, offset, monkeypatch):
+        # one known MAP path: 0 at its state, -40 elsewhere, against log transitions of -5.2 at the least;
+        # the same offset on all four states moves no path, but without the shift between 16-symbol chunks
+        # the scores reach 4096 offsets and lose the digits that separate the paths: 27 and 518 errors
+        monkeypatch.setattr(link, "_CHUNK", 16)
+        spec = ref_link_cfg(800).build_spec(-146.0)
+        rng = substream(41, 26)
+        levels, symbols = rng.integers(0, 2, 4096), rng.integers(0, 2, 4096)
+        levels[0] = 0  # every path starts at level 0
+        emis = np.full((4096, 4), -40.0)
+        emis[np.arange(4096), 2 * levels + symbols] = 0.0
+        assert np.array_equal(viterbi_decode(spec, emis - offset), symbols)
 
     def test_viterbi_ties_at_zero_signal(self):
         # identical kernels: every step ties between the two symbols

@@ -814,6 +814,16 @@ class TestFit:
         fit = fit_cutoff_curve(list(zip(xs, ys)))
         assert abs(fit.b - 1.132) < 0.05
 
+    @pytest.mark.parametrize("n_cutoff, b", [
+        ((56328.31952631021, 690398.6455248708, 8139223.969113746, 93605556.9901936), 1.0648423009415562),
+        ((1055099465.6491266, 11775912327.924828, 129775946547.71944, 1417312874640.1316), 1.039767862990929),
+    ], ids=["alpha-sat-0.01", "alpha-sat-1e-6"])
+    def test_overflowing_trial_steps_are_rejected_silently(self, n_cutoff, b):
+        # cutoff-fit's cutoffs at these alpha_sat: some trial steps overflow the residuals or their
+        # square; they are rejected without a warning, and b is what fit.json reads
+        fit = fit_cutoff_curve(list(zip((100.0, 1000.0, 10000.0, 100000.0), n_cutoff)))
+        assert fit.b == b
+
     def test_range_guard(self):
         xs = np.geomspace(100.0, 1e5, 9)
         fit = fit_cutoff_curve(list(zip(xs, 2.0 * xs**1.1 + 1.0)))
