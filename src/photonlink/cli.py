@@ -1,5 +1,6 @@
-"""Command-line harness: experiment dispatch, deterministic parallel
-sweeps, CSV and manifest emission.
+"""Command-line harness: experiment dispatch, deterministic sweeps
+(ber-sweep and rate-sweep on threads at --workers > 1), CSV and
+manifest emission.
 
 Exit codes: 0 success, 2 configuration error, 3 validation failure,
 4 numeric non-convergence.  Outputs are a pure function of (config,
@@ -61,14 +62,17 @@ def _keep_freed_heap() -> bool:
 
 
 def _parallel_map(fn, payloads, workers: int) -> list:
-    """fn(*args) for each args tuple of payloads, in order; results never depend on the worker count."""
+    """fn(*args) for each args tuple of payloads, in order, on min(workers, len(payloads)) threads.
+
+    The points' numpy work releases the GIL.  Each point draws from its own
+    substream, so results never depend on the worker count.
+    """
     items = list(payloads)
     if workers <= 1 or len(items) <= 1:
         return [fn(*args) for args in items]
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only workers > 1 need it
+    from concurrent.futures import ThreadPoolExecutor  # only workers > 1 need it
 
-    # spawn and forkserver workers do not inherit the allocator policy
-    with ProcessPoolExecutor(max_workers=min(workers, len(items)), initializer=_keep_freed_heap) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, *zip(*items)))
 
 
@@ -141,9 +145,7 @@ def _config_keys(where: str):
 def cmd_detect(cfg: ExperimentConfig, runner: _Runner) -> int:
     from . import detection
 
-    p = cfg.detect_power_dbm
-    lam = _rate("detect.power_dbm", p, power_to_rate(p, cfg.environment.nu), "P/(h nu)")
-    lam += _thermal_rate(cfg)
+    [lam] = _arrival_rates(cfg, "detect.power_dbm", [cfg.detect_power_dbm])
     report = detection.miss_probability_sweep([(lam, cfg.device.kappa, cfg.device.gamma)], cfg.timing, cfg.device)
     runner.write_report(report, "detect.csv")
     return 0
@@ -178,11 +180,14 @@ def _rate(key: str, value: float | str, lam: float, formula: str) -> float:
     return lam
 
 
-def _thermal_rate(cfg: ExperimentConfig) -> float:
-    """The thermal photon rate n_e/t_c of the receiver environment."""
+def _arrival_rates(cfg: ExperimentConfig, key: str, powers: list) -> list:
+    """The arrival rates P/(h nu) + n_e/t_c that a kernel sees at each power of config key, signal plus thermal."""
     env = cfg.environment
-    return _rate("environment.t_e_k, environment.nu_hz", f"{env.t_e}, {env.nu}",
-                 thermal_photon_rate(env) / cfg.timing.t_c, "k_B T_e/(N h nu t_c)")
+    signals = [_rate(key, p, power_to_rate(p, env.nu), "P/(h nu)") for p in powers]
+    thermal = _rate("environment.t_e_k, environment.nu_hz", f"{env.t_e}, {env.nu}",
+                    thermal_photon_rate(env) / cfg.timing.t_c, "k_B T_e/(N h nu t_c)")
+    return [_rate(f"{key}, environment.t_e_k, environment.nu_hz", f"{p}, {env.t_e}, {env.nu}",
+                  lam + thermal, "P/(h nu) + k_B T_e/(N h nu t_c)") for p, lam in zip(powers, signals)]
 
 
 def _photon_rates(cfg: ExperimentConfig) -> list:
@@ -213,13 +218,11 @@ def _link_sweep(cfg: ExperimentConfig, runner: _Runner, metric: str, point, figu
     """
     from . import link
 
-    for p in cfg.axis("power_dbm").tolist():
-        _rate("sweeps.power_dbm", p, power_to_rate(p, cfg.environment.nu), "P/(h nu)")
-    _thermal_rate(cfg)
+    _arrival_rates(cfg, "sweeps.power_dbm", cfg.axis("power_dbm").tolist())
     lcfg = link.LinkConfig(dev=cfg.device, timing=cfg.timing, env=cfg.environment, saturation=cfg.link.saturation)
     with _config_keys(_WINDOW_KEYS):
         lcfg.saturation_operator  # a saturated link builds its dead-time operator here
-    lcfg.noise_tables()  # before the pool starts, so that every task's copy of lcfg carries them
+    lcfg.noise_tables()  # before the points run: every point, on any thread, reads this one set
     report = SweepReport(_parallel_map(point, [(lcfg, *a) for a in args], cfg.workers))
     runner.write_report(report, f"{metric}_sweep.csv")
     runner.write_figure(figure_id, ("power_dbm", "kappa", "gamma", "n_cycles", metric, "stderr"), report.rows)

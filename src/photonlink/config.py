@@ -157,8 +157,7 @@ _SECTIONS: dict = {
     "cutoff": {"replicas": (_at_least(2), 256, None)},
 }
 
-# the settings that commands read, as immutable records; module names, so that
-# a config pickled for a pool task finds them
+# the settings that commands read, as immutable records
 McRecord = namedtuple("McRecord", [f for _, _, f in _SECTIONS["mc"].values() if f])
 LinkRecord = namedtuple("LinkRecord", [f for _, _, f in _SECTIONS["link"].values() if f])
 

@@ -177,9 +177,9 @@ class FrameStatsLaw:
     C(n0-1, r0-1), which does not depend on the chain.  mass is what the
     cells hold, prob.sum(), and cdf[i] the cumulative probability up to
     cell i over that mass, with cdf[-1] = 1; bn1_from is the cdf of the
-    last bn = 0 cell (-inf when there is none).  The arrays are read-only,
-    also in a copy that arrives by pickle: one table can serve many specs
-    (LinkConfig.build_spec).
+    last bn = 0 cell (-inf when there is none).  The arrays are read-only:
+    one table can serve many specs (LinkConfig.build_spec), also on several
+    threads of a sweep.
     """
 
     cells: np.ndarray
@@ -198,16 +198,14 @@ class FrameStatsLaw:
         n_bn0 = int(np.count_nonzero(self.cells[0] == 0))
         object.__setattr__(self, "bn1_from", float(self.cdf[n_bn0 - 1]) if n_bn0 else -math.inf)
 
-    def __reduce__(self):
-        # rebuilt through __init__, which locks the arrays that unpickling hands over writeable
-        return FrameStatsLaw, (self.cells, self.prob, self.log_count)
-
     @cached_property
     def _guide(self) -> np.ndarray:
         """Bucket index over cdf (Chen and Asau 1974), built on the first draw.
 
         With k = 2 cells.size buckets, guide[j] is the number of cells with
-        _bucket(cdf, k) < j, for j = 0..k + 1.
+        _bucket(cdf, k) < j, for j = 0..k + 1.  Two threads that draw from a
+        shared table at once may each build it (cached_property takes no
+        lock from Python 3.12 on); the copies are equal, so either serves.
         """
         k = 2 * self.cdf.size
         guide = np.zeros(k + 2, dtype=np.int32)
@@ -1003,9 +1001,8 @@ class LinkConfig:
     def noise_tables(self) -> tuple:
         """The frame-statistics tables of the noise kernel, built on first use like every spec's.
 
-        Building the noise kernel also builds the saturation operator.  A
-        copy of this config pickled after the call carries both, so a pool
-        task builds neither again.
+        Building the noise kernel also builds the saturation operator.  After
+        the call the points of a sweep, on any number of threads, build neither.
         """
         return self._noise_kernel.frame_stats(self.env.cycles_per_symbol)
 

@@ -413,8 +413,8 @@ class SurvivorOperator:
     lambda-dependent rows, squares the block map and reads out, so one
     operator serves every lambda grid of a cutoff scan or every kernel of
     a link sweep; _stacked_excitation does the same for rates spread over
-    several operators.  The arrays are read-only, also in a copy that
-    arrives by pickle.
+    several operators.  The arrays are read-only, so the threads of a
+    link sweep can share one operator.
     """
 
     tau: float
@@ -441,10 +441,6 @@ class SurvivorOperator:
             value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-
-    def __reduce__(self):
-        # rebuilt through __init__, which locks the arrays that unpickling hands over writeable
-        return SurvivorOperator, tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
     def build(

@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -199,11 +198,18 @@ class TestExitCodes:
             *[(c, ["environment.nu_hz=1e-300"], "environment.nu_hz: ") for c in LINK_RATE_COMMANDS],
             *[(c, ["environment.t_e_k=1e300", "environment.nu_hz=1e-10"], "environment.t_e_k, environment.nu_hz: ")
               for c in LINK_RATE_COMMANDS],
+            # P/(h nu) = 1.5e308 and n_e/t_c = 1.1e308 are finite, but their sum, the kernel's rate, overflows
+            *[(c, [f"{key}={value}", "environment.t_e_k=1e304", "environment.cycles_per_symbol=800"],
+               f"{key}, environment.t_e_k, environment.nu_hz: ")
+              for c, key, value in (("detect", "detect.power_dbm", "2880"),
+                                    ("rate-sweep", "sweeps.power_dbm", "{values: [2880.0]}"),
+                                    ("ber-sweep", "sweeps.power_dbm", "{values: [2880.0]}"))],
         ],
         ids=["pulse-length-off-nodes", "negative-mean", "window-too-short", "too-few-fit-samples",
              "first-rejected-point-workers-1", "first-rejected-point-workers-2", "kappa-overflow", "t-over-tau-below-4",
              "swept-kappa-window", "alpha-sat-window", "saturated-rate-window", "saturated-ber-window",
-             *[f"{kind}-{c}" for kind in ("photon-energy-underflow", "thermal-rate-overflow") for c in LINK_RATE_COMMANDS]],
+             *[f"{kind}-{c}" for kind in ("photon-energy-underflow", "thermal-rate-overflow", "summed-rate-overflow")
+               for c in LINK_RATE_COMMANDS]],
     )
     def test_rejected_sweep_value_names_its_key(self, config_file, tmp_path, capsys, command, overrides, start):
         argv = [command, "--config", str(config_file), "--out", str(tmp_path / "o")]
@@ -364,15 +370,14 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_worker_count_capped_at_points(self, config_file, tmp_path, monkeypatch):
-        # a pool never starts more processes than there are grid points; the fake
-        # pool records its size and maps in this process, so it starts none
+        # a pool never starts more threads than there are grid points; the fake
+        # pool records its size and maps in this thread, so it starts none
         import concurrent.futures
 
         sizes = []
 
         class FakePool:
-            def __init__(self, max_workers, initializer):
-                assert initializer is cli._keep_freed_heap  # each worker process sets the heap policy
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -384,7 +389,7 @@ class TestDeterminism:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FakePool)
         texts = []
         for workers in ("1", "2", "64"):
             out = tmp_path / workers
@@ -427,8 +432,8 @@ class TestDeterminism:
 
     def test_rate_sweep_builds_noise_tables_once(self, config_file, tmp_path, monkeypatch):
         # 5 points: one window evaluation for the symbol-0 chain, then one for each
-        # point's symbol-1 chain, each building both first-bit tables; a second
-        # call in the same process evaluates its own
+        # point's symbol-1 chain, each building both first-bit tables, at any worker
+        # count; a second call in the same process evaluates its own
         built = []
         window_laws = link._window_laws
 
@@ -445,15 +450,13 @@ class TestDeterminism:
                 "rate-sweep", "--config", str(config_file), "--out", str(out), "--workers", workers,
                 "--set", "sweeps.power_dbm={start: -154.0, stop: -146.0, points: 5, scale: linear}",
             ) == 0
-            if workers == "1":
-                assert len(built) == 1 + 5, name
+            assert len(built) == 1 + 5, name
             outs.append((out / "rate_sweep" / "rate_sweep.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
     def test_saturated_sweep_builds_one_operator(self, config_file, tmp_path, monkeypatch):
-        # the dead-time operator is built with the noise kernel, before the pool
-        # starts, and every kernel evaluates it; at --workers 2 each task gets a
-        # pickled copy of the link config, as in a pool, but in this process
+        # the dead-time operator is built with the noise kernel, before the points
+        # run, and every kernel evaluates it; at --workers 2 two threads share it
         built = []
         build = saturation.SurvivorOperator.build
 
@@ -461,14 +464,9 @@ class TestDeterminism:
             built.append(args)
             return build(*args, **kwargs)
 
-        def pickled_map(fn, payloads, workers):
-            return [fn(*pickle.loads(pickle.dumps(args))) for args in payloads]
-
         monkeypatch.setattr(saturation.SurvivorOperator, "build", counted)
         outs = []
         for workers in ("1", "2"):
-            if workers == "2":
-                monkeypatch.setattr(cli, "_parallel_map", pickled_map)
             built.clear()
             out = tmp_path / workers
             assert run_cli(
@@ -482,9 +480,9 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("command", ["rate-sweep", "ber-sweep"])
     def test_pool_tasks_carry_the_noise_tables(self, config_file, tmp_path, monkeypatch, command):
-        # a pool task unpickles its own copy of the link config; the noise tables,
-        # built before the pool starts, travel with it: 1 + 5 window evaluations
-        # (one per chain) for 5 points
+        # the two threads of the pool share the link config and its noise tables,
+        # built before the points run: 1 + 5 window evaluations (one per chain)
+        # for 5 points
         built = []
         window_laws = link._window_laws
 
@@ -492,11 +490,7 @@ class TestDeterminism:
             built.append(window)
             return window_laws(log_q, n, *window)
 
-        def pickled_map(fn, payloads, workers):
-            return [fn(*pickle.loads(pickle.dumps(args))) for args in payloads]
-
         monkeypatch.setattr(link, "_window_laws", counted)
-        monkeypatch.setattr(cli, "_parallel_map", pickled_map)
         assert run_cli(
             command, "--config", str(config_file), "--out", str(tmp_path / "o"), "--workers", "2",
             "--set", "sweeps.power_dbm={start: -154.0, stop: -146.0, points: 5, scale: linear}",

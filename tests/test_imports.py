@@ -1,7 +1,8 @@
 """The batch commands run without scipy, the oracle battery and, at one
-worker, multiprocessing; cutoff-fit and pulse-sweep never load
-multiprocessing.  Only the quadrature oracles load scipy.  Each
-command loads only the photonlink modules it runs.
+worker, concurrent.futures; cutoff-fit and pulse-sweep never load it.
+ber-sweep and rate-sweep run their points on threads at more workers,
+so no command loads multiprocessing.  Only the quadrature oracles load
+scipy.  Each command loads only the photonlink modules it runs.
 
 Each of those cases starts a fresh interpreter, since the pytest process
 has already imported scipy through other test modules.  The last test
@@ -62,6 +63,7 @@ for command in commands:
     codes[command] = cli.main(argv)
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"codes": codes, "scipy": scipy, "futures": "concurrent.futures" in sys.modules,
+                  "multiprocessing": "multiprocessing" in sys.modules,
                   "imported": imported, "loaded": photonlink_modules()}))
 """
 
@@ -81,7 +83,7 @@ def test_batch_commands_never_load_scipy(tmp_path):
     got = _run_fresh(commands, tmp_path / "out")
     assert got["codes"] == {c: 0 for c in commands}, got["stderr"]
     assert got["scipy"] == []
-    assert not got["futures"]  # the process pool is imported only for --workers > 1
+    assert not got["futures"]  # the thread pool is imported only for --workers > 1
     assert "validate" not in got["loaded"]  # the oracle battery is imported only by the validate command
 
 
@@ -97,6 +99,19 @@ def test_exact_sweeps_never_start_a_pool(tmp_path):
         outputs.append({p.relative_to(tmp_path / workers): p.read_bytes()
                         for p in (tmp_path / workers).rglob("*.*") if p.name != "manifest.json"})
     assert len(outputs[0]) == 4 + 2 and outputs[0] == outputs[1]
+
+
+def test_threaded_sweeps_never_load_multiprocessing(tmp_path):
+    # ber-sweep and rate-sweep run their points on threads: the same bytes as at one worker
+    commands = ["ber-sweep", "rate-sweep"]
+    outputs = []
+    for workers in ("1", "2"):
+        got = _run_fresh(commands, tmp_path / workers, workers)
+        assert got["codes"] == {c: 0 for c in commands}, got["stderr"]
+        assert not got["multiprocessing"]
+        outputs.append({p.relative_to(tmp_path / workers): p.read_bytes()
+                        for p in (tmp_path / workers).rglob("*.csv")})
+    assert len(outputs[0]) == 2 * 2 and outputs[0] == outputs[1]
 
 
 def test_cli_import_loads_no_command_module(tmp_path):

@@ -3,7 +3,6 @@ import inspect
 import itertools
 import math
 import os
-import pickle
 import subprocess
 import sys
 import types
@@ -680,21 +679,16 @@ print("ok")
                     assert np.abs(got - law).max() < 1e-12
 
     def test_shared_tables_are_read_only(self):
-        # every point of a sweep reads the same symbol-0 tables, so none may be
-        # written, not even in the copy a pool task unpickles
+        # every point of a sweep, on any of its threads, reads the same symbol-0
+        # tables, so none may be written
         cfg = ref_link_cfg(50)
         quiet, loud = cfg.build_spec(-150.0), cfg.build_spec(-146.0)
         assert quiet.frame_stats[0] is loud.frame_stats[0]
         for law in quiet.frame_stats[0] + loud.frame_stats[1]:
             law.draw(np.array([0.5]))  # builds the guide
-            copy = pickle.loads(pickle.dumps(law))
-            assert copy.bn1_from == law.bn1_from
-            for table in (law, copy):
-                for name in ("cells", "prob", "cdf", "log_count", "_guide"):
-                    with pytest.raises(ValueError, match="read-only"):
-                        getattr(table, name)[...] = 0
             for name in ("cells", "prob", "cdf", "log_count", "_guide"):
-                assert np.array_equal(getattr(copy, name), getattr(law, name))
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(law, name)[...] = 0
 
     def test_shared_kernel_builds_tables_at_each_length(self):
         # one kernel in specs of two frame lengths: each spec reads the tables of its own n

@@ -1,5 +1,4 @@
 import math
-import pickle
 from pathlib import Path
 
 import numpy as np
@@ -503,14 +502,11 @@ class TestSurvivorOperator:
             chunks = np.concatenate([op.excitation(part) for part in (lam[:7], lam[7:8], lam[8:])])
             assert chunks.tolist() == op.excitation(lam).tolist()
 
-    def test_read_only_and_picklable(self):
+    def test_read_only(self):
+        # the threads of a saturated link sweep share one operator
         op = SurvivorOperator.build(self.TIMING, DeviceParams(kappa=1e3 / self.T_C, gamma=0.0))
-        copy = pickle.loads(pickle.dumps(op))
-        lam = np.geomspace(1.0, 1e4, 9) / self.T_C
-        assert copy.excitation(lam).tolist() == op.excitation(lam).tolist()
-        for held in (op, copy):
-            with pytest.raises(ValueError):
-                held.step_base[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            op.step_base[0, 0] = 1.0
 
     def test_cutoff_fit_builds_one_operator_a_point(self, tmp_path, monkeypatch):
         # the grid and the root of a scan share its operator; a second call in
