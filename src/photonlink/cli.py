@@ -2,8 +2,8 @@
 (ber-sweep and rate-sweep on threads at --workers > 1), CSV and
 manifest emission.
 
-Exit codes: 0 success, 2 configuration error, 3 validation failure,
-4 numeric non-convergence.  Outputs are a pure function of (config,
+Exit codes: 0 success, 2 configuration error (any ValueError), 3 validation
+failure, 4 numeric failure (NumericsError).  Outputs are a pure function of (config,
 seed, artifact version), independent of the worker count.
 """
 from __future__ import annotations

@@ -14,7 +14,7 @@ class ParameterError(ValueError):
 
 
 class NumericsError(RuntimeError):
-    """A numeric procedure failed to converge or found no solution."""
+    """A numeric procedure found no solution, or two forms of one quantity disagree."""
 
 
 class RootBracketError(NumericsError):
@@ -23,7 +23,3 @@ class RootBracketError(NumericsError):
 
 class NotSaturatingError(NumericsError):
     """The excitation curve never drops 3 dB within the sweep range."""
-
-
-class FitConvergenceError(NumericsError):
-    """Least-squares iteration hit its cap without converging."""

@@ -17,7 +17,7 @@ from typing import Generator, Sequence
 
 import numpy as np
 
-from .errors import FitConvergenceError, NotSaturatingError, RootBracketError
+from .errors import NotSaturatingError, NumericsError, RootBracketError
 from .physics import CycleTiming, DeviceParams, _cell_weights, _phi, _poisson_sorted_arrivals, detector_events
 from .report import Estimate
 
@@ -50,6 +50,7 @@ _MIN_WINDOW_RATIO = 4.0  # closed forms assume t_c / tau >= 4
 _LAMBDA0_A_MAX = 50.0
 _LAMBDA0_REL_TOL = 1e-10
 _MAX_BLOCK_ELEMS = 20_000_000  # arrival times per block of saturated_excitation
+_VARIANCE_TOL = 64.0 * np.finfo(float).eps  # the rounding of second - mean^2, relative to max(1, second)
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def survivor_moments_given_count(n: int, tau: float, t_c: float) -> SurvivorMome
     variance = second - mean * mean
     if variance < 0:
         if variance < -1e-9 * max(1.0, second):
-            raise ArithmeticError(f"negative variance {variance} for n={n}")
+            raise NumericsError(f"negative variance {variance} for n={n}")
         variance = 0.0
     return SurvivorMoments(mean=mean, second_moment=second, variance=variance)
 
@@ -150,8 +151,8 @@ def poisson_weighted_moments(alpha: float, big_lambda: float) -> tuple:
 def survivor_moments_poisson(lam: float, tau: float, t_c: float) -> PoissonSurvivorMoments:
     """Survivor-count moments under Poisson arrival at rate lam.
 
-    The variance is computed as second moment minus squared mean and is
-    cross-checked against mean - delta_lambda, which carries the regime.
+    The variance is mean - delta_lambda, which carries the regime.  It is
+    cross-checked against second moment minus squared mean, which cancels.
     """
     delta = delta_lambda(lam, tau, t_c)
     lt = lam * tau
@@ -167,12 +168,12 @@ def survivor_moments_poisson(lam: float, tau: float, t_c: float) -> PoissonSurvi
         + (6.0 * y3 - 18.0) * e3
         + (y4 * y4 - 6.0 * y4 + 12.0) * e4
     )
-    variance = second - mean * mean
-    if not abs(variance - (mean - delta)) <= 1e-10 * max(1.0, abs(variance)):  # also on nan
-        raise ArithmeticError(f"variance forms disagree: {variance} vs {mean - delta}")
+    variance = mean - delta
+    if not abs(variance - (second - mean * mean)) <= _VARIANCE_TOL * max(1.0, second):  # also on nan
+        raise NumericsError(f"variance forms disagree: {variance} vs {second - mean * mean}")
     if variance < 0:
         if variance < -1e-9:
-            raise ArithmeticError(f"negative variance {variance}")
+            raise NumericsError(f"negative variance {variance}")
         variance = 0.0
     return PoissonSurvivorMoments(mean=mean, second_moment=second, variance=variance, delta=delta)
 
@@ -966,18 +967,22 @@ class CutoffFit:
         return self.a * x**self.b + self.c
 
 
-# the start (a, b, c) of every fit_cutoff_curve, its iteration cap and its relative step tolerance
-_FIT_INIT = (1.0, 1.0, 0.0)
-_FIT_MAX_ITER = 200
-_FIT_STEP_TOL = 1e-12
+# the exponents b that fit_cutoff_curve scans before its golden-section search, and that search's relative width
+_FIT_B_GRID = np.geomspace(0.01, 10.0, 31)
+_FIT_B_TOL = 1e-10
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def fit_cutoff_curve(samples: Sequence[tuple]) -> CutoffFit:
-    """Least-squares fit of a three-parameter power law on relative residuals.
+    """Least-squares fit of n = a * x^b + c on the relative residuals (a x^b + c - y) / y.
 
-    Levenberg-Marquardt damping with the analytic Jacobian; deterministic
-    for a fixed initialization.  Requires at least four samples spanning
-    two decades of the abscissa.
+    Variable projection: with u = x^b / y and w = 1 / y, (a, c) solve the
+    2 x 2 normal equations of sum (a u + c w - 1)^2 in closed form, and that
+    sum is the cost of b.  The cost is scanned on a log grid of b over
+    [0.01, 10], and a golden-section search between the best grid point's
+    neighbours narrows b to a relative width of 1e-10.  A best grid point
+    at an end of the grid raises ValueError.  Requires at least four
+    samples spanning two decades of the abscissa.
     """
     pts = sorted((float(x), float(y)) for x, y in samples)
     if len(pts) < 4:
@@ -989,48 +994,39 @@ def fit_cutoff_curve(samples: Sequence[tuple]) -> CutoffFit:
     if x[-1] / x[0] < 100.0 * (1 - 1e-9):
         raise ValueError("samples must span at least two decades")
 
-    theta = np.array(_FIT_INIT, dtype=float)
-    lam_damp = 1e-3
+    w = 1.0 / y
+    w2 = w * w
+    sw, sww = w.sum(), w2.sum()
 
-    def residuals(th):
-        a, b, c = th
-        return (a * x**b + c - y) / y
+    def project(b):
+        """(a, c, cost) at each exponent of the array b.  With xb = x^b, u = xb w and the cost
+        is (a xb + c - y)^2 @ w^2; a cost that is not finite reads as inf."""
+        xb = x ** b[..., None]
+        su, suw, suu = xb @ w, xb @ w2, (xb * xb) @ w2
+        det = suu * sww - suw * suw
+        a = (su * sww - suw * sw) / det
+        c = (suu * sw - suw * su) / det
+        r = a[..., None] * xb + c[..., None] - y
+        return a, c, np.fmin((r * r) @ w2, np.inf)  # fmin reads nan as inf
 
-    res = residuals(theta)
-    cost = float(res @ res)
-    converged = False
-    # a trial step that overflows costs inf or nan, which never beats cost: it is rejected, silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_FIT_MAX_ITER):
-            a, b, c = theta
-            xb = x**b
-            jac = np.column_stack([xb / y, a * xb * np.log(x) / y, 1.0 / y])
-            g = jac.T @ res
-            h = jac.T @ jac
-            step_ok = False
-            for _ in range(50):
-                try:
-                    delta = np.linalg.solve(h + lam_damp * np.diag(np.diag(h)), -g)
-                except np.linalg.LinAlgError:
-                    lam_damp *= 10.0
-                    continue
-                trial = theta + delta
-                tr_res = residuals(trial)
-                tr_cost = float(tr_res @ tr_res)
-                if tr_cost < cost:
-                    theta, res, cost = trial, tr_res, tr_cost
-                    lam_damp = max(lam_damp / 10.0, 1e-12)
-                    step_ok = True
-                    break
-                lam_damp *= 10.0
-            if not step_ok:
-                converged = True  # damping exhausted: at a (local) minimum
-                break
-            if np.linalg.norm(delta) <= _FIT_STEP_TOL * (np.linalg.norm(theta) + _FIT_STEP_TOL):
-                converged = True
-                break
-    if not converged:
-        raise FitConvergenceError(f"no convergence after {_FIT_MAX_ITER} iterations")
-    rms = math.sqrt(cost / x.size)
-    return CutoffFit(a=float(theta[0]), b=float(theta[1]), c=float(theta[2]),
-                     residual=rms, x_range=(float(x[0]), float(x[-1])))
+    with np.errstate(all="ignore"):
+        i = int(np.argmin(project(_FIT_B_GRID)[2]))
+        if i in (0, _FIT_B_GRID.size - 1):
+            raise ValueError(f"the fit's cost is least at b = {_FIT_B_GRID[i]}, "
+                             f"an end of the scanned range [{_FIT_B_GRID[0]}, {_FIT_B_GRID[-1]}]")
+        lo, hi = _FIT_B_GRID[i - 1], _FIT_B_GRID[i + 1]
+        p, q = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        fp, fq = project(p)[2], project(q)[2]
+        while hi - lo > _FIT_B_TOL * hi:
+            if fp <= fq:
+                hi, q, fq = q, p, fp
+                p = hi - _GOLDEN * (hi - lo)
+                fp = project(p)[2]
+            else:
+                lo, p, fp = p, q, fq
+                q = lo + _GOLDEN * (hi - lo)
+                fq = project(q)[2]
+        b = p if fp <= fq else q
+        a, c, cost = project(b)
+    return CutoffFit(a=float(a), b=float(b), c=float(c), residual=math.sqrt(cost / x.size),
+                     x_range=(float(x[0]), float(x[-1])))

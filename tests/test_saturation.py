@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonlink.errors import NotSaturatingError
+from photonlink.errors import NotSaturatingError, NumericsError
 from photonlink.physics import CycleTiming, DeviceParams, _cell_weights, _phi
 from photonlink.rng import substream
 from photonlink.saturation import (
@@ -223,12 +224,12 @@ class TestDispersionCrossover:
     def test_variance_cross_check(self, monkeypatch):
         from photonlink import saturation
 
-        # a delta off by 1e-9 moves mean - delta past the 1e-10 gate, and a nan delta fails it too
+        # a delta off by 1e-9 moves mean - delta past the 64 eps gate, and a nan delta fails it too
         for shift in (1e-9, math.nan):
             monkeypatch.setattr(
                 saturation, "delta_lambda", lambda lam, tau, t_c, s=shift: delta_lambda(lam, tau, t_c) + s
             )
-            with pytest.raises(ArithmeticError, match="variance forms disagree"):
+            with pytest.raises(NumericsError, match="variance forms disagree"):
                 survivor_moments_poisson(1.0, 0.1, 1.0)
 
 
@@ -814,11 +815,46 @@ class TestFit:
         ((56328.31952631021, 690398.6455248708, 8139223.969113746, 93605556.9901936), 1.0648423009415562),
         ((1055099465.6491266, 11775912327.924828, 129775946547.71944, 1417312874640.1316), 1.039767862990929),
     ], ids=["alpha-sat-0.01", "alpha-sat-1e-6"])
-    def test_overflowing_trial_steps_are_rejected_silently(self, n_cutoff, b):
-        # cutoff-fit's cutoffs at these alpha_sat: some trial steps overflow the residuals or their
-        # square; they are rejected without a warning, and b is what fit.json reads
-        fit = fit_cutoff_curve(list(zip((100.0, 1000.0, 10000.0, 100000.0), n_cutoff)))
-        assert fit.b == b
+    def test_huge_cutoffs_fit_without_warning(self, n_cutoff, b):
+        # cutoff-fit's cutoffs at these alpha_sat; b is what fit.json read under the former
+        # Levenberg-Marquardt fit, some of whose trial steps overflowed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_cutoff_curve(list(zip((100.0, 1000.0, 10000.0, 100000.0), n_cutoff)))
+        assert fit.b == pytest.approx(b, abs=1e-8)
+
+    @pytest.mark.parametrize("samples, b", [
+        ([(2.901, 136.3), (25.48, 857.9), (223.8, 6307.0), (1965.0, 42360.0)], 0.9001),
+        ([(37.36, 53.51), (1594.0, 319.0), (68010.0, 46970.0), (2902000.0, 7034000.0)], 1.3545),
+    ], ids=["clean", "bent"])
+    def test_global_minimum_of_four_points(self, samples, b):
+        # the former Levenberg-Marquardt fit, started at (a, b, c) = (1, 1, 0), stalled on both sets;
+        # lstsq over a b grid of step 1e-3 finds the minimum that the fit must reach
+        x, y = np.array(samples).T
+        grid = np.arange(0.5, 2.0, 1e-3)
+        costs = [np.sum((np.linalg.lstsq(np.column_stack([x**g / y, 1 / y]), np.ones(4), rcond=None)[0]
+                         @ [x**g / y, 1 / y] - 1.0) ** 2) for g in grid]
+        fit = fit_cutoff_curve(samples)
+        assert abs(fit.b - grid[np.argmin(costs)]) <= 1e-3
+        assert fit.b == pytest.approx(b, abs=1e-4)
+        assert fit.residual**2 * 4 <= min(costs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.1, 10.0), st.floats(0.2, 3.0), st.floats(-0.5, 0.5), st.integers(4, 9), st.floats(2.0, 6.0))
+    def test_exact_recovery_property(self, a, b, c_share, points, decades):
+        # c is a share of the power law at the first sample, so that every sample is positive
+        xs = np.geomspace(100.0, 100.0 * 10.0**decades, points)
+        scale = a * 100.0**b
+        fit = fit_cutoff_curve(list(zip(xs, a * xs**b + c_share * scale)))
+        assert fit.b == pytest.approx(b, rel=1e-9)
+        assert fit.a == pytest.approx(a, rel=1e-8)
+        assert fit.c == pytest.approx(c_share * scale, abs=1e-8 * scale)
+
+    @pytest.mark.parametrize("b", [0.005, 12.0])
+    def test_exponent_at_an_end_of_the_scan(self, b):
+        xs = np.geomspace(100.0, 1e5, 6)
+        with pytest.raises(ValueError, match=r"an end of the scanned range \[0.01, 10.0\]"):
+            fit_cutoff_curve(list(zip(xs, 2.0 * xs**b + 1.0)))
 
     def test_range_guard(self):
         xs = np.geomspace(100.0, 1e5, 9)
