@@ -26,6 +26,7 @@ from .errors import ConfigError, NumericsError
 from .physics import (
     DeviceParams,
     detection_prob_single,
+    miss_probability_sweep,
     power_to_rate,
     single_photon_excitation,
     thermal_photon_rate,
@@ -140,14 +141,12 @@ def _config_keys(where: str):
 
 # ---------------------------------------------------------------------------
 # command implementations: each imports the layers it runs, so that a
-# command loads neither link nor saturation nor detection unless it needs it
+# command loads neither link nor saturation unless it needs it; only
+# validate loads the oracles of detection
 
 def cmd_detect(cfg: ExperimentConfig, runner: _Runner) -> int:
-    from . import detection
-
-    [lam] = _arrival_rates(cfg, "detect.power_dbm", [cfg.detect_power_dbm])
-    report = detection.miss_probability_sweep([(lam, cfg.device.kappa, cfg.device.gamma)], cfg.timing, cfg.device)
-    runner.write_report(report, "detect.csv")
+    lams = _arrival_rates(cfg, "detect.power_dbm", [cfg.detect_power_dbm])
+    runner.write_report(miss_probability_sweep(lams, cfg.timing, cfg.device), "detect.csv")
     return 0
 
 
@@ -198,13 +197,13 @@ def _photon_rates(cfg: ExperimentConfig) -> list:
 
 
 def cmd_miss_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
-    from . import detection
-
     lams = _photon_rates(cfg)
-    kappas = cfg.axis("kappa_rad_per_s", cfg.device.kappa)
-    gammas = cfg.axis("gamma_rad_per_s", cfg.device.gamma)
-    grid = [(lam, kappa, gamma) for kappa in kappas for gamma in gammas for lam in lams]
-    report = detection.miss_probability_sweep(grid, cfg.timing, cfg.device)
+    rows = []
+    for kappa in cfg.axis("kappa_rad_per_s", cfg.device.kappa):
+        for gamma in cfg.axis("gamma_rad_per_s", cfg.device.gamma):
+            dev = dataclasses.replace(cfg.device, kappa=float(kappa), gamma=float(gamma))
+            rows += miss_probability_sweep(lams, cfg.timing, dev).rows
+    report = SweepReport(rows)
     runner.write_report(report, "miss_sweep.csv")
     runner.write_figure("fig6", ("lambda", "kappa", "gamma", "p_miss"), report.rows)
     return 0

@@ -1,40 +1,40 @@
-"""Excitation and detection probabilities under Poisson photon arrival.
+"""Oracles of the unsaturated detector's closed forms in `physics`.
 
-Under Poisson arrival the unsaturated detector is a three-state Markov
-chain, and `excitation_ctmc` evaluates its transient law in closed form;
-every production path (miss sweep, link kernels) uses it.
-Two independent routes are kept as its oracles: the renewal dynamic
-program over transition photons, mixed over the Poisson count by Monte
-Carlo over order statistics, and an event-driven Monte Carlo of the raw
-two-clock process.  The validation suite compares all three.
+Only the validation battery, the tests and the benchmark tracer load this
+module.  `single_photon_excitation` has adaptive quadrature and the raw
+double integral.  The excitation under Poisson arrival, `excitation_ctmc`,
+has the renewal dynamic program over transition photons (exact given the
+arrivals, with exhaustive enumeration as its own oracle, and mixed over
+the Poisson count by Monte Carlo over order statistics) and an
+event-driven Monte Carlo of the raw two-clock process.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+# the benchmark tracer wraps ground_return_prob and excited_kernel under this module's names
 from .physics import (
     CycleTiming,
     DeviceParams,
     PulseProfile,
-    _phi,
     _poisson_sorted_arrivals,
-    detection_prob_single,
     detector_events,
     excited_kernel,
     ground_return_prob,
-    readout_prob,
     single_photon_excitation,
     transition_kernels,
 )
-from .report import Estimate, SweepReport
+from .report import Estimate
 from .rng import substream
 
 __all__ = [
+    "single_photon_excitation_quadrature",
+    "single_photon_excitation_double_integral",
     "ArrivalTrace",
     "DetectorStats",
     "excitation_given_arrivals",
@@ -43,13 +43,67 @@ __all__ = [
     "excitation_given_count",
     "ConditionalExcitationTable",
     "excitation_poisson",
-    "excitation_ctmc",
     "mc_detector",
-    "miss_probability_sweep",
 ]
 
 _DEFAULT_MC_SAMPLES = 100_000
 _MC_BLOCK = 200_000  # replicas per block of mc_detector
+_DOUBLE_INTEGRAL_EPSABS = 1e-12
+
+
+def single_photon_excitation_quadrature(
+    pulse: PulseProfile,
+    t_obs: float,
+    dev: DeviceParams,
+    epsabs: float = 1e-10,
+) -> float:
+    """`physics.single_photon_excitation` by adaptive quadrature of rho(t) K(t_i - t).
+
+    The kernel rises over 1/r after the arrival, so the integrand has a
+    boundary layer of width 1/r at the end of the drive that adaptive
+    quadrature over a long pulse steps over; the interval is broken there.
+    """
+    from scipy import integrate
+
+    ti = pulse.t_i
+    if t_obs < ti:
+        raise ValueError(f"t_obs {t_obs} must be >= pulse half-width {ti}")
+    gamma = dev.gamma
+
+    def integrand(t: float) -> float:
+        return float(pulse.density(t)) * float(excited_kernel(ti - t, dev.kappa, gamma))
+
+    r = dev.transition_rate
+    pts = [ti - k / r for k in (1.0, 10.0, 100.0)]
+    if pulse.shape == "tabulated":
+        pts += [float(n[0]) for n in pulse.nodes]
+    pts = sorted({p for p in pts if -ti < p < ti})
+    val, _ = integrate.quad(integrand, -ti, ti, epsabs=epsabs, limit=400, points=pts or None)
+    return val * math.exp(-gamma * (t_obs - ti))
+
+
+def single_photon_excitation_double_integral(
+    pulse: PulseProfile,
+    t_obs: float,
+    dev: DeviceParams,
+) -> float:
+    """`physics.single_photon_excitation` by the raw double integral over arrival and transition times."""
+    from scipy import integrate
+
+    ti = pulse.t_i
+    if t_obs < ti:
+        raise ValueError(f"t_obs {t_obs} must be >= pulse half-width {ti}")
+    r = dev.transition_rate
+    gamma = dev.gamma
+    val, _ = integrate.dblquad(
+        lambda q, t: float(pulse.density(t)) * r * math.exp(-r * (q - t)) * math.exp(-gamma * (t_obs - q)),
+        -ti,
+        ti,
+        lambda t: t,
+        lambda t: ti,
+        epsabs=_DOUBLE_INTEGRAL_EPSABS,
+    )
+    return val
 
 
 @dataclass(frozen=True)
@@ -210,11 +264,10 @@ def _poisson_n_max(mean: float, eps: float) -> int:
 
 
 class ConditionalExcitationTable:
-    """Cache of excitation probabilities conditioned on the photon count.
+    """Excitation probabilities conditioned on the photon count, mixed over a Poisson count.
 
-    Each count gets its own deterministic substream, so a sweep that
-    shares the table across arrival rates is reproducible no matter in
-    which order the rates are visited.
+    Each count draws from its own deterministic substream, so a value
+    does not depend on which counts were asked for before it.
     """
 
     def __init__(
@@ -229,13 +282,9 @@ class ConditionalExcitationTable:
         self.dev = dev
         self.mc_samples = int(mc_samples)
         self.seed = int(seed)
-        self._values: dict[int, Estimate] = {}
 
     def conditional(self, n: int) -> Estimate:
-        if n not in self._values:
-            rng = substream(self.seed, n)
-            self._values[n] = excitation_given_count(n, self.t_c, self.dev, self.mc_samples, rng=rng)
-        return self._values[n]
+        return excitation_given_count(n, self.t_c, self.dev, self.mc_samples, rng=substream(self.seed, n))
 
     def poisson_mixture(self, lam: float, delta_o: float = 0.0, eps_trunc: float = 1e-10) -> Estimate:
         """Mixture over the Poisson count, decayed from capture end to observation."""
@@ -270,58 +319,10 @@ def excitation_poisson(
     """Excitation probability at the observation time under Poisson arrival.
 
     Renewal-DP route with a Monte Carlo standard error; oracle for
-    `excitation_ctmc`.
+    `physics.excitation_ctmc`.
     """
     table = ConditionalExcitationTable(timing.t_c, dev, mc_samples, seed=rng_seed)
     return table.poisson_mixture(lam, delta_o=timing.delta_o, eps_trunc=eps_trunc)
-
-
-def excitation_ctmc(lam, timing: CycleTiming, dev: DeviceParams):
-    """Exact excitation probability at the observation time under Poisson arrival.
-
-    A photon arriving while the system is armed or excited is lost, so the
-    detector is the chain G -(lam)-> A -(kappa/4)-> E -(gamma)-> G and the
-    result is [expm(Q t_c)]_{G,E} * exp(-gamma delta_o), elementwise over
-    an array of rates.  With r = kappa/4, b = lam + r + gamma,
-    c = lam r + r gamma + lam gamma and d^2 = b^2/4 - c,
-
-        p_E(t) = (lam r / c) [1 - exp(-b t/2) (cosh(d t) + (b/2) sinh(d t)/d)].
-
-    For real d the bracket is evaluated through the slow root
-    s = c / (b/2 + d) as -expm1(-s t) - s t exp(-s t) phi(2 d t), where
-    no exponent is positive and phi carries the series through d = 0;
-    complex roots use cos and sinc.  Only where c overflows (lam past
-    1e299 at GHz rates) is lam factored out of c, h + d and lam r, so
-    every finite lam reads in [0, 1].
-    """
-    lam = np.asarray(lam, dtype=float)
-    if not np.all(ok := (lam >= 0.0) & (lam < np.inf)):  # false at nan
-        raise ValueError(f"lambda must be finite and >= 0, got {lam[~ok][0]}")
-    t = timing.t_c
-    r, gamma = dev.transition_rate, dev.gamma
-    h = (lam + r + gamma) / 2.0
-    with np.errstate(over="ignore"):
-        c = lam * r + r * gamma + lam * gamma
-    scale = np.where(np.isinf(c), lam, 1.0)
-    c = np.where(np.isinf(c), r + gamma + r * gamma / scale, c)
-    # b^2/4 - c regrouped so that gamma = 0 gives |lam - r| / 2 exactly; where the
-    # square overflows, 4 r gamma is below its last bit and d = |lam - r - gamma| / 2
-    u = lam - r - gamma
-    with np.errstate(over="ignore"):
-        d2 = (u**2 - 4.0 * r * gamma) / 4.0
-    real = d2 >= 0.0
-    d = np.where(np.isinf(d2), 0.5 * np.abs(u), np.sqrt(np.where(real, d2, 0.0)))
-    w = np.sqrt(np.where(real, 0.0, -d2))
-    slow_t = c / ((h + d) / scale) * t
-    bracket = np.where(
-        real,
-        -np.expm1(-slow_t) - slow_t * np.exp(-slow_t) * _phi(2.0 * d * t),
-        1.0 - np.exp(-h * t) * (np.cos(w * t) + h * t * np.sinc(w * t / np.pi)),
-    )
-    # c = 0 only at lam = gamma = 0, where nothing is ever excited
-    p = np.clip(lam / scale * r / np.where(c > 0.0, c, 1.0) * bracket, 0.0, 1.0)
-    p = p * math.exp(-gamma * timing.delta_o)
-    return float(p) if p.ndim == 0 else p
 
 
 @dataclass(frozen=True)
@@ -400,44 +401,3 @@ def mc_detector(
         reset_ok=_binomial_estimate(sums[2], replicas),
         replicas=replicas,
     )
-
-
-def miss_probability_sweep(
-    grid: Sequence[tuple],
-    timing: CycleTiming,
-    dev_template: DeviceParams,
-) -> SweepReport:
-    """Miss probability over a grid of (lambda, kappa, gamma) points.
-
-    Exact: the rates of each (kappa, gamma) group go through one
-    vectorised `excitation_ctmc` call and one readout chain
-    (`detection_prob_single`, `readout_prob`), and nothing is drawn: the
-    stderr column reads 0 and stays for the benchmark's detect-miss check.
-    """
-    grid = [(float(lam), float(kappa), float(gamma)) for lam, kappa, gamma in grid]
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    groups: dict[tuple, list[int]] = {}
-    for idx, (_, kappa, gamma) in enumerate(grid):
-        groups.setdefault((kappa, gamma), []).append(idx)
-    p_capture, p_readout = np.empty(len(grid)), np.empty(len(grid))
-    for (kappa, gamma), idxs in groups.items():
-        dev = replace(dev_template, kappa=kappa, gamma=gamma)
-        p_exc = excitation_ctmc([grid[i][0] for i in idxs], timing, dev)
-        p_capture[idxs] = detection_prob_single(p_exc, dev)
-        p_readout[idxs] = readout_prob(p_capture[idxs], timing, dev)
-    return SweepReport([
-        {
-            "lambda": lam,
-            "kappa": kappa,
-            "gamma": gamma,
-            "t_c": timing.t_c,
-            "delta_o": timing.delta_o,
-            "t_w": timing.t_w,
-            "p_capture": p_cap,
-            "p_readout": p_out,
-            "p_miss": 1.0 - p_out,
-            "stderr": 0.0,
-        }
-        for (lam, kappa, gamma), p_cap, p_out in zip(grid, p_capture.tolist(), p_readout.tolist())
-    ])

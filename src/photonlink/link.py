@@ -29,13 +29,13 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .detection import excitation_ctmc
 from .errors import NumericsError
 from .physics import (
     CycleTiming,
     DeviceParams,
     Environment,
     detection_prob_single,
+    excitation_ctmc,
     power_to_rate,
     readout_prob,
     thermal_photon_rate,

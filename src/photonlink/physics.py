@@ -1,9 +1,10 @@
-"""Closed-form single-photon and single-cycle physics of the detector.
+"""Closed-form physics of the detector: one photon, one cycle, Poisson arrival.
 
 The detector is an effective two-step stochastic machine: an absorbed
 photon starts an exponential transition clock with rate kappa/4 toward
 the excited level, and the excited level decays back to ground with
-rate gamma.  Everything here is a pure function of its arguments.
+rate gamma.  Everything here is a pure function of its arguments in
+numpy alone; the oracles of the unsaturated detector live in `detection`.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
+from .report import SweepReport
 
 # exact in the 2019 SI; equal to scipy.constants.h and .k
 PLANCK_H = 6.62607015e-34  # J s
@@ -29,10 +31,10 @@ __all__ = [
     "transition_kernels",
     "excited_kernel",
     "single_photon_excitation",
-    "single_photon_excitation_quadrature",
-    "single_photon_excitation_double_integral",
+    "excitation_ctmc",
     "detection_prob_single",
     "readout_prob",
+    "miss_probability_sweep",
     "thermal_photon_rate",
     "power_to_rate",
     "dbm_to_watts",
@@ -402,62 +404,52 @@ def single_photon_excitation(pulse: PulseProfile, t_obs: float, dev: DeviceParam
     return min(max(val, 0.0), 1.0)
 
 
-def single_photon_excitation_quadrature(
-    pulse: PulseProfile,
-    t_obs: float,
-    dev: DeviceParams,
-    epsabs: float = 1e-10,
-) -> float:
-    """Same quantity by adaptive quadrature of rho(t) K(t_i - t); oracle of the closed form.
+def excitation_ctmc(lam, timing: CycleTiming, dev: DeviceParams):
+    """Exact excitation probability at the observation time under Poisson arrival.
 
-    The kernel rises over 1/r after the arrival, so the integrand has a
-    boundary layer of width 1/r at the end of the drive that adaptive
-    quadrature over a long pulse steps over; the interval is broken there.
+    A photon arriving while the system is armed or excited is lost, so the
+    detector is the chain G -(lam)-> A -(kappa/4)-> E -(gamma)-> G and the
+    result is [expm(Q t_c)]_{G,E} * exp(-gamma delta_o), elementwise over
+    an array of rates.  With r = kappa/4, b = lam + r + gamma,
+    c = lam r + r gamma + lam gamma and d^2 = b^2/4 - c,
+
+        p_E(t) = (lam r / c) [1 - exp(-b t/2) (cosh(d t) + (b/2) sinh(d t)/d)].
+
+    For real d the bracket is evaluated through the slow root
+    s = c / (b/2 + d) as -expm1(-s t) - s t exp(-s t) phi(2 d t), where
+    no exponent is positive and phi carries the series through d = 0;
+    complex roots use cos and sinc.  Only where c overflows (lam past
+    1e299 at GHz rates) is lam factored out of c, h + d and lam r, so
+    every finite lam reads in [0, 1].
     """
-    from scipy import integrate
-
-    ti = pulse.t_i
-    if t_obs < ti:
-        raise ValueError(f"t_obs {t_obs} must be >= pulse half-width {ti}")
-    gamma = dev.gamma
-
-    def integrand(t: float) -> float:
-        return float(pulse.density(t)) * float(excited_kernel(ti - t, dev.kappa, gamma))
-
-    r = dev.transition_rate
-    pts = [ti - k / r for k in (1.0, 10.0, 100.0)]
-    if pulse.shape == "tabulated":
-        pts += [float(n[0]) for n in pulse.nodes]
-    pts = sorted({p for p in pts if -ti < p < ti})
-    val, _ = integrate.quad(integrand, -ti, ti, epsabs=epsabs, limit=400, points=pts or None)
-    return val * math.exp(-gamma * (t_obs - ti))
-
-
-_DOUBLE_INTEGRAL_EPSABS = 1e-12
-
-
-def single_photon_excitation_double_integral(
-    pulse: PulseProfile,
-    t_obs: float,
-    dev: DeviceParams,
-) -> float:
-    """Same quantity by the raw double integral; quadrature cross-check path."""
-    from scipy import integrate
-
-    ti = pulse.t_i
-    if t_obs < ti:
-        raise ValueError(f"t_obs {t_obs} must be >= pulse half-width {ti}")
-    r = dev.transition_rate
-    gamma = dev.gamma
-    val, _ = integrate.dblquad(
-        lambda q, t: float(pulse.density(t)) * r * math.exp(-r * (q - t)) * math.exp(-gamma * (t_obs - q)),
-        -ti,
-        ti,
-        lambda t: t,
-        lambda t: ti,
-        epsabs=_DOUBLE_INTEGRAL_EPSABS,
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(ok := (lam >= 0.0) & (lam < np.inf)):  # false at nan
+        raise ValueError(f"lambda must be finite and >= 0, got {lam[~ok][0]}")
+    t = timing.t_c
+    r, gamma = dev.transition_rate, dev.gamma
+    h = (lam + r + gamma) / 2.0
+    with np.errstate(over="ignore"):
+        c = lam * r + r * gamma + lam * gamma
+    scale = np.where(np.isinf(c), lam, 1.0)
+    c = np.where(np.isinf(c), r + gamma + r * gamma / scale, c)
+    # b^2/4 - c regrouped so that gamma = 0 gives |lam - r| / 2 exactly; where the
+    # square overflows, 4 r gamma is below its last bit and d = |lam - r - gamma| / 2
+    u = lam - r - gamma
+    with np.errstate(over="ignore"):
+        d2 = (u**2 - 4.0 * r * gamma) / 4.0
+    real = d2 >= 0.0
+    d = np.where(np.isinf(d2), 0.5 * np.abs(u), np.sqrt(np.where(real, d2, 0.0)))
+    w = np.sqrt(np.where(real, 0.0, -d2))
+    slow_t = c / ((h + d) / scale) * t
+    bracket = np.where(
+        real,
+        -np.expm1(-slow_t) - slow_t * np.exp(-slow_t) * _phi(2.0 * d * t),
+        1.0 - np.exp(-h * t) * (np.cos(w * t) + h * t * np.sinc(w * t / np.pi)),
     )
-    return val
+    # c = 0 only at lam = gamma = 0, where nothing is ever excited
+    p = np.clip(lam / scale * r / np.where(c > 0.0, c, 1.0) * bracket, 0.0, 1.0)
+    p = p * math.exp(-gamma * timing.delta_o)
+    return float(p) if p.ndim == 0 else p
 
 
 def detection_prob_single(p_exc, dev: DeviceParams):
@@ -480,6 +472,31 @@ def readout_prob(p_capture, timing: CycleTiming, dev: DeviceParams):
     survives decay over the readout window t_w.  Elementwise over an array.
     """
     return math.exp(-dev.gamma * timing.t_w) * p_capture
+
+
+def miss_probability_sweep(lams, timing: CycleTiming, dev: DeviceParams) -> SweepReport:
+    """Miss probability of one device at each arrival rate of lams, through one
+    vectorised `excitation_ctmc` call and one readout chain.  Nothing is drawn:
+    the stderr column reads 0 and stays for the benchmark's detect-miss check.
+    """
+    lams = [float(lam) for lam in lams]
+    p_capture = detection_prob_single(excitation_ctmc(lams, timing, dev), dev)
+    p_readout = readout_prob(p_capture, timing, dev)
+    return SweepReport([
+        {
+            "lambda": lam,
+            "kappa": dev.kappa,
+            "gamma": dev.gamma,
+            "t_c": timing.t_c,
+            "delta_o": timing.delta_o,
+            "t_w": timing.t_w,
+            "p_capture": p_cap,
+            "p_readout": p_out,
+            "p_miss": 1.0 - p_out,
+            "stderr": 0.0,
+        }
+        for lam, p_cap, p_out in zip(lams, p_capture.tolist(), p_readout.tolist())
+    ])
 
 
 def thermal_photon_rate(env: Environment) -> float:

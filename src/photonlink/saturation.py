@@ -115,17 +115,40 @@ def _require_window(tau: float, t_c: float) -> None:
 
 
 def survivor_moments_given_count(n: int, tau: float, t_c: float) -> SurvivorMoments:
-    """Survivor-count moments for exactly n uniform arrivals in [0, t_c]."""
+    """Survivor-count moments for exactly n uniform arrivals in [0, t_c].
+
+    With a = tau/t_c, each x_k^n = (1 - k a)^n is exp(n log1p(-k a)).  The
+    variance is regrouped through x1^2 = x2 + a^2, x1 x2 = x3 + 2 a^2 and
+    x2^2 = x4 + 4 a^2 into 2 g(x1, x4) + n g(x2, x4) + (2n - 10) g(x3, x4)
+    - 4 g(x1^2, x2) - 4 (n - 2) g(x1 x2, x3) - (n - 2)^2 g(x2^2, x4), where
+    g(y, x) = y^n - x^n = -y^n expm1(-n log1p((y - x)/x)) neither cancels
+    nor overflows.  second - mean^2 cancels at large n and small a, and is
+    only its cross-check.
+    """
     _require_window(tau, t_c)
     if n < 0:
         raise ValueError("n must be >= 0")
-    x1 = 1.0 - tau / t_c
-    x2 = 1.0 - 2.0 * tau / t_c
-    x3 = 1.0 - 3.0 * tau / t_c
-    x4 = 1.0 - 4.0 * tau / t_c
-    mean = 2.0 * x1**n + (n - 2.0) * x2**n
-    second = 2.0 * x1**n + (n + 4.0) * x2**n + (n * n - 7.0 * n + 12.0) * x4**n + (6.0 * n - 18.0) * x3**n
-    variance = second - mean * mean
+    if n <= 1:  # a lone photon always survives
+        return SurvivorMoments(mean=float(n), second_moment=float(n), variance=0.0)
+    a = tau / t_c
+    p1, p2, p3, p4 = (math.exp(n * math.log1p(-k * a)) if k * a < 1.0 else 0.0 for k in (1, 2, 3, 4))
+
+    def g(y_n: float, step: float, x: float) -> float:
+        """y^n - x^n for y = x + step, from y^n."""
+        return -y_n * math.expm1(-n * math.log1p(step / x)) if x > 0.0 else y_n
+
+    x2, x3, x4 = 1.0 - 2.0 * a, 1.0 - 3.0 * a, 1.0 - 4.0 * a
+    aa = a * a
+    mean = 2.0 * p1 + (n - 2.0) * p2
+    second = 2.0 * p1 + (n + 4.0) * p2 + (n * n - 7.0 * n + 12.0) * p4 + (6.0 * n - 18.0) * p3
+    variance = (
+        2.0 * g(p1, 3.0 * a, x4) + n * g(p2, 2.0 * a, x4) + (2.0 * n - 10.0) * g(p3, a, x4)
+        - 4.0 * g(p1 * p1, aa, x2)
+        - 4.0 * (n - 2.0) * g(p1 * p2, 2.0 * aa, x3)
+        - (n - 2.0) ** 2 * g(p2 * p2, 4.0 * aa, x4)
+    )
+    if not abs(variance - (second - mean * mean)) <= _VARIANCE_TOL * max(1.0, second):  # also on nan
+        raise NumericsError(f"variance forms disagree for n={n}: {variance} vs {second - mean * mean}")
     if variance < 0:
         if variance < -1e-9 * max(1.0, second):
             raise NumericsError(f"negative variance {variance} for n={n}")

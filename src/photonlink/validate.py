@@ -24,10 +24,9 @@ from .physics import (
     Environment,
     PulseProfile,
     _poisson_sorted_arrivals,
+    excitation_ctmc,
     ground_return_prob,
     single_photon_excitation,
-    single_photon_excitation_double_integral,
-    single_photon_excitation_quadrature,
     thermal_photon_rate,
     transition_kernels,
 )
@@ -112,14 +111,14 @@ def check_single_photon_quadrature(level: str, seed: int) -> tuple:
         for kappa, gamma, t_obs in [(8.0, 1.0, 1.5), (8.0, 2.0, 1.1), (3.0, 0.0, 2.0)]:
             dev = DeviceParams(kappa=kappa, gamma=gamma)
             a = single_photon_excitation(pulse, t_obs, dev)
-            b = single_photon_excitation_double_integral(pulse, t_obs, dev)
+            b = detection.single_photon_excitation_double_integral(pulse, t_obs, dev)
             worst = max(worst, abs(a - b) / max(abs(b), 1e-30))
         for gamma in (2 * np.pi * 1e5, 2 * np.pi * 1e6):
             dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=gamma)
             for length in np.geomspace(1e-10, 1e-4, 61):
                 pulse = shaped_pulse(float(length), shape)
                 got = single_photon_excitation(pulse, pulse.t_i, dev)
-                oracle = single_photon_excitation_quadrature(pulse, pulse.t_i, dev, epsabs=1e-14)
+                oracle = detection.single_photon_excitation_quadrature(pulse, pulse.t_i, dev, epsabs=1e-14)
                 worst_physical = max(worst_physical, abs(got - oracle) / oracle)
     ok = worst < 1e-8 and worst_physical < 1e-8
     return ok, f"max rel err {worst:.2e} vs double integral, {worst_physical:.2e} vs quadrature"
@@ -166,7 +165,7 @@ def check_poisson_excitation_vs_mc(level: str, seed: int) -> tuple:
         lam = float(rng.uniform(0.1, 3.0)) / t_c
         analytic = detection.excitation_poisson(lam, timing, dev, rng_seed=seed + i, mc_samples=mc_samples)
         mc = detection.mc_detector(lam, timing, dev, replicas=replicas, rng=substream(seed, 0x02, i))
-        exact = detection.excitation_ctmc(lam, timing, dev)
+        exact = excitation_ctmc(lam, timing, dev)
         se = math.hypot(analytic.stderr, mc.excited_at_obs.stderr)
         z = abs(analytic.value - mc.excited_at_obs.value) / max(se, 1e-12)
         worst_z = max(worst_z, z)
@@ -584,7 +583,7 @@ def check_saturation_negligible_low_power(level: str, seed: int) -> tuple:
     for mean in (0.02, 0.05, 0.1):
         lam = mean / REF_TIMING.t_c
         sat = float(saturation.survivor_excitation(lam, REF_TIMING, REF_DEV))
-        gap = detection.excitation_ctmc(lam, REF_TIMING, REF_DEV) - sat
+        gap = excitation_ctmc(lam, REF_TIMING, REF_DEV) - sat
         worst = max(worst, abs(gap) / (2.0 * math.sqrt(sat * (1.0 - sat) / 1e6)))
     return worst < 1.0, f"max |gap|/(2 se at 1e6 replicas) {worst:.4f}"
 

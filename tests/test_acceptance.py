@@ -9,16 +9,18 @@ suites at the headline operating point that no check covers.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from photonlink import detection, link, saturation, validate
+from photonlink import link, saturation, validate
 from photonlink.cli import main as cli_main
 from photonlink.physics import (
     DeviceParams,
     PulseProfile,
     detection_prob_single,
+    miss_probability_sweep,
     single_photon_excitation,
 )
 from photonlink.validate import REF_DEV, REF_ENV, REF_TIMING
@@ -69,16 +71,14 @@ def test_c06_pulse_and_miss_shapes():
 
     # miss probability falls with arrival rate and with kappa
     means = np.geomspace(0.05, 5.0, 8)
-    grid = [(m / REF_TIMING.t_c, REF_DEV.kappa, REF_DEV.gamma) for m in means]
-    rep = detection.miss_probability_sweep(grid, REF_TIMING, REF_DEV)
+    rep = miss_probability_sweep(means / REF_TIMING.t_c, REF_TIMING, REF_DEV)
     miss = [row["p_miss"] for row in rep.rows]
     err = [row["stderr"] for row in rep.rows]
     lam_monotone = all(miss[i + 1] <= miss[i] + 3 * (err[i] + err[i + 1]) for i in range(len(miss) - 1))
     lam_fixed = 0.5 / REF_TIMING.t_c
-    rep_k = detection.miss_probability_sweep(
-        [(lam_fixed, 2 * np.pi * 1e8, REF_DEV.gamma), (lam_fixed, 2 * np.pi * 1e9, REF_DEV.gamma)], REF_TIMING, REF_DEV
-    )
-    kappa_ordered = rep_k.rows[1]["p_miss"] < rep_k.rows[0]["p_miss"]
+    low, high = (miss_probability_sweep([lam_fixed], REF_TIMING, replace(REF_DEV, kappa=2 * np.pi * k)).rows[0]
+                 for k in (1e8, 1e9))
+    kappa_ordered = high["p_miss"] < low["p_miss"]
     ok = unimodal and gamma_ordered and lam_monotone and kappa_ordered
     _report("06 pulse-and-miss-shapes", ok,
             f"unimodal={unimodal}, peaks by gamma={['%.4f' % p for p in peaks]}, "

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from photonlink import detection, link, validate
-from photonlink.physics import CycleTiming, DeviceParams, Environment
+from photonlink.physics import CycleTiming, DeviceParams, Environment, miss_probability_sweep
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -32,9 +32,8 @@ def test_miss_sweep_runs_no_renewal_dp():
     tracer = tracing.Tracer()
     timing = CycleTiming(230e-9, 35e-9, 48e-9)
     dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=2 * np.pi * 1e5)
-    grid = [(m / timing.t_c, dev.kappa, dev.gamma) for m in (0.1, 1.0, 10.0)]
     with tracing.instrument(tracer):
-        detection.miss_probability_sweep(grid, timing, dev)
+        miss_probability_sweep([m / timing.t_c for m in (0.1, 1.0, 10.0)], timing, dev)
     metrics = tracing.layer_metrics(tracer)
     for name in ("detection.excitation_given_count.calls", "detection.dp_traces", "physics.kernel.elems"):
         assert metrics[name] == 0.0

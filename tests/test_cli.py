@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from photonlink import cli, link, saturation
+from photonlink import cli, config, link, saturation
 from photonlink.cli import main
 from photonlink.errors import NumericsError
 
@@ -550,6 +550,78 @@ class TestDeterminism:
             ) == 0
             texts.append((out / "ber_sweep" / "ber_sweep.csv").read_text())
         assert texts[0] != texts[1]
+
+
+# each config key -> (a command that reads it, a second valid value, the overrides it needs on top of BASE);
+# workers and output_dir set how the outputs are computed and where they go, not what they hold
+REACH = {
+    "seed": ("ber-sweep", "100"),
+    "device.kappa_rad_per_s": ("detect", "2pi*2e9"),
+    "device.gamma_rad_per_s": ("detect", "2pi*2e5"),
+    "device.p0": ("detect", "0.01"),
+    "device.p_reset_g": ("rate-sweep", "0.02"),
+    "device.p_reset_e": ("rate-sweep", "0.1"),
+    "device.alpha_sat": ("saturation-sweep", "1.5"),
+    "timing.t_c_ns": ("detect", "200.0"),
+    "timing.delta_o_ns": ("detect", "30.0"),
+    "timing.t_w_ns": ("detect", "40.0"),
+    "environment.t_e_k": ("detect", "4.0"),
+    "environment.nu_hz": ("detect", "2.0e10"),
+    "environment.cycles_per_symbol": ("rate-sweep", "20"),
+    "pulse.shape": ("pulse-sweep", "gaussian"),
+    "pulse.beta": ("pulse-sweep", "2.0"),
+    "pulse.w_ns": ("pulse-sweep", "5.0"),
+    "pulse.nodes": ("pulse-sweep", "[[-5.0, 2.0], [5.0, 1.0]]",
+                    "pulse.shape=tabulated", "pulse.nodes=[[-5.0, 1.0], [5.0, 2.0]]"),
+    "mc.n_symbols": ("ber-sweep", "1000"),
+    "link.mode": ("ber-sweep", "hmm"),
+    "link.saturation": ("rate-sweep", "true"),
+    "link.dump_frames": ("ber-sweep", "true"),
+    "detect.power_dbm": ("detect", "-150.0"),
+    "sweeps.power_dbm": ("rate-sweep", "{values: [-150.0, -147.0]}"),
+    "sweeps.mean_photons": ("miss-sweep", "{values: [0.5, 1.0]}"),
+    "sweeps.pulse_length_ns": ("pulse-sweep", "{values: [10.0, 50.0]}"),
+    "sweeps.kappa_t_c": ("cutoff-fit", "{values: [100.0, 1000.0, 10000.0, 30000.0]}"),
+    "sweeps.lambda_tau": ("saturation-sweep", "{values: [0.1, 1.0]}"),
+    "sweeps.t_over_tau": ("saturation-sweep", "{values: [5.0]}"),
+    "sweeps.kappa_rad_per_s": ("miss-sweep", "{values: [1.0e10]}"),
+    "sweeps.gamma_rad_per_s": ("miss-sweep", "{values: [1.0e6]}"),
+}
+
+# the keys that config parses and checks and no command reads, each with the command that
+# would read it: none moves a byte, so this list can only shrink
+UNREAD = {
+    "mc.mc_samples": ("miss-sweep", "10"),
+    "cutoff.replicas": ("cutoff-fit", "64"),
+    "pulse.l_ns": ("pulse-sweep", "300.0"),
+}
+
+
+class TestConfigReach:
+    """Every config key moves some output byte of a command that reads it, manifest.json aside."""
+
+    def test_cases_cover_every_key(self):
+        assert set(config.DEFAULT_CONFIG) - set(config._SECTIONS) - {"sweeps"} == {"seed", "workers", "output_dir"}
+        keys = {f"{section}.{key}" for section, keys in config._SECTIONS.items() for key in keys}
+        keys |= {f"sweeps.{axis}" for axis in config._AXES} | {"seed"}
+        assert sorted(REACH.keys() | UNREAD.keys()) == sorted(keys)
+        assert REACH.keys().isdisjoint(UNREAD)
+
+    @staticmethod
+    def _outputs(config_file, out: Path, command: str, sets) -> dict:
+        argv = [command, "--config", str(config_file), "--out", str(out)]
+        for item in sets:
+            argv += ["--set", item]
+        assert run_cli(*argv) == 0
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                if p.is_file() and p.name != "manifest.json"}
+
+    @pytest.mark.parametrize("key", sorted(REACH.keys() | UNREAD.keys()))
+    def test_key_reaches_an_output(self, config_file, tmp_path, key):
+        command, value, *base = REACH.get(key) or UNREAD[key]
+        before = self._outputs(config_file, tmp_path / "before", command, base)
+        after = self._outputs(config_file, tmp_path / "after", command, [*base, f"{key}={value}"])
+        assert (before != after) == (key in REACH)
 
 
 class TestFigureExtraction:

@@ -12,13 +12,11 @@ from photonlink.detection import (
     ArrivalTrace,
     ConditionalExcitationTable,
     _dp_batch,
-    excitation_ctmc,
     excitation_given_arrivals,
     excitation_given_arrivals_bruteforce,
     excitation_given_count,
     excitation_poisson,
     mc_detector,
-    miss_probability_sweep,
     transition_set_probability,
     _poisson_n_max,
 )
@@ -27,8 +25,10 @@ from photonlink.physics import (
     CycleTiming,
     DeviceParams,
     detection_prob_single,
+    excitation_ctmc,
     excited_kernel,
     ground_return_prob,
+    miss_probability_sweep,
     readout_prob,
 )
 from photonlink.rng import substream
@@ -368,7 +368,7 @@ class TestStageProbabilities:
 
     def test_zero_rate(self, ref_timing):
         dev = DeviceParams(kappa=DEV.kappa, gamma=DEV.gamma, p_reset_g=0.01, p_reset_e=0.05)
-        row = miss_probability_sweep([(0.0, dev.kappa, dev.gamma)], ref_timing, dev).rows[0]
+        row = miss_probability_sweep([0.0], ref_timing, dev).rows[0]
         assert row["p_capture"] == 0.0
         assert row["p_readout"] == 0.0
         assert row["p_miss"] == 1.0
@@ -379,13 +379,13 @@ class TestStageProbabilities:
     def test_no_decay_readout_equals_capture(self):
         dev = DeviceParams(kappa=DEV.kappa, gamma=0.0)
         timing = CycleTiming(T_C, 35e-9, 48e-9)
-        row = miss_probability_sweep([(0.5 / T_C, dev.kappa, dev.gamma)], timing, dev).rows[0]
+        row = miss_probability_sweep([0.5 / T_C], timing, dev).rows[0]
         assert row["p_readout"] == pytest.approx(row["p_capture"], rel=1e-12)
 
     def test_chain_identities(self, ref_timing):
         dev = DeviceParams(kappa=DEV.kappa, gamma=DEV.gamma, p0=0.02, p_reset_g=0.01, p_reset_e=0.05)
         lam = 0.8 / T_C
-        row = miss_probability_sweep([(lam, dev.kappa, dev.gamma)], ref_timing, dev).rows[0]
+        row = miss_probability_sweep([lam], ref_timing, dev).rows[0]
         p_w = math.exp(-dev.gamma * ref_timing.t_w)
         assert row["p_readout"] == pytest.approx(p_w * row["p_capture"], rel=1e-12)
         # the reset marginal: the kernel's reset law at the readout bit of a ground entry
@@ -397,7 +397,7 @@ class TestStageProbabilities:
 
     def test_exact_chain(self, ref_dev, ref_timing):
         lam = 0.8 / T_C
-        row = miss_probability_sweep([(lam, ref_dev.kappa, ref_dev.gamma)], ref_timing, ref_dev).rows[0]
+        row = miss_probability_sweep([lam], ref_timing, ref_dev).rows[0]
         # p0 = 0: the capture stage is the excitation, and the readout its decay over t_w
         assert row["p_capture"] == pytest.approx(excitation_ctmc(lam, ref_timing, ref_dev), rel=1e-15)
         assert row["p_capture"] == detection_prob_single(row["p_capture"], ref_dev)
@@ -417,13 +417,12 @@ class TestStageProbabilities:
 
 class TestMissSweep:
     def test_schema_and_monotonicity(self, ref_timing):
-        means = np.geomspace(0.05, 5.0, 8)
-        grid = [(m / T_C, DEV.kappa, DEV.gamma) for m in means]
-        report = miss_probability_sweep(grid, ref_timing, DEV)
+        lams = np.geomspace(0.05, 5.0, 8) / T_C
+        report = miss_probability_sweep(lams, ref_timing, DEV)
         assert list(report.columns) == [
             "lambda", "kappa", "gamma", "t_c", "delta_o", "t_w", "p_capture", "p_readout", "p_miss", "stderr",
         ]
-        assert len(report.rows) == len(grid)
+        assert len(report.rows) == len(lams)
         miss = [row["p_miss"] for row in report.rows]
         err = [row["stderr"] for row in report.rows]
         for i in range(len(miss) - 1):
@@ -431,25 +430,24 @@ class TestMissSweep:
 
     def test_larger_kappa_lower_miss(self, ref_timing):
         lam = 0.5 / T_C
-        grid = [(lam, 2 * np.pi * 1e8, DEV.gamma), (lam, 2 * np.pi * 1e9, DEV.gamma)]
-        report = miss_probability_sweep(grid, ref_timing, DEV)
-        assert report.rows[1]["p_miss"] < report.rows[0]["p_miss"]
+        low, high = (miss_probability_sweep([lam], ref_timing, replace(DEV, kappa=2 * np.pi * k)).rows[0]
+                     for k in (1e8, 1e9))
+        assert high["p_miss"] < low["p_miss"]
 
     def test_rows_match_stage_probabilities(self, ref_timing):
-        # interleaved (kappa, gamma) groups come back in grid order, each row
-        # the readout chain of its own point
-        dev_template = replace(DEV, p0=0.02)
-        grid = [(m / T_C, k, DEV.gamma) for m in (0.1, 2.0, 0.5) for k in (2 * np.pi * 1e8, 2 * np.pi * 1e9)]
-        report = miss_probability_sweep(grid, ref_timing, dev_template)
-        for (lam, kappa, gamma), row in zip(grid, report.rows):
-            dev = replace(dev_template, kappa=kappa, gamma=gamma)
-            p_exc = excitation_ctmc(lam, ref_timing, dev)
-            assert (row["lambda"], row["kappa"]) == (lam, kappa)
-            assert row["p_capture"] == pytest.approx(detection_prob_single(p_exc, dev), rel=1e-14)
-            assert row["p_readout"] == pytest.approx(
-                readout_prob(detection_prob_single(p_exc, dev), ref_timing, dev), rel=1e-14
-            )
-            assert row["stderr"] == 0.0
+        # unsorted rates come back in their order, each row the readout chain of its own point
+        lams = [m / T_C for m in (0.1, 2.0, 0.5)]
+        for kappa in (2 * np.pi * 1e8, 2 * np.pi * 1e9):
+            dev = replace(DEV, p0=0.02, kappa=kappa)
+            report = miss_probability_sweep(lams, ref_timing, dev)
+            for lam, row in zip(lams, report.rows, strict=True):
+                p_exc = excitation_ctmc(lam, ref_timing, dev)
+                assert (row["lambda"], row["kappa"], row["gamma"]) == (lam, kappa, dev.gamma)
+                assert row["p_capture"] == pytest.approx(detection_prob_single(p_exc, dev), rel=1e-14)
+                assert row["p_readout"] == pytest.approx(
+                    readout_prob(detection_prob_single(p_exc, dev), ref_timing, dev), rel=1e-14
+                )
+                assert row["stderr"] == 0.0
 
     def test_rejects_empty_grid(self, ref_timing):
         with pytest.raises(ValueError):

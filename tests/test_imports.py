@@ -1,13 +1,17 @@
 """The batch commands run without scipy, the oracle battery and, at one
 worker, concurrent.futures; cutoff-fit and pulse-sweep never load it.
 ber-sweep and rate-sweep run their points on threads at more workers,
-so no command loads multiprocessing.  Only the quadrature oracles load
-scipy.  Each command loads only the photonlink modules it runs.
+so no command loads multiprocessing.  Only the oracles load scipy.
+Each command loads only the photonlink modules it runs, and none loads
+detection, the module of the unsaturated detector's oracles.
 
 Each of those cases starts a fresh interpreter, since the pytest process
-has already imported scipy through other test modules.  The last test
-checks that every module exports what its __all__ lists.
+has already imported scipy through other test modules.  The source of
+the package is read as well: only validate imports detection, and the
+closed forms of physics import no scipy.  The last test checks that
+every module exports what its __all__ lists.
 """
+import ast
 import importlib
 import json
 import os
@@ -37,13 +41,13 @@ SMALL = [
 ]
 
 # the photonlink modules each batch command loads beyond those of `import photonlink.cli`;
-# link imports detection and saturation at module level
+# link imports saturation at module level
 LOADS = {
-    "detect": {"detection"},
+    "detect": set(),
     "pulse-sweep": set(),
-    "miss-sweep": {"detection"},
-    "ber-sweep": {"link", "detection", "saturation"},
-    "rate-sweep": {"link", "detection", "saturation"},
+    "miss-sweep": set(),
+    "ber-sweep": {"link", "saturation"},
+    "rate-sweep": {"link", "saturation"},
     "saturation-sweep": {"saturation"},
     "cutoff-fit": {"saturation"},
 }
@@ -124,6 +128,30 @@ def test_each_command_loads_only_its_modules(command, tmp_path):
     got = _run_fresh([command], tmp_path / "out")
     assert got["codes"] == {command: 0}, got["stderr"]
     assert set(got["loaded"]) - set(got["imported"]) == LOADS[command]
+
+
+def _imports(path: Path) -> set:
+    """The top-level names of the modules a source file imports anywhere, photonlink's own without the prefix."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):  # from . import x, from .x import y, from photonlink import x
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return {n.removeprefix("photonlink.").lstrip(".").split(".")[0] for n in names} - {""}
+
+
+SOURCES = {p.stem: _imports(p) for p in sorted(Path(photonlink.__file__).parent.glob("*.py"))}
+
+
+def test_only_validate_imports_detection():
+    assert [name for name, imported in SOURCES.items() if "detection" in imported] == ["validate"]
+
+
+def test_physics_imports_no_scipy():
+    assert "scipy" not in SOURCES["physics"]
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(photonlink.__path__)))

@@ -22,11 +22,10 @@ from photonlink.physics import (
     ground_return_prob,
     power_to_rate,
     single_photon_excitation,
-    single_photon_excitation_double_integral,
-    single_photon_excitation_quadrature,
     thermal_photon_rate,
     transition_kernels,
 )
+from photonlink.detection import single_photon_excitation_double_integral, single_photon_excitation_quadrature
 from photonlink.errors import ParameterError
 from photonlink.rng import substream
 from photonlink.validate import shaped_pulse

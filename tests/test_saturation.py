@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 from pathlib import Path
@@ -34,7 +35,7 @@ from photonlink.saturation import (
     survivor_moments_given_count,
     survivor_moments_poisson,
 )
-from photonlink.detection import excitation_ctmc
+from photonlink.physics import excitation_ctmc
 from photonlink.validate import cutoff_law, survivor_excitation_z
 
 
@@ -132,6 +133,34 @@ class TestMomentsGivenCount:
     def test_window_ratio_guard(self):
         with pytest.raises(ValueError):
             survivor_moments_given_count(3, 0.3, 1.0)
+
+    @staticmethod
+    def _moments_60_digits(n, tau, t_c):
+        """(mean, second moment, variance) of the same closed form in 60-digit decimal arithmetic."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            a = decimal.Decimal(tau) / decimal.Decimal(t_c)
+            x1, x2, x3, x4 = (1 - k * a if n else decimal.Decimal(1) for k in (1, 2, 3, 4))  # 0**0 is 1
+            mean = 2 * x1**n + (n - 2) * x2**n
+            second = 2 * x1**n + (n + 4) * x2**n + (n * n - 7 * n + 12) * x4**n + (6 * n - 18) * x3**n
+            return mean, second, second - mean * mean
+
+    @pytest.mark.parametrize("n, tau", [(10**6, 1e-9), (10**8, 1e-12)])
+    def test_variance_at_large_counts(self, n, tau):
+        # second - mean^2 read 2.8 % off at n = 1e6 and went negative at n = 1e8
+        m = survivor_moments_given_count(n, tau, 1.0)
+        mean, second, variance = self._moments_60_digits(n, tau, 1.0)
+        assert abs(decimal.Decimal(m.variance) - variance) <= decimal.Decimal(1e-12) * variance
+        assert abs(decimal.Decimal(m.mean) - mean) <= decimal.Decimal(1e-14) * mean
+        assert abs(decimal.Decimal(m.second_moment) - second) <= decimal.Decimal(1e-14) * second
+
+    def test_small_counts_against_60_digits(self):
+        for n in range(0, 21):
+            for ratio in (4.0, 5.0, 7.3, 10.0, 16.0):
+                m = survivor_moments_given_count(n, 1.0 / ratio, 1.0)
+                want = self._moments_60_digits(n, 1.0 / ratio, 1.0)
+                for got, ref in zip((m.mean, m.second_moment, m.variance), want):
+                    assert abs(decimal.Decimal(got) - ref) <= decimal.Decimal(1e-14) * abs(ref), (n, ratio)
 
 
 class TestLemma:
