@@ -137,9 +137,8 @@ _SECTIONS: dict = {
         "nu_hz": (parse_quantity, 1.0e10, "nu"),
         "cycles_per_symbol": (_int, 800, "cycles_per_symbol"),
     },
-    "pulse": {
+    "pulse": {  # the length l is no key: from_dict takes the first sweeps.pulse_length_ns value
         "shape": (_str, "rectangular", "shape"),
-        "l_ns": (parse_quantity, 100.0, "l"),
         "beta": (parse_quantity, 1.0, "beta"),
         "w_ns": (parse_quantity, 0.0, "w"),
         "nodes": (_nodes, None, "nodes"),
@@ -326,32 +325,38 @@ class ExperimentConfig:
             "output_dir": _str(d["output_dir"], "output_dir"),
         }
         c = {name: _read_section(name, d[name]) for name in _SECTIONS}
-        built = {}
-        for name, keys in _SECTIONS.items():
-            values = {f: _si(k, c[name][k]) for k, (_, _, f) in keys.items() if f}
-            if name not in _MODELS:
-                built.update(values)
-                continue
-            try:
-                built[name] = _MODELS[name](**values)
-            except ParameterError as exc:
-                key = next(k for k, (_, _, f) in keys.items() if f == exc.field)
-                raise ConfigError(f"{name}.{key}: {exc}") from None
-        if c["pulse"]["nodes"] is None:
-            del c["pulse"]["nodes"]  # the canonical form lists nodes only for a pulse that has them
 
         sweeps_raw = raw.get("sweeps", {})
         _check_keys(sweeps_raw, _AXES, "sweeps")
         default_axes = DEFAULT_CONFIG["sweeps"]
         axes = {**default_axes, **{k: _merge_axis(default_axes.get(k), v) for k, v in sweeps_raw.items()}}
         sweeps = {k: GridAxis.from_dict(v, f"sweeps.{k}") for k, v in axes.items()}
+        resolved = {}
         for k, axis in sweeps.items():
             bound = _AXES[k][1]
             if bound:
-                values = axis.resolve()
+                values = resolved[k] = axis.resolve()
                 bad = values[(values <= 0) if bound == ">" else (values < 0)]
                 if bad.size:
                     raise ConfigError(f"sweeps.{k}: {bad[0]}: must be {bound} 0")
+        # cfg.pulse is the first pulse that pulse-sweep builds, at the first swept length
+        length = float(resolved["pulse_length_ns"][0])
+        built = {}
+        for name, keys in _SECTIONS.items():
+            values = {f: _si(k, c[name][k]) for k, (_, _, f) in keys.items() if f}
+            if name not in _MODELS:
+                built.update(values)
+                continue
+            origin = {f: f"{name}.{k}" for k, (_, _, f) in keys.items()}
+            if name == "pulse":
+                values["l"] = length * 1e-9
+                origin["l"] = f"sweeps.pulse_length_ns: {length}"
+            try:
+                built[name] = _MODELS[name](**values)
+            except ParameterError as exc:
+                raise ConfigError(f"{origin[exc.field]}: {exc}") from None
+        if c["pulse"]["nodes"] is None:
+            del c["pulse"]["nodes"]  # the canonical form lists nodes only for a pulse that has them
         canonical = {**top, **c, "sweeps": {k: sweeps[k].to_dict() for k in sorted(sweeps)}}
         return cls(**top, **built, sweeps=sweeps, canonical=canonical)
 

@@ -1,12 +1,16 @@
-"""Oracles of the unsaturated detector's closed forms in `physics`.
+"""Oracles of the closed forms in `physics`, `link` and `saturation`.
 
 Only the validation battery, the tests and the benchmark tracer load this
-module.  `single_photon_excitation` has adaptive quadrature and the raw
-double integral.  The excitation under Poisson arrival, `excitation_ctmc`,
-has the renewal dynamic program over transition photons (exact given the
+module, and neither `link` nor `saturation` imports it.  It keeps its
+name because the benchmark tracer looks oracle names up here.
+`single_photon_excitation` has adaptive quadrature and the raw double
+integral.  The excitation under Poisson arrival, `excitation_ctmc`, has
+the renewal dynamic program over transition photons (exact given the
 arrivals, with exhaustive enumeration as its own oracle, and mixed over
 the Poisson count by Monte Carlo over order statistics) and an
-event-driven Monte Carlo of the raw two-clock process.
+event-driven Monte Carlo of the raw two-clock process.  Link emissions
+have the transfer-matrix product and frame enumeration, and survivor
+moments the pair-survival quadrature and Poisson-weighted moments.
 """
 from __future__ import annotations
 
@@ -29,8 +33,10 @@ from .physics import (
     single_photon_excitation,
     transition_kernels,
 )
+from .link import HmmSpec
 from .report import Estimate
 from .rng import substream
+from .saturation import _require_window
 
 __all__ = [
     "single_photon_excitation_quadrature",
@@ -44,6 +50,15 @@ __all__ = [
     "ConditionalExcitationTable",
     "excitation_poisson",
     "mc_detector",
+    "frame_statistics",
+    "block_emission_logprob",
+    "block_emission_logprob_matrix",
+    "enumerate_block_probs",
+    "INITIAL",
+    "transition",
+    "PieceIntegrals",
+    "pair_survival_integrals",
+    "poisson_weighted_moments",
 ]
 
 _DEFAULT_MC_SAMPLES = 100_000
@@ -401,3 +416,142 @@ def mc_detector(
         reset_ok=_binomial_estimate(sums[2], replicas),
         replicas=replicas,
     )
+
+
+# -- oracles of link -----------------------------------------------------------
+def frame_statistics(frames) -> tuple:
+    """(first bit, last bit, ones count, adjacent-ones count) of each row of an (m, n) frame array."""
+    f = np.asarray(frames, dtype=np.int64)
+    return f[:, 0], f[:, -1], f.sum(axis=1), (f[:, :-1] & f[:, 1:]).sum(axis=1)
+
+
+def block_emission_logprob(spec: HmmSpec, frames: np.ndarray) -> np.ndarray:
+    """log P(frame | state) of spec for an (m, n_cycles) array of frames, from their statistics."""
+    frames = np.asarray(frames, dtype=np.int64)
+    if frames.ndim != 2 or frames.shape[1] != spec.n_cycles:
+        raise ValueError("frames must have shape (m, n_cycles)")
+    return spec.emission_loglik_stats(*frame_statistics(frames))
+
+
+def block_emission_logprob_matrix(spec: HmmSpec, frames: np.ndarray) -> np.ndarray:
+    """block_emission_logprob by the explicit transfer-matrix product of P(bit, exit | entry) over cycles."""
+    frames = np.asarray(frames, dtype=np.int64)
+    out = np.empty((frames.shape[0], 4))
+    for sym in (0, 1):
+        kern = spec.kernel(sym)
+        k = np.einsum("eb,bx->ebx", kern.bit_given_entry, kern.exit_given_bit)  # (entry, bit, exit)
+        for level in (0, 1):
+            alpha = np.zeros((frames.shape[0], 2))
+            alpha[:, level] = 1.0
+            logscale = np.zeros(frames.shape[0])
+            for j in range(spec.n_cycles):
+                b = frames[:, j]
+                step = np.where(b[:, None, None] == 1, k[None, :, 1, :], k[None, :, 0, :])
+                alpha = np.einsum("me,mex->mx", alpha, step)
+                norm = alpha.sum(axis=1)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    logscale += np.log(norm)
+                    alpha = np.where(norm[:, None] > 0, alpha / norm[:, None], 0.0)
+            out[:, 2 * level + sym] = logscale
+    return np.nan_to_num(out, nan=-np.inf, posinf=-np.inf, neginf=-np.inf)
+
+
+def enumerate_block_probs(spec: HmmSpec) -> tuple:
+    """Exact P(frame | state) of spec for every frame, and the frames; only for n_cycles <= 12."""
+    if spec.n_cycles > 12:
+        raise ValueError("enumeration limited to n_cycles <= 12")
+    m = 2**spec.n_cycles
+    frames = ((np.arange(m)[:, None] >> np.arange(spec.n_cycles)[None, ::-1]) & 1).astype(np.int64)
+    return np.exp(block_emission_logprob(spec, frames)), frames
+
+
+INITIAL = np.array([0.5, 0.5, 0.0, 0.0])  # the law of state 2 * level + symbol at t = 0: ground, symbols equiprobable
+INITIAL.flags.writeable = False
+
+
+def transition(spec: HmmSpec) -> np.ndarray:
+    """4x4 state transition matrix P((i', s') | (i, s)) = P(i' | i, s) / 2 of spec."""
+    return 0.5 * np.repeat(spec.level_exit.reshape(4, 2), 2, axis=1)
+
+
+# -- oracles of saturation ------------------------------------------------------
+@dataclass(frozen=True)
+class PieceIntegrals:
+    """Regional contributions to the pair survival probability E(I1 I2).
+
+    Each piece carries the 2/t_c^2 normalization, so the four pieces sum
+    to E(I1 I2).  numeric holds adaptive-quadrature values of the region
+    integrals, closed the exact antiderivatives.
+    """
+
+    numeric: tuple
+    closed: tuple
+
+    @property
+    def pair_survival_numeric(self) -> float:
+        return float(sum(self.numeric))
+
+
+def pair_survival_integrals(n: int, tau: float, t_c: float) -> PieceIntegrals:
+    """Evaluate the four pair-survival region integrals and their closed forms.
+
+    The regions partition the position of the earlier photon of the pair:
+    near the left edge, in the bulk, and two bands near the right edge.
+    Used as the proof-level oracle for the second survivor moment.
+    """
+    from scipy import integrate
+
+    _require_window(tau, t_c)
+    if n < 2:
+        raise ValueError("pair survival needs n >= 2")
+    T = t_c
+    # (integrand of t2 and t1, the t1 range, the t2 range at t1) of a1, a2, b1, b2, c1, c2 and d1
+    regions = (
+        (lambda t2, t1: (1 - (t2 + tau) / T) ** (n - 2), 0, tau, lambda t1: t1 + tau, lambda t1: t1 + 2 * tau),
+        (lambda t2, t1: (1 - (t1 + 3 * tau) / T) ** (n - 2), 0, tau, lambda t1: t1 + 2 * tau, lambda t1: T - tau),
+        (lambda t2, t1: (1 - (t2 - t1 + 2 * tau) / T) ** (n - 2), tau, T - 3 * tau,
+         lambda t1: t1 + tau, lambda t1: t1 + 2 * tau),
+        (lambda t2, t1: (1 - 4 * tau / T) ** (n - 2), tau, T - 3 * tau, lambda t1: t1 + 2 * tau, lambda t1: T - tau),
+        (lambda t2, t1: (1 - (t2 - t1 + 2 * tau) / T) ** (n - 2), T - 3 * tau, T - 2 * tau,
+         lambda t1: t1 + tau, lambda t1: T - tau),
+        (lambda t2, t1: ((t1 - tau) / T) ** (n - 2), T - 3 * tau, T - 2 * tau,
+         lambda t1: T - tau, lambda t1: t1 + 2 * tau),
+        (lambda t2, t1: (1 - (T - t1 + tau) / T) ** (n - 2), T - 2 * tau, T - tau, lambda t1: t1 + tau, lambda t1: T),
+    )
+    a1, a2, b1, b2, c1, c2, d1 = (integrate.dblquad(*r, epsabs=1e-13, epsrel=1e-11)[0] for r in regions)
+    scale = 2.0 / (T * T)
+    numeric = (scale * (2 * a1 + a2), scale * (2 * b1 + b2), scale * (2 * c1 + c2), scale * d1)
+
+    x2 = 1 - 2 * tau / T
+    x3 = 1 - 3 * tau / T
+    x4 = 1 - 4 * tau / T
+    nn = float(n)
+    closed_a = (
+        (4 / (nn * (nn - 1))) * x2**n
+        + ((2 * nn - 10) / (nn * (nn - 1))) * x3**n
+        + ((6 - 2 * nn) / (nn * (nn - 1))) * x4**n
+    )
+    closed_b = (4 / (nn - 1)) * x4 * x3 ** (n - 1) + ((nn - 5) / (nn - 1)) * x4**n
+    closed_c = (
+        (4 * tau / (T * (nn - 1))) * x3 ** (n - 1)
+        + ((2 * nn - 6) / (nn * (nn - 1))) * (x3**n - x4**n)
+        - (2 * x4 / (nn - 1)) * x3 ** (n - 1)
+        + (2 / (nn - 1)) * x4**n
+    )
+    closed_d = (2 / (nn * (nn - 1))) * (x2**n - x3**n) - (2 * tau / ((nn - 1) * T)) * x3 ** (n - 1)
+    return PieceIntegrals(numeric=numeric, closed=(closed_a, closed_b, closed_c, closed_d))
+
+
+def poisson_weighted_moments(alpha: float, big_lambda: float) -> tuple:
+    """(E[alpha^N], E[N alpha^N], E[N^2 alpha^N]) for N ~ Poisson(big_lambda).
+
+    alpha = 0 is allowed (with 0^0 = 1); the closed forms hold there by
+    continuity and are needed at the boundary window ratio t_c/tau = 4.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must be in [0, 1]")
+    if big_lambda < 0:
+        raise ValueError("big_lambda must be >= 0")
+    base = math.exp(-(1.0 - alpha) * big_lambda)
+    al = alpha * big_lambda
+    return base, al * base, (al * al + al) * base

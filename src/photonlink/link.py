@@ -7,10 +7,10 @@ stage conditions only on the readout bit, the per-cycle kernel
 factorizes as P(bit | entry level) * P(exit level | bit); the bit
 sequence inside a frame is then itself a two-state Markov chain and
 block emissions depend on the frame only through (first bit, last bit,
-ones count, adjacent-ones count).  The general transfer-matrix product
-is kept alongside as a cross-check.  The simulator draws those four
+ones count, adjacent-ones count).  The simulator draws those four
 statistics from their exact law (the runs theory of two-state Markov
-chains) instead of stepping through the cycles of each frame.
+chains) instead of stepping through the cycles of each frame.  The
+transfer-matrix product and frame enumeration are oracles, in `detection`.
 
 The transition row of a state does not depend on the next symbol, so
 every recursion over symbols is a chain of 2x2 matrices over the entry
@@ -18,6 +18,8 @@ level.  The recursions evaluate that chain as a prefix scan over chunks
 of symbols instead of a loop over them: a pairwise recursion that
 combines adjacent steps, scans the half-length chain and fills in the
 odd positions, so a chunk of L symbols costs O(L) work (Blelloch 1990).
+The forward recursions and mutual_information, the Monte Carlo oracle
+of rate_bracket, stay here only for the benchmark tracer.
 """
 from __future__ import annotations
 
@@ -50,7 +52,6 @@ __all__ = [
     "HmmSpec",
     "FrameStatsLaw",
     "frame_stats_law",
-    "frame_statistics",
     "LinkRun",
     "LinkConfig",
     "build_cycle_kernel",
@@ -78,7 +79,7 @@ class CycleKernel:
     """Joint per-cycle law P(bit, exit level | entry level) at one arrival rate.
 
     bit_given_entry[e, b] and exit_given_bit[b, x] define the rank-one
-    factorization; table composes them.
+    factorization.
     """
 
     bit_given_entry: np.ndarray
@@ -94,11 +95,6 @@ class CycleKernel:
                 raise ValueError(f"{name} must be a 2x2 stochastic matrix")
             if np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-12):
                 raise ValueError(f"{name} rows must sum to 1")
-
-    @property
-    def table(self) -> np.ndarray:
-        """P(bit, exit | entry), shape (entry, bit, exit)."""
-        return np.einsum("eb,bx->ebx", self.bit_given_entry, self.exit_given_bit)
 
     @property
     def bit_chain(self) -> np.ndarray:
@@ -434,12 +430,6 @@ def _kept_law(keep: np.ndarray, p: np.ndarray, log_count: np.ndarray, n: int, lo
     return law
 
 
-def frame_statistics(frames) -> tuple:
-    """(first bit, last bit, ones count, adjacent-ones count) of each row of an (m, n) frame array."""
-    f = np.asarray(frames, dtype=np.int64)
-    return f[:, 0], f[:, -1], f.sum(axis=1), (f[:, :-1] & f[:, 1:]).sum(axis=1)
-
-
 @dataclass(frozen=True)
 class HmmSpec:
     """Four-state hidden Markov model over (entry level, symbol).
@@ -467,14 +457,6 @@ class HmmSpec:
     def first_bit_prob(self, level: int, symbol: int) -> np.ndarray:
         return self.kernel(symbol).bit_given_entry[level]
 
-    @property
-    def initial(self) -> np.ndarray:
-        """Initial state distribution: ground level, symbols equiprobable."""
-        pi = np.zeros(4)
-        pi[2 * GROUND + 0] = 0.5
-        pi[2 * GROUND + 1] = 0.5
-        return pi
-
     @cached_property
     def level_exit(self) -> np.ndarray:
         """P(exit level | entry level, symbol), shape (level, symbol, level'), read-only.
@@ -491,11 +473,6 @@ class HmmSpec:
                 out[lv, s] = k.bit_given_entry[lv] @ steps @ k.exit_given_bit
         out.flags.writeable = False
         return out
-
-    @property
-    def transition(self) -> np.ndarray:
-        """4x4 state transition matrix P((i', s') | (i, s)) = P(i' | i, s) / 2."""
-        return 0.5 * np.repeat(self.level_exit.reshape(4, 2), 2, axis=1)
 
     @property
     def frame_stats(self) -> tuple:
@@ -523,42 +500,6 @@ class HmmSpec:
                 np.add(pair_part, log_first, out=out[2 * level + sym])
         np.copyto(out, -np.inf, where=~(out < np.inf))  # nan and +inf read as impossible
         return out.T
-
-    def block_emission_logprob(self, frames: np.ndarray) -> np.ndarray:
-        """log P(frame | state) for an (m, n_cycles) array of frames."""
-        frames = np.asarray(frames, dtype=np.int64)
-        if frames.ndim != 2 or frames.shape[1] != self.n_cycles:
-            raise ValueError("frames must have shape (m, n_cycles)")
-        return self.emission_loglik_stats(*frame_statistics(frames))
-
-    def block_emission_logprob_matrix(self, frames: np.ndarray) -> np.ndarray:
-        """Reference evaluator: explicit transfer-matrix product over cycles."""
-        frames = np.asarray(frames, dtype=np.int64)
-        out = np.empty((frames.shape[0], 4))
-        for sym in (0, 1):
-            k = self.kernel(sym).table  # (entry, bit, exit)
-            for level in (GROUND, EXCITED):
-                alpha = np.zeros((frames.shape[0], 2))
-                alpha[:, level] = 1.0
-                logscale = np.zeros(frames.shape[0])
-                for j in range(self.n_cycles):
-                    b = frames[:, j]
-                    step = np.where(b[:, None, None] == 1, k[None, :, 1, :], k[None, :, 0, :])
-                    alpha = np.einsum("me,mex->mx", alpha, step)
-                    norm = alpha.sum(axis=1)
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        logscale += np.log(norm)
-                        alpha = np.where(norm[:, None] > 0, alpha / norm[:, None], 0.0)
-                out[:, 2 * level + sym] = logscale
-        return np.nan_to_num(out, nan=-np.inf, posinf=-np.inf, neginf=-np.inf)
-
-    def enumerate_block_probs(self) -> np.ndarray:
-        """Exact P(frame | state) for every frame; only for small n_cycles."""
-        if self.n_cycles > 12:
-            raise ValueError("enumeration limited to n_cycles <= 12")
-        m = 2**self.n_cycles
-        frames = ((np.arange(m)[:, None] >> np.arange(self.n_cycles)[None, ::-1]) & 1).astype(np.int64)
-        return np.exp(self.block_emission_logprob(frames)), frames
 
 
 @dataclass
@@ -769,7 +710,7 @@ def _checked_emissions(emis) -> np.ndarray:
     """The emission table of a recursion: log P(o_t | state), shape (m, 4) with m >= 1.
 
     HmmSpec.emission_loglik_stats builds it from a run's frame statistics,
-    HmmSpec.block_emission_logprob from raw frames.
+    detection.block_emission_logprob from raw frames.
     """
     emis = np.asarray(emis, dtype=float)
     if emis.ndim != 2 or emis.shape[1] != 4:

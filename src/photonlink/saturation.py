@@ -3,10 +3,11 @@
 A photon survives saturation iff no other photon arrives within the
 dead time tau (DeviceParams.dead_time) on either side.  Closed-form
 survivor moments are provided for a fixed count and for Poisson
-arrival, together with quadrature and Monte Carlo oracles, the
-sub-/super-Poisson crossover, saturated excitation curves (exact for
-every gamma and entry level from a delay-Volterra equation, with the
-Monte Carlo kept as its oracle) and the 3 dB cutoff machinery.
+arrival (their quadrature and lemma oracles are in `detection`), with
+the sub-/super-Poisson crossover, saturated excitation curves (exact for
+every gamma and entry level from a delay-Volterra equation) and the 3 dB
+cutoff machinery.  The Monte Carlo saturated_excitation and
+cutoff_photon_number stay here only for the benchmark tracer.
 """
 from __future__ import annotations
 
@@ -26,15 +27,11 @@ __all__ = [
     "PoissonSurvivorMoments",
     "CutoffFit",
     "CutoffResult",
-    "filter_survivors",
     "survivor_mask",
     "survivor_moments_given_count",
-    "poisson_weighted_moments",
     "survivor_moments_poisson",
     "delta_lambda",
     "find_lambda0",
-    "PieceIntegrals",
-    "pair_survival_integrals",
     "saturated_excitation",
     "SurvivorOperator",
     "survivor_excitation",
@@ -99,14 +96,6 @@ def survivor_mask(times: np.ndarray, tau: float) -> np.ndarray:
     return mask[0] if np.asarray(times).ndim == 1 else mask
 
 
-def filter_survivors(times, tau: float) -> np.ndarray:
-    """Return the surviving sub-sequence of a sorted arrival trace at dead time tau."""
-    t = np.asarray(times, dtype=float)
-    if t.size and np.any(np.diff(t) < 0):
-        raise ValueError("arrival times must be nondecreasing")
-    return t[survivor_mask(t, tau)]
-
-
 def _require_window(tau: float, t_c: float) -> None:
     if tau < 0 or not t_c > 0:
         raise ValueError("require tau >= 0 and t_c > 0")
@@ -154,21 +143,6 @@ def survivor_moments_given_count(n: int, tau: float, t_c: float) -> SurvivorMome
             raise NumericsError(f"negative variance {variance} for n={n}")
         variance = 0.0
     return SurvivorMoments(mean=mean, second_moment=second, variance=variance)
-
-
-def poisson_weighted_moments(alpha: float, big_lambda: float) -> tuple:
-    """(E[alpha^N], E[N alpha^N], E[N^2 alpha^N]) for N ~ Poisson(big_lambda).
-
-    alpha = 0 is allowed (with 0^0 = 1); the closed forms hold there by
-    continuity and are needed at the boundary window ratio t_c/tau = 4.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
-    if big_lambda < 0:
-        raise ValueError("big_lambda must be >= 0")
-    base = math.exp(-(1.0 - alpha) * big_lambda)
-    al = alpha * big_lambda
-    return base, al * base, (al * al + al) * base
 
 
 def survivor_moments_poisson(lam: float, tau: float, t_c: float) -> PoissonSurvivorMoments:
@@ -254,82 +228,6 @@ def find_lambda0(tau: float, t_c: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi) / tau
-
-
-@dataclass(frozen=True)
-class PieceIntegrals:
-    """Regional contributions to the pair survival probability E(I1 I2).
-
-    Each piece carries the 2/t_c^2 normalization, so the four pieces sum
-    to E(I1 I2).  numeric holds adaptive-quadrature values of the region
-    integrals, closed the exact antiderivatives.
-    """
-
-    numeric: tuple
-    closed: tuple
-
-    @property
-    def pair_survival_numeric(self) -> float:
-        return float(sum(self.numeric))
-
-
-def pair_survival_integrals(n: int, tau: float, t_c: float) -> PieceIntegrals:
-    """Evaluate the four pair-survival region integrals and their closed forms.
-
-    The regions partition the position of the earlier photon of the pair:
-    near the left edge, in the bulk, and two bands near the right edge.
-    Used as the proof-level oracle for the second survivor moment.
-    """
-    from scipy import integrate
-
-    _require_window(tau, t_c)
-    if n < 2:
-        raise ValueError("pair survival needs n >= 2")
-    T = t_c
-    qopts = dict(epsabs=1e-13, epsrel=1e-11)
-
-    a1 = integrate.dblquad(
-        lambda t2, t1: (1 - (t2 + tau) / T) ** (n - 2), 0, tau,
-        lambda t1: t1 + tau, lambda t1: t1 + 2 * tau, **qopts)[0]
-    a2 = integrate.dblquad(
-        lambda t2, t1: (1 - (t1 + 3 * tau) / T) ** (n - 2), 0, tau,
-        lambda t1: t1 + 2 * tau, lambda t1: T - tau, **qopts)[0]
-    b1 = integrate.dblquad(
-        lambda t2, t1: (1 - (t2 - t1 + 2 * tau) / T) ** (n - 2), tau, T - 3 * tau,
-        lambda t1: t1 + tau, lambda t1: t1 + 2 * tau, **qopts)[0]
-    b2 = integrate.dblquad(
-        lambda t2, t1: (1 - 4 * tau / T) ** (n - 2), tau, T - 3 * tau,
-        lambda t1: t1 + 2 * tau, lambda t1: T - tau, **qopts)[0]
-    c1 = integrate.dblquad(
-        lambda t2, t1: (1 - (t2 - t1 + 2 * tau) / T) ** (n - 2), T - 3 * tau, T - 2 * tau,
-        lambda t1: t1 + tau, lambda t1: T - tau, **qopts)[0]
-    c2 = integrate.dblquad(
-        lambda t2, t1: ((t1 - tau) / T) ** (n - 2), T - 3 * tau, T - 2 * tau,
-        lambda t1: T - tau, lambda t1: t1 + 2 * tau, **qopts)[0]
-    d1 = integrate.dblquad(
-        lambda t2, t1: (1 - (T - t1 + tau) / T) ** (n - 2), T - 2 * tau, T - tau,
-        lambda t1: t1 + tau, lambda t1: T, **qopts)[0]
-    scale = 2.0 / (T * T)
-    numeric = (scale * (2 * a1 + a2), scale * (2 * b1 + b2), scale * (2 * c1 + c2), scale * d1)
-
-    x2 = 1 - 2 * tau / T
-    x3 = 1 - 3 * tau / T
-    x4 = 1 - 4 * tau / T
-    nn = float(n)
-    closed_a = (
-        (4 / (nn * (nn - 1))) * x2**n
-        + ((2 * nn - 10) / (nn * (nn - 1))) * x3**n
-        + ((6 - 2 * nn) / (nn * (nn - 1))) * x4**n
-    )
-    closed_b = (4 / (nn - 1)) * x4 * x3 ** (n - 1) + ((nn - 5) / (nn - 1)) * x4**n
-    closed_c = (
-        (4 * tau / (T * (nn - 1))) * x3 ** (n - 1)
-        + ((2 * nn - 6) / (nn * (nn - 1))) * (x3**n - x4**n)
-        - (2 * x4 / (nn - 1)) * x3 ** (n - 1)
-        + (2 / (nn - 1)) * x4**n
-    )
-    closed_d = (2 / (nn * (nn - 1))) * (x2**n - x3**n) - (2 * tau / ((nn - 1) * T)) * x3 ** (n - 1)
-    return PieceIntegrals(numeric=numeric, closed=(closed_a, closed_b, closed_c, closed_d))
 
 
 def _pack_rows(values: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -233,7 +233,7 @@ def check_lemma_series(level: str, seed: int) -> tuple:
     from scipy import stats
 
     for alpha, lam in [(0.5, 2.0), (1.0, 3.0), (0.9, 0.0), (0.2, 7.0)]:
-        closed = saturation.poisson_weighted_moments(alpha, lam)
+        closed = detection.poisson_weighted_moments(alpha, lam)
         n = np.arange(0, 200)
         w = stats.poisson.pmf(n, lam)
         series = (
@@ -252,7 +252,7 @@ def check_theorem2_vs_mixture(level: str, seed: int) -> tuple:
         lam = a / tau
         big = lam * t_c
         x = [1.0 - k * tau / t_c for k in (1, 2, 3, 4)]
-        e = [saturation.poisson_weighted_moments(xk, big) for xk in x]
+        e = [detection.poisson_weighted_moments(xk, big) for xk in x]
         mean_mix = 2 * e[0][0] + e[1][1] - 2 * e[1][0]
         second_mix = (
             2 * e[0][0]
@@ -275,7 +275,7 @@ def check_pair_survival_pieces(level: str, seed: int) -> tuple:
     worst_comb = 0.0
     for n in ns:
         for ratio in (0.05, 0.2):
-            p = saturation.pair_survival_integrals(n, ratio, 1.0)
+            p = detection.pair_survival_integrals(n, ratio, 1.0)
             for num, clo in zip(p.numeric, p.closed):
                 worst = max(worst, abs(num - clo) / max(abs(clo), 1e-30))
             m = saturation.survivor_moments_given_count(n, ratio, 1.0)
@@ -318,11 +318,11 @@ def check_hmm_emission_normalization(level: str, seed: int) -> tuple:
     rng = substream(seed, 0x04)
     for n in (1, 3, 8, 12):
         spec = link.HmmSpec(kernel0=spec_full.kernel0, kernel1=spec_full.kernel1, n_cycles=n)
-        probs, frames = spec.enumerate_block_probs()
+        probs, frames = detection.enumerate_block_probs(spec)
         worst_sum = max(worst_sum, float(np.abs(probs.sum(axis=0) - 1.0).max()))
         sub = frames[rng.integers(0, len(frames), size=min(64, len(frames)))]
-        a = spec.block_emission_logprob(sub)
-        b = spec.block_emission_logprob_matrix(sub)
+        a = detection.block_emission_logprob(spec, sub)
+        b = detection.block_emission_logprob_matrix(spec, sub)
         finite = np.isfinite(a) & np.isfinite(b)
         worst_pair = max(worst_pair, float(np.abs(a[finite] - b[finite]).max()))
         if not np.array_equal(np.isfinite(a), np.isfinite(b)):
@@ -335,12 +335,12 @@ def frame_stats_enumeration_gap(spec: link.HmmSpec) -> float:
     """Largest |table - enumeration| of P(b1, bn, n1, n11 | level, symbol), n_cycles <= 12.
 
     The table side is P(b1 | level, symbol) times spec.frame_stats[symbol][b1];
-    the enumeration side sums enumerate_block_probs over the frames with
+    the enumeration side sums detection.enumerate_block_probs over the frames with
     each set of statistics.
     """
     n = spec.n_cycles
-    probs, frames = spec.enumerate_block_probs()
-    stats = link.frame_statistics(frames)
+    probs, frames = detection.enumerate_block_probs(spec)
+    stats = detection.frame_statistics(frames)
     worst = 0.0
     for level in (0, 1):
         for sym in (0, 1):
@@ -389,7 +389,7 @@ def rate_bracket_enumeration(spec: link.HmmSpec) -> tuple:
     from the symbol posterior, with the entry level at the stationary law
     of its chain.
     """
-    probs, _ = spec.enumerate_block_probs()
+    probs, _ = detection.enumerate_block_probs(spec)
     by_state = probs.reshape(-1, 2, 2)  # P(frame | level, symbol)
     chain = 0.5 * spec.level_exit.sum(axis=1)  # P(l' | l)
     pi = np.linalg.lstsq(np.vstack([chain.T - np.eye(2), np.ones(2)]), [0.0, 0.0, 1.0], rcond=None)[0]
@@ -439,10 +439,10 @@ def check_viterbi_bruteforce(level: str, seed: int) -> tuple:
         t = int(rng.integers(1, 6))
         spec = link.HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=n)
         frames = (rng.random((t, n)) < rng.uniform(0.1, 0.9)).astype(np.int64)
-        emis = spec.block_emission_logprob(frames)
+        emis = detection.block_emission_logprob(spec, frames)
         got = link.viterbi_decode(spec, emis)
-        log_a = np.log(spec.transition)
-        log_pi = np.log(spec.initial + 1e-300)
+        log_a = np.log(detection.transition(spec))
+        log_pi = np.log(detection.INITIAL + 1e-300)
         best_score, best_path = -math.inf, None
         for path in itertools.product(range(4), repeat=t):
             score = log_pi[path[0]] + emis[0, path[0]]
@@ -464,7 +464,7 @@ def check_forward_total_probability(level: str, seed: int) -> tuple:
         total = 0.0
         for seq in itertools.product(range(2**n), repeat=t):
             frames = ((np.array(seq)[:, None] >> np.arange(n)[None, ::-1]) & 1).astype(np.int64)
-            total += 2.0 ** float(link.forward_loglik(spec, spec.block_emission_logprob(frames)).sum())
+            total += 2.0 ** float(link.forward_loglik(spec, detection.block_emission_logprob(spec, frames)).sum())
         worst = max(worst, abs(total - 1.0))
     return worst < 1e-10, f"max |sum-1| {worst:.2e}"
 

@@ -183,7 +183,7 @@ class TestExitCodes:
         "command, overrides, start",
         [
             ("pulse-sweep", ["pulse.shape=tabulated", "pulse.nodes=[[40.0, 1.0], [60.0, 1.0]]",
-                             "sweeps.pulse_length_ns={values: [1.0]}"], "sweeps.pulse_length_ns: 1.0: "),
+                             "sweeps.pulse_length_ns={values: [200.0, 1.0]}"], "sweeps.pulse_length_ns: 1.0: "),
             ("miss-sweep", ["sweeps.mean_photons={values: [-1.0]}"], "sweeps.mean_photons: -1.0: "),
             ("cutoff-fit", ["sweeps.kappa_t_c={values: [1.0, 100.0, 1000.0, 10000.0]}"], "sweeps.kappa_t_c: 1.0: "),
             ("cutoff-fit", ["sweeps.kappa_t_c={values: [100.0, 1000.0]}"], "sweeps.kappa_t_c: [100.0, 1000.0]: "),
@@ -593,7 +593,6 @@ REACH = {
 UNREAD = {
     "mc.mc_samples": ("miss-sweep", "10"),
     "cutoff.replicas": ("cutoff-fit", "64"),
-    "pulse.l_ns": ("pulse-sweep", "300.0"),
 }
 
 

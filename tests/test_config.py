@@ -184,7 +184,7 @@ class TestExperimentConfig:
     def test_default_yaml_hash_pinned(self):
         # changing this hash must be a deliberate edit: every manifest records it
         assert ExperimentConfig.from_file(DEFAULT_YAML).config_hash() == (
-            "56bbb5aba127c77a8a52496ee427aac573a42dd759696e7b158cdcdad3aee949"
+            "2b156ac4300ccbd3c8a17fce6a63df55ca4f76a71366469b3578fce221455f37"
         )
 
     def test_hash_stability_and_sensitivity(self):
@@ -215,6 +215,8 @@ class TestSchema:
     @pytest.mark.parametrize("section", ["device", "timing", "environment", "pulse"])
     def test_schema_sets_each_physics_field_once(self, section):
         fields = [f for _, _, f in _SECTIONS[section].values()]
+        if section == "pulse":
+            fields.append("l")  # the first sweeps.pulse_length_ns value sets the length
         assert sorted(fields) == sorted(f.name for f in dataclasses.fields(_MODELS[section]))
 
     def test_every_key_sets_a_field_that_a_command_reads(self):
@@ -292,7 +294,7 @@ class TestOverrides:
         (["environment.nu_hz=0"], "environment.nu_hz"),
         (["environment.cycles_per_symbol=0"], "environment.cycles_per_symbol"),
         (["pulse.shape=triangle"], "pulse.shape"),
-        (["pulse.l_ns=-.inf"], "pulse.l_ns"),
+        (["sweeps.pulse_length_ns={values: [-1.0]}"], "sweeps.pulse_length_ns"),
         (["pulse.beta=0"], "pulse.beta"),
         (["pulse.w_ns=-1"], "pulse.w_ns"),
         (["pulse.shape=tabulated"], "pulse.nodes"),

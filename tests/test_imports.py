@@ -3,13 +3,16 @@ worker, concurrent.futures; cutoff-fit and pulse-sweep never load it.
 ber-sweep and rate-sweep run their points on threads at more workers,
 so no command loads multiprocessing.  Only the oracles load scipy.
 Each command loads only the photonlink modules it runs, and none loads
-detection, the module of the unsaturated detector's oracles.
+detection, the module of the oracles of physics, link and saturation.
 
 Each of those cases starts a fresh interpreter, since the pytest process
 has already imported scipy through other test modules.  The source of
-the package is read as well: only validate imports detection, and the
-closed forms of physics import no scipy.  The last test checks that
-every module exports what its __all__ lists.
+the package is read as well: only validate imports detection, and no
+module that a batch command loads imports scipy.  A profiled run of
+every batch command shows that physics, link and saturation define only
+what those commands run, apart from a listed few that the benchmark
+tracer wraps or that await a command.  The last test checks that every
+module exports what its __all__ lists.
 """
 import ast
 import importlib
@@ -72,14 +75,19 @@ print(json.dumps({"codes": codes, "scipy": scipy, "futures": "concurrent.futures
 """
 
 
-def _run_fresh(commands, out: Path, workers: str = "1") -> dict:
+def _fresh(script: str, arg) -> tuple:
+    """The JSON that script prints last, run in a fresh interpreter with the JSON of arg as argv[1], and its stderr."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    arg = json.dumps([commands, str(DEFAULT_YAML), str(out), SMALL, workers])
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, arg], env=env, capture_output=True, text=True, timeout=600
+        [sys.executable, "-c", script, json.dumps(arg)], env=env, capture_output=True, text=True, timeout=600
     )
     assert proc.returncode == 0, proc.stderr
-    return dict(json.loads(proc.stdout.splitlines()[-1]), stderr=proc.stderr)
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+def _run_fresh(commands, out: Path, workers: str = "1") -> dict:
+    got, stderr = _fresh(SCRIPT, [commands, str(DEFAULT_YAML), str(out), SMALL, workers])
+    return dict(got, stderr=stderr)
 
 
 def test_batch_commands_never_load_scipy(tmp_path):
@@ -150,8 +158,108 @@ def test_only_validate_imports_detection():
     assert [name for name, imported in SOURCES.items() if "detection" in imported] == ["validate"]
 
 
-def test_physics_imports_no_scipy():
-    assert "scipy" not in SOURCES["physics"]
+def test_batch_modules_import_no_scipy():
+    # every module but the two that no batch command loads (LOADS)
+    assert {name for name, imported in SOURCES.items() if "scipy" in imported} <= {"detection", "validate"}
+
+
+# the functions of the batch modules that no batch command runs, each with why it stays
+UNREACHED = {
+    "physics.CycleTiming.t_obs": "the observation instant of the Monte Carlo oracles",
+    "physics.PulseProfile.density": "the integrand of the quadrature oracles of single_photon_excitation",
+    "physics.excited_kernel": "a closed form that the renewal DP in detection builds on",
+    "physics.ground_return_prob": "a closed form that the renewal DP in detection builds on",
+    "physics.transition_kernels": "a closed form that the renewal DP in detection builds on",
+    "physics._poisson_sorted_arrivals": "Monte Carlo arrivals of saturated_excitation, which cannot load detection",
+    "physics.detector_events": "the event loop of saturated_excitation, which cannot load detection",
+    "link.forward_loglik": "the benchmark tracer wraps it here",
+    "link.forward_loglik.weights": "runs inside forward_loglik",
+    "link.conditional_forward_loglik": "the benchmark tracer wraps it here",
+    "link.conditional_forward_loglik.weights": "runs inside conditional_forward_loglik",
+    "link._level_forward": "the recursion of the two forward routes",
+    "link._unit_sum": "the rescale of _level_forward",
+    "link.mutual_information": "the benchmark tracer wraps it here",
+    "saturation.survivor_mask": "the benchmark tracer wraps it here",
+    "saturation._pack_rows": "runs inside saturated_excitation",
+    "saturation.saturated_excitation": "the benchmark tracer wraps it here",
+    "saturation.cutoff_photon_number": "the benchmark tracer wraps it here",
+    "saturation.survivor_moments_given_count": "a closed form that no command writes yet",
+    "saturation.survivor_moments_given_count.g": "runs inside survivor_moments_given_count",
+    "saturation.find_lambda0": "a closed form that no command writes yet",
+}
+
+# the batch command runs that cover every production route: (command, --set items ...) on top of SMALL
+REACH_RUNS = [
+    ("detect",),
+    ("miss-sweep",),
+    ("saturation-sweep",),
+    ("cutoff-fit",),
+    ("ber-sweep", "workers=2", "link.dump_frames=true"),
+    ("ber-sweep", "link.mode=hmm", "link.saturation=true"),
+    ("rate-sweep",),
+    ("rate-sweep", "link.saturation=true"),
+    ("pulse-sweep",),
+    ("pulse-sweep", "pulse.shape=gaussian"),
+    ("pulse-sweep", "pulse.shape=tabulated", "pulse.nodes=[[-5.0, 1.0], [5.0, 2.0]]"),
+]
+
+
+def _functions(path: Path) -> dict:
+    """Every function that a source file defines, methods and nested ones too: dotted name -> (name, first line).
+
+    The first line is that of the first decorator, or of the def when there is none: co_firstlineno on 3.10 and 3.11.
+    """
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out[prefix + child.name] = (child.name, min([child.lineno] + [d.lineno for d in child.decorator_list]))
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+# profiles REACH_RUNS in a fresh interpreter, so that no cache filled by an earlier test hides a call,
+# and prints (module, name, first line) of each function of physics, link and saturation that ran on any thread
+REACH_SCRIPT = """
+import json, sys, threading
+from photonlink import cli
+runs, config, out, small = json.loads(sys.argv[1])
+codes = set()
+def profile(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+sys.setprofile(profile)
+threading.setprofile(profile)
+for i, (command, *sets) in enumerate(runs):
+    argv = [command, "--config", config, "--out", f"{out}/{i}"]
+    for item in small + sets:
+        argv += ["--set", item]
+    assert cli.main(argv) == 0, argv
+sys.setprofile(None)
+threading.setprofile(None)
+files = {sys.modules[f"photonlink.{m}"].__file__: m for m in ("physics", "link", "saturation")}
+print(json.dumps([[files[c.co_filename], c.co_name, c.co_firstlineno] for c in codes if c.co_filename in files]))
+"""
+
+
+def test_batch_modules_hold_only_what_batch_commands_reach(tmp_path):
+    defined = {}
+    for module in ("physics", "link", "saturation"):
+        for dotted, (name, line) in _functions(SRC / "photonlink" / f"{module}.py").items():
+            defined[f"{module}.{dotted}"] = (module, name, line)
+    assert sorted(UNREACHED.keys() - defined.keys()) == []  # an entry must name a function
+    got, _ = _fresh(REACH_SCRIPT, [REACH_RUNS, str(DEFAULT_YAML), str(tmp_path), SMALL])
+    reached = {tuple(site) for site in got}
+    unreached = {key for key, site in defined.items() if site not in reached}
+    assert sorted(unreached - UNREACHED.keys()) == []  # the oracles belong in detection
+    assert sorted(UNREACHED.keys() - unreached) == []  # a batch command now runs these
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(photonlink.__path__)))

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from photonlink import link
-from photonlink.detection import mc_detector
+from photonlink import detection, link
+from photonlink.detection import frame_statistics, mc_detector
 from photonlink.errors import NumericsError
 from photonlink.link import (
     CycleKernel,
@@ -23,7 +23,6 @@ from photonlink.link import (
     build_cycle_kernel,
     conditional_forward_loglik,
     forward_loglik,
-    frame_statistics,
     mutual_information,
     rate_bracket,
     rate_point,
@@ -36,6 +35,11 @@ from photonlink.rng import substream
 from photonlink.validate import frame_stats_enumeration_gap, rate_bracket_enumeration
 
 TIMING = CycleTiming(230e-9, 35e-9, 48e-9)
+
+
+def joint_table(k):
+    """P(bit, exit | entry) of a cycle kernel, shape (entry, bit, exit)."""
+    return np.einsum("eb,bx->ebx", k.bit_given_entry, k.exit_given_bit)
 
 
 def deterministic_kernels():
@@ -228,8 +232,8 @@ def loop_viterbi(spec, emis):
     """Viterbi over the 4 states, one step per symbol; ties to the smaller index."""
     m = emis.shape[0]
     with np.errstate(divide="ignore"):
-        log_a = np.log(spec.transition).tolist()
-        log_pi = np.log(spec.initial).tolist()
+        log_a = np.log(detection.transition(spec)).tolist()
+        log_pi = np.log(detection.INITIAL).tolist()
     delta = [log_pi[k] + emis[0, k] for k in range(4)]
     back = np.zeros((m, 4), dtype=np.int64)
     for t, row in enumerate(emis[1:].tolist(), start=1):
@@ -253,8 +257,8 @@ def loop_viterbi(spec, emis):
 
 
 def loop_forward(spec, emis):
-    a = spec.transition.tolist()
-    alpha = spec.initial.tolist()
+    a = detection.transition(spec).tolist()
+    alpha = detection.INITIAL.tolist()
     out = []
     for row in emis.tolist():
         top = max(row)
@@ -315,7 +319,7 @@ class TestCycleKernel:
                            p_reset_g=0.0, p_reset_e=0.0)
         k = build_cycle_kernel(dev, TIMING, 0.0, 0.0)
         assert k.bit_given_entry[0, 0] == 1.0
-        assert k.table[0, 0, 0] == 1.0
+        assert joint_table(k)[0, 0, 0] == 1.0
 
     def test_no_decay_excited_reads_one(self):
         dev = DeviceParams(kappa=2 * np.pi * 1e9, gamma=0.0, p_reset_g=0.0, p_reset_e=0.0)
@@ -325,7 +329,7 @@ class TestCycleKernel:
     def test_rows_normalized(self):
         cfg = ref_link_cfg()
         k = build_cycle_kernel(cfg.dev, TIMING, 1e5, cfg.n_e)
-        table = k.table
+        table = joint_table(k)
         for entry in (0, 1):
             assert table[entry].sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all((table >= 0) & (table <= 1))
@@ -345,13 +349,13 @@ class TestCycleKernel:
 class TestHmmSpec:
     def test_transition_rows_sum(self):
         spec = ref_link_cfg().build_spec(-148.3)
-        assert np.allclose(spec.transition.sum(axis=1), 1.0, atol=1e-12)
-        assert spec.initial.sum() == pytest.approx(1.0)
+        assert np.allclose(detection.transition(spec).sum(axis=1), 1.0, atol=1e-12)
+        assert detection.INITIAL.sum() == pytest.approx(1.0)
 
     def test_block_emission_n1_is_cycle_marginal(self):
         base = ref_link_cfg().build_spec(-148.3)
         spec = HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=1)
-        probs, frames = spec.enumerate_block_probs()
+        probs, frames = detection.enumerate_block_probs(spec)
         for sym, kern in ((0, base.kernel0), (1, base.kernel1)):
             for level in (0, 1):
                 state = 2 * level + sym
@@ -362,7 +366,7 @@ class TestHmmSpec:
     def test_deterministic_kernels_indicator(self):
         k0, k1 = deterministic_kernels()
         spec = HmmSpec(kernel0=k0, kernel1=k1, n_cycles=3)
-        probs, frames = spec.enumerate_block_probs()
+        probs, frames = detection.enumerate_block_probs(spec)
         idx_111 = int(np.nonzero((frames == 1).all(axis=1))[0][0])
         idx_000 = int(np.nonzero((frames == 0).all(axis=1))[0][0])
         for level in (0, 1):
@@ -372,7 +376,7 @@ class TestHmmSpec:
     def test_emission_normalization_n4(self):
         spec_base = ref_link_cfg().build_spec(-148.3)
         spec = HmmSpec(kernel0=spec_base.kernel0, kernel1=spec_base.kernel1, n_cycles=4)
-        probs, _ = spec.enumerate_block_probs()
+        probs, _ = detection.enumerate_block_probs(spec)
         assert np.abs(probs.sum(axis=0) - 1.0).max() < 1e-12
 
     def test_stats_path_equals_matrix_path(self):
@@ -380,8 +384,8 @@ class TestHmmSpec:
         spec = HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=9)
         rng = substream(41, 0)
         frames = (rng.random((200, 9)) < 0.4).astype(np.int64)
-        a = spec.block_emission_logprob(frames)
-        b = spec.block_emission_logprob_matrix(frames)
+        a = detection.block_emission_logprob(spec, frames)
+        b = detection.block_emission_logprob_matrix(spec, frames)
         assert np.abs(a - b).max() < 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 800])
@@ -769,20 +773,20 @@ class TestViterbi:
         rng = substream(41, 6)
         for _ in range(30):
             frame = (rng.random((1, 3)) < 0.5).astype(np.int64)
-            emis = base.block_emission_logprob(frame)
+            emis = detection.block_emission_logprob(base, frame)
             got = viterbi_decode(base, emis)[0]
-            post = base.initial * np.exp(emis[0])
+            post = detection.INITIAL * np.exp(emis[0])
             want = int(np.argmax(post)) % 2
             assert got == want
 
     def test_matches_exhaustive_map_short_sequences(self):
         base = ref_link_cfg(n=2).build_spec(-145.0)
         rng = substream(41, 7)
-        log_a = np.log(base.transition)
-        log_pi = np.log(base.initial + 1e-300)
+        log_a = np.log(detection.transition(base))
+        log_pi = np.log(detection.INITIAL + 1e-300)
         for _ in range(25):
             frames = (rng.random((2, 2)) < 0.5).astype(np.int64)
-            emis = base.block_emission_logprob(frames)
+            emis = detection.block_emission_logprob(base, frames)
             best, best_p = None, -math.inf
             for path in itertools.product(range(4), repeat=2):
                 s = log_pi[path[0]] + emis[0, path[0]] + log_a[path[0], path[1]] + emis[1, path[1]]
@@ -798,7 +802,7 @@ class TestForwardAndRate:
         total = 0.0
         for seq in itertools.product(range(8), repeat=2):
             frames = ((np.array(seq)[:, None] >> np.arange(3)[None, ::-1]) & 1).astype(np.int64)
-            total += 2.0 ** float(forward_loglik(base, base.block_emission_logprob(frames)).sum())
+            total += 2.0 ** float(forward_loglik(base, detection.block_emission_logprob(base, frames)).sum())
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_deterministic_kernels_unit_rate(self):
@@ -817,7 +821,7 @@ class TestForwardAndRate:
 
     def test_empty_observations_rejected(self):
         spec = ref_link_cfg(n=4).build_spec(-150.0)
-        emis = spec.block_emission_logprob(np.empty((0, 4), dtype=np.int64))
+        emis = detection.block_emission_logprob(spec, np.empty((0, 4), dtype=np.int64))
         assert emis.shape == (0, 4)
         for call in (lambda: viterbi_decode(spec, emis), lambda: forward_loglik(spec, emis),
                      lambda: conditional_forward_loglik(spec, emis, np.zeros(0, dtype=np.int8))):
@@ -1010,7 +1014,7 @@ class TestSweeps:
         emis = emissions(spec, run)
         assert np.isneginf(emis).sum() > 1000
         assert emis[np.isfinite(emis)].min() > -1e3
-        matrix = spec.block_emission_logprob_matrix(run.frames[:40])
+        matrix = detection.block_emission_logprob_matrix(spec, run.frames[:40])
         assert np.array_equal(np.isneginf(matrix), np.isneginf(emis[:40]))
         assert matrix[np.isfinite(matrix)].min() > -1e3
         row = ber_point(cfg, -148.0, 2000, seed=17, idx=0)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonlink.detection import pair_survival_integrals, poisson_weighted_moments
 from photonlink.errors import NotSaturatingError, NumericsError
 from photonlink.physics import CycleTiming, DeviceParams, _cell_weights, _phi
 from photonlink.rng import substream
@@ -19,15 +20,12 @@ from photonlink.saturation import (
     _poisson_sorted_arrivals,
     _require_window,
     cutoff_operator,
-    pair_survival_integrals,
     cutoff_photon_number,
     cutoff_photon_numbers,
     delta_lambda,
-    filter_survivors,
     find_lambda0,
     fit_cutoff_curve,
     log_grid,
-    poisson_weighted_moments,
     saturated_excitation,
     scan_cutoff,
     survivor_excitation,
@@ -53,6 +51,12 @@ def mask_by_concatenation(times, tau):
         right_ok = np.concatenate([gaps, big], axis=1) >= tau
         mask = left_ok & right_ok & np.isfinite(t)
     return mask[0] if np.asarray(times).ndim == 1 else mask
+
+
+def filter_survivors(times, tau):
+    """The surviving sub-sequence of a sorted arrival trace at dead time tau."""
+    t = np.asarray(times, dtype=float)
+    return t[survivor_mask(t, tau)]
 
 
 class TestFilter:
