@@ -150,13 +150,13 @@ def cmd_detect(cfg: ExperimentConfig, runner: _Runner) -> int:
     return 0
 
 
-def _pulse_point(cfg: ExperimentConfig, l: float, gamma: float) -> dict:
+def _pulse_point(cfg: ExperimentConfig, l_ns: float, gamma: float) -> dict:
     dev = dataclasses.replace(cfg.device, gamma=gamma)
-    with _config_keys(f"sweeps.pulse_length_ns: {l * 1e9}"):
-        pulse = dataclasses.replace(cfg.pulse, l=l)
+    with _config_keys(f"sweeps.pulse_length_ns: {l_ns}"):
+        pulse = dataclasses.replace(cfg.pulse, l=l_ns * 1e-9)
     p_exc = single_photon_excitation(pulse, pulse.t_i, dev)
     return {
-        "l_ns": l * 1e9,
+        "l_ns": l_ns,
         "kappa": dev.kappa,
         "gamma": gamma,
         "efficiency": detection_prob_single(p_exc, dev),
@@ -164,9 +164,9 @@ def _pulse_point(cfg: ExperimentConfig, l: float, gamma: float) -> dict:
 
 
 def cmd_pulse_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
-    lengths = cfg.axis("pulse_length_ns") * 1e-9
+    lengths = cfg.axis("pulse_length_ns")
     gammas = cfg.axis("gamma_rad_per_s", cfg.device.gamma)
-    report = SweepReport([_pulse_point(cfg, float(l), float(g)) for g in gammas for l in lengths])
+    report = SweepReport([_pulse_point(cfg, float(l_ns), float(g)) for g in gammas for l_ns in lengths])
     runner.write_report(report, "pulse_sweep.csv")
     runner.write_figure("fig5", report.columns, report.rows)
     return 0
@@ -285,7 +285,7 @@ def cmd_saturation_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
             where = f"sweeps.kappa_rad_per_s: {kappa}" if "kappa_rad_per_s" in cfg.sweeps else _WINDOW_KEYS
             with _config_keys(where):
                 dev = dataclasses.replace(cfg.device, kappa=float(kappa))
-                values = saturation.survivor_excitation(lams, cfg.timing, dev, enter_excited=enter_excited)
+                values = saturation.SurvivorOperator.build(cfg.timing, dev, enter_excited).excitation(lams)
             for mean, lam, value in zip(means, lams, values):
                 exc.append({
                     "mean_photons": float(mean), "lambda": lam,

@@ -1,16 +1,19 @@
 """Oracles of the closed forms in `physics`, `link` and `saturation`.
 
-Only the validation battery, the tests and the benchmark tracer load this
-module, and neither `link` nor `saturation` imports it.  It keeps its
-name because the benchmark tracer looks oracle names up here.
-`single_photon_excitation` has adaptive quadrature and the raw double
+The one copy of each route that the validation battery runs, and of each
+comparison with it that a check and a test share.  Only the battery, the
+tests and the benchmark tracer load this module, and neither `link` nor
+`saturation` imports it.  It keeps its name because the benchmark tracer
+looks oracle names up here.  `ground_return_prob` has quadrature, and
+`single_photon_excitation` adaptive quadrature and the raw double
 integral.  The excitation under Poisson arrival, `excitation_ctmc`, has
 the renewal dynamic program over transition photons (exact given the
 arrivals, with exhaustive enumeration as its own oracle, and mixed over
 the Poisson count by Monte Carlo over order statistics) and an
-event-driven Monte Carlo of the raw two-clock process.  Link emissions
-have the transfer-matrix product and frame enumeration, and survivor
-moments the pair-survival quadrature and Poisson-weighted moments.
+event-driven Monte Carlo of the raw two-clock process.  The link has
+frame enumeration and a Monte Carlo rate; survivor moments have
+quadrature, Poisson-weighted moments and sampled counts, and the
+saturated excitation its Monte Carlo.
 """
 from __future__ import annotations
 
@@ -33,18 +36,19 @@ from .physics import (
     single_photon_excitation,
     transition_kernels,
 )
-from .link import HmmSpec
+from . import link, saturation  # called through the modules, whose names the benchmark tracer wraps
 from .report import Estimate
 from .rng import substream
-from .saturation import _require_window
 
 __all__ = [
+    "ground_return_quadrature",
     "single_photon_excitation_quadrature",
     "single_photon_excitation_double_integral",
     "ArrivalTrace",
     "DetectorStats",
     "excitation_given_arrivals",
     "excitation_given_arrivals_bruteforce",
+    "transition_sets",
     "transition_set_probability",
     "excitation_given_count",
     "ConditionalExcitationTable",
@@ -53,17 +57,35 @@ __all__ = [
     "frame_statistics",
     "block_emission_logprob",
     "block_emission_logprob_matrix",
+    "all_frames",
     "enumerate_block_probs",
     "INITIAL",
     "transition",
+    "frame_stats_enumeration_gap",
+    "rate_bracket_enumeration",
+    "mc_rate",
+    "exhaustive_map_symbols",
+    "forward_total_probability",
     "PieceIntegrals",
     "pair_survival_integrals",
     "poisson_weighted_moments",
+    "survivor_counts",
+    "survivor_excitation_z",
 ]
 
 _DEFAULT_MC_SAMPLES = 100_000
 _MC_BLOCK = 200_000  # replicas per block of mc_detector
 _DOUBLE_INTEGRAL_EPSABS = 1e-12
+
+
+def ground_return_quadrature(t: float, dev: DeviceParams, epsabs: float = 1e-14, epsrel: float = 1e-12) -> float:
+    """`physics.ground_return_prob` by quadrature over the transition time s, then decay before t."""
+    from scipy import integrate
+
+    kappa, gamma = dev.kappa, dev.gamma
+    val, _ = integrate.quad(lambda s: (kappa / 4) * math.exp(-kappa * s / 4) * (1 - math.exp(-gamma * (t - s))),
+                            0.0, t, epsabs=epsabs, epsrel=epsrel)
+    return val
 
 
 def single_photon_excitation_quadrature(
@@ -182,6 +204,12 @@ def excitation_given_arrivals(trace: ArrivalTrace, dev: DeviceParams) -> float:
     return float(_dp_batch(trace.times[None, :], trace.t_c, dev)[0])
 
 
+def transition_sets(n: int):
+    """Every admissible set of transition photons among n >= 1: photon 0 and any subset of the others."""
+    for mask in itertools.product((0, 1), repeat=n - 1):
+        yield [0] + [i + 1 for i, b in enumerate(mask) if b]
+
+
 def transition_set_probability(trace: ArrivalTrace, dev: DeviceParams, k_set: Sequence[int]) -> float:
     """Probability that exactly the photons with indices k_set transition.
 
@@ -212,8 +240,7 @@ def excitation_given_arrivals_bruteforce(trace: ArrivalTrace, dev: DeviceParams)
     if n > 20:
         raise ValueError("brute force limited to 20 photons")
     total = 0.0
-    for mask in itertools.product((0, 1), repeat=n - 1):
-        k = [0] + [i + 1 for i, b in enumerate(mask) if b]
+    for k in transition_sets(n):
         p = transition_set_probability(trace, dev, k)
         kp = k[-1]
         f1, f2 = transition_kernels(trace.t_c - t[kp], t[n - 1] - t[kp], dev)
@@ -425,7 +452,7 @@ def frame_statistics(frames) -> tuple:
     return f[:, 0], f[:, -1], f.sum(axis=1), (f[:, :-1] & f[:, 1:]).sum(axis=1)
 
 
-def block_emission_logprob(spec: HmmSpec, frames: np.ndarray) -> np.ndarray:
+def block_emission_logprob(spec: link.HmmSpec, frames: np.ndarray) -> np.ndarray:
     """log P(frame | state) of spec for an (m, n_cycles) array of frames, from their statistics."""
     frames = np.asarray(frames, dtype=np.int64)
     if frames.ndim != 2 or frames.shape[1] != spec.n_cycles:
@@ -433,7 +460,7 @@ def block_emission_logprob(spec: HmmSpec, frames: np.ndarray) -> np.ndarray:
     return spec.emission_loglik_stats(*frame_statistics(frames))
 
 
-def block_emission_logprob_matrix(spec: HmmSpec, frames: np.ndarray) -> np.ndarray:
+def block_emission_logprob_matrix(spec: link.HmmSpec, frames: np.ndarray) -> np.ndarray:
     """block_emission_logprob by the explicit transfer-matrix product of P(bit, exit | entry) over cycles."""
     frames = np.asarray(frames, dtype=np.int64)
     out = np.empty((frames.shape[0], 4))
@@ -456,22 +483,109 @@ def block_emission_logprob_matrix(spec: HmmSpec, frames: np.ndarray) -> np.ndarr
     return np.nan_to_num(out, nan=-np.inf, posinf=-np.inf, neginf=-np.inf)
 
 
-def enumerate_block_probs(spec: HmmSpec) -> tuple:
+def enumerate_block_probs(spec: link.HmmSpec) -> tuple:
     """Exact P(frame | state) of spec for every frame, and the frames; only for n_cycles <= 12."""
     if spec.n_cycles > 12:
         raise ValueError("enumeration limited to n_cycles <= 12")
-    m = 2**spec.n_cycles
-    frames = ((np.arange(m)[:, None] >> np.arange(spec.n_cycles)[None, ::-1]) & 1).astype(np.int64)
+    frames = all_frames(spec.n_cycles)
     return np.exp(block_emission_logprob(spec, frames)), frames
+
+
+def all_frames(n: int) -> np.ndarray:
+    """Every frame of n bits, the first bit the most significant, as the rows of a (2**n, n) array."""
+    return ((np.arange(2**n)[:, None] >> np.arange(n)[None, ::-1]) & 1).astype(np.int64)
 
 
 INITIAL = np.array([0.5, 0.5, 0.0, 0.0])  # the law of state 2 * level + symbol at t = 0: ground, symbols equiprobable
 INITIAL.flags.writeable = False
 
 
-def transition(spec: HmmSpec) -> np.ndarray:
+def transition(spec: link.HmmSpec) -> np.ndarray:
     """4x4 state transition matrix P((i', s') | (i, s)) = P(i' | i, s) / 2 of spec."""
     return 0.5 * np.repeat(spec.level_exit.reshape(4, 2), 2, axis=1)
+
+
+def frame_stats_enumeration_gap(spec: link.HmmSpec) -> float:
+    """Largest |table - enumeration| of P(b1, bn, n1, n11 | level, symbol), n_cycles <= 12.
+
+    The table side is P(b1 | level, symbol) times spec.frame_stats[symbol][b1];
+    the enumeration side sums enumerate_block_probs over the frames with
+    each set of statistics.
+    """
+    n = spec.n_cycles
+    probs, frames = enumerate_block_probs(spec)
+    stats = frame_statistics(frames)
+    worst = 0.0
+    for level in (0, 1):
+        for sym in (0, 1):
+            gap = np.zeros((2, 2, n + 1, n))
+            np.add.at(gap, stats, -probs[:, 2 * level + sym])
+            for b1 in (0, 1):
+                law = spec.frame_stats[sym][b1]
+                pmf = np.diff(law.cdf, prepend=0.0) * spec.first_bit_prob(level, sym)[b1]
+                np.add.at(gap[b1], tuple(law.cells), pmf)
+            worst = max(worst, float(np.abs(gap).max()))
+    return worst
+
+
+def rate_bracket_enumeration(spec: link.HmmSpec) -> tuple:
+    """(lower, upper) of link.rate_bracket by enumeration over every frame, n_cycles <= 12.
+
+    lower = 1 - H(S | frame) and upper = 1 - H(S | frame, L, L'), each
+    from the symbol posterior, with the entry level at the stationary law
+    of its chain.
+    """
+    probs, _ = enumerate_block_probs(spec)
+    by_state = probs.reshape(-1, 2, 2)  # P(frame | level, symbol)
+    chain = 0.5 * spec.level_exit.sum(axis=1)  # P(l' | l)
+    pi = np.linalg.lstsq(np.vstack([chain.T - np.eye(2), np.ones(2)]), [0.0, 0.0, 1.0], rcond=None)[0]
+
+    def info(joint):  # 1 - H(S | cell) from P(cell, s), the symbol on the last axis
+        joint = joint.reshape(-1, 2)
+        post = joint / joint.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 + float(np.where(joint > 0, joint * np.log2(post), 0.0).sum())
+
+    lower = info(0.5 * np.einsum("l,fls->fs", pi, by_state))
+    upper = info(0.5 * np.einsum("l,fls,lsk->flks", pi, by_state, spec.level_exit))
+    return lower, upper
+
+
+def mc_rate(spec: link.HmmSpec, n_symbols: int, seed: int, idx: int) -> Estimate:
+    """Monte Carlo information rate of the hmm chain, the oracle of link.rate_bracket.
+
+    The simulation-based method of Arnold et al. (IEEE Trans. IT 2006):
+    one run of n_symbols symbols from substream (seed, 0xEA, idx, 1),
+    whose forward recursions give the per-symbol information; the mean
+    after a burn-in of 100 symbols is the rate, and a block bootstrap on
+    substream (seed, 0xEA, idx, 2) gives its standard error.
+    """
+    run = link.simulate_link(spec, n_symbols, substream(seed, 0xEA, idx, 1), mode="hmm")
+    return link.mutual_information(spec, run, burn_in=100, rng=substream(seed, 0xEA, idx, 2))
+
+
+def exhaustive_map_symbols(spec: link.HmmSpec, emis: np.ndarray) -> np.ndarray:
+    """The symbols of the best of all 4^t state paths of the t rows of emis, the oracle of link.viterbi_decode;
+    a later path replaces the best only when it scores more than 1e-12 above it."""
+    log_a = np.log(transition(spec))
+    log_pi = np.log(INITIAL + 1e-300)
+    best_score, best_path = -math.inf, None
+    for path in itertools.product(range(4), repeat=emis.shape[0]):
+        score = log_pi[path[0]] + emis[0, path[0]]
+        for u in range(1, len(path)):
+            score += log_a[path[u - 1], path[u]] + emis[u, path[u]]
+        if score > best_score + 1e-12:
+            best_score, best_path = score, path
+    return np.array([p % 2 for p in best_path])
+
+
+def forward_total_probability(spec: link.HmmSpec, t: int) -> float:
+    """The sum over every sequence of t frames of its probability by link.forward_loglik; 1 when exact."""
+    rows = all_frames(spec.n_cycles)
+    total = 0.0
+    for seq in itertools.product(range(rows.shape[0]), repeat=t):
+        total += 2.0 ** float(link.forward_loglik(spec, block_emission_logprob(spec, rows[list(seq)])).sum())
+    return total
 
 
 # -- oracles of saturation ------------------------------------------------------
@@ -501,7 +615,7 @@ def pair_survival_integrals(n: int, tau: float, t_c: float) -> PieceIntegrals:
     """
     from scipy import integrate
 
-    _require_window(tau, t_c)
+    saturation._require_window(tau, t_c)
     if n < 2:
         raise ValueError("pair survival needs n >= 2")
     T = t_c
@@ -555,3 +669,45 @@ def poisson_weighted_moments(alpha: float, big_lambda: float) -> tuple:
     base = math.exp(-(1.0 - alpha) * big_lambda)
     al = alpha * big_lambda
     return base, al * base, (al * al + al) * base
+
+
+def survivor_counts(rng: np.random.Generator, kind: str, x, tau: float, replicas: int) -> np.ndarray:
+    """Survivor counts on [0, 1] of x uniform photons (kind "count") or of
+    Poisson arrival at rate x (kind "poisson"), drawn in blocks."""
+    block = 200_000 if kind == "count" else 100_000
+    out = np.empty(replicas)
+    for start in range(0, replicas, block):
+        m = min(block, replicas - start)
+        if kind == "count":
+            arr = np.sort(rng.random((m, x)), axis=1)
+        else:
+            arr, _ = _poisson_sorted_arrivals(rng, x, m, 1.0)
+        out[start : start + m] = saturation.survivor_mask(arr, tau).sum(axis=1)
+    return out
+
+
+def survivor_excitation_z(points, seed: int) -> float:
+    """Largest Wilson score |z| of SurvivorOperator's excitation against saturated_excitation.
+
+    points are (kappa t_c, mean photons per cycle, replicas, gamma t_c,
+    enter_excited) tuples; point i draws from substream (seed, 0x09, i).
+    z = (estimate - p) / sqrt(p (1 - p) / replicas) at the exact value p,
+    so |z| < z0 says p lies inside the Wilson score interval at z0.  Unlike
+    the Monte Carlo's own stderr, this spread does not shrink when a run
+    near the top of the plateau happens to see few misses.  Each replica
+    is a probability in [0, 1] with mean p, so its variance is at most
+    p (1 - p) and the interval holds at least its nominal level.
+    """
+    t_c = 230e-9  # the curve depends on t_c only through kappa t_c, gamma t_c and the mean
+    timing = CycleTiming(t_c=t_c, delta_o=t_c * 1e-9, t_w=t_c * 1e-9)
+    worst = 0.0
+    for i, (kappa_tc, nbar, replicas, gamma_tc, enter_excited) in enumerate(points):
+        dev = DeviceParams(kappa=kappa_tc / t_c, gamma=gamma_tc / t_c)
+        exact = float(saturation.SurvivorOperator.build(timing, dev, enter_excited).excitation(nbar / t_c))
+        mc = saturation.saturated_excitation(
+            nbar / t_c, timing, dev, enter_excited=enter_excited, replicas=replicas,
+            rng=substream(seed, 0x09, i),
+        )
+        spread = math.sqrt(max(exact * (1.0 - exact), 1e-24) / replicas)
+        worst = max(worst, abs(mc.value - exact) / spread)
+    return worst

@@ -34,7 +34,6 @@ __all__ = [
     "find_lambda0",
     "saturated_excitation",
     "SurvivorOperator",
-    "survivor_excitation",
     "cutoff_photon_number",
     "cutoff_photon_numbers",
     "cutoff_operator",
@@ -256,8 +255,8 @@ def saturated_excitation(
     renewal transition dynamics on the survivors.  For gamma = 0 the
     Bernoulli draw is replaced by the exact conditional probability given
     the first survivor (same estimand, lower variance).  The estimand has
-    the exact value survivor_excitation, and this estimator is its Monte
-    Carlo oracle.
+    the exact value SurvivorOperator.excitation, and this estimator is its
+    Monte Carlo oracle.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -322,21 +321,55 @@ def _node_rows(w_lo, w_hi):
 
 @dataclass(frozen=True, eq=False)
 class SurvivorOperator:
-    """survivor_excitation for one device, cycle timing, entry level and
-    cells_per_tau, split at lambda.
+    """Exact excitation at the observation time under dead-time filtering.
 
-    build() makes everything that depends only on (kappa tau/4, gamma tau,
-    t_c/tau, the entry level, cells_per_tau): the node grid sigma (one
-    block of tau; width spans the window of two blocks), the lag table
-    dist of the e^{-lam w} weights, the cell scales of the new-node and
-    readout rows, the lambda-free part of the force rows, the block map's
-    shift, running-sum and constant rows (step_base), the block-0
-    integrals and the readout vector.  excitation(lam) adds the
-    lambda-dependent rows, squares the block map and reads out, so one
-    operator serves every lambda grid of a cutoff scan or every kernel of
-    a link sweep; _stacked_excitation does the same for rates spread over
-    several operators.  The arrays are read-only, so the threads of a
-    link sweep can share one operator.
+    build(timing, dev, enter_excited).excitation(lam) is the value
+    saturated_excitation estimates, for every gamma >= 0 and both entry
+    levels: P(E at t_c) * exp(-gamma delta_o), shaped like lam.  The
+    survivors are the output of a type-II counter (Pyke 1958), and a
+    survivor arms the detector only while it sits in ground; armed, it is
+    excited at rate r = kappa/4 and decays back to ground at rate gamma.
+    Let h(s) be lam times the probability that the detector is in ground
+    at s and no photon arrived in (s - tau, s].  With the edge rules of
+    survivor_mask it obeys the delay-Volterra equation
+
+        h(s) = lam Phi(s) - lam e^{-lam tau} int_0^{s - tau} h(v) B(s - v) e^{-lam min(s - v - tau, tau)} dv,
+
+    Phi(s) = e^{-lam min(s, tau)}, times 1 - e^{-gamma s} for an excited
+    entry, and B(v) = (gamma e^{-r v} - r e^{-gamma v}) / (gamma - r) the
+    probability of being armed or excited v after arming.  A survivor at
+    s arms the detector with density h(s) e^{-lam min(tau, t_c - s)}, so
+
+        P(E at t_c) = [excited entry] e^{-gamma t_c} + int_0^{t_c} h(s) e^{-lam min(tau, t_c - s)} A(t_c - s) ds,
+
+    A(v) = r (e^{-r v} - e^{-gamma v}) / (gamma - r).  The kernel is a
+    sum of exponentials on [tau, 2 tau) and on [2 tau, inf), so the
+    method of steps carries h on the last two blocks of tau
+    (cells_per_tau cells each, plus a node where t_c falls) and two
+    running sums, int h(v) e^{-r (s - v)} dv and int h(v) D(s - v) dv
+    with D = (e^{-r v} - e^{-gamma v}) / (gamma - r), plus e^{-gamma s}
+    for an excited entry.  h is linear between nodes and every
+    exponential is integrated against it exactly, so the error is second
+    order in the cell width.  Blocks 0 to 2 see the steep first-block
+    h(s) = lam e^{-lam s} (1 - [excited] e^{-gamma s}) and are solved
+    in closed form where they touch it.  Every later block map is the
+    same affine map, applied t_c/tau - 2 times by repeated squaring of
+    the stacked per-lambda matrices, so the cost grows with
+    log(kappa t_c).  No exponent is positive.  At gamma = 0 this is the
+    first-survivor delay-renewal equation (Feller 1948) with h = lam x.
+
+    The solve is split at lambda.  build() makes everything that depends
+    only on (kappa tau/4, gamma tau, t_c/tau, the entry level, cells_per_tau):
+    the node grid sigma (one block of tau; width spans the window of two
+    blocks), the lag table dist of the e^{-lam w} weights, the cell scales
+    of the new-node and readout rows, the lambda-free part of the force
+    rows, the block map's shift, running-sum and constant rows
+    (step_base), the block-0 integrals and the readout vector.
+    excitation(lam) adds the lambda-dependent rows, squares the block map
+    and reads out, so one operator serves every lambda grid of a cutoff
+    scan or every kernel of a link sweep; _stacked_excitation does the
+    same for rates spread over several operators.  The arrays are
+    read-only, so the threads of a link sweep can share one operator.
     """
 
     tau: float
@@ -372,7 +405,7 @@ class SurvivorOperator:
         enter_excited: bool = False,
         cells_per_tau: int = 16,
     ) -> "SurvivorOperator":
-        """The lambda-free part of survivor_excitation, built once."""
+        """The lambda-free part of the solve, built once."""
         if cells_per_tau < 1:
             raise ValueError("cells_per_tau must be >= 1")
         tau, t_c = dev.dead_time, timing.t_c
@@ -479,13 +512,13 @@ class SurvivorOperator:
         )
 
     def excitation(self, lam) -> np.ndarray:
-        """survivor_excitation at the arrival rates lam; returns an array shaped like lam."""
+        """The exact excitation at the arrival rates lam; returns an array shaped like lam."""
         lam = np.asarray(lam, dtype=float)
         return _stacked_excitation((self,), (lam.size,), lam.ravel()).reshape(lam.shape)
 
 
 def _stacked_excitation(operators: Sequence[SurvivorOperator], sizes: Sequence[int], lam: np.ndarray) -> np.ndarray:
-    """survivor_excitation at the rates lam, sizes[i] of them in a row on operators[i].
+    """The exact excitation at the rates lam, sizes[i] of them in a row on operators[i].
 
     The operators share their node count and entry level and come in
     order of falling block count, so the rates whose block map still
@@ -629,54 +662,6 @@ def _excitations(operators: Sequence, lams: Sequence) -> list:
         for i, value in zip(idx, np.split(values, np.cumsum(sizes)[:-1])):
             out[i] = value
     return out
-
-
-def survivor_excitation(
-    lam,
-    timing: CycleTiming,
-    dev: DeviceParams,
-    enter_excited: bool = False,
-    cells_per_tau: int = 16,
-) -> np.ndarray:
-    """Exact excitation at the observation time under dead-time filtering.
-
-    This is the value saturated_excitation estimates, for every gamma >= 0
-    and both entry levels: P(E at t_c) * exp(-gamma delta_o).  The
-    survivors are the output of a type-II counter (Pyke 1958), and a
-    survivor arms the detector only while it sits in ground; armed, it is
-    excited at rate r = kappa/4 and decays back to ground at rate gamma.
-    Let h(s) be lam times the probability that the detector is in ground
-    at s and no photon arrived in (s - tau, s].  With the edge rules of
-    survivor_mask it obeys the delay-Volterra equation
-
-        h(s) = lam Phi(s) - lam e^{-lam tau} int_0^{s - tau} h(v) B(s - v) e^{-lam min(s - v - tau, tau)} dv,
-
-    Phi(s) = e^{-lam min(s, tau)}, times 1 - e^{-gamma s} for an excited
-    entry, and B(v) = (gamma e^{-r v} - r e^{-gamma v}) / (gamma - r) the
-    probability of being armed or excited v after arming.  A survivor at
-    s arms the detector with density h(s) e^{-lam min(tau, t_c - s)}, so
-
-        P(E at t_c) = [excited entry] e^{-gamma t_c} + int_0^{t_c} h(s) e^{-lam min(tau, t_c - s)} A(t_c - s) ds,
-
-    A(v) = r (e^{-r v} - e^{-gamma v}) / (gamma - r).  The kernel is a
-    sum of exponentials on [tau, 2 tau) and on [2 tau, inf), so the
-    method of steps carries h on the last two blocks of tau
-    (cells_per_tau cells each, plus a node where t_c falls) and two
-    running sums, int h(v) e^{-r (s - v)} dv and int h(v) D(s - v) dv
-    with D = (e^{-r v} - e^{-gamma v}) / (gamma - r), plus e^{-gamma s}
-    for an excited entry.  h is linear between nodes and every
-    exponential is integrated against it exactly, so the error is second
-    order in the cell width.  Blocks 0 to 2 see the steep first-block
-    h(s) = lam e^{-lam s} (1 - [excited] e^{-gamma s}) and are solved
-    in closed form where they touch it.  Every later block map is the
-    same affine map, applied t_c/tau - 2 times by repeated squaring of
-    the stacked per-lambda matrices, so the cost grows with
-    log(kappa t_c).  No exponent is positive.  At gamma = 0 this is the
-    first-survivor delay-renewal equation (Feller 1948) with h = lam x.
-    Returns an array shaped like lam.  A caller that evaluates several
-    lambda grids at one device builds SurvivorOperator once instead.
-    """
-    return SurvivorOperator.build(timing, dev, enter_excited, cells_per_tau).excitation(lam)
 
 
 def log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:

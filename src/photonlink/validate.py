@@ -2,15 +2,16 @@
 
 Every analytic result in the package has an independent route: defining
 integrals by quadrature, exhaustive enumeration, or event-driven Monte
-Carlo.  The battery runs them side by side and reports one line per
-check.  It is the only copy of these oracles: `photonlink validate`
-runs it (exit 3 if any check fails), and at level "full" the acceptance
-suite runs every check once at the full sample sizes.  Level "quick"
-runs the same checks on fewer points and samples.
+Carlo.  Those routes live in `detection`, each once, and the tests call
+the same ones; this module holds only the checks that run them side by
+side at their points, seeds and gates, one line per check, and the
+reference inputs that the tests share with the checks.  `photonlink
+validate` runs the battery (exit 3 if any check fails), and at level
+"full" the acceptance suite runs every check once at the full sample
+sizes.  Level "quick" runs the same checks on fewer points and samples.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,14 +24,12 @@ from .physics import (
     DeviceParams,
     Environment,
     PulseProfile,
-    _poisson_sorted_arrivals,
     excitation_ctmc,
     ground_return_prob,
     single_photon_excitation,
     thermal_photon_rate,
     transition_kernels,
 )
-from .report import Estimate
 from .rng import substream
 
 __all__ = ["CheckResult", "run_checks", "CHECKS", "NAMES"]
@@ -67,8 +66,6 @@ def check_trivial_identities(level: str, seed: int) -> tuple:
 
 
 def check_ground_return_quadrature(level: str, seed: int) -> tuple:
-    from scipy import integrate
-
     worst = 0.0
     for kappa, gamma, t in [
         (8.0, 1.0, 1.0),
@@ -79,13 +76,7 @@ def check_ground_return_quadrature(level: str, seed: int) -> tuple:
     ]:
         dev = DeviceParams(kappa=kappa, gamma=gamma)
         closed = ground_return_prob(t, dev)
-        numeric, _ = integrate.quad(
-            lambda s: (kappa / 4) * math.exp(-kappa * s / 4) * (1 - math.exp(-gamma * (t - s))),
-            0.0,
-            t,
-            epsabs=1e-14,
-            epsrel=1e-12,
-        )
+        numeric = detection.ground_return_quadrature(t, dev)
         worst = max(worst, abs(closed - numeric) / max(abs(numeric), 1e-30))
     return worst < 1e-8, f"max rel err {worst:.2e}"
 
@@ -137,10 +128,7 @@ def check_dp_vs_enumeration(level: str, seed: int) -> tuple:
         dp = detection.excitation_given_arrivals(trace, dev)
         en = detection.excitation_given_arrivals_bruteforce(trace, dev)
         worst = max(worst, abs(dp - en))
-        total = sum(
-            detection.transition_set_probability(trace, dev, [0] + [j + 1 for j, b in enumerate(mask) if b])
-            for mask in itertools.product((0, 1), repeat=n - 1)
-        )
+        total = sum(detection.transition_set_probability(trace, dev, k) for k in detection.transition_sets(n))
         worst_total = max(worst_total, abs(total - 1.0))
     ok = worst < 1e-12 and worst_total < 1e-12
     return ok, f"max |dp-enum| {worst:.2e}, max |sum P(K)-1| {worst_total:.2e}"
@@ -191,28 +179,13 @@ def check_survivor_moments_vs_mc(level: str, seed: int) -> tuple:
     worst_z = 0.0
     for i, (kind, x, ratio) in keyed:
         tau = 1.0 / ratio
-        s = _survivor_counts(substream(seed, 0x03, i), kind, x, tau, replicas)
+        s = detection.survivor_counts(substream(seed, 0x03, i), kind, x, tau, replicas)
         if kind == "count":
             moments = saturation.survivor_moments_given_count(x, tau, 1.0)
         else:
             moments = saturation.survivor_moments_poisson(x, tau, 1.0)
         worst_z = max(worst_z, _moment_z(s, moments))
     return worst_z < 4.0, f"{len(keyed)} cases, max |z| {worst_z:.2f}"
-
-
-def _survivor_counts(rng, kind: str, x, tau: float, replicas: int) -> np.ndarray:
-    """Survivor counts on [0, 1] of x uniform photons (kind "count") or of
-    Poisson arrival at rate x (kind "poisson"), drawn in blocks."""
-    block = 200_000 if kind == "count" else 100_000
-    out = np.empty(replicas)
-    for start in range(0, replicas, block):
-        m = min(block, replicas - start)
-        if kind == "count":
-            arr = np.sort(rng.random((m, x)), axis=1)
-        else:
-            arr, _ = _poisson_sorted_arrivals(rng, x, m, 1.0)
-        out[start : start + m] = saturation.survivor_mask(arr, tau).sum(axis=1)
-    return out
 
 
 def _moment_z(s: np.ndarray, m: saturation.SurvivorMoments) -> float:
@@ -331,29 +304,6 @@ def check_hmm_emission_normalization(level: str, seed: int) -> tuple:
     return ok, f"max |sum-1| {worst_sum:.2e}, paths diff {worst_pair:.2e}"
 
 
-def frame_stats_enumeration_gap(spec: link.HmmSpec) -> float:
-    """Largest |table - enumeration| of P(b1, bn, n1, n11 | level, symbol), n_cycles <= 12.
-
-    The table side is P(b1 | level, symbol) times spec.frame_stats[symbol][b1];
-    the enumeration side sums detection.enumerate_block_probs over the frames with
-    each set of statistics.
-    """
-    n = spec.n_cycles
-    probs, frames = detection.enumerate_block_probs(spec)
-    stats = detection.frame_statistics(frames)
-    worst = 0.0
-    for level in (0, 1):
-        for sym in (0, 1):
-            gap = np.zeros((2, 2, n + 1, n))
-            np.add.at(gap, stats, -probs[:, 2 * level + sym])
-            for b1 in (0, 1):
-                law = spec.frame_stats[sym][b1]
-                pmf = np.diff(law.cdf, prepend=0.0) * spec.first_bit_prob(level, sym)[b1]
-                np.add.at(gap[b1], tuple(law.cells), pmf)
-            worst = max(worst, float(np.abs(gap).max()))
-    return worst
-
-
 def check_frame_stats_law(level: str, seed: int) -> tuple:
     """The exact frame-statistics tables behind simulate_link: at the
     reference point and N = 800 every (symbol, first bit) table keeps all
@@ -361,48 +311,11 @@ def check_frame_stats_law(level: str, seed: int) -> tuple:
     enumeration."""
     spec_full = _ref_spec()
     worst_mass = max(abs(law.mass - 1.0) for row in spec_full.frame_stats for law in row)
-    worst_enum = max(
-        frame_stats_enumeration_gap(link.HmmSpec(kernel0=spec_full.kernel0, kernel1=spec_full.kernel1, n_cycles=n))
-        for n in (1, 2, 3, 8, 12)
-    )
+    k0, k1 = spec_full.kernel0, spec_full.kernel1
+    worst_enum = max(detection.frame_stats_enumeration_gap(link.HmmSpec(kernel0=k0, kernel1=k1, n_cycles=n))
+                     for n in (1, 2, 3, 8, 12))
     ok = worst_mass < 1e-12 and worst_enum < 1e-12
     return ok, f"N=800 max |mass-1| {worst_mass:.2e}, N<=12 max |table-enum| {worst_enum:.2e}"
-
-
-def mc_rate(spec: link.HmmSpec, n_symbols: int, seed: int, idx: int) -> Estimate:
-    """Monte Carlo information rate of the hmm chain, the oracle of link.rate_bracket.
-
-    The simulation-based method of Arnold et al. (IEEE Trans. IT 2006):
-    one run of n_symbols symbols from substream (seed, 0xEA, idx, 1),
-    whose forward recursions give the per-symbol information; the mean
-    after a burn-in of 100 symbols is the rate, and a block bootstrap on
-    substream (seed, 0xEA, idx, 2) gives its standard error.
-    """
-    run = link.simulate_link(spec, n_symbols, substream(seed, 0xEA, idx, 1), mode="hmm")
-    return link.mutual_information(spec, run, burn_in=100, rng=substream(seed, 0xEA, idx, 2))
-
-
-def rate_bracket_enumeration(spec: link.HmmSpec) -> tuple:
-    """(lower, upper) of link.rate_bracket by enumeration over every frame, n_cycles <= 12.
-
-    lower = 1 - H(S | frame) and upper = 1 - H(S | frame, L, L'), each
-    from the symbol posterior, with the entry level at the stationary law
-    of its chain.
-    """
-    probs, _ = detection.enumerate_block_probs(spec)
-    by_state = probs.reshape(-1, 2, 2)  # P(frame | level, symbol)
-    chain = 0.5 * spec.level_exit.sum(axis=1)  # P(l' | l)
-    pi = np.linalg.lstsq(np.vstack([chain.T - np.eye(2), np.ones(2)]), [0.0, 0.0, 1.0], rcond=None)[0]
-
-    def info(joint):  # 1 - H(S | cell) from P(cell, s), the symbol on the last axis
-        joint = joint.reshape(-1, 2)
-        post = joint / joint.sum(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 + float(np.where(joint > 0, joint * np.log2(post), 0.0).sum())
-
-    lower = info(0.5 * np.einsum("l,fls->fs", pi, by_state))
-    upper = info(0.5 * np.einsum("l,fls,lsk->flks", pi, by_state, spec.level_exit))
-    return lower, upper
 
 
 def check_rate_bracket(level: str, seed: int) -> tuple:
@@ -413,7 +326,7 @@ def check_rate_bracket(level: str, seed: int) -> tuple:
     worst_enum = 0.0
     for n in (1, 3, 8, 12):
         spec = link.HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=n)
-        gap = np.subtract(link.rate_bracket(spec), rate_bracket_enumeration(spec))
+        gap = np.subtract(link.rate_bracket(spec), detection.rate_bracket_enumeration(spec))
         worst_enum = max(worst_enum, float(np.abs(gap).max()))
     n_symbols = 100_000
     cfg = link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV)
@@ -421,7 +334,7 @@ def check_rate_bracket(level: str, seed: int) -> tuple:
     for i, power in enumerate((-156.0, -152.0, -150.0, -148.0)):
         spec = cfg.build_spec(power)
         lower, upper = link.rate_bracket(spec)
-        mc = mc_rate(spec, n_symbols, seed, i)
+        mc = detection.mc_rate(spec, n_symbols, seed, i)
         worst_z = max(worst_z, max(lower - mc.value, mc.value - upper, 0.0) / max(mc.stderr, 1e-12))
     ok = worst_enum < 1e-12 and worst_z < 4.0
     return ok, (
@@ -440,18 +353,7 @@ def check_viterbi_bruteforce(level: str, seed: int) -> tuple:
         spec = link.HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=n)
         frames = (rng.random((t, n)) < rng.uniform(0.1, 0.9)).astype(np.int64)
         emis = detection.block_emission_logprob(spec, frames)
-        got = link.viterbi_decode(spec, emis)
-        log_a = np.log(detection.transition(spec))
-        log_pi = np.log(detection.INITIAL + 1e-300)
-        best_score, best_path = -math.inf, None
-        for path in itertools.product(range(4), repeat=t):
-            score = log_pi[path[0]] + emis[0, path[0]]
-            for u in range(1, t):
-                score += log_a[path[u - 1], path[u]] + emis[u, path[u]]
-            if score > best_score + 1e-12:
-                best_score, best_path = score, path
-        want = np.array([p % 2 for p in best_path])
-        if not np.array_equal(got, want):
+        if not np.array_equal(link.viterbi_decode(spec, emis), detection.exhaustive_map_symbols(spec, emis)):
             mismatches += 1
     return mismatches == 0, f"{mismatches} mismatches over 40 trials"
 
@@ -461,11 +363,7 @@ def check_forward_total_probability(level: str, seed: int) -> tuple:
     worst = 0.0
     for n, t in [(2, 2), (3, 2), (2, 3), (4, 3), (2, 4)]:
         spec = link.HmmSpec(kernel0=base.kernel0, kernel1=base.kernel1, n_cycles=n)
-        total = 0.0
-        for seq in itertools.product(range(2**n), repeat=t):
-            frames = ((np.array(seq)[:, None] >> np.arange(n)[None, ::-1]) & 1).astype(np.int64)
-            total += 2.0 ** float(link.forward_loglik(spec, detection.block_emission_logprob(spec, frames)).sum())
-        worst = max(worst, abs(total - 1.0))
+        worst = max(worst, abs(detection.forward_total_probability(spec, t) - 1.0))
     return worst < 1e-10, f"max |sum-1| {worst:.2e}"
 
 
@@ -484,33 +382,6 @@ def check_fit_recovery(level: str, seed: int) -> tuple:
 def cutoff_law(kappa_tc: float) -> float:
     """Reference 3 dB cutoff law n = 1.457 (kappa t_c)^1.132 - 0.8766."""
     return 1.457 * kappa_tc**1.132 - 0.8766
-
-
-def survivor_excitation_z(points, seed: int) -> float:
-    """Largest Wilson score |z| of survivor_excitation against saturated_excitation.
-
-    points are (kappa t_c, mean photons per cycle, replicas, gamma t_c,
-    enter_excited) tuples; point i draws from substream (seed, 0x09, i).
-    z = (estimate - p) / sqrt(p (1 - p) / replicas) at the exact value p,
-    so |z| < z0 says p lies inside the Wilson score interval at z0.  Unlike
-    the Monte Carlo's own stderr, this spread does not shrink when a run
-    near the top of the plateau happens to see few misses.  Each replica
-    is a probability in [0, 1] with mean p, so its variance is at most
-    p (1 - p) and the interval holds at least its nominal level.
-    """
-    t_c = 230e-9  # the curve depends on t_c only through kappa t_c, gamma t_c and the mean
-    timing = CycleTiming(t_c=t_c, delta_o=t_c * 1e-9, t_w=t_c * 1e-9)
-    worst = 0.0
-    for i, (kappa_tc, nbar, replicas, gamma_tc, enter_excited) in enumerate(points):
-        dev = DeviceParams(kappa=kappa_tc / t_c, gamma=gamma_tc / t_c)
-        exact = float(saturation.survivor_excitation(nbar / t_c, timing, dev, enter_excited=enter_excited))
-        mc = saturation.saturated_excitation(
-            nbar / t_c, timing, dev, enter_excited=enter_excited, replicas=replicas,
-            rng=substream(seed, 0x09, i),
-        )
-        spread = math.sqrt(max(exact * (1.0 - exact), 1e-24) / replicas)
-        worst = max(worst, abs(mc.value - exact) / spread)
-    return worst
 
 
 def check_survivor_excitation_vs_mc(level: str, seed: int) -> tuple:
@@ -534,7 +405,7 @@ def check_survivor_excitation_vs_mc(level: str, seed: int) -> tuple:
         for nbar in shape(x)
     ]
     points.append((1e2, cutoff_law(1e2), int(min(40_000, budget / 4 / cutoff_law(1e2))), 25.0, False))
-    worst = survivor_excitation_z(points, seed)
+    worst = detection.survivor_excitation_z(points, seed)
     return worst < 4.0, f"{len(points)} points, max |z| {worst:.2f}"
 
 
@@ -579,10 +450,11 @@ def check_saturation_negligible_low_power(level: str, seed: int) -> tuple:
     """The dead-time filter moves the excitation at low mean photon
     numbers by far less than two Monte Carlo standard errors at 1e6
     replicas; both sides are exact."""
+    operator = saturation.SurvivorOperator.build(REF_TIMING, REF_DEV)
     worst = 0.0
     for mean in (0.02, 0.05, 0.1):
         lam = mean / REF_TIMING.t_c
-        sat = float(saturation.survivor_excitation(lam, REF_TIMING, REF_DEV))
+        sat = float(operator.excitation(lam))
         gap = excitation_ctmc(lam, REF_TIMING, REF_DEV) - sat
         worst = max(worst, abs(gap) / (2.0 * math.sqrt(sat * (1.0 - sat) / 1e6)))
     return worst < 1.0, f"max |gap|/(2 se at 1e6 replicas) {worst:.4f}"

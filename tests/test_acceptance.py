@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from photonlink import link, saturation, validate
+from photonlink import detection, link, saturation, validate
 from photonlink.cli import main as cli_main
 from photonlink.physics import (
     DeviceParams,
@@ -142,13 +142,13 @@ def _rate_crossing_dbm(level: float, lo: float = -160.0, hi: float = -140.0) -> 
 
 
 def test_c08_rate_headline():
-    # the Monte Carlo rate (validate.mc_rate, the oracle of the exact
+    # the Monte Carlo rate (detection.mc_rate, the oracle of the exact
     # bracket that rate-sweep writes) on the headline grid
     t0 = time.monotonic()
     cfg = link.LinkConfig(dev=REF_DEV, timing=REF_TIMING, env=REF_ENV)
     n_symbols = 100_000
     powers = [-math.inf, -158.0, -156.0, -154.0, -152.0, -151.0, -150.0, -149.0, -148.0, -146.0]
-    ests = [validate.mc_rate(cfg.build_spec(p), n_symbols, SEED, i) for i, p in enumerate(powers)]
+    ests = [detection.mc_rate(cfg.build_spec(p), n_symbols, SEED, i) for i, p in enumerate(powers)]
     rate = [e.value for e in ests]
     se = [e.stderr for e in ests]
     in_unit = all(0.0 <= r <= 1.0 for r in rate)
@@ -210,7 +210,7 @@ def test_c10_cutoff_fit():
             pred = validate.cutoff_law(ktc)
             worst_pred = max(worst_pred, abs(pred - n_cut) / n_cut)
     # the exact gamma = 0 curve against its Monte Carlo oracle at each cutoff
-    worst_z = validate.survivor_excitation_z([(ktc, n_cut, 256, 0.0, False) for ktc, n_cut in samples], SEED)
+    worst_z = detection.survivor_excitation_z([(ktc, n_cut, 256, 0.0, False) for ktc, n_cut in samples], SEED)
     ok = b_ok and worst_pred < 0.15 and worst_z < 4.0
     detail = (
         f"fit (a,b,c)=({fit.a:.3f},{fit.b:.3f},{fit.c:.3f}), "

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from photonlink import detection, link, validate
+from photonlink import detection, link
 from photonlink.physics import CycleTiming, DeviceParams, Environment, miss_probability_sweep
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -52,7 +52,7 @@ def test_link_spans_and_symbol_count():
     tracer = tracing.Tracer()
     cfg = _ref_link_cfg(8)
     with tracing.instrument(tracer):
-        validate.mc_rate(cfg.build_spec(-150.0), 300, seed=3, idx=0)
+        detection.mc_rate(cfg.build_spec(-150.0), 300, seed=3, idx=0)
         link.ber_point(cfg, -150.0, 300, seed=3, idx=1)
     metrics = tracing.layer_metrics(tracer)
     for name in ("simulate_link", "viterbi_decode", "forward_loglik", "conditional_forward_loglik",

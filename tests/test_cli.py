@@ -66,10 +66,13 @@ class TestCommands:
 
     def test_pulse_sweep(self, config_file, tmp_path):
         out = tmp_path / "out"
-        assert run_cli("pulse-sweep", "--config", str(config_file), "--out", str(out)) == 0
+        lengths = [10.0, 15.848931924611142, 100.0, 1000.0, 10000.0]  # a ns -> s -> ns round trip moves 3 by an ulp
+        assert run_cli("pulse-sweep", "--config", str(config_file), "--out", str(out),
+                       "--set", f"sweeps.pulse_length_ns={{values: {lengths}}}") == 0
         fig5 = (out / "pulse_sweep" / "fig5.csv").read_text().splitlines()
         assert fig5[0] == "l_ns,kappa,gamma,efficiency"
         assert len(fig5) == 6
+        assert [line.split(",")[0] for line in fig5[1:]] == [repr(v) for v in lengths]
 
     def test_miss_sweep_row_count(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -184,6 +187,8 @@ class TestExitCodes:
         [
             ("pulse-sweep", ["pulse.shape=tabulated", "pulse.nodes=[[40.0, 1.0], [60.0, 1.0]]",
                              "sweeps.pulse_length_ns={values: [200.0, 1.0]}"], "sweeps.pulse_length_ns: 1.0: "),
+            ("pulse-sweep", ["pulse.shape=tabulated", "pulse.nodes=[[120.0, 1.0], [140.0, 1.0]]",
+                             "sweeps.pulse_length_ns={values: [300.0, 200.0]}"], "sweeps.pulse_length_ns: 200.0: "),
             ("miss-sweep", ["sweeps.mean_photons={values: [-1.0]}"], "sweeps.mean_photons: -1.0: "),
             ("cutoff-fit", ["sweeps.kappa_t_c={values: [1.0, 100.0, 1000.0, 10000.0]}"], "sweeps.kappa_t_c: 1.0: "),
             ("cutoff-fit", ["sweeps.kappa_t_c={values: [100.0, 1000.0]}"], "sweeps.kappa_t_c: [100.0, 1000.0]: "),
@@ -209,9 +214,10 @@ class TestExitCodes:
                                     ("rate-sweep", "sweeps.power_dbm", "{values: [2880.0]}"),
                                     ("ber-sweep", "sweeps.power_dbm", "{values: [2880.0]}"))],
         ],
-        ids=["pulse-length-off-nodes", "negative-mean", "window-too-short", "too-few-fit-samples",
-             "first-rejected-point-workers-1", "first-rejected-point-workers-2", "kappa-overflow", "t-over-tau-below-4",
-             "swept-kappa-window", "alpha-sat-window", "saturated-rate-window", "saturated-ber-window",
+        ids=["pulse-length-off-nodes", "pulse-length-as-configured", "negative-mean", "window-too-short",
+             "too-few-fit-samples", "first-rejected-point-workers-1", "first-rejected-point-workers-2",
+             "kappa-overflow", "t-over-tau-below-4", "swept-kappa-window", "alpha-sat-window", "saturated-rate-window",
+             "saturated-ber-window",
              *[f"{kind}-{c}" for kind in ("photon-energy-underflow", "thermal-rate-overflow", "summed-rate-overflow")
                for c in LINK_RATE_COMMANDS]],
     )
@@ -686,7 +692,7 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run_cli("--version")
         assert exc.value.code == 0
-        assert capsys.readouterr().out == "photonlink 0.6.1\n"
+        assert capsys.readouterr().out == "photonlink 0.6.2\n"
 
 
 def test_saturation_barely_moves_the_rate(tmp_path):
@@ -879,13 +885,13 @@ DETECT_MISS_SETS = (
     "mc.mc_samples=1250",
     "device.p0=0.0",
 )
-# sha256 of the detection outputs on configs/default.yaml at seed 7, recorded at
-# version 0.5.1 like the link pins; detect.csv, miss_sweep.csv and fig6.csv were
-# re-recorded at 0.6.0, where they lost their constant columns.  The second miss sweep adds dark-count flips
-# and a 2 x 2 (kappa, gamma) grid, so that the p0 flip and the grouping of the
-# rates by (kappa, gamma) are pinned too; the pulse sweep's efficiency is pinned
-# with and without the flip.  The miss and pulse sweeps go through numpy's
-# vectorised exp, so they also have a digest for numpy's baseline kernels.
+# sha256 of the detection outputs on configs/default.yaml at seed 7, recorded at version 0.5.1 like
+# the link pins; detect.csv, miss_sweep.csv and fig6.csv were re-recorded at 0.6.0, where they lost
+# their constant columns, and the pulse sweep's at 0.6.2, where l_ns became the configured value.
+# The second miss sweep adds dark-count flips and a 2 x 2 (kappa, gamma) grid, so that the p0 flip
+# and the grouping of the rates by (kappa, gamma) are pinned too; the pulse sweep's efficiency is
+# pinned with and without the flip.  The miss and pulse sweeps go through numpy's vectorised exp,
+# so they also have a digest for numpy's baseline kernels.
 PINNED_DETECTION_OUTPUTS = {
     "detect": ("detect", (), {
         "detect.csv": {"cb9e85838316be2324e95922574a2d85483fb08a6258b8bbe75a4f1511802e9b"},
@@ -907,16 +913,16 @@ PINNED_DETECTION_OUTPUTS = {
                      "35e368e6a74cebda194eff270999ce42471630f9f4ea9d90f05ec6f88be90d5e"},
     }),
     "pulse-sweep": ("pulse-sweep", (), {
-        "pulse_sweep.csv": {"9b08cd8a0fe2ebcca4b22e1c6dc8b8dfdf1c4af1e66bd51e4d3c7f1d3e041976",
-                            "347b85e6a7e1943650a6a8f4e9a356348210375154bc5f6d55d98cb0ef911589"},
-        "fig5.csv": {"9b08cd8a0fe2ebcca4b22e1c6dc8b8dfdf1c4af1e66bd51e4d3c7f1d3e041976",
-                     "347b85e6a7e1943650a6a8f4e9a356348210375154bc5f6d55d98cb0ef911589"},
+        "pulse_sweep.csv": {"bb7147b7a766bef0e2c23f58b09c27037a19d67b29b3771fc8149830293198de",
+                            "300c60549d429844dcbde738a27f8fdccdd1083ee4e0ec2445ed121f07013750"},
+        "fig5.csv": {"bb7147b7a766bef0e2c23f58b09c27037a19d67b29b3771fc8149830293198de",
+                     "300c60549d429844dcbde738a27f8fdccdd1083ee4e0ec2445ed121f07013750"},
     }),
     "pulse-sweep-p0": ("pulse-sweep", ("device.p0=0.02",), {
-        "pulse_sweep.csv": {"55f1098262e9629a34cc1bae44a6cd4a486e600bb723fe8f5f0fda3e0350c5ac",
-                            "eaebad5623239c64d89351819fb9e20bf193a94bca47f313bba424bd286f7cfe"},
-        "fig5.csv": {"55f1098262e9629a34cc1bae44a6cd4a486e600bb723fe8f5f0fda3e0350c5ac",
-                     "eaebad5623239c64d89351819fb9e20bf193a94bca47f313bba424bd286f7cfe"},
+        "pulse_sweep.csv": {"59f3cf5d58c89c177d88fb757a5ccd244661db26764eb71768d23f60c0842ba8",
+                            "b8732774debb886d428f986ecd718b36af51067badfdebafd028430c6354af74"},
+        "fig5.csv": {"59f3cf5d58c89c177d88fb757a5ccd244661db26764eb71768d23f60c0842ba8",
+                     "b8732774debb886d428f986ecd718b36af51067badfdebafd028430c6354af74"},
     }),
 }
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 import sys
 from dataclasses import replace
@@ -18,6 +17,7 @@ from photonlink.detection import (
     excitation_poisson,
     mc_detector,
     transition_set_probability,
+    transition_sets,
     _poisson_n_max,
 )
 from photonlink.link import EXCITED, GROUND, build_cycle_kernel
@@ -127,10 +127,7 @@ class TestGivenArrivals:
         rng = substream(21, 2)
         times = np.sort(rng.random(5)) * T_C
         trace = ArrivalTrace(times, T_C)
-        total = sum(
-            transition_set_probability(trace, DEV, [0] + [i + 1 for i, b in enumerate(mask) if b])
-            for mask in itertools.product((0, 1), repeat=4)
-        )
+        total = sum(transition_set_probability(trace, DEV, k) for k in transition_sets(5))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_translation_invariance(self):

@@ -4,6 +4,7 @@ ber-sweep and rate-sweep run their points on threads at more workers,
 so no command loads multiprocessing.  Only the oracles load scipy.
 Each command loads only the photonlink modules it runs, and none loads
 detection, the module of the oracles of physics, link and saturation.
+`import photonlink` alone loads no submodule and not numpy.
 
 Each of those cases starts a fresh interpreter, since the pytest process
 has already imported scipy through other test modules.  The source of
@@ -11,8 +12,9 @@ the package is read as well: only validate imports detection, and no
 module that a batch command loads imports scipy.  A profiled run of
 every batch command shows that physics, link and saturation define only
 what those commands run, apart from a listed few that the benchmark
-tracer wraps or that await a command.  The last test checks that every
-module exports what its __all__ lists.
+tracer wraps or that the battery gates, and validate holds only the
+battery.  The last test checks that every module exports what its
+__all__ lists.
 """
 import ast
 import importlib
@@ -28,6 +30,7 @@ import pytest
 import photonlink
 
 SRC = Path(photonlink.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
 DEFAULT_YAML = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 
 SMALL = [
@@ -59,6 +62,8 @@ SCRIPT = """
 import json, sys
 def photonlink_modules():
     return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("photonlink."))
+import photonlink
+root = photonlink_modules() + sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 from photonlink import cli
 imported = photonlink_modules()
 commands, config, out, sets, workers = json.loads(sys.argv[1])
@@ -71,7 +76,7 @@ for command in commands:
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"codes": codes, "scipy": scipy, "futures": "concurrent.futures" in sys.modules,
                   "multiprocessing": "multiprocessing" in sys.modules,
-                  "imported": imported, "loaded": photonlink_modules()}))
+                  "root": root, "imported": imported, "loaded": photonlink_modules()}))
 """
 
 
@@ -128,6 +133,7 @@ def test_threaded_sweeps_never_load_multiprocessing(tmp_path):
 
 def test_cli_import_loads_no_command_module(tmp_path):
     got = _run_fresh([], tmp_path / "out")
+    assert got["root"] == []  # `import photonlink` alone loads no submodule and not numpy
     assert {"detection", "link", "saturation", "validate"}.isdisjoint(got["imported"])
 
 
@@ -163,6 +169,23 @@ def test_batch_modules_import_no_scipy():
     assert {name for name, imported in SOURCES.items() if "scipy" in imported} <= {"detection", "validate"}
 
 
+def test_validate_holds_only_the_battery():
+    # every oracle route lives in detection, once: validate's top-level functions are private, checks or inputs
+    # that they share with the tests, and the tests take nothing else from it, by import or by attribute
+    tree = ast.parse((SRC / "photonlink" / "validate.py").read_text(encoding="utf-8"))
+    names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    for path in sorted(TESTS.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        imports = [(node.module, a) for node in nodes if isinstance(node, ast.ImportFrom) for a in node.names]
+        names.update(a.name for module, a in imports if module == "photonlink.validate")
+        aliases = {a.asname or a.name for module, a in imports if module == "photonlink" and a.name == "validate"}
+        names.update(node.attr for node in nodes
+                     if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases)
+    assert "NAMES" in names  # the walk sees what the tests take
+    api = {"run_checks", "shaped_pulse", "cutoff_law", "CHECKS", "NAMES", "CheckResult"}
+    assert sorted(n for n in names if n not in api and not n.startswith(("check_", "REF_"))) == []
+
+
 # the functions of the batch modules that no batch command runs, each with why it stays
 UNREACHED = {
     "physics.CycleTiming.t_obs": "the observation instant of the Monte Carlo oracles",
@@ -183,9 +206,10 @@ UNREACHED = {
     "saturation._pack_rows": "runs inside saturated_excitation",
     "saturation.saturated_excitation": "the benchmark tracer wraps it here",
     "saturation.cutoff_photon_number": "the benchmark tracer wraps it here",
-    "saturation.survivor_moments_given_count": "a closed form that no command writes yet",
+    "saturation.survivor_moments_given_count": "the paper's fixed-count survivor theorem, which trivial-identities, "
+                                               "survivor-moments-vs-mc and pair-survival-pieces gate",
     "saturation.survivor_moments_given_count.g": "runs inside survivor_moments_given_count",
-    "saturation.find_lambda0": "a closed form that no command writes yet",
+    "saturation.find_lambda0": "the sub-/super-Poisson crossover, where delta-sign-structure splits its grid",
 }
 
 # the batch command runs that cover every production route: (command, --set items ...) on top of SMALL

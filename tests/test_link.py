@@ -32,7 +32,6 @@ from photonlink.link import (
 )
 from photonlink.physics import CycleTiming, DeviceParams, Environment
 from photonlink.rng import substream
-from photonlink.validate import frame_stats_enumeration_gap, rate_bracket_enumeration
 
 TIMING = CycleTiming(230e-9, 35e-9, 48e-9)
 
@@ -509,7 +508,7 @@ class TestFrameStatsLaw:
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
     def test_table_equals_enumeration(self, kernels, n):
         k0, k1 = self.KERNELS[kernels]()
-        assert frame_stats_enumeration_gap(HmmSpec(kernel0=k0, kernel1=k1, n_cycles=n)) < 1e-12
+        assert detection.frame_stats_enumeration_gap(HmmSpec(kernel0=k0, kernel1=k1, n_cycles=n)) < 1e-12
 
     @staticmethod
     def assert_equals_reference(laws, q, n, where):
@@ -742,7 +741,7 @@ print("ok")
         # must have its tuple's statistics, and within a tuple every frame is
         # equally likely (one chi-square goodness of fit over all tuples)
         n, reps = 6, 400
-        frames = ((np.arange(2**n)[:, None] >> np.arange(n)[None, ::-1]) & 1).astype(np.int64)
+        frames = detection.all_frames(n)
         groups = {}
         for code, st in enumerate(zip(*frame_statistics(frames))):
             groups.setdefault(tuple(int(x) for x in st), []).append(code)
@@ -782,28 +781,15 @@ class TestViterbi:
     def test_matches_exhaustive_map_short_sequences(self):
         base = ref_link_cfg(n=2).build_spec(-145.0)
         rng = substream(41, 7)
-        log_a = np.log(detection.transition(base))
-        log_pi = np.log(detection.INITIAL + 1e-300)
         for _ in range(25):
-            frames = (rng.random((2, 2)) < 0.5).astype(np.int64)
-            emis = detection.block_emission_logprob(base, frames)
-            best, best_p = None, -math.inf
-            for path in itertools.product(range(4), repeat=2):
-                s = log_pi[path[0]] + emis[0, path[0]] + log_a[path[0], path[1]] + emis[1, path[1]]
-                if s > best_p + 1e-12:
-                    best_p, best = s, path
-            got = viterbi_decode(base, emis)
-            assert np.array_equal(got, [p % 2 for p in best])
+            emis = detection.block_emission_logprob(base, (rng.random((2, 2)) < 0.5).astype(np.int64))
+            assert np.array_equal(viterbi_decode(base, emis), detection.exhaustive_map_symbols(base, emis))
 
 
 class TestForwardAndRate:
     def test_total_probability_small(self):
         base = ref_link_cfg(n=3).build_spec(-148.0)
-        total = 0.0
-        for seq in itertools.product(range(8), repeat=2):
-            frames = ((np.array(seq)[:, None] >> np.arange(3)[None, ::-1]) & 1).astype(np.int64)
-            total += 2.0 ** float(forward_loglik(base, detection.block_emission_logprob(base, frames)).sum())
-        assert total == pytest.approx(1.0, abs=1e-10)
+        assert detection.forward_total_probability(base, 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_deterministic_kernels_unit_rate(self):
         k0, k1 = deterministic_kernels()
@@ -936,7 +922,7 @@ class TestRateBracket:
     def test_equals_enumeration(self, kernels, n):
         k0, k1 = TestFrameStatsLaw.KERNELS[kernels]()
         spec = HmmSpec(kernel0=k0, kernel1=k1, n_cycles=n)
-        got, want = rate_bracket(spec), rate_bracket_enumeration(spec)
+        got, want = rate_bracket(spec), detection.rate_bracket_enumeration(spec)
         assert got[0] <= got[1]
         assert np.abs(np.subtract(got, want)).max() < 1e-12
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonlink.detection import pair_survival_integrals, poisson_weighted_moments
+from photonlink.detection import survivor_counts, survivor_excitation_z
 from photonlink.errors import NotSaturatingError, NumericsError
 from photonlink.physics import CycleTiming, DeviceParams, _cell_weights, _phi
 from photonlink.rng import substream
@@ -28,13 +29,12 @@ from photonlink.saturation import (
     log_grid,
     saturated_excitation,
     scan_cutoff,
-    survivor_excitation,
     survivor_mask,
     survivor_moments_given_count,
     survivor_moments_poisson,
 )
 from photonlink.physics import excitation_ctmc
-from photonlink.validate import cutoff_law, survivor_excitation_z
+from photonlink.validate import cutoff_law
 
 
 def mask_by_concatenation(times, tau):
@@ -121,8 +121,7 @@ class TestMomentsGivenCount:
         for n, ratio in [(2, 4.0), (5, 10.0), (12, 8.0)]:
             tau, t_c = 1.0 / ratio, 1.0
             reps = 300_000
-            t = np.sort(rng.random((reps, n)) * t_c, axis=1)
-            s = survivor_mask(t, tau).sum(axis=1).astype(float)
+            s = survivor_counts(rng, "count", n, tau, reps)
             m = survivor_moments_given_count(n, tau, t_c)
             z1 = abs(s.mean() - m.mean) / (s.std(ddof=1) / math.sqrt(reps))
             s2 = s * s
@@ -198,11 +197,7 @@ class TestMomentsPoisson:
         assert m.mean == pytest.approx(0.82720, abs=1e-5)
         rng = substream(31, 2)
         reps = 400_000
-        counts = rng.poisson(1.0, reps)
-        nmax = counts.max()
-        t = rng.random((reps, int(nmax)))
-        t[np.arange(nmax)[None, :] >= counts[:, None]] = np.inf
-        t.sort(axis=1)
+        t, _ = _poisson_sorted_arrivals(rng, 1.0, reps, 1.0)
         s = survivor_mask(t, 0.1).sum(axis=1).astype(float)
         z = abs(s.mean() - m.mean) / (s.std(ddof=1) / math.sqrt(reps))
         assert z < 4
@@ -300,7 +295,7 @@ class TestSaturatedExcitation:
     def test_low_power_gap_negligible(self, ref_dev):
         # exact on both sides: far inside two Monte Carlo standard errors at 150k replicas
         lam = 0.05 / self.TIMING.t_c
-        sat = float(survivor_excitation(lam, self.TIMING, ref_dev))
+        sat = float(SurvivorOperator.build(self.TIMING, ref_dev).excitation(lam))
         gap = excitation_ctmc(lam, self.TIMING, ref_dev) - sat
         assert abs(gap) < 2 * math.sqrt(sat * (1 - sat) / 150_000)
 
@@ -345,8 +340,8 @@ def survivor_excitation_reference(
     enter_excited: bool = False,
     cells_per_tau: int = 16,
 ) -> np.ndarray:
-    """survivor_excitation written as one function that builds and evaluates
-    its discretisation in one pass: the bit-for-bit reference of SurvivorOperator."""
+    """SurvivorOperator written as one function that builds and evaluates its
+    discretisation in one pass: its bit-for-bit reference."""
     lam = np.asarray(lam, dtype=float)
     shape = lam.shape
     lam = lam.ravel()
@@ -581,7 +576,7 @@ class TestSurvivorOperator:
 
 
 class TestFirstSurvivorExcitation:
-    """survivor_excitation, the exact saturated excitation; at gamma = 0 with
+    """SurvivorOperator's exact saturated excitation; at gamma = 0 with
     ground entry it is the first-survivor delay-renewal solution."""
 
     T_C = 230e-9
@@ -606,8 +601,8 @@ class TestFirstSurvivorExcitation:
             for ktc in (1e2, 10**2.5, 1e3, 1e4, 1e5):
                 lam = np.geomspace(0.5, 3.0 * cutoff_law(ktc), 60) / self.T_C
                 dev = self.dev(ktc, gamma_tc)
-                coarse = survivor_excitation(lam, self.TIMING, dev, enter_excited=entry)
-                fine = survivor_excitation(lam, self.TIMING, dev, enter_excited=entry, cells_per_tau=32)
+                coarse = SurvivorOperator.build(self.TIMING, dev, entry).excitation(lam)
+                fine = SurvivorOperator.build(self.TIMING, dev, entry, cells_per_tau=32).excitation(lam)
                 assert np.abs(coarse - fine).max() <= 1e-5, (gamma_tc, entry, ktc)
 
     def test_continuous_across_gamma_equal_r(self):
@@ -616,7 +611,7 @@ class TestFirstSurvivorExcitation:
             lam = np.geomspace(0.5, 3.0 * cutoff_law(ktc), 20) / self.T_C
             for entry in (False, True):
                 lo, mid, hi = (
-                    survivor_excitation(lam, self.TIMING, self.dev(ktc, ktc / 4 * f), enter_excited=entry)
+                    SurvivorOperator.build(self.TIMING, self.dev(ktc, ktc / 4 * f), entry).excitation(lam)
                     for f in (1 - 1e-4, 1.0, 1 + 1e-4)
                 )
                 assert np.all(np.isfinite(mid))
@@ -632,9 +627,9 @@ class TestFirstSurvivorExcitation:
         lam = np.geomspace(0.01, 3.0, 7) / self.T_C
         for gamma_tc in (0.0, 3.0, 30.0):
             dev = self.dev(1e3, gamma_tc, blocks=1e6)
-            ground = survivor_excitation(lam, timing, dev)
+            ground = SurvivorOperator.build(timing, dev).excitation(lam)
             assert np.abs(ground - excitation_ctmc(lam, timing, dev)).max() < 1e-5
-            excited = survivor_excitation(lam, timing, dev, enter_excited=True)
+            excited = SurvivorOperator.build(timing, dev, enter_excited=True).excitation(lam)
             r, g = dev.transition_rate, dev.gamma
             chain = [
                 expm(np.array([[-x, x, 0.0], [0.0, -r, r], [g, 0.0, -g]]) * self.T_C)[2, 2]
@@ -644,11 +639,11 @@ class TestFirstSurvivorExcitation:
             assert np.abs(excited - chain).max() < 1e-5
 
     def test_zero_rate(self):
-        assert survivor_excitation(0.0, self.TIMING, self.dev(1e3)) == 0.0
+        assert SurvivorOperator.build(self.TIMING, self.dev(1e3)).excitation(0.0) == 0.0
         timing = CycleTiming(self.T_C, 35e-9, 48e-9)
         dev = self.dev(1e3, 3.0)
         expect = math.exp(-dev.gamma * timing.t_obs)
-        assert float(survivor_excitation(0.0, timing, dev, enter_excited=True)) == pytest.approx(expect, rel=1e-12)
+        assert float(SurvivorOperator.build(timing, dev, True).excitation(0.0)) == pytest.approx(expect, rel=1e-12)
 
     def test_low_rate_limit(self):
         # to first order in lam every photon survives and arms the detector:
@@ -658,7 +653,7 @@ class TestFirstSurvivorExcitation:
             lam = 1e-5 / self.T_C
             r = dev.transition_rate
             first_order = lam * self.T_C + lam * math.expm1(-r * self.T_C) / r
-            got = float(survivor_excitation(lam, self.TIMING, dev))
+            got = float(SurvivorOperator.build(self.TIMING, dev).excitation(lam))
             assert abs(got / first_order - 1.0) < 1e-4
 
     def test_continuous_across_whole_blocks(self):
@@ -668,10 +663,9 @@ class TestFirstSurvivorExcitation:
         for blocks in (100, 1001, 8193):
             for gamma_tc, entry in ((0.0, False), (3.0, True)):
                 vals = [
-                    survivor_excitation(
-                        lam, CycleTiming(self.T_C * (1 + eps), 35e-9, 48e-9), self.dev(1e3, gamma_tc, blocks),
-                        enter_excited=entry,
-                    )
+                    SurvivorOperator.build(
+                        CycleTiming(self.T_C * (1 + eps), 35e-9, 48e-9), self.dev(1e3, gamma_tc, blocks), entry,
+                    ).excitation(lam)
                     for eps in (-1e-7, 0.0, 1e-7)
                 ]
                 assert np.abs(vals[0] - vals[1]).max() < 1e-6
@@ -681,9 +675,9 @@ class TestFirstSurvivorExcitation:
         lam = np.geomspace(1.0, 2e4, 9) / self.T_C
         for entry in (False, True):
             dev = self.dev(1e3, 2.0)
-            vec = survivor_excitation(lam, self.TIMING, dev, enter_excited=entry)
+            vec = SurvivorOperator.build(self.TIMING, dev, entry).excitation(lam)
             assert vec.shape == lam.shape
-            point = [float(survivor_excitation(x, self.TIMING, dev, enter_excited=entry)) for x in lam]
+            point = [float(SurvivorOperator.build(self.TIMING, dev, entry).excitation(x)) for x in lam]
             assert vec.tolist() == point
 
     def test_extreme_window_and_rate(self):
@@ -691,7 +685,7 @@ class TestFirstSurvivorExcitation:
         dev = self.dev(1e5, 2.0)
         for entry in (False, True):
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                vals = survivor_excitation(lam, self.TIMING, dev, enter_excited=entry)
+                vals = SurvivorOperator.build(self.TIMING, dev, entry).excitation(lam)
             assert np.all(np.isfinite(vals))
             assert np.all((vals >= 0.0) & (vals <= 1.0))
             # at the top rate only an excited entry that has not yet decayed is left
@@ -700,15 +694,15 @@ class TestFirstSurvivorExcitation:
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            survivor_excitation(-1.0, self.TIMING, self.dev(1e3))
+            SurvivorOperator.build(self.TIMING, self.dev(1e3)).excitation(-1.0)
         with pytest.raises(ValueError):
-            survivor_excitation(1.0, self.TIMING, self.dev(1e3), cells_per_tau=0)
+            SurvivorOperator.build(self.TIMING, self.dev(1e3), cells_per_tau=0)
 
     def test_drives_gamma0_cutoff_scan(self):
         # the cutoff scan evaluates the exact curve over its whole grid
         grid = log_grid(1.0, 3000.0, 12)
         res = cutoff_photon_number(cutoff_operator(self.dev(100.0), self.T_C), grid)
-        expect = survivor_excitation(grid / self.T_C, self.TIMING, self.dev(100.0))
+        expect = SurvivorOperator.build(self.TIMING, self.dev(100.0)).excitation(grid / self.T_C)
         assert res.excitation.tolist() == expect.tolist()
 
 
@@ -762,7 +756,7 @@ class TestCutoff:
             dev = DeviceParams(kappa=r["kappa_tc"] / self.T_C, gamma=0.0, alpha_sat=1.14)
             res = scan_cutoff([cutoff_operator(dev, self.T_C)])[0]
             assert res.n_cutoff == pytest.approx(r["n_cutoff"], rel=1e-12)  # the table prints t_c rounded
-            at_root = float(survivor_excitation(res.n_cutoff / self.T_C, self.TIMING, dev))
+            at_root = float(SurvivorOperator.build(self.TIMING, dev).excitation(res.n_cutoff / self.T_C))
             assert abs(at_root / (0.5 * res.excitation.max()) - 1.0) < 1e-9
 
     def test_lockstep_scan_equals_one_device_at_a_time(self):
